@@ -11,7 +11,6 @@ import pathlib
 from repro.bench.report import format_table
 from repro.dfs.filesystem import DFS
 from repro.sim.machine import Machine
-from repro.txn.batch import GroupCommitter
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
 
@@ -23,20 +22,20 @@ def _run(batch_size: int) -> float:
     machines = [Machine(f"n{i}", rack=f"rack-{i % 2}") for i in range(3)]
     dfs = DFS(machines, replication=3)
     repo = LogRepository(dfs, machines[0], "/log")
-    committer = GroupCommitter(repo, batch_size)
-    for i in range(N_RECORDS):
-        committer.submit(
-            LogRecord(
-                record_type=RecordType.WRITE,
-                table="t",
-                tablet="t#0",
-                key=f"k{i:06d}".encode(),
-                group="g",
-                timestamp=i + 1,
-                value=b"x" * 1000,
-            )
+    records = [
+        LogRecord(
+            record_type=RecordType.WRITE,
+            table="t",
+            tablet="t#0",
+            key=f"k{i:06d}".encode(),
+            group="g",
+            timestamp=i + 1,
+            value=b"x" * 1000,
         )
-    committer.flush()
+        for i in range(N_RECORDS)
+    ]
+    for start in range(0, N_RECORDS, batch_size):
+        repo.append_batch(records[start : start + batch_size])
     return machines[0].clock.now
 
 

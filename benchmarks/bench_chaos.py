@@ -19,10 +19,9 @@ pytest, which asserts every run passes the oracle.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
-import time
 
+from conftest import append_trajectory
 from repro.chaos import SCHEDULES, run_chaos
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -80,12 +79,8 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    summary = {
-        "timestamp": time.time(),
+def trajectory_entry(results: dict) -> dict:
+    return {
         "ops": results["ops"],
         "seeds": results["seeds"],
         "scenarios": results["scenarios"],
@@ -97,8 +92,6 @@ def append_trajectory(results: dict) -> None:
             for violation in run["violations"]
         ],
     }
-    history.append(summary)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
 # -- pytest entry point -----------------------------------------------------
@@ -151,7 +144,7 @@ def main() -> None:
     scenarios = tuple(args.scenario) if args.scenario else None
     results = run_experiment(seeds=seeds, ops=ops, scenarios=scenarios)
     print(format_report(results))
-    append_trajectory(results)
+    append_trajectory(TRAJECTORY, trajectory_entry(results))
     print(f"\ntrajectory appended to {TRAJECTORY}")
     if results["failed"]:
         raise SystemExit(1)

@@ -2,11 +2,11 @@
 
 Runs an identical uniform-update churn workload twice on a single-server
 3-node LogBase: load a keyspace, then repeat ``rounds`` rounds of random
-overwrites followed by ``compact_all()`` — once with the seed monolithic
-compaction (every round rewrites the whole log, sorted runs included) and
-once with ``LogBaseConfig.with_incremental_compaction()`` (size-tiered
-planner: the unsorted tail always compacts, sorted runs only merge when a
-tier fills).
+overwrites followed by a compaction round — once monolithic (every round
+rewrites the whole log, sorted runs included, as one whole-log tail plan:
+the retired seed job, re-expressed here as the reference arm) and once
+through ``compact_all()`` (size-tiered planner: the unsorted tail always
+compacts, sorted runs only merge when a tier fills).
 
 Reports cumulative compaction bytes read/written per round and the
 rewrite amplification (cumulative compaction writes / cumulative ingest),
@@ -24,12 +24,10 @@ monolithic arm.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
-import time
 
-from conftest import RECORD_SIZE
+from conftest import RECORD_SIZE, append_trajectory
 from repro.bench.adapters import LogBaseAdapter, make_logbase
 from repro.config import LogBaseConfig
 from repro.sim.metrics import (
@@ -38,6 +36,8 @@ from repro.sim.metrics import (
     COMPACTION_PLANS,
     LOG_INGEST_BYTES,
 )
+from repro.wal.compaction import IncrementalCompactionJob
+from repro.wal.planner import CompactionPlan
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_compaction.json"
@@ -50,16 +50,13 @@ SCANS = 16
 RANGE_SIZE = 80  # tuples returned per scan, the Fig. 10 mid-range point
 
 
-def build_adapter(records: int, *, incremental: bool) -> LogBaseAdapter:
+def build_adapter(records: int) -> LogBaseAdapter:
     """A single-server 3-node LogBase with small segments so each churn
     round spills several unsorted tail segments (the steady-state
-    regime), with or without incremental compaction."""
+    regime)."""
     total = max(records * RECORD_SIZE, 64 * 1024)
-    settings = dict(segment_size=max(total // 8, 16 * 1024), heap_bytes=4 * total)
-    config = (
-        LogBaseConfig.with_incremental_compaction(**settings)
-        if incremental
-        else LogBaseConfig(**settings)
+    config = LogBaseConfig(
+        segment_size=max(total // 8, 16 * 1024), heap_bytes=4 * total
     )
     return make_logbase(
         3,
@@ -70,10 +67,24 @@ def build_adapter(records: int, *, incremental: bool) -> LogBaseAdapter:
     )
 
 
+def compact_monolithic(adapter: LogBaseAdapter) -> None:
+    """One whole-log tail plan per server: what ``TabletServer.compact``
+    does, minus the planner."""
+    for server in adapter.cluster.servers:
+        inputs = tuple(server.log.segments())
+        server.log.roll()
+        plan = CompactionPlan(
+            "tail", inputs, sum(server.log.segment_bytes(f) for f in inputs)
+        )
+        server._patch_indexes(IncrementalCompactionJob(server.log, plan).run())
+        adapter.cluster.checkpoints[server.name].write_checkpoint()
+
+
 def run_churn(
-    adapter: LogBaseAdapter, records: int, rounds: int, *, seed: int = 11
+    adapter: LogBaseAdapter, records: int, rounds: int, compact, *, seed: int = 11
 ) -> dict:
-    """Load, then ``rounds`` rounds of uniform overwrites + compaction.
+    """Load, then ``rounds`` rounds of uniform overwrites, each followed
+    by ``compact(adapter)``.
 
     Returns per-round cumulative compaction I/O and the final rewrite
     amplification (compaction bytes written / ingested bytes).
@@ -87,7 +98,7 @@ def run_churn(
     for _ in range(rounds):
         for _ in range(updates_per_round):
             adapter.put(0, rng.choice(keys), rng.randbytes(RECORD_SIZE))
-        adapter.compact_all()
+        compact(adapter)
         counters = adapter.cluster.total_counters()
         per_round.append(
             {
@@ -140,9 +151,12 @@ def run_experiment(records: int = DEFAULT_RECORDS, rounds: int = DEFAULT_ROUNDS)
         "scans": SCANS,
         "range_size": RANGE_SIZE,
     }
-    for label, incremental in (("monolithic", False), ("incremental", True)):
-        adapter = build_adapter(records, incremental=incremental)
-        arm = run_churn(adapter, records, rounds)
+    for label, compact in (
+        ("monolithic", compact_monolithic),
+        ("incremental", LogBaseAdapter.compact_all),
+    ):
+        adapter = build_adapter(records)
+        arm = run_churn(adapter, records, rounds, compact)
         arm["scan"] = run_scan_phase(adapter, records)
         results[label] = arm
     mono = results["monolithic"]
@@ -181,14 +195,6 @@ def format_report(results: dict) -> str:
         f"scan delta: {results['scan_delta']:+.1%}"
     )
     return "\n".join(lines)
-
-
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append({"timestamp": time.time(), **results})
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def check_acceptance(results: dict) -> list[str]:
@@ -252,7 +258,7 @@ def main() -> None:
     results = run_experiment(records=records, rounds=rounds)
     print(format_report(results))
     if not args.smoke:  # smoke runs (CI) must not pollute the trajectory
-        append_trajectory(results)
+        append_trajectory(TRAJECTORY, results)
         print(f"\ntrajectory appended to {TRAJECTORY}")
     failures = check_acceptance(results)
     if failures:

@@ -23,11 +23,9 @@ fan-in 64 and < 0.5 at fan-in 8, and zero failed commits.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
-import time
 
-from conftest import RECORD_SIZE
+from conftest import RECORD_SIZE, append_trajectory
 from repro.bench.adapters import LogBaseAdapter, make_logbase
 from repro.bench.concurrent import run_concurrent_puts
 from repro.config import LogBaseConfig
@@ -131,14 +129,6 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append({"timestamp": time.time(), **results})
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
-
-
 def check_acceptance(results: dict) -> list[str]:
     """The acceptance bars; returns a list of violations (empty = pass)."""
     failures = []
@@ -189,7 +179,7 @@ def main() -> None:
     results = run_experiment(ops=ops)
     print(format_report(results))
     if not args.smoke:  # smoke runs (CI) must not pollute the trajectory
-        append_trajectory(results)
+        append_trajectory(TRAJECTORY, results)
         print(f"\ntrajectory appended to {TRAJECTORY}")
     failures = check_acceptance(results)
     if failures:

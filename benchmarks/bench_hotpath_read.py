@@ -21,12 +21,11 @@ via pytest, which asserts the >= 2x seek-reduction acceptance bar.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
 import time
 
-from conftest import RECORD_SIZE, load_keys_single_server
+from conftest import RECORD_SIZE, append_trajectory, load_keys_single_server
 from repro.bench.adapters import LogBaseAdapter, make_logbase
 from repro.config import LogBaseConfig
 
@@ -144,14 +143,6 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append({"timestamp": time.time(), **results})
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
-
-
 # -- pytest entry point -----------------------------------------------------------
 
 
@@ -197,7 +188,7 @@ def main() -> None:
         parser.error("--records and --scans must be >= 1")
     results = run_experiment(records=records, scans=scans)
     print(format_report(results))
-    append_trajectory(results)
+    append_trajectory(TRAJECTORY, results)
     print(f"\ntrajectory appended to {TRAJECTORY}")
 
 

@@ -23,21 +23,21 @@ Appends a run entry to ``BENCH_migration.json`` at the repo root.
 
 Run directly (``python benchmarks/bench_migration.py [--smoke]``) or via
 pytest, which asserts the acceptance bars: flip p99 within the
-configured ``migration_flip_budget``, 100% availability, zero lost
+``FLIP_BUDGET_SECONDS`` bound, 100% availability, zero lost
 writes, and a green chaos matrix.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
-import time
 
+from conftest import append_trajectory
 from repro.chaos import MIGRATION_SCENARIOS, run_migration_chaos
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
+from repro.core.migration import FLIP_BUDGET_SECONDS
 from repro.core.schema import ColumnGroup, TableSchema
 from repro.errors import LogBaseError
 
@@ -180,7 +180,7 @@ def run_arm(ops: int, *, event: str) -> dict:
         "delta_records": sum(m.delta_records for m in migrations),
         "flip_p50_seconds": hist.percentile(0.50),
         "flip_p99_seconds": hist.percentile(0.99),
-        "flip_budget_seconds": db.cluster.config.migration_flip_budget,
+        "flip_budget_seconds": FLIP_BUDGET_SECONDS,
         "ops_attempted": workload.attempted,
         "ops_failed": workload.failed,
         "availability": workload.availability,
@@ -241,14 +241,6 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append({"timestamp": time.time(), **results})
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
-
-
 def check_acceptance(results: dict) -> list[str]:
     """The acceptance bars; returns a list of violations (empty = pass)."""
     failures = []
@@ -295,7 +287,7 @@ def main() -> None:
     results = run_experiment(sizes=sizes)
     print(format_report(results))
     if not args.smoke:  # smoke runs (CI) must not pollute the trajectory
-        append_trajectory(results)
+        append_trajectory(TRAJECTORY, results)
         print(f"\ntrajectory appended to {TRAJECTORY}")
     failures = check_acceptance(results)
     if failures:

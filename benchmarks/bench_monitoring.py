@@ -22,11 +22,11 @@ One row per oracle entry and a trajectory entry appended to
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
 import time
 
+from conftest import append_trajectory
 from repro.chaos.detection import (
     DETECTION_BUDGETS,
     EXPECTED_ALERTS,
@@ -190,32 +190,25 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append(
-        {
-            "timestamp": time.time(),
-            "seed": results["seed"],
-            "smoke": results["smoke"],
-            "passed": results["passed"],
-            "failed": results["failed"],
-            "overhead": results["overhead"],
-            "detections": [
-                {
-                    "family": r["family"],
-                    "scenario": r["scenario"],
-                    "expected_alert": r["expected_alert"],
-                    "detection_latency": r["detection_latency"],
-                    "passed": r["passed"],
-                }
-                for r in results["detections"]
-            ],
-            "problems": check(results),
-        }
-    )
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
+def trajectory_entry(results: dict) -> dict:
+    return {
+        "seed": results["seed"],
+        "smoke": results["smoke"],
+        "passed": results["passed"],
+        "failed": results["failed"],
+        "overhead": results["overhead"],
+        "detections": [
+            {
+                "family": r["family"],
+                "scenario": r["scenario"],
+                "expected_alert": r["expected_alert"],
+                "detection_latency": r["detection_latency"],
+                "passed": r["passed"],
+            }
+            for r in results["detections"]
+        ],
+        "problems": check(results),
+    }
 
 
 # -- pytest entry point -----------------------------------------------------
@@ -238,7 +231,7 @@ def main() -> None:
     args = parser.parse_args()
     results = run_experiment(seed=args.seed, smoke=args.smoke)
     print(format_report(results))
-    append_trajectory(results)
+    append_trajectory(TRAJECTORY, trajectory_entry(results))
     print(f"\ntrajectory appended to {TRAJECTORY}")
     if check(results):
         raise SystemExit(1)

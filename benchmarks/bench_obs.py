@@ -22,12 +22,12 @@ pytest, which asserts all of the above.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
 import time
 import timeit
 
+from conftest import append_trajectory
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.schema import ColumnGroup, TableSchema
@@ -232,14 +232,8 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    summary = {key: value for key, value in results.items() if key != "time_report"}
-    summary["timestamp"] = time.time()
-    history.append(summary)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
+def trajectory_entry(results: dict) -> dict:
+    return {key: value for key, value in results.items() if key != "time_report"}
 
 
 # -- pytest entry point -----------------------------------------------------
@@ -262,7 +256,7 @@ def main() -> None:
     ops = args.ops if args.ops is not None else (SMOKE_OPS if args.smoke else DEFAULT_OPS)
     results = run_experiment(ops=ops, seed=args.seed)
     print(format_report(results))
-    append_trajectory(results)
+    append_trajectory(TRAJECTORY, trajectory_entry(results))
     print(f"\ntrajectory appended to {TRAJECTORY}")
     failures = check(results)
     if failures:

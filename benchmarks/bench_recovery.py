@@ -1,10 +1,10 @@
 """Recovery-time sweep: parallel hot-first redo vs the sequential scan.
 
 For each log size the same workload runs twice on fresh single-server
-3-node clusters — once with the ``fast_recovery`` gate off (the seed's
-sequential checkpoint+redo path) and once with it on (redo partitioned
-across virtual workers, tablets brought up hottest-first and served as
-each completes).  A checkpoint lands at the quarter mark so both arms
+3-node clusters — once recovered by the sequential checkpoint+redo
+reference (``restart_server(recover=False)`` + ``recover_server``) and
+once by ``restart_server`` itself (redo partitioned across virtual
+workers, tablets brought up hottest-first and served as each completes).  A checkpoint lands at the quarter mark so both arms
 reload indexes *and* redo a long tail, the workload heats one tablet so
 the hot-first ordering has a signal, then the server is crashed and
 restarted through recovery.
@@ -26,14 +26,13 @@ index contents.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
-import time
 
-from conftest import RECORD_SIZE
+from conftest import RECORD_SIZE, append_trajectory
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
+from repro.core.recovery import recover_server
 from repro.core.schema import ColumnGroup, TableSchema
 from repro.errors import TabletNotFound
 
@@ -93,14 +92,10 @@ def index_signature(db: LogBase, keys: list[bytes]) -> set:
 
 
 def run_arm(ops: int, *, fast: bool) -> tuple[dict, set]:
-    """One fresh-cluster crash/recover arm.  Only the ``fast_recovery``
-    gate differs between arms — shared knobs stay at seed defaults so the
-    cost models are identical and the seconds are comparable."""
-    config = LogBaseConfig(
-        segment_size=32 * 1024,
-        fast_recovery=fast,
-        recovery_workers=WORKERS,
-    )
+    """One fresh-cluster crash/recover arm.  Only the recovery procedure
+    differs between arms — the config is shared, so the cost models are
+    identical and the seconds are comparable."""
+    config = LogBaseConfig(segment_size=32 * 1024, recovery_workers=WORKERS)
     db = LogBase(n_nodes=3, config=config)
     db.create_table(
         SCHEMA,
@@ -112,7 +107,13 @@ def run_arm(ops: int, *, fast: bool) -> tuple[dict, set]:
     keys, hot_key = run_workload(db, ops)
     hot_tablet = str(db.cluster.master.locate(TABLE, hot_key)[1].tablet_id)
     db.cluster.kill_node(SERVER)
-    report = db.cluster.restart_server(SERVER)
+    if fast:
+        report = db.cluster.restart_server(SERVER)
+    else:
+        db.cluster.restart_server(SERVER, recover=False)
+        report = recover_server(
+            db.cluster.server_by_name(SERVER), db.cluster.checkpoints[SERVER]
+        )
     first_hot = (
         report.tablet_ready.get(hot_tablet, report.seconds)
         if report.parallel
@@ -178,14 +179,6 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append({"timestamp": time.time(), **results})
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
-
-
 def check_acceptance(results: dict) -> list[str]:
     """The acceptance bars; returns a list of violations (empty = pass)."""
     failures = []
@@ -241,7 +234,7 @@ def main() -> None:
     results = run_experiment(sizes=sizes)
     print(format_report(results))
     if not args.smoke:  # smoke runs (CI) must not pollute the trajectory
-        append_trajectory(results)
+        append_trajectory(TRAJECTORY, results)
         print(f"\ntrajectory appended to {TRAJECTORY}")
     failures = check_acceptance(results)
     if failures:

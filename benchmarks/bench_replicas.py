@@ -31,11 +31,10 @@ chaos matrix with zero staleness violations.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
-import time
 
+from conftest import append_trajectory
 from repro.chaos import REPLICA_SCENARIOS, run_replica_chaos
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
@@ -231,14 +230,6 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def append_trajectory(results: dict) -> None:
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append({"timestamp": time.time(), **results})
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
-
-
 def check_acceptance(results: dict) -> list[str]:
     """The acceptance bars; returns a list of violations (empty = pass)."""
     failures = []
@@ -302,7 +293,7 @@ def main() -> None:
     results = run_experiment(sizes=sizes)
     print(format_report(results))
     if not args.smoke:  # smoke runs (CI) must not pollute the trajectory
-        append_trajectory(results)
+        append_trajectory(TRAJECTORY, results)
         print(f"\ntrajectory appended to {TRAJECTORY}")
     failures = check_acceptance(results)
     if failures:

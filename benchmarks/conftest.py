@@ -11,7 +11,9 @@ its qualitative shape, and results are also written to
 
 from __future__ import annotations
 
+import json
 import pathlib
+import time
 
 import pytest
 
@@ -31,6 +33,13 @@ NODE_COUNTS = [3, 6, 12, 24]               # cluster sizes
 DIST_RECORDS = 150                         # records per node (1 M in paper)
 DIST_OPS = 100                             # mixed ops per node (5 000 in paper)
 RECORD_SIZE = 1000                         # 1 KB records, unscaled
+
+
+def append_trajectory(path: pathlib.Path, entry: dict) -> None:
+    """Append one timestamped run entry to a ``BENCH_*.json`` history."""
+    history = json.loads(path.read_text()) if path.exists() else []
+    history.append({"timestamp": time.time(), **entry})
+    path.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def emit(name: str, text: str) -> None:

@@ -24,10 +24,6 @@ class UniformGenerator:
         """Next sample."""
         return self._rng.randrange(self._n)
 
-    def resize(self, n: int) -> None:
-        """Grow/shrink the domain."""
-        self._n = n
-
 
 class ZipfianGenerator:
     """Zipfian choice over [0, n) with popularity rank = item order.

@@ -105,7 +105,7 @@ def _seeded_cluster(
     """A cluster with every tablet on the victim, ``ops`` acked writes
     (checkpoint at the halfway mark so both checkpoint reload and tail
     redo run), and a heat profile the heartbeat has already snapshotted."""
-    config = LogBaseConfig.with_fast_recovery(
+    config = LogBaseConfig.with_fault_tolerance(
         segment_size=64 * 1024,
         monitoring=monitoring,
         monitor_scrape_interval=0.0,  # chaos detection: scrape every beat

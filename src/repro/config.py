@@ -17,6 +17,9 @@ from repro.sim.network import NetworkModel
 GiB = 1024 * 1024 * 1024
 MiB = 1024 * 1024
 
+# Share of heap for the per-machine DFS block cache (when enabled).
+BLOCK_CACHE_HEAP_FRACTION = 0.10
+
 
 @dataclass
 class LogBaseConfig:
@@ -38,15 +41,12 @@ class LogBaseConfig:
             disk.  Off by default so the seed Fig. 6-10 cost-model results
             are reproduced exactly; enable it (or use
             :meth:`with_read_pipeline`) for the hot read path.
-        block_cache_heap_fraction: share of heap for the DFS block cache.
         block_cache_chunk: bytes per cached chunk (the unit of cache fill
             and eviction; one miss reads one chunk from the datanode).
         read_coalesce_gap: ``None`` disables batch-read coalescing (seed
             behaviour: one DFS read per pointer).  Otherwise, pointers
             sorted by offset whose gap is at most this many bytes are
             merged into a single DFS read by ``LogRepository.read_many``.
-        read_batch_size: index entries fetched per ``read_many`` window
-            during range scans (only used when coalescing is enabled).
         scan_prefetch_bytes: read-ahead window for sequential segment
             scans; 0 reads the whole segment in one request (seed
             behaviour), a positive value streams the scan in windows of
@@ -64,9 +64,6 @@ class LogBaseConfig:
         group_commit_max_bytes: byte budget per commit group (estimated
             record sizes); None removes the cap and only
             ``group_commit_batch`` bounds the group.
-        group_commit_pipeline: start replicating the next group while the
-            previous group's acks drain back up the pipeline; members are
-            still acked only at their own group's ack-drain time.
         dfs_checksum_replicas: datanodes keep an incremental CRC-32C per
             replica (needed for read-path corruption detection).
         dfs_verify_reads: checksum-verify a replica before serving a read
@@ -97,8 +94,6 @@ class LogBaseConfig:
         hedge_reads: DFS readers fire a hedge to a second replica when
             the preferred replica's estimated cost exceeds the hedging
             delay, and take the cheaper completion.
-        hedge_quantile: hedging delay as a multiple of the EWMA read
-            latency (approximates "hedge past the p9x latency").
         hedge_min_delay: floor for the hedging delay in seconds
             (kept above a healthy random access so cold monitors never
             hedge ordinary reads).
@@ -111,29 +106,20 @@ class LogBaseConfig:
         admission_queue_depth: bounded in-flight queue per tablet server,
             in EWMA service times; requests past it are shed with
             ``ServerOverloadedError`` + retry-after (None disables).
-        incremental_compaction: replace the one-shot full compaction with
-            the size-tiered planner: unsorted tail segments are always
-            eligible, sorted runs only merge when a tier accumulates
-            enough similar-sized runs, and only the touched (table,
-            group) indexes are swapped.  Off by default so the seed
-            figures are reproduced byte-identically;
-            :meth:`with_incremental_compaction` enables it.
+        incremental_compaction: retired gate, pinned to ``True`` — since
+            PR 14 the size-tiered planner is the only compaction path.
+            The field survives only because the frozen end-to-end
+            benchmark profile still passes it; ``validate()`` rejects
+            ``False``.
         compaction_tier_fanout: sorted runs of one (table, group) merge
             only when at least this many similar-sized runs have
             accumulated in a size tier (the size-tiered trigger).
-        compaction_max_input_bytes: I/O budget per compaction plan —
-            a plan stops adding input segments past this many bytes
-            (None removes the cap).
-        fast_recovery: restart recovery partitions the redo scan per
-            tablet and multiplexes per-tablet redo workers over the
-            virtual-time scheduler, bringing tablets back to serving in
-            access-heat order the moment their own redo completes; ops on
-            still-recovering tablets are rejected with a retryable
-            ``TabletRecoveringError``.  Off by default so the seed
-            figures (fig18's sequential recovery included) are reproduced
-            byte-identically; :meth:`with_fast_recovery` enables it.
+        fast_recovery: retired gate, pinned to ``True`` — since PR 14
+            ``restart_server`` always runs the parallel hot-first redo.
+            Kept for the same reason as ``incremental_compaction``;
+            ``validate()`` rejects ``False``.
         recovery_workers: parallel redo workers (scan + per-tablet
-            bring-up lanes) a fast recovery multiplexes over the
+            bring-up lanes) restart recovery multiplexes over the
             scheduler.
         live_migration: enable the live-migration subsystem
             (:mod:`repro.core.migration`): lease-based tablet ownership
@@ -143,25 +129,6 @@ class LogBaseConfig:
             the median observed key, and the master-side heat balancer.
             Off by default so the seed figures are reproduced
             byte-identically; :meth:`with_live_migration` enables it.
-        migration_lease_seconds: ownership lease TTL in simulated
-            seconds.  A server whose lease lapsed (it was partitioned or
-            paused and the heartbeat could not renew) rejects ops with
-            ``TabletMigratingError`` instead of double-serving; a fenced
-            flip against an unreachable owner must wait out at most this
-            long.
-        migration_flip_budget: acceptance bound (simulated seconds) on
-            one migration's fenced-flip window — the only unavailability
-            a live migration may cause.  Benchmarks assert flip p99 stays
-            under it.
-        balancer_skew_threshold: the balancer acts when the hottest
-            server's heat exceeds the coldest's by this factor.
-        balancer_split_fraction: a tablet carrying at least this share of
-            its server's heat is split (its hotspot cannot be fixed by
-            moving the whole tablet) instead of migrated.
-        heat_half_life: half-life in simulated seconds for decaying the
-            master-side ``tablet_heat`` of tablets that are no longer in
-            the catalog's assignments (deleted or replaced by a split) —
-            the balancer must never chase a ghost hotspot.
         read_replicas: enable log-shipping read replicas
             (:mod:`repro.core.follower`): non-owner servers tail the
             owner's log segments straight from the replicated DFS,
@@ -178,9 +145,6 @@ class LogBaseConfig:
             the owner's last-commit time minus this bound rejects the
             read with ``FollowerLaggingError`` (per-request override via
             the client API).
-        replica_tail_batch: max log records a follower applies per tail
-            pass (bounds one heartbeat's catch-up work; lag beyond it is
-            worked off over subsequent passes).
         replica_read_fraction: share of eligible reads the client routes
             to followers (1.0 = all reads try a follower first); writes
             and historical ``as_of`` reads below the watermark still go
@@ -191,8 +155,6 @@ class LogBaseConfig:
             each charged simulated second to the innermost open span.
             Off by default so the seed figures are reproduced
             byte-identically; :meth:`with_tracing` enables it.
-        trace_ring: closed traces retained in the tracer's ring buffer.
-        trace_slow_samples: worst traces kept per operation type.
         monitoring: install a :class:`~repro.obs.monitor.ClusterMonitor`
             on the cluster: every heartbeat scrapes per-machine counter
             deltas and derived health gauges into ring-buffer time
@@ -201,13 +163,6 @@ class LogBaseConfig:
             observed fault.  Off by default so the seed figures are
             reproduced byte-identically; :meth:`with_monitoring` enables
             it.  Pure bookkeeping — no simulated cost either way.
-        monitor_ring: samples retained per (entity, metric) time series.
-        monitor_recorder_ring: events retained per node by the flight
-            recorder.
-        monitor_postmortems: post-mortem bundles retained per run
-            (overflow keeps the oldest — the incident's first snapshot).
-        monitor_series_tail: newest samples per series included in a
-            post-mortem bundle.
         monitor_scrape_interval: minimum *simulated* seconds between
             scrape ticks — the production-style cadence that keeps the
             enabled gate's wall-clock overhead bounded.  ``0.0`` scrapes
@@ -217,13 +172,8 @@ class LogBaseConfig:
             seconds, e.g. ``{"op.put": 0.25}`` — each entry adds a
             burn-rate alert computed from the PR 6 latency histograms
             (requires ``tracing`` for the histograms to exist).
-        slo_objective: fraction of ops that must meet the target (0.99 =
-            p99 objective; 0.999 = availability-style, more nines).
         slo_burn_threshold: burn-rate multiple that fires the SLO alert
             (1.0 = burning budget exactly at the allowed rate).
-        slo_window: lookback window in simulated seconds for burn rates.
-        slo_min_samples: ops observed in the window before an SLO rule
-            may fire (suppresses noise on near-empty histograms).
         index_kind: ``"blink"`` (in-memory) or ``"lsm"`` (spill to DFS).
         max_versions: versions kept per key by compaction (None = all).
         disk: device cost model for every machine.
@@ -240,16 +190,13 @@ class LogBaseConfig:
     checkpoint_update_threshold: int = 0
     read_cache_enabled: bool = True
     block_cache_enabled: bool = False
-    block_cache_heap_fraction: float = 0.10
     block_cache_chunk: int = 64 * 1024
     read_coalesce_gap: int | None = None
-    read_batch_size: int = 256
     scan_prefetch_bytes: int = 0
     group_commit_batch: int = 16
     group_commit: bool = False
     group_commit_max_delay: float = 0.002
     group_commit_max_bytes: int | None = None
-    group_commit_pipeline: bool = True
     dfs_checksum_replicas: bool = False
     dfs_verify_reads: bool = False
     dfs_auto_rereplicate: bool = False
@@ -260,43 +207,26 @@ class LogBaseConfig:
     gray_resilience: bool = False
     op_deadline: float | None = None
     hedge_reads: bool = False
-    hedge_quantile: float = 3.0
     hedge_min_delay: float = 0.05
     breaker_enabled: bool = False
     breaker_trip_seconds: float = 0.1
     breaker_cooldown: float = 2.0
     breaker_min_samples: int = 3
     admission_queue_depth: int | None = None
-    fast_recovery: bool = False
+    fast_recovery: bool = True
     recovery_workers: int = 4
-    incremental_compaction: bool = False
+    incremental_compaction: bool = True
     compaction_tier_fanout: int = 4
-    compaction_max_input_bytes: int | None = None
     live_migration: bool = False
-    migration_lease_seconds: float = 0.5
-    migration_flip_budget: float = 2.0
-    balancer_skew_threshold: float = 2.0
-    balancer_split_fraction: float = 0.6
-    heat_half_life: float = 60.0
     read_replicas: bool = False
     replicas_per_tablet: int = 1
     replica_max_staleness: float = 5.0
-    replica_tail_batch: int = 512
     replica_read_fraction: float = 1.0
     tracing: bool = False
-    trace_ring: int = 512
-    trace_slow_samples: int = 4
     monitoring: bool = False
-    monitor_ring: int = 256
-    monitor_recorder_ring: int = 64
-    monitor_postmortems: int = 8
-    monitor_series_tail: int = 32
     monitor_scrape_interval: float = 0.05
     slo_op_p99: dict = field(default_factory=dict)
-    slo_objective: float = 0.99
     slo_burn_threshold: float = 10.0
-    slo_window: float = 30.0
-    slo_min_samples: int = 5
     index_kind: str = "blink"
     max_versions: int | None = None
     disk: DiskModel = field(default_factory=DiskModel)
@@ -316,7 +246,7 @@ class LogBaseConfig:
     @property
     def block_cache_budget_bytes(self) -> int:
         """Heap bytes available for the per-machine DFS block cache."""
-        return int(self.heap_bytes * self.block_cache_heap_fraction)
+        return int(self.heap_bytes * BLOCK_CACHE_HEAP_FRACTION)
 
     @classmethod
     def with_read_pipeline(cls, **overrides) -> "LogBaseConfig":
@@ -383,30 +313,6 @@ class LogBaseConfig:
         return cls(**settings)
 
     @classmethod
-    def with_fast_recovery(cls, **overrides) -> "LogBaseConfig":
-        """A config with the fast-recovery subsystem enabled on top of
-        the fault-tolerance layer: parallel per-tablet redo over the
-        virtual-time scheduler, hot-first tablet bring-up with
-        serve-while-recovering (``TabletRecoveringError`` honored by the
-        client's retry backoff), and crash-safe split/adopt handoff.
-
-        The plain constructor keeps it off so the seed cost model and
-        figures (fig18's sequential recovery included) are reproduced
-        byte-identically; this preset is what the recovery benchmark
-        (``bench_recovery``) and recovery chaos schedules measure.
-        """
-        settings: dict = {
-            "dfs_checksum_replicas": True,
-            "dfs_verify_reads": True,
-            "dfs_auto_rereplicate": True,
-            "dfs_degraded_allocation": True,
-            "client_retry_limit": 3,
-            "fast_recovery": True,
-        }
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
     def with_live_migration(cls, **overrides) -> "LogBaseConfig":
         """A config with the live-migration subsystem enabled on top of
         the fault-tolerance layer: lease-based tablet ownership, the
@@ -456,24 +362,6 @@ class LogBaseConfig:
             "client_retry_limit": 4,
             "live_migration": True,
             "read_replicas": True,
-        }
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
-    def with_incremental_compaction(cls, **overrides) -> "LogBaseConfig":
-        """A config with incremental size-tiered compaction enabled: the
-        planner splits each round into per-run plans (unsorted tail plus
-        size-tiered merges of sorted runs), sorted inputs stream through
-        a k-way merge, and only the touched (table, group) indexes are
-        swapped.
-
-        The plain constructor keeps it off so the seed cost model and
-        figures are reproduced byte-identically; this preset is what the
-        churn benchmark (``bench_compaction``) measures.
-        """
-        settings: dict = {
-            "incremental_compaction": True,
         }
         settings.update(overrides)
         return cls(**settings)
@@ -539,7 +427,6 @@ class LogBaseConfig:
 
         return GrayPolicy(
             hedge_reads=self.hedge_reads,
-            hedge_quantile=self.hedge_quantile,
             hedge_min_delay=self.hedge_min_delay,
             breaker_enabled=self.breaker_enabled,
             breaker_trip_seconds=self.breaker_trip_seconds,
@@ -553,7 +440,7 @@ class LogBaseConfig:
             raise ValueError("replication must be >= 1")
         fractions = self.index_heap_fraction + self.cache_heap_fraction
         if self.block_cache_enabled:
-            fractions += self.block_cache_heap_fraction
+            fractions += BLOCK_CACHE_HEAP_FRACTION
         if not 0.0 <= fractions <= 1.0:
             raise ValueError("heap fractions exceed the heap")
         if self.index_kind not in ("blink", "lsm"):
@@ -564,8 +451,6 @@ class LogBaseConfig:
             raise ValueError("block_cache_chunk must be >= 1")
         if self.read_coalesce_gap is not None and self.read_coalesce_gap < 0:
             raise ValueError("read_coalesce_gap must be >= 0 or None")
-        if self.read_batch_size < 1:
-            raise ValueError("read_batch_size must be >= 1")
         if self.scan_prefetch_bytes < 0:
             raise ValueError("scan_prefetch_bytes must be >= 0")
         if self.group_commit_batch < 1:
@@ -586,8 +471,6 @@ class LogBaseConfig:
             )
         if self.op_deadline is not None and self.op_deadline <= 0:
             raise ValueError("op_deadline must be > 0 or None")
-        if self.hedge_quantile <= 0:
-            raise ValueError("hedge_quantile must be > 0")
         if self.hedge_min_delay < 0:
             raise ValueError("hedge_min_delay must be >= 0")
         if self.breaker_trip_seconds <= 0:
@@ -598,25 +481,16 @@ class LogBaseConfig:
             raise ValueError("breaker_min_samples must be >= 1")
         if self.admission_queue_depth is not None and self.admission_queue_depth < 1:
             raise ValueError("admission_queue_depth must be >= 1 or None")
+        for gate in ("incremental_compaction", "fast_recovery"):
+            if not getattr(self, gate):
+                raise ValueError(
+                    f"{gate}=False is no longer supported: PR 14 retired "
+                    "the monolithic compaction and sequential restart paths"
+                )
         if self.recovery_workers < 1:
             raise ValueError("recovery_workers must be >= 1")
         if self.compaction_tier_fanout < 2:
             raise ValueError("compaction_tier_fanout must be >= 2")
-        if (
-            self.compaction_max_input_bytes is not None
-            and self.compaction_max_input_bytes < 1
-        ):
-            raise ValueError("compaction_max_input_bytes must be >= 1 or None")
-        if self.migration_lease_seconds <= 0:
-            raise ValueError("migration_lease_seconds must be > 0")
-        if self.migration_flip_budget <= 0:
-            raise ValueError("migration_flip_budget must be > 0")
-        if self.balancer_skew_threshold < 1.0:
-            raise ValueError("balancer_skew_threshold must be >= 1")
-        if not 0.0 < self.balancer_split_fraction <= 1.0:
-            raise ValueError("balancer_split_fraction must be in (0, 1]")
-        if self.heat_half_life <= 0:
-            raise ValueError("heat_half_life must be > 0")
         if self.read_replicas and not self.live_migration:
             raise ValueError(
                 "read_replicas requires live_migration (followers are "
@@ -628,22 +502,8 @@ class LogBaseConfig:
             raise ValueError("replicas_per_tablet must be >= 0")
         if self.replica_max_staleness <= 0:
             raise ValueError("replica_max_staleness must be > 0")
-        if self.replica_tail_batch < 1:
-            raise ValueError("replica_tail_batch must be >= 1")
         if not 0.0 <= self.replica_read_fraction <= 1.0:
             raise ValueError("replica_read_fraction must be in [0, 1]")
-        if self.trace_ring < 1:
-            raise ValueError("trace_ring must be >= 1")
-        if self.trace_slow_samples < 0:
-            raise ValueError("trace_slow_samples must be >= 0")
-        if self.monitor_ring < 1:
-            raise ValueError("monitor_ring must be >= 1")
-        if self.monitor_recorder_ring < 1:
-            raise ValueError("monitor_recorder_ring must be >= 1")
-        if self.monitor_postmortems < 0:
-            raise ValueError("monitor_postmortems must be >= 0")
-        if self.monitor_series_tail < 1:
-            raise ValueError("monitor_series_tail must be >= 1")
         if self.monitor_scrape_interval < 0:
             raise ValueError("monitor_scrape_interval must be >= 0")
         for op_class, target in self.slo_op_p99.items():
@@ -651,11 +511,5 @@ class LogBaseConfig:
                 raise ValueError("slo_op_p99 keys must be op-class names")
             if target <= 0:
                 raise ValueError("slo_op_p99 targets must be > 0 seconds")
-        if not 0.0 < self.slo_objective < 1.0:
-            raise ValueError("slo_objective must be in (0, 1)")
         if self.slo_burn_threshold <= 0:
             raise ValueError("slo_burn_threshold must be > 0")
-        if self.slo_window <= 0:
-            raise ValueError("slo_window must be > 0")
-        if self.slo_min_samples < 1:
-            raise ValueError("slo_min_samples must be >= 1")

@@ -172,9 +172,9 @@ class Client:
             self._follower_routes[table] = routes
         return routes.get(tablet_id, [])
 
-    def _pick_follower(self, table: str, key: bytes) -> str | None:
-        """The follower a replica-routed read should try, or None for the
-        owner.
+    def _pick_follower(self, table: str, tablet: Tablet, owner_name: str) -> str | None:
+        """The follower a replica-routed read or scan of ``tablet`` should
+        try, or None for the owner.
 
         Deterministic rotation over ``followers + [owner]`` — including
         the owner keeps it serving its fair share instead of idling while
@@ -184,7 +184,6 @@ class Client:
         self._replica_seq += 1
         if (seq % 100) >= int(self._replica_read_fraction * 100):
             return None
-        owner_name, tablet = self._locate(table, key)
         followers = self._follower_route(table, str(tablet.tablet_id))
         if not followers:
             return None
@@ -202,7 +201,8 @@ class Client:
         heartbeat advances its tail); a dead one drops out when the
         follower routes are refreshed."""
         request = _REQUEST_OVERHEAD + len(key)
-        follower_name = self._pick_follower(table, key)
+        owner_name, tablet = self._locate(table, key)
+        follower_name = self._pick_follower(table, tablet, owner_name)
         if follower_name is not None:
             try:
                 server = self._master.server(follower_name)
@@ -210,11 +210,6 @@ class Client:
                 self.invalidate_follower_routes(table)
                 server = None
             if server is not None:
-                deadline = (
-                    Deadline.after(self._machine.clock, self._op_deadline)
-                    if self._op_deadline is not None
-                    else None
-                )
                 try:
                     return self._call(
                         server, request, 1024,
@@ -224,7 +219,7 @@ class Client:
                             max_staleness=self._replica_max_staleness,
                         ),
                         table=table,
-                        deadline=deadline,
+                        deadline=self._new_deadline(),
                     )
                 except (FollowerLaggingError, ServerOverloadedError):
                     pass  # owner fallback; the follower stays in rotation
@@ -336,6 +331,13 @@ class Client:
             ):
                 self._machine.counters.add(BREAKER_TRIPS)
 
+    def _new_deadline(self) -> Deadline | None:
+        """A fresh ``op_deadline`` budget on the client's clock (None when
+        deadlines are off)."""
+        if self._op_deadline is None:
+            return None
+        return Deadline.after(self._machine.clock, self._op_deadline)
+
     def _backoff(self, attempts: int) -> float:
         """Exponential backoff for the Nth retry, capped at the
         configured maximum so repeated failures never produce an
@@ -354,89 +356,76 @@ class Client:
         that server answers TabletNotFound, the client refreshes its
         cache from the master and retries — "the information ... only
         need to be looked up ... when the cache is stale" (§3.3).
+        Retryable server errors are handled by :meth:`_with_retries`.
+        """
 
-        A dead server (ServerDownError) is additionally retried up to
-        ``retry_limit`` times with capped exponential backoff charged to
-        the client's clock, covering the window in which the master fails
-        the server's tablets over to healthy adopters.  An overloaded
-        server (ServerOverloadedError) is retried within the same limit,
-        waiting at least the server's ``retry_after`` hint — the shed was
-        a queueing signal, not a failure, so the location cache is kept.
-        With the default limit of 0 the seed behaviour is unchanged: the
-        error propagates immediately.
+        def attempt(deadline: Deadline | None):
+            server = self._server_for(table, key)
+            try:
+                return self._call(
+                    server, request_bytes, response_bytes,
+                    op_factory(server), table=table, deadline=deadline,
+                )
+            except TabletNotFound:
+                self.invalidate_cache(table)
+                server = self._server_for(table, key)
+                return self._call(
+                    server, request_bytes, response_bytes,
+                    op_factory(server), table=table, deadline=deadline,
+                )
 
-        With ``op_deadline`` configured the whole routed operation —
-        retries and backoff included — runs under one deadline budget.
+        return self._with_retries(table, attempt)
+
+    def _with_retries(self, table: str, attempt):
+        """Run ``attempt(deadline)``, retrying retryable server errors up
+        to ``retry_limit`` times with capped exponential backoff charged
+        to the client's clock.  With the default limit of 0 the seed
+        behaviour is unchanged: the error propagates immediately.
+
+        * ServerDownError — covers the window in which the master fails
+          the dead server's tablets over to healthy adopters.
+        * ServerOverloadedError — waits at least the server's
+          ``retry_after`` hint; the shed was a queueing signal, not a
+          failure, so the location cache is kept.
+        * TabletRecoveringError — the tablet is still owned by that
+          server, its redo just has not finished: keep the location cache
+          and wait out part of the recovery window.
+        * TabletMigratingError — the addressed server is inside a
+          migration's fenced flip window, or its lease lapsed because the
+          tablet moved away while it was unreachable.  Either way the
+          cached location may be stale, and the fence-epoch bump behind
+          the error also tore down the tablet's followers: drop both
+          caches and re-resolve from the master.
+
+        With ``op_deadline`` configured the whole operation — retries and
+        backoff included — runs under one deadline budget.
         """
         attempts = 0
-        deadline = (
-            Deadline.after(self._machine.clock, self._op_deadline)
-            if self._op_deadline is not None
-            else None
-        )
+        deadline = self._new_deadline()
         while True:
             if deadline is not None and deadline.expired:
                 self._machine.counters.add(DEADLINES_EXCEEDED)
                 deadline.check("client operation")
             try:
-                server = self._server_for(table, key)
-                try:
-                    return self._call(
-                        server, request_bytes, response_bytes,
-                        op_factory(server), table=table, deadline=deadline,
-                    )
-                except TabletNotFound:
+                return attempt(deadline)
+            except (
+                ServerDownError,
+                ServerOverloadedError,
+                TabletRecoveringError,
+                TabletMigratingError,
+            ) as exc:
+                if attempts >= self._retry_limit:
+                    raise
+                attempts += 1
+                if isinstance(exc, TabletMigratingError):
                     self.invalidate_cache(table)
-                    server = self._server_for(table, key)
-                    return self._call(
-                        server, request_bytes, response_bytes,
-                        op_factory(server), table=table, deadline=deadline,
-                    )
-            except ServerDownError:
-                if attempts >= self._retry_limit:
-                    raise
-                attempts += 1
+                    self.invalidate_follower_routes(table)
                 self._machine.counters.add(CLIENT_RETRIES)
+                wait = self._backoff(attempts)
+                if isinstance(exc, ServerOverloadedError):
+                    wait = max(exc.retry_after, wait)
                 with span(SPAN_CLIENT_RETRY, self._machine, attempt=attempts):
-                    self._machine.clock.advance(self._backoff(attempts))
-            except ServerOverloadedError as exc:
-                if attempts >= self._retry_limit:
-                    raise
-                attempts += 1
-                self._machine.counters.add(CLIENT_RETRIES)
-                with span(SPAN_CLIENT_RETRY, self._machine, attempt=attempts):
-                    self._machine.clock.advance(
-                        max(exc.retry_after, self._backoff(attempts))
-                    )
-            except TabletRecoveringError:
-                # The tablet is still owned by that server — its redo just
-                # has not finished.  Keep the location cache and wait out
-                # part of the recovery window with the same backoff.
-                if attempts >= self._retry_limit:
-                    raise
-                attempts += 1
-                self._machine.counters.add(CLIENT_RETRIES)
-                with span(SPAN_CLIENT_RETRY, self._machine, attempt=attempts):
-                    self._machine.clock.advance(self._backoff(attempts))
-            except TabletMigratingError:
-                # Ownership is (or just was) in motion: the addressed
-                # server is inside a migration's fenced flip window, or
-                # its lease lapsed because the tablet moved away while it
-                # was unreachable.  Either way the cached location may be
-                # stale — drop it, back off, and re-resolve from the
-                # master.
-                if attempts >= self._retry_limit:
-                    raise
-                attempts += 1
-                self.invalidate_cache(table)
-                # The fence-epoch bump behind this error also tore down the
-                # tablet's followers — a cached follower route would keep
-                # pointing reads at them (mirrors the owner-route
-                # invalidation above).
-                self.invalidate_follower_routes(table)
-                self._machine.counters.add(CLIENT_RETRIES)
-                with span(SPAN_CLIENT_RETRY, self._machine, attempt=attempts):
-                    self._machine.clock.advance(self._backoff(attempts))
+                    self._machine.clock.advance(wait)
 
     # -- typed API -----------------------------------------------------------------------
 
@@ -542,109 +531,88 @@ class Client:
         if table not in self._locations:
             self._locate(table, start_key)
         results: list[tuple[bytes, bytes]] = []
-        for server_name, tablet in self._locations[table]:
+        for owner_name, tablet in self._locations[table]:
             if tablet.key_range.end is not None and tablet.key_range.end <= start_key:
                 continue
             if end_key <= tablet.key_range.start:
                 continue
-            if self._read_replicas:
-                rows = self._replica_scan_tablet(
-                    table, group, tablet, server_name, start_key, end_key, as_of
-                )
-                for key, _, value in rows:
-                    results.append((key, value))
-                continue
-            server = self._master.server(server_name)
-            deadline = (
-                Deadline.after(self._machine.clock, self._op_deadline)
-                if self._op_deadline is not None
-                else None
+            # Clip the range to the tablet: a server hosting several
+            # tablets of the table would otherwise return its other
+            # tablets' rows once per tablet.
+            sub_start = max(start_key, tablet.key_range.start)
+            sub_end = (
+                end_key
+                if tablet.key_range.end is None
+                else min(end_key, tablet.key_range.end)
             )
-            rows = self._call(
+            rows = None
+            if self._read_replicas:
+                rows = self._follower_scan(
+                    table, group, tablet, owner_name, sub_start, sub_end, as_of
+                )
+            if rows is None:
+                rows = self._owner_scan(table, group, sub_start, sub_end, as_of)
+            results.extend((key, value) for key, _, value in rows)
+        results.sort(key=lambda pair: pair[0])
+        return results
+
+    def _owner_scan(
+        self, table: str, group: str, sub_start: bytes, sub_end: bytes, as_of: int | None
+    ) -> list[tuple[bytes, int, bytes]]:
+        """Scan one tablet's slice on its owner, with the same retry
+        handling point operations get (a retry re-resolves the owner of
+        ``sub_start``, so it follows the tablet through a migration)."""
+
+        def attempt(deadline: Deadline | None):
+            server = self._server_for(table, sub_start)
+            return self._call(
                 server, _REQUEST_OVERHEAD, 4096,
-                lambda s=server: list(
-                    s.range_scan(table, group, start_key, end_key, as_of=as_of)
+                lambda: list(
+                    server.range_scan(table, group, sub_start, sub_end, as_of=as_of)
                 ),
                 table=table,
                 deadline=deadline,
             )
-            for key, _, value in rows:
-                results.append((key, value))
-        results.sort(key=lambda pair: pair[0])
-        return results
 
-    def _replica_scan_tablet(
+        return self._with_retries(table, attempt)
+
+    def _follower_scan(
         self,
         table: str,
         group: str,
         tablet: Tablet,
         owner_name: str,
-        start_key: bytes,
-        end_key: bytes,
+        sub_start: bytes,
+        sub_end: bytes,
         as_of: int | None,
-    ) -> list[tuple[bytes, int, bytes]]:
-        """Scan one tablet's slice of a range, preferring a follower.
-
-        The range is clipped to the tablet before either side runs it —
-        follower and owner both host multiple tablets of the table, so an
-        unclipped range would return neighbouring tablets' rows once per
-        hosting server."""
-        sub_start = max(start_key, tablet.key_range.start)
-        sub_end = (
-            end_key
-            if tablet.key_range.end is None
-            else min(end_key, tablet.key_range.end)
-        )
-        seq = self._replica_seq
-        self._replica_seq += 1
-        follower_name: str | None = None
-        if (seq % 100) < int(self._replica_read_fraction * 100):
-            followers = self._follower_route(table, str(tablet.tablet_id))
-            if followers:
-                rotation = followers + [owner_name]
-                picked = rotation[seq % len(rotation)]
-                follower_name = None if picked == owner_name else picked
-        if follower_name is not None:
-            try:
-                server = self._master.server(follower_name)
-            except KeyError:
-                self.invalidate_follower_routes(table)
-                server = None
-            if server is not None:
-                deadline = (
-                    Deadline.after(self._machine.clock, self._op_deadline)
-                    if self._op_deadline is not None
-                    else None
-                )
-                try:
-                    return self._call(
-                        server, _REQUEST_OVERHEAD, 4096,
-                        lambda: server.follower_scan(
-                            table, group, sub_start, sub_end,
-                            as_of=as_of,
-                            max_staleness=self._replica_max_staleness,
-                        ),
-                        table=table,
-                        deadline=deadline,
-                    )
-                except (FollowerLaggingError, ServerOverloadedError):
-                    pass
-                except (ServerDownError, TabletNotFound, TabletMigratingError):
-                    self.invalidate_follower_routes(table)
-        owner = self._master.server(owner_name)
-        deadline = (
-            Deadline.after(self._machine.clock, self._op_deadline)
-            if self._op_deadline is not None
-            else None
-        )
-        return self._call(
-            owner, _REQUEST_OVERHEAD, 4096,
-            lambda: list(
-                owner.range_scan(table, group, sub_start, sub_end, as_of=as_of)
-            ),
-            table=table,
-            deadline=deadline,
-        )
+    ) -> list[tuple[bytes, int, bytes]] | None:
+        """Try one tablet's slice on the rotation's follower; None sends
+        the caller to the owner (rotation picked it, or the follower is
+        lagging, overloaded or gone)."""
+        follower_name = self._pick_follower(table, tablet, owner_name)
+        if follower_name is None:
+            return None
+        try:
+            server = self._master.server(follower_name)
+        except KeyError:
+            self.invalidate_follower_routes(table)
+            return None
+        try:
+            return self._call(
+                server, _REQUEST_OVERHEAD, 4096,
+                lambda: server.follower_scan(
+                    table, group, sub_start, sub_end,
+                    as_of=as_of,
+                    max_staleness=self._replica_max_staleness,
+                ),
+                table=table,
+                deadline=self._new_deadline(),
+            )
+        except (FollowerLaggingError, ServerOverloadedError):
+            return None
+        except (ServerDownError, TabletNotFound, TabletMigratingError):
+            self.invalidate_follower_routes(table)
+            return None
 
     # -- raw byte API (benchmarks; payloads are opaque 1 KB blobs) ---------------------------
 

@@ -22,6 +22,10 @@ from repro.sim.failure import FailureInjector
 from repro.sim.machine import Machine
 from repro.sim.metrics import HIST_REPLICA_LAG, Counters
 
+# Half-life in simulated seconds for decaying the master-side
+# ``tablet_heat`` of tablets no longer in the catalog's assignments.
+HEAT_HALF_LIFE = 60.0
+
 
 class LogBaseCluster:
     """A complete simulated LogBase deployment.
@@ -67,10 +71,7 @@ class LogBaseCluster:
             gray=self.config.gray_policy(),
         )
         if self.config.tracing:
-            self.tracer: Tracer | None = Tracer(
-                ring=self.config.trace_ring,
-                slow_samples=self.config.trace_slow_samples,
-            )
+            self.tracer: Tracer | None = Tracer()
             install_tracer(self.tracer)
         else:
             self.tracer = None
@@ -254,12 +255,12 @@ class LogBaseCluster:
         re-adopt).  Returns the :class:`~repro.core.recovery.RecoveryReport`
         when recovery ran, else None.
 
-        With ``config.fast_recovery`` on, recovery runs the parallel
-        hot-first path: redo partitioned across ``recovery_workers``
-        virtual workers, tablets brought up hottest-first (using the
-        heartbeat heat snapshot) and served as each one completes.
+        Recovery is the parallel hot-first path: redo partitioned across
+        ``recovery_workers`` virtual workers, tablets brought up
+        hottest-first (using the heartbeat heat snapshot) and served as
+        each one completes.
         """
-        from repro.core.recovery import recover_server, recover_server_parallel
+        from repro.core.recovery import recover_server_parallel
 
         server = self.server_by_name(name)
         if not server.machine.alive:
@@ -271,11 +272,9 @@ class LogBaseCluster:
             # Session survived the crash: just refresh the catalog handle.
             self.master.catalog.servers[name] = server
         if recover:
-            if self.config.fast_recovery:
-                return recover_server_parallel(
-                    server, self.checkpoints[name], heat=dict(self.tablet_heat)
-                )
-            return recover_server(server, self.checkpoints[name])
+            return recover_server_parallel(
+                server, self.checkpoints[name], heat=dict(self.tablet_heat)
+            )
         return None
 
     def heartbeat(self) -> dict:
@@ -342,9 +341,7 @@ class LogBaseCluster:
             age = now - seen
             if age <= 0.0:
                 continue
-            decayed = self.tablet_heat[tablet_id] * 0.5 ** (
-                age / self.config.heat_half_life
-            )
+            decayed = self.tablet_heat[tablet_id] * 0.5 ** (age / HEAT_HALF_LIFE)
             if decayed < 0.5:
                 del self.tablet_heat[tablet_id]
                 self._heat_seen.pop(tablet_id, None)

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from repro.core.partition import KeyRange
 from repro.core.recovery import adopt_split_log, split_log_by_tablet
 from repro.core.tablet import Tablet, TabletId
+from repro.core.tablet_server import LEASE_SECONDS
 from repro.errors import MigrationError, NoNodeError, TabletNotFound
 from repro.obs.hist import Histogram
 from repro.obs.trace import span
@@ -76,6 +77,19 @@ SPLITS_PATH = "/logbase/tablet-splits"
 # Tiny clock nudge past a waited-out lease so "now <= lease_until" is
 # strictly false on the fenced owner.
 _LEASE_EPSILON = 1e-6
+
+# Acceptance bound (simulated seconds) on one migration's fenced-flip
+# window — the only unavailability a live migration may cause.  Tests and
+# ``bench_migration`` assert flip p99 stays under it.
+FLIP_BUDGET_SECONDS = 2.0
+
+# The balancer acts when the hottest server's heat exceeds the coldest's
+# by this factor ...
+BALANCER_SKEW_THRESHOLD = 2.0
+# ... and splits (rather than migrates) a tablet carrying at least this
+# share of its server's heat: moving the whole tablet cannot fix a hotspot
+# inside it.
+BALANCER_SPLIT_FRACTION = 0.6
 
 
 @dataclass
@@ -380,7 +394,7 @@ class LiveMigrator:
                 # migration unavailability), and wall time passes on the
                 # paused machine too.
                 report.waited_lease = True
-                wait = self.config.migration_lease_seconds + _LEASE_EPSILON
+                wait = LEASE_SECONDS + _LEASE_EPSILON
                 target.machine.clock.advance(wait)
                 if source is not None:
                     source.machine.clock.advance(wait)
@@ -669,8 +683,8 @@ class LiveMigrator:
         """One balancer pass over the master-side heat snapshot.
 
         When the hottest live server carries more than
-        ``balancer_skew_threshold`` times the coldest's heat, act once: a
-        tablet dominating its server's heat (``balancer_split_fraction``)
+        ``BALANCER_SKEW_THRESHOLD`` times the coldest's heat, act once: a
+        tablet dominating its server's heat (``BALANCER_SPLIT_FRACTION``)
         and with a usable split key is split in place; otherwise the
         hottest tablet migrates to the coldest server.  One action per
         tick keeps the balancer convergent (the next heartbeat sees the
@@ -690,9 +704,7 @@ class LiveMigrator:
                 owned[owner].append(tablet_id)
         hottest = max(totals, key=lambda n: totals[n])
         coldest = min(totals, key=lambda n: totals[n])
-        if totals[hottest] <= self.config.balancer_skew_threshold * max(
-            totals[coldest], 1.0
-        ):
+        if totals[hottest] <= BALANCER_SKEW_THRESHOLD * max(totals[coldest], 1.0):
             return []
         candidates = owned[hottest]
         if not candidates:
@@ -705,7 +717,7 @@ class LiveMigrator:
         )
         owner = self._server(hottest)
         if (
-            hot_share >= self.config.balancer_split_fraction
+            hot_share >= BALANCER_SPLIT_FRACTION
             and owner is not None
             and owner.split_key(hot_tablet) is not None
         ):

@@ -51,11 +51,8 @@ from repro.sim.metrics import (
     SPAN_TS_WRITE,
     SPAN_TS_WRITE_BATCH,
 )
-from repro.wal.compaction import (
-    CompactionJob,
-    CompactionResult,
-    IncrementalCompactionJob,
-)
+from repro.wal.compaction import CompactionResult, IncrementalCompactionJob
+from repro.wal.group_commit import CommitCoordinator
 from repro.wal.planner import CompactionPlanner
 from repro.wal.record import LogPointer, LogRecord, RecordType
 from repro.wal.repository import LogRepository
@@ -64,6 +61,19 @@ IndexKey = tuple[str, str]  # (tablet_id str, group name)
 
 # Observed keys retained per tablet for median-split estimation.
 KEY_SAMPLE_CAP = 128
+
+# Ownership lease TTL in simulated seconds.  A server whose lease lapsed
+# (partitioned or paused, so the heartbeat could not renew it) rejects ops
+# instead of double-serving; a fenced flip against an unreachable owner
+# waits out at most this long.
+LEASE_SECONDS = 0.5
+
+# Index entries fetched per ``read_many`` window when coalescing is on.
+READ_BATCH_SIZE = 256
+
+# Max log records a follower applies per tail pass (bounds one heartbeat's
+# catch-up work; lag beyond it is worked off over subsequent passes).
+REPLICA_TAIL_BATCH = 512
 
 
 class TabletServer:
@@ -83,24 +93,13 @@ class TabletServer:
         self.tso = tso
         self.config = config if config is not None else LogBaseConfig()
         self.config.validate()
-        self.log = LogRepository(
-            dfs,
-            machine,
-            f"/logbase/{name}/log",
-            self.config.segment_size,
-            coalesce_gap=self.config.read_coalesce_gap,
-            scan_prefetch=self.config.scan_prefetch_bytes,
-        )
+        self.read_cache: ReadCache | None = None
+        self._open_storage(LogRepository)
         self.tablets: dict[str, Tablet] = {}
         # table -> (sorted range-start keys, tablets in that order); built
         # lazily by _route, dropped on assign/unassign.
         self._route_cache: dict[str, tuple[list[bytes], list[Tablet]]] = {}
         self._indexes: dict[IndexKey, MultiversionIndex] = {}
-        self.read_cache: ReadCache | None = (
-            ReadCache(self.config.cache_budget_bytes)
-            if self.config.read_cache_enabled
-            else None
-        )
         self._update_counters: dict[IndexKey, int] = {}
         self._index_generation = 0  # bumps when compaction replaces indexes
         self.secondary = SecondaryIndexManager()
@@ -113,11 +112,6 @@ class TabletServer:
             and self.config.admission_queue_depth is not None
             else None
         )
-        # Group-commit coordinator (config.group_commit gate): concurrent
-        # writes submitted through submit_write coalesce into one DFS
-        # replication round trip per group.  None — the default — keeps
-        # the seed write path untouched.
-        self.commit = self._new_commit_coordinator() if self.config.group_commit else None
         self.serving = True
         # Access heat per tablet id (client-facing op counts).  Pure
         # bookkeeping — no simulated cost — so the seed figures are
@@ -149,17 +143,35 @@ class TabletServer:
         self.recovery_histogram = None
         self._checkpoint_hook = None  # wired by CheckpointManager
 
-    def _new_commit_coordinator(self):
-        from repro.wal.group_commit import CommitCoordinator
-
-        return CommitCoordinator(
-            self.log,
+    def _open_storage(self, open_log) -> None:
+        """What a process start builds over the DFS: the log handle
+        (``open_log`` is ``LogRepository`` for a first start,
+        ``LogRepository.reattach`` for a restart), an empty read cache,
+        and the group-commit coordinator (config.group_commit gate:
+        concurrent writes submitted through submit_write coalesce into
+        one DFS replication round trip per group; None — the default —
+        keeps the seed write path untouched)."""
+        self.log = open_log(
+            self.dfs,
             self.machine,
-            max_delay=self.config.group_commit_max_delay,
-            max_records=self.config.group_commit_batch,
-            max_bytes=self.config.group_commit_max_bytes,
-            pipeline=self.config.group_commit_pipeline,
-            traced=self.config.tracing,
+            f"/logbase/{self.name}/log",
+            self.config.segment_size,
+            coalesce_gap=self.config.read_coalesce_gap,
+            scan_prefetch=self.config.scan_prefetch_bytes,
+        )
+        if self.config.read_cache_enabled:
+            self.read_cache = ReadCache(self.config.cache_budget_bytes)
+        self.commit = (
+            CommitCoordinator(
+                self.log,
+                self.machine,
+                max_delay=self.config.group_commit_max_delay,
+                max_records=self.config.group_commit_batch,
+                max_bytes=self.config.group_commit_max_bytes,
+                traced=self.config.tracing,
+            )
+            if self.config.group_commit
+            else None
         )
 
     def _maint_span(self, name: str, **attrs):
@@ -226,7 +238,7 @@ class TabletServer:
         machine's clock — a paused process cannot observe a fresher clock
         than its own, so expiry is judged where serving happens."""
         self.lease_until[str(tablet_id)] = (
-            self.machine.clock.now + self.config.migration_lease_seconds
+            self.machine.clock.now + LEASE_SECONDS
         )
 
     def revoke_lease(self, tablet_id) -> None:
@@ -296,7 +308,7 @@ class TabletServer:
             str(f.tablet.tablet_id): f.lag(now) for f in self.followers.values()
         }
         for tailer in self._tailers.values():
-            tailer.tail(self.config.replica_tail_batch)
+            tailer.tail(REPLICA_TAIL_BATCH)
         return lags
 
     def _follower_for(self, table: str, key: bytes) -> FollowerTablet:
@@ -439,8 +451,6 @@ class TabletServer:
                     f"{self.name} hosts no replica covering "
                     f"{table}:[{start_key!r}, {end_key!r})"
                 )
-            batching = self.config.read_coalesce_gap is not None
-            window = self.config.read_batch_size
             for follower in followed:
                 self._check_follower_serving(
                     follower, as_of=as_of, max_staleness=max_staleness
@@ -450,27 +460,7 @@ class TabletServer:
                     start_key, end_key, as_of=as_of
                 )
                 try:
-                    if not batching:
-                        for entry in entries:
-                            record = tailer.repo.read(entry.pointer)
-                            if record.value is not None:
-                                rows.append(
-                                    (entry.key, entry.timestamp, record.value)
-                                )
-                        continue
-                    entries = iter(entries)
-                    while True:
-                        batch = list(islice(entries, window))
-                        if not batch:
-                            break
-                        records = tailer.repo.read_many(
-                            [entry.pointer for entry in batch]
-                        )
-                        for entry, record in zip(batch, records):
-                            if record.value is not None:
-                                rows.append(
-                                    (entry.key, entry.timestamp, record.value)
-                                )
+                    rows.extend(self._live_rows(tailer.repo, entries))
                 except (InvalidLogPointer, DFSError) as exc:
                     self.machine.counters.add(REPLICA_REDIRECTS)
                     raise FollowerLaggingError(
@@ -502,6 +492,20 @@ class TabletServer:
         have not flushed lived only in memory: their members are failed,
         never acked."""
         self.serving = False
+        self._lose_memory()
+        if self.read_cache is not None:
+            self.read_cache.clear()
+
+    def _lose_memory(self) -> None:
+        """Drop every in-memory structure a process death loses.
+
+        Anything pending in the commit coordinator dies unacked.  Leases
+        go too: a restarted process comes back lease-less — even though
+        the idle machine's clock did not advance while it was down,
+        ownership may have flipped — so serving resumes only after the
+        heartbeat (or the master) grants a fresh lease.  Replicas are
+        re-placed by the heartbeat, and their fresh tailers replay the
+        owners' logs from the start."""
         if self.commit is not None:
             self.commit.abandon()
         self._indexes.clear()
@@ -514,47 +518,15 @@ class TabletServer:
         self._key_samples.clear()
         self.followers.clear()
         self._tailers.clear()
-        if self.read_cache is not None:
-            self.read_cache.clear()
 
     def restart(self) -> None:
         """Bring the process back up with empty memory.  The caller runs
         recovery (:mod:`repro.core.recovery`) to rebuild the indexes."""
         # A machine-level kill (power failure) skips crash(), but memory
-        # is lost all the same: drop any stale in-memory state so recovery
-        # rebuilds from the log rather than trusting pre-crash indexes.
-        self._indexes.clear()
-        self._update_counters.clear()
-        self.secondary.clear()
-        self.heat.clear()
-        self.recovering_tablets.clear()
-        # Restarted processes come back lease-less: even though the idle
-        # machine's clock did not advance while it was down, ownership may
-        # have flipped — serving resumes only after the heartbeat (or the
-        # master) grants a fresh lease.
-        self.migrating_tablets.clear()
-        self.lease_until.clear()
-        self._key_samples.clear()
-        # Replicas died with the process; the heartbeat re-places them and
-        # the fresh tailers replay the owners' logs from the start.
-        self.followers.clear()
-        self._tailers.clear()
-        self.log = LogRepository.reattach(
-            self.dfs,
-            self.machine,
-            f"/logbase/{self.name}/log",
-            self.config.segment_size,
-            coalesce_gap=self.config.read_coalesce_gap,
-            scan_prefetch=self.config.scan_prefetch_bytes,
-        )
-        if self.config.read_cache_enabled:
-            self.read_cache = ReadCache(self.config.cache_budget_bytes)
-        if self.commit is not None:
-            # Anything still pending in the old coordinator died with the
-            # process; the new one writes to the reattached log.
-            self.commit.abandon()
-        if self.config.group_commit:
-            self.commit = self._new_commit_coordinator()
+        # is lost all the same: recovery must rebuild from the log rather
+        # than trust pre-crash indexes.
+        self._lose_memory()
+        self._open_storage(LogRepository.reattach)
         self.serving = True
 
     # -- tablet assignment -------------------------------------------------------------
@@ -704,28 +676,42 @@ class TabletServer:
         """
         self._require_serving()
         with span(SPAN_TS_WRITE, self.machine, table=table):
-            tablet = self._route(table, key)
-            self._check_tablet_serving(tablet)
-            self._touch_heat(tablet, key)
-            if timestamp is None:
-                timestamp = self.tso.next_timestamp()
-            records = [
-                LogRecord(
-                    record_type=RecordType.WRITE,
-                    txn_id=txn_id,
-                    table=table,
-                    tablet=str(tablet.tablet_id),
-                    key=key,
-                    group=group,
-                    timestamp=timestamp,
-                    value=value,
-                )
-                for group, value in group_values.items()
-            ]
-            appended = self.log.append_batch(records)
-            for pointer, record in appended:
+            tablet, timestamp, records = self._stage_write(
+                table, key, group_values, txn_id, timestamp
+            )
+            for pointer, record in self.log.append_batch(records):
                 self._apply_write(tablet, record, pointer)
             return timestamp
+
+    def _stage_write(
+        self,
+        table: str,
+        key: bytes,
+        group_values: dict[str, bytes],
+        txn_id: int,
+        timestamp: int | None = None,
+    ) -> tuple[Tablet, int, list[LogRecord]]:
+        """Route and gate one record's write, stamp it, and build its
+        per-group log records (nothing is appended yet)."""
+        tablet = self._route(table, key)
+        self._check_tablet_serving(tablet)
+        self._touch_heat(tablet, key)
+        if timestamp is None:
+            timestamp = self.tso.next_timestamp()
+        records = [
+            LogRecord(
+                record_type=RecordType.WRITE,
+                txn_id=txn_id,
+                table=table,
+                tablet=str(tablet.tablet_id),
+                key=key,
+                group=group,
+                timestamp=timestamp,
+                value=value,
+            )
+            for group, value in group_values.items()
+        ]
+        return tablet, timestamp, records
 
     def submit_write(
         self,
@@ -751,27 +737,13 @@ class TabletServer:
             raise RuntimeError(
                 "group commit is not enabled (LogBaseConfig.group_commit)"
             )
-        tablet = self._route(table, key)
-        self._check_tablet_serving(tablet)
-        self._touch_heat(tablet, key)
-        timestamp = self.tso.next_timestamp()
-        records = [
-            LogRecord(
-                record_type=RecordType.WRITE,
-                txn_id=txn_id,
-                table=table,
-                tablet=str(tablet.tablet_id),
-                key=key,
-                group=group,
-                timestamp=timestamp,
-                value=value,
-            )
-            for group, value in group_values.items()
-        ]
+        tablet, timestamp, records = self._stage_write(
+            table, key, group_values, txn_id
+        )
 
-        def on_durable(appended, _tablet=tablet):
+        def on_durable(appended):
             for pointer, record in appended:
-                self._apply_write(_tablet, record, pointer)
+                self._apply_write(tablet, record, pointer)
 
         if arrival is None:
             arrival = self.machine.clock.now
@@ -799,38 +771,16 @@ class TabletServer:
             tablets: list[Tablet] = []  # routed once; reused in the apply loop
             timestamps: list[int] = []
             for key, group_values in items:
-                tablet = self._route(table, key)
-                self._check_tablet_serving(tablet)
-                self._touch_heat(tablet, key)
-                timestamp = self.tso.next_timestamp()
+                tablet, timestamp, staged = self._stage_write(
+                    table, key, group_values, txn_id
+                )
                 timestamps.append(timestamp)
-                for group, value in group_values.items():
-                    tablets.append(tablet)
-                    records.append(
-                        LogRecord(
-                            record_type=RecordType.WRITE,
-                            txn_id=txn_id,
-                            table=table,
-                            tablet=str(tablet.tablet_id),
-                            key=key,
-                            group=group,
-                            timestamp=timestamp,
-                            value=value,
-                        )
-                    )
+                tablets.extend([tablet] * len(staged))
+                records.extend(staged)
             appended = self.log.append_batch(records)
             for (pointer, record), tablet in zip(appended, tablets):
                 self._apply_write(tablet, record, pointer)
             return timestamps
-
-    def group_committer(self):
-        """A :class:`~repro.txn.batch.GroupCommitter` over this server's
-        log, sized by ``config.group_commit_batch`` (§3.7.2) — for callers
-        that stream many independent records and want the batching
-        optimization without managing batch boundaries themselves."""
-        from repro.txn.batch import GroupCommitter
-
-        return GroupCommitter(self.log, self.config.group_commit_batch)
 
     def append_transactional(
         self, records: list[LogRecord]
@@ -990,17 +940,10 @@ class TabletServer:
         compaction the pointers are clustered so consecutive reads become
         sequential — exactly the Figure 10 effect.
 
-        With coalescing enabled (``read_coalesce_gap``) the pointers are
-        drained in windows of ``read_batch_size`` entries and fetched via
-        :meth:`LogRepository.read_many`, which merges near-adjacent
-        pointers into single DFS reads.  With it disabled the seed
-        behaviour is kept: one lazy read per entry, so callers that stop
-        early (e.g. LIMIT queries) never read past their cursor.
+        Pointers are followed by :meth:`_live_rows`.
         """
         self._require_serving()
         check_deadline("tablet range scan")
-        batching = self.config.read_coalesce_gap is not None
-        window = self.config.read_batch_size
         for tablet in sorted(
             (t for t in self.tablets.values() if t.table == table),
             key=lambda t: t.key_range.start,
@@ -1009,21 +952,31 @@ class TabletServer:
             self._touch_heat(tablet)
             index = self._ensure_index(tablet.tablet_id, group)
             entries = index.latest_in_range(start_key, end_key, as_of=as_of)
-            if not batching:
-                for entry in entries:
-                    record = self.log.read(entry.pointer)
-                    if record.value is not None:
-                        yield entry.key, entry.timestamp, record.value
-                continue
-            entries = iter(entries)
-            while True:
-                batch = list(islice(entries, window))
-                if not batch:
-                    break
-                records = self.log.read_many([entry.pointer for entry in batch])
-                for entry, record in zip(batch, records):
-                    if record.value is not None:
-                        yield entry.key, entry.timestamp, record.value
+            yield from self._live_rows(self.log, entries)
+
+    def _live_rows(self, repo: LogRepository, entries):
+        """Yield (key, timestamp, value) for each index entry whose log
+        record in ``repo`` still carries a value.
+
+        With coalescing enabled (``read_coalesce_gap``) the pointers are
+        drained in windows of ``READ_BATCH_SIZE`` entries and fetched via
+        :meth:`LogRepository.read_many`, which merges near-adjacent
+        pointers into single DFS reads.  With it disabled the seed
+        behaviour is kept: one lazy read per entry, so callers that stop
+        early (e.g. LIMIT queries) never read past their cursor.
+        """
+        if self.config.read_coalesce_gap is None:
+            for entry in entries:
+                record = repo.read(entry.pointer)
+                if record.value is not None:
+                    yield entry.key, entry.timestamp, record.value
+            return
+        entries = iter(entries)
+        while batch := list(islice(entries, READ_BATCH_SIZE)):
+            records = repo.read_many([entry.pointer for entry in batch])
+            for entry, record in zip(batch, records):
+                if record.value is not None:
+                    yield entry.key, entry.timestamp, record.value
 
     def full_scan(self, table: str, group: str):
         """Yield (key, timestamp, value) of current versions via a
@@ -1060,12 +1013,15 @@ class TabletServer:
     # -- compaction (§3.6.5) --------------------------------------------------------------------
 
     def compact(self, *, retain_after: int | None = None) -> CompactionResult:
-        """Run log compaction and swap in the rebuilt indexes.
+        """Run one size-tiered compaction round: execute the planner's
+        per-run plans, patching only the touched (table, group) indexes
+        after each.
 
-        With ``config.incremental_compaction`` the round is split into
-        size-tiered per-run plans and only the touched (table, group)
-        indexes are swapped; otherwise the whole log is rewritten and
-        every index rebuilt (the seed behaviour).
+        Plans install one at a time (each guarded by its own
+        ``CP_COMPACTION_MID`` crash point), and the checkpoint is
+        refreshed after every install: the previous checkpoint's index
+        files point into segments the plan just retired, so it must be
+        superseded before the next plan may crash mid-round.
 
         Args:
             retain_after: optional retention cutoff — historical versions
@@ -1074,104 +1030,36 @@ class TabletServer:
         """
         self._require_serving()
         with self._maint_span(SPAN_COMPACTION_ROUND):
-            if self.config.incremental_compaction:
-                return self._compact_incremental(retain_after=retain_after)
-            return self._compact_full(retain_after=retain_after)
-
-    def _compact_full(self, *, retain_after: int | None) -> CompactionResult:
-        """The seed one-shot compaction: rewrite the whole log, rebuild
-        every index (split out of :meth:`compact` for the span wrapper)."""
-        inputs = self.log.segments()
-        self.log.roll()
-
-        # Records of tablets this server no longer hosts (moved away by a
-        # rebalance or failover) are dropped: their new owner re-homed
-        # them into its own log at adoption time.
-        job = CompactionJob(
-            self.log,
-            self.config.max_versions,
-            owned=self._owned_filter(),
-            retain_after=retain_after,
-        )
-        result = job.run(inputs)
-        self._index_generation += 1
-        rebuilt: dict[IndexKey, MultiversionIndex] = {}
-        for table, group, key, timestamp, pointer in result.index_entries:
-            tablet = self._route(table, key)
-            index_key = (str(tablet.tablet_id), group)
-            index = rebuilt.get(index_key)
-            if index is None:
-                index = self._new_index(tablet.tablet_id, group)
-                rebuilt[index_key] = index
-            index.insert(key, timestamp, pointer)
-        # Tablet/group combinations with no surviving data get fresh
-        # empty indexes so lookups keep working.
-        for tablet in self.tablets.values():
-            for group in tablet.schema.group_names:
-                rebuilt.setdefault(
-                    (str(tablet.tablet_id), group), self._new_index(tablet.tablet_id, group)
-                )
-        # Spilled (LSM) indexes leave run files behind; destroy the old
-        # generation's files before swapping in the rebuilt indexes.
-        for index in self._indexes.values():
-            destroy = getattr(index, "destroy", None)
-            if destroy is not None:
-                destroy()
-        self._indexes = rebuilt
-        # Any earlier checkpoint points into the segments just retired, so
-        # it must be superseded before the old segments are truly "safely
-        # discarded" (§3.6.5): write a fresh checkpoint over the rebuilt
-        # indexes.
-        if self._checkpoint_hook is not None:
-            self._checkpoint_hook(self)
-        return result
-
-    def _owned_filter(self):
-        """``(table, key) -> bool`` over the tablets this server hosts."""
-
-        def owned(table: str, key: bytes) -> bool:
-            return any(
-                tablet.table == table and tablet.covers(key)
-                for tablet in self.tablets.values()
+            inputs = self.log.segments()
+            self.log.roll()
+            planner = CompactionPlanner(
+                self.log, tier_fanout=self.config.compaction_tier_fanout
             )
+            combined = CompactionResult()
+            for plan in planner.plan(inputs):
+                with span(SPAN_COMPACTION_PLAN, self.machine, kind=plan.kind):
+                    result = IncrementalCompactionJob(
+                        self.log,
+                        plan,
+                        self.config.max_versions,
+                        owned=self._owned,
+                        retain_after=retain_after,
+                    ).run()
+                    self._patch_indexes(result)
+                    if self._checkpoint_hook is not None:
+                        self._checkpoint_hook(self)
+                    combined.merge(result)
+            return combined
 
-        return owned
-
-    def _compact_incremental(self, *, retain_after: int | None) -> CompactionResult:
-        """Size-tiered compaction: execute the planner's per-run plans,
-        patching only the touched (table, group) indexes after each.
-
-        Plans install one at a time (each guarded by its own
-        ``CP_COMPACTION_MID`` crash point), and the checkpoint is
-        refreshed after every install: the previous checkpoint's index
-        files point into segments the plan just retired, so it must be
-        superseded before the next plan may crash mid-round.
-        """
-        inputs = self.log.segments()
-        self.log.roll()
-        planner = CompactionPlanner(
-            self.log,
-            tier_fanout=self.config.compaction_tier_fanout,
-            max_input_bytes=self.config.compaction_max_input_bytes,
+    def _owned(self, table: str, key: bytes) -> bool:
+        """Whether this server hosts a tablet covering (table, key).
+        Compaction drops records that fail it: they belong to tablets
+        moved away by a rebalance or failover, whose new owner re-homed
+        them into its own log at adoption time."""
+        return any(
+            tablet.table == table and tablet.covers(key)
+            for tablet in self.tablets.values()
         )
-        plans = planner.plan(inputs)
-        owned = self._owned_filter()
-        combined = CompactionResult()
-        for plan in plans:
-            with span(SPAN_COMPACTION_PLAN, self.machine, kind=plan.kind):
-                job = IncrementalCompactionJob(
-                    self.log,
-                    plan,
-                    self.config.max_versions,
-                    owned=owned,
-                    retain_after=retain_after,
-                )
-                result = job.run()
-                self._patch_indexes(result)
-                if self._checkpoint_hook is not None:
-                    self._checkpoint_hook(self)
-                combined.merge(result)
-        return combined
 
     def _patch_indexes(self, result: CompactionResult) -> None:
         """Swap fresh indexes in for only the scopes one plan touched.
@@ -1248,19 +1136,10 @@ class TabletServer:
                 tablet = self.tablets.get(tablet_id)
                 if tablet is None or tablet.table != index.table or group != index.group:
                     continue
-                entries = iter(primary.latest_in_range(b"", b"\xff" * 64))
-                while True:
-                    batch = list(islice(entries, self.config.read_batch_size))
-                    if not batch:
-                        break
-                    records = self.log.read_many([entry.pointer for entry in batch])
-                    for entry, record in zip(batch, records):
-                        if record.value is None:
-                            continue
-                        self.secondary.on_write(
-                            index.table, group, entry.key, entry.timestamp, record.value
-                        )
-                        fed += 1
+                entries = primary.latest_in_range(b"", b"\xff" * 64)
+                for key, timestamp, value in self._live_rows(self.log, entries):
+                    self.secondary.on_write(index.table, group, key, timestamp, value)
+                    fed += 1
         return fed
 
     # -- accounting ------------------------------------------------------------------------------

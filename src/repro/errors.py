@@ -81,19 +81,6 @@ class InvalidLogPointer(LogError):
 
 
 # ---------------------------------------------------------------------------
-# Index
-# ---------------------------------------------------------------------------
-
-class IndexError_(LogBaseError):
-    """Base class for index failures (named with a trailing underscore to
-    avoid shadowing the builtin :class:`IndexError`)."""
-
-
-class IndexCapacityError(IndexError_):
-    """The in-memory index exceeded its configured memory budget."""
-
-
-# ---------------------------------------------------------------------------
 # Coordination service
 # ---------------------------------------------------------------------------
 

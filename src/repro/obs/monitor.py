@@ -128,9 +128,7 @@ def _compaction_debt(server, config: "LogBaseConfig") -> float:
 
     try:
         planner = CompactionPlanner(
-            server.log,
-            tier_fanout=config.compaction_tier_fanout,
-            max_input_bytes=config.compaction_max_input_bytes,
+            server.log, tier_fanout=config.compaction_tier_fanout
         )
         return float(sum(plan.input_bytes for plan in planner.plan()))
     except Exception:
@@ -217,10 +215,7 @@ def default_rules(config: "LogBaseConfig") -> list:
                 f"slo-burn-{op_class}",
                 op_class,
                 target,
-                objective=config.slo_objective,
                 burn_threshold=config.slo_burn_threshold,
-                window=config.slo_window,
-                min_samples=config.slo_min_samples,
             )
         )
     return rules
@@ -239,13 +234,9 @@ class ClusterMonitor:
     def __init__(self, cluster: "LogBaseCluster") -> None:
         self.cluster = cluster
         config = cluster.config
-        self.store = MetricStore(config.monitor_ring)
+        self.store = MetricStore()
         self.engine = AlertEngine(rules=default_rules(config))
-        self.recorder = FlightRecorder(
-            ring_capacity=config.monitor_recorder_ring,
-            max_postmortems=config.monitor_postmortems,
-            series_tail=config.monitor_series_tail,
-        )
+        self.recorder = FlightRecorder()
         #: every observed fault, in order: {"time", "kind", "detail"}.
         self.fault_log: list[dict] = []
         self.scrapes = 0

@@ -85,7 +85,7 @@ class MetricStore:
     is validated once against the frozen registry.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("metric-store capacity must be >= 1")
         self.capacity = capacity

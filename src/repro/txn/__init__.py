@@ -11,12 +11,10 @@ servers fall back to two-phase commit.
 from repro.txn.transaction import Transaction, TxnStatus
 from repro.txn.mvocc import TransactionManager
 from repro.txn.twopc import TwoPhaseCoordinator
-from repro.txn.batch import GroupCommitter
 
 __all__ = [
     "Transaction",
     "TxnStatus",
     "TransactionManager",
     "TwoPhaseCoordinator",
-    "GroupCommitter",
 ]

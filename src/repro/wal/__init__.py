@@ -12,7 +12,6 @@ from repro.wal.record import LogRecord, LogPointer, RecordType
 from repro.wal.segment import LogSegmentWriter, LogSegmentReader
 from repro.wal.repository import LogRepository
 from repro.wal.compaction import (
-    CompactionJob,
     CompactionResult,
     IncrementalCompactionJob,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "LogSegmentWriter",
     "LogSegmentReader",
     "LogRepository",
-    "CompactionJob",
     "CompactionResult",
     "IncrementalCompactionJob",
     "CompactionPlan",

@@ -17,16 +17,13 @@ Structure mirrors the paper's MapReduce framing:
 The caller (tablet server) keeps serving reads and writes from the old
 segments while the job runs and swaps indexes atomically afterwards.
 
-Two executions of that structure live here:
-
-* :class:`CompactionJob` — the monolithic one-shot job over the whole
-  log (the seed behaviour, still the default);
-* :class:`IncrementalCompactionJob` — executes one planner-produced
-  :class:`~repro.wal.planner.CompactionPlan`: tail plans reuse the
-  map/shuffle/reduce over the (small) unsorted tail, while merge plans
-  stream a k-way heap merge over already-sorted runs of one
-  (table, group), so memory is bounded by one key's versions instead of
-  the whole log.
+:class:`IncrementalCompactionJob` executes one planner-produced
+:class:`~repro.wal.planner.CompactionPlan`: tail plans run the
+map/shuffle/reduce over the unsorted tail (new updates land in the
+freshly rolled segment and "are left for the next round"), while merge
+plans stream a k-way heap merge over already-sorted runs of one
+(table, group), so memory is bounded by one key's versions instead of
+the whole log.
 """
 
 from __future__ import annotations
@@ -87,8 +84,8 @@ class CompactionResult:
             rebuilds its in-memory indexes from this.
         retired_segments: input file numbers now safe to discard.
         touched_scopes: the (table, group) scopes whose data this run
-            rewrote — the tablet server swaps only these scopes' indexes
-            on an incremental run, leaving the rest alive.
+            rewrote — the tablet server swaps only these scopes' indexes,
+            leaving the rest alive.
         stats: drop/keep accounting.
     """
 
@@ -151,137 +148,12 @@ def _as_committed(record: LogRecord) -> LogRecord:
     )
 
 
-class CompactionJob:
-    """One monolithic compaction run over a log repository.
-
-    Args:
-        repository: the log to compact.
-        max_versions: keep at most this many newest committed versions per
-            (table, group, key); ``None`` keeps every committed version
-            (full multiversion history).
-    """
-
-    def __init__(
-        self,
-        repository: LogRepository,
-        max_versions: int | None = None,
-        owned=None,
-        retain_after: int | None = None,
-    ) -> None:
-        """Args:
-            owned: optional ``(table, key) -> bool``; records failing it
-                are discarded — they belong to tablets this server no
-                longer hosts (moved by rebalance/failover), whose new
-                owner already re-homed the data during adoption.
-            retain_after: optional timestamp; historical versions older
-                than it are dropped — except each key's newest version,
-                which survives regardless (a time-based retention policy,
-                composable with ``max_versions``).
-        """
-        if max_versions is not None and max_versions < 1:
-            raise ValueError("max_versions must be >= 1 or None")
-        self._repo = repository
-        self._max_versions = max_versions
-        self._owned = owned
-        self._retain_after = retain_after
-
-    def run(self, input_segments: list[int] | None = None) -> CompactionResult:
-        """Execute the job and install its output in the repository.
-
-        Args:
-            input_segments: segment file numbers to compact; defaults to
-                every segment currently in the repository.  Updates that
-                arrive in segments created after the job starts are left
-                for the next round, as §3.6.5 describes.
-        """
-        inputs = input_segments if input_segments is not None else self._repo.segments()
-        stats = CompactionStats()
-
-        # ---- map: scan segments, classify entries -------------------------
-        committed: set[int] = set()
-        writes: list[LogRecord] = []
-        deletes: list[LogRecord] = []
-        for file_no in inputs:
-            for pointer, record in self._repo.scan_segment(file_no):
-                stats.input_records += 1
-                stats.bytes_read += pointer.size
-                if record.record_type is RecordType.COMMIT:
-                    committed.add(record.txn_id)
-                elif record.record_type is RecordType.WRITE:
-                    writes.append(record)
-                elif record.record_type is RecordType.INVALIDATE:
-                    deletes.append(record)
-                # ABORT and CHECKPOINT markers carry no data; dropped.
-
-        # ---- shuffle: group surviving versions by (table, group) ----------
-        grouped: dict[tuple[str, str], dict[bytes, list[LogRecord]]] = defaultdict(
-            lambda: defaultdict(list)
-        )
-        for record in writes:
-            if record.txn_id != 0 and record.txn_id not in committed:
-                stats.dropped_uncommitted += 1
-                continue
-            if self._owned is not None and not self._owned(record.table, record.key):
-                stats.dropped_unowned += 1
-                continue
-            grouped[(record.table, record.group)][record.key].append(record)
-
-        delete_high_water: dict[tuple[str, str, bytes], int] = {}
-        for record in deletes:
-            if record.txn_id != 0 and record.txn_id not in committed:
-                stats.dropped_uncommitted += 1
-                continue
-            slot = (record.table, record.group, record.key)
-            delete_high_water[slot] = max(
-                delete_high_water.get(slot, 0), record.timestamp
-            )
-
-        # ---- reduce: per group, drop obsolete, sort, write sorted runs ----
-        result = CompactionResult(stats=stats, retired_segments=list(inputs))
-        result.touched_scopes.update(grouped)
-        result.touched_scopes.update((t, g) for t, g, _ in delete_high_water)
-        for (table, group), per_key in sorted(grouped.items()):
-            segment = self._repo.create_sorted_segment(table, group)
-            for key in sorted(per_key):
-                versions = sorted(per_key[key], key=lambda r: r.timestamp)
-                cutoff = delete_high_water.get((table, group, key), -1)
-                live = [r for r in versions if r.timestamp > cutoff]
-                stats.dropped_deleted += len(versions) - len(live)
-                live = _trim_versions(
-                    live, stats, self._max_versions, self._retain_after
-                )
-                for record in live:
-                    pointer = segment.append(_as_committed(record).encode(slim=True))
-                    stats.bytes_written += pointer.size
-                    result.index_entries.append(
-                        (table, group, record.key, record.timestamp, pointer)
-                    )
-                    stats.kept_versions += 1
-            segment.close()
-            result.new_segments.append(segment.file_no)
-        counters = self._repo.machine.counters
-        counters.add(COMPACTION_PLANS)
-        counters.add(COMPACTION_BYTES_READ, stats.bytes_read)
-        counters.add(COMPACTION_BYTES_WRITTEN, stats.bytes_written)
-
-        # ---- install: retire inputs, persist slim metadata ----------------
-        # A crash before the install below leaves the sorted runs written
-        # but the input segments still live: every record remains readable
-        # through the old segments and the half-written runs are garbage
-        # the next compaction overwrites — compaction is crash-safe.
-        crash_point(CP_COMPACTION_MID, machine=self._repo.machine.name)
-        self._repo.retire_segments(result.retired_segments)
-        self._repo.persist_meta()
-        return result
-
-
 class IncrementalCompactionJob:
     """Execute one :class:`~repro.wal.planner.CompactionPlan`.
 
-    Deletions need care that the monolithic job never did: a full
-    compaction may drop INVALIDATE markers because its output provably
-    covers the whole log, but an incremental plan's does not.  Each plan
-    therefore re-emits a slim tombstone at a key's delete high-water mark
+    Deletions need care: INVALIDATE markers may be dropped only when a
+    plan's output provably covers everything the log holds for their
+    scope, and a plan's usually does not.  Each plan therefore re-emits a slim tombstone at a key's delete high-water mark
     whenever any live segment *outside* the plan could still hold that
     (table, group)'s versions — otherwise a later redo scan over the
     retained runs would resurrect deleted data.  Tombstones are emitted

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import LogBase
 from repro.core.client import Client
 
 
@@ -74,6 +75,17 @@ def test_scan_across_tablet_boundaries(client, db):
         client.put("events", key, {"payload": {"body": f"v{i}".encode()}})
     rows = client.scan("events", "payload", b"000000000000", b"999999999999")
     assert [key for key, _ in rows] == sorted(keys)
+
+
+def test_scan_returns_each_row_once_with_several_tablets_per_server(schema):
+    db = LogBase(n_nodes=2)
+    db.create_table(schema, tablets_per_server=2)
+    client = db.client()
+    keys = [str(k).zfill(12).encode() for k in range(0, 2_000_000_000, 250_000_000)]
+    for key in keys:
+        client.put("events", key, {"payload": {"body": b"v"}})
+    rows = client.scan("events", "payload", b"000000000000", b"999999999999")
+    assert [key for key, _ in rows] == keys
 
 
 def test_scan_respects_bounds(client):

@@ -103,6 +103,33 @@ def test_overloaded_server_shed_is_retried_after_hint():
     assert client.get_raw("t", b"000000000002", "g") == b"y"
 
 
+@pytest.mark.parametrize(
+    "replica_gates",
+    [{}, {"live_migration": True, "read_replicas": True, "replica_read_fraction": 0.0}],
+    ids=["owner-only", "replica-routing-owner-arm"],
+)
+def test_shed_scan_is_retried_after_hint(replica_gates):
+    config = LogBaseConfig.with_gray_resilience(
+        segment_size=64 * 1024,
+        op_deadline=None,
+        admission_queue_depth=8,
+        **replica_gates,
+    )
+    db = _db(config)
+    client = db.client(db.cluster.machines[2])
+    client.put_raw("t", KEY, "g", b"x")
+    server = db.cluster.server_by_name("ts-node-0")
+    server.machine.clock.advance(1.0)  # same backlog as the put case above
+    db.cluster.heartbeat()  # renews the ownership lease the jump outran
+    clock = db.cluster.machines[2].clock
+    before = clock.now
+    rows = client.scan_raw("t", "g", b"0" * 12, b"9" * 12)
+    assert rows == [(KEY, b"x")]
+    assert server.machine.counters.get(ADMISSION_SHED) >= 1
+    assert db.cluster.machines[2].counters.get(CLIENT_RETRIES) >= 1
+    assert clock.now - before >= 0.9
+
+
 def test_client_breaker_waits_out_cooldown_on_limping_server():
     config = LogBaseConfig.with_gray_resilience(
         segment_size=64 * 1024,

@@ -1,7 +1,7 @@
 """Recovery of group-commit-written records: a crash right after a group
 flush must leave every acked member readable, the fan-in counters must
-survive the restart, and the group-commit and fast-recovery gates must
-compose (parallel redo of coalesced appends)."""
+survive the restart, and group commit must compose with the parallel
+restart redo of coalesced appends."""
 
 import pytest
 
@@ -82,8 +82,8 @@ def test_crash_between_groups_recovers_every_flushed_group(schema):
     readback(db, {**first, **second})
 
 
-def test_group_commit_composes_with_fast_recovery(schema):
-    db = build_db(schema, fast_recovery=True, recovery_workers=4)
+def test_group_commit_composes_with_parallel_recovery(schema):
+    db = build_db(schema, recovery_workers=4)
     expected = submit_batch(db, 30)
     reports = crash_and_restart_all(db)
     assert all(report.parallel for report in reports.values())

@@ -10,7 +10,9 @@ import pytest
 
 from repro import LogBase, LogBaseConfig
 from repro.chaos.migration import check_single_owner
-from repro.core.migration import MIGRATIONS_PATH
+from repro.core.cluster import HEAT_HALF_LIFE
+from repro.core.migration import FLIP_BUDGET_SECONDS, MIGRATIONS_PATH
+from repro.core.tablet_server import LEASE_SECONDS
 from repro.errors import (
     LogBaseError,
     MigrationError,
@@ -69,7 +71,7 @@ def test_live_migration_moves_ownership_and_data(mig_db):
     assert counters["migration.started"] == 1
     assert counters["migration.completed"] == 1
     # The flip window stayed within the configured unavailability budget.
-    assert report.flip_seconds <= db.cluster.config.migration_flip_budget
+    assert report.flip_seconds <= FLIP_BUDGET_SECONDS
 
 
 def test_migration_record_cleared_after_completion(mig_db):
@@ -136,6 +138,31 @@ def test_client_invalidates_cache_on_migrating_error(mig_db):
     assert client.get(TABLE, key, GROUP) is not None
 
 
+def test_client_scan_retry_covers_the_flip_window(mig_db):
+    db, keys = mig_db
+    tablet_id, source, _ = _victim(db)
+    server = db.cluster.server_by_name(source)
+    client = db.client(db.cluster.machines[1])
+    expected = client.scan(TABLE, GROUP, b"0" * 12, b"9" * 12)
+    server.begin_tablet_migration(tablet_id)
+    original = server.range_scan
+    calls = {"n": 0}
+
+    def scan_with_flip_ending(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:  # the flip commits while the client backs off
+            server.finish_tablet_migration(tablet_id)
+        return original(*args, **kwargs)
+
+    server.range_scan = scan_with_flip_ending
+    try:
+        assert client.scan(TABLE, GROUP, b"0" * 12, b"9" * 12) == expected
+    finally:
+        server.range_scan = original
+    assert calls["n"] >= 2
+    assert client._machine.counters.get("client.retries") >= 1
+
+
 def test_lapsed_lease_fences_the_owner(mig_db):
     db, keys = mig_db
     tablet_id, source, _ = _victim(db)
@@ -144,7 +171,7 @@ def test_lapsed_lease_fences_the_owner(mig_db):
     key = next(k for k in keys if tablet.covers(k))
     # No heartbeat renewals: once the owner's clock passes its lease it
     # must self-fence even though nobody told it anything.
-    server.machine.clock.advance(db.cluster.config.migration_lease_seconds + 1.0)
+    server.machine.clock.advance(LEASE_SECONDS + 1.0)
     with pytest.raises(TabletMigratingError):
         server.read(TABLE, key, GROUP)
     assert server.machine.counters.get("migration.lease_rejects") >= 1
@@ -227,11 +254,10 @@ def test_ghost_heat_decays(mig_db):
     db.cluster.tablet_heat["ghost#0"] = 8.0
     db.cluster.heartbeat()  # first tick records when the ghost was seen
     assert "ghost#0" in db.cluster.tablet_heat
-    half_life = db.cluster.config.heat_half_life
-    db.cluster.machines[0].clock.advance(half_life)
+    db.cluster.machines[0].clock.advance(HEAT_HALF_LIFE)
     db.cluster.heartbeat()
     assert db.cluster.tablet_heat["ghost#0"] == pytest.approx(4.0)
-    db.cluster.machines[0].clock.advance(half_life * 10)
+    db.cluster.machines[0].clock.advance(HEAT_HALF_LIFE * 10)
     db.cluster.heartbeat()
     assert "ghost#0" not in db.cluster.tablet_heat
 

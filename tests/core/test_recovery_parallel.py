@@ -1,5 +1,6 @@
-"""Fast recovery: parallel redo parity, hot-first bring-up, serve-while-
-recovering, crash-safe split/adopt, and the fast_recovery config gate."""
+"""Restart recovery: parallel redo parity with the sequential reference,
+hot-first bring-up, serve-while-recovering, crash-safe split/adopt, and
+the retired (pinned) config gates."""
 
 import pytest
 
@@ -46,10 +47,9 @@ def tso():
     return TimestampOracle(CoordinationService())
 
 
-def make_db(*, fast: bool, workers: int = 4) -> LogBase:
+def make_db(*, workers: int = 4) -> LogBase:
     config = LogBaseConfig(
         segment_size=16 * 1024,
-        fast_recovery=fast,
         recovery_workers=workers,
         client_retry_limit=3,
     )
@@ -79,6 +79,26 @@ def crash_and_recover(db: LogBase):
     return db.cluster.restart_server(SERVER)
 
 
+def crash_and_recover_sequentially(db: LogBase):
+    """The reference arm: restart without recovery, then run the
+    sequential checkpoint+redo scan directly."""
+    db.cluster.kill_node(SERVER)
+    db.cluster.restart_server(SERVER, recover=False)
+    return recover_server(
+        db.cluster.server_by_name(SERVER), db.cluster.checkpoints[SERVER]
+    )
+
+
+def index_signature(db: LogBase, keys) -> set:
+    """(key, timestamp) of every rebuilt index entry."""
+    server = db.cluster.server_by_name(SERVER)
+    return {
+        (key, entry.timestamp)
+        for key in keys
+        for entry in server.index_for(TABLE, key, GROUP).versions(key)
+    }
+
+
 def readback(db: LogBase, keys):
     client = db.client(db.cluster.machines[-1])
     return {key: client.get_raw(TABLE, key, GROUP) for key in keys}
@@ -87,11 +107,11 @@ def readback(db: LogBase, keys):
 # -- config gate ---------------------------------------------------------------
 
 
-def test_gate_defaults_off_and_preset_turns_on():
-    assert LogBaseConfig().fast_recovery is False
-    config = LogBaseConfig.with_fast_recovery()
-    assert config.fast_recovery is True
-    config.validate()
+@pytest.mark.parametrize("gate", ["incremental_compaction", "fast_recovery"])
+def test_retired_gates_are_pinned_on(gate):
+    assert getattr(LogBaseConfig(), gate) is True
+    with pytest.raises(ValueError, match=gate):
+        LogBaseConfig(**{gate: False}).validate()
 
 
 def test_validate_rejects_bad_worker_count():
@@ -104,10 +124,10 @@ def test_validate_rejects_bad_worker_count():
 
 @pytest.mark.parametrize("checkpoint_at", [None, 60])
 def test_parallel_recovery_matches_sequential(checkpoint_at):
-    db_seq, db_par = make_db(fast=False), make_db(fast=True)
+    db_seq, db_par = make_db(), make_db()
     keys = load(db_seq, 120, checkpoint_at=checkpoint_at)
     assert load(db_par, 120, checkpoint_at=checkpoint_at) == keys
-    seq = crash_and_recover(db_seq)
+    seq = crash_and_recover_sequentially(db_seq)
     par = crash_and_recover(db_par)
     assert not seq.parallel and par.parallel
     assert par.used_checkpoint == seq.used_checkpoint == (checkpoint_at is not None)
@@ -118,11 +138,23 @@ def test_parallel_recovery_matches_sequential(checkpoint_at):
         "uncommitted_ignored",
     ):
         assert getattr(par, field) == getattr(seq, field), field
+    assert index_signature(db_par, keys) == index_signature(db_seq, keys)
     assert readback(db_par, keys) == readback(db_seq, keys)
 
 
+def test_restart_server_is_parallel_under_the_plain_config():
+    db_seq, db_par = (LogBase(n_nodes=3, config=LogBaseConfig()) for _ in range(2))
+    for db in (db_seq, db_par):
+        db.create_table(SCHEMA, key_domain=1000, key_width=4, only_servers=[SERVER])
+        keys = load(db, 40)
+    report = crash_and_recover(db_par)
+    assert report.parallel is True
+    crash_and_recover_sequentially(db_seq)
+    assert index_signature(db_par, keys) == index_signature(db_seq, keys)
+
+
 def test_parallel_gating_ignores_uncommitted_and_applies_committed(tso, dfs, machines):
-    config = LogBaseConfig(fast_recovery=True)
+    config = LogBaseConfig()
     server = TabletServer(SERVER, machines[0], dfs, tso, config)
     server.assign_tablet(Tablet(TabletId(TABLE, 0), KeyRange(b"", None), SCHEMA))
     manager = CheckpointManager(dfs, server)
@@ -156,7 +188,7 @@ def test_parallel_gating_ignores_uncommitted_and_applies_committed(tso, dfs, mac
 def test_hot_tablets_come_up_first():
     # One worker makes the bring-up order strictly the heat order; the
     # checkpoint gives every tablet a real (DFS index load) bring-up cost.
-    db = make_db(fast=True, workers=1)
+    db = make_db(workers=1)
     keys = load(db, 120, checkpoint_at=60)
     client = db.client(db.cluster.machines[-1])
     hot_key = keys[0]
@@ -173,7 +205,7 @@ def test_hot_tablets_come_up_first():
 
 
 def test_ready_tablets_serve_while_others_recover():
-    db = make_db(fast=True, workers=1)
+    db = make_db(workers=1)
     keys = load(db, 80)
     server = db.cluster.server_by_name(SERVER)
     snapshots = []
@@ -195,7 +227,7 @@ def test_ready_tablets_serve_while_others_recover():
 
 
 def test_ops_on_recovering_tablet_raise_retryable_error():
-    db = make_db(fast=True)
+    db = make_db()
     keys = load(db, 40)
     server = db.cluster.server_by_name(SERVER)
     server.begin_tablet_recovery(server.tablets.keys())
@@ -214,7 +246,7 @@ def test_ops_on_recovering_tablet_raise_retryable_error():
 
 
 def test_client_retry_covers_recovery_window():
-    db = make_db(fast=True)
+    db = make_db()
     keys = load(db, 40)
     server = db.cluster.server_by_name(SERVER)
     server.begin_tablet_recovery(server.tablets.keys())
@@ -237,11 +269,36 @@ def test_client_retry_covers_recovery_window():
     assert calls["n"] >= 2
 
 
+def test_client_scan_retry_covers_recovery_window():
+    db = make_db()
+    keys = load(db, 40)
+    server = db.cluster.server_by_name(SERVER)
+    client = db.client(db.cluster.machines[-1])
+    server.begin_tablet_recovery(server.tablets.keys())
+    original = server.range_scan
+    calls = {"n": 0}
+
+    def scan_with_recovery_ending(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:  # recovery finishes while the client backs off
+            for tablet_id in list(server.tablets):
+                server.finish_tablet_recovery(tablet_id)
+        return original(*args, **kwargs)
+
+    server.range_scan = scan_with_recovery_ending
+    try:
+        rows = client.scan_raw(TABLE, GROUP, b"0000", b"9999")
+    finally:
+        server.range_scan = original
+    assert sorted(key for key, _ in rows) == sorted(set(keys))
+    assert calls["n"] >= 2
+
+
 # -- crash-safe recovery -------------------------------------------------------
 
 
 def test_crash_mid_parallel_recovery_then_rerun_converges():
-    db = make_db(fast=True)
+    db = make_db()
     keys = load(db, 120, checkpoint_at=60)
     expected = readback(db, keys)
     db.cluster.kill_node(SERVER)
@@ -365,7 +422,7 @@ def test_redo_scan_of_own_log_still_restores_lsn(tso, dfs, machines):
 def test_recovery_surfaces_in_stats():
     from repro.core.stats import collect_server_stats
 
-    db = make_db(fast=True)
+    db = make_db()
     keys = load(db, 40)
     crash_and_recover(db)
     stats = collect_server_stats(db.cluster.server_by_name(SERVER))

@@ -262,7 +262,7 @@ def test_routed_writes_land_in_per_tablet_indexes(multi_server):
 
 @pytest.fixture
 def inc_server(dfs, machines, schema, tso):
-    config = LogBaseConfig.with_incremental_compaction(
+    config = LogBaseConfig(
         segment_size=8 * 1024, compaction_tier_fanout=2
     )
     srv = TabletServer("ts-i", machines[2], dfs, tso, config)
@@ -396,7 +396,7 @@ def test_crash_between_plans_does_not_resurrect_on_recovery(inc_server, dfs, sch
 
 @pytest.fixture
 def lsm_server(dfs, machines, schema, tso):
-    config = LogBaseConfig.with_incremental_compaction(
+    config = LogBaseConfig(
         segment_size=8 * 1024, compaction_tier_fanout=2, index_kind="lsm"
     )
     srv = TabletServer("ts-l", machines[2], dfs, tso, config)

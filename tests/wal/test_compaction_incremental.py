@@ -9,10 +9,11 @@ from repro.sim.failure import (
     fault_plan,
     kill_action,
 )
-from repro.wal.compaction import CompactionJob, IncrementalCompactionJob
+from repro.wal.compaction import IncrementalCompactionJob
 from repro.wal.planner import CompactionPlan, CompactionPlanner
 from repro.wal.record import LogRecord, RecordType, abort_record, commit_record
 from repro.wal.repository import LogRepository
+from tests.wal.helpers import compact_whole_log
 
 
 def write(key: bytes, ts: int, value: bytes, *, table="t", group="g", txn=0) -> LogRecord:
@@ -112,7 +113,7 @@ def test_tail_plan_drops_covered_deletes(repo):
 def test_tail_plan_carries_tombstone_when_not_covered(repo):
     # Sorted run holding the victim, written by an earlier full round.
     repo.append(write(b"k", 1, b"victim"))
-    CompactionJob(repo).run()
+    compact_whole_log(repo)
     run = repo.segments()[0]
     # New tail deletes it; the tail plan must not touch the sorted run
     # (below fanout), so the tombstone has to ride along.
@@ -126,7 +127,7 @@ def test_tail_plan_carries_tombstone_when_not_covered(repo):
 
 def test_carried_tombstone_spares_newer_write(repo):
     repo.append(write(b"k", 1, b"old"))
-    CompactionJob(repo).run()
+    compact_whole_log(repo)
     repo.append(delete(b"k", 3))
     repo.append(write(b"k", 7, b"reborn"))
     repo.roll()
@@ -136,7 +137,7 @@ def test_carried_tombstone_spares_newer_write(repo):
 
 def test_tail_plan_leaves_sorted_runs_alone(repo):
     repo.append(write(b"a", 1, b"v"))
-    CompactionJob(repo).run()
+    compact_whole_log(repo)
     runs = list(repo.segments())
     repo.append(write(b"b", 2, b"v"))
     repo.roll()
@@ -240,7 +241,7 @@ def test_merge_dedupes_same_key_timestamp_across_runs(repo):
 def test_merge_applies_carried_tombstones(repo):
     # Run 1 holds the data; run 2 holds a carried tombstone + newer write.
     repo.append(write(b"k", 1, b"old"))
-    CompactionJob(repo).run()
+    compact_whole_log(repo)
     repo.append(delete(b"k", 3))
     repo.append(write(b"k", 8, b"new"))
     repo.roll()
@@ -258,7 +259,7 @@ def test_merge_applies_carried_tombstones(repo):
 
 def test_merge_keeps_tombstone_while_uncovered(repo):
     repo.append(write(b"k", 1, b"v"))
-    CompactionJob(repo).run()  # run A: k@1
+    compact_whole_log(repo)  # run A: k@1
     repo.append(delete(b"k", 3))
     repo.roll()
     run_plans(repo, tier_fanout=4)  # tail plan carries the tombstone: run B

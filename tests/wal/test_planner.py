@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.wal.compaction import CompactionJob
 from repro.wal.planner import CompactionPlanner
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
+from tests.wal.helpers import compact_whole_log
 
 
 def write(key: bytes, ts: int, value: bytes, *, table="t", group="g") -> LogRecord:
@@ -130,7 +130,7 @@ def test_merge_budget_caps_inputs_but_keeps_two(repo):
 def test_planner_sees_monolithic_output_as_runs(repo):
     for key, ts in ((b"a", 1), (b"b", 2), (b"c", 3)):
         repo.append(write(key, ts, b"v"))
-    CompactionJob(repo).run()
+    compact_whole_log(repo)
     plans = CompactionPlanner(repo, tier_fanout=2).plan()
     # One sorted run, no unsorted tail: below fanout, nothing to do.
     assert plans == []

@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import InvalidLogPointer
 from repro.sim.failure import CP_META_PERSIST, FaultPlan, fault_plan
-from repro.wal.compaction import CompactionJob
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
+from tests.wal.helpers import compact_whole_log
 
 
 def write_record(key: bytes, value: bytes, ts: int = 1) -> LogRecord:
@@ -162,7 +162,7 @@ def test_meta_swap_crash_leaves_complete_map(repo, dfs, machines):
     plan.add(CP_META_PERSIST, _crash, machine=machines[0].name)
     with fault_plan(plan):
         with pytest.raises(RuntimeError):
-            CompactionJob(repo).run()
+            compact_whole_log(repo)
     attached = LogRepository.reattach(dfs, machines[1], "/logbase/ts-0/log")
     (file_no,) = attached.segments()
     assert attached.segment_scope(file_no) == ("t", "g")
@@ -175,7 +175,7 @@ def test_reattach_ignores_torn_meta_tmp(repo, dfs, machines):
     """An unparseable temp file is a crash mid-write: reattach must fall
     back to the old complete map it never replaced."""
     repo.append(write_record(b"k", b"v"))
-    CompactionJob(repo).run()
+    compact_whole_log(repo)
     expected = {f: repo.segment_scope(f) for f in repo.segments()}
     writer = dfs.create("/logbase/ts-0/log/segments.meta.tmp", machines[0])
     writer.append(b'{"torn')
@@ -186,6 +186,6 @@ def test_reattach_ignores_torn_meta_tmp(repo, dfs, machines):
 
 def test_meta_swap_cleans_up_tmp(repo, dfs):
     repo.append(write_record(b"k", b"v"))
-    CompactionJob(repo).run()
+    compact_whole_log(repo)
     assert not dfs.exists("/logbase/ts-0/log/segments.meta.tmp")
     assert dfs.exists("/logbase/ts-0/log/segments.meta")
