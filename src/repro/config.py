@@ -64,12 +64,16 @@ class LogBaseConfig:
         group_commit_max_bytes: byte budget per commit group (estimated
             record sizes); None removes the cap and only
             ``group_commit_batch`` bounds the group.
-        dfs_checksum_replicas: datanodes keep an incremental CRC-32C per
-            replica (needed for read-path corruption detection).
-        dfs_verify_reads: checksum-verify a replica before serving a read
-            from it; on mismatch the reader fails over to another replica
-            instead of returning bad bytes.  Requires
-            ``dfs_checksum_replicas``.
+        dfs_checksum_replicas: datanodes keep one CRC-32C per 64 KiB
+            chunk of every replica (needed for read-path corruption
+            detection).  An append computes the chunk CRCs once at the
+            head of the replication pipeline and ships them to every
+            replica with the bytes.
+        dfs_verify_reads: before a replica serves a read, re-checksum the
+            chunks the read touches; on mismatch the reader fails over to
+            another replica instead of returning bad bytes.  Damage is
+            found by a read that lands on its chunk, not by any read of
+            that replica.  Requires ``dfs_checksum_replicas``.
         dfs_auto_rereplicate: the cluster heartbeat runs the namenode's
             background re-replication pass over blocks the pipeline or
             read path reported under-replicated.

@@ -5,13 +5,23 @@ while read/write *costs* are charged through the machine's
 :class:`~repro.sim.disk.SimDisk`, keyed by block id so that sequential
 appends to the same block are charged sequential-transfer cost and reads
 elsewhere pay seeks.
+
+Replica checksums are kept per fixed-size chunk, as HDFS keeps one per
+``bytes.per.checksum``: an append extends only the tail chunk's CRC and a
+verified read re-checksums only the chunks it touches.  The chunk is the
+block cache's fill unit, so one cache fill verifies exactly one chunk.
 """
 
 from __future__ import annotations
 
+from repro.dfs.block_cache import DEFAULT_CHUNK_SIZE as CHECKSUM_CHUNK
 from repro.errors import BlockCorruptionError, DataNodeDownError
 from repro.sim.machine import Machine
 from repro.util.crc import crc32c
+
+# What the head of an append pipeline ships beside the payload: the
+# replica offset it appended at and one CRC per checksum chunk touched.
+ShippedChecksums = tuple[int, list[int]]
 
 
 class DataNode:
@@ -19,16 +29,19 @@ class DataNode:
 
     Args:
         machine: the hosting machine.
-        checksum_replicas: maintain incremental CRC-32C over every
-            replica (verification tests enable this; benchmarks leave it
-            off since log records carry their own checksums).
+        checksum_replicas: keep a CRC-32C per ``CHECKSUM_CHUNK`` bytes of
+            every replica, so :meth:`verify_replica` can tell a damaged
+            range from a clean one.  Log records carry their own frame
+            CRC; this layer is what lets a *reader* pick another replica
+            instead of handing bad bytes to the decoder.
     """
 
     def __init__(self, machine: Machine, checksum_replicas: bool = False) -> None:
         self.machine = machine
         self.checksum_replicas = checksum_replicas
         self._blocks: dict[int, bytearray] = {}
-        self._checksums: dict[int, int] = {}
+        # block id -> CRC of each chunk; only the last may be partial.
+        self._checksums: dict[int, list[int]] = {}
 
     @property
     def name(self) -> str:
@@ -60,10 +73,41 @@ class DataNode:
         """Allocate an empty replica for a new block."""
         self._require_alive()
         self._blocks[block_id] = bytearray()
-        self._checksums[block_id] = 0
+        self._checksums[block_id] = []
 
-    def append_replica(self, block_id: int, data: bytes) -> float:
+    def checksums_for_append(
+        self, block_id: int, data: bytes
+    ) -> ShippedChecksums | None:
+        """Chunk CRCs that appending ``data`` to the local replica would
+        produce: the partial tail chunk's CRC continued over the bytes
+        that complete it, then one fresh CRC per further chunk.  None
+        when this datanode keeps no checksums.  Stores nothing."""
+        if not self.checksum_replicas:
+            return None
+        offset = len(self._blocks[block_id])
+        crcs: list[int] = []
+        view = memoryview(data)
+        pos = 0
+        partial = offset % CHECKSUM_CHUNK
+        if partial:
+            pos = CHECKSUM_CHUNK - partial
+            crcs.append(crc32c(view[:pos], self._checksums[block_id][-1]))
+        for start in range(pos, len(view), CHECKSUM_CHUNK):
+            crcs.append(crc32c(view[start : start + CHECKSUM_CHUNK]))
+        return offset, crcs
+
+    def append_replica(
+        self, block_id: int, data: bytes, shipped: ShippedChecksums | None = None
+    ) -> float:
         """Append ``data`` to the local replica, charging disk cost.
+
+        Args:
+            shipped: checksums the head of the pipeline already computed
+                for this payload (:meth:`checksums_for_append` on the
+                first replica).  Stored as they are when this replica is
+                as long as the sender's; otherwise — and for a copy made
+                by re-replication, which ships none — the datanode
+                computes its own from the bytes it was handed.
 
         Returns:
             Seconds of disk time charged to the hosting machine.
@@ -71,9 +115,13 @@ class DataNode:
         self._require_alive()
         replica = self._blocks[block_id]
         cost = self.machine.disk.write_buffered(len(data))
-        replica.extend(data)
         if self.checksum_replicas:
-            self._checksums[block_id] = crc32c(data, self._checksums[block_id])
+            offset = len(replica)
+            if shipped is None or shipped[0] != offset:
+                shipped = self.checksums_for_append(block_id, data)
+            # Replaces the partial tail chunk's CRC, then extends.
+            self._checksums[block_id][offset // CHECKSUM_CHUNK :] = shipped[1]
+        replica.extend(data)
         return cost
 
     def read_cost(self, length: int) -> float:
@@ -103,23 +151,37 @@ class DataNode:
         cost = self.machine.disk.read(block_id, offset, length)
         return bytes(replica[offset : offset + length]), cost
 
-    def verify_replica(self, block_id: int) -> bool:
-        """Re-checksum the full replica against the running checksum.
+    def verify_replica(
+        self, block_id: int, offset: int = 0, length: int | None = None
+    ) -> bool:
+        """Re-checksum the chunks overlapping ``[offset, offset + length)``
+        against their stored CRCs; the whole replica by default.
 
-        Always returns True when ``checksum_replicas`` is off (nothing to
-        verify against)."""
+        Real work on every call — nothing is remembered as verified — but
+        O(bytes read), not O(replica).  Damage is therefore found by a
+        read that touches its chunk, or by a whole-replica call.  A
+        missing replica answers False; always True when
+        ``checksum_replicas`` is off (nothing to verify against)."""
         self._require_alive()
         replica = self._blocks.get(block_id)
         if replica is None:
             return False
         if not self.checksum_replicas:
             return True
-        return crc32c(bytes(replica)) == self._checksums[block_id]
+        end = len(replica) if length is None else min(offset + length, len(replica))
+        checksums = self._checksums[block_id]
+        with memoryview(replica) as view:
+            for chunk_no in range(offset // CHECKSUM_CHUNK, -(-end // CHECKSUM_CHUNK)):
+                start = chunk_no * CHECKSUM_CHUNK
+                if crc32c(view[start : start + CHECKSUM_CHUNK]) != checksums[chunk_no]:
+                    return False
+        return True
 
     def corrupt_replica(self, block_id: int, at: int = 0) -> None:
-        """Flip one payload byte *without* updating the running checksum —
+        """Flip one payload byte *without* updating its chunk's checksum —
         fault injection for read-path corruption tests.  The damage is only
-        detectable when ``checksum_replicas`` is on and a reader verifies.
+        detectable when ``checksum_replicas`` is on and a reader verifies
+        a range touching that chunk.
 
         Raises:
             KeyError: if this datanode holds no such replica.

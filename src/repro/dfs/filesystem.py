@@ -106,10 +106,14 @@ class DFS:
             caching entirely (reads hit the datanodes directly, the seed
             cost model).
         block_cache_chunk: cache fill/eviction unit in bytes.
-        verify_reads: checksum-verify a replica before serving a read
-            from it (requires ``checksum_replicas``); on mismatch the
-            reader fails over to another replica instead of returning
-            bad bytes.  Off by default — the seed read path.
+        checksum_replicas: every datanode (including ones added later)
+            keeps a CRC-32C per 64 KiB chunk of each replica; an append
+            computes them once at the head of the pipeline and ships them
+            to every replica with the bytes.
+        verify_reads: checksum-verify the chunks a read touches on the
+            replica about to serve it (requires ``checksum_replicas``);
+            on mismatch the reader fails over to another replica instead
+            of returning bad bytes.  Off by default — the seed read path.
         degraded_allocation: allocate new blocks on however many
             datanodes are live (queued for repair) instead of refusing
             writes when fewer than ``replication`` survive.  Off by
@@ -136,6 +140,7 @@ class DFS:
         if verify_reads and not checksum_replicas:
             raise ValueError("verify_reads requires checksum_replicas")
         self.block_size = block_size
+        self.checksum_replicas = checksum_replicas
         self.verify_reads = verify_reads
         self.gray = gray
         self.health: HealthMonitor | None = (
@@ -166,7 +171,9 @@ class DFS:
         locations, and a target holding a *stale* copy (e.g. a revived
         node) drops it and receives a fresh one.  Liveness is re-checked
         per block and per copy so that a source dying mid-pass fails over
-        to another survivor.  Returns the number of new replicas created.
+        to another survivor.  Queued block ids that no file owns any more
+        are discarded, so a stray report cannot keep the heartbeat
+        sweeping forever.  Returns the number of new replicas created.
 
         Args:
             strict: raise on a block with no live replica (data loss).
@@ -177,9 +184,12 @@ class DFS:
             DFSError: in strict mode, if a block has no live replica left.
         """
         created = 0
+        owned: set[int] = set()
         for path in self.namenode.list_files():
             for block in self.namenode.get_file(path).blocks:
+                owned.add(block.block_id)
                 created += self._rereplicate_block(path, block, strict)
+        self.namenode.under_replicated &= owned
         return created
 
     def _rereplicate_block(self, path: str, block: BlockInfo, strict: bool) -> int:
@@ -259,7 +269,7 @@ class DFS:
     def add_machine(self, machine: Machine) -> DataNode:
         """Start a datanode on a newly provisioned machine (elastic
         scale-out: new blocks may be placed on it immediately)."""
-        node = DataNode(machine)
+        node = DataNode(machine, checksum_replicas=self.checksum_replicas)
         self.datanodes[node.name] = node
         self.namenode.register_datanode(node.name, machine.rack)
         return node
@@ -377,7 +387,11 @@ class DFS:
         primary, *secondaries = live
         # The writer streams to the primary (loopback when co-located)...
         writer.send(primary.machine, len(data))
-        primary.append_replica(block.block_id, data)
+        # ...with the payload's chunk checksums computed once, here, and
+        # shipped to every replica beside the bytes (HDFS carries them in
+        # the packet) rather than recomputed per replica.
+        shipped = primary.checksums_for_append(block.block_id, data)
+        primary.append_replica(block.block_id, data, shipped)
         # ...which pipelines once to the remaining replicas; remote disks pay
         # their own write cost on their own clocks.  A limping link slows
         # both the replica transfer and that replica's ack leg, so a slow
@@ -398,7 +412,7 @@ class DFS:
                     len(data), a=primary.name, b=replica.name
                 )
             )
-            replica.append_replica(block.block_id, data)
+            replica.append_replica(block.block_id, data, shipped)
             acked += self.network.links.factor(primary.name, replica.name)
         # Synchronous ack travels back up the pipeline before return —
         # unless a group-commit flush is deferring acks to overlap the
@@ -634,9 +648,17 @@ class DFSReader:
         replicas behind an open circuit breaker demoted to last when the
         gray-resilience layer is on.  A candidate that turns out dead,
         holds a short/stale copy, or — when the DFS verifies reads —
-        fails checksum verification is pruned from the block's locations
-        and the next replica is tried; failed attempts charge nothing
-        (liveness comes from heartbeats).
+        fails checksum verification of the chunks this range touches is
+        pruned from the block's locations and the next replica is tried;
+        failed attempts charge nothing (liveness comes from heartbeats).
+
+        A candidate that does not hold the block at all is absent, not
+        corrupt: it is passed over without a counter, and if nothing
+        could serve because the file itself has been deleted since this
+        reader was opened (compaction retired the segment under a
+        follower's cached metadata) the read raises
+        :class:`FileNotFoundInDFS` with the block's locations and the
+        repair queue untouched.
 
         Under an ambient deadline, a candidate whose estimated cost
         exceeds the remaining budget is skipped (deadline-aware
@@ -654,6 +676,7 @@ class DFSReader:
         Raises:
             DeadlineExceededError: deadline expired, or no replica can
                 serve within the remaining budget.
+            FileNotFoundInDFS: the file was deleted under this reader.
             DataNodeDownError: if no live, reachable replica remains.
             ReplicaCorruptError / BlockCorruptionError: if every remaining
                 replica is damaged.
@@ -664,13 +687,17 @@ class DFSReader:
         starved = False  # some replica was skipped only for deadline reasons
         candidates = self._replica_candidates(block)
         for i, node in enumerate(candidates):
+            if not node.has_block(block.block_id):
+                continue
             est = None
             if deadline is not None:
                 est = self._serve_estimate(node, length)
                 if est > deadline.remaining():
                     starved = True
                     continue
-            if self._dfs.verify_reads and not node.verify_replica(block.block_id):
+            if self._dfs.verify_reads and not node.verify_replica(
+                block.block_id, offset, length
+            ):
                 self._drop_bad_replica(block, node, corrupt=True)
                 last_exc = ReplicaCorruptError(
                     f"replica of block {block.block_id} on {node.name} "
@@ -683,7 +710,9 @@ class DFSReader:
                     est = self._serve_estimate(node, length)
                 delay = self._dfs.health.hedge_delay()
                 if est > delay:
-                    hedge = self._pick_hedge(candidates[i + 1 :], block)
+                    hedge = self._pick_hedge(
+                        candidates[i + 1 :], block, offset, length
+                    )
             if hedge is not None:
                 result = self._hedged_read(
                     block, offset, length, node, hedge, est, delay
@@ -709,6 +738,10 @@ class DFSReader:
                 )
             self._observe_health(node, latency)
             return payload, cost, node
+        if not self._dfs.namenode.owns(self._meta):
+            raise FileNotFoundInDFS(
+                f"{self._meta.path} was deleted under an open reader"
+            )
         if starved and deadline is not None:
             # Every remaining replica would blow the budget: spend what is
             # left of it (the time a real client burns before timing out)
@@ -728,11 +761,12 @@ class DFSReader:
         )
 
     def _pick_hedge(
-        self, backups: list[DataNode], block: BlockInfo
+        self, backups: list[DataNode], block: BlockInfo, offset: int, length: int
     ) -> DataNode | None:
         """The first viable hedge target among the remaining candidates:
-        alive, breaker-allowed, and (when verification is on) holding a
-        checksum-clean replica.  Verification charges nothing."""
+        alive, breaker-allowed, holding the block, and (when verification
+        is on) checksum-clean over the range about to be read.
+        Verification charges nothing."""
         health = self._dfs.health
         now = self._reader.clock.now
         for node in backups:
@@ -740,7 +774,11 @@ class DFSReader:
                 continue
             if health is not None and not health.allow(node.name, now):
                 continue
-            if self._dfs.verify_reads and not node.verify_replica(block.block_id):
+            if not node.has_block(block.block_id):
+                continue
+            if self._dfs.verify_reads and not node.verify_replica(
+                block.block_id, offset, length
+            ):
                 continue
             return node
         return None

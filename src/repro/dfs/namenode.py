@@ -90,6 +90,12 @@ class NameNode:
         """Whether ``path`` is in the namespace."""
         return path in self._files
 
+    def owns(self, meta: FileMeta) -> bool:
+        """Whether ``meta`` is still the namespace's entry for its path —
+        False once the file a reader opened was deleted, even if the path
+        has since been created again."""
+        return self._files.get(meta.path) is meta
+
     def delete_file(self, path: str) -> FileMeta:
         """Remove ``path`` and return its metadata (caller drops replicas)."""
         meta = self.get_file(path)

@@ -36,7 +36,7 @@ def encode_entries(entries: list[IndexEntry]) -> bytes:
         body += encode_uvarint(entry.pointer.file_no)
         body += encode_uvarint(entry.pointer.offset)
         body += encode_uvarint(entry.pointer.size)
-    body += struct.pack("<I", crc32c(bytes(body)))
+    body += struct.pack("<I", crc32c(body))
     return bytes(body)
 
 

@@ -139,7 +139,7 @@ class LogRecord:
             body.append(1)
             body += encode_uvarint(len(self.value))
             body += self.value
-        frame = _FRAME_HEADER.pack(len(body), crc32c(bytes(body)))
+        frame = _FRAME_HEADER.pack(len(body), crc32c(body))
         return frame + bytes(body)
 
     @classmethod

@@ -120,3 +120,19 @@ def test_scale_out_after_writes_keeps_versions(loaded_db):
     client.invalidate_cache()
     assert client.get("events", key, "payload", as_of=first_ts) == {"body": b"v-new"}
     assert client.get("events", key, "payload") == {"body": b"v-newest"}
+
+def test_scaled_out_datanode_keeps_replica_checksums():
+    # A datanode started by scale-out must checksum like the ones the
+    # cluster was built with, or corruption on it is served as data.
+    db = LogBase(n_nodes=3, config=LogBaseConfig.with_fault_tolerance())
+    machine = db.cluster.add_node(rebalance=False).machine
+    dfs = db.cluster.dfs
+    payload = b"placed on the new node"
+    dfs.create("/probe", machine).append(payload)
+    block = dfs.namenode.get_file("/probe").blocks[0]
+    assert block.locations[0] == machine.name  # first replica is writer-local
+    dfs.datanode(machine.name).corrupt_replica(block.block_id)
+    assert not dfs.datanode(machine.name).verify_replica(block.block_id)
+    assert dfs.open("/probe", machine).read_all() == payload
+    assert machine.name not in block.locations
+    assert machine.counters.get("dfs.corrupt_replicas") == 1

@@ -171,6 +171,35 @@ def test_owner_compaction_only_lags_the_follower_transiently(rep_db):
         assert server.follower_read(TABLE, key, GROUP) == (ts, encode_value(i))
 
 
+def test_retired_segment_is_absent_not_corrupt(rep_db):
+    """The follower's cached reader still lists the blocks of a segment
+    the owner's compaction deleted.  Those replicas are *gone*, not
+    damaged: the client falls back to the owner, and the DFS books no
+    corrupt replica, no failover and no repair work for a block no file
+    owns."""
+    db, keys, history = rep_db
+    _, server, _ = _the_follower(db)
+    db.cluster.server_by_name(SOURCE).compact()
+    lagging = 0
+    for key in keys:
+        try:
+            server.follower_read(TABLE, key, GROUP)
+        except FollowerLaggingError:
+            lagging += 1
+    assert lagging > 0
+    with pytest.raises(FollowerLaggingError):
+        server.follower_scan(TABLE, GROUP, keys[0], keys[-1] + b"\xff")
+    client = db.client(db.cluster.machines[-1])
+    for key, (_, i) in history.items():
+        assert client.get_raw(TABLE, key, GROUP) == encode_value(i)
+    totals = db.cluster.total_counters()
+    assert totals.get("replica.redirects", 0) > 0
+    assert totals.get("dfs.corrupt_replicas", 0) == 0
+    assert totals.get("dfs.read_failovers", 0) == 0
+    assert totals.get("dfs.under_replicated", 0) == 0
+    assert not db.cluster.dfs.namenode.under_replicated
+
+
 def test_follower_scan_matches_owner_scan(rep_db):
     db, keys, history = rep_db
     _, server, _ = _the_follower(db)

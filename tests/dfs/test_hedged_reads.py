@@ -3,6 +3,7 @@ demotion, and deadline-aware failover (all gated on a GrayPolicy)."""
 
 import pytest
 
+from repro.dfs.datanode import CHECKSUM_CHUNK
 from repro.dfs.filesystem import DFS
 from repro.errors import DeadlineExceededError
 from repro.sim.deadline import Deadline, deadline_scope
@@ -154,3 +155,33 @@ def test_deadline_skips_limping_replica_for_a_feasible_one():
     assert cost < 0.1  # served within budget by a healthy replica
     assert cost < limped / 4
     assert machines[0].counters.get(DEADLINES_EXCEEDED) == 0
+
+
+def test_hedge_target_is_verified_over_the_read_range_only():
+    machines = _machines()
+    dfs = DFS(
+        machines,
+        replication=3,
+        block_size=1 << 20,
+        checksum_replicas=True,
+        verify_reads=True,
+        gray=GrayPolicy(breaker_enabled=False),
+    )
+    dfs.create("/f", machines[0]).append(b"h" * (3 * CHECKSUM_CHUNK))
+    reader = dfs.open("/f", machines[0])
+    block = dfs.namenode.get_file("/f").blocks[0]
+    local, first_backup, second_backup = reader._replica_candidates(block)
+    assert local.machine is machines[0]
+    first_backup.corrupt_replica(block.block_id, at=10)  # inside the read
+    second_backup.corrupt_replica(
+        block.block_id, at=2 * CHECKSUM_CHUNK + 10
+    )  # outside it
+    machines[0].disk.set_slowdown(LIMP)
+    assert reader.read(0, 4096) == b"h" * 4096
+    counters = machines[0].counters
+    assert counters.get(DFS_HEDGE_WINS) == 1
+    # The backup damaged where the read lands was passed over; the one
+    # damaged two chunks away served it, its other chunks never read.
+    assert not first_backup.verify_replica(block.block_id, 0, 4096)
+    assert second_backup.verify_replica(block.block_id, 0, 4096)
+    assert not second_backup.verify_replica(block.block_id)

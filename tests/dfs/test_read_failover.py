@@ -4,7 +4,7 @@ retries on the next candidate instead of returning bad bytes."""
 import pytest
 
 from repro.dfs.filesystem import DFS
-from repro.errors import DataNodeDownError, ReplicaCorruptError
+from repro.errors import DataNodeDownError, FileNotFoundInDFS, ReplicaCorruptError
 from repro.sim.failure import FailureInjector
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
@@ -142,3 +142,51 @@ def test_injector_killed_datanode_detected_by_read(dfs, machines):
     assert injector.is_alive(victim)
     reader_local = dfs.datanode(victim).machine
     assert dfs.open("/f", reader_local).read_all() == PAYLOAD
+
+
+def _assert_no_dfs_bookkeeping(dfs, machines):
+    for machine in machines:
+        for counter in (DFS_READ_FAILOVERS, DFS_CORRUPT_REPLICAS, DFS_UNDER_REPLICATED):
+            assert machine.counters.get(counter) == 0
+    assert not dfs.namenode.under_replicated
+
+
+@pytest.mark.parametrize("verify_reads", [True, False])
+def test_read_of_a_deleted_file_is_not_a_corrupt_replica(machines, verify_reads):
+    # A long-lived reader (a follower's, over a segment the owner's
+    # compaction retired) outlives its file.  Every replica is absent,
+    # which is not damage: nothing is pruned, counted or queued.
+    dfs = DFS(
+        machines,
+        replication=3,
+        block_size=1 << 16,
+        checksum_replicas=True,
+        verify_reads=verify_reads,
+    )
+    dfs.create("/f", machines[0]).append(PAYLOAD)
+    block = _block(dfs, "/f")
+    locations = list(block.locations)
+    reader = dfs.open("/f", machines[1])
+    dfs.delete("/f")
+    with pytest.raises(FileNotFoundInDFS):
+        reader.read_all()
+    assert block.locations == locations
+    _assert_no_dfs_bookkeeping(dfs, machines)
+    assert dfs.heartbeat() == 0
+
+
+def test_reader_of_a_deleted_file_ignores_its_recreated_path(dfs, machines):
+    dfs.create("/f", machines[0]).append(PAYLOAD)
+    reader = dfs.open("/f", machines[0])
+    dfs.delete("/f")
+    dfs.create("/f", machines[0]).append(b"another file entirely")
+    with pytest.raises(FileNotFoundInDFS):
+        reader.read_all()
+    _assert_no_dfs_bookkeeping(dfs, machines)
+
+
+def test_rereplicate_discards_queued_blocks_no_file_owns(dfs, machines):
+    dfs.create("/f", machines[0]).append(PAYLOAD)
+    dfs.namenode.report_under_replicated(10_000)  # a block of no file
+    assert dfs.heartbeat() == 0
+    assert not dfs.namenode.under_replicated
