@@ -17,8 +17,9 @@ trajectory is tracked across commits.
 
 Run directly (``python benchmarks/bench_compaction.py [--smoke]``) or via
 pytest, which asserts the acceptance bars: >= 40 % fewer cumulative
-compaction bytes written, and post-compaction scans within 5 % of the
-monolithic arm.
+compaction bytes written, post-compaction scans within 5 % of the
+monolithic arm, and at most 20 DFS append round trips per MiB of
+compaction output on either arm.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import random
 from conftest import RECORD_SIZE, append_trajectory
 from repro.bench.adapters import LogBaseAdapter, make_logbase
 from repro.config import LogBaseConfig
+from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan
 from repro.sim.metrics import (
     COMPACTION_BYTES_READ,
     COMPACTION_BYTES_WRITTEN,
@@ -48,6 +50,9 @@ SMOKE_RECORDS = 400
 SMOKE_ROUNDS = 8  # the acceptance bar requires >= 8 churn rounds
 SCANS = 16
 RANGE_SIZE = 80  # tuples returned per scan, the Fig. 10 mid-range point
+# One append per 64 KiB chunk of a run is 16 per MiB, plus each run's last
+# partial chunk; one append per 1 KB record was ~1,000.
+MAX_ROUND_TRIPS_PER_MIB = 20.0
 
 
 def build_adapter(records: int) -> LogBaseAdapter:
@@ -80,14 +85,34 @@ def compact_monolithic(adapter: LogBaseAdapter) -> None:
         adapter.cluster.checkpoints[server.name].write_checkpoint()
 
 
+def counting_run_appends(adapter: LogBaseAdapter, tally: list[int]):
+    """Context in which every DFS append round trip into a sorted run —
+    compaction's output, not its metadata swaps or the checkpoint that
+    follows an install — adds one to ``tally[0]``."""
+    dfs = adapter.cluster.dfs
+
+    def on_append(ctx: dict) -> None:
+        for path in dfs.list_files("/logbase/"):
+            if "/sorted-" in path:
+                blocks = dfs.namenode.get_file(path).blocks
+                if blocks and blocks[-1].block_id == ctx["block"]:
+                    tally[0] += 1
+                    return
+
+    plan = FaultPlan()
+    plan.add(CP_DFS_APPEND, on_append, repeat=True)
+    return fault_plan(plan)
+
+
 def run_churn(
     adapter: LogBaseAdapter, records: int, rounds: int, compact, *, seed: int = 11
 ) -> dict:
     """Load, then ``rounds`` rounds of uniform overwrites, each followed
     by ``compact(adapter)``.
 
-    Returns per-round cumulative compaction I/O and the final rewrite
-    amplification (compaction bytes written / ingested bytes).
+    Returns per-round cumulative compaction I/O, the final rewrite
+    amplification (compaction bytes written / ingested bytes) and the DFS
+    append round trips compaction paid per MiB of output.
     """
     rng = random.Random(seed)
     keys = [f"user{i:08d}".encode() for i in range(records)]
@@ -95,10 +120,12 @@ def run_churn(
         adapter.put(0, key, rng.randbytes(RECORD_SIZE))
     updates_per_round = records // 2
     per_round: list[dict] = []
+    run_appends = [0]
     for _ in range(rounds):
         for _ in range(updates_per_round):
             adapter.put(0, rng.choice(keys), rng.randbytes(RECORD_SIZE))
-        compact(adapter)
+        with counting_run_appends(adapter, run_appends):
+            compact(adapter)
         counters = adapter.cluster.total_counters()
         per_round.append(
             {
@@ -117,6 +144,8 @@ def run_churn(
         "ingest_bytes": ingested,
         "compaction_plans": counters.get(COMPACTION_PLANS, 0.0),
         "rewrite_amplification": written / ingested if ingested else 0.0,
+        "run_append_round_trips": run_appends[0],
+        "round_trips_per_mib": run_appends[0] / (written / 2**20) if written else 0.0,
         "live_segments": sum(
             len(server.log.segments()) for server in adapter.cluster.servers
         ),
@@ -180,7 +209,7 @@ def format_report(results: dict) -> str:
         f"{results['rounds']} rounds, "
         f"{results['scans']} scans x {results['range_size']} tuples)",
         f"{'arm':<12} {'cmp MB wr':>10} {'cmp MB rd':>10} {'amp':>6} "
-        f"{'plans':>6} {'segs':>5} {'scan s':>8}",
+        f"{'plans':>6} {'segs':>5} {'scan s':>8} {'appends/MiB':>12}",
     ]
     for arm in ("monolithic", "incremental"):
         a = results[arm]
@@ -188,7 +217,8 @@ def format_report(results: dict) -> str:
             f"{arm:<12} {a['compaction_bytes_written'] / 1e6:>10.2f} "
             f"{a['compaction_bytes_read'] / 1e6:>10.2f} "
             f"{a['rewrite_amplification']:>6.2f} {a['compaction_plans']:>6.0f} "
-            f"{a['live_segments']:>5d} {a['scan']['simulated_seconds']:>8.4f}"
+            f"{a['live_segments']:>5d} {a['scan']['simulated_seconds']:>8.4f} "
+            f"{a['round_trips_per_mib']:>12.1f}"
         )
     lines.append(
         f"compaction write reduction: {results['write_reduction']:.0%}  "
@@ -213,6 +243,13 @@ def check_acceptance(results: dict) -> list[str]:
             f"{inc['rewrite_amplification']:.2f} not strictly below "
             f"monolithic {mono['rewrite_amplification']:.2f}"
         )
+    for label, arm in (("monolithic", mono), ("incremental", inc)):
+        if arm["round_trips_per_mib"] > MAX_ROUND_TRIPS_PER_MIB:
+            failures.append(
+                f"{label} compaction paid {arm['round_trips_per_mib']:.1f} DFS "
+                f"append round trips per MiB of output (allowed: "
+                f"{MAX_ROUND_TRIPS_PER_MIB:.0f}; a 64 KiB chunk per append is 16)"
+            )
     if inc["scan"]["rows"] != mono["scan"]["rows"]:
         failures.append(
             f"scan rows diverged: {inc['scan']['rows']} vs {mono['scan']['rows']}"

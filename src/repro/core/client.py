@@ -516,9 +516,20 @@ class Client:
         end_key: bytes,
         as_of: int | None,
     ) -> list[tuple[bytes, bytes]]:
-        """Fetch raw (key, payload) rows for a range scan, sorted by key."""
+        """Fetch raw (key, payload) rows for a range scan, sorted by key.
+
+        Like :meth:`_routed_call`, retried once on a stale location: a
+        server that no longer hosts all of a slice routed to it (the
+        tablet moved or split since the cache was filled) answers
+        TabletNotFound, and the scan is planned again from the master's
+        current assignment.
+        """
         with self._op_span("op.scan", table=table, group=group):
-            return self._scan_rows_inner(table, group, start_key, end_key, as_of)
+            try:
+                return self._scan_rows_inner(table, group, start_key, end_key, as_of)
+            except TabletNotFound:
+                self.invalidate_cache(table)
+                return self._scan_rows_inner(table, group, start_key, end_key, as_of)
 
     def _scan_rows_inner(
         self,
@@ -568,7 +579,10 @@ class Client:
             return self._call(
                 server, _REQUEST_OVERHEAD, 4096,
                 lambda: list(
-                    server.range_scan(table, group, sub_start, sub_end, as_of=as_of)
+                    server.range_scan(
+                        table, group, sub_start, sub_end,
+                        as_of=as_of, require_coverage=True,
+                    )
                 ),
                 table=table,
                 deadline=deadline,

@@ -18,6 +18,7 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.schema import ColumnGroup, TableSchema
 
@@ -38,6 +39,18 @@ class KeyRange:
     def __repr__(self) -> str:
         end = "+inf" if self.end is None else self.end
         return f"KeyRange[{self.start!r}, {end!r})"
+
+
+def ranges_cover(ranges: Iterable[KeyRange], start_key: bytes, end_key: bytes) -> bool:
+    """Whether ``ranges``, sorted by start, jointly cover [start_key, end_key)."""
+    cursor = start_key
+    for key_range in ranges:
+        if key_range.start > cursor:
+            break
+        if key_range.end is None:
+            return True
+        cursor = max(cursor, key_range.end)
+    return cursor >= end_key
 
 
 def split_key_domain(domain_max: int, n_tablets: int, key_width: int = 12) -> list[KeyRange]:

@@ -17,6 +17,7 @@ from itertools import islice
 from repro.config import LogBaseConfig
 from repro.coordination.tso import TimestampOracle
 from repro.core.follower import FollowerTablet, LogTailer
+from repro.core.partition import ranges_cover
 from repro.core.read_cache import ReadCache
 from repro.core.tablet import Tablet, TabletId
 from repro.dfs.filesystem import DFS
@@ -436,16 +437,9 @@ class TabletServer:
             # tablets of the table — an empty result then silently drops
             # the target tablet's rows, so raise and let the client fall
             # back to the owner instead.
-            cursor: bytes | None = start_key
-            for follower in followed:
-                if follower.tablet.key_range.start > cursor:
-                    break
-                fr_end = follower.tablet.key_range.end
-                if fr_end is None:
-                    cursor = None
-                    break
-                cursor = max(cursor, fr_end)
-            if cursor is not None and cursor < end_key:
+            if not ranges_cover(
+                (f.tablet.key_range for f in followed), start_key, end_key
+            ):
                 self.machine.counters.add(REPLICA_REDIRECTS)
                 raise FollowerLaggingError(
                     f"{self.name} hosts no replica covering "
@@ -931,6 +925,7 @@ class TabletServer:
         end_key: bytes,
         *,
         as_of: int | None = None,
+        require_coverage: bool = False,
     ):
         """Yield (key, timestamp, value) for the latest visible version of
         every key in [start_key, end_key) on this server.
@@ -941,13 +936,30 @@ class TabletServer:
         sequential — exactly the Figure 10 effect.
 
         Pointers are followed by :meth:`_live_rows`.
+
+        A caller that routed the range here as one tablet's slice (the
+        client) passes ``require_coverage``: the tablets hosted here must
+        then jointly cover the range, or the scan answers
+        :class:`TabletNotFound` before yielding anything — the tablet
+        moved or split away since the caller cached its location, and an
+        empty answer would silently drop its rows (the same check
+        :meth:`follower_scan` makes).  Callers that sweep every server for
+        "the rows on this server" leave it off.
         """
         self._require_serving()
         check_deadline("tablet range scan")
-        for tablet in sorted(
+        hosted = sorted(
             (t for t in self.tablets.values() if t.table == table),
             key=lambda t: t.key_range.start,
+        )
+        if require_coverage and not ranges_cover(
+            (t.key_range for t in hosted), start_key, end_key
         ):
+            raise TabletNotFound(
+                f"server {self.name} does not host all of "
+                f"{table}:[{start_key!r}, {end_key!r})"
+            )
+        for tablet in hosted:
             self._check_tablet_serving(tablet)
             self._touch_heat(tablet)
             index = self._ensure_index(tablet.tablet_id, group)

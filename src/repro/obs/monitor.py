@@ -46,10 +46,14 @@ from repro.sim.metrics import (
 )
 
 #: per-scrape ``net.messages`` delta above which a node is seeing a
-#: traffic burst.  One workload op (plus a checkpoint or compaction
-#: tick) costs a node at most ~22 messages between scrapes; a burst
-#: client jamming tens of ops between two heartbeats costs 60+.
-TRAFFIC_BURST_MESSAGES = 40.0
+#: traffic burst.  Measured on the gray chaos topology: a quiet tick —
+#: one workload op plus a checkpoint or a compaction, whose output goes
+#: out a 64 KiB chunk per append — costs a node at most 11 messages
+#: between scrapes at the oracle's seed 1 and 21 over seeds 1-5;
+#: ``overload-burst``'s 40 puts jammed between two heartbeats cost 40
+#: (41 on seed 5).  The rule is a strict ``>``, so the threshold sits
+#: between the two, not on the burst.
+TRAFFIC_BURST_MESSAGES = 30.0
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import LogBaseConfig

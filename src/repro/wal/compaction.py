@@ -31,8 +31,9 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from repro.dfs.datanode import CHECKSUM_CHUNK
 from repro.sim.failure import CP_COMPACTION_MID, crash_point
 from repro.sim.metrics import (
     COMPACTION_BYTES_READ,
@@ -220,46 +221,91 @@ class IncrementalCompactionJob:
                 return False
         return True
 
-    def _emit_tombstone(
+    def _write_run(
         self,
-        segment: LogSegmentWriter,
         table: str,
         group: str,
-        key: bytes,
-        cutoff: int,
-        lsn: int,
-        stats: CompactionStats,
-    ) -> None:
-        marker = LogRecord(
-            record_type=RecordType.INVALIDATE,
-            lsn=lsn,
-            txn_id=0,
-            table=table,
-            tablet="",
-            key=key,
-            group=group,
-            timestamp=cutoff,
-            value=None,
-        )
-        pointer = segment.append(marker.encode(slim=True))
-        stats.bytes_written += pointer.size
-        stats.tombstones_carried += 1
-
-    def _emit_live(
-        self,
-        segment: LogSegmentWriter,
-        table: str,
-        group: str,
-        live: list[LogRecord],
+        carry: bool,
+        keyed: Iterable[tuple[bytes, int, int, list[LogRecord]]],
         result: CompactionResult,
     ) -> None:
-        for record in live:
-            pointer = segment.append(_as_committed(record).encode(slim=True))
+        """Write one sorted run of (table, group), a chunk per DFS append.
+
+        ``keyed`` yields ``(key, cutoff, cutoff_lsn, live)`` in key order.
+        Frames queue until they fill a DFS checksum chunk and then go out
+        in one ``append_many`` — one replication round trip and one
+        chunk-CRC pass per ``CHECKSUM_CHUNK`` of output instead of one per
+        record (§3.7.2's batching applied to §3.6.5's sort/merge output).
+        Flushes fall on frame boundaries only, so a follower tailing the
+        half-written run, or a scan of what a crash between two flushes
+        left behind, never meets a torn frame.  An empty run creates no
+        segment.
+        """
+        segment: LogSegmentWriter | None = None
+        pending: list[tuple[bytes, bytes, int | None]] = []
+        pending_bytes = 0
+        for item in self._frames(table, group, carry, keyed, result.stats):
+            if segment is None:
+                segment = self._repo.create_sorted_segment(table, group)
+            pending.append(item)
+            pending_bytes += len(item[0])
+            if pending_bytes >= CHECKSUM_CHUNK:
+                self._flush(segment, table, group, pending, result)
+                pending.clear()
+                pending_bytes = 0
+        if segment is None:
+            return
+        if pending:
+            self._flush(segment, table, group, pending, result)
+        segment.close()
+        result.new_segments.append(segment.file_no)
+
+    @staticmethod
+    def _frames(
+        table: str,
+        group: str,
+        carry: bool,
+        keyed: Iterable[tuple[bytes, int, int, list[LogRecord]]],
+        stats: CompactionStats,
+    ) -> Iterator[tuple[bytes, bytes, int | None]]:
+        """The run's ``(frame, key, timestamp)`` in file order.  With
+        ``carry`` a key that has a delete high-water mark (``cutoff >= 0``)
+        gets a slim tombstone ahead of its surviving versions; a
+        tombstone's timestamp is ``None`` — written, never indexed."""
+        for key, cutoff, cutoff_lsn, live in keyed:
+            if carry and cutoff >= 0:
+                marker = LogRecord(
+                    record_type=RecordType.INVALIDATE,
+                    lsn=cutoff_lsn,
+                    txn_id=0,
+                    table=table,
+                    tablet="",
+                    key=key,
+                    group=group,
+                    timestamp=cutoff,
+                    value=None,
+                )
+                stats.tombstones_carried += 1
+                yield marker.encode(slim=True), key, None
+            for record in live:
+                stats.kept_versions += 1
+                yield _as_committed(record).encode(slim=True), key, record.timestamp
+
+    @staticmethod
+    def _flush(
+        segment: LogSegmentWriter,
+        table: str,
+        group: str,
+        pending: list[tuple[bytes, bytes, int | None]],
+        result: CompactionResult,
+    ) -> None:
+        """Append ``pending`` in one DFS write and index the versions it
+        holds."""
+        pointers = segment.append_many([frame for frame, _, _ in pending])
+        for pointer, (_, key, timestamp) in zip(pointers, pending):
             result.stats.bytes_written += pointer.size
-            result.index_entries.append(
-                (table, group, record.key, record.timestamp, pointer)
-            )
-            result.stats.kept_versions += 1
+            if timestamp is not None:
+                result.index_entries.append((table, group, key, timestamp, pointer))
 
     # -- tail plans ---------------------------------------------------------
 
@@ -328,33 +374,33 @@ class IncrementalCompactionJob:
         covered = {s: self._scope_covered(s, input_set) for s in scopes}
         for scope in sorted(scopes):
             table, group = scope
-            per_key = grouped.get(scope, {})
-            keys = set(per_key) | {
-                k for t, g, k in delete_high_water if (t, g) == scope
-            }
-            segment: LogSegmentWriter | None = None
-            for key in sorted(keys):
-                versions = sorted(per_key.get(key, []), key=lambda r: r.timestamp)
-                cutoff, cutoff_lsn = delete_high_water.get(
-                    (table, group, key), (-1, 0)
-                )
-                live = [r for r in versions if r.timestamp > cutoff]
-                stats.dropped_deleted += len(versions) - len(live)
-                live = _trim_versions(
-                    live, stats, self._max_versions, self._retain_after
-                )
-                carry = cutoff >= 0 and not covered[scope]
-                if segment is None and (live or carry):
-                    segment = self._repo.create_sorted_segment(table, group)
-                if carry:
-                    self._emit_tombstone(
-                        segment, table, group, key, cutoff, cutoff_lsn, stats
-                    )
-                self._emit_live(segment, table, group, live, result)
-            if segment is not None:
-                segment.close()
-                result.new_segments.append(segment.file_no)
+            self._write_run(
+                table,
+                group,
+                not covered[scope],
+                self._tail_keys(scope, grouped.get(scope, {}), delete_high_water, stats),
+                result,
+            )
         return result
+
+    def _tail_keys(
+        self,
+        scope: tuple[str, str],
+        per_key: dict[bytes, list[LogRecord]],
+        delete_high_water: dict[tuple[str, str, bytes], tuple[int, int]],
+        stats: CompactionStats,
+    ) -> Iterator[tuple[bytes, int, int, list[LogRecord]]]:
+        """The reduce step for one scope: per key, in key order, its delete
+        high-water mark and the versions that survive it and retention."""
+        table, group = scope
+        keys = set(per_key) | {k for t, g, k in delete_high_water if (t, g) == scope}
+        for key in sorted(keys):
+            versions = sorted(per_key.get(key, []), key=lambda r: r.timestamp)
+            cutoff, cutoff_lsn = delete_high_water.get((table, group, key), (-1, 0))
+            live = [r for r in versions if r.timestamp > cutoff]
+            stats.dropped_deleted += len(versions) - len(live)
+            live = _trim_versions(live, stats, self._max_versions, self._retain_after)
+            yield key, cutoff, cutoff_lsn, live
 
     # -- merge plans --------------------------------------------------------
 
@@ -365,7 +411,16 @@ class IncrementalCompactionJob:
         result = CompactionResult(stats=stats, retired_segments=inputs)
         result.touched_scopes.add((table, group))
         covered = self._scope_covered((table, group), set(inputs))
-        segment: LogSegmentWriter | None = None
+        self._write_run(
+            table, group, not covered, self._merged_keys(table, inputs, stats), result
+        )
+        return result
+
+    def _merged_keys(
+        self, table: str, inputs: list[int], stats: CompactionStats
+    ) -> Iterator[tuple[bytes, int, int, list[LogRecord]]]:
+        """Per key of the merged runs, in key order, its delete high-water
+        mark and the versions that survive it, ownership and retention."""
         for key, records in self._merge_by_key(inputs, stats):
             # records arrive in timestamp order and may include carried
             # tombstones from earlier incremental rounds.
@@ -387,18 +442,7 @@ class IncrementalCompactionJob:
             live = [r for r in versions if r.timestamp > cutoff]
             stats.dropped_deleted += len(versions) - len(live)
             live = _trim_versions(live, stats, self._max_versions, self._retain_after)
-            carry = cutoff >= 0 and not covered
-            if segment is None and (live or carry):
-                segment = self._repo.create_sorted_segment(table, group)
-            if carry:
-                self._emit_tombstone(
-                    segment, table, group, key, cutoff, cutoff_lsn, stats
-                )
-            self._emit_live(segment, table, group, live, result)
-        if segment is not None:
-            segment.close()
-            result.new_segments.append(segment.file_no)
-        return result
+            yield key, cutoff, cutoff_lsn, live
 
     def _merge_by_key(
         self, inputs: list[int], stats: CompactionStats

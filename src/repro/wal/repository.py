@@ -531,12 +531,14 @@ class LogRepository:
         first so the handle (a) picks up newly rolled segments, (b) drops
         segments the owner retired (their readers would otherwise serve
         reads of deleted files), (c) reloads the slim-segment metadata map
-        when compaction installed new sorted segments, and (d) refreshes
+        while a sorted segment in the directory is missing from it and
+        admits a sorted segment only once the map names it, and (d) refreshes
         cached readers so they observe appends past their opened length.
-        Cost: one namenode listing plus a small metadata read when the map
-        changed — no data I/O.
+        Cost: one namenode listing plus a small metadata read while an
+        unmapped sorted segment is listed — no data I/O.
         """
         listed: dict[int, str] = {}
+        sorted_listed: set[int] = set()
         for path in self._dfs.list_files(self._root + "/"):
             name = path.rsplit("/", 1)[-1]
             if name.startswith("segments.meta"):
@@ -547,20 +549,9 @@ class LogRepository:
             except ValueError:
                 continue
             listed[file_no] = path
-        for file_no in list(self._paths):
-            if file_no in listed or file_no in self._archived:
-                continue
-            self._paths.pop(file_no, None)
-            self._readers.pop(file_no, None)
-            self._slim_meta.pop(file_no, None)
-        new_sorted = False
-        for file_no, path in listed.items():
-            if file_no not in self._paths:
-                self._paths[file_no] = path
-                self._next_file_no = max(self._next_file_no, file_no + 1)
-                if "sorted-" in path.rsplit("/", 1)[-1]:
-                    new_sorted = True
-        if new_sorted:
+            if name.startswith("sorted-"):
+                sorted_listed.add(file_no)
+        if not sorted_listed <= self._slim_meta.keys():
             # Prefer the committed map: unlike ``reattach`` (crash
             # recovery, where a complete temp is always the newest
             # state), a live refresh can observe a temp file orphaned by
@@ -579,5 +570,22 @@ class LogRepository:
                     int(no): (meta[0], meta[1]) for no, meta in parsed.items()
                 }
                 break
+        # A run the map still does not name is not installed: the owner is
+        # writing it (compaction appends a run a chunk at a time) or died
+        # before installing it.  Its slim records have no scope to decode
+        # under and everything in it is readable through the plan's
+        # inputs, so it stays out of the handle until the map names it.
+        for file_no in sorted_listed - self._slim_meta.keys():
+            del listed[file_no]
+        for file_no in list(self._paths):
+            if file_no in listed or file_no in self._archived:
+                continue
+            self._paths.pop(file_no, None)
+            self._readers.pop(file_no, None)
+            self._slim_meta.pop(file_no, None)
+        for file_no, path in listed.items():
+            if file_no not in self._paths:
+                self._paths[file_no] = path
+                self._next_file_no = max(self._next_file_no, file_no + 1)
         for reader in self._readers.values():
             reader.refresh()

@@ -17,6 +17,7 @@ from repro import LogBase, LogBaseConfig
 from repro.chaos.replica import StalenessChecker
 from repro.chaos.oracle import encode_value
 from repro.errors import FollowerLaggingError
+from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan
 
 TABLE = "events"
 GROUP = "payload"
@@ -169,6 +170,50 @@ def test_owner_compaction_only_lags_the_follower_transiently(rep_db):
     db.cluster.heartbeat()  # tail pass picks up the sorted segments
     for key, (ts, i) in history.items():
         assert server.follower_read(TABLE, key, GROUP) == (ts, encode_value(i))
+
+
+def test_follower_tailing_a_half_written_run_ends_pointer_exact(schema):
+    """Compaction writes a run a 64 KiB chunk at a time.  A tail pass that
+    lands between two of those flushes must neither consume the
+    uninstalled run (its records decode scopeless until the plan installs
+    the metadata map) nor write it off as done: after ``close()`` and the
+    install, the next pass re-points every entry at the run, exactly as
+    the owner's patched index has them."""
+    db = LogBase(n_nodes=3, config=_rep_config())
+    db.create_table(schema, tablets_per_server=1, only_servers=[SOURCE])
+    client = db.client(db.cluster.machines[-1])
+    keys = [str(k).zfill(12).encode() for k in range(0, 2_000_000_000, 13_000_003)]
+    for i, key in enumerate(keys):
+        client.put_raw(TABLE, key, GROUP, bytes([i % 251]) * 1000)
+    db.cluster.heartbeat()
+    tablet_id, server, follower = _the_follower(db)
+    owner = db.cluster.server_by_name(SOURCE)
+    before = {(e.key, e.timestamp): e.pointer for e in follower.index(GROUP).entries()}
+    assert len(before) == len(keys)
+
+    def pointers(index):
+        return {(e.key, e.timestamp): e.pointer for e in index.entries()}
+
+    mid_run = []
+
+    def tail_between_flushes(ctx):
+        server.tail_followed_logs()
+        mid_run.append(pointers(follower.index(GROUP)))
+
+    plan = FaultPlan()
+    plan.add(CP_DFS_APPEND, tail_between_flushes, hits=2, writer=owner.machine.name)
+    with fault_plan(plan):
+        owner.compact()
+    # The pass between the run's first and second flush changed nothing.
+    assert mid_run == [before]
+    (run,) = owner.log.segments()
+    assert owner.log.segment_bytes(run) > 2 * 64 * 1024  # several flushes
+    server.tail_followed_logs()
+    after = pointers(follower.index(GROUP))
+    assert after == pointers(owner._indexes[(tablet_id, GROUP)])
+    assert {pointer.file_no for pointer in after.values()} == {run}
+    for i, key in enumerate(keys):
+        assert server.follower_read(TABLE, key, GROUP)[1] == bytes([i % 251]) * 1000
 
 
 def test_retired_segment_is_absent_not_corrupt(rep_db):

@@ -1,15 +1,21 @@
 """Unit tests for incremental compaction plan execution."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.dfs.datanode import CHECKSUM_CHUNK
+from repro.dfs.filesystem import DFS
 from repro.sim.failure import (
     CP_COMPACTION_MID,
+    CP_DFS_APPEND,
     FailureInjector,
     FaultPlan,
     fault_plan,
     kill_action,
 )
-from repro.wal.compaction import IncrementalCompactionJob
+from repro.sim.metrics import DFS_APPEND_ROUND_TRIPS
+from repro.wal.compaction import CompactionResult, IncrementalCompactionJob
 from repro.wal.planner import CompactionPlan, CompactionPlanner
 from repro.wal.record import LogRecord, RecordType, abort_record, commit_record
 from repro.wal.repository import LogRepository
@@ -298,21 +304,161 @@ def test_incremental_rounds_converge_with_monolithic(repo):
     }
 
 
+# -- the run writer ----------------------------------------------------------
+
+
+def kilobyte(i: int) -> bytes:
+    return bytes([i % 251]) * 1000
+
+
+def run_appends(repo, plan) -> tuple[CompactionResult, int]:
+    """Execute ``plan``; also the DFS append round trips its run writer
+    paid — the counter is read at CP_COMPACTION_MID, after the runs are
+    written and before the install's metadata writes."""
+    counters = repo.machine.counters
+    before = counters.get(DFS_APPEND_ROUND_TRIPS)
+    at_install = []
+    hook = FaultPlan()
+    hook.add(
+        CP_COMPACTION_MID,
+        lambda ctx: at_install.append(counters.get(DFS_APPEND_ROUND_TRIPS)),
+    )
+    with fault_plan(hook):
+        result = IncrementalCompactionJob(repo, plan).run()
+    return result, at_install[0] - before
+
+
+def test_tail_plan_pays_one_dfs_append_per_chunk_of_each_run(repo):
+    for i in range(200):
+        repo.append(write(b"k%05d" % i, i + 1, kilobyte(i), group="g"))
+    for i in range(90):
+        repo.append(write(b"k%05d" % i, i + 1, kilobyte(i), group="h"))
+    (plan,) = CompactionPlanner(repo).plan()
+    result, appends = run_appends(repo, plan)
+    assert result.stats.kept_versions == 290
+    assert len(result.new_segments) == 2
+    assert appends <= sum(
+        -(-repo.segment_bytes(run) // CHECKSUM_CHUNK) + 1
+        for run in result.new_segments
+    )
+    assert result.stats.bytes_written == sum(
+        repo.segment_bytes(run) for run in result.new_segments
+    )
+
+
+def test_run_file_is_its_frames_in_key_timestamp_order(repo):
+    # An earlier run of the scope stays outside the plan, so b's delete
+    # has to ride along as a tombstone.
+    repo.append(write(b"b", 1, b"victim"))
+    compact_whole_log(repo)
+    for record in (
+        write(b"c", 4, b"c4"),
+        delete(b"b", 5),
+        write(b"b", 7, b"reborn"),
+        write(b"a", 3, b"a3"),
+        write(b"c", 2, b"c2"),
+        write(b"a", 6, b"a6", txn=9),
+        commit_record(9, 6),
+    ):
+        repo.append(record)
+    repo.roll()
+    tail = [
+        record
+        for file_no in repo.segments()
+        if not repo.is_sorted_segment(file_no)
+        for _, record in repo.scan_segment(file_no)
+    ]
+    written = {
+        (r.key, r.timestamp): r for r in tail if r.record_type is RecordType.WRITE
+    }
+    marker = next(r for r in tail if r.is_delete)
+    (result,) = run_plans(repo, tier_fanout=4)
+    (run,) = result.new_segments
+    frames = [
+        record.encode(slim=True)
+        for record in (
+            written[b"a", 3],
+            replace(written[b"a", 6], txn_id=0),
+            # The carried tombstone sits ahead of its key's versions.
+            LogRecord(RecordType.INVALIDATE, lsn=marker.lsn, key=b"b", timestamp=5),
+            written[b"b", 7],
+            written[b"c", 2],
+            written[b"c", 4],
+        )
+    ]
+    assert repo.read_segment_bytes(run) == b"".join(frames)
+    assert result.stats.bytes_written == sum(len(frame) for frame in frames)
+    assert result.stats.tombstones_carried == 1
+    # Every surviving version is indexed, in file order, under a pointer
+    # that decodes to that very record.
+    assert [(key, ts) for _, _, key, ts, _ in result.index_entries] == [
+        (b"a", 3), (b"a", 6), (b"b", 7), (b"c", 2), (b"c", 4)
+    ]
+    for table, group, key, ts, pointer in result.index_entries:
+        record = repo.read(pointer)
+        assert (record.table, record.group, record.key, record.timestamp) == (
+            table, group, key, ts,
+        )
+        assert record.value == written[key, ts].value
+
+
+def test_run_crossing_several_flushes_and_a_dfs_block_boundary(machines):
+    # 160 KiB blocks: not a multiple of the chunk, so one flush straddles
+    # the block boundary and is split across two replication pipelines.
+    dfs = DFS(machines, replication=3, block_size=160 * 1024, checksum_replicas=True)
+    repo = LogRepository(dfs, machines[0], "/logbase/ts-0/log", segment_size=1 << 20)
+    for i in range(300):
+        repo.append(write(b"k%05d" % (i // 2), i + 1, kilobyte(i)))
+    (plan,) = CompactionPlanner(repo).plan()
+    result, appends = run_appends(repo, plan)
+    (run,) = result.new_segments
+    size = repo.segment_bytes(run)
+    blocks = dfs.namenode.get_file(repo.segment_path(run)).blocks
+    assert size > 4 * CHECKSUM_CHUNK and len(blocks) == 2
+    assert appends <= -(-size // CHECKSUM_CHUNK) + 1 + (len(blocks) - 1)
+    # The file is exactly the indexed frames, back to back from offset 0...
+    scanned = list(repo.scan_segment(run))
+    assert [pointer for pointer, _ in scanned] == [
+        pointer for *_, pointer in result.index_entries
+    ]
+    assert sum(pointer.size for pointer, _ in scanned) == size
+    # ...each readable through its own pointer, the one straddling the
+    # block boundary included...
+    assert any(
+        p.offset < 160 * 1024 < p.offset + p.size for *_, p in result.index_entries
+    )
+    records = repo.read_many([pointer for *_, pointer in result.index_entries])
+    for (_, _, key, ts, _), record in zip(result.index_entries, records):
+        assert (record.key, record.timestamp, record.value) == (
+            key, ts, kilobyte(ts - 1),
+        )
+    # ...and every replica's chunk checksums agree with its bytes.
+    for block in blocks:
+        for name in block.locations:
+            assert dfs.datanodes[name].verify_replica(block.block_id)
+
+
 # -- crash safety -----------------------------------------------------------
 
 
-def test_crash_before_install_keeps_inputs_live(repo, dfs, machines):
+def crash_mid_plan(repo, dfs, machines, point, hits):
+    """Kill the owner at the ``hits``-th ``point`` of a tail plan whose run
+    spans several flushes; every record must stay readable through the
+    plan's inputs, before and after a restart."""
     repo.append(write(b"a", 1, b"v"))
     repo.append(delete(b"a", 2))
     repo.append(write(b"b", 3, b"v"))
+    for i in range(150):
+        repo.append(write(b"k%05d" % i, 10 + i, kilobyte(i)))
     inputs = list(repo.segments())
+    before = visible_versions(repo)
     injector = FailureInjector()
     injector.register(machines[0].name, machines[0])
     plan = FaultPlan()
     plan.add(
-        CP_COMPACTION_MID,
+        point,
         kill_action(injector, machines[0].name, RuntimeError("died")),
-        machine=machines[0].name,
+        hits=hits,
     )
     (compaction_plan,) = CompactionPlanner(repo).plan()
     with fault_plan(plan):
@@ -323,8 +469,34 @@ def test_crash_before_install_keeps_inputs_live(repo, dfs, machines):
     machines[0].restart()
     reattached = LogRepository.reattach(dfs, machines[0], "/logbase/ts-0/log")
     assert set(inputs) <= set(reattached.segments())
-    assert visible_versions(reattached)[("t", "g", b"b")] == {3}
-    assert ("t", "g", b"a") not in visible_versions(reattached)
+    survivors = {
+        slot: tss for slot, tss in visible_versions(reattached).items() if slot[0]
+    }
+    assert survivors == before
+    assert survivors[("t", "g", b"b")] == {3}
+    assert ("t", "g", b"a") not in survivors
+    return reattached, [f for f in reattached.segments() if f not in inputs]
+
+
+def test_crash_before_install_keeps_inputs_live(repo, dfs, machines):
+    reattached, (orphan,) = crash_mid_plan(repo, dfs, machines, CP_COMPACTION_MID, 1)
+    # The whole run was written; nothing references it.
+    assert reattached.segment_scope(orphan) is None
+    assert len(list(reattached.scan_segment(orphan))) == 151
+
+
+def test_crash_between_two_flushes_keeps_inputs_live(repo, dfs, machines):
+    # The run's second DFS append never happens: what is left behind is
+    # the first flush — whole frames only, no torn tail — in a file
+    # nothing references.
+    reattached, (orphan,) = crash_mid_plan(repo, dfs, machines, CP_DFS_APPEND, 2)
+    assert reattached.segment_scope(orphan) is None
+    left_behind = list(reattached.scan_segment(orphan))
+    assert 0 < len(left_behind) < 151
+    assert sum(pointer.size for pointer, _ in left_behind) == (
+        reattached.segment_bytes(orphan)
+    )
+    assert reattached.segment_bytes(orphan) >= CHECKSUM_CHUNK
 
 
 def test_validation():
