@@ -1,19 +1,21 @@
 """Chaos benchmark: fault schedules vs the durability oracle.
 
-Runs every named chaos scenario (``repro.chaos.schedules``) across a
+Runs every registry row of one chaos family (``--family``, default the
+fail-stop ``base`` schedules; ``all`` walks the whole registry) across a
 matrix of workload seeds and reports, per run, what the schedule did
-(faults fired, servers failed over, replicas repaired) and whether the
-durability contract held: every acknowledged write readable after
-recovery, no cleanly-aborted write visible, indeterminate commits
-atomic.
+(faults fired, servers failed over, replicas repaired) and whether every
+contract the run's config arms held: every acknowledged write readable
+after recovery, no cleanly-aborted write visible, indeterminate commits
+atomic — plus single ownership and bounded staleness where the row runs
+with live migration or read replicas.
 
 Unlike the figure benches this is a pass/fail harness, but it is
 reported like a benchmark: one row per (scenario, seed) and a trajectory
 entry appended to ``BENCH_chaos.json`` at the repo root so durability
 coverage is tracked across commits.
 
-Run directly (``python benchmarks/bench_chaos.py [--smoke]``) or via
-pytest, which asserts every run passes the oracle.
+Run directly (``python benchmarks/bench_chaos.py [--family F] [--smoke]``)
+or via pytest, which asserts every run passes the oracle.
 """
 
 from __future__ import annotations
@@ -22,33 +24,31 @@ import argparse
 import pathlib
 
 from conftest import append_trajectory
-from repro.chaos import SCHEDULES, run_chaos
+from repro.chaos import SCENARIOS, matrix
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_chaos.json"
 
+FAMILIES = sorted({row.family for row in SCENARIOS.values()})
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
-DEFAULT_OPS = 60
 SMOKE_SEEDS = (1, 2)
-SMOKE_OPS = 40
 
 
 def run_experiment(
+    family: str = "base",
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    ops: int = DEFAULT_OPS,
-    scenarios: tuple[str, ...] | None = None,
+    ops: int | None = None,
 ) -> dict:
-    """The full scenario x seed matrix; returns per-run reports."""
-    names = tuple(scenarios) if scenarios is not None else tuple(SCHEDULES)
-    runs = []
-    for name in names:
-        for seed in seeds:
-            report = run_chaos(name, seed=seed, ops=ops)
-            runs.append(report.to_dict())
+    """The family's scenario x seed matrix; returns per-run reports.
+    ``ops`` None runs every row at its own calibrated size."""
+    runs = matrix(family, seeds, ops)
     return {
+        "family": family,
         "ops": ops,
         "seeds": list(seeds),
-        "scenarios": list(names),
+        "scenarios": list(
+            dict.fromkeys(f"{r['family']}/{r['scenario']}" for r in runs)
+        ),
         "runs": runs,
         "passed": sum(1 for r in runs if r["passed"]),
         "failed": sum(1 for r in runs if not r["passed"]),
@@ -57,23 +57,25 @@ def run_experiment(
 
 def format_report(results: dict) -> str:
     lines = [
-        f"Chaos suite ({len(results['scenarios'])} scenarios x "
-        f"{len(results['seeds'])} seeds, {results['ops']} ops each)",
-        f"{'scenario':<24} {'seed':>4} {'ok':>3} {'acked':>6} {'abrt':>5} "
-        f"{'indet':>6} {'faults':>7} {'rescue':>7} {'rerepl':>7}",
+        f"Chaos suite, family {results['family']} "
+        f"({len(results['scenarios'])} scenarios x "
+        f"{len(results['seeds'])} seeds, "
+        f"{results['ops'] or 'each row its own'} ops)",
+        f"{'scenario':<42} {'seed':>4} {'ok':>3} {'acked':>6} {'abrt':>5} "
+        f"{'indet':>6} {'faults':>7} {'expired':>7} {'rerepl':>7}",
     ]
     for run in results["runs"]:
         lines.append(
-            f"{run['scenario']:<24} {run['seed']:>4} "
+            f"{run['family'] + '/' + run['scenario']:<42} {run['seed']:>4} "
             f"{'y' if run['passed'] else 'N':>3} {run['acked']:>6} "
             f"{run['aborted']:>5} {run['indeterminate']:>6} "
-            f"{run['faults_fired']:>7} {run['rescued_ops']:>7} "
+            f"{run['faults_fired']:>7} {len(run['expired_servers']):>7} "
             f"{run['rereplicated']:>7}"
         )
         for violation in run["violations"]:
             lines.append(f"    VIOLATION: {violation}")
     lines.append(
-        f"durability contract: {results['passed']}/{len(results['runs'])} "
+        f"chaos contracts: {results['passed']}/{len(results['runs'])} "
         f"runs passed"
     )
     return "\n".join(lines)
@@ -81,6 +83,7 @@ def format_report(results: dict) -> str:
 
 def trajectory_entry(results: dict) -> dict:
     return {
+        "family": results["family"],
         "ops": results["ops"],
         "seeds": results["seeds"],
         "scenarios": results["scenarios"],
@@ -98,7 +101,7 @@ def trajectory_entry(results: dict) -> dict:
 
 
 def test_chaos_matrix():
-    results = run_experiment(seeds=(1, 2), ops=40)
+    results = run_experiment(seeds=(1, 2), ops=40)  # the base family
     failed = [r for r in results["runs"] if not r["passed"]]
     assert not failed, "\n".join(
         f"{r['scenario']} seed={r['seed']}: {r['violations']}" for r in failed
@@ -122,15 +125,20 @@ def main() -> None:
     parser.add_argument(
         "--smoke", action="store_true", help="small matrix for CI smoke runs"
     )
-    parser.add_argument("--ops", type=int, default=None)
     parser.add_argument(
-        "--seeds", type=int, nargs="+", default=None, metavar="SEED"
+        "--family",
+        choices=[*FAMILIES, "all"],
+        default="base",
+        help="registry family to run (default: base; all: every row)",
     )
     parser.add_argument(
-        "--scenario",
-        choices=sorted(SCHEDULES),
-        action="append",
-        help="run only this scenario (repeatable)",
+        "--ops",
+        type=int,
+        default=None,
+        help="workload size for every row (default: each row's own)",
+    )
+    parser.add_argument(
+        "--seeds", type=int, nargs="+", default=None, metavar="SEED"
     )
     args = parser.parse_args()
     seeds = (
@@ -138,11 +146,9 @@ def main() -> None:
         if args.seeds is not None
         else (SMOKE_SEEDS if args.smoke else DEFAULT_SEEDS)
     )
-    ops = args.ops if args.ops is not None else (SMOKE_OPS if args.smoke else DEFAULT_OPS)
-    if ops < 10:
+    if args.ops is not None and args.ops < 10:
         parser.error("--ops must be >= 10 (maintenance ops need room)")
-    scenarios = tuple(args.scenario) if args.scenario else None
-    results = run_experiment(seeds=seeds, ops=ops, scenarios=scenarios)
+    results = run_experiment(args.family, seeds=seeds, ops=args.ops)
     print(format_report(results))
     append_trajectory(TRAJECTORY, trajectory_entry(results))
     print(f"\ntrajectory appended to {TRAJECTORY}")

@@ -1,9 +1,10 @@
 """Gray-failure benchmark: limping nodes vs the resilience layer.
 
-Runs every gray chaos scenario (``repro.chaos.gray``) across a matrix of
-workload seeds with the gray-resilience layer on, and — for the limping-
-replica scenarios — an unmitigated control arm under the *same* fault
-plan, so the report can quantify what deadlines, hedged reads, circuit
+Runs every ``gray/`` registry row (``repro.chaos.gray``) across a matrix
+of workload seeds with the gray-resilience layer on, and — for the
+limping-replica scenarios — an unmitigated control arm
+(``repro.chaos.gray.control_config``) under the *same* fault plan, so
+the report can quantify what deadlines, hedged reads, circuit
 breakers and admission control buy: the read tail (p50/p99/max), hedge
 win rates, breaker trips and admission sheds, with the durability oracle
 still judging every run.
@@ -24,11 +25,15 @@ import argparse
 import pathlib
 
 from conftest import append_trajectory
-from repro.chaos import GRAY_SCHEDULES, run_gray
+from repro.chaos import SCENARIOS, run_scenario
+from repro.chaos.gray import control_config
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_gray.json"
 
+GRAY_SCHEDULES = tuple(
+    row.name for row in SCENARIOS.values() if row.family == "gray"
+)
 DEFAULT_SEEDS = (1, 2, 3)
 DEFAULT_OPS = 60
 SMOKE_SEEDS = (1,)
@@ -48,33 +53,31 @@ def run_experiment(
     scenarios: tuple[str, ...] | None = None,
 ) -> dict:
     """The scenario x seed matrix plus mitigated-vs-control comparisons."""
-    names = tuple(scenarios) if scenarios is not None else tuple(GRAY_SCHEDULES)
+    names = tuple(scenarios) if scenarios is not None else GRAY_SCHEDULES
     runs = []
     comparisons = []
     for name in names:
         for seed in seeds:
-            mitigated = run_gray(name, seed=seed, ops=ops)
+            mitigated = run_scenario(f"gray/{name}", seed=seed, ops=ops)
             row = mitigated.to_dict()
             row["arm"] = "resilient"
             runs.append(row)
             if name not in COMPARE_SCENARIOS:
                 continue
-            control = run_gray(name, seed=seed, ops=ops, resilience=False)
+            control = run_scenario(
+                f"gray/{name}", seed=seed, ops=ops, config=control_config()
+            )
             ctl_row = control.to_dict()
             ctl_row["arm"] = "control"
             runs.append(ctl_row)
-            improvement = (
-                1.0 - mitigated.read_p99 / control.read_p99
-                if control.read_p99 > 0
-                else 0.0
-            )
+            p99, ctl_p99 = row["read_p99"], ctl_row["read_p99"]
             comparisons.append(
                 {
                     "scenario": name,
                     "seed": seed,
-                    "p99_resilient": mitigated.read_p99,
-                    "p99_control": control.read_p99,
-                    "p99_improvement": improvement,
+                    "p99_resilient": p99,
+                    "p99_control": ctl_p99,
+                    "p99_improvement": 1.0 - p99 / ctl_p99 if ctl_p99 > 0 else 0.0,
                 }
             )
     return {

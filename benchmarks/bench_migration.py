@@ -16,8 +16,8 @@ histogram), the delta records replayed inside those windows, and
 availability — the fraction of interleaved client operations that
 succeeded (retries included; the retryable ``TabletMigratingError`` plus
 route-cache invalidation must make that 100%).  A final pass re-reads
-every written key.  The seeded migration chaos matrix
-(:mod:`repro.chaos.migration`) runs alongside and must be green.
+every written key.  The ``migration/`` rows of the chaos registry
+(:mod:`repro.chaos.migration`) run alongside and must be green.
 
 Appends a run entry to ``BENCH_migration.json`` at the repo root.
 
@@ -34,7 +34,7 @@ import pathlib
 import random
 
 from conftest import append_trajectory
-from repro.chaos import MIGRATION_SCENARIOS, run_migration_chaos
+from repro.chaos import matrix
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.migration import FLIP_BUDGET_SECONDS
@@ -192,19 +192,8 @@ def run_arm(ops: int, *, event: str) -> dict:
     }
 
 
-def run_chaos_matrix(seed: int = 1) -> list[dict]:
-    matrix = []
-    for scenario in sorted(MIGRATION_SCENARIOS):
-        report = run_migration_chaos(scenario, seed=seed)
-        matrix.append(
-            {
-                "scenario": scenario,
-                "passed": report.passed,
-                "violations": report.violations,
-                "faults_fired": report.faults_fired,
-            }
-        )
-    return matrix
+#: what the trajectory keeps of each chaos run.
+CHAOS_FIELDS = ("scenario", "passed", "violations", "faults_fired")
 
 
 def run_experiment(sizes=SIZES) -> dict:
@@ -212,7 +201,10 @@ def run_experiment(sizes=SIZES) -> dict:
         "record_size": RECORD_SIZE,
         "zipf_exponent": ZIPF_EXPONENT,
         "curve": [],
-        "chaos_matrix": run_chaos_matrix(),
+        "chaos_matrix": [
+            {name: run[name] for name in CHAOS_FIELDS}
+            for run in matrix("migration")
+        ],
     }
     for ops in sizes:
         for event in ("add-node", "drain-node"):

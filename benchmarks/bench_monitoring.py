@@ -2,11 +2,11 @@
 
 Two halves, both pass/fail bars reported like a benchmark:
 
-* **Detection oracle** (``repro.chaos.detection``): every seeded fault
-  schedule across the gray, migration, recovery, and replica chaos
-  families must fire its matching alert within the family's simulated-
-  time budget, while the clean twin of each run — same seeded cluster,
-  same config, no fault — must raise zero alerts.  The report shows the
+* **Detection oracle** (``repro.chaos.detection``): every registry row
+  that names an expected alert (the gray, migration, recovery, and
+  replica chaos families) must fire it within the family's simulated-
+  time budget, while the clean twin of each run — same config, seeding
+  and workload, no fault — must raise zero alerts.  The report shows the
   measured detection latency per (family, scenario).
 * **Overhead bound**: a monitored cluster at the default production
   scrape cadence (``monitor_scrape_interval``) must cost less than
@@ -27,12 +27,8 @@ import random
 import time
 
 from conftest import append_trajectory
-from repro.chaos.detection import (
-    DETECTION_BUDGETS,
-    EXPECTED_ALERTS,
-    detection_matrix,
-)
-from repro.chaos.runner import GROUP, KEY_DOMAIN, KEY_WIDTH, SCHEMA, TABLE
+from repro.chaos.detection import DETECTION_BUDGETS, detectable, run_detection
+from repro.chaos.scenario import GROUP, KEY_DOMAIN, KEY_WIDTH, SCHEMA, TABLE
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 
@@ -50,10 +46,10 @@ SMOKE_OVERHEAD_REPEATS = 3
 #: smoke subset: one scenario per family, covering every alert shape
 #: (gauge threshold, counter delta, SLO burn / staleness).
 SMOKE_SCENARIOS = (
-    ("gray", "limp-datanode-mid-scan"),
-    ("migration", "partition-old-owner"),
-    ("recovery", "crash-during-recovery"),
-    ("replica", "stale-follower-reads"),
+    "gray/limp-datanode-mid-scan",
+    "migration/partition-old-owner",
+    "recovery/crash-during-recovery",
+    "replica/stale-follower-reads",
 )
 
 
@@ -103,8 +99,8 @@ def measure_overhead(
 
 def run_experiment(seed: int = 1, *, smoke: bool = False) -> dict:
     """Detection matrix (full or smoke subset) plus the overhead bound."""
-    scenarios = SMOKE_SCENARIOS if smoke else tuple(EXPECTED_ALERTS)
-    detections = detection_matrix(seed, scenarios=scenarios)
+    names = SMOKE_SCENARIOS if smoke else detectable()
+    detections = [run_detection(name, seed) for name in names]
     overhead = measure_overhead(
         repeats=SMOKE_OVERHEAD_REPEATS if smoke else OVERHEAD_REPEATS,
         seed=seed,

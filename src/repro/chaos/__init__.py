@@ -1,56 +1,31 @@
-"""Chaos testing: seeded fault schedules with a durability oracle.
+"""Chaos testing: seeded fault scenarios checked against invariants.
 
-The harness (:mod:`repro.chaos.runner`) drives a seeded write/read
-workload against a full cluster while a :class:`~repro.sim.failure.FaultPlan`
-kills nodes at instrumented crash points, partitions the network, and
-revives machines mid-run.  A :class:`~repro.chaos.oracle.DurabilityOracle`
-tracks the fate the client observed for every write and, after recovery,
-verifies the paper's durability contract: every acknowledged write is
-readable, no cleanly-aborted write is visible, and indeterminate commits
-are atomic (all-or-nothing).
+The harness (:mod:`repro.chaos.runner`) runs one registry row at a time:
+it drives seeded traffic against a full cluster while a
+:class:`~repro.sim.failure.FaultPlan` kills nodes at instrumented crash
+points, partitions the network, degrades disks and links, and interrupts
+recoveries and migrations mid-flight.  A
+:class:`~repro.chaos.oracle.DurabilityOracle` tracks the fate the client
+observed for every write and, after recovery, verifies the paper's
+durability contract: every acknowledged write is readable, no
+cleanly-aborted write is visible, and indeterminate commits are atomic
+(all-or-nothing).  Configs with live migration or read replicas add the
+single-owner and staleness invariants (:mod:`repro.chaos.invariants`).
 """
 
-from repro.chaos.gray import GRAY_SCHEDULES, GraySchedule, run_gray
-from repro.chaos.migration import (
-    MIGRATION_SCENARIOS,
-    MigrationChaosReport,
-    check_single_owner,
-    run_migration_chaos,
-)
+from repro.chaos.invariants import StalenessChecker, check_single_owner
 from repro.chaos.oracle import DurabilityOracle, WriteStatus
-from repro.chaos.recovery import (
-    RECOVERY_SCENARIOS,
-    RecoveryChaosReport,
-    run_recovery_chaos,
-)
-from repro.chaos.replica import (
-    REPLICA_SCENARIOS,
-    ReplicaChaosReport,
-    StalenessChecker,
-    run_replica_chaos,
-)
-from repro.chaos.runner import ChaosReport, run_chaos
-from repro.chaos.schedules import SCHEDULES, ChaosSchedule
+from repro.chaos.runner import SCENARIOS, matrix, run_scenario
+from repro.chaos.scenario import ChaosReport, Scenario
 
 __all__ = [
     "ChaosReport",
-    "ChaosSchedule",
     "DurabilityOracle",
-    "GRAY_SCHEDULES",
-    "GraySchedule",
-    "MIGRATION_SCENARIOS",
-    "MigrationChaosReport",
-    "RECOVERY_SCENARIOS",
-    "REPLICA_SCENARIOS",
-    "RecoveryChaosReport",
-    "ReplicaChaosReport",
-    "SCHEDULES",
+    "SCENARIOS",
+    "Scenario",
     "StalenessChecker",
     "WriteStatus",
     "check_single_owner",
-    "run_chaos",
-    "run_gray",
-    "run_migration_chaos",
-    "run_recovery_chaos",
-    "run_replica_chaos",
+    "matrix",
+    "run_scenario",
 ]

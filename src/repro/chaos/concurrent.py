@@ -5,146 +5,63 @@ group never replicated: N clients park on one flush, and a crash inside
 that flush (the ``CP_LOG_APPEND`` / ``CP_DFS_APPEND`` hooks) must fail
 *every* member — an ack for any of them would violate Guarantee 1.
 
-This runner drives N logical clients through the virtual-time scheduler
-against a 4-node cluster with the ``group_commit`` and fault-tolerance
-gates on, arms a kill rule at a crash point so the victim dies mid-group-
-flush, lets auto-failover re-home the tablets (the adopters run their own
-commit coordinators), restarts the dead node through recovery, and asks
-the :class:`~repro.chaos.oracle.DurabilityOracle` to read back every key:
-ACKED values must survive, INDETERMINATE ones may go either way, and the
-run passes iff no violation is reported.
+The workload drives N logical clients through the virtual-time scheduler
+with the ``group_commit`` and fault-tolerance gates on; each row arms a
+kill rule at a crash point so the victim — home of every tablet — dies
+mid-group-flush with all clients parked on its coordinator.  Auto-
+failover re-homes the tablets (the adopters run their own commit
+coordinators), and the durability oracle then reads back every key:
+ACKED values must survive, INDETERMINATE ones may go either way.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-
-from repro.chaos.oracle import DurabilityOracle, WriteStatus
-from repro.chaos.runner import GROUP, KEY_DOMAIN, KEY_WIDTH, SCHEMA, TABLE
-from repro.config import LogBaseConfig
-from repro.core.database import LogBase
-from repro.errors import LogBaseError, ServerDownError
-from repro.sim.failure import CP_LOG_APPEND, FaultPlan, fault_plan, kill_action
-from repro.sim.metrics import (
-    COMMIT_ACKS_DEFERRED,
-    COMMIT_GROUP_FANIN,
-    COMMIT_GROUPS,
-)
+from repro.chaos.oracle import WriteStatus
+from repro.chaos.scenario import GROUP, KEY_DOMAIN, KEY_WIDTH, TABLE, Events, Run, Scenario
+from repro.errors import LogBaseError
+from repro.sim.failure import CP_DFS_APPEND, CP_LOG_APPEND
+from repro.sim.metrics import COMMIT_GROUP_FANIN, COMMIT_GROUPS
 from repro.sim.scheduler import Advance, ConcurrentScheduler, Submit
 
 VICTIM = "ts-node-0"
+CLIENTS = 8
 
 
-@dataclass
-class GroupCommitChaosReport:
-    """Outcome of one concurrent group-commit chaos run."""
+def _kill_mid_flush(crash_point_name: str, hits: int):
+    """Body factory: the victim dies at the ``hits``-th pass through
+    ``crash_point_name``.  The hit count picks which flush the kill lands
+    on, so different seeds and counts produce different interleavings of
+    the crash against open/sealed/in-flight groups."""
 
-    seed: int
-    crash_point: str
-    clients: int
-    ops: int
-    acked: int = 0
-    aborted: int = 0
-    indeterminate: int = 0
-    faults_fired: int = 0
-    groups: int = 0
-    mean_fanin: float = 0.0
-    acks_deferred: int = 0
-    restarted_servers: list[str] = field(default_factory=list)
-    keys_checked: int = 0
-    violations: list[str] = field(default_factory=list)
+    def body(run: Run) -> None:
+        run.kill_at(crash_point_name, VICTIM, hits=hits)
+        run.observe(crash_point=crash_point_name)
 
-    @property
-    def passed(self) -> bool:
-        """Whether the run upheld the durability contract."""
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "crash_point": self.crash_point,
-            "clients": self.clients,
-            "ops": self.ops,
-            "acked": self.acked,
-            "aborted": self.aborted,
-            "indeterminate": self.indeterminate,
-            "faults_fired": self.faults_fired,
-            "groups": self.groups,
-            "mean_fanin": self.mean_fanin,
-            "acks_deferred": self.acks_deferred,
-            "restarted_servers": self.restarted_servers,
-            "keys_checked": self.keys_checked,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
+    return body
 
 
-def run_group_commit_chaos(
-    *,
-    seed: int = 1,
-    n_clients: int = 8,
-    ops_per_client: int = 12,
-    crash_point_name: str = CP_LOG_APPEND,
-    crash_after_hits: int = 5,
-    n_nodes: int = 4,
-    config: LogBaseConfig | None = None,
-) -> GroupCommitChaosReport:
-    """One seeded concurrent chaos schedule; returns the verified report.
-
-    ``crash_after_hits`` picks which flush the kill lands on, so
-    different seeds and hit counts produce different interleavings of
-    the crash against open/sealed/in-flight groups.
-    """
-    if n_nodes < 4:
-        raise ValueError("chaos topology needs >= 4 nodes")
-    if config is None:
-        config = LogBaseConfig.with_fault_tolerance(
-            segment_size=64 * 1024, group_commit=True
-        )
-    db = LogBase(n_nodes=n_nodes, config=config)
-    db.cluster.master.enable_auto_failover()
-    # Every tablet on the victim: the crash lands mid-group-flush with
-    # all concurrent clients parked on the victim's coordinator.
-    db.create_table(SCHEMA, tablets_per_server=2, only_servers=[VICTIM])
-
-    total_ops = n_clients * ops_per_client
-    report = GroupCommitChaosReport(
-        seed=seed,
-        crash_point=crash_point_name,
-        clients=n_clients,
-        ops=total_ops,
-    )
-    oracle = DurabilityOracle()
-    rng = random.Random(seed)
+def concurrent_clients(run: Run, _events: Events) -> None:
+    """``run.report.ops`` single-record puts on fresh keys, split over
+    :data:`CLIENTS` concurrent clients submitting through the servers'
+    commit coordinators."""
+    db, oracle = run.db, run.oracle
+    ops = run.report.ops
     keys = [
         str(v).zfill(KEY_WIDTH).encode()
-        for v in rng.sample(range(KEY_DOMAIN), total_ops)
+        for v in run.rng.sample(range(KEY_DOMAIN), ops)
     ]
-
-    plan = FaultPlan()
-    plan.add(
-        crash_point_name,
-        kill_action(
-            db.cluster.failures,
-            VICTIM,
-            ServerDownError(f"{VICTIM} crashed mid-group-flush"),
-        ),
-        hits=crash_after_hits,
-    )
 
     def rescue(client) -> None:
         # Failure-detector tick: expire the victim's session so the
         # master re-homes its tablets onto live adopters (which run
         # their own commit coordinators).
-        db.cluster.heartbeat()
+        run.heartbeat()
         client.invalidate_cache()
 
     def chaos_client(i: int):
         machine = db.cluster.machines[i % len(db.cluster.machines)]
         client = db.client(machine)
-        for j in range(ops_per_client):
-            key = keys[i * ops_per_client + j]
+        for key in keys[i * ops // CLIENTS : (i + 1) * ops // CLIENTS]:
             seq, value = oracle.next_value()
 
             cell: dict = {"ack": 0.0}
@@ -177,40 +94,52 @@ def run_group_commit_chaos(
     for server in db.cluster.servers:
         scheduler.add_coordinator(server.commit)
     start = db.cluster.elapsed_makespan()
-    with fault_plan(plan):
-        for i in range(n_clients):
-            scheduler.add_client(chaos_client(i), at=start)
-        scheduler.run()
-        # Failover may have installed fresh coordinators (restart swaps
-        # them); flush anything a non-scheduler path left open.
-        for server in db.cluster.servers:
-            if server.commit is not None and server.machine.alive:
-                server.commit.drain()
-
-    # -- recovery: restart the dead, let repair finish --------------------
-    config.network.partitions.heal()
-    for name in list(db.cluster.failures.killed):
-        db.cluster.restart_server(name)
-        report.restarted_servers.append(name)
-    for _ in range(2):
-        db.cluster.heartbeat()
-
-    # -- verification -----------------------------------------------------
-    verifier = db.client(db.cluster.machines[-1])
-    report.violations.extend(
-        oracle.verify(lambda key: verifier.get_raw(TABLE, key, GROUP))
-    )
-    counts = oracle.counts()
-    report.acked = counts["acked"]
-    report.aborted = counts["aborted"]
-    report.indeterminate = counts["indeterminate"]
-    report.faults_fired = len(plan.fired)
-    report.keys_checked = len(oracle.keys)
+    for i in range(CLIENTS):
+        scheduler.add_client(chaos_client(i), at=start)
+    scheduler.run()
+    # Failover may have installed fresh coordinators (restart swaps
+    # them); flush anything a non-scheduler path left open.
+    for server in db.cluster.servers:
+        if server.commit is not None and server.machine.alive:
+            server.commit.drain()
     totals = db.cluster.total_counters()
     groups = totals.get(COMMIT_GROUPS, 0)
-    report.groups = int(groups)
-    report.mean_fanin = (
-        totals.get(COMMIT_GROUP_FANIN, 0) / groups if groups else 0.0
+    run.observe(
+        clients=CLIENTS,
+        mean_fanin=totals.get(COMMIT_GROUP_FANIN, 0) / groups if groups else 0.0,
     )
-    report.acks_deferred = int(totals.get(COMMIT_ACKS_DEFERRED, 0))
-    return report
+
+
+ROWS = tuple(
+    Scenario(
+        "group-commit",
+        name,
+        description,
+        _kill_mid_flush(crash_point_name, hits),
+        workload=concurrent_clients,
+        overrides={"group_commit": True},
+        ops=12 * CLIENTS,
+        preload=False,
+        auto_failover=True,
+    )
+    for name, description, crash_point_name, hits in (
+        (
+            "log-append-early",
+            "victim dies at its 5th log append, groups still forming",
+            CP_LOG_APPEND,
+            5,
+        ),
+        (
+            "log-append-late",
+            "victim dies at its 9th log append, groups in steady state",
+            CP_LOG_APPEND,
+            9,
+        ),
+        (
+            "dfs-append",
+            "victim dies inside the 7th DFS replication round trip",
+            CP_DFS_APPEND,
+            7,
+        ),
+    )
+)

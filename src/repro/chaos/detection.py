@@ -1,61 +1,32 @@
 """The detection oracle: every seeded fault must page, clean runs must not.
 
 The chaos families prove the *database* survives its faults; this module
-proves the *monitoring plane* notices them.  For every seeded fault
-schedule across the gray, migration, recovery, and replica families it
-runs the monitored arm and asserts three things:
+proves the *monitoring plane* notices them.  For every registry row that
+names an ``expected_alert`` it runs the monitored arm and asserts three
+things:
 
-* the **matching alert** for the fault class actually fired
-  (:data:`EXPECTED_ALERTS` — a dead server pages ``server-down``, a
-  limping disk trips ``breaker-open``, a degraded replication link burns
-  the put SLO, ...);
+* the **matching alert** for the fault class actually fired (a dead
+  server pages ``server-down``, a limping disk trips ``breaker-open``, a
+  degraded replication link burns the put SLO, ...);
 * it fired within the family's **detection budget** in simulated seconds
   (:data:`DETECTION_BUDGETS`), measured from the first observed fault to
   the first matching firing; and
-* the **clean twin** — the same seeded cluster, same config (including
-  each gray schedule's overrides), no fault — raises *zero* alerts, so
-  every rule earns its keep without crying wolf.
+* the **clean twin** — the same run with ``faults=False``: same config
+  (including each gray schedule's overrides), same seeding and workload,
+  no fault — raises *zero* alerts, so every rule earns its keep without
+  crying wolf.
 
-``replica/fencing-on-migration`` is deliberately absent from the matrix:
-it injects no fault (the migration it runs is sanctioned), so there is
-nothing for the plane to detect — it verifies the fencing invariant and
-its clean twin covers the false-positive side here.
+Rows without an expected alert inject nothing the plane could detect
+(``replica/fencing-on-migration`` and ``migration/split-then-move`` run
+sanctioned migrations) or belong to families whose monitored arm is not
+calibrated yet (base, group-commit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.chaos.gray import (
-    GRAY_SCHEDULES,
-    GRAY_SLO_BURN_THRESHOLD,
-    GRAY_SLO_TARGETS,
-    GraySchedule,
-    run_gray,
-)
-from repro.chaos.migration import run_migration_chaos
-from repro.chaos.recovery import run_recovery_chaos
-from repro.chaos.replica import run_replica_chaos
-from repro.chaos.runner import run_chaos
-from repro.config import LogBaseConfig
-
-#: (family, scenario) -> the alert that must fire when the fault lands.
-EXPECTED_ALERTS: dict[tuple[str, str], str] = {
-    ("gray", "limp-datanode-mid-scan"): "breaker-open",
-    ("gray", "slow-link-replication"): "slo-burn-op.put",
-    ("gray", "overload-burst"): "traffic-burst",
-    ("gray", "limp-trip-recover"): "breaker-open",
-    ("gray", "hedge-under-limp"): "hedge-storm",
-    ("migration", "crash-source-mid-catchup"): "server-down",
-    ("migration", "crash-target-mid-flip"): "server-down",
-    ("migration", "master-failover-mid-migration"): "server-down",
-    ("migration", "partition-old-owner"): "lease-fence-rejects",
-    ("recovery", "crash-during-recovery"): "server-down",
-    ("recovery", "crash-during-split"): "server-down",
-    ("recovery", "crash-during-adoption"): "server-down",
-    ("replica", "stale-follower-reads"): "replica-lag-high",
-    ("replica", "follower-crash-catchup"): "server-down",
-}
+from repro.chaos.runner import SCENARIOS, run_scenario
 
 #: per-family detection budget (simulated seconds from first fault to
 #: first matching firing).  Observed latencies at the pinned seed sit at
@@ -99,19 +70,7 @@ class DetectionResult:
         return self.run_passed and self.detected and not self.clean_alerts
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "scenario": self.scenario,
-            "expected_alert": self.expected_alert,
-            "budget": self.budget,
-            "run_passed": self.run_passed,
-            "fired": self.fired,
-            "fault_times": self.fault_times,
-            "detection_latency": self.detection_latency,
-            "detected": self.detected,
-            "clean_alerts": self.clean_alerts,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "detected": self.detected, "passed": self.passed}
 
 
 def detection_latency_from_report(report, alert_name: str) -> float | None:
@@ -131,113 +90,33 @@ def detection_latency_from_report(report, alert_name: str) -> float | None:
     return None
 
 
-_FAMILY_RUNNERS = {
-    "gray": lambda scenario, seed, ops: run_gray(
-        scenario, seed=seed, ops=ops, monitoring=True
-    ),
-    "migration": lambda scenario, seed, ops: run_migration_chaos(
-        scenario, seed=seed, ops=ops, monitoring=True
-    ),
-    "recovery": lambda scenario, seed, ops: run_recovery_chaos(
-        scenario, seed=seed, ops=ops, monitoring=True
-    ),
-    "replica": lambda scenario, seed, ops: run_replica_chaos(
-        scenario, seed=seed, ops=ops, monitoring=True
-    ),
-}
-
-#: workload sizes matching each family's own test defaults.
-_FAMILY_OPS = {"gray": 60, "migration": 40, "recovery": 40, "replica": 40}
-
-
-def _drain_clean_monitor(db) -> list[dict]:
-    """Read and detach a seeded cluster's monitor after settling
-    heartbeats; returns its (expected-empty) alert log."""
-    for _ in range(3):
-        db.cluster.heartbeat()
-    monitor = db.cluster.monitor
-    alerts = monitor.alert_log()
-    monitor.close()
-    return alerts
-
-
-def run_clean_twin(family: str, scenario: str, seed: int = 1) -> list[dict]:
-    """The no-fault control: same seeded cluster and config as the
-    monitored scenario, zero injected faults.  Returns every alert
-    record raised (the oracle requires none)."""
-    ops = _FAMILY_OPS[family]
-    if family == "gray":
-        schedule = GRAY_SCHEDULES[scenario]
-        quiet = GraySchedule(
-            "clean", "no faults (detection control)", lambda db, plan: {}
-        )
-        config = LogBaseConfig.with_gray_resilience(
-            segment_size=64 * 1024,
-            read_cache_enabled=False,
-            monitoring=True,
-            tracing=True,
-            slo_op_p99=dict(GRAY_SLO_TARGETS),
-            slo_burn_threshold=GRAY_SLO_BURN_THRESHOLD,
-            **schedule.overrides,
-        )
-        report = run_chaos(
-            "clean", seed, ops, config=config, schedules={"clean": quiet}
-        )
-        return report.alerts
-    if family == "migration":
-        from repro.chaos.migration import _seeded_cluster
-
-        db, _oracle, _keys, _tablet = _seeded_cluster(
-            seed, ops, 4, monitoring=True
-        )
-        return _drain_clean_monitor(db)
-    if family == "recovery":
-        from repro.chaos.recovery import _seeded_cluster
-
-        db, _oracle, _keys = _seeded_cluster(seed, ops, 4, monitoring=True)
-        return _drain_clean_monitor(db)
-    if family == "replica":
-        from repro.chaos.replica import _seeded_cluster
-
-        db, _oracle, _checker, _keys, _tablet = _seeded_cluster(
-            seed, ops, 4, monitoring=True
-        )
-        return _drain_clean_monitor(db)
-    raise KeyError(family)
+def detectable() -> list[str]:
+    """Registry keys of every row the oracle covers."""
+    return [key for key, row in SCENARIOS.items() if row.expected_alert]
 
 
 def run_detection(
-    family: str, scenario: str, seed: int = 1, *, clean_twin: bool = True
+    name: str, seed: int = 1, *, clean_twin: bool = True
 ) -> DetectionResult:
-    """Run one monitored fault schedule (and, by default, its clean
-    twin) through the detection oracle."""
-    expected = EXPECTED_ALERTS[(family, scenario)]
+    """Run one monitored registry row (and, by default, its clean twin)
+    through the detection oracle."""
+    row = SCENARIOS[name]
+    report = run_scenario(name, seed=seed, monitoring=True)
     result = DetectionResult(
-        family=family,
-        scenario=scenario,
-        expected_alert=expected,
-        budget=DETECTION_BUDGETS[family],
+        family=row.family,
+        scenario=row.name,
+        expected_alert=row.expected_alert,
+        budget=DETECTION_BUDGETS[row.family],
+        run_passed=report.passed,
+        fired=sorted(report.fired_alert_names()),
+        fault_times=list(report.fault_times),
+        detection_latency=detection_latency_from_report(
+            report, row.expected_alert
+        ),
     )
-    report = _FAMILY_RUNNERS[family](scenario, seed, _FAMILY_OPS[family])
-    result.run_passed = report.passed
-    result.fired = sorted(report.fired_alert_names())
-    result.fault_times = list(report.fault_times)
-    result.detection_latency = detection_latency_from_report(report, expected)
     if clean_twin:
-        result.clean_alerts = run_clean_twin(family, scenario, seed)
+        result.clean_alerts = run_scenario(
+            name, seed=seed, monitoring=True, faults=False
+        ).alerts
     return result
 
-
-def detection_matrix(
-    seed: int = 1,
-    *,
-    scenarios: tuple[tuple[str, str], ...] | None = None,
-    clean_twin: bool = True,
-) -> list[DetectionResult]:
-    """The full oracle: every entry of :data:`EXPECTED_ALERTS` (or the
-    given subset), each with its clean twin."""
-    keys = scenarios if scenarios is not None else tuple(EXPECTED_ALERTS)
-    return [
-        run_detection(family, scenario, seed, clean_twin=clean_twin)
-        for family, scenario in keys
-    ]

@@ -9,245 +9,67 @@ serving the same tablet.  Each scenario here arms a fault at the matching
 crash point (``CP_MIGRATION_PREPARE`` / ``CP_MIGRATION_CATCHUP`` /
 ``CP_MIGRATION_FLIP``), lets the first attempt die mid-flight, converges
 the way an operator (or a freshly-elected master) would via
-:meth:`~repro.core.migration.LiveMigrator.resume`, and then verifies two
-contracts:
+:meth:`~repro.core.migration.LiveMigrator.resume`.  The rows run under
+:meth:`LogBaseConfig.with_live_migration`, so every run checks the
+durability oracle — every write acked before, during, or after the
+handoff is readable afterwards, never shadowed by an older version — and
+the single-owner invariant (:func:`repro.chaos.invariants.check_single_owner`).
 
-* the **durability oracle** — every write acked before, during, or after
-  the handoff is readable afterwards, never shadowed by an older
-  version; and
-* the **single-owner invariant** — at no observable point do two live
-  servers both *serve* a tablet.  Holding stale state is fine (a
-  partitioned ex-owner keeps its indexes until heartbeat reconciliation
-  reclaims them); being *willing to serve* — alive, unfenced, lease
-  valid — is what must be unique, and must match the catalog.
+Every tablet starts on the source; ``run.tablet_id`` is the one that
+moves.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-
-from repro.chaos.oracle import DurabilityOracle, WriteStatus
-from repro.chaos.runner import GROUP, KEY_DOMAIN, KEY_WIDTH, SCHEMA, TABLE
+from repro.chaos.scenario import GROUP, TABLE, Run, Scenario
 from repro.config import LogBaseConfig
-from repro.core.database import LogBase
-from repro.errors import (
-    LogBaseError,
-    ServerDownError,
-    SessionExpiredError,
-    TabletMigratingError,
-)
-from repro.sim.failure import (
-    CP_MIGRATION_CATCHUP,
-    CP_MIGRATION_FLIP,
-    FaultPlan,
-    fault_plan,
-    kill_action,
-)
+from repro.errors import LogBaseError, SessionExpiredError, TabletMigratingError
+from repro.sim.failure import CP_MIGRATION_CATCHUP, CP_MIGRATION_FLIP
 
 SOURCE = "ts-node-0"
 TARGET = "ts-node-1"
 
 
-@dataclass
-class MigrationChaosReport:
-    """Outcome of one interrupted-migration chaos run."""
-
-    scenario: str
-    seed: int
-    ops: int
-    acked: int = 0
-    faults_fired: int = 0
-    first_attempt_failed: bool = False
-    resume_outcomes: list[dict] = field(default_factory=list)
-    final_owner: str = ""
-    stale_owner_rejected: bool = False
-    keys_checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    # Monitoring-plane artifacts (monitoring=True runs; empty otherwise).
-    alerts: list = field(default_factory=list)
-    postmortems: list = field(default_factory=list)
-    fault_times: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        """Whether the run upheld durability and single ownership."""
-        return not self.violations
-
-    def fired_alert_names(self) -> set[str]:
-        """Alert names that fired at least once during the run."""
-        return {a["alert"] for a in self.alerts if a["state"] == "firing"}
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "ops": self.ops,
-            "acked": self.acked,
-            "faults_fired": self.faults_fired,
-            "first_attempt_failed": self.first_attempt_failed,
-            "resume_outcomes": self.resume_outcomes,
-            "final_owner": self.final_owner,
-            "stale_owner_rejected": self.stale_owner_rejected,
-            "keys_checked": self.keys_checked,
-            "violations": self.violations,
-            "passed": self.passed,
-            "alerts": self.alerts,
-            "fault_times": self.fault_times,
-            "postmortems": [
-                {"reason": pm["reason"], "time": pm["time"]}
-                for pm in self.postmortems
-            ],
-        }
+def _move(run: Run) -> None:
+    """The first attempt at the handoff, which the armed fault may kill."""
+    cluster = run.db.cluster
+    failed = run.attempt(lambda: cluster.migrate_tablet(run.tablet_id, TARGET))
+    run.observe(first_attempt_failed=failed)
 
 
-def check_single_owner(db: LogBase) -> list[str]:
-    """The single-owner invariant, checked against live cluster state.
-
-    For every catalog-assigned tablet, at most one live server may be
-    *willing to serve* it — holding it, unfenced, with a valid ownership
-    lease — and when one is, it must be the catalog owner.  (An owner
-    temporarily unable to serve — dead, mid-flip, lease lapsed — is an
-    availability gap, not a safety violation.)
-    """
-    violations: list[str] = []
-    catalog = db.cluster.master.catalog
-    gated = db.cluster.config.live_migration
-    for tablet_id, owner in catalog.assignments.items():
-        willing = []
-        for server in db.cluster.servers:
-            if not server.machine.alive or not server.serving:
-                continue
-            if tablet_id not in server.tablets:
-                continue
-            if tablet_id in server.migrating_tablets:
-                continue
-            if gated and not server.lease_valid(tablet_id):
-                continue
-            willing.append(server.name)
-        if len(willing) > 1:
-            violations.append(
-                f"single-owner: {tablet_id} served by {sorted(willing)}"
-            )
-        elif willing and willing[0] != owner:
-            violations.append(
-                f"single-owner: {tablet_id} served by {willing[0]}, "
-                f"catalog says {owner}"
-            )
-    return violations
-
-
-def _seeded_cluster(
-    seed: int,
-    ops: int,
-    n_nodes: int,
-    *,
-    n_masters: int = 1,
-    monitoring: bool = False,
-) -> tuple[LogBase, DurabilityOracle, list[bytes], str]:
-    """A live-migration cluster with every tablet on the source, ``ops``
-    acked writes, and the heartbeat heat snapshot taken.  Returns the id
-    of the tablet the scenarios will migrate (the one covering the most
-    written keys)."""
-    config = LogBaseConfig.with_live_migration(
-        segment_size=64 * 1024,
-        monitoring=monitoring,
-        # Chaos detection wants every heartbeat scraped, not the
-        # production cadence.
-        monitor_scrape_interval=0.0,
+def _converge(run: Run) -> None:
+    """What an operator (or a freshly-elected master) does afterwards."""
+    cluster = run.db.cluster
+    run.observe(
+        resume_outcomes=cluster.resume_migrations(),
+        final_owner=cluster.master.catalog.assignments.get(run.tablet_id, ""),
     )
-    db = LogBase(n_nodes=n_nodes, config=config, n_masters=n_masters)
-    db.create_table(SCHEMA, tablets_per_server=2, only_servers=[SOURCE])
-    oracle = DurabilityOracle()
-    rng = random.Random(seed)
-    keys = [
-        str(v).zfill(KEY_WIDTH).encode()
-        for v in rng.sample(range(KEY_DOMAIN), ops)
-    ]
-    client = db.client(db.cluster.machines[-1])
-    for key in keys:
-        seq, value = oracle.next_value()
-        client.put_raw(TABLE, key, GROUP, value)
-        oracle.record(key, seq, WriteStatus.ACKED)
-    db.cluster.heartbeat()
-    heat = db.cluster.tablet_heat
-    victim_tablet = max(
-        db.cluster.master.catalog.assignments, key=lambda t: heat.get(t, 0.0)
-    )
-    return db, oracle, keys, victim_tablet
 
 
-def _write_during(db: LogBase, oracle: DurabilityOracle, keys: list[bytes]) -> None:
-    """A few more acked writes between fault and convergence — they must
-    survive the interrupted handoff too."""
-    client = db.client(db.cluster.machines[-1])
-    for key in keys:
-        seq, value = oracle.next_value()
-        try:
-            client.put_raw(TABLE, key, GROUP, value)
-            oracle.record(key, seq, WriteStatus.ACKED)
-        except LogBaseError:
-            oracle.record(key, seq, WriteStatus.INDETERMINATE)
+def _crash_and_restart(run: Run, point: str, victim: str, stage: str) -> None:
+    """``victim`` dies at ``stage`` of ``point``; it is restarted and the
+    interrupted migration resumed."""
+    run.kill_at(point, victim, tablet=run.tablet_id, stage=stage)
+    _move(run)
+    # Detection tick *before* the operator reacts: the monitoring plane
+    # must see the dead node, not the post-restart cluster.
+    run.heartbeat()
+    run.db.cluster.restart_server(victim)
+    run.heartbeat()
+    _converge(run)
 
 
-def _verify(
-    db: LogBase, oracle: DurabilityOracle, report: MigrationChaosReport
-) -> None:
-    for _ in range(2):
-        db.cluster.heartbeat()
-    report.violations.extend(check_single_owner(db))
-    verifier = db.client(db.cluster.machines[-1])
-    report.violations.extend(
-        oracle.verify(lambda key: verifier.get_raw(TABLE, key, GROUP))
-    )
-    report.acked = oracle.counts()["acked"]
-    report.keys_checked = len(oracle.keys)
-
-
-def _crash_source_mid_catchup(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    keys: list[bytes],
-    tablet_id: str,
-    report: MigrationChaosReport,
-) -> None:
+def _crash_source_mid_catchup(run: Run) -> None:
     """The source node dies while the target is still catching up.
 
     Nothing has flipped, so resume aborts the migration; the restarted
     source redoes its own log (the database *is* the log) and serves
     every acked write again once the heartbeat re-grants its lease.
     """
-    plan = FaultPlan()
-    plan.add(
-        CP_MIGRATION_CATCHUP,
-        kill_action(
-            db.cluster.failures, SOURCE, ServerDownError(f"{SOURCE} died mid-catchup")
-        ),
-        tablet=tablet_id,
-        stage="split",
-    )
-    with fault_plan(plan):
-        try:
-            db.cluster.migrate_tablet(tablet_id, TARGET)
-        except LogBaseError:
-            report.first_attempt_failed = True
-    report.faults_fired = len(plan.fired)
-    if db.cluster.monitor is not None:
-        # Detection tick *before* the operator reacts: the monitoring
-        # plane must see the dead source, not the post-restart cluster.
-        db.cluster.heartbeat()
-    db.cluster.restart_server(SOURCE)
-    db.cluster.heartbeat()
-    report.resume_outcomes = db.cluster.resume_migrations()
+    _crash_and_restart(run, CP_MIGRATION_CATCHUP, SOURCE, "split")
 
 
-def _crash_target_mid_flip(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    keys: list[bytes],
-    tablet_id: str,
-    report: MigrationChaosReport,
-) -> None:
+def _crash_target_mid_flip(run: Run) -> None:
     """The target dies inside the fenced flip, before the commit point.
 
     The source is already fenced (bouncing ops) when the target goes
@@ -255,35 +77,10 @@ def _crash_target_mid_flip(
     its log already holds the caught-up records — or aborts back to the
     source.  Both converge to one owner.
     """
-    plan = FaultPlan()
-    plan.add(
-        CP_MIGRATION_FLIP,
-        kill_action(
-            db.cluster.failures, TARGET, ServerDownError(f"{TARGET} died mid-flip")
-        ),
-        tablet=tablet_id,
-        stage="commit",
-    )
-    with fault_plan(plan):
-        try:
-            db.cluster.migrate_tablet(tablet_id, TARGET)
-        except LogBaseError:
-            report.first_attempt_failed = True
-    report.faults_fired = len(plan.fired)
-    if db.cluster.monitor is not None:
-        db.cluster.heartbeat()  # detection tick before the restart
-    db.cluster.restart_server(TARGET)
-    db.cluster.heartbeat()
-    report.resume_outcomes = db.cluster.resume_migrations()
+    _crash_and_restart(run, CP_MIGRATION_FLIP, TARGET, "commit")
 
 
-def _master_failover_mid_migration(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    keys: list[bytes],
-    tablet_id: str,
-    report: MigrationChaosReport,
-) -> None:
+def _master_failover_mid_migration(run: Run) -> None:
     """The active master dies between catch-up and flip.
 
     The migration record is persisted in the coordination service, so
@@ -291,36 +88,30 @@ def _master_failover_mid_migration(
     master's expired session fences any attempt it might still make to
     advance the handoff.
     """
-    old_master = db.cluster.master
+    cluster = run.db.cluster
+    old_master = cluster.master
 
     def depose(ctx: dict) -> None:
         old_master.session.expire()
         raise SessionExpiredError(f"{old_master.name} deposed mid-migration")
 
-    plan = FaultPlan()
-    plan.add(CP_MIGRATION_CATCHUP, depose, tablet=tablet_id, stage="adopt")
-    with fault_plan(plan):
-        try:
-            db.cluster.migrate_tablet(tablet_id, TARGET)
-        except LogBaseError:
-            report.first_attempt_failed = True
-    report.faults_fired = len(plan.fired)
-    new_master = db.cluster.master
-    if new_master is old_master:
-        report.violations.append("failover: no standby took over the mastership")
+    run.plan.add(
+        CP_MIGRATION_CATCHUP, depose, tablet=run.tablet_id, stage="adopt"
+    )
+    _move(run)
+    if cluster.master is old_master:
+        run.report.violations.append(
+            "failover: no standby took over the mastership"
+        )
         return
-    _write_during(db, oracle, keys[:5])
-    report.resume_outcomes = db.cluster.resume_migrations()
-    db.cluster.heartbeat()
+    # A few more acked writes between fault and convergence — they must
+    # survive the interrupted handoff too.
+    run.write(run.keys[:5])
+    _converge(run)
+    run.heartbeat()
 
 
-def _partition_old_owner(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    keys: list[bytes],
-    tablet_id: str,
-    report: MigrationChaosReport,
-) -> None:
+def _partition_old_owner(run: Run) -> None:
     """The old owner is partitioned away exactly as the flip begins.
 
     The master cannot tell the source to fence itself, so it waits out
@@ -329,83 +120,100 @@ def _partition_old_owner(
     that rejection is the only thing preventing a double-serve.  After
     the heal, heartbeat reconciliation quietly reclaims the stale copy.
     """
-    partitions = db.cluster.config.network.partitions
-    source = db.cluster.server_by_name(SOURCE)
-
-    def cut_off(ctx: dict) -> None:
-        partitions.isolate(source.machine.name)
-
-    plan = FaultPlan()
-    plan.add(CP_MIGRATION_FLIP, cut_off, tablet=tablet_id, stage="begin")
-    with fault_plan(plan):
-        migration = db.cluster.migrate_tablet(tablet_id, TARGET)
-    report.faults_fired = len(plan.fired)
+    cluster = run.db.cluster
+    partitions = cluster.config.network.partitions
+    source = cluster.server_by_name(SOURCE)
+    run.plan.add(
+        CP_MIGRATION_FLIP,
+        lambda ctx: partitions.isolate(source.machine.name),
+        tablet=run.tablet_id,
+        stage="begin",
+    )
+    migration = cluster.migrate_tablet(run.tablet_id, TARGET)
     if not migration.waited_lease:
-        report.violations.append(
+        run.report.violations.append(
             "partition: flip did not wait out the unreachable owner's lease"
         )
     # The stale owner still holds the tablet but its lease has lapsed: a
     # client that never heard about the move and reaches it directly must
     # be bounced, not served.
-    probe = next(k for k in keys if db.cluster.server_by_name(TARGET).tablets[
-        tablet_id
-    ].covers(k))
+    probe = next(k for k in run.keys if run.tablet_of(k) == run.tablet_id)
+    rejected = False
     try:
         source.read(TABLE, probe, GROUP)
     except TabletMigratingError:
-        report.stale_owner_rejected = True
+        rejected = True
     except LogBaseError:
         pass
-    if not report.stale_owner_rejected:
-        report.violations.append(
+    run.observe(stale_owner_rejected=rejected)
+    if not rejected:
+        run.report.violations.append(
             "partition: lease-lapsed old owner still served a read"
         )
     partitions.heal()
-    db.cluster.heartbeat()
-    report.resume_outcomes = db.cluster.resume_migrations()
+    run.heartbeat()
+    _converge(run)
 
 
-MIGRATION_SCENARIOS = {
-    "crash-source-mid-catchup": _crash_source_mid_catchup,
-    "crash-target-mid-flip": _crash_target_mid_flip,
-    "master-failover-mid-migration": _master_failover_mid_migration,
-    "partition-old-owner": _partition_old_owner,
-}
+def _split_then_move(run: Run) -> None:
+    """A child tablet migrates straight after its parent split — what the
+    balancer does on consecutive ticks.
 
-
-def run_migration_chaos(
-    scenario: str,
-    *,
-    seed: int = 1,
-    ops: int = 40,
-    n_nodes: int = 4,
-    monitoring: bool = False,
-) -> MigrationChaosReport:
-    """Run one seeded interrupted-migration schedule; returns the
-    verified report.
-
-    With ``monitoring`` the cluster carries the monitoring plane and the
-    report gains the alert log, post-mortem bundles, and fault times.
-
-    Raises:
-        KeyError: for an unknown scenario name.
-        ValueError: if the cluster is too small for the topology.
+    No fault is injected; the hazard is the log itself: every record
+    written before the split is stamped with the *parent's* tablet id, so
+    a catch-up that trusts the stamp ships the child none of them.
     """
-    runner = MIGRATION_SCENARIOS[scenario]
-    if n_nodes < 3:
-        raise ValueError("migration chaos topology needs >= 3 nodes")
-    n_masters = 2 if scenario == "master-failover-mid-migration" else 1
-    db, oracle, keys, tablet_id = _seeded_cluster(
-        seed, ops, n_nodes, n_masters=n_masters, monitoring=monitoring
+    cluster = run.db.cluster
+    right = cluster.split_tablet(run.tablet_id).right
+    cluster.migrate_tablet(right, TARGET)
+    run.observe(final_owner=cluster.master.catalog.assignments.get(right, ""))
+
+
+ROWS = tuple(
+    Scenario(
+        "migration",
+        name,
+        description,
+        body,
+        preset=LogBaseConfig.with_live_migration,
+        masters=masters,
+        expected_alert=alert,
     )
-    report = MigrationChaosReport(scenario=scenario, seed=seed, ops=ops)
-    runner(db, oracle, keys, tablet_id, report)
-    report.final_owner = db.cluster.master.catalog.assignments.get(tablet_id, "")
-    _verify(db, oracle, report)
-    monitor = db.cluster.monitor
-    if monitor is not None:
-        report.alerts = monitor.alert_log()
-        report.postmortems = monitor.postmortem_dicts()
-        report.fault_times = monitor.fault_times()
-        monitor.close()
-    return report
+    for name, description, body, masters, alert in (
+        (
+            "crash-source-mid-catchup",
+            "source dies while the target replays its log",
+            _crash_source_mid_catchup,
+            1,
+            "server-down",
+        ),
+        (
+            "crash-target-mid-flip",
+            "target dies inside the fenced flip, before the commit point",
+            _crash_target_mid_flip,
+            1,
+            "server-down",
+        ),
+        (
+            "master-failover-mid-migration",
+            "active master deposed with the migration half-persisted",
+            _master_failover_mid_migration,
+            2,
+            "server-down",
+        ),
+        (
+            "partition-old-owner",
+            "old owner partitioned away as the flip begins; lease fences it",
+            _partition_old_owner,
+            1,
+            "lease-fence-rejects",
+        ),
+        (
+            "split-then-move",
+            "child tablet migrates straight after its parent split",
+            _split_then_move,
+            1,
+            None,
+        ),
+    )
+)

@@ -5,284 +5,51 @@ serving data *newer than it has durably applied* (phantom reads from a
 torn tail), serving *older data than its staleness bound promises*, or —
 the replication twin of the split-brain — applying a deposed owner's
 post-fence log records after ownership moved.  Each scenario here drives
-a seeded workload into one of those windows and verifies the
+the seeded cluster into one of those windows.  The rows run under
+:meth:`LogBaseConfig.with_read_replicas`, so every run checks all three
+contracts: the durability oracle through the replica-routed client
+(follower first, owner fallback), the single-owner invariant, and the
+staleness probe of every follower (:mod:`repro.chaos.invariants`).  The
+bodies add what only they can see:
 
-* **durability oracle** — every acked write is readable through the
-  replica-routed client (follower first, owner fallback), never shadowed;
-* **staleness invariant** — a successful follower read returns exactly
-  the latest version at or below that follower's watermark: never data
-  newer than the watermark, and — because the serving gate bounds
-  ``now - caught_up_at`` — never data older than ``watermark -
-  max_staleness`` without raising ``FollowerLaggingError`` instead; and
+* a follower beyond its bound **rejects** instead of serving; and
 * **fencing** — after a live migration flips ownership, no server keeps
   a replica fed from the deposed owner's log.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-
-from repro.chaos.migration import check_single_owner
-from repro.chaos.oracle import DurabilityOracle, WriteStatus, encode_value
-from repro.chaos.runner import GROUP, KEY_DOMAIN, KEY_WIDTH, SCHEMA, TABLE
+from repro.chaos.invariants import follower_servers
+from repro.chaos.scenario import GROUP, TABLE, Run, Scenario
 from repro.config import LogBaseConfig
-from repro.core.database import LogBase
-from repro.errors import FollowerLaggingError, LogBaseError
+from repro.errors import FollowerLaggingError
 
-SOURCE = "ts-node-0"
 TARGET = "ts-node-1"
 
 
-@dataclass
-class ReplicaChaosReport:
-    """Outcome of one replica chaos run."""
-
-    scenario: str
-    seed: int
-    ops: int
-    acked: int = 0
-    followers_placed: int = 0
-    follower_reads_ok: int = 0
-    lag_rejections: int = 0
-    keys_checked: int = 0
-    staleness_violations: list[str] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-    # Monitoring-plane artifacts (monitoring=True runs; empty otherwise).
-    alerts: list = field(default_factory=list)
-    postmortems: list = field(default_factory=list)
-    fault_times: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        """Whether the run upheld durability, fencing, and staleness."""
-        return not self.violations and not self.staleness_violations
-
-    def fired_alert_names(self) -> set[str]:
-        """Alert names that fired at least once during the run."""
-        return {a["alert"] for a in self.alerts if a["state"] == "firing"}
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "ops": self.ops,
-            "acked": self.acked,
-            "followers_placed": self.followers_placed,
-            "follower_reads_ok": self.follower_reads_ok,
-            "lag_rejections": self.lag_rejections,
-            "keys_checked": self.keys_checked,
-            "staleness_violations": self.staleness_violations,
-            "violations": self.violations,
-            "passed": self.passed,
-            "alerts": self.alerts,
-            "fault_times": self.fault_times,
-            "postmortems": [
-                {"reason": pm["reason"], "time": pm["time"]}
-                for pm in self.postmortems
-            ],
-        }
-
-
-class StalenessChecker:
-    """Tracks every key's version history (timestamp, sequence) and checks
-    follower reads against the staleness invariant.
-
-    The owner acks each write with its version timestamp, so the checker
-    knows the full history.  A follower read that *succeeds* must return
-    the newest version at or below the follower's watermark — anything
-    newer means the follower invented data it has not applied; anything
-    older means it silently served beyond its bound instead of raising
-    ``FollowerLaggingError``.
-    """
-
-    def __init__(self) -> None:
-        self._history: dict[bytes, list[tuple[int, int]]] = {}
-
-    def record(self, key: bytes, timestamp: int, seq: int) -> None:
-        self._history.setdefault(key, []).append((timestamp, seq))
-
-    def check(
-        self,
-        key: bytes,
-        watermark: int,
-        result: tuple[int, bytes] | None,
-    ) -> str | None:
-        """Check one successful follower read; None if it upheld the
-        invariant."""
-        visible = [
-            (ts, seq)
-            for ts, seq in self._history.get(key, [])
-            if ts <= watermark
-        ]
-        if result is None:
-            if visible:
-                ts, seq = max(visible)
-                return (
-                    f"{key!r}: follower returned absent but s{seq:08d}@{ts} "
-                    f"is within its watermark {watermark}"
-                )
-            return None
-        ts, value = result
-        if ts > watermark:
-            return (
-                f"{key!r}: follower returned version {ts} newer than its "
-                f"watermark {watermark}"
-            )
-        if not visible:
-            return (
-                f"{key!r}: follower returned version {ts} but no write is "
-                f"within watermark {watermark}"
-            )
-        want_ts, want_seq = max(visible)
-        if ts != want_ts or value != encode_value(want_seq):
-            return (
-                f"{key!r}: follower served {value!r}@{ts}, expected "
-                f"s{want_seq:08d}@{want_ts} (latest within watermark "
-                f"{watermark})"
-            )
+def _first_follower(run: Run):
+    """A server hosting a replica of the targeted tablet; None (and a
+    violation) when the preload's heartbeats placed none."""
+    followers = follower_servers(run.db, run.tablet_id)
+    if not followers:
+        run.report.violations.append(
+            f"placement: no follower placed for {run.tablet_id}"
+        )
         return None
+    return followers[0]
 
 
-def _seeded_cluster(
-    seed: int, ops: int, n_nodes: int, *, monitoring: bool = False
-) -> tuple[LogBase, DurabilityOracle, StalenessChecker, list[bytes], str]:
-    """A read-replica cluster with every tablet on the source, ``ops``
-    acked writes recorded in the oracle and version history, and the
-    followers placed and caught up.  Returns the tablet id the scenarios
-    will target (the one covering the most written keys)."""
-    config = LogBaseConfig.with_read_replicas(
-        segment_size=64 * 1024,
-        monitoring=monitoring,
-        monitor_scrape_interval=0.0,  # chaos detection: scrape every beat
-    )
-    db = LogBase(n_nodes=n_nodes, config=config)
-    db.create_table(SCHEMA, tablets_per_server=2, only_servers=[SOURCE])
-    oracle = DurabilityOracle()
-    checker = StalenessChecker()
-    rng = random.Random(seed)
-    keys = [
-        str(v).zfill(KEY_WIDTH).encode()
-        for v in rng.sample(range(KEY_DOMAIN), ops)
-    ]
-    client = db.client(db.cluster.machines[-1])
-    for key in keys:
-        seq, value = oracle.next_value()
-        timestamp = client.put_raw(TABLE, key, GROUP, value)
-        oracle.record(key, seq, WriteStatus.ACKED)
-        checker.record(key, timestamp, seq)
-    # First heartbeat places the followers and runs their first tail
-    # pass; the second proves a steady-state pass keeps them caught up.
-    db.cluster.heartbeat()
-    db.cluster.heartbeat()
-    counts: dict[str, int] = {}
-    for key in keys:
-        tablet_id = _covering_tablet(db, key)
-        counts[tablet_id] = counts.get(tablet_id, 0) + 1
-    victim = max(counts, key=counts.get)
-    return db, oracle, checker, keys, victim
+def _probe_key(run: Run) -> bytes:
+    return next(k for k in run.keys if run.tablet_of(k) == run.tablet_id)
 
 
-def _covering_tablet(db: LogBase, key: bytes) -> str:
-    for tablet_id in db.cluster.master.catalog.assignments:
-        tablet = db.cluster.master._tablet_by_id(tablet_id)
-        if tablet.table == TABLE and tablet.covers(key):
-            return tablet_id
-    raise KeyError(key)
+def _check_owner_read(run: Run, client, key: bytes) -> None:
+    problem = run.oracle.check_read(key, client.get_raw(TABLE, key, GROUP))
+    if problem is not None:
+        run.report.violations.append(f"mid-run: {problem}")
 
 
-def _follower_servers(db: LogBase, tablet_id: str):
-    """The live servers currently hosting a replica of ``tablet_id``."""
-    names = db.cluster.master.catalog.followers.get(tablet_id, [])
-    return [db.cluster.server_by_name(name) for name in names]
-
-
-def _write_more(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    checker: StalenessChecker,
-    keys: list[bytes],
-) -> None:
-    """More acked writes (no heartbeats, so followers fall behind)."""
-    client = db.client(db.cluster.machines[-1])
-    for key in keys:
-        seq, value = oracle.next_value()
-        try:
-            timestamp = client.put_raw(TABLE, key, GROUP, value)
-        except LogBaseError:
-            oracle.record(key, seq, WriteStatus.INDETERMINATE)
-            continue
-        oracle.record(key, seq, WriteStatus.ACKED)
-        checker.record(key, timestamp, seq)
-
-
-def _probe_followers(
-    db: LogBase,
-    checker: StalenessChecker,
-    keys: list[bytes],
-    report: ReplicaChaosReport,
-) -> None:
-    """Direct follower reads for every key against every hosting replica,
-    checked against the staleness invariant.  A lag rejection is a valid
-    outcome (the client would fall back to the owner); a *successful*
-    read must be exactly the latest version within the watermark."""
-    for key in keys:
-        tablet_id = _covering_tablet(db, key)
-        for server in _follower_servers(db, tablet_id):
-            if not server.machine.alive or not server.serving:
-                continue
-            follower = server.followers.get(tablet_id)
-            if follower is None:
-                report.violations.append(
-                    f"placement: catalog lists {server.name} as a follower "
-                    f"of {tablet_id} but it hosts no replica"
-                )
-                continue
-            try:
-                result = server.follower_read(TABLE, key, GROUP)
-            except FollowerLaggingError:
-                report.lag_rejections += 1
-                continue
-            problem = checker.check(key, follower.watermark, result)
-            if problem is not None:
-                report.staleness_violations.append(problem)
-            else:
-                report.follower_reads_ok += 1
-
-
-def _verify(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    checker: StalenessChecker,
-    keys: list[bytes],
-    report: ReplicaChaosReport,
-) -> None:
-    """Settle heartbeats, then check every contract at once: single
-    ownership, durability through the replica-routed client, and the
-    staleness invariant on every follower."""
-    for _ in range(2):
-        db.cluster.heartbeat()
-    report.violations.extend(check_single_owner(db))
-    verifier = db.client(db.cluster.machines[-1])
-    report.violations.extend(
-        oracle.verify(lambda key: verifier.get_raw(TABLE, key, GROUP))
-    )
-    _probe_followers(db, checker, keys, report)
-    report.acked = oracle.counts()["acked"]
-    report.keys_checked = len(oracle.keys)
-    report.followers_placed = sum(
-        len(names) for names in db.cluster.master.catalog.followers.values()
-    )
-
-
-def _stale_follower_reads(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    checker: StalenessChecker,
-    keys: list[bytes],
-    tablet_id: str,
-    report: ReplicaChaosReport,
-) -> None:
+def _stale_follower_reads(run: Run) -> None:
     """Writes race ahead of the tail: the follower must reject, not lie.
 
     With no heartbeat ticking, the follower's watermark freezes while the
@@ -291,20 +58,15 @@ def _stale_follower_reads(
     return the latest acked value via owner fallback.  Once heartbeats
     resume, the same replica serves again, caught up.
     """
-    _write_more(db, oracle, checker, keys[: len(keys) // 2])
-    followers = _follower_servers(db, tablet_id)
-    if not followers:
-        report.violations.append(
-            f"placement: no follower placed for {tablet_id}"
-        )
+    db = run.db
+    run.write(run.keys[: len(run.keys) // 2])
+    stale = _first_follower(run)
+    if stale is None:
         return
-    stale = followers[0]
     # Let simulated time pass on the follower without a tail pass so it
     # is beyond both the per-request bound below and the config default
     # (the client's replica routing must reject it too, not serve stale).
-    stale.machine.clock.advance(
-        db.cluster.config.replica_max_staleness + 1.0
-    )
+    stale.machine.clock.advance(db.cluster.config.replica_max_staleness + 1.0)
     monitor = db.cluster.monitor
     if monitor is not None:
         # The heartbeat's tail pass would catch the follower back up
@@ -313,35 +75,25 @@ def _stale_follower_reads(
         # the lag while it exists, exactly as a scrape racing the next
         # tail pass would in production.
         monitor.note_fault(
-            "stale-follower", {"node": stale.name, "tablet": tablet_id}
+            "stale-follower", {"node": stale.name, "tablet": run.tablet_id}
         )
         monitor.tick(force=True)
-    probe = next(k for k in keys if _covering_tablet(db, k) == tablet_id)
+    probe = _probe_key(run)
     try:
         result = stale.follower_read(TABLE, probe, GROUP, max_staleness=0.5)
     except FollowerLaggingError:
-        report.lag_rejections += 1
+        run.observe(lag_rejections=1)  # the settle probe adds its own
     else:
-        report.staleness_violations.append(
-            f"{probe!r}: follower {stale.name} served {result!r} while "
-            f"stale beyond a 0.5s bound"
+        run.report.violations.append(
+            f"staleness: {probe!r}: follower {stale.name} served {result!r} "
+            f"while stale beyond a 0.5s bound"
         )
     # The client's replica routing hides the lag: owner fallback still
     # returns the latest acked value.
-    client = db.client(db.cluster.machines[-1])
-    problem = oracle.check_read(probe, client.get_raw(TABLE, probe, GROUP))
-    if problem is not None:
-        report.violations.append(f"mid-run: {problem}")
+    _check_owner_read(run, run.client, probe)
 
 
-def _follower_crash_catchup(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    checker: StalenessChecker,
-    keys: list[bytes],
-    tablet_id: str,
-    report: ReplicaChaosReport,
-) -> None:
+def _follower_crash_catchup(run: Run) -> None:
     """A follower node dies; reads survive, and the replica comes back.
 
     Losing a follower must cost nothing but capacity: writes keep acking
@@ -349,34 +101,25 @@ def _follower_crash_catchup(
     server, and the restarted node — whose replica state died with its
     memory — re-follows from the log start and catches all the way up.
     """
-    followers = _follower_servers(db, tablet_id)
-    if not followers:
-        report.violations.append(
-            f"placement: no follower placed for {tablet_id}"
-        )
+    cluster = run.db.cluster
+    follower = _first_follower(run)
+    if follower is None:
         return
-    victim = followers[0].name
-    db.cluster.kill_node(victim)
-    _write_more(db, oracle, checker, keys[: len(keys) // 2])
+    victim = follower.name
+    cluster.kill_node(victim)
+    run.write(run.keys[: len(run.keys) // 2])
     # Re-placement: the dead node drops out of the candidate set.
-    db.cluster.heartbeat()
-    replaced = db.cluster.master.catalog.followers.get(tablet_id, [])
-    if victim in replaced:
-        report.violations.append(
+    run.heartbeat()
+    if victim in cluster.master.catalog.followers.get(run.tablet_id, []):
+        run.report.violations.append(
             f"placement: dead node {victim} still listed as a follower "
-            f"of {tablet_id}"
+            f"of {run.tablet_id}"
         )
-    db.cluster.restart_server(victim)
+    cluster.restart_server(victim)
+    run.report.restarted_servers.append(victim)
 
 
-def _fencing_on_migration(
-    db: LogBase,
-    oracle: DurabilityOracle,
-    checker: StalenessChecker,
-    keys: list[bytes],
-    tablet_id: str,
-    report: ReplicaChaosReport,
-) -> None:
+def _fencing_on_migration(run: Run) -> None:
     """Ownership moves; no replica may keep applying the deposed owner.
 
     The migration flip bumps the tablet's fence epoch and must tear every
@@ -386,73 +129,65 @@ def _fencing_on_migration(
     holding cached follower routes re-resolves on the first
     ``TabletMigratingError`` instead of spinning on a torn-down replica.
     """
-    client = db.client(db.cluster.machines[-1])
-    probe = next(k for k in keys if _covering_tablet(db, k) == tablet_id)
+    cluster = run.db.cluster
+    tablet_id = run.tablet_id
+    client = run.db.client(cluster.machines[run.scenario.client_node])
+    probe = _probe_key(run)
     client.get_raw(TABLE, probe, GROUP)  # warm the follower-route cache
-    db.cluster.migrate_tablet(tablet_id, TARGET)
+    cluster.migrate_tablet(tablet_id, TARGET)
     # Fencing: inside the flip, every replica of the moved tablet was
     # torn down — none may still be fed from the deposed owner's log.
-    for server in db.cluster.servers:
+    for server in cluster.servers:
         follower = server.followers.get(tablet_id)
         if follower is not None:
-            report.violations.append(
+            run.report.violations.append(
                 f"fencing: {server.name} still hosts a replica of "
                 f"{tablet_id} fed by {follower.owner_name} after the flip"
             )
-    _write_more(db, oracle, checker, keys[: len(keys) // 2])
+    run.write(run.keys[: len(run.keys) // 2])
     # The warmed client must converge on the new topology, not error out
     # against the torn-down follower it had cached.
-    problem = oracle.check_read(probe, client.get_raw(TABLE, probe, GROUP))
-    if problem is not None:
-        report.violations.append(f"mid-run: {problem}")
+    _check_owner_read(run, client, probe)
     # Re-placement points the new replicas at the new owner.
-    db.cluster.heartbeat()
-    for server in _follower_servers(db, tablet_id):
+    run.heartbeat()
+    for server in follower_servers(run.db, tablet_id):
         follower = server.followers.get(tablet_id)
         if follower is not None and follower.owner_name != TARGET:
-            report.violations.append(
+            run.report.violations.append(
                 f"fencing: re-placed replica on {server.name} follows "
                 f"{follower.owner_name}, not the new owner {TARGET}"
             )
 
 
-REPLICA_SCENARIOS = {
-    "stale-follower-reads": _stale_follower_reads,
-    "follower-crash-catchup": _follower_crash_catchup,
-    "fencing-on-migration": _fencing_on_migration,
-}
-
-
-def run_replica_chaos(
-    scenario: str,
-    *,
-    seed: int = 1,
-    ops: int = 40,
-    n_nodes: int = 4,
-    monitoring: bool = False,
-) -> ReplicaChaosReport:
-    """Run one seeded replica chaos schedule; returns the verified report.
-
-    With ``monitoring`` the cluster carries the monitoring plane and the
-    report gains the alert log, post-mortem bundles, and fault times.
-
-    Raises:
-        KeyError: for an unknown scenario name.
-        ValueError: if the cluster is too small for the topology.
-    """
-    runner = REPLICA_SCENARIOS[scenario]
-    if n_nodes < 3:
-        raise ValueError("replica chaos topology needs >= 3 nodes")
-    db, oracle, checker, keys, tablet_id = _seeded_cluster(
-        seed, ops, n_nodes, monitoring=monitoring
+ROWS = tuple(
+    Scenario(
+        "replica",
+        name,
+        description,
+        body,
+        preset=LogBaseConfig.with_read_replicas,
+        expected_alert=alert,
     )
-    report = ReplicaChaosReport(scenario=scenario, seed=seed, ops=ops)
-    runner(db, oracle, checker, keys, tablet_id, report)
-    _verify(db, oracle, checker, keys, report)
-    monitor = db.cluster.monitor
-    if monitor is not None:
-        report.alerts = monitor.alert_log()
-        report.postmortems = monitor.postmortem_dicts()
-        report.fault_times = monitor.fault_times()
-        monitor.close()
-    return report
+    for name, description, body, alert in (
+        (
+            "stale-follower-reads",
+            "writes race ahead of the tail; the follower must reject, not lie",
+            _stale_follower_reads,
+            "replica-lag-high",
+        ),
+        (
+            "follower-crash-catchup",
+            "a follower node dies, is re-placed, restarts and catches up",
+            _follower_crash_catchup,
+            "server-down",
+        ),
+        (
+            # Injects no fault (the migration it runs is sanctioned), so
+            # there is nothing for the monitoring plane to detect.
+            "fencing-on-migration",
+            "ownership moves; every replica of the deposed owner is torn down",
+            _fencing_on_migration,
+            None,
+        ),
+    )
+)

@@ -1,6 +1,6 @@
-"""Named fault schedules the chaos runner executes.
+"""The fail-stop family: processes die, partitions form, machines revive.
 
-A schedule contributes two kinds of disruption:
+A schedule's body contributes two kinds of disruption:
 
 * **fault rules** installed into a :class:`~repro.sim.failure.FaultPlan`
   — they fire *inside* instrumented operations (mid-append, at commit,
@@ -10,19 +10,19 @@ A schedule contributes two kinds of disruption:
   operations and model environmental changes (network partitions
   forming and healing, operators restarting machines, rebalances).
 
-Every schedule here targets the standard chaos topology built by the
-runner: 4 nodes, the ``chaos`` table placed on ``ts-node-0`` and
-``ts-node-1`` only, the workload client on ``node-2`` — so ``node-3``
+Every schedule here places the ``chaos`` table on ``ts-node-0`` and
+``ts-node-1`` only, with the workload client on ``node-2`` — so ``node-3``
 is a pure datanode from the workload's point of view and killing it
 stresses replication without moving tablets, while killing ``node-0``
-or ``node-1`` forces tablet failover on top of replica loss.
+or ``node-1`` forces tablet failover on top of replica loss.  The
+master fails tablets over by itself, and the op-indexed workload
+(:func:`repro.chaos.workload.op_stream`) runs under every schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
-
+from repro.chaos.scenario import Events, Run, Scenario
+from repro.chaos.workload import op_stream
 from repro.errors import ServerDownError
 from repro.sim.failure import (
     CP_CHECKPOINT_MID,
@@ -30,137 +30,123 @@ from repro.sim.failure import (
     CP_DFS_APPEND,
     CP_TXN_POST_COMMIT,
     CP_TXN_PRE_COMMIT,
-    FaultPlan,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.database import LogBase
-
-Events = dict[int, Callable[[], None]]
-
-
-@dataclass(frozen=True)
-class ChaosSchedule:
-    """One named chaos scenario.
-
-    Attributes:
-        name: registry key (CLI argument of the chaos bench).
-        description: what the scenario stresses.
-        install: given the database and a fresh plan, add fault rules and
-            return the operation-indexed event map.
-    """
-
-    name: str
-    description: str
-    install: Callable[["LogBase", FaultPlan], Events]
+#: what every op-indexed row (this family and the gray one) shares.
+OP_INDEXED = {
+    "workload": op_stream,
+    "home_servers": ("ts-node-0", "ts-node-1"),
+    "client_node": 2,
+    "ops": 60,
+    "preload": False,
+    "auto_failover": True,
+}
 
 
-def _kill(db: "LogBase", server_name: str, *, raise_down: bool = False):
+def _kill(run: Run, server_name: str, *, raise_down: bool = False):
     """Action: power-fail ``server_name``'s whole machine (tablet server
     *and* datanode; in-memory state lost), optionally raising
     ``ServerDownError`` so the crash interrupts the instrumented call."""
 
     def action(_ctx) -> None:
-        db.cluster.kill_node(server_name)
+        run.db.cluster.kill_node(server_name)
         if raise_down:
             raise ServerDownError(f"{server_name} crashed")
 
     return action
 
 
-def _datanode_mid_append(db: "LogBase", plan: FaultPlan) -> Events:
+def _datanode_mid_append(run: Run) -> None:
     # node-3 holds replicas but no chaos tablets: its death mid-pipeline
     # must be absorbed by pipeline recovery, never surface to the client.
-    plan.add(CP_DFS_APPEND, _kill(db, "ts-node-3"), hits=6)
-    return {}
+    run.plan.add(CP_DFS_APPEND, _kill(run, "ts-node-3"), hits=6)
 
 
-def _server_crash_at_commit(db: "LogBase", plan: FaultPlan) -> Events:
+def _server_crash_at_commit(run: Run) -> None:
     # First: a commit dies *before* its commit record is durable (the
     # transaction must stay invisible).  Later: one dies *after* (commit
     # durable but unapplied; redo on the adopter must surface it).
-    plan.add(
-        CP_TXN_PRE_COMMIT, _kill(db, "ts-node-1", raise_down=True),
+    run.plan.add(
+        CP_TXN_PRE_COMMIT, _kill(run, "ts-node-1", raise_down=True),
         server="ts-node-1",
     )
-    plan.add(
-        CP_TXN_POST_COMMIT, _kill(db, "ts-node-0", raise_down=True),
+    run.plan.add(
+        CP_TXN_POST_COMMIT, _kill(run, "ts-node-0", raise_down=True),
         server="ts-node-0",
     )
-    return {}
 
 
-def _crash_during_checkpoint(db: "LogBase", plan: FaultPlan) -> Events:
+def _crash_during_checkpoint(run: Run) -> None:
     # Dies between index-file flushes: the previous checkpoint block must
     # stay the recovery point (the block write is the commit point).
-    plan.add(
-        CP_CHECKPOINT_MID, _kill(db, "ts-node-1", raise_down=True),
+    run.plan.add(
+        CP_CHECKPOINT_MID, _kill(run, "ts-node-1", raise_down=True),
         server="ts-node-1",
     )
-    return {}
 
 
-def _crash_during_compaction(db: "LogBase", plan: FaultPlan) -> Events:
+def _crash_during_compaction(run: Run) -> None:
     # Dies after writing sorted runs but before retiring the inputs: all
     # data must remain readable through the old segments.
-    plan.add(
-        CP_COMPACTION_MID, _kill(db, "ts-node-1", raise_down=True),
+    run.plan.add(
+        CP_COMPACTION_MID, _kill(run, "ts-node-1", raise_down=True),
         machine="node-1",
     )
-    return {}
 
 
-def _partition_heal(db: "LogBase", plan: FaultPlan) -> Events:
-    partitions = db.cluster.config.network.partitions
+def _partition_heal(run: Run) -> Events:
+    partitions = run.db.cluster.config.network.partitions
     return {
         8: lambda: partitions.isolate("node-3"),
         30: partitions.heal,
     }
 
 
-def _kill_revive_readopt(db: "LogBase", plan: FaultPlan) -> Events:
+def _kill_revive_readopt(run: Run) -> Events:
+    cluster = run.db.cluster
+
     def revive() -> None:
-        db.cluster.restart_server("ts-node-1")
-        db.cluster.master.rebalance()
+        cluster.restart_server("ts-node-1")
+        cluster.master.rebalance()
 
     return {
-        10: lambda: db.cluster.kill_node("ts-node-1"),
+        10: lambda: cluster.kill_node("ts-node-1"),
         35: revive,
     }
 
 
-SCHEDULES: dict[str, ChaosSchedule] = {
-    schedule.name: schedule
-    for schedule in (
-        ChaosSchedule(
+ROWS = tuple(
+    Scenario("base", name, description, body, **OP_INDEXED)
+    for name, description, body in (
+        (
             "datanode-mid-append",
             "datanode dies mid replication pipeline; writes keep flowing",
             _datanode_mid_append,
         ),
-        ChaosSchedule(
+        (
             "server-crash-at-commit",
             "tablet servers die before and after the commit record",
             _server_crash_at_commit,
         ),
-        ChaosSchedule(
+        (
             "crash-during-checkpoint",
             "server dies between checkpoint index flushes",
             _crash_during_checkpoint,
         ),
-        ChaosSchedule(
+        (
             "crash-during-compaction",
             "server dies after compaction reduce, before install",
             _crash_during_compaction,
         ),
-        ChaosSchedule(
+        (
             "partition-heal",
             "datanode partitioned away, then healed and re-replicated",
             _partition_heal,
         ),
-        ChaosSchedule(
+        (
             "kill-revive-readopt",
             "node killed, failed over, revived, and rebalanced back in",
             _kill_revive_readopt,
         ),
     )
-}
+)

@@ -299,7 +299,7 @@ class LogBaseConfig:
 
         The plain constructor keeps all of it off so the seed cost model
         and figures are reproduced byte-identically; this preset is what
-        the gray chaos schedules (``repro.chaos.gray``) run under.
+        the ``gray/`` chaos scenarios (``repro.chaos.gray``) run under.
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
@@ -328,8 +328,8 @@ class LogBaseConfig:
 
         The plain constructor keeps it off so the seed cost model and
         figures are reproduced byte-identically; this preset is what the
-        elasticity benchmark (``bench_migration``) and migration chaos
-        schedules run under.
+        elasticity benchmark (``bench_migration``) and the ``migration/``
+        chaos scenarios run under.
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
@@ -355,8 +355,8 @@ class LogBaseConfig:
 
         The plain constructor keeps it off so the seed cost model and
         figures are reproduced byte-identically; this preset is what the
-        replica benchmark (``bench_replicas``) and replica chaos
-        schedules run under.
+        replica benchmark (``bench_replicas``) and the ``replica/`` chaos
+        scenarios run under.
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
@@ -413,8 +413,8 @@ class LogBaseConfig:
 
         The plain constructor keeps it off so the seed cost model and
         figures are reproduced byte-identically; the detection oracle
-        (``repro.chaos.detection``) and ``bench_monitoring`` run the
-        chaos-family presets with ``monitoring=True`` layered on top.
+        (``repro.chaos.detection``) and ``bench_monitoring`` run each
+        chaos scenario's own preset with ``monitoring=True`` layered on top.
         """
         settings: dict = {
             "monitoring": True,

@@ -56,6 +56,14 @@ class SharedCatalog:
     # unless config.read_replicas; maintained by the cluster heartbeat).
     followers: dict[str, list[str]] = field(default_factory=dict)
 
+    def tablet_for(self, table: str, key: bytes) -> str:
+        """Id of the tablet of ``table`` that covers ``key`` today ("" when
+        none does) — how a log split attributes a record by key."""
+        for tablet in self.tablets.get(table, []):
+            if tablet.covers(key):
+                return str(tablet.tablet_id)
+        return ""
+
 
 @dataclass
 class FailoverReport:
@@ -265,14 +273,8 @@ class Master:
         self.catalog.fence_epochs[failed] = epoch
         splitter = self._servers[healthy[0]].machine
 
-        def locate_tablet(table: str, key: bytes) -> str:
-            for tablet in self._tablets.get(table, []):
-                if tablet.covers(key):
-                    return str(tablet.tablet_id)
-            return ""
-
         splits = split_log_by_tablet(
-            self.dfs, failed, splitter, locate=locate_tablet, fence=epoch
+            self.dfs, failed, splitter, locate=self.catalog.tablet_for, fence=epoch
         )
         for i, tablet_id in enumerate(sorted(orphaned)):
             target = healthy[i % len(healthy)]
@@ -327,20 +329,13 @@ class Master:
             return RecoveryReport()
         source = self._servers[source_name]
         tablet = self._tablet_by_id(tablet_id)
-
-        def locate_tablet(table: str, key: bytes) -> str:
-            for candidate in self._tablets.get(table, []):
-                if candidate.covers(key):
-                    return str(candidate.tablet_id)
-            return ""
-
         epoch = self.catalog.fence_epochs.get(source_name, 0) + 1
         self.catalog.fence_epochs[source_name] = epoch
         splits = split_log_by_tablet(
             self.dfs,
             source_name,
             self._servers[target].machine,
-            locate=locate_tablet,
+            locate=self.catalog.tablet_for,
             fence=epoch,
         )
         self._servers[target].assign_tablet(tablet)

@@ -191,17 +191,6 @@ class LiveMigrator:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _locator(self):
-        catalog = self.master.catalog
-
-        def locate(table: str, key: bytes) -> str:
-            for tablet in catalog.tablets.get(table, []):
-                if tablet.covers(key):
-                    return str(tablet.tablet_id)
-            return ""
-
-        return locate
-
     def _out_name(self, tablet_id: str) -> str:
         # Migration-scoped split directory: never collides with a real
         # failover split of the (still alive) source server.
@@ -329,7 +318,7 @@ class LiveMigrator:
                 self.master.dfs,
                 source_name,
                 target.machine,
-                locate=self._locator(),
+                locate=self.master.catalog.tablet_for,
                 fence=rec["epoch"],
                 only_tablet=tablet_id,
                 out_name=out_name,
@@ -409,7 +398,7 @@ class LiveMigrator:
                 source_name,
                 target.machine,
                 start=start,
-                locate=self._locator(),
+                locate=self.master.catalog.tablet_for,
                 fence=rec["epoch"],
                 only_tablet=tablet_id,
                 out_name=delta_name,

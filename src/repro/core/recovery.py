@@ -299,9 +299,11 @@ def split_log_by_tablet(
     their tablet's split file.
 
     Args:
-        locate: ``(table, key) -> tablet id`` used for records from
-            compacted (slim) segments, whose per-record tablet field is
-            stripped; the master passes its catalog lookup.
+        locate: ``(table, key) -> tablet id`` from the *current*
+            catalog; the master passes :meth:`SharedCatalog.tablet_for`.
+            It outranks the id stamped on the record, which is stripped
+            in compacted (slim) segments and names the *parent* on every
+            record logged before a tablet split.
         fence: epoch token installed *after* every split file; adopters
             that were handed this epoch refuse to replay a directory
             whose fence does not match (a crashed splitter leaves the old
@@ -329,8 +331,8 @@ def split_log_by_tablet(
                 buffer.append(record.encode())
             continue
         tablet = record.tablet
-        if not tablet and locate is not None:
-            tablet = locate(record.table, record.key)
+        if locate is not None:
+            tablet = locate(record.table, record.key) or tablet
         if only_tablet is not None and tablet != only_tablet:
             continue
         buffers[tablet].append(record.encode())

@@ -3,7 +3,10 @@ contract, and must actually disrupt the cluster while doing so."""
 
 import pytest
 
-from repro.chaos import SCHEDULES, run_chaos
+from repro.chaos import run_scenario
+from tests.chaos.helpers import names
+
+SCHEDULES = names("base")
 
 
 def test_covers_required_failure_modes():
@@ -23,10 +26,10 @@ def test_covers_required_failure_modes():
         assert name in SCHEDULES
 
 
-@pytest.mark.parametrize("scenario", sorted(SCHEDULES))
+@pytest.mark.parametrize("scenario", SCHEDULES)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_schedule_upholds_durability_contract(scenario, seed):
-    report = run_chaos(scenario, seed=seed, ops=40)
+    report = run_scenario(f"base/{scenario}", seed=seed, ops=40)
     assert report.passed, report.violations
     # The run did real work and the schedule really interfered.
     assert report.acked > 0
@@ -42,16 +45,11 @@ def test_schedule_upholds_durability_contract(scenario, seed):
 
 def test_unknown_scenario_raises():
     with pytest.raises(KeyError):
-        run_chaos("no-such-scenario")
-
-
-def test_small_cluster_rejected():
-    with pytest.raises(ValueError):
-        run_chaos("partition-heal", n_nodes=3)
+        run_scenario("base/no-such-scenario")
 
 
 def test_report_dict_is_json_shaped():
-    report = run_chaos("datanode-mid-append", seed=1, ops=20)
+    report = run_scenario("base/datanode-mid-append", seed=1, ops=20)
     data = report.to_dict()
     assert data["scenario"] == "datanode-mid-append"
     assert data["passed"] is True

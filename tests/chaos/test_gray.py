@@ -4,13 +4,16 @@ mitigated arm must beat the unmitigated control on tail latency."""
 
 import pytest
 
-from repro.chaos import GRAY_SCHEDULES, run_gray
+from repro.chaos import run_scenario
+from repro.chaos.gray import control_config
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.schema import ColumnGroup, TableSchema
 from repro.errors import DeadlineExceededError
+from tests.chaos.helpers import names
 
-LIMP_SCENARIO = "limp-datanode-mid-scan"
+GRAY_SCHEDULES = names("gray")
+LIMP_SCENARIO = "gray/limp-datanode-mid-scan"
 
 
 def test_covers_required_gray_failure_modes():
@@ -25,39 +28,41 @@ def test_covers_required_gray_failure_modes():
         assert name in GRAY_SCHEDULES
 
 
-@pytest.mark.parametrize("scenario", sorted(GRAY_SCHEDULES))
+@pytest.mark.parametrize("scenario", GRAY_SCHEDULES)
 def test_gray_schedule_upholds_durability_contract(scenario):
-    report = run_gray(scenario, seed=1, ops=60)
+    report = run_scenario(f"gray/{scenario}", seed=1, ops=60)
     assert report.passed, report.violations
     assert report.acked > 0
     assert report.keys_checked > 0
-    assert report.events_run > 0, f"{scenario} ran none of its events"
+    assert report.observed["events_run"] > 0, f"{scenario} ran none of its events"
 
 
 def test_mitigations_actually_fire():
     # Each scenario exists to exercise a specific mechanism; a green run
     # where the mechanism stayed idle would prove nothing.
-    hedge = run_gray("hedge-under-limp", seed=1, ops=60)
-    assert hedge.hedge_wins > 0
-    trip = run_gray("limp-trip-recover", seed=1, ops=60)
-    assert trip.breaker_trips > 0
-    burst = run_gray("overload-burst", seed=1, ops=60)
-    assert burst.admission_sheds > 0
+    hedge = run_scenario("gray/hedge-under-limp", seed=1, ops=60)
+    assert hedge.observed["hedge_wins"] > 0
+    trip = run_scenario("gray/limp-trip-recover", seed=1, ops=60)
+    assert trip.observed["breaker_trips"] > 0
+    burst = run_scenario("gray/overload-burst", seed=1, ops=60)
+    assert burst.observed["admission_sheds"] > 0
 
 
 def test_limping_replica_p99_beats_unmitigated_control():
     # The acceptance bar: with a home replica limping, the mitigated
     # arm's p99 read latency is at least 30 % better than the same run
     # without the gray-resilience layer.
-    mitigated = run_gray(LIMP_SCENARIO, seed=1, ops=60)
-    control = run_gray(LIMP_SCENARIO, seed=1, ops=60, resilience=False)
+    mitigated = run_scenario(LIMP_SCENARIO, seed=1, ops=60)
+    control = run_scenario(LIMP_SCENARIO, seed=1, ops=60, config=control_config())
     assert mitigated.passed and control.passed
-    assert mitigated.reads > 0 and control.reads > 0
-    assert control.read_p99 > 0
-    improvement = 1.0 - mitigated.read_p99 / control.read_p99
+    assert mitigated.observed["reads"] > 0 and control.observed["reads"] > 0
+    mitigated_p99 = mitigated.observed["read_p99"]
+    control_p99 = control.observed["read_p99"]
+    assert control_p99 > 0
+    improvement = 1.0 - mitigated_p99 / control_p99
     assert improvement >= 0.30, (
-        f"p99 {mitigated.read_p99:.4f}s mitigated vs "
-        f"{control.read_p99:.4f}s control: only {improvement:.0%} better"
+        f"p99 {mitigated_p99:.4f}s mitigated vs "
+        f"{control_p99:.4f}s control: only {improvement:.0%} better"
     )
 
 

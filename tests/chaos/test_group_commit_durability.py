@@ -8,28 +8,25 @@ replicated would be a Guarantee-1 violation.
 
 import pytest
 
-from repro.chaos.concurrent import run_group_commit_chaos
-from repro.sim.failure import CP_DFS_APPEND, CP_LOG_APPEND
+from repro.chaos import run_scenario
 
 SCHEDULES = [
-    pytest.param(1, CP_LOG_APPEND, 5, id="seed1-log-append"),
-    pytest.param(2, CP_LOG_APPEND, 9, id="seed2-log-append"),
-    pytest.param(3, CP_DFS_APPEND, 7, id="seed3-dfs-append"),
+    pytest.param(1, "log-append-early", id="seed1-log-append"),
+    pytest.param(2, "log-append-late", id="seed2-log-append"),
+    pytest.param(3, "dfs-append", id="seed3-dfs-append"),
 ]
 
 
-@pytest.mark.parametrize("seed, crash_point, hits", SCHEDULES)
-def test_no_unreplicated_member_is_acked(seed, crash_point, hits):
-    report = run_group_commit_chaos(
-        seed=seed, crash_point_name=crash_point, crash_after_hits=hits
-    )
+@pytest.mark.parametrize("seed, scenario", SCHEDULES)
+def test_no_unreplicated_member_is_acked(seed, scenario):
+    report = run_scenario(f"group-commit/{scenario}", seed=seed)
     assert report.passed, report.violations
     # The schedule must actually have exercised the hazard.
     assert report.faults_fired >= 1
     assert report.restarted_servers  # the victim died and was recovered
     # The crash interrupted a real multi-member group...
     assert report.indeterminate >= 1
-    assert report.mean_fanin > 1.0
+    assert report.observed["mean_fanin"] > 1.0
     # ...and the surviving commits all verified durable.
     assert report.acked > 0
     assert report.keys_checked == report.ops

@@ -5,35 +5,38 @@ silently stale beyond its bound, or fed from a deposed owner's log."""
 
 import pytest
 
-from repro.chaos import REPLICA_SCENARIOS, run_replica_chaos
+from repro.chaos import run_scenario
+from tests.chaos.helpers import names
+
+REPLICA_SCENARIOS = names("replica")
 
 
-@pytest.mark.parametrize("scenario", sorted(REPLICA_SCENARIOS))
+@pytest.mark.parametrize("scenario", REPLICA_SCENARIOS)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_replica_scenario_upholds_the_contract(scenario, seed):
-    report = run_replica_chaos(scenario, seed=seed)
-    assert report.passed, report.violations + report.staleness_violations
-    assert report.staleness_violations == []
+    report = run_scenario(f"replica/{scenario}", seed=seed)
+    assert report.passed, report.violations
+    assert [v for v in report.violations if v.startswith("staleness")] == []
     assert report.acked >= report.ops
     assert report.keys_checked >= report.ops
-    assert report.followers_placed >= 1
+    assert report.observed["followers_placed"] >= 1
     # After the settle heartbeats every follower serves again.
-    assert report.follower_reads_ok >= report.ops
+    assert report.observed["follower_reads_ok"] >= report.ops
 
 
 def test_stale_follower_is_rejected_not_served():
-    report = run_replica_chaos("stale-follower-reads")
-    assert report.passed, report.violations + report.staleness_violations
+    report = run_scenario("replica/stale-follower-reads")
+    assert report.passed, report.violations
     # The schedule provoked at least one bounded-staleness rejection.
-    assert report.lag_rejections >= 1
+    assert report.observed["lag_rejections"] >= 1
 
 
 def test_follower_crash_replaces_and_catches_up():
-    report = run_replica_chaos("follower-crash-catchup")
-    assert report.passed, report.violations + report.staleness_violations
-    assert report.followers_placed >= 1
+    report = run_scenario("replica/follower-crash-catchup")
+    assert report.passed, report.violations
+    assert report.observed["followers_placed"] >= 1
 
 
 def test_migration_fences_replicas():
-    report = run_replica_chaos("fencing-on-migration")
-    assert report.passed, report.violations + report.staleness_violations
+    report = run_scenario("replica/fencing-on-migration")
+    assert report.passed, report.violations

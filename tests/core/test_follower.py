@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro import LogBase, LogBaseConfig
-from repro.chaos.replica import StalenessChecker
+from repro.chaos.invariants import StalenessChecker
 from repro.chaos.oracle import encode_value
 from repro.errors import FollowerLaggingError
 from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan

@@ -9,7 +9,7 @@ dies mid-migration leaves a record a successor can always converge.
 import pytest
 
 from repro import LogBase, LogBaseConfig
-from repro.chaos.migration import check_single_owner
+from repro.chaos.invariants import check_single_owner
 from repro.core.cluster import HEAT_HALF_LIFE
 from repro.core.migration import FLIP_BUDGET_SECONDS, MIGRATIONS_PATH
 from repro.core.tablet_server import LEASE_SECONDS
@@ -45,6 +45,21 @@ def mig_db(schema):
         db.put(TABLE, key, {GROUP: {"body": f"v{i}".encode()}})
     db.cluster.heartbeat()
     return db, keys
+
+
+def _one_server_db(schema, n_nodes):
+    """Every tablet of the table on ``ts-node-0``; returns (db, keys)."""
+    db = LogBase(n_nodes=n_nodes, config=_mig_config())
+    db.create_table(schema, tablets_per_server=1, only_servers=["ts-node-0"])
+    keys = [str(k).zfill(12).encode() for k in range(0, 2_000_000_000, 53_000_017)]
+    for i, key in enumerate(keys):
+        db.put(TABLE, key, {GROUP: {"body": f"v{i}".encode()}})
+    return db, keys
+
+
+def _unreadable(db, keys):
+    reader = db.client(db.cluster.machines[-1])
+    return [key for key in keys if reader.get_raw(TABLE, key, GROUP) is None]
 
 
 def _victim(db):
@@ -187,12 +202,43 @@ def test_scan_through_stale_cache_follows_a_split_and_move(mig_db):
     # The cached tablet becomes two, and only the upper half moves: the
     # old owner still hosts part of the clipped slice, not all of it.
     right = db.cluster.split_tablet(tablet_id).right
-    # Compacting first re-stamps the records slim, so the catch-up finds
-    # them by key: a child migrated straight after its split loses the
-    # rows logged under the parent's tablet id (ROADMAP item 4(c)).
-    db.compact_all()
     db.cluster.migrate_tablet(right, target)
     assert client.scan(TABLE, GROUP, b"0" * 12, b"9" * 12) == expected
+
+
+def test_child_migrated_straight_after_its_split_keeps_every_row(mig_db):
+    # The pre-split records are stamped with the *parent's* tablet id; the
+    # catch-up split must attribute them by key, not by that stamp.
+    db, keys = mig_db
+    tablet_id, source, target = _victim(db)
+    reader = db.client(db.cluster.machines[1])
+    expected = {key: reader.get_raw(TABLE, key, GROUP) for key in keys}
+    assert None not in expected.values()
+    right = db.cluster.split_tablet(tablet_id).right
+    db.cluster.migrate_tablet(right, target)
+    assert {key: reader.get_raw(TABLE, key, GROUP) for key in keys} == expected
+
+
+def test_failover_after_a_split_adopts_the_children(schema):
+    # Same attribution bug on the failover path: split files written under
+    # the parent's id are files no adopter is ever assigned.
+    db, keys = _one_server_db(schema, n_nodes=4)
+    db.cluster.master.enable_auto_failover()
+    db.cluster.heartbeat()
+    (tablet_id,) = db.cluster.master.catalog.assignments
+    db.cluster.split_tablet(tablet_id)
+    db.cluster.kill_node("ts-node-0")
+    db.cluster.heartbeat()
+    assert _unreadable(db, keys) == []
+
+
+def test_repeated_balance_on_a_one_server_table_reads_every_row(schema):
+    # ROADMAP's recipe: balance() x4 splits and moves the children around.
+    db, keys = _one_server_db(schema, n_nodes=3)
+    for _ in range(4):
+        db.cluster.heartbeat()
+        db.cluster.balance()
+        assert _unreadable(db, keys) == []
 
 
 def test_range_scan_demands_coverage_only_when_asked(mig_db):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.chaos.runner import GROUP, KEY_WIDTH, SCHEMA, TABLE
+from repro.chaos.scenario import GROUP, KEY_WIDTH, SCHEMA, TABLE
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.stats import collect_cluster_stats

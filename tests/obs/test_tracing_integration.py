@@ -4,8 +4,7 @@ the tracing-off gate."""
 
 import pytest
 
-from repro.chaos.gray import GRAY_SCHEDULES
-from repro.chaos.runner import run_chaos
+from repro.chaos import run_scenario
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.schema import ColumnGroup, TableSchema
@@ -95,15 +94,9 @@ def test_hedged_read_spans_close_with_loser_in_background():
         breaker_enabled=False,
         tracing=True,
     )
-    report = run_chaos(
-        "hedge-under-limp",
-        seed=1,
-        ops=60,
-        config=config,
-        schedules=GRAY_SCHEDULES,
-    )
+    report = run_scenario("gray/hedge-under-limp", seed=1, ops=60, config=config)
     assert report.passed, report.violations
-    assert report.hedge_wins > 0
+    assert report.observed["hedge_wins"] > 0
 
     tracer = current_tracer()
     assert tracer is not None
@@ -117,7 +110,7 @@ def test_hedged_read_spans_close_with_loser_in_background():
         assert not winner.background
     # Remote losers (cancelled sibling reads) appear whenever a hedge
     # race was actually decided against a remote replica.
-    if report.hedge_losses:
+    if report.observed["hedge_losses"]:
         assert losers
     for loser in losers:
         assert loser.closed

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.chaos.runner import GROUP, KEY_WIDTH, SCHEMA, TABLE
+from repro.chaos.scenario import GROUP, KEY_WIDTH, SCHEMA, TABLE
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.stats import collect_cluster_stats
