@@ -185,79 +185,82 @@ class LogTailer:
         prefix, not a sample.
         """
         with span(SPAN_FOLLOWER_TAIL, self._machine, owner=self.owner_name):
-            self.repo.refresh_from_dfs()
             applied = 0
-            scanned = 0
-            drained = True
-            unsorted: list[int] = []
-            sorted_segs: list[int] = []
-            for file_no in self.repo.segments():
-                name = self.repo.segment_path(file_no).rsplit("/", 1)[-1]
-                (sorted_segs if name.startswith("sorted-") else unsorted).append(
-                    file_no
-                )
-            # Sorted segments retired by a later compaction round drop out
-            # of the bookkeeping with them.
-            live_sorted = set(sorted_segs)
-            self._sorted_done &= live_sorted
-            for gone in [n for n in self._sorted_progress if n not in live_sorted]:
-                del self._sorted_progress[gone]
+            try:
+                self.repo.refresh_from_dfs()
+                scanned = 0
+                drained = True
+                unsorted: list[int] = []
+                sorted_segs: list[int] = []
+                for file_no in self.repo.segments():
+                    name = self.repo.segment_path(file_no).rsplit("/", 1)[-1]
+                    (sorted_segs if name.startswith("sorted-") else unsorted).append(
+                        file_no
+                    )
+                # Sorted segments retired by a later compaction round drop out
+                # of the bookkeeping with them.
+                live_sorted = set(sorted_segs)
+                self._sorted_done &= live_sorted
+                for gone in [n for n in self._sorted_progress if n not in live_sorted]:
+                    del self._sorted_progress[gone]
 
-            # 1. The unsorted append stream, in file order from the cursor.
-            cursor_file, cursor_offset = self._cursor
-            stream = [n for n in unsorted if n > cursor_file]
-            if cursor_file in unsorted:
-                stream.insert(0, cursor_file)
-            for file_no in stream:
-                start = cursor_offset if file_no == cursor_file else 0
-                for pointer, record in self.repo.scan_segment(
-                    file_no, start_offset=start
-                ):
-                    if scanned >= batch_limit:
-                        drained = False
-                        break
-                    scanned += 1
-                    applied += self._consume(pointer, record, committed=False)
-                    self._cursor = (file_no, pointer.offset + pointer.size)
-                if not drained:
-                    break
-
-            # 2. Sorted segments, each consumed exactly once as it appears
-            # (new pointers for data whose original segments are being
-            # retired, plus re-emitted tombstones).  Their content is
-            # already-committed, so records apply directly.
-            if drained:
-                for file_no in sorted_segs:
-                    if file_no in self._sorted_done:
-                        continue
-                    start = self._sorted_progress.get(file_no, 0)
-                    complete = True
+                # 1. The unsorted append stream, in file order from the cursor.
+                cursor_file, cursor_offset = self._cursor
+                stream = [n for n in unsorted if n > cursor_file]
+                if cursor_file in unsorted:
+                    stream.insert(0, cursor_file)
+                for file_no in stream:
+                    start = cursor_offset if file_no == cursor_file else 0
                     for pointer, record in self.repo.scan_segment(
                         file_no, start_offset=start
                     ):
                         if scanned >= batch_limit:
                             drained = False
-                            complete = False
                             break
                         scanned += 1
-                        applied += self._consume(pointer, record, committed=True)
-                        self._sorted_progress[file_no] = (
-                            pointer.offset + pointer.size
-                        )
-                    if complete:
-                        self._sorted_done.add(file_no)
-                        self._sorted_progress.pop(file_no, None)
+                        applied += self._consume(pointer, record, committed=False)
+                        self._cursor = (file_no, pointer.offset + pointer.size)
                     if not drained:
                         break
 
-            if drained:
-                now = self._machine.clock.now
-                for member in self.members.values():
-                    member.watermark = max(member.watermark, self._stream_watermark)
-                    member.caught_up_at = now
-            if applied:
-                self._machine.counters.add(REPLICA_LAG_RECORDS, applied)
-                self._machine.counters.add(REPLICA_TAIL_BATCHES)
+                # 2. Sorted segments, each consumed exactly once as it appears
+                # (new pointers for data whose original segments are being
+                # retired, plus re-emitted tombstones).  Their content is
+                # already-committed, so records apply directly.
+                if drained:
+                    for file_no in sorted_segs:
+                        if file_no in self._sorted_done:
+                            continue
+                        start = self._sorted_progress.get(file_no, 0)
+                        complete = True
+                        for pointer, record in self.repo.scan_segment(
+                            file_no, start_offset=start
+                        ):
+                            if scanned >= batch_limit:
+                                drained = False
+                                complete = False
+                                break
+                            scanned += 1
+                            applied += self._consume(pointer, record, committed=True)
+                            self._sorted_progress[file_no] = (
+                                pointer.offset + pointer.size
+                            )
+                        if complete:
+                            self._sorted_done.add(file_no)
+                            self._sorted_progress.pop(file_no, None)
+                        if not drained:
+                            break
+
+                if drained:
+                    now = self._machine.clock.now
+                    for member in self.members.values():
+                        member.watermark = max(member.watermark, self._stream_watermark)
+                        member.caught_up_at = now
+            finally:
+                # Also when a read fails mid-pass: what was applied stays applied.
+                if applied:
+                    self._machine.counters.add(REPLICA_LAG_RECORDS, applied)
+                    self._machine.counters.add(REPLICA_TAIL_BATCHES)
             return applied, drained
 
     # -- replay (mirrors recovery's redo_scan) --------------------------------

@@ -43,6 +43,7 @@ from repro.sim.metrics import (
     RECOVERY_REJECTED_OPS,
     REPLICA_READS_SERVED,
     REPLICA_REDIRECTS,
+    REPLICA_TAIL_ERRORS,
     SPAN_COMPACTION_PLAN,
     SPAN_COMPACTION_ROUND,
     SPAN_FOLLOWER_READ,
@@ -309,7 +310,16 @@ class TabletServer:
             str(f.tablet.tablet_id): f.lag(now) for f in self.followers.values()
         }
         for tailer in self._tailers.values():
-            tailer.tail(REPLICA_TAIL_BATCH)
+            try:
+                tailer.tail(REPLICA_TAIL_BATCH)
+            except DFSError:
+                # This server cannot read that owner's log right now (it is
+                # partitioned from every replica, say).  The tailer keeps
+                # its cursor and tries again next tick; its replicas were
+                # not marked caught up, so they age out of their staleness
+                # bound and reads fall back to the owner.  Raising instead
+                # would end the cluster heartbeat this pass runs inside.
+                self.machine.counters.add(REPLICA_TAIL_ERRORS)
         return lags
 
     def _follower_for(self, table: str, key: bytes) -> FollowerTablet:

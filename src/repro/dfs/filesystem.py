@@ -544,7 +544,7 @@ class DFSReader:
         # mirror-charged to the reader's clock by _read_from_block, so
         # the span's own duration already covers them.
         with span(SPAN_DFS_READ, self._reader, bytes=length):
-            out = bytearray()
+            parts = []
             remaining = length
             pos = offset
             for block in self._meta.blocks:
@@ -554,10 +554,12 @@ class DFSReader:
                     pos -= block.length
                     continue
                 take = min(block.length - pos, remaining)
-                out.extend(self._read_from_block(block, pos, take))
+                parts.append(self._read_from_block(block, pos, take))
                 remaining -= take
                 pos = 0
-            return bytes(out)
+            # A record read lies in one block, and joining one part returns
+            # it as it is; only a range that spans blocks is copied.
+            return b"".join(parts)
 
     def read_all(self) -> bytes:
         """Read the whole file sequentially."""

@@ -210,13 +210,16 @@ HIST_MIGRATION_FLIP = REGISTRY.register("latency.migration.flip")
 # needed segment was retired by compaction), ``replica.lag_records``
 # accumulates records applied by follower tails (the shipped volume),
 # ``replica.tail_batches`` counts tail passes that applied at least one
-# record, and ``latency.replica.lag`` is the per-heartbeat distribution
+# record, ``replica.tail_errors`` counts passes given up because the
+# follower could not read the owner's log (a ``DFSError``; retried at the
+# next tick), and ``latency.replica.lag`` is the per-heartbeat distribution
 # of follower staleness in simulated seconds (owner last-commit time
 # minus follower watermark).
 REPLICA_READS_SERVED = REGISTRY.register("replica.reads_served")
 REPLICA_REDIRECTS = REGISTRY.register("replica.redirects")
 REPLICA_LAG_RECORDS = REGISTRY.register("replica.lag_records")
 REPLICA_TAIL_BATCHES = REGISTRY.register("replica.tail_batches")
+REPLICA_TAIL_ERRORS = REGISTRY.register("replica.tail_errors")
 SPAN_FOLLOWER_TAIL = REGISTRY.register("follower.tail")
 SPAN_FOLLOWER_READ = REGISTRY.register("follower.read")
 HIST_REPLICA_LAG = REGISTRY.register("latency.replica.lag")

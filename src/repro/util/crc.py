@@ -13,16 +13,26 @@ is the highest power.  A 32-bit residue follows the same order: bit 31 is
 ``x^0``, which is why ``_POLY`` is the bit-reversed polynomial.
 
 Folding identity: split an ``N``-bit message into its first ``s`` bits
-``H`` and the rest ``R`` (``N - s`` bits), so ``M = H * x^(N-s) + R``.
-Then ``M mod P == (H * (x^(N-s) mod P) + R) mod P``: the head can be
-replaced by its carry-less product with one 32-bit constant, XORed onto
-the front of ``R``, giving a shorter message with the same remainder.
-The kept length is always ``2^k + 64`` bits, so one constant per ``k``
-covers every message length, and the 64 spare bits guarantee the product
-(at most ``s + 31`` bits) fits inside what is kept.
+``H`` and the rest ``R`` (``K = N - s`` bits), so ``M = H * x^K + R``.
+Then ``M mod P == (H * (x^K mod P) + R) mod P``: the head can be replaced
+by its carry-less product with one 32-bit constant, XORed onto the front
+of ``R``, giving a ``K``-bit message with the same remainder.  The
+product has at most ``s + 31`` bits, so it fits inside what is kept
+whenever ``N <= 2*K - 31``.
+
+The product costs one big-integer shift and XOR per set bit of the
+constant, so the kept sizes ``K_0 = 128 < K_1 < ...`` (``_FOLD_SIZES``)
+are the ones whose constants are sparse: each ``K_{i+1}`` is the size with
+the fewest set bits in ``x^K mod P`` among the ``min(4096, K_i // 8)``
+sizes up to the limit ``2*K_i - 31`` (``tests/util/test_crc.py`` re-derives
+the table by that rule).  The first round folds the message, whatever its
+length, onto the largest size below it; every later round folds exactly
+``K_{i+1} -> K_i``; one loop (in ``crc32c``) runs both.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 _POLY = 0x82F63B78  # reversed Castagnoli polynomial
 
@@ -47,41 +57,42 @@ def _build_table() -> tuple[int, ...]:
 _TABLE = _build_table()
 
 
-def _times_x(r: int) -> int:
-    """``r * x mod P`` on a reflected 32-bit residue."""
-    return (r >> 1) ^ _POLY if r & 1 else r >> 1
+# (K, x^K mod P) for every fold size, smallest first; the last covers a
+# 128 GiB message.
+_FOLD_SIZES = (
+    (128, 0x18B8EA18), (220, 0xC023B945), (400, 0x200830F7),
+    (759, 0x88494023), (1425, 0xD001401D), (2804, 0x0212089D),
+    (5265, 0x5010C905), (10156, 0x0580103B), (19236, 0x82140411),
+    (36330, 0xA3000811), (72461, 0x4248420D), (143776, 0x01300093),
+    (284951, 0x02060B01), (568987, 0x52000A11), (1137789, 0x010D6061),
+    (2274880, 0x08027021), (4549156, 0x60808045), (9095015, 0x00418A81),
+    (18189929, 0xB1020011), (36378066, 0x60108085), (72756025, 0x8101A189),
+    (145511965, 0x060410B9), (291022401, 0x04601205), (582042364, 0x10033401),
+    (1164081564, 0x000A4291), (2328161523, 0x04420423), (4656322577, 0x50006C15),
+    (9312642847, 0x22444201), (18625283018, 0x0A034201), (37250564374, 0x03201409),
+    (74501126834, 0x01C80085), (149002253030, 0x080C0115), (298004504738, 0x00C04443),
+    (596009008886, 0x10005053), (1192018016816, 0x11042643),
+)  # fmt: skip
+_SIZES = tuple(size for size, _ in _FOLD_SIZES)
 
 
-def _times(a: int, b: int) -> int:
-    """``a * b mod P`` on reflected 32-bit residues (shift-and-add)."""
-    product = 0
-    for bit in range(31, -1, -1):  # bit 31 is x^0, bit 0 is x^31
-        if b >> bit & 1:
-            product ^= a
-        a = _times_x(a)
-    return product
+def _rounds() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """``(K, out, shifts)`` per fold size, for a head of any length ``s``.
 
-
-def _build_fold_constants() -> dict[int, tuple[int, ...]]:
-    """``{k: set bits of x^(2^k + 64) mod P}`` for every fold size.
-
-    ``k`` runs from 6 (keep 128 bits, the table's tail) to 40 (a 128 GiB
-    message), built by repeated squaring.
+    Bit ``j`` of the carry-less ``head * constant`` is the coefficient of
+    ``x^(s + 30 - j)`` and bit ``j`` of the kept message is
+    ``x^(K - 1 - j)``, so the product lines up ``K - s - 31`` bits in.
+    ``shifts`` are the constant's set bits relative to its lowest one and
+    ``out`` is ``K - 31`` plus that lowest bit.
     """
-    x64 = 0x80000000  # x^0
-    for _ in range(64):
-        x64 = _times_x(x64)
-    power = 0x40000000  # x^1
-    constants = {}
-    for k in range(1, 41):
-        power = _times(power, power)  # x^(2^k)
-        if k >= 6:
-            constant = _times(power, x64)
-            constants[k] = tuple(b for b in range(32) if constant >> b & 1)
-    return constants
+    rounds = []
+    for size, constant in _FOLD_SIZES:
+        low, *rest = (b for b in range(32) if constant >> b & 1)
+        rounds.append((size, size - 31 + low, tuple(b - low for b in rest)))
+    return tuple(rounds)
 
 
-_FOLD = _build_fold_constants()
+_ROUNDS = _rounds()
 
 
 def _bytewise(data, crc: int) -> int:
@@ -107,19 +118,13 @@ def crc32c(data, crc: int = 0) -> int:
     # The running CRC enters by XOR into the first four message bytes.
     d = int.from_bytes(data, "little") ^ (crc ^ 0xFFFFFFFF)
     bits = n * 8
-    # Largest fold size strictly below the message: 2^k + 64 < bits.
-    k = (bits - 65).bit_length() - 1
-    while bits > _TABLE_BYTES * 8:
-        keep = (1 << k) + 64
+    # Fold onto the largest size below the message, then size by size.
+    for level in range(bisect_left(_SIZES, bits) - 1, -1, -1):
+        keep, out, shifts = _ROUNDS[level]
         s = bits - keep  # fold the first s bits onto the remaining keep
-        head = d & ((1 << s) - 1)
-        # Carry-less head * x^keep: bit j of the (s + 31)-bit product is
-        # the coefficient of x^(s + 30 - j).
-        product = 0
-        for b in _FOLD[k]:
+        head = product = d & ((1 << s) - 1)
+        for b in shifts:
             product ^= head << b
-        # Bit j of the kept message is x^(keep - 1 - j); line the powers up.
-        d = (d >> s) ^ (product << (keep - s - 31))
+        d = (d >> s) ^ (product << (out - s))
         bits = keep
-        k -= 1
     return _bytewise(d.to_bytes(_TABLE_BYTES, "little"), 0) ^ 0xFFFFFFFF

@@ -7,6 +7,9 @@ cost one byte instead of eight.
 
 from __future__ import annotations
 
+# Most lengths and ids fit seven bits; their encodings are shared objects.
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
 
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128 uvarint.
@@ -20,6 +23,8 @@ def encode_uvarint(value: int) -> bytes:
     Raises:
         ValueError: if ``value`` is negative.
     """
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise ValueError(f"uvarint cannot encode negative value {value}")
     out = bytearray()
@@ -48,6 +53,8 @@ def decode_uvarint(buf: bytes, offset: int = 0) -> tuple[int, int]:
         ValueError: if the buffer ends mid-varint or the varint is longer
             than 10 bytes (would overflow 64 bits of payload).
     """
+    if offset < len(buf) and buf[offset] < 0x80:
+        return buf[offset], offset + 1
     result = 0
     shift = 0
     pos = offset

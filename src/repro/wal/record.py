@@ -27,12 +27,14 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import CorruptLogRecord
 from repro.util.crc import crc32c
 from repro.util.varint import decode_uvarint, encode_uvarint
 
 _FRAME_HEADER = struct.Struct("<II")  # length, crc
+_BYTE = tuple(bytes((value,)) for value in range(256))  # type and flag bytes
 
 
 class RecordType(enum.IntEnum):
@@ -43,6 +45,9 @@ class RecordType(enum.IntEnum):
     COMMIT = 3       # transaction commit record
     ABORT = 4        # explicit abort marker (optional, aids diagnostics)
     CHECKPOINT = 5   # checkpoint marker written at checkpoint time
+
+
+_RECORD_TYPES = {int(record_type): record_type for record_type in RecordType}
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,15 +100,15 @@ class LogRecord:
     def with_lsn(self, lsn: int) -> "LogRecord":
         """Copy of this record with the LSN the repository assigned."""
         return LogRecord(
-            record_type=self.record_type,
-            lsn=lsn,
-            txn_id=self.txn_id,
-            table=self.table,
-            tablet=self.tablet,
-            key=self.key,
-            group=self.group,
-            timestamp=self.timestamp,
-            value=self.value,
+            self.record_type,
+            lsn,
+            self.txn_id,
+            self.table,
+            self.tablet,
+            self.key,
+            self.group,
+            self.timestamp,
+            self.value,
         )
 
     # -- encoding ----------------------------------------------------------------
@@ -114,37 +119,45 @@ class LogRecord:
         Args:
             slim: omit table/tablet/group (sorted-segment layout, §3.6.5).
         """
-        body = bytearray()
-        type_byte = int(self.record_type)
+        key = self.key
         if slim:
-            type_byte |= 0x80
-        body.append(type_byte)
-        body += encode_uvarint(self.lsn)
-        body += encode_uvarint(self.txn_id)
-        if not slim:
-            for text in (self.table, self.tablet):
-                raw = text.encode()
-                body += encode_uvarint(len(raw))
-                body += raw
-        body += encode_uvarint(len(self.key))
-        body += self.key
-        if not slim:
-            raw = self.group.encode()
-            body += encode_uvarint(len(raw))
-            body += raw
-        body += encode_uvarint(self.timestamp)
-        if self.value is None:
-            body.append(0)
+            parts = [
+                _BYTE[self.record_type | 0x80],
+                encode_uvarint(self.lsn),
+                encode_uvarint(self.txn_id),
+                encode_uvarint(len(key)),
+                key,
+                encode_uvarint(self.timestamp),
+            ]
         else:
-            body.append(1)
-            body += encode_uvarint(len(self.value))
-            body += self.value
-        frame = _FRAME_HEADER.pack(len(body), crc32c(body))
-        return frame + bytes(body)
+            parts = [
+                _BYTE[self.record_type],
+                encode_uvarint(self.lsn),
+                encode_uvarint(self.txn_id),
+                _name_field(self.table),
+                _name_field(self.tablet),
+                encode_uvarint(len(key)),
+                key,
+                _name_field(self.group),
+                encode_uvarint(self.timestamp),
+            ]
+        value = self.value
+        if value is None:
+            parts.append(_BYTE[0])
+        else:
+            parts += (_BYTE[1], encode_uvarint(len(value)), value)
+        body = b"".join(parts)
+        return _FRAME_HEADER.pack(len(body), crc32c(body)) + body
 
     @classmethod
-    def decode(cls, buf: bytes, offset: int = 0) -> tuple["LogRecord", int]:
+    def decode(
+        cls, buf: bytes, offset: int = 0, scope: tuple[str, str] | None = None
+    ) -> tuple["LogRecord", int]:
         """Decode one framed record from ``buf`` at ``offset``.
+
+        Args:
+            scope: ``(table, group)`` of the sorted segment ``buf`` was read
+                from, which a slim entry leaves out; None for a log segment.
 
         Returns:
             ``(record, next_offset)``.
@@ -159,58 +172,68 @@ class LogRecord:
         body_end = header_end + length
         if body_end > len(buf):
             raise CorruptLogRecord("truncated frame body")
-        body = bytes(buf[header_end:body_end])
+        body = buf[header_end:body_end]
+        if type(body) is not bytes:
+            body = bytes(body)
         if crc32c(body) != crc:
             raise CorruptLogRecord("checksum mismatch")
-        return cls._decode_body(body), body_end
 
-    @classmethod
-    def _decode_body(cls, body: bytes) -> "LogRecord":
-        pos = 0
-        type_byte = body[pos]
-        pos += 1
-        slim = bool(type_byte & 0x80)
-        record_type = RecordType(type_byte & 0x7F)
-        lsn, pos = decode_uvarint(body, pos)
+        # One pass over the body; a length below 0x80 is its own uvarint,
+        # anything else (a body that ends early too) is decode_uvarint's.
+        end = len(body)
+        type_byte = body[0]
+        code = type_byte & 0x7F
+        record_type = _RECORD_TYPES.get(code) or RecordType(code)
+        lsn, pos = decode_uvarint(body, 1)
         txn_id, pos = decode_uvarint(body, pos)
         table = tablet = group = ""
-        if not slim:
-            n, pos = decode_uvarint(body, pos)
+        if type_byte < 0x80:
+            n = body[pos] if pos < end else 0x80
+            if n < 0x80:
+                pos += 1
+            else:
+                n, pos = decode_uvarint(body, pos)
             table = body[pos : pos + n].decode()
             pos += n
-            n, pos = decode_uvarint(body, pos)
+            n = body[pos] if pos < end else 0x80
+            if n < 0x80:
+                pos += 1
+            else:
+                n, pos = decode_uvarint(body, pos)
             tablet = body[pos : pos + n].decode()
             pos += n
-        n, pos = decode_uvarint(body, pos)
+        n = body[pos] if pos < end else 0x80
+        if n < 0x80:
+            pos += 1
+        else:
+            n, pos = decode_uvarint(body, pos)
         key = body[pos : pos + n]
         pos += n
-        if not slim:
-            n, pos = decode_uvarint(body, pos)
+        if type_byte < 0x80:
+            n = body[pos] if pos < end else 0x80
+            if n < 0x80:
+                pos += 1
+            else:
+                n, pos = decode_uvarint(body, pos)
             group = body[pos : pos + n].decode()
             pos += n
         timestamp, pos = decode_uvarint(body, pos)
-        has_value = body[pos]
-        pos += 1
         value: bytes | None = None
-        if has_value:
-            n, pos = decode_uvarint(body, pos)
+        if body[pos]:
+            n, pos = decode_uvarint(body, pos + 1)
             value = body[pos : pos + n]
-            pos += n
+        if scope is not None and not table:
+            table, group = scope
         return cls(
-            record_type=record_type,
-            lsn=lsn,
-            txn_id=txn_id,
-            table=table,
-            tablet=tablet,
-            key=key,
-            group=group,
-            timestamp=timestamp,
-            value=value,
-        )
+            record_type, lsn, txn_id, table, tablet, key, group, timestamp, value
+        ), body_end
 
-    def encoded_size(self, *, slim: bool = False) -> int:
-        """Framed size in bytes (what the log charges for this entry)."""
-        return len(self.encode(slim=slim))
+
+@lru_cache(maxsize=1024)
+def _name_field(name: str) -> bytes:
+    """``uvarint(len) + utf-8`` of a table, tablet or group name."""
+    raw = name.encode()
+    return encode_uvarint(len(raw)) + raw
 
 
 def commit_record(txn_id: int, commit_ts: int) -> LogRecord:

@@ -267,8 +267,9 @@ class LogRepository:
         """Random read of one record (a single disk seek, §3.5)."""
         check_deadline("log read")
         with span(SPAN_LOG_READ, self._machine, bytes=pointer.size):
-            record = self._reader(pointer.file_no).read_at(pointer)
-        return self._fill_slim(pointer.file_no, record)
+            return self._reader(pointer.file_no).read_at(
+                pointer, self._slim_meta.get(pointer.file_no)
+            )
 
     def read_many(self, pointers: list[LogPointer]) -> list[LogRecord]:
         """Batch random reads; returns records in input pointer order.
@@ -332,27 +333,10 @@ class LogRepository:
         """Fetch one coalesced span and decode each run member out of it."""
         self._machine.counters.add(READ_MANY_SPANS)
         raw = reader.read_range(start, end - start)
+        scope = self._slim_meta.get(file_no)
         for position in run:
-            pointer = pointers[position]
-            record, _ = LogRecord.decode(raw, pointer.offset - start)
-            results[position] = self._fill_slim(file_no, record)
-
-    def _fill_slim(self, file_no: int, record: LogRecord) -> LogRecord:
-        meta = self._slim_meta.get(file_no)
-        if meta is None or record.table:
-            return record
-        table, group = meta
-        return LogRecord(
-            record_type=record.record_type,
-            lsn=record.lsn,
-            txn_id=record.txn_id,
-            table=table,
-            tablet=record.tablet,
-            key=record.key,
-            group=group,
-            timestamp=record.timestamp,
-            value=record.value,
-        )
+            offset = pointers[position].offset - start
+            results[position], _ = LogRecord.decode(raw, offset, scope)
 
     def scan_segment(
         self, file_no: int, *, start_offset: int = 0
@@ -363,9 +347,10 @@ class LogRepository:
         previously scanned pointer); a follower's log tailer resumes from
         its cursor with it, reading only the segment's unseen suffix.
         """
-        for pointer, record in self._reader(file_no).scan(start=start_offset):
+        scope = self._slim_meta.get(file_no)
+        for entry in self._reader(file_no).scan(start=start_offset, scope=scope):
             check_deadline("log segment scan")
-            yield pointer, self._fill_slim(file_no, record)
+            yield entry
 
     def scan_all(
         self, *, start: LogPointer | None = None

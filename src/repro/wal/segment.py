@@ -85,10 +85,16 @@ class LogSegmentReader:
         """Pick up appends that landed after this reader was opened."""
         self._reader.refresh()
 
-    def read_at(self, pointer: LogPointer) -> LogRecord:
-        """Decode the record at ``pointer`` (one random DFS read)."""
+    def read_at(
+        self, pointer: LogPointer, scope: tuple[str, str] | None = None
+    ) -> LogRecord:
+        """Decode the record at ``pointer`` (one random DFS read).
+
+        ``scope`` is the ``(table, group)`` of a sorted segment, which its
+        slim entries leave out; see :meth:`LogRecord.decode`.
+        """
         raw = self._reader.read(pointer.offset, pointer.size)
-        record, _ = LogRecord.decode(raw)
+        record, _ = LogRecord.decode(raw, 0, scope)
         return record
 
     def read_range(self, offset: int, length: int) -> bytes:
@@ -97,7 +103,9 @@ class LogSegmentReader:
         one such span."""
         return self._reader.read(offset, length)
 
-    def scan(self, *, start: int = 0) -> Iterator[tuple[LogPointer, LogRecord]]:
+    def scan(
+        self, *, start: int = 0, scope: tuple[str, str] | None = None
+    ) -> Iterator[tuple[LogPointer, LogRecord]]:
         """Sequentially decode every record in the segment from ``start``.
 
         With a prefetch window configured, the segment is read in
@@ -109,7 +117,8 @@ class LogSegmentReader:
 
         ``start`` must be a record boundary (a pointer's ``offset + size``
         from a previous scan); a log tailer resumes mid-segment with it and
-        pays only for the bytes past its cursor.
+        pays only for the bytes past its cursor.  ``scope`` is as for
+        :meth:`read_at`.
         """
         length = self._reader.length
         window = self._prefetch_bytes if self._prefetch_bytes > 0 else length - start
@@ -120,7 +129,7 @@ class LogSegmentReader:
         offset = start  # file offset of the next record
         while offset < length:
             try:
-                record, rel_next = LogRecord.decode(buf, offset - base)
+                record, rel_next = LogRecord.decode(buf, offset - base, scope)
             except CorruptLogRecord:
                 if fetched >= length:
                     return  # torn final record (or trailing corruption)

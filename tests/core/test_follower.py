@@ -10,13 +10,14 @@ the next tail pass re-points retired log positions.
 """
 
 import random
+from unittest.mock import Mock
 
 import pytest
 
 from repro import LogBase, LogBaseConfig
 from repro.chaos.invariants import StalenessChecker
 from repro.chaos.oracle import encode_value
-from repro.errors import FollowerLaggingError
+from repro.errors import DataNodeDownError, FollowerLaggingError
 from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan
 
 TABLE = "events"
@@ -395,3 +396,86 @@ def test_gate_off_places_nothing(schema):
     assert tick["replica_lags"] == {}
     assert not db.cluster.master.catalog.followers
     assert all(not s.followers for s in db.cluster.servers)
+
+
+def test_a_follower_that_cannot_tail_does_not_stop_the_heartbeat(schema, monkeypatch):
+    """One follower cut off from every replica of its owner's log is
+    skipped for the tick: the heartbeat returns, the other follower
+    tails, re-replication and the monitor run, and the cut-off replica
+    only ages (out of its staleness bound, so reads fall back)."""
+    db = LogBase(
+        n_nodes=6, config=_rep_config(replicas_per_tablet=2, monitoring=True)
+    )
+    cluster = db.cluster
+    db.create_table(schema, tablets_per_server=1, only_servers=[SOURCE])
+    client = db.client(cluster.machines[-1])
+    keys = [str(k).zfill(12).encode() for k in range(0, 2_000_000_000, 97_000_003)]
+    for i, key in enumerate(keys):
+        client.put_raw(TABLE, key, GROUP, encode_value(i))
+    cluster.heartbeat()
+
+    (tablet_id, hosts), = cluster.master.catalog.followers.items()
+    log = cluster.server_by_name(SOURCE).log
+    files = [
+        cluster.dfs.namenode.get_file(log.segment_path(n)) for n in log.segments()
+    ]
+    holders = {
+        location for meta in files for block in meta.blocks for location in block.locations
+    }
+    cut_off, healthy = sorted(
+        (cluster.server_by_name(name) for name in hosts),
+        key=lambda server: server.machine.name in holders,
+    )
+    assert cut_off.machine.name not in holders
+    assert cut_off.followers[tablet_id].lag(cut_off.machine.clock.now) == 0.0
+    cluster.config.network.partitions.isolate(cut_off.machine.name)
+
+    rereplicate = Mock(wraps=cluster.dfs.heartbeat)
+    monitor_tick = Mock(wraps=cluster.monitor.tick)
+    monkeypatch.setattr(cluster.dfs, "heartbeat", rereplicate)
+    monkeypatch.setattr(cluster.monitor, "tick", monitor_tick)
+
+    lags = []
+    for round_no in range(3):
+        ts = client.put_raw(TABLE, keys[round_no], GROUP, encode_value(round_no))
+        for machine in cluster.machines:
+            machine.clock.advance(0.5)
+        tick = cluster.heartbeat()
+        assert {"rereplicated", "replica_lags", "alerts_fired"} <= tick.keys()
+        assert healthy.followers[tablet_id].watermark >= ts
+        assert cut_off.followers[tablet_id].watermark < ts
+        lags.append(cut_off.followers[tablet_id].lag(cut_off.machine.clock.now))
+    assert rereplicate.call_count == monitor_tick.call_count == 3
+    assert lags == sorted(set(lags)) and lags[0] > 0.0
+    assert cluster.total_counters()["replica.tail_errors"] == 3
+
+
+def test_a_tail_pass_abandoned_midway_counts_what_it_applied(rep_db, monkeypatch):
+    db, keys, _ = rep_db
+    _, server, follower = _the_follower(db)
+    client = db.client(db.cluster.machines[-1])
+    for round_no in range(4):
+        client.put_raw(TABLE, keys[round_no], GROUP, encode_value(round_no))
+    repo = server._tailers[SOURCE].repo
+    scan_segment = repo.scan_segment
+
+    def two_records_then_down(file_no, start_offset=0):
+        for n, item in enumerate(scan_segment(file_no, start_offset=start_offset)):
+            if n == 2:
+                raise DataNodeDownError("all replicas of block 1 are down")
+            yield item
+
+    monkeypatch.setattr(repo, "scan_segment", two_records_then_down)
+    counters = server.machine.counters
+    before = counters.get("replica.lag_records"), counters.get("replica.tail_batches")
+    caught_up_at = follower.caught_up_at
+    server.tail_followed_logs()
+    assert counters.get("replica.lag_records") == before[0] + 2
+    assert counters.get("replica.tail_batches") == before[1] + 1
+    assert counters.get("replica.tail_errors") == 1
+    assert follower.caught_up_at == caught_up_at
+
+    # The cursor stands after the two it applied: the next pass takes the rest.
+    monkeypatch.undo()
+    server.tail_followed_logs()
+    assert counters.get("replica.lag_records") == before[0] + 4

@@ -52,7 +52,7 @@ record_strategy = st.builds(
 def test_log_record_roundtrip(record):
     decoded, offset = LogRecord.decode(record.encode())
     assert decoded == record
-    assert offset == record.encoded_size()
+    assert offset == len(record.encode())
 
 
 @given(record_strategy)

@@ -2,7 +2,9 @@
 
 ``reference`` is the byte-at-a-time table loop that ``repro.util.crc``
 used before it folded on big integers; it stays here as the definition
-the fast implementation is compared against.
+the fast implementation is compared against.  The rule that picks the
+fold sizes lives here too (``sparsest_size``): the module commits its
+result as a literal and these tests derive it again.
 """
 
 import random
@@ -11,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.util import crc as crc_module
 from repro.util.crc import crc32c
+
+POLY = 0x82F63B78
+SIZES = [size for size, _ in crc_module._FOLD_SIZES]
 
 
 def _reference_table() -> tuple[int, ...]:
@@ -34,16 +40,74 @@ def reference(data: bytes, crc: int = 0) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-# Byte lengths of the fold sizes (2^k + 64 bits) from the 16-byte table
-# tail up past 200 KiB, each with its neighbours, plus 17 (the shortest
-# message that folds at all).
+def raw_remainder(data: bytes) -> int:
+    """``data * x^32 mod P``: the reference loop without the init and
+    final XORs."""
+    return reference(data, 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
+def x_power_by_reference(n: int) -> int:
+    """``x^n mod P`` (``n >= 32``) as the remainder of a one-bit message."""
+    length = (n - 32) // 8 + 1
+    message = bytearray(length)
+    message[0] = 1 << (8 * length - 1 - (n - 32))
+    return raw_remainder(bytes(message))
+
+
+def times_x(r: int) -> int:
+    return (r >> 1) ^ POLY if r & 1 else r >> 1
+
+
+def times(a: int, b: int) -> int:
+    product = 0
+    for bit in range(31, -1, -1):  # bit 31 is x^0
+        if b >> bit & 1:
+            product ^= a
+        a = times_x(a)
+    return product
+
+
+def x_power(n: int) -> int:
+    """``x^n mod P`` by square-and-multiply, for sizes no loop can reach."""
+    result, base = 0x80000000, 0x40000000  # x^0, x^1
+    while n:
+        if n & 1:
+            result = times(result, base)
+        base = times(base, base)
+        n >>= 1
+    return result
+
+
+def sparsest_size(below: int) -> tuple[int, int]:
+    """The fold size above ``below``: among the ``min(4096, below // 8)``
+    sizes up to ``2 * below - 31`` (the largest a head folded onto
+    ``below`` bits still fits from), the one whose constant has the fewest
+    set bits — the largest of them on a tie."""
+    limit = 2 * below - 31
+    first = limit - min(4096, below // 8) + 1
+    constant = x_power(first)
+    best = (first, constant)
+    for size in range(first, limit + 1):
+        if constant.bit_count() <= best[1].bit_count():
+            best = (size, constant)
+        constant = times_x(constant)
+    return best
+
+
+# The fold sizes the byte loop can check directly: up to ~280 KB, sixteen
+# of them, so the longest boundary message goes through sixteen rounds.
+CHECKED_SIZES = [size for size in SIZES if size <= 8 * 300 * 1024]
+
+# Byte lengths either side of every checked fold size (a length of
+# ``K // 8 + 1`` bytes is the shortest that folds onto ``K``), plus 17, the
+# shortest message that folds at all.  The ``2^k + 8`` byte lengths +- 1
+# land between the sizes (above 17 bytes none is a size boundary), so their
+# first round folds a head of in-between length; they are also what the
+# power-of-two chunk and block sizes of the DFS plus a short header come to.
 FOLD_BOUNDARIES = sorted(
     {17}
-    | {
-        (1 << k) // 8 + 8 + delta
-        for k in range(6, 22)
-        for delta in (-1, 0, 1)
-    }
+    | {size // 8 + delta for size in CHECKED_SIZES for delta in (-1, 0, 1, 2)}
+    | {(1 << k) // 8 + 8 + delta for k in range(6, 22) for delta in (-1, 0, 1)}
 )
 assert FOLD_BOUNDARIES[0] == 15 and FOLD_BOUNDARIES[-1] > 200 * 1024
 
@@ -96,6 +160,37 @@ def test_reference_loop_agrees_on_the_known_vectors():
     assert reference(bytes(range(32))) == 0x46DD794E
 
 
+def test_every_fold_constant_is_x_to_its_size():
+    for size, constant in crc_module._FOLD_SIZES:
+        assert constant == x_power(size), size
+        if size in CHECKED_SIZES:
+            assert constant == x_power_by_reference(size), size
+
+
+def test_fold_sizes_follow_the_sparse_constant_rule():
+    table = crc_module._FOLD_SIZES
+    assert table[0][0] == 128
+    for (below, _), entry in zip(table, table[1:]):
+        assert entry == sparsest_size(below)
+        assert below < entry[0] <= 2 * below - 31
+    assert max(c.bit_count() for _, c in table) == 13
+    assert max(c.bit_count() for _, c in table[3:]) == 9
+    assert 2 * SIZES[-1] - 31 >= 8 << 37  # any message up to 128 GiB folds
+
+
+def test_matches_reference_at_every_short_length():
+    data = random.Random(700).randbytes(700)
+    for length in range(701):
+        assert crc32c(data[:length]) == reference(data[:length]), length
+
+
+def test_matches_reference_past_three_megabytes():
+    data = random.Random(3).randbytes(3_000_001)
+    expected = reference(data)
+    assert crc32c(data) == expected
+    assert crc32c(data[1_234_567:], crc32c(data[:1_234_567])) == expected
+
+
 @pytest.mark.parametrize("length", FOLD_BOUNDARIES)
 def test_matches_reference_at_every_fold_boundary(length):
     data = random.Random(length).randbytes(length)
@@ -120,6 +215,7 @@ def test_accepts_any_bytes_like_object_without_a_copy(a_len, b_len, seed):
     expected = reference(data)
     assert crc32c(bytearray(data)) == expected
     assert crc32c(memoryview(data)) == expected
-    # A slice of a larger buffer, continued from a running value.
-    view = memoryview(bytearray(data))
-    assert crc32c(view[a_len:], crc32c(view[:a_len])) == expected
+    # Split at an arbitrary point and continued from the running value,
+    # as a slice of a larger buffer and as a copy.
+    for buffer in (data, bytearray(data), memoryview(bytearray(data))):
+        assert crc32c(buffer[a_len:], crc32c(buffer[:a_len])) == expected

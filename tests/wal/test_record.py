@@ -1,8 +1,20 @@
-"""Unit tests for the log record codec."""
+"""Unit tests for the log record codec.
+
+``reference_encode`` is the field-by-field ``bytearray`` encoder
+``LogRecord.encode`` used before it joined its parts in one pass; with
+the two golden frames it is what holds the wire format still.
+"""
+
+import struct
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CorruptLogRecord
+from repro.util.crc import crc32c
+from repro.util.varint import encode_uvarint
 from repro.wal.record import (
     LogPointer,
     LogRecord,
@@ -32,7 +44,7 @@ def test_roundtrip_full():
     record = sample_record()
     decoded, offset = LogRecord.decode(record.encode())
     assert decoded == record
-    assert offset == record.encoded_size()
+    assert offset == len(record.encode())
 
 
 def test_roundtrip_null_value():
@@ -115,3 +127,159 @@ def test_unicode_table_names_roundtrip():
     record = sample_record(table="événements", group="payload-β")
     decoded, _ = LogRecord.decode(record.encode())
     assert decoded.table == "événements" and decoded.group == "payload-β"
+
+
+# -- the wire format is frozen -----------------------------------------------------
+
+
+def reference_encode(record: LogRecord, *, slim: bool = False) -> bytes:
+    body = bytearray()
+    type_byte = int(record.record_type)
+    if slim:
+        type_byte |= 0x80
+    body.append(type_byte)
+    body += encode_uvarint(record.lsn)
+    body += encode_uvarint(record.txn_id)
+    if not slim:
+        for text in (record.table, record.tablet):
+            raw = text.encode()
+            body += encode_uvarint(len(raw))
+            body += raw
+    body += encode_uvarint(len(record.key))
+    body += record.key
+    if not slim:
+        raw = record.group.encode()
+        body += encode_uvarint(len(raw))
+        body += raw
+    body += encode_uvarint(record.timestamp)
+    if record.value is None:
+        body.append(0)
+    else:
+        body.append(1)
+        body += encode_uvarint(len(record.value))
+        body += record.value
+    return struct.pack("<II", len(body), crc32c(body)) + bytes(body)
+
+
+# Multi-byte uvarints everywhere one can occur: lengths and ids past 127,
+# timestamps past 2^35, names whose UTF-8 is longer than their text.
+wide_records = st.builds(
+    LogRecord,
+    record_type=st.sampled_from(list(RecordType)),
+    lsn=st.integers(0, 2**40),
+    txn_id=st.integers(0, 2**30),
+    table=st.text(max_size=150),
+    tablet=st.text(max_size=150),
+    key=st.binary(max_size=300),
+    group=st.text(max_size=150),
+    timestamp=st.one_of(st.integers(0, 200), st.integers(2**35, 2**62)),
+    value=st.one_of(st.none(), st.binary(max_size=300)),
+)
+
+
+@given(wide_records)
+@settings(max_examples=300, deadline=None)
+def test_encode_is_byte_identical_to_the_reference_encoder(record):
+    for slim in (False, True):
+        frame = record.encode(slim=slim)
+        assert frame == reference_encode(record, slim=slim)
+        expected = replace(record, table="", tablet="", group="") if slim else record
+        assert LogRecord.decode(frame) == (expected, len(frame))
+        # Not at the start of the buffer, and not in a ``bytes``.
+        assert LogRecord.decode(bytearray(b"\x00" * 3 + frame), 3) == (
+            expected,
+            3 + len(frame),
+        )
+
+
+GOLDEN_FULL = LogRecord(
+    RecordType.WRITE,
+    lsn=300,
+    txn_id=7,
+    table="événements",
+    tablet="événements#0",
+    key=b"000000000123",
+    group="payload-β",
+    timestamp=2**35 + 99,
+    value=bytes(range(130)),
+)
+GOLDEN_FULL_FRAME = bytes.fromhex(
+    "c3000000a305dd8801ac02070cc3a976c3a96e656d656e74730ec3a976c3a96e"
+    "656d656e747323300c3030303030303030303132330a7061796c6f61642dceb2"
+    "e38080808001018201000102030405060708090a0b0c0d0e0f10111213141516"
+    "1718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f30313233343536"
+    "3738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f50515253545556"
+    "5758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f70717273747576"
+    "7778797a7b7c7d7e7f8081"
+)
+GOLDEN_SLIM = sample_record(record_type=RecordType.INVALIDATE, txn_id=0, value=None)
+GOLDEN_SLIM_FRAME = bytes.fromhex(
+    "12000000fc83b9f8822a000c3030303030303030303132336300"
+)
+GOLDEN_FRAMES = pytest.mark.parametrize(
+    "frame", [GOLDEN_FULL_FRAME, GOLDEN_SLIM_FRAME], ids=["full", "slim"]
+)
+
+
+def test_golden_frames():
+    assert GOLDEN_FULL.encode() == GOLDEN_FULL_FRAME
+    assert LogRecord.decode(GOLDEN_FULL_FRAME) == (GOLDEN_FULL, 203)
+    assert GOLDEN_SLIM.encode(slim=True) == GOLDEN_SLIM_FRAME
+    assert LogRecord.decode(GOLDEN_SLIM_FRAME) == (
+        replace(GOLDEN_SLIM, table="", tablet="", group=""),
+        26,
+    )
+
+
+@GOLDEN_FRAMES
+def test_every_proper_prefix_of_a_frame_is_corrupt(frame):
+    for cut in range(len(frame)):
+        with pytest.raises(CorruptLogRecord):
+            LogRecord.decode(frame[:cut])
+
+
+@GOLDEN_FRAMES
+def test_every_single_bit_flip_of_a_frame_is_corrupt(frame):
+    for bit in range(8 * len(frame)):
+        damaged = bytearray(frame)
+        damaged[bit // 8] ^= 1 << bit % 8
+        with pytest.raises(CorruptLogRecord):
+            LogRecord.decode(bytes(damaged))
+
+
+def test_unknown_record_type_is_a_value_error():
+    body = b"\x09" + GOLDEN_SLIM_FRAME[9:]
+    frame = struct.pack("<II", len(body), crc32c(body)) + body
+    with pytest.raises(ValueError):
+        LogRecord.decode(frame)
+
+
+@pytest.mark.parametrize(
+    "frame, cut",
+    [
+        (GOLDEN_FULL_FRAME, 4),  # table length
+        (GOLDEN_FULL_FRAME, 17),  # tablet length
+        (GOLDEN_FULL_FRAME, 32),  # key length
+        (GOLDEN_FULL_FRAME, 45),  # group length
+        (GOLDEN_SLIM_FRAME, 3),  # key length
+    ],
+)
+def test_body_ending_where_a_length_begins_is_a_value_error(frame, cut):
+    # A checksum that matches a body which stops short: the length reads
+    # raise what decode_uvarint raises there, not an IndexError.
+    body = frame[8 : 8 + cut]
+    with pytest.raises(ValueError, match="truncated uvarint"):
+        LogRecord.decode(struct.pack("<II", len(body), crc32c(body)) + body)
+
+
+def test_scope_fills_what_a_slim_entry_leaves_out():
+    scope = ("events", "payload")
+    decoded, offset = LogRecord.decode(GOLDEN_SLIM_FRAME, 0, scope)
+    assert decoded == replace(GOLDEN_SLIM, tablet="") and offset == 26
+    # A full entry keeps its own names; what takes the segment's is an
+    # entry with no table name, whichever layout it was written in.
+    assert LogRecord.decode(GOLDEN_FULL_FRAME, 0, scope)[0] == GOLDEN_FULL
+    unnamed = commit_record(txn_id=5, commit_ts=123)
+    assert LogRecord.decode(unnamed.encode(), 0, scope)[0] == replace(
+        unnamed, table="events", group="payload"
+    )
