@@ -8,7 +8,7 @@ comparisons isolate exactly the WAL+Data vs. log-only design choice.
 from __future__ import annotations
 
 from repro.baselines.hbase.store import HBaseConfig, HBaseRegionServer
-from repro.config import LogBaseConfig
+from repro.config import RACKS, LogBaseConfig
 from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService
 from repro.core.partition import split_key_domain
@@ -34,15 +34,13 @@ class HBaseCluster:
         self.machines = [
             Machine(
                 f"node-{i}",
-                rack=f"rack-{i % base.racks}",
+                rack=f"rack-{i % RACKS}",
                 disk_model=base.disk,
                 network=base.network,
             )
             for i in range(n_nodes)
         ]
-        self.dfs = DFS(
-            self.machines, replication=base.replication, block_size=base.dfs_block_size
-        )
+        self.dfs = DFS(self.machines, replication=base.replication)
         self.coordination = CoordinationService()
         self.tso = TimestampOracle(self.coordination)
         self.servers = [

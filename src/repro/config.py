@@ -17,8 +17,14 @@ from repro.sim.network import NetworkModel
 GiB = 1024 * 1024 * 1024
 MiB = 1024 * 1024
 
-# Share of heap for the per-machine DFS block cache (when enabled).
+# Heap shares (§4.1: 40 % for in-memory indexes, 20 % for the read cache)
+# and the per-machine DFS block cache's (when enabled).
+INDEX_HEAP_FRACTION = 0.40
+READ_CACHE_HEAP_FRACTION = 0.20
 BLOCK_CACHE_HEAP_FRACTION = 0.10
+
+# Racks the cluster's machines are spread over.
+RACKS = 2
 
 
 @dataclass
@@ -27,11 +33,8 @@ class LogBaseConfig:
 
     Attributes:
         replication: DFS synchronous replication factor.
-        dfs_block_size: DFS block size in bytes.
         segment_size: log segment roll size in bytes.
         heap_bytes: simulated tablet-server heap.
-        index_heap_fraction: share of heap reserved for in-memory indexes.
-        cache_heap_fraction: share of heap for the read cache.
         checkpoint_update_threshold: updates per column group between
             automatic index flushes (0 disables automatic checkpoints).
         read_cache_enabled: whether servers keep a read buffer at all
@@ -98,12 +101,8 @@ class LogBaseConfig:
         hedge_reads: DFS readers fire a hedge to a second replica when
             the preferred replica's estimated cost exceeds the hedging
             delay, and take the cheaper completion.
-        hedge_min_delay: floor for the hedging delay in seconds
-            (kept above a healthy random access so cold monitors never
-            hedge ordinary reads).
         breaker_enabled: trip per-node circuit breakers on EWMA latency
             and bias routing away from open (limping) nodes.
-        breaker_trip_seconds: EWMA latency that opens a breaker.
         breaker_cooldown: seconds an open breaker waits before letting a
             half-open probe through.
         breaker_min_samples: observations before a breaker may trip.
@@ -182,15 +181,11 @@ class LogBaseConfig:
         max_versions: versions kept per key by compaction (None = all).
         disk: device cost model for every machine.
         network: cluster interconnect cost model.
-        racks: number of racks machines are spread over.
     """
 
     replication: int = 3
-    dfs_block_size: int = 64 * MiB
     segment_size: int = 64 * MiB
     heap_bytes: int = 4 * GiB
-    index_heap_fraction: float = 0.40
-    cache_heap_fraction: float = 0.20
     checkpoint_update_threshold: int = 0
     read_cache_enabled: bool = True
     block_cache_enabled: bool = False
@@ -211,9 +206,7 @@ class LogBaseConfig:
     gray_resilience: bool = False
     op_deadline: float | None = None
     hedge_reads: bool = False
-    hedge_min_delay: float = 0.05
     breaker_enabled: bool = False
-    breaker_trip_seconds: float = 0.1
     breaker_cooldown: float = 2.0
     breaker_min_samples: int = 3
     admission_queue_depth: int | None = None
@@ -235,17 +228,16 @@ class LogBaseConfig:
     max_versions: int | None = None
     disk: DiskModel = field(default_factory=DiskModel)
     network: NetworkModel = field(default_factory=NetworkModel)
-    racks: int = 2
 
     @property
     def index_budget_bytes(self) -> int:
         """Heap bytes available for in-memory indexes."""
-        return int(self.heap_bytes * self.index_heap_fraction)
+        return int(self.heap_bytes * INDEX_HEAP_FRACTION)
 
     @property
     def cache_budget_bytes(self) -> int:
         """Heap bytes available for the read cache."""
-        return int(self.heap_bytes * self.cache_heap_fraction)
+        return int(self.heap_bytes * READ_CACHE_HEAP_FRACTION)
 
     @property
     def block_cache_budget_bytes(self) -> int:
@@ -431,9 +423,7 @@ class LogBaseConfig:
 
         return GrayPolicy(
             hedge_reads=self.hedge_reads,
-            hedge_min_delay=self.hedge_min_delay,
             breaker_enabled=self.breaker_enabled,
-            breaker_trip_seconds=self.breaker_trip_seconds,
             breaker_cooldown=self.breaker_cooldown,
             breaker_min_samples=self.breaker_min_samples,
         )
@@ -442,11 +432,6 @@ class LogBaseConfig:
         """Raise ValueError on inconsistent settings."""
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
-        fractions = self.index_heap_fraction + self.cache_heap_fraction
-        if self.block_cache_enabled:
-            fractions += BLOCK_CACHE_HEAP_FRACTION
-        if not 0.0 <= fractions <= 1.0:
-            raise ValueError("heap fractions exceed the heap")
         if self.index_kind not in ("blink", "lsm"):
             raise ValueError(f"unknown index kind {self.index_kind!r}")
         if self.max_versions is not None and self.max_versions < 1:
@@ -475,10 +460,6 @@ class LogBaseConfig:
             )
         if self.op_deadline is not None and self.op_deadline <= 0:
             raise ValueError("op_deadline must be > 0 or None")
-        if self.hedge_min_delay < 0:
-            raise ValueError("hedge_min_delay must be >= 0")
-        if self.breaker_trip_seconds <= 0:
-            raise ValueError("breaker_trip_seconds must be > 0")
         if self.breaker_cooldown < 0:
             raise ValueError("breaker_cooldown must be >= 0")
         if self.breaker_min_samples < 1:

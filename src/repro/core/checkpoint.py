@@ -83,12 +83,7 @@ class CheckpointManager:
             write_index_file(self._dfs, path, server.machine, index)
             index_files[f"{tablet_id}|{group}"] = path
         block = CheckpointBlock(lsn=lsn, position=position, index_files=index_files)
-        block_path = self._block_path()
-        if self._dfs.exists(block_path):
-            self._dfs.delete(block_path)
-        writer = self._dfs.create(block_path, server.machine)
-        writer.append(block.to_bytes())
-        writer.close()
+        self._dfs.install(self._block_path(), block.to_bytes(), server.machine)
         return block
 
     def has_checkpoint(self) -> bool:

@@ -7,7 +7,7 @@ coordination service; a timestamp oracle hands out commit timestamps.
 
 from __future__ import annotations
 
-from repro.config import LogBaseConfig
+from repro.config import RACKS, LogBaseConfig
 from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService
 from repro.core.checkpoint import CheckpointManager
@@ -49,7 +49,7 @@ class LogBaseCluster:
         self.machines = [
             Machine(
                 f"node-{i}",
-                rack=f"rack-{i % self.config.racks}",
+                rack=f"rack-{i % RACKS}",
                 disk_model=self.config.disk,
                 network=self.config.network,
             )
@@ -58,7 +58,6 @@ class LogBaseCluster:
         self.dfs = DFS(
             self.machines,
             replication=self.config.replication,
-            block_size=self.config.dfs_block_size,
             checksum_replicas=self.config.dfs_checksum_replicas,
             block_cache_bytes=(
                 self.config.block_cache_budget_bytes
@@ -127,7 +126,7 @@ class LogBaseCluster:
         tablet server on it, and (optionally) rebalance tablets onto it."""
         machine = Machine(
             f"node-{len(self.machines)}",
-            rack=f"rack-{len(self.machines) % self.config.racks}",
+            rack=f"rack-{len(self.machines) % RACKS}",
             disk_model=self.config.disk,
             network=self.config.network,
         )

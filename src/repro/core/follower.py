@@ -28,9 +28,8 @@ immutable — and scans each sorted segment exactly once when it appears.
 Sorted segments matter for two reasons: they re-emit live versions under
 *new* pointers (the originals are about to be retired, so the follower's
 index entries would dangle), and they carry re-emitted tombstones.
-Replay mirrors recovery's redo exactly: commit-gated transactional
-records, immediate auto-commits, and a persistent per-tailer tombstone
-map so out-of-file-order tombstones cannot resurrect deleted versions.
+Replay is recovery's redo (:mod:`repro.wal.replay`): one commit gate and
+one tombstone map per tailer, both living as long as the subscription.
 ``insert`` replaces at (key, timestamp), so replay is idempotent — a
 fresh subscriber simply resets the cursor and the whole stream replays.
 
@@ -54,7 +53,8 @@ from repro.sim.metrics import (
     REPLICA_TAIL_BATCHES,
     SPAN_FOLLOWER_TAIL,
 )
-from repro.wal.record import LogPointer, LogRecord, RecordType
+from repro.wal.record import LogPointer, LogRecord
+from repro.wal.replay import CommitGate, Tombstones, redo
 from repro.wal.repository import LogRepository
 
 
@@ -136,14 +136,11 @@ class LogTailer:
         # Per-sorted-segment resume offsets and the set fully consumed.
         self._sorted_progress: dict[int, int] = {}
         self._sorted_done: set[int] = set()
-        # Commit-gated transactional records buffered until their COMMIT
-        # (mirrors recovery's redo), and the persistent tombstone map that
-        # keeps out-of-file-order replay resurrection-safe.
-        self._pending: dict[int, list[tuple[LogPointer, LogRecord]]] = {}
-        self._tombstones: dict[tuple[str, str, bytes], int] = {}
-        # Highest committed timestamp the stream has applied; synced into
-        # every member's watermark on a fully drained pass.
-        self._stream_watermark = 0
+        # The redo state of the stream.  The gate's watermark — the
+        # highest commit timestamp it let through — is synced into every
+        # member's on a fully drained pass.
+        self._gate = CommitGate(self._redo)
+        self._tombstones: Tombstones = {}
 
     # -- membership -----------------------------------------------------------
 
@@ -165,9 +162,8 @@ class LogTailer:
         self._cursor = (0, 0)
         self._sorted_progress.clear()
         self._sorted_done.clear()
-        self._pending.clear()
+        self._gate = CommitGate(self._redo)
         self._tombstones.clear()
-        self._stream_watermark = 0
 
     def unsubscribe(self, tablet_id: str) -> None:
         """Drop a replica (teardown on ownership change or re-placement)."""
@@ -186,6 +182,7 @@ class LogTailer:
         """
         with span(SPAN_FOLLOWER_TAIL, self._machine, owner=self.owner_name):
             applied = 0
+            feed = self._gate.feed
             try:
                 self.repo.refresh_from_dfs()
                 scanned = 0
@@ -218,7 +215,7 @@ class LogTailer:
                             drained = False
                             break
                         scanned += 1
-                        applied += self._consume(pointer, record, committed=False)
+                        applied += feed(pointer, record)
                         self._cursor = (file_no, pointer.offset + pointer.size)
                     if not drained:
                         break
@@ -241,7 +238,7 @@ class LogTailer:
                                 complete = False
                                 break
                             scanned += 1
-                            applied += self._consume(pointer, record, committed=True)
+                            applied += feed(pointer, record, True)
                             self._sorted_progress[file_no] = (
                                 pointer.offset + pointer.size
                             )
@@ -254,7 +251,7 @@ class LogTailer:
                 if drained:
                     now = self._machine.clock.now
                     for member in self.members.values():
-                        member.watermark = max(member.watermark, self._stream_watermark)
+                        member.watermark = max(member.watermark, self._gate.watermark)
                         member.caught_up_at = now
             finally:
                 # Also when a read fails mid-pass: what was applied stays applied.
@@ -263,72 +260,13 @@ class LogTailer:
                     self._machine.counters.add(REPLICA_TAIL_BATCHES)
             return applied, drained
 
-    # -- replay (mirrors recovery's redo_scan) --------------------------------
-
-    def _consume(
-        self, pointer: LogPointer, record: LogRecord, *, committed: bool
-    ) -> int:
-        """Route one scanned record; returns how many index effects landed."""
-        kind = record.record_type
-        if kind is RecordType.WRITE:
-            if record.txn_id == 0 or committed:
-                return self._apply_write(record, pointer)
-            self._pending.setdefault(record.txn_id, []).append((pointer, record))
-            return 0
-        if kind is RecordType.INVALIDATE:
-            if record.txn_id == 0 or committed:
-                return self._apply_delete(record)
-            self._pending.setdefault(record.txn_id, []).append((pointer, record))
-            return 0
-        if kind is RecordType.COMMIT:
-            applied = 0
-            for buffered_pointer, buffered in self._pending.pop(record.txn_id, []):
-                if buffered.record_type is RecordType.WRITE:
-                    applied += self._apply_write(buffered, buffered_pointer)
-                else:
-                    applied += self._apply_delete(buffered)
-            self._stream_watermark = max(self._stream_watermark, record.timestamp)
-            return applied
-        if kind is RecordType.ABORT:
-            self._pending.pop(record.txn_id, None)
-        return 0
-
-    def _member_for(self, table: str, key: bytes) -> FollowerTablet | None:
+    def _redo(self, pointer: LogPointer, record: LogRecord) -> bool:
+        """Redo one effective record into the member covering its key."""
+        index = None
         for member in self.members.values():
-            if member.tablet.table == table and member.tablet.covers(key):
-                return member
-        return None
-
-    def _apply_write(self, record: LogRecord, pointer: LogPointer) -> int:
-        member = self._member_for(record.table, record.key)
-        self._stream_watermark = max(self._stream_watermark, record.timestamp)
-        if member is None:
-            return 0
-        slot = (record.table, record.group, record.key)
-        if self._tombstones.get(slot, -1) >= record.timestamp:
-            return 0  # version shadowed by an already-seen tombstone
-        member.index(record.group).insert(record.key, record.timestamp, pointer)
-        member.watermark = max(member.watermark, record.timestamp)
-        return 1
-
-    def _apply_delete(self, record: LogRecord) -> int:
-        slot = (record.table, record.group, record.key)
-        self._tombstones[slot] = max(
-            self._tombstones.get(slot, -1), record.timestamp
-        )
-        self._stream_watermark = max(self._stream_watermark, record.timestamp)
-        member = self._member_for(record.table, record.key)
-        if member is None:
-            return 0
-        index = member.index(record.group)
-        # Kill versions at or below the marker's timestamp only: sorted
-        # segments re-emit tombstones out of file order relative to newer
-        # surviving versions (same rule as recovery's redo).
-        survivors = [
-            e for e in index.versions(record.key) if e.timestamp > record.timestamp
-        ]
-        index.delete_key(record.key)
-        for entry in survivors:
-            index.insert(entry.key, entry.timestamp, entry.pointer)
-        member.watermark = max(member.watermark, record.timestamp)
-        return 1
+            if member.tablet.table == record.table and member.tablet.covers(record.key):
+                if record.timestamp > member.watermark:
+                    member.watermark = record.timestamp
+                index = member.index(record.group)
+                break
+        return redo(index, pointer, record, self._tombstones)

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.checkpoint import CheckpointManager
 from repro.core.tablet_server import TabletServer
 from repro.dfs.filesystem import DFS
 from repro.errors import RecoveryError, TabletNotFound
 from repro.obs.hist import Histogram
-from repro.obs.trace import root_span, span
+from repro.obs.trace import span
 from repro.sim.failure import (
     CP_ADOPT_MID,
     CP_RECOVERY_MID,
@@ -47,6 +48,7 @@ from repro.sim.metrics import (
 )
 from repro.sim.scheduler import ConcurrentScheduler, Invoke, measured
 from repro.wal.record import LogPointer, LogRecord, RecordType
+from repro.wal.replay import CommitGate, Tombstones, as_committed, redo
 from repro.wal.repository import LogRepository
 
 
@@ -111,14 +113,13 @@ def redo_scan(
         repository: log to scan; defaults to the server's own log (a
             split-log file from a failed peer may be passed instead).
 
-    Transactional writes are buffered per transaction and applied only
-    when that transaction's COMMIT record is found; trailing uncommitted
-    writes are ignored (they will disappear at the next compaction).
+    What takes effect is decided by :mod:`repro.wal.replay`; records
+    still behind the commit gate when the scan ends are ignored (they
+    will disappear at the next compaction).
     """
     report = RecoveryReport()
     log = repository if repository is not None else server.log
-    pending: dict[int, list[tuple[LogPointer, LogRecord]]] = defaultdict(list)
-    tombstones: dict[tuple[str, str, bytes], int] = {}
+    gate = CommitGate(_redo_into(server, report))
     max_lsn = min_lsn
     current_segment = -1
     with span(SPAN_RECOVERY_REDO, log.machine):
@@ -130,27 +131,9 @@ def redo_scan(
                 )
             report.records_scanned += 1
             max_lsn = max(max_lsn, record.lsn)
-            if record.lsn <= min_lsn:
-                continue
-            if record.record_type is RecordType.WRITE:
-                if record.txn_id == 0:
-                    _apply(server, record, pointer, report, tombstones)
-                else:
-                    pending[record.txn_id].append((pointer, record))
-            elif record.record_type is RecordType.INVALIDATE:
-                if record.txn_id == 0:
-                    _apply_delete(server, record, report, tombstones)
-                else:
-                    pending[record.txn_id].append((pointer, record))
-            elif record.record_type is RecordType.COMMIT:
-                for buffered_pointer, buffered in pending.pop(record.txn_id, []):
-                    if buffered.record_type is RecordType.WRITE:
-                        _apply(server, buffered, buffered_pointer, report, tombstones)
-                    else:
-                        _apply_delete(server, buffered, report, tombstones)
-            elif record.record_type is RecordType.ABORT:
-                pending.pop(record.txn_id, None)
-    report.uncommitted_ignored = sum(len(v) for v in pending.values())
+            if record.lsn > min_lsn:
+                gate.feed(pointer, record)
+    report.uncommitted_ignored = gate.uncommitted
     if log is server.log:
         # Only a scan of the server's *own* log may move its LSN cursor:
         # scanning a foreign repository (a dead peer's split file) says
@@ -159,54 +142,27 @@ def redo_scan(
     return report
 
 
-def _apply(
-    server: TabletServer,
-    record: LogRecord,
-    pointer: LogPointer,
-    report: RecoveryReport,
-    tombstones: dict[tuple[str, str, bytes], int] | None = None,
-) -> None:
-    try:
-        index = server.index_for(record.table, record.key, record.group)
-    except TabletNotFound:
-        return  # tablet now owned elsewhere
-    if tombstones is not None:
-        # Incremental compaction re-homes versions into sorted runs whose
-        # file order no longer matches timestamp order: a write can appear
-        # *after* the tombstone that shadows it (e.g. the delete marker
-        # still sits in the unsorted tail while a merge re-emitted the old
-        # version into a higher-numbered run).  Timestamps disambiguate —
-        # a version at or below a seen tombstone is dead regardless of
-        # scan order (the TSO makes any legitimate rebirth strictly newer).
-        if tombstones.get((record.table, record.group, record.key), -1) >= record.timestamp:
-            return
-    index.insert(record.key, record.timestamp, pointer)
-    report.writes_applied += 1
+def _redo_into(server: TabletServer, report: RecoveryReport):
+    """The ``apply`` every recovery path hands its :class:`CommitGate`:
+    :func:`~repro.wal.replay.redo` into the index ``server`` holds for the
+    record, counted in ``report``.  One closure is one scan (it owns the
+    scan's tombstone marks)."""
+    tombstones: Tombstones = {}
 
+    def apply(pointer: LogPointer, record: LogRecord) -> bool:
+        try:
+            index = server.index_for(record.table, record.key, record.group)
+        except TabletNotFound:
+            index = None  # tablet now owned elsewhere
+        if not redo(index, pointer, record, tombstones):
+            return False
+        if record.record_type is RecordType.WRITE:
+            report.writes_applied += 1
+        else:
+            report.deletes_applied += 1
+        return True
 
-def _apply_delete(
-    server: TabletServer,
-    record: LogRecord,
-    report: RecoveryReport,
-    tombstones: dict[tuple[str, str, bytes], int] | None = None,
-) -> None:
-    if tombstones is not None:
-        slot = (record.table, record.group, record.key)
-        tombstones[slot] = max(tombstones.get(slot, -1), record.timestamp)
-    try:
-        index = server.index_for(record.table, record.key, record.group)
-    except TabletNotFound:
-        return
-    # An INVALIDATE kills versions at or below its timestamp, not the key
-    # wholesale: incremental compaction re-emits tombstones into sorted
-    # runs whose file order no longer matches timestamp order, so a redo
-    # may apply a newer surviving version *before* it reaches the
-    # tombstone that only shadows older ones.
-    survivors = [e for e in index.versions(record.key) if e.timestamp > record.timestamp]
-    index.delete_key(record.key)
-    for entry in survivors:
-        index.insert(entry.key, entry.timestamp, entry.pointer)
-    report.deletes_applied += 1
+    return apply
 
 
 def recover_server(server: TabletServer, checkpoints: CheckpointManager) -> RecoveryReport:
@@ -214,12 +170,10 @@ def recover_server(server: TabletServer, checkpoints: CheckpointManager) -> Reco
     start_clock = server.machine.clock.now
     # Recovery runs with no client op open, so on a traced cluster it
     # starts its own trace; on an untraced one the span is a no-op.
-    scope = (
-        root_span(SPAN_RECOVERY_RECOVER, server.machine, server=server.name)
-        if server.config.tracing
-        else span(SPAN_RECOVERY_RECOVER, server.machine, server=server.name)
-    )
-    with scope:
+    with span(
+        SPAN_RECOVERY_RECOVER, server.machine, root=server.config.tracing,
+        server=server.name,
+    ):
         # Spilled (LSM) indexes can reopen their flushed runs from the
         # manifest instead of rebuilding them from the log.
         for index in server.indexes().values():
@@ -250,21 +204,6 @@ class SplitLogs:
     # Source-log position right after the last record the scan covered;
     # a live migration's flip delta re-splits from here.
     end: LogPointer | None = None
-
-
-def _atomic_write(dfs: DFS, path: str, payload: bytes, machine: Machine) -> None:
-    """Install ``payload`` at ``path`` via tmp + rename (same idiom as the
-    compaction manifest): readers see either the old file or the complete
-    new one, never a torn prefix."""
-    tmp = path + ".tmp"
-    if dfs.exists(tmp):
-        dfs.delete(tmp)  # stale leftover from a crashed writer
-    writer = dfs.create(tmp, machine)
-    writer.append(payload)
-    writer.close()
-    if dfs.exists(path):
-        dfs.delete(path)
-    dfs.rename(tmp, path)
 
 
 def split_fence_path(failed_server_name: str) -> str:
@@ -339,26 +278,24 @@ def split_log_by_tablet(
     result = SplitLogs(end=failed_log.end_pointer())
     for tablet_id, frames in sorted(buffers.items()):
         path = f"/logbase/splits/{out}/{tablet_id}/segment-00000001.log"
-        tmp = path + ".tmp"
-        if dfs.exists(tmp):
-            dfs.delete(tmp)
-        writer = dfs.create(tmp, splitter)
-        writer.append(b"".join(frames))
-        writer.close()
-        # A crash here leaves only the tmp file: reattach skips it (not a
-        # numbered segment) and an adopter still sees the previous split —
-        # or nothing — never a torn one.
-        crash_point(CP_SPLIT_PERSIST, server=failed_server_name, tablet=tablet_id)
-        if dfs.exists(path):
-            dfs.delete(path)
-        dfs.rename(tmp, path)
+        # A crash before the swap leaves only the staged file: reattach
+        # skips it (not a numbered segment) and an adopter still sees the
+        # previous split — or nothing — never a torn one.
+        dfs.install(
+            path,
+            b"".join(frames),
+            splitter,
+            before_swap=partial(
+                crash_point, CP_SPLIT_PERSIST, server=failed_server_name, tablet=tablet_id
+            ),
+        )
         splitter.counters.add(RECOVERY_SPLITS_PERSISTED)
         result.paths[tablet_id] = path
     if fence is not None:
         # The fence goes in last: it vouches that every split file above
         # belongs to this epoch.  Crashing before this line leaves a
         # stale (or absent) fence and adopters refuse the directory.
-        _atomic_write(dfs, split_fence_path(out), str(fence).encode(), splitter)
+        dfs.install(split_fence_path(out), str(fence).encode(), splitter)
     return result
 
 
@@ -399,8 +336,7 @@ def adopt_split_log(
     split_root = f"/logbase/splits/{failed_server_name}/{tablet_id}"
     split_repo = LogRepository.reattach(dfs, server.machine, split_root)
     report = RecoveryReport()
-    pending: dict[int, list[LogRecord]] = defaultdict(list)
-    tombstones: dict[tuple[str, str, bytes], int] = {}
+    apply = _redo_into(server, report)
 
     def already_adopted(record: LogRecord) -> bool:
         # TSO timestamps are unique per version, so an index entry with
@@ -415,62 +351,28 @@ def adopt_split_log(
             for entry in index.versions(record.key)
         )
 
-    def as_committed(record: LogRecord) -> LogRecord:
-        # Only committed records reach replay, and the commit markers
-        # themselves are not rewritten into the adopter's log — re-home
-        # the record as auto-committed (txn_id 0) so a later compaction
-        # or redo scan of the adopter's log does not drop it as
-        # uncommitted (same trick compaction plays for slim records).
-        if record.txn_id == 0:
-            return record
-        return LogRecord(
-            record_type=record.record_type,
-            lsn=record.lsn,
-            txn_id=0,
-            table=record.table,
-            tablet=record.tablet,
-            key=record.key,
-            group=record.group,
-            timestamp=record.timestamp,
-            value=record.value,
-        )
+    def rehome(_: LogPointer, record: LogRecord) -> bool:
+        crash_point(CP_ADOPT_MID, server=server.name, tablet=tablet_id)
+        if record.record_type is RecordType.WRITE and already_adopted(record):
+            report.skipped += 1
+            server.machine.counters.add(RECOVERY_ADOPT_SKIPPED)
+            return False
+        # A tombstone is not deduped: its replay is naturally idempotent
+        # (the mark only moves forward) and duplicates from a restarted
+        # adoption collapse at the next compaction's (key, timestamp)
+        # dedupe.  The commit markers are not rewritten, hence the stamp.
+        pointer, _ = server.log.append(as_committed(record))
+        return apply(pointer, record)
 
-    def replay(record: LogRecord) -> None:
-        if record.record_type is RecordType.WRITE:
-            crash_point(CP_ADOPT_MID, server=server.name, tablet=tablet_id)
-            if already_adopted(record):
-                report.skipped += 1
-                server.machine.counters.add(RECOVERY_ADOPT_SKIPPED)
-                return
-            pointer, stamped = server.log.append(as_committed(record))
-            _apply(server, stamped, pointer, report, tombstones)
-        elif record.record_type is RecordType.INVALIDATE:
-            crash_point(CP_ADOPT_MID, server=server.name, tablet=tablet_id)
-            # Tombstone replay is naturally idempotent (the watermark only
-            # moves forward); duplicates from a restarted adoption collapse
-            # at the next compaction's (key, timestamp) dedupe.
-            server.log.append(as_committed(record))
-            _apply_delete(server, record, report, tombstones)
-
-    scope = (
-        root_span(SPAN_RECOVERY_ADOPT, server.machine, tablet=tablet_id)
-        if server.config.tracing
-        else span(SPAN_RECOVERY_ADOPT, server.machine, tablet=tablet_id)
-    )
-    with scope:
-        for _, record in split_repo.scan_all():
+    gate = CommitGate(rehome)
+    with span(
+        SPAN_RECOVERY_ADOPT, server.machine, root=server.config.tracing,
+        tablet=tablet_id,
+    ):
+        for pointer, record in split_repo.scan_all():
             report.records_scanned += 1
-            if record.record_type in (RecordType.WRITE, RecordType.INVALIDATE):
-                if record.txn_id == 0:
-                    replay(record)
-                else:
-                    pending[record.txn_id].append(record)
-            elif record.record_type is RecordType.COMMIT:
-                for buffered in pending.pop(record.txn_id, []):
-                    replay(buffered)
-            elif record.record_type is RecordType.ABORT:
-                pending.pop(record.txn_id, None)
-    report.uncommitted_ignored = sum(len(v) for v in pending.values())
+            gate.feed(pointer, record)
+    report.uncommitted_ignored = gate.uncommitted
     return report
 
 
@@ -488,10 +390,9 @@ def recover_server_parallel(
     clients of the :class:`~repro.sim.scheduler.ConcurrentScheduler`:
 
     1. **Partitioned tail scan** — the log segments after the checkpoint
-       position are scanned concurrently; records are *collected* and
-       bucketed per tablet (nothing is applied yet), commit/abort markers
-       are gathered globally.  Scan wall-clock is the widest worker's
-       lane, not the whole log.
+       position are scanned concurrently; records are *collected* per
+       segment (nothing is applied yet).  Scan wall-clock is the widest
+       worker's lane, not the whole log.
     2. **Hot-first bring-up** — tablets ordered by access heat (hottest
        first) are brought up concurrently: reload the tablet's checkpoint
        index files, apply its gated records in the sequential redo's
@@ -499,11 +400,11 @@ def recover_server_parallel(
        tablet's own redo completes, ops on it raise the retryable
        :class:`~repro.errors.TabletRecoveringError`.
 
-    Commit gating is resolved between the phases in plain bookkeeping: a
-    transactional record applies iff a COMMIT marker with a higher LSN
-    exists, and records apply in ``(commit LSN, record LSN)`` order —
-    exactly the order the sequential scan applies them — so the resulting
-    index state matches :func:`recover_server` on the same log.
+    Commit gating is resolved between the phases in plain bookkeeping:
+    what the lanes collected goes through the same
+    :class:`~repro.wal.replay.CommitGate` in log order, so this path
+    differs from :func:`recover_server` in scheduling only and the
+    resulting index state matches it on the same log.
 
     The pass is restartable: it mutates only in-memory indexes (plus the
     max-clamped LSN cursor), so a crash at :data:`CP_RECOVERY_MID` and a
@@ -523,12 +424,10 @@ def recover_server_parallel(
     report = RecoveryReport(parallel=True)
     redo_histogram = Histogram(HIST_RECOVERY_TABLET_SECONDS)
 
-    scope = (
-        root_span(SPAN_RECOVERY_RECOVER, machine, server=server.name, parallel=True)
-        if server.config.tracing
-        else span(SPAN_RECOVERY_RECOVER, machine, server=server.name, parallel=True)
-    )
-    with scope:
+    with span(
+        SPAN_RECOVERY_RECOVER, machine, root=server.config.tracing,
+        server=server.name, parallel=True,
+    ):
         server.begin_tablet_recovery(server.tablets.keys())
 
         block = None
@@ -551,16 +450,13 @@ def recover_server_parallel(
             if start is None or file_no >= start.file_no
         ]
         shared = {"max_lsn": min_lsn, "scanned": 0}
-        committed: dict[int, int] = {}  # txn id -> COMMIT marker LSN
-        aborted: set[int] = set()
-        # tablet id -> [(record LSN, pointer, record)]; "" collects
-        # records routing to no local tablet (owned elsewhere) so the
-        # uncommitted count still matches the sequential scan's.
-        buckets: dict[str, list[tuple[int, LogPointer, LogRecord]]] = defaultdict(list)
+        # segment -> what its lane scanned past the checkpoint, in order
+        collected: dict[int, list[tuple[LogPointer, LogRecord]]] = {}
 
         def scan_segment_fn(file_no: int):
             def run(now: float) -> None:
                 crash_point(CP_RECOVERY_MID, server=server.name, segment=file_no)
+                kept = collected[file_no] = []
                 for pointer, record in server.log.scan_segment(file_no):
                     if (
                         start is not None
@@ -571,19 +467,8 @@ def recover_server_parallel(
                     shared["scanned"] += 1
                     if record.lsn > shared["max_lsn"]:
                         shared["max_lsn"] = record.lsn
-                    if record.lsn <= min_lsn:
-                        continue
-                    if record.record_type is RecordType.COMMIT:
-                        committed[record.txn_id] = record.lsn
-                    elif record.record_type is RecordType.ABORT:
-                        aborted.add(record.txn_id)
-                    else:
-                        try:
-                            tablet = server._route(record.table, record.key)
-                            tablet_key = str(tablet.tablet_id)
-                        except TabletNotFound:
-                            tablet_key = ""
-                        buckets[tablet_key].append((record.lsn, pointer, record))
+                    if record.lsn > min_lsn:
+                        kept.append((pointer, record))
 
             return measured(machine, run)
 
@@ -602,39 +487,29 @@ def recover_server_parallel(
         server.log.set_next_lsn(shared["max_lsn"] + 1)
 
         # -- commit gating (plain bookkeeping, no simulated cost) -------
-        def resolve(
-            bucket: list[tuple[int, LogPointer, LogRecord]],
-        ) -> tuple[list[tuple[int, int, LogPointer, LogRecord]], int]:
-            eligible: list[tuple[int, int, LogPointer, LogRecord]] = []
-            uncommitted = 0
-            for lsn, pointer, record in bucket:
-                if record.txn_id == 0:
-                    eligible.append((lsn, lsn, pointer, record))
-                    continue
-                commit_lsn = committed.get(record.txn_id)
-                if commit_lsn is not None and commit_lsn > lsn:
-                    # Sequential redo applies a txn's records when it
-                    # reaches the COMMIT marker: effective order is the
-                    # marker's LSN, ties broken by append order.
-                    eligible.append((commit_lsn, lsn, pointer, record))
-                elif record.txn_id not in aborted:
-                    uncommitted += 1
-            eligible.sort(key=lambda item: (item[0], item[1]))
-            return eligible, uncommitted
+        # The lanes' output goes through the gate in log order, so each
+        # tablet's effective records queue in the order the sequential
+        # scan would have applied them.
+        effective: dict[str, list[tuple[LogPointer, LogRecord]]] = defaultdict(list)
 
-        foreign = buckets.pop("", None)
-        if foreign is not None:
-            _, uncommitted = resolve(foreign)
-            report.uncommitted_ignored += uncommitted
+        def enqueue(pointer: LogPointer, record: LogRecord) -> bool:
+            try:
+                tablet = server._route(record.table, record.key)
+            except TabletNotFound:
+                return False  # owned elsewhere: nothing to redo here
+            effective[str(tablet.tablet_id)].append((pointer, record))
+            return True
+
+        gate = CommitGate(enqueue)
+        for file_no in tail:
+            for pointer, record in collected[file_no]:
+                gate.feed(pointer, record)
+        report.uncommitted_ignored = gate.uncommitted
 
         order = sorted(
             server.tablets.keys(), key=lambda tid: (-heat.get(tid, 0.0), tid)
         )
-        resolved: dict[str, list[tuple[int, int, LogPointer, LogRecord]]] = {}
-        for tablet_key in order:
-            eligible, uncommitted = resolve(buckets.get(tablet_key, []))
-            resolved[tablet_key] = eligible
-            report.uncommitted_ignored += uncommitted
+        apply = _redo_into(server, report)
 
         # -- phase 2: hot-first per-tablet bring-up ---------------------
         def bring_up_fn(tablet_key: str):
@@ -650,12 +525,8 @@ def recover_server_parallel(
                             reopen()
                     if block is not None:
                         checkpoints.load_tablet(block, tablet_key)
-                    tombstones: dict[tuple[str, str, bytes], int] = {}
-                    for _, _, pointer, record in resolved[tablet_key]:
-                        if record.record_type is RecordType.WRITE:
-                            _apply(server, record, pointer, report, tombstones)
-                        else:
-                            _apply_delete(server, record, report, tombstones)
+                    for pointer, record in effective.get(tablet_key, ()):
+                        apply(pointer, record)
                 seconds = machine.clock.now - clock0
                 server.finish_tablet_recovery(tablet_key)
                 ready_at = now + seconds

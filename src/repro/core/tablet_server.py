@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.index.blink import BLinkTreeIndex
 from repro.index.interface import MultiversionIndex
 from repro.index.lsm import LSMTreeIndex
-from repro.obs.trace import root_span, span
+from repro.obs.trace import span
 from repro.query.secondary import SecondaryIndexManager
 from repro.sim.deadline import check_deadline
 from repro.sim.health import AdmissionController
@@ -175,14 +175,6 @@ class TabletServer:
             if self.config.group_commit
             else None
         )
-
-    def _maint_span(self, name: str, **attrs):
-        """A span for server-driven maintenance (compaction): may start a
-        trace of its own on a traced cluster; inside a traced client op it
-        nests, and on an untraced cluster it is a no-op."""
-        if self.config.tracing:
-            return root_span(name, self.machine, server=self.name, **attrs)
-        return span(name, self.machine, server=self.name, **attrs)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -1051,7 +1043,12 @@ class TabletServer:
                 version always survives).
         """
         self._require_serving()
-        with self._maint_span(SPAN_COMPACTION_ROUND):
+        # Server-driven maintenance may start a trace of its own on a
+        # traced cluster; inside a traced client op it nests.
+        with span(
+            SPAN_COMPACTION_ROUND, self.machine, root=self.config.tracing,
+            server=self.name,
+        ):
             inputs = self.log.segments()
             self.log.roll()
             planner = CompactionPlanner(

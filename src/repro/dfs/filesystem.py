@@ -350,6 +350,29 @@ class DFS:
         """Atomically rename ``src`` to ``dst``."""
         self.namenode.rename(src, dst)
 
+    def install(
+        self, path: str, payload: bytes, writer: Machine, before_swap=None
+    ) -> None:
+        """Atomically replace ``path`` with a file holding ``payload``.
+
+        The bytes land in ``path + ".tmp"`` first and are renamed over
+        ``path`` only once complete, so a crash at any point — including
+        inside the append — leaves the previous file, or none, never a
+        torn one.  ``before_swap`` runs between the write and the swap
+        (callers hang their crash point there).
+        """
+        tmp = path + ".tmp"
+        if self.exists(tmp):
+            self.delete(tmp)  # stale leftover from a crashed writer
+        handle = self.create(tmp, writer)
+        handle.append(payload)
+        handle.close()
+        if before_swap is not None:
+            before_swap()
+        if self.exists(path):
+            self.delete(path)
+        self.rename(tmp, path)
+
     def list_files(self, prefix: str = "") -> list[str]:
         """Paths under ``prefix``, sorted."""
         return self.namenode.list_files(prefix)

@@ -71,14 +71,10 @@ def write_index_file(
 ) -> int:
     """Persist every entry of ``index`` to ``path``; returns bytes written.
 
-    Overwrites any existing file at ``path`` (checkpoints replace their
-    predecessor)."""
+    Atomically replaces any existing file at ``path`` (checkpoints
+    replace their predecessor, which a crash mid-write must not lose)."""
     payload = encode_entries(list(index.entries()))
-    if dfs.exists(path):
-        dfs.delete(path)
-    writer = dfs.create(path, machine)
-    writer.append(payload)
-    writer.close()
+    dfs.install(path, payload, machine)
     return len(payload)
 
 

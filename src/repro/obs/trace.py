@@ -185,35 +185,39 @@ class _SpanScope:
         return False
 
 
-def span(name: str, machine: "Machine", *, background: bool = False, **attrs):
+def span(
+    name: str,
+    machine: "Machine",
+    *,
+    background: bool = False,
+    root: bool = False,
+    **attrs,
+):
     """A child span: records only inside an already-open trace.
 
     No-op (returns a shared null context manager) unless a tracer is
     installed and an enclosing span is current — shared infrastructure
     (WAL, DFS) calls this unconditionally and pays nothing when the
     calling cluster is untraced.
-    """
-    tracer = _TRACER
-    if tracer is None:
-        return _NULL
-    parent = _CURRENT.get()
-    if parent is None:
-        return _NULL
-    return _SpanScope(tracer, name, machine, parent, background, attrs)
 
-
-def root_span(name: str, machine: "Machine", **attrs):
-    """A span that may start a new trace.
-
-    Only config-gated entry points (client ops, tablet-server calls and
-    maintenance on a ``config.tracing`` cluster) call this; inside an
-    already-open trace it degrades to a child span, so e.g. a server-side
+    With ``root`` the span may instead start a new trace.  Only
+    config-gated entry points (client ops, tablet-server calls and
+    maintenance) pass it, as ``root=config.tracing``; inside an
+    already-open trace it is still a child span, so e.g. a server-side
     compaction triggered within a traced client op nests correctly.
     """
     tracer = _TRACER
     if tracer is None:
         return _NULL
-    return _SpanScope(tracer, name, machine, _CURRENT.get(), False, attrs)
+    parent = _CURRENT.get()
+    if parent is None and not root:
+        return _NULL
+    return _SpanScope(tracer, name, machine, parent, background, attrs)
+
+
+def root_span(name: str, machine: "Machine", **attrs):
+    """A span that may start a new trace: ``span(..., root=True)``."""
+    return span(name, machine, root=True, **attrs)
 
 
 def current_span() -> Span | None:

@@ -27,7 +27,7 @@ from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService, Session
 from repro.core.master import Master
 from repro.errors import LogBaseError, TransactionAborted, ValidationConflict
-from repro.obs.trace import root_span, span
+from repro.obs.trace import span
 from repro.sim.failure import CP_TXN_POST_COMMIT, CP_TXN_PRE_COMMIT, crash_point
 from repro.sim.metrics import SPAN_TXN_COMMIT
 from repro.txn.transaction import Slot, Transaction, TxnStatus
@@ -266,18 +266,10 @@ class TransactionManager:
         # runs on no machine); root-capable so a bare txn workload on a
         # traced cluster still produces traces.
         first_server = self._master.server(next(iter(by_server)))
-        scope = (
-            root_span(
-                SPAN_TXN_COMMIT, first_server.machine,
-                txn=txn.txn_id, participants=len(by_server),
-            )
-            if self.tracing
-            else span(
-                SPAN_TXN_COMMIT, first_server.machine,
-                txn=txn.txn_id, participants=len(by_server),
-            )
-        )
-        with scope:
+        with span(
+            SPAN_TXN_COMMIT, first_server.machine, root=self.tracing,
+            txn=txn.txn_id, participants=len(by_server),
+        ):
             if len(by_server) == 1:
                 # The common, entity-group-friendly case: no 2PC needed (§3.2).
                 (server_name, records), = by_server.items()

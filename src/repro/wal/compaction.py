@@ -43,6 +43,7 @@ from repro.sim.metrics import (
 )
 from repro.wal.planner import CompactionPlan
 from repro.wal.record import LogPointer, LogRecord, RecordType
+from repro.wal.replay import as_committed
 from repro.wal.repository import LogRepository
 from repro.wal.segment import LogSegmentWriter
 
@@ -126,27 +127,6 @@ def _trim_versions(
         stats.dropped_obsolete += len(live) - max_versions
         live = live[-max_versions:]
     return live
-
-
-def _as_committed(record: LogRecord) -> LogRecord:
-    """A copy of ``record`` stamped auto-committed (txn_id 0).
-
-    Survivors are committed by construction, and their COMMIT records do
-    not survive compaction — emitting them as auto-committed means a
-    later redo scan or log split does not hold them hostage to a commit
-    marker that no longer exists.
-    """
-    return LogRecord(
-        record_type=record.record_type,
-        lsn=record.lsn,
-        txn_id=0,
-        table=record.table,
-        tablet=record.tablet,
-        key=record.key,
-        group=record.group,
-        timestamp=record.timestamp,
-        value=record.value,
-    )
 
 
 class IncrementalCompactionJob:
@@ -289,7 +269,7 @@ class IncrementalCompactionJob:
                 yield marker.encode(slim=True), key, None
             for record in live:
                 stats.kept_versions += 1
-                yield _as_committed(record).encode(slim=True), key, record.timestamp
+                yield as_committed(record).encode(slim=True), key, record.timestamp
 
     @staticmethod
     def _flush(

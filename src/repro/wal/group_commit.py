@@ -35,7 +35,7 @@ from typing import Callable
 from repro.dfs.filesystem import defer_replication_acks
 from repro.errors import ServerDownError
 from repro.obs.hist import Histogram
-from repro.obs.trace import root_span, span
+from repro.obs.trace import span
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
     COMMIT_ACKS_DEFERRED,
@@ -290,11 +290,6 @@ class CommitCoordinator:
 
     # -- flush ---------------------------------------------------------------------
 
-    def _flush_span(self, **attrs):
-        if self._traced:
-            return root_span(SPAN_COMMIT_FLUSH, self._machine, **attrs)
-        return span(SPAN_COMMIT_FLUSH, self._machine, **attrs)
-
     def _flush(self, group: _Group, start: float) -> list[CommitFuture]:
         machine = self._machine
         if not machine.alive:
@@ -305,7 +300,10 @@ class CommitCoordinator:
         machine.clock.advance_to(start)
         deferred = 0.0
         try:
-            with self._flush_span(records=len(records), members=len(group.futures)):
+            with span(
+                SPAN_COMMIT_FLUSH, machine, root=self._traced,
+                records=len(records), members=len(group.futures),
+            ):
                 if self._pipeline:
                     with defer_replication_acks() as acks:
                         appended = self._log.append_batch(records)

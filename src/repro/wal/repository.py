@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from functools import partial
 from typing import Iterator
 
 from repro.dfs.filesystem import DFS
@@ -426,31 +427,27 @@ class LogRepository:
         return f"{self._root}/segments.meta"
 
     def _meta_tmp_path(self) -> str:
-        return f"{self._root}/segments.meta.tmp"
+        # Where ``DFS.install`` stages the map; only the two readers use it.
+        return self._meta_path() + ".tmp"
 
     def _persist_meta(self) -> None:
-        """Persist the slim-segment metadata map to the DFS atomically.
-
-        The map is written to a temp path first and swapped in with an
-        atomic rename, so a crash at any point leaves either the old map
-        or the complete new one on the DFS — never a window with neither
-        (``reattach`` prefers a complete temp file, which is always the
-        newer state when one exists).
+        """Persist the slim-segment metadata map through ``DFS.install``:
+        a crash at any point leaves either the old map or the complete
+        new one on the DFS — never a window with neither (``reattach``
+        prefers a complete temp file, which is always the newer state
+        when one exists).
         """
         payload = json.dumps(
             {str(no): list(meta) for no, meta in self._slim_meta.items()}
         ).encode()
-        path = self._meta_path()
-        tmp = self._meta_tmp_path()
-        if self._dfs.exists(tmp):
-            self._dfs.delete(tmp)
-        writer = self._dfs.create(tmp, self._machine)
-        writer.append(payload)
-        writer.close()
-        crash_point(CP_META_PERSIST, machine=self._machine.name, root=self._root)
-        if self._dfs.exists(path):
-            self._dfs.delete(path)
-        self._dfs.rename(tmp, path)
+        self._dfs.install(
+            self._meta_path(),
+            payload,
+            self._machine,
+            before_swap=partial(
+                crash_point, CP_META_PERSIST, machine=self._machine.name, root=self._root
+            ),
+        )
 
     def persist_meta(self) -> None:
         """Public hook used after compaction installs sorted segments."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ColumnGroup, LogBase, TableSchema
 from repro.config import LogBaseConfig
 from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService
@@ -9,6 +10,8 @@ from repro.core.checkpoint import CheckpointBlock, CheckpointManager
 from repro.core.partition import KeyRange
 from repro.core.tablet import Tablet, TabletId
 from repro.core.tablet_server import TabletServer
+from repro.errors import ServerDownError
+from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan, kill_action
 from repro.wal.record import LogPointer
 
 
@@ -86,3 +89,43 @@ def test_checkpoint_cost_scales_with_index_size(server, manager, machines):
     manager.write_checkpoint()
     large_cost = machines[0].clock.now - before
     assert large_cost > small_cost
+
+
+@pytest.mark.parametrize("torn", ["index-file", "block"])
+def test_crash_while_writing_checkpoint_keeps_the_previous_one(torn):
+    """A kill inside the DFS append of a checkpoint's first index file, or
+    of its block, must leave the previous checkpoint whole: restart
+    recovers from it and every acked value reads back."""
+    db = LogBase(
+        n_nodes=3, config=LogBaseConfig.with_fault_tolerance(segment_size=64 * 1024)
+    )
+    db.create_table(TableSchema("t", "id", (ColumnGroup("g", ("c",)),)))
+    cluster = db.cluster
+    server = cluster.servers[0]
+    manager = cluster.checkpoints[server.name]
+    acked = {}
+
+    def put(numbers):
+        for i in numbers:
+            key = f"{i:012d}".encode()
+            db.put("t", key, {"g": {"c": b"v%d" % i}})
+            acked[key] = {"c": b"v%d" % i}
+
+    put(range(30))
+    manager.write_checkpoint()
+    put(range(30, 60))
+
+    plan = FaultPlan()
+    plan.add(
+        CP_DFS_APPEND,
+        kill_action(cluster.failures, server.name, ServerDownError("power cut")),
+        hits=1 if torn == "index-file" else len(server.indexes()) + 1,
+        writer=server.machine.name,
+    )
+    with fault_plan(plan), pytest.raises(ServerDownError):
+        manager.write_checkpoint()
+
+    report = cluster.restart_server(server.name)
+    assert report.used_checkpoint
+    for key, value in acked.items():
+        assert db.get("t", key, "g") == value

@@ -1,17 +1,33 @@
 """Configuration arithmetic and validation."""
 
+import dataclasses
+
 import pytest
 
-from repro.config import GiB, LogBaseConfig
+from repro.config import (
+    INDEX_HEAP_FRACTION,
+    READ_CACHE_HEAP_FRACTION,
+    GiB,
+    LogBaseConfig,
+)
+from repro.dfs.filesystem import DEFAULT_BLOCK_SIZE
 
 
 def test_defaults_match_paper():
     config = LogBaseConfig()
     assert config.replication == 3
-    assert config.dfs_block_size == 64 * 1024 * 1024
+    assert DEFAULT_BLOCK_SIZE == 64 * 1024 * 1024
     assert config.segment_size == 64 * 1024 * 1024
-    assert config.index_heap_fraction == 0.40
-    assert config.cache_heap_fraction == 0.20
+    assert INDEX_HEAP_FRACTION == 0.40
+    assert READ_CACHE_HEAP_FRACTION == 0.20
+
+
+def test_option_count_ratchet():
+    """A new knob has to change a number here, in its own diff."""
+    fields = dataclasses.fields(LogBaseConfig)
+    assert len(fields) == 45
+    assert sum(1 for f in fields if f.type == "bool") == 16
+    assert sum(1 for name in vars(LogBaseConfig) if name.startswith("with_")) == 8
 
 
 def test_budget_arithmetic():
@@ -37,7 +53,6 @@ def test_validate_accepts_defaults():
         {"replication": 0},
         {"index_kind": "hash"},
         {"max_versions": 0},
-        {"index_heap_fraction": 0.8, "cache_heap_fraction": 0.5},
     ],
 )
 def test_validate_rejects_bad_settings(kwargs):

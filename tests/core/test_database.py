@@ -64,8 +64,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LogBaseConfig(replication=0).validate()
     with pytest.raises(ValueError):
-        LogBaseConfig(index_heap_fraction=0.9, cache_heap_fraction=0.4).validate()
-    with pytest.raises(ValueError):
         LogBaseConfig(max_versions=0).validate()
 
 
