@@ -7,7 +7,8 @@ nastiest of all — the old owner partitioned away while ownership moves,
 where only the lapsed lease stands between the cluster and two servers
 serving the same tablet.  Each scenario here arms a fault at the matching
 crash point (``CP_MIGRATION_PREPARE`` / ``CP_MIGRATION_CATCHUP`` /
-``CP_MIGRATION_FLIP``), lets the first attempt die mid-flight, converges
+``CP_MIGRATION_FLIP``, ``CP_ADOPT_MID`` between re-homed records), lets
+the first attempt die mid-flight, converges
 the way an operator (or a freshly-elected master) would via
 :meth:`~repro.core.migration.LiveMigrator.resume`.  The rows run under
 :meth:`LogBaseConfig.with_live_migration`, so every run checks the
@@ -15,8 +16,9 @@ durability oracle — every write acked before, during, or after the
 handoff is readable afterwards, never shadowed by an older version — and
 the single-owner invariant (:func:`repro.chaos.invariants.check_single_owner`).
 
-Every tablet starts on the source; ``run.tablet_id`` is the one that
-moves.
+Every tablet starts on the source and ``run.tablet_id`` is the one that
+moves — except in the scale-out row, which spreads the table over all
+four nodes so the rebalance has exactly one tablet to give the fifth.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from repro.chaos.scenario import GROUP, TABLE, Run, Scenario
 from repro.config import LogBaseConfig
 from repro.errors import LogBaseError, SessionExpiredError, TabletMigratingError
-from repro.sim.failure import CP_MIGRATION_CATCHUP, CP_MIGRATION_FLIP
+from repro.sim.failure import CP_ADOPT_MID, CP_MIGRATION_CATCHUP, CP_MIGRATION_FLIP
 
 SOURCE = "ts-node-0"
 TARGET = "ts-node-1"
@@ -46,11 +48,11 @@ def _converge(run: Run) -> None:
     )
 
 
-def _crash_and_restart(run: Run, point: str, victim: str, stage: str) -> None:
-    """``victim`` dies at ``stage`` of ``point``; it is restarted and the
-    interrupted migration resumed."""
-    run.kill_at(point, victim, tablet=run.tablet_id, stage=stage)
-    _move(run)
+def _crash_and_restart(run: Run, point: str, victim: str, move=_move, **rule) -> None:
+    """``victim`` dies at the hit of ``point`` that ``rule`` picks; it is
+    restarted and the interrupted migration resumed."""
+    run.kill_at(point, victim, **rule)
+    move(run)
     # Detection tick *before* the operator reacts: the monitoring plane
     # must see the dead node, not the post-restart cluster.
     run.heartbeat()
@@ -66,7 +68,9 @@ def _crash_source_mid_catchup(run: Run) -> None:
     source redoes its own log (the database *is* the log) and serves
     every acked write again once the heartbeat re-grants its lease.
     """
-    _crash_and_restart(run, CP_MIGRATION_CATCHUP, SOURCE, "split")
+    _crash_and_restart(
+        run, CP_MIGRATION_CATCHUP, SOURCE, tablet=run.tablet_id, stage="split"
+    )
 
 
 def _crash_target_mid_flip(run: Run) -> None:
@@ -77,7 +81,9 @@ def _crash_target_mid_flip(run: Run) -> None:
     its log already holds the caught-up records — or aborts back to the
     source.  Both converge to one owner.
     """
-    _crash_and_restart(run, CP_MIGRATION_FLIP, TARGET, "commit")
+    _crash_and_restart(
+        run, CP_MIGRATION_FLIP, TARGET, tablet=run.tablet_id, stage="commit"
+    )
 
 
 def _master_failover_mid_migration(run: Run) -> None:
@@ -169,6 +175,27 @@ def _split_then_move(run: Run) -> None:
     run.observe(final_owner=cluster.master.catalog.assignments.get(right, ""))
 
 
+def _scale_out_interrupted(run: Run) -> None:
+    """A node joins and dies while re-homing the tablet ``add_node()``
+    rebalances onto it.
+
+    Scale-out moves tablets through the same fenced mover as a live
+    migration: the dying node was only *importing*, so the source is
+    still the one willing owner, the persisted intent lets resume abort
+    the handoff, and the operator's retried rebalance completes it —
+    re-appending past whatever the first attempt left in the joiner's log.
+    """
+    cluster = run.db.cluster
+    joining = f"ts-node-{len(cluster.machines)}"
+
+    def join(run: Run) -> None:
+        run.observe(first_attempt_failed=run.attempt(cluster.add_node))
+
+    # hits=3: let a couple of records reach the joining node's log first.
+    _crash_and_restart(run, CP_ADOPT_MID, joining, join, hits=3, server=joining)
+    run.observe(rebalanced=cluster.master.rebalance())
+
+
 ROWS = tuple(
     Scenario(
         "migration",
@@ -176,44 +203,52 @@ ROWS = tuple(
         description,
         body,
         preset=LogBaseConfig.with_live_migration,
-        masters=masters,
         expected_alert=alert,
+        **how,
     )
-    for name, description, body, masters, alert in (
+    for name, description, body, alert, how in (
         (
             "crash-source-mid-catchup",
             "source dies while the target replays its log",
             _crash_source_mid_catchup,
-            1,
             "server-down",
+            {},
         ),
         (
             "crash-target-mid-flip",
             "target dies inside the fenced flip, before the commit point",
             _crash_target_mid_flip,
-            1,
             "server-down",
+            {},
         ),
         (
             "master-failover-mid-migration",
             "active master deposed with the migration half-persisted",
             _master_failover_mid_migration,
-            2,
             "server-down",
+            {"masters": 2},
         ),
         (
             "partition-old-owner",
             "old owner partitioned away as the flip begins; lease fences it",
             _partition_old_owner,
-            1,
             "lease-fence-rejects",
+            {},
         ),
         (
             "split-then-move",
             "child tablet migrates straight after its parent split",
             _split_then_move,
-            1,
             None,
+            {},
+        ),
+        (
+            "scale-out-interrupted",
+            "joining node dies mid-re-home of the tablet add_node() gives it",
+            _scale_out_interrupted,
+            "server-down",
+            # Two tablets on each node (ten records apiece), none to spare.
+            {"home_servers": tuple(f"ts-node-{i}" for i in range(4)), "ops": 80},
         ),
     )
 )

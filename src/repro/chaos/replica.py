@@ -122,7 +122,7 @@ def _follower_crash_catchup(run: Run) -> None:
 def _fencing_on_migration(run: Run) -> None:
     """Ownership moves; no replica may keep applying the deposed owner.
 
-    The migration flip bumps the tablet's fence epoch and must tear every
+    The migration bumps the tablet's ownership epoch and must tear every
     replica down *inside* the handoff — a follower that kept tailing the
     old owner's log would apply records the fence already rejected.  The
     heartbeat then re-places replicas against the new owner, and a client

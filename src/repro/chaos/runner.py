@@ -186,6 +186,8 @@ def run_scenario(
         report.restarted_servers.append(dead)
     for _ in range(2):
         run.heartbeat()
+    # Failover stages split files and deletes them; nothing else may.
+    run.observe(split_files_left=len(cluster.dfs.list_files("/logbase/splits/")))
 
     _check_invariants(run)
 

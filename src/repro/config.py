@@ -124,12 +124,12 @@ class LogBaseConfig:
         recovery_workers: parallel redo workers (scan + per-tablet
             bring-up lanes) restart recovery multiplexes over the
             scheduler.
-        live_migration: enable the live-migration subsystem
-            (:mod:`repro.core.migration`): lease-based tablet ownership
-            (renewed by the cluster heartbeat, checked on every client-
-            facing op), the prepare/catch-up/fenced-flip state machine
-            with its intent persisted in znodes, hot-tablet splitting at
-            the median observed key, and the master-side heat balancer.
+        live_migration: enforce lease-based tablet ownership (leases
+            renewed by the cluster heartbeat and checked on every client-
+            facing op) and enable hot-tablet splitting at the median
+            observed key and the master-side heat balancer.  How a tablet
+            moves is not gated: :mod:`repro.core.migration`'s
+            prepare/catch-up/fenced-flip state machine is the only mover.
             Off by default so the seed figures are reproduced
             byte-identically; :meth:`with_live_migration` enables it.
         read_replicas: enable log-shipping read replicas
@@ -311,9 +311,9 @@ class LogBaseConfig:
     @classmethod
     def with_live_migration(cls, **overrides) -> "LogBaseConfig":
         """A config with the live-migration subsystem enabled on top of
-        the fault-tolerance layer: lease-based tablet ownership, the
-        prepare/catch-up/fenced-flip migration state machine (intent in
-        znodes, fence epochs against stale owners), hot-tablet splitting
+        the fault-tolerance layer: ownership leases checked on the op
+        path and renewed by the heartbeat (the prepare/catch-up/fenced-flip
+        mover itself runs under every config), hot-tablet splitting
         and the heat balancer.  Ops that land in a flip window get the
         retryable ``TabletMigratingError``, which the client honors by
         invalidating its location cache and backing off.

@@ -151,7 +151,7 @@ class Client:
 
         Called alongside owner-route invalidation on
         :class:`TabletMigratingError`: an ownership change tears the
-        tablet's followers down under a bumped fence epoch, so a cached
+        tablet's followers down under a bumped ownership epoch, so a cached
         route would keep sending reads to a torn-down (or re-pointing)
         follower until every read redirected — re-resolving from the
         master picks up the re-placed followers instead."""
@@ -393,7 +393,7 @@ class Client:
         * TabletMigratingError — the addressed server is inside a
           migration's fenced flip window, or its lease lapsed because the
           tablet moved away while it was unreachable.  Either way the
-          cached location may be stale, and the fence-epoch bump behind
+          cached location may be stale, and the ownership-epoch bump behind
           the error also tore down the tablet's followers: drop both
           caches and re-resolve from the master.
 

@@ -91,9 +91,6 @@ class LogBaseCluster:
         # When each heat entry last belonged to an assigned tablet, in
         # makespan seconds — unassigned ("ghost") entries decay from here.
         self._heat_seen: dict[str, float] = {}
-        # The migrator is bound to a master's coordination session; it is
-        # rebuilt after a failover so the new master's session fences it.
-        self._migrator: LiveMigrator | None = None
         # Heartbeat-reported replication lag across every hosted replica
         # (read_replicas gate; None otherwise so the seed path allocates
         # nothing).
@@ -113,13 +110,17 @@ class LogBaseCluster:
         else:
             self.monitor = None
         for machine in self.machines:
-            server = TabletServer(
-                f"ts-{machine.name}", machine, self.dfs, self.tso, self.config
-            )
-            self.servers.append(server)
-            self.checkpoints[server.name] = CheckpointManager(self.dfs, server)
-            self.master.register_server(server)
-            self.failures.register(server.name, machine)
+            self._start_server(machine)
+
+    def _start_server(self, machine: Machine) -> TabletServer:
+        server = TabletServer(
+            f"ts-{machine.name}", machine, self.dfs, self.tso, self.config
+        )
+        self.servers.append(server)
+        self.checkpoints[server.name] = CheckpointManager(self.dfs, server)
+        self.master.register_server(server)
+        self.failures.register(server.name, machine)
+        return server
 
     def add_node(self, *, rebalance: bool = True) -> TabletServer:
         """Elastic scale-out: provision a machine, start a datanode and a
@@ -132,13 +133,7 @@ class LogBaseCluster:
         )
         self.machines.append(machine)
         self.dfs.add_machine(machine)
-        server = TabletServer(
-            f"ts-{machine.name}", machine, self.dfs, self.tso, self.config
-        )
-        self.servers.append(server)
-        self.checkpoints[server.name] = CheckpointManager(self.dfs, server)
-        self.master.register_server(server)
-        self.failures.register(server.name, machine)
+        server = self._start_server(machine)
         if rebalance:
             self.master.rebalance()
         return server
@@ -164,23 +159,17 @@ class LogBaseCluster:
 
     @property
     def migrator(self) -> LiveMigrator:
-        """The live migrator bound to the *active* master.  After a
-        failover the cached instance's session is expired, so a fresh one
-        is built around the new master — the stale one can no longer
-        advance any migration (its znode writes raise)."""
-        active = self.master
-        if self._migrator is None or self._migrator.master is not active:
-            self._migrator = LiveMigrator(active, self.config)
-        return self._migrator
+        """The *active* master's migrator: the one mover of tablets
+        between live servers (a deposed master's can no longer advance a
+        handoff — its znode writes raise)."""
+        return self.master.migrator
 
     def migrate_tablet(self, tablet_id: str, target: str):
-        """Move one tablet.  With ``live_migration`` on this is the
-        lease-fenced online handoff (unavailability bounded to the flip
-        window); off, it falls back to the master's stop-the-tablet move.
-        """
-        if self.config.live_migration:
-            return self.migrator.migrate(tablet_id, target)
-        return self.master.move_tablet(tablet_id, target)
+        """Move one tablet: the fenced online handoff of
+        :mod:`repro.core.migration` (unavailability bounded to the flip
+        window).  ``live_migration`` decides whether servers *check* the
+        leases it fences with, not how the tablet moves."""
+        return self.migrator.migrate(tablet_id, target)
 
     def split_tablet(self, tablet_id: str, split_key: bytes | None = None):
         """Split a hot tablet in place (live-migration gate required)."""
@@ -370,7 +359,7 @@ class LogBaseCluster:
         rotated by the tablet's ordinal so replicas spread across the
         cluster — record the placement in the shared catalog (the client
         routes off it), and converge the servers: subscribe the desired
-        followers under the tablet's current fence epoch, tear down the
+        followers under the tablet's current ownership epoch, tear down the
         rest.  An ownership change bumps the epoch and the migrator drops
         the tablet's placement, so this pass re-points the followers at
         the new owner — they never keep applying a deposed owner's
@@ -397,7 +386,7 @@ class LogBaseCluster:
             )
             desired = rotated[: self.config.replicas_per_tablet]
             catalog.followers[tablet_id] = desired
-            epoch = catalog.fence_epochs.get(f"mig-{tablet_id}", 0)
+            epoch = catalog.owner_epochs.get(tablet_id, 0)
             try:
                 tablet = self.master._tablet_by_id(tablet_id)
             except Exception:

@@ -64,11 +64,11 @@ class FollowerTablet:
     Attributes:
         tablet: the tablet being replicated.
         owner_name: the tablet server whose log is being tailed.
-        epoch: the migration fence epoch this subscription was created
-            under (``fence_epochs["mig-{tablet_id}"]``).  An ownership
-            change bumps the epoch, so a follower of the deposed owner is
-            torn down and re-pointed rather than silently applying the
-            old owner's post-fence records.
+        epoch: the tablet's ownership epoch this subscription was created
+            under (``SharedCatalog.owner_epochs``).  A handoff bumps it,
+            so a follower of the deposed owner is torn down and
+            re-pointed rather than silently applying the old owner's
+            post-fence records.
         watermark: highest version/commit timestamp applied to this
             replica.  A follower read never returns data newer than this.
         caught_up_at: follower-clock instant of the last tail pass that

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.coordination.election import LeaderElection
 from repro.coordination.znodes import CoordinationService, Session
+from repro.core.migration import LiveMigrator
 from repro.core.partition import split_key_domain
 from repro.core.recovery import (
     RecoveryReport,
@@ -49,9 +50,13 @@ class SharedCatalog:
     assignments: dict[str, str] = field(default_factory=dict)  # tablet -> server
     servers: dict[str, TabletServer] = field(default_factory=dict)
     server_sessions: dict[str, Session] = field(default_factory=dict)
-    # Split-fence epoch per (dead or moving) server: bumped before each
-    # log split so adopters can reject a crashed splitter's stale files.
+    # Split-fence epoch per dead server: bumped before each failover log
+    # split so adopters can reject a crashed splitter's stale files.
     fence_epochs: dict[str, int] = field(default_factory=dict)
+    # Ownership epoch per tablet: bumped when a handoff of it begins.  A
+    # read replica subscribes under it, so one that was following the
+    # deposed owner is torn down and re-pointed.
+    owner_epochs: dict[str, int] = field(default_factory=dict)
     # Read-replica placement: tablet id -> follower server names (empty
     # unless config.read_replicas; maintained by the cluster heartbeat).
     followers: dict[str, list[str]] = field(default_factory=dict)
@@ -92,6 +97,11 @@ class Master:
         self.election = LeaderElection(coordination, "/logbase/master-election")
         self.election.volunteer(self.session, name)
         self.catalog = catalog if catalog is not None else SharedCatalog()
+        # The one mover of tablets between live servers, bound to this
+        # master's coordination session: once a standby is promoted, the
+        # deposed master's migrator can no longer advance a handoff (its
+        # znode writes raise).
+        self.migrator = LiveMigrator(self)
 
     @property
     def _tables(self) -> dict[str, TableSchema]:
@@ -253,6 +263,7 @@ class Master:
         retried call re-splits (under a fresh fence epoch) and re-adopts
         it — the adopter's (key, timestamp) dedupe keeps the replay from
         double-appending whatever the crashed attempt already re-homed.
+        The split files are deleted once the last orphan has flipped.
         """
         self.expire_server(failed)
         failed_server = self._servers.pop(failed, None)
@@ -287,6 +298,11 @@ class Master:
             # The flip is the commit point of this tablet's failover.
             self._assignments[tablet_id] = target
             report.reassigned[tablet_id] = target
+        # Every orphan has flipped with its records re-homed into its
+        # adopter's own log: nothing reads the split files again.  (A
+        # crash above leaves them for the retry, which re-splits.)
+        for path in self.dfs.list_files(f"/logbase/splits/{failed}/"):
+            self.dfs.delete(path)
         return report
 
     # -- automatic failure detection (§3.3: the master monitors servers) ----------
@@ -313,41 +329,6 @@ class Master:
 
     # -- elastic scaling (§1 desiderata: scale out and back on demand) -----------
 
-    def move_tablet(self, tablet_id: str, target: str) -> RecoveryReport:
-        """Migrate one tablet from its current owner to ``target``.
-
-        The tablet's records are split out of the source's log (which is
-        in the shared DFS) into a per-tablet file; the target adopts it by
-        replaying into its own log and indexes; then ownership flips and
-        the source drops the tablet.  Reads keep working on the source
-        until the flip, so the move is online.
-        """
-        source_name = self._assignments.get(tablet_id)
-        if source_name is None:
-            raise TabletNotFound(tablet_id)
-        if source_name == target:
-            return RecoveryReport()
-        source = self._servers[source_name]
-        tablet = self._tablet_by_id(tablet_id)
-        epoch = self.catalog.fence_epochs.get(source_name, 0) + 1
-        self.catalog.fence_epochs[source_name] = epoch
-        splits = split_log_by_tablet(
-            self.dfs,
-            source_name,
-            self._servers[target].machine,
-            locate=self.catalog.tablet_for,
-            fence=epoch,
-        )
-        self._servers[target].assign_tablet(tablet)
-        report = RecoveryReport()
-        if tablet_id in splits.paths:
-            report = adopt_split_log(
-                self._servers[target], self.dfs, source_name, tablet_id, fence=epoch
-            )
-        self._assignments[tablet_id] = target
-        source.unassign_tablet(tablet.tablet_id)
-        return report
-
     def rebalance(self) -> dict[str, str]:
         """Even out tablet counts across live servers; returns the moves
         performed (tablet id -> new server)."""
@@ -365,7 +346,7 @@ class Master:
             if len(loads[busiest]) - len(loads[idlest]) <= 1:
                 return moves
             tablet_id = sorted(loads[busiest])[-1]
-            self.move_tablet(tablet_id, idlest)
+            self.migrator.migrate(tablet_id, idlest)
             loads[busiest].remove(tablet_id)
             loads[idlest].append(tablet_id)
             moves[tablet_id] = idlest
@@ -384,7 +365,7 @@ class Master:
         moves: dict[str, str] = {}
         for i, tablet_id in enumerate(owned):
             target = remaining[i % len(remaining)]
-            self.move_tablet(tablet_id, target)
+            self.migrator.migrate(tablet_id, target)
             moves[tablet_id] = target
         self.expire_server(name)
         self._servers.pop(name, None)

@@ -1,20 +1,23 @@
 """Live tablet migration (§5): lease-fenced ownership handoff.
 
 Because "the log is the database" — every tablet's data already lives in
-the shared, replicated DFS — migrating a tablet means rebuilding an
-in-memory index on the target, not copying data.  The state machine here
-makes that observation operational *and* crash-safe:
+the shared, replicated DFS — migrating a tablet means the target reading
+it where it already is: re-homed into the target's log once, never staged
+or shipped by the source.  The state machine here makes that observation
+operational *and* crash-safe:
 
 1. **prepare** — the master persists a migration record in the
    coordination service (so a promoted standby can finish or abort the
-   handoff), bumps a fence epoch, and assigns the tablet to the target in
-   *importing* mode (the target owns indexes for it but rejects client
-   ops until the flip).
-2. **catch-up** — the target replays the tablet's records out of the
-   source's log, read directly from the shared DFS segments
-   (:func:`~repro.core.recovery.split_log_by_tablet` with the migration's
-   own fence epoch).  The source keeps serving throughout; the source-log
-   position the catch-up covered is persisted.
+   handoff), bumps the tablet's ownership epoch (its read replicas
+   re-subscribe), and assigns the tablet to the target in *importing*
+   mode (the target owns indexes for it but rejects client ops until
+   the flip).
+2. **catch-up** — the target scans the source's log on its own machine,
+   straight from the shared DFS segments, keeps the records the catalog
+   attributes to the moving tablet and re-homes them into its own log
+   (:func:`~repro.core.recovery.rehome`) — once, never staged in between.
+   The source keeps serving throughout; the source-log position the
+   catch-up covered is persisted.
 3. **fenced flip** — the source is fenced (told to bounce ops with the
    retryable ``TabletMigratingError``; if it is partitioned or paused and
    cannot be told, the master instead waits out its ownership lease so it
@@ -25,11 +28,14 @@ makes that observation operational *and* crash-safe:
 4. **serve** — the target's lease is granted, the source drops the
    tablet, the migration record is cleared.
 
-Every step is idempotent: the split/adopt machinery dedupes on
-(key, timestamp), the fence epoch rejects a crashed attempt's stale
-files, and :meth:`LiveMigrator.resume` lets a new master either finish a
-migration that reached the flip or abort one that did not — the
-single-owner invariant holds across any crash interleaving.
+Every step is idempotent: re-homing dedupes on (key, timestamp), there
+are no intermediate files for a crashed attempt to leave behind, and
+:meth:`LiveMigrator.resume` lets a new master either finish a migration
+that reached the flip or abort one that did not — the single-owner
+invariant holds across any crash interleaving.  This is the only way a
+tablet moves between live servers: ``Master.rebalance`` and
+``Master.decommission`` run the same state machine, whatever the config
+(``live_migration`` gates lease *checking*, not which mover runs).
 
 The module also hosts hot-tablet **splitting** (split a tablet at the
 median key of its observed-access sample; pure index re-bucketing, the
@@ -43,7 +49,7 @@ import json
 from dataclasses import dataclass
 
 from repro.core.partition import KeyRange
-from repro.core.recovery import adopt_split_log, split_log_by_tablet
+from repro.core.recovery import rehome
 from repro.core.tablet import Tablet, TabletId
 from repro.core.tablet_server import LEASE_SECONDS
 from repro.errors import MigrationError, NoNodeError, TabletNotFound
@@ -67,9 +73,9 @@ from repro.sim.metrics import (
     MIGRATION_STARTED,
     SPAN_MIGRATION_CATCHUP_PHASE,
     SPAN_MIGRATION_FLIP_PHASE,
-    SPAN_MIGRATION_MIGRATE,
 )
 from repro.wal.record import LogPointer
+from repro.wal.repository import LogRepository
 
 MIGRATIONS_PATH = "/logbase/migrations"
 SPLITS_PATH = "/logbase/tablet-splits"
@@ -90,6 +96,12 @@ BALANCER_SKEW_THRESHOLD = 2.0
 # share of its server's heat: moving the whole tablet cannot fix a hotspot
 # inside it.
 BALANCER_SPLIT_FRACTION = 0.6
+
+
+def _crash_point(point: str, rec: dict, **ctx) -> None:
+    crash_point(
+        point, tablet=rec["tablet"], source=rec["source"], target=rec["target"], **ctx
+    )
 
 
 @dataclass
@@ -150,51 +162,47 @@ class LiveMigrator:
     fence between tablet servers.
     """
 
-    def __init__(self, master, config) -> None:
+    def __init__(self, master) -> None:
         self.master = master
-        self.config = config
         self.flip_histogram = Histogram(HIST_MIGRATION_FLIP)
 
     # -- znode persistence -------------------------------------------------------
 
-    def _record_path(self, tablet_id: str) -> str:
-        return f"{MIGRATIONS_PATH}/{tablet_id}"
-
-    def _persist(self, rec: dict) -> None:
+    def _persist(self, rec: dict, root: str = MIGRATIONS_PATH) -> None:
+        """Write one intent (a migration's, or a split's under
+        ``SPLITS_PATH``) through this master's session."""
         coordination = self.master.coordination
         session = self.master.session
-        coordination.ensure_path(session, MIGRATIONS_PATH)
-        path = self._record_path(rec["tablet"])
+        coordination.ensure_path(session, root)
+        path = f"{root}/{rec['tablet']}"
         data = json.dumps(rec, sort_keys=True).encode()
         if coordination.exists(path):
             coordination.set(session, path, data)
         else:
             coordination.create(session, path, data=data)
 
-    def _clear(self, rec: dict) -> None:
-        path = self._record_path(rec["tablet"])
+    def _clear(self, rec: dict, root: str = MIGRATIONS_PATH) -> None:
         try:
-            self.master.coordination.delete(self.master.session, path)
+            self.master.coordination.delete(
+                self.master.session, f"{root}/{rec['tablet']}"
+            )
         except NoNodeError:
             pass
 
+    def _pending(self, root: str) -> list[dict]:
+        coordination = self.master.coordination
+        if not coordination.exists(root):
+            return []
+        return [
+            json.loads(coordination.get(f"{root}/{child}")[0])
+            for child in sorted(coordination.get_children(root))
+        ]
+
     def pending_migrations(self) -> list[dict]:
         """Parsed migration records currently persisted in znodes."""
-        coordination = self.master.coordination
-        if not coordination.exists(MIGRATIONS_PATH):
-            return []
-        records = []
-        for child in sorted(coordination.get_children(MIGRATIONS_PATH)):
-            data, _ = coordination.get(f"{MIGRATIONS_PATH}/{child}")
-            records.append(json.loads(data))
-        return records
+        return self._pending(MIGRATIONS_PATH)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _out_name(self, tablet_id: str) -> str:
-        # Migration-scoped split directory: never collides with a real
-        # failover split of the (still alive) source server.
-        return f"mig-{tablet_id}"
 
     def _server(self, name: str):
         return self.master.catalog.servers.get(name)
@@ -263,26 +271,19 @@ class LiveMigrator:
         target = self._server(target_name)
         if target is None or not target.machine.alive or not target.serving:
             raise MigrationError(f"migration target {target_name} is not serving")
-        out_name = self._out_name(tablet_id)
-        epoch = catalog.fence_epochs.get(out_name, 0) + 1
-        catalog.fence_epochs[out_name] = epoch
+        # Read replicas subscribed under the old epoch are re-pointed.
+        catalog.owner_epochs[tablet_id] = catalog.owner_epochs.get(tablet_id, 0) + 1
         rec = {
             "tablet": tablet_id,
             "source": source_name,
             "target": target_name,
-            "epoch": epoch,
             "state": "prepare",
             "catchup": None,
             "records": 0,
         }
         target.machine.counters.add(MIGRATION_STARTED)
         self._persist(rec)
-        crash_point(
-            CP_MIGRATION_PREPARE,
-            tablet=tablet_id,
-            source=source_name,
-            target=target_name,
-        )
+        _crash_point(CP_MIGRATION_PREPARE, rec)
         # Importing mode: the target owns the tablet's indexes but bounces
         # client ops until the flip (the catalog still routes to the
         # source, so only a stale direct call could land here anyway).
@@ -292,57 +293,49 @@ class LiveMigrator:
         target.revoke_lease(tablet_id)
         return rec
 
-    def _catch_up(self, rec: dict) -> None:
-        tablet_id, source_name = rec["tablet"], rec["source"]
+    def _rehome_from_source(self, rec: dict, start: LogPointer | None = None) -> int:
+        """The target reads the source's log from ``start`` on, out of the
+        shared DFS on its own machine, and re-homes the records today's
+        catalog attributes to the moving tablet (by key: the id stamped on
+        a record names the parent of a since-split tablet and is stripped
+        in compacted segments).  Returns how many took effect."""
+        tablet_id = rec["tablet"]
         target = self._server(rec["target"])
-        source = self._server(source_name)
+        locate = self.master.catalog.tablet_for
+        source_log = LogRepository.reattach(
+            self.master.dfs, target.machine, f"/logbase/{rec['source']}/log"
+        )
+        replay = rehome(
+            target,
+            source_log.scan_all(start=start),
+            tablet_id,
+            accept=lambda r: (locate(r.table, r.key) or r.tablet) == tablet_id,
+        )
+        caught = replay.writes_applied + replay.deletes_applied
+        target.machine.counters.add(MIGRATION_RECORDS_CAUGHT_UP, caught)
+        return caught
+
+    def _catch_up(self, rec: dict) -> None:
+        tablet_id = rec["tablet"]
+        target = self._server(rec["target"])
+        source = self._server(rec["source"])
         rec["state"] = "catchup"
         self._persist(rec)
         with span(SPAN_MIGRATION_CATCHUP_PHASE, target.machine, tablet=tablet_id):
             # The source keeps serving; its log keeps growing.  Record the
             # position this pass covers *first* — anything later is the
-            # flip delta's job (re-reading an overlap is safe, adoption
-            # dedupes on (key, timestamp)).
-            cutoff = (
-                source.log.end_pointer() if source is not None else None
-            )
-            crash_point(
-                CP_MIGRATION_CATCHUP,
-                tablet=tablet_id,
-                source=source_name,
-                target=rec["target"],
-                stage="split",
-            )
-            out_name = self._out_name(tablet_id)
-            splits = split_log_by_tablet(
-                self.master.dfs,
-                source_name,
-                target.machine,
-                locate=self.master.catalog.tablet_for,
-                fence=rec["epoch"],
-                only_tablet=tablet_id,
-                out_name=out_name,
-            )
-            crash_point(
-                CP_MIGRATION_CATCHUP,
-                tablet=tablet_id,
-                source=source_name,
-                target=rec["target"],
-                stage="adopt",
-            )
-            caught = 0
-            if tablet_id in splits.paths:
-                replay = adopt_split_log(
-                    target, self.master.dfs, out_name, tablet_id, fence=rec["epoch"]
-                )
-                caught = replay.writes_applied + replay.deletes_applied
-            if cutoff is None:
-                cutoff = splits.end
+            # flip delta's job (re-reading an overlap is safe, re-homing
+            # dedupes on (key, timestamp)).  With no source process to ask
+            # the delta rescans from the start.
+            cutoff = source.log.end_pointer() if source is not None else None
+            # stage="split": nothing re-homed yet; stage="adopt": the
+            # target's log holds the records, the cursor is not persisted.
+            _crash_point(CP_MIGRATION_CATCHUP, rec, stage="split")
+            rec["records"] = self._rehome_from_source(rec)
+            _crash_point(CP_MIGRATION_CATCHUP, rec, stage="adopt")
             rec["catchup"] = [cutoff.file_no, cutoff.offset] if cutoff else None
-            rec["records"] = caught
             rec["state"] = "catchup_done"
             self._persist(rec)
-            target.machine.counters.add(MIGRATION_RECORDS_CAUGHT_UP, caught)
 
     def _flip(self, rec: dict) -> MigrationReport:
         tablet_id, source_name, target_name = (
@@ -350,7 +343,6 @@ class LiveMigrator:
             rec["source"],
             rec["target"],
         )
-        catalog = self.master.catalog
         target = self._server(target_name)
         source = self._server(source_name)
         report = MigrationReport(
@@ -361,13 +353,7 @@ class LiveMigrator:
         )
         rec["state"] = "flip"
         self._persist(rec)
-        crash_point(
-            CP_MIGRATION_FLIP,
-            tablet=tablet_id,
-            source=source_name,
-            target=target_name,
-            stage="begin",
-        )
+        _crash_point(CP_MIGRATION_FLIP, rec, stage="begin")
         with span(SPAN_MIGRATION_FLIP_PHASE, target.machine, tablet=tablet_id):
             flip_start = target.machine.clock.now
             if source is not None and self._majority_reachable(source):
@@ -388,38 +374,14 @@ class LiveMigrator:
                 if source is not None:
                     source.machine.clock.advance(wait)
             # Delta catch-up: everything the source appended since the
-            # async pass, replayed inside the fence.
+            # async pass, re-homed inside the fence.
             start = None
             if rec.get("catchup"):
                 start = LogPointer(rec["catchup"][0], rec["catchup"][1], 0)
-            delta_name = self._out_name(tablet_id) + "-delta"
-            splits = split_log_by_tablet(
-                self.master.dfs,
-                source_name,
-                target.machine,
-                start=start,
-                locate=self.master.catalog.tablet_for,
-                fence=rec["epoch"],
-                only_tablet=tablet_id,
-                out_name=delta_name,
-            )
-            if tablet_id in splits.paths:
-                replay = adopt_split_log(
-                    target, self.master.dfs, delta_name, tablet_id, fence=rec["epoch"]
-                )
-                report.delta_records = replay.writes_applied + replay.deletes_applied
-                target.machine.counters.add(
-                    MIGRATION_RECORDS_CAUGHT_UP, report.delta_records
-                )
-            crash_point(
-                CP_MIGRATION_FLIP,
-                tablet=tablet_id,
-                source=source_name,
-                target=target_name,
-                stage="commit",
-            )
+            report.delta_records = self._rehome_from_source(rec, start)
+            _crash_point(CP_MIGRATION_FLIP, rec, stage="commit")
             # The commit point: catalog ownership flips to the target.
-            catalog.assignments[tablet_id] = target_name
+            self.master.catalog.assignments[tablet_id] = target_name
             self._finalize(rec, report, flip_start)
         return report
 
@@ -431,16 +393,14 @@ class LiveMigrator:
         source = self._server(rec["source"])
         target.finish_tablet_migration(tablet_id)
         target.grant_lease(tablet_id)
-        if self.config.read_replicas:
-            # Ownership changed under a bumped fence epoch: tear the
-            # tablet's read replicas down right now so none keeps applying
-            # the deposed owner's log.  The next heartbeat re-places them
-            # against the new owner.
-            catalog = self.master.catalog
-            for follower_name in catalog.followers.pop(tablet_id, []):
-                follower_server = catalog.servers.get(follower_name)
-                if follower_server is not None:
-                    follower_server.unfollow_tablet(tablet_id)
+        # Ownership changed under a bumped epoch: tear the tablet's read
+        # replicas (if any) down right now so none keeps applying the
+        # deposed owner's log.  The next heartbeat re-places them against
+        # the new owner.
+        for follower_name in self.master.catalog.followers.pop(tablet_id, []):
+            follower_server = self._server(follower_name)
+            if follower_server is not None:
+                follower_server.unfollow_tablet(tablet_id)
         if (
             source is not None
             and source.machine.alive
@@ -476,7 +436,7 @@ class LiveMigrator:
             outcomes.append(
                 {"tablet": rec["tablet"], "outcome": self._resume_one(rec)}
             )
-        for rec in self._pending_splits():
+        for rec in self._pending(SPLITS_PATH):
             outcomes.append(
                 {"tablet": rec["tablet"], "outcome": self._resume_split(rec)}
             )
@@ -507,8 +467,8 @@ class LiveMigrator:
             return "completed"
         if rec["state"] == "flip" and target_live:
             # The fence was (or can be re-)established and the target
-            # holds the caught-up data: finish the flip under the same
-            # epoch — split/adopt re-runs are deduped.
+            # holds the caught-up data: finish the flip — re-homing the
+            # delta again is deduped.
             report = self._flip(rec)
             return "completed" if report.completed else "aborted"
         self._abort(rec)
@@ -544,19 +504,6 @@ class LiveMigrator:
         self._clear(rec)
 
     # -- hot-tablet splitting ----------------------------------------------------
-
-    def _split_record_path(self, tablet_id: str) -> str:
-        return f"{SPLITS_PATH}/{tablet_id}"
-
-    def _pending_splits(self) -> list[dict]:
-        coordination = self.master.coordination
-        if not coordination.exists(SPLITS_PATH):
-            return []
-        records = []
-        for child in sorted(coordination.get_children(SPLITS_PATH)):
-            data, _ = coordination.get(f"{SPLITS_PATH}/{child}")
-            records.append(json.loads(data))
-        return records
 
     def split(self, tablet_id: str, split_key: bytes | None = None) -> SplitReport:
         """Split one tablet at ``split_key`` (default: the median of the
@@ -605,14 +552,7 @@ class LiveMigrator:
             "left": str(left.tablet_id),
             "right": str(right.tablet_id),
         }
-        coordination = self.master.coordination
-        coordination.ensure_path(self.master.session, SPLITS_PATH)
-        path = self._split_record_path(tablet_id)
-        data = json.dumps(rec, sort_keys=True).encode()
-        if coordination.exists(path):
-            coordination.set(self.master.session, path, data)
-        else:
-            coordination.create(self.master.session, path, data=data)
+        self._persist(rec, SPLITS_PATH)
         # The brief fenced window: ops on the old tablet bounce while the
         # index entries re-bucket, then the catalog commits the new pair.
         owner.begin_tablet_migration(tablet_id)
@@ -625,10 +565,7 @@ class LiveMigrator:
         del catalog.assignments[tablet_id]
         catalog.assignments[str(left.tablet_id)] = owner_name
         catalog.assignments[str(right.tablet_id)] = owner_name
-        try:
-            coordination.delete(self.master.session, path)
-        except NoNodeError:
-            pass
+        self._clear(rec, SPLITS_PATH)
         owner.machine.counters.add(MIGRATION_SPLITS)
         return SplitReport(
             tablet_id=tablet_id,
@@ -643,8 +580,6 @@ class LiveMigrator:
         """Converge one interrupted split: either the catalog committed
         (just clean up) or it did not (abort the intent — the old tablet
         boundaries still hold everywhere that matters)."""
-        coordination = self.master.coordination
-        path = self._split_record_path(rec["tablet"])
         catalog = self.master.catalog
         committed = (
             rec["tablet"] not in catalog.assignments
@@ -654,16 +589,12 @@ class LiveMigrator:
         if not committed and owner is not None:
             owner.finish_tablet_migration(rec["tablet"])
             if (
-                self.config.live_migration
-                and catalog.assignments.get(rec["tablet"]) == rec["server"]
+                catalog.assignments.get(rec["tablet"]) == rec["server"]
                 and owner.machine.alive
                 and owner.serving
             ):
                 owner.grant_lease(rec["tablet"])
-        try:
-            coordination.delete(self.master.session, path)
-        except NoNodeError:
-            pass
+        self._clear(rec, SPLITS_PATH)
         return "completed" if committed else "aborted"
 
     # -- load balancing ----------------------------------------------------------

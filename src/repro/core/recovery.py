@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, Iterable
 
 from repro.core.checkpoint import CheckpointManager
 from repro.core.tablet_server import TabletServer
@@ -50,6 +51,9 @@ from repro.sim.scheduler import ConcurrentScheduler, Invoke, measured
 from repro.wal.record import LogPointer, LogRecord, RecordType
 from repro.wal.replay import CommitGate, Tombstones, as_committed, redo
 from repro.wal.repository import LogRepository
+
+# Gate every tablet's records, so no per-tablet filter may drop them.
+_MARKERS = (RecordType.COMMIT, RecordType.ABORT)
 
 
 @dataclass
@@ -201,9 +205,6 @@ class SplitLogs:
     """Output of :func:`split_log_by_tablet`."""
 
     paths: dict[str, str] = field(default_factory=dict)  # tablet id -> path
-    # Source-log position right after the last record the scan covered;
-    # a live migration's flip delta re-splits from here.
-    end: LogPointer | None = None
 
 
 def split_fence_path(failed_server_name: str) -> str:
@@ -224,18 +225,18 @@ def split_log_by_tablet(
     failed_server_name: str,
     splitter: Machine,
     *,
-    start: LogPointer | None = None,
     locate=None,
     fence: int | None = None,
-    only_tablet: str | None = None,
-    out_name: str | None = None,
 ) -> SplitLogs:
     """Split a failed server's log into one file per tablet (§3.8).
 
     "The log of the failed servers, which is stored in the shared DFS, is
     scanned (from the consistent recovery starting point) and split into
     separate files for each tablet."  The adopting servers then redo from
-    their tablet's split file.
+    their tablet's split file.  Only failover stages files: one scan of a
+    dead server's log feeds every adopter of its whole tablet set.  A
+    tablet moving between live servers is read straight out of the
+    source's log (:mod:`repro.core.migration`).
 
     Args:
         locate: ``(table, key) -> tablet id`` from the *current*
@@ -248,22 +249,13 @@ def split_log_by_tablet(
             whose fence does not match (a crashed splitter leaves the old
             fence — or none — so a retried failover re-splits under a
             fresh epoch before anyone adopts).
-        only_tablet: restrict the split to one tablet id (a live
-            migration catches up exactly the moving tablet; everything
-            else stays where it is).
-        out_name: directory name under ``/logbase/splits/`` the split
-            files (and fence) are written to; defaults to
-            ``failed_server_name``.  A live migration uses a
-            migration-scoped name so its catch-up files never collide
-            with a real failover of the same (still alive) source.
     """
-    out = out_name if out_name is not None else failed_server_name
     failed_log = LogRepository.reattach(
         dfs, splitter, f"/logbase/{failed_server_name}/log"
     )
     buffers: dict[str, list[bytes]] = defaultdict(list)
-    for _, record in failed_log.scan_all(start=start):
-        if record.record_type in (RecordType.COMMIT, RecordType.ABORT):
+    for _, record in failed_log.scan_all():
+        if record.record_type in _MARKERS:
             # Commit/abort markers gate every tablet's records: replicate
             # them into every split so per-tablet redo sees them.
             for buffer in buffers.values():
@@ -272,12 +264,10 @@ def split_log_by_tablet(
         tablet = record.tablet
         if locate is not None:
             tablet = locate(record.table, record.key) or tablet
-        if only_tablet is not None and tablet != only_tablet:
-            continue
         buffers[tablet].append(record.encode())
-    result = SplitLogs(end=failed_log.end_pointer())
+    result = SplitLogs()
     for tablet_id, frames in sorted(buffers.items()):
-        path = f"/logbase/splits/{out}/{tablet_id}/segment-00000001.log"
+        path = f"/logbase/splits/{failed_server_name}/{tablet_id}/segment-00000001.log"
         # A crash before the swap leaves only the staged file: reattach
         # skips it (not a numbered segment) and an adopter still sees the
         # previous split — or nothing — never a torn one.
@@ -295,8 +285,75 @@ def split_log_by_tablet(
         # The fence goes in last: it vouches that every split file above
         # belongs to this epoch.  Crashing before this line leaves a
         # stale (or absent) fence and adopters refuse the directory.
-        dfs.install(split_fence_path(out), str(fence).encode(), splitter)
+        dfs.install(split_fence_path(failed_server_name), str(fence).encode(), splitter)
     return result
+
+
+def rehome(
+    server: TabletServer,
+    scan: Iterable[tuple[LogPointer, LogRecord]],
+    tablet_id: str,
+    accept: Callable[[LogRecord], bool] | None = None,
+) -> RecoveryReport:
+    """Re-home what takes effect in ``scan`` into ``server``'s own log and
+    indexes — the one loop by which a tablet's records change logs.
+
+    Failover adoption feeds it a split file, a migration the source's log
+    read from the shared DFS.  The server must already have ``tablet_id``
+    assigned.  An index pointer must name a log the server owns, so each
+    effective record is re-appended once to the server's log (which also
+    makes the tablet's data local) and indexed at its new position.
+
+    Re-homing is restartable: a write whose (key, timestamp) version is
+    already in the server's index (an earlier attempt, or the catch-up
+    pass before a flip delta, appended it) is skipped, so running over
+    the same records again never double-appends.
+
+    Args:
+        accept: which WRITE / INVALIDATE records of ``scan`` belong to the
+            tablet; None takes them all (a split file holds one tablet).
+            COMMIT / ABORT markers always reach the gate.
+    """
+    report = RecoveryReport()
+    apply = _redo_into(server, report)
+
+    def already_adopted(record: LogRecord) -> bool:
+        # TSO timestamps are unique per version, so an index entry with
+        # this record's (key, timestamp) can only be an earlier pass's
+        # append — replaying it again would double-append.
+        try:
+            index = server.index_for(record.table, record.key, record.group)
+        except TabletNotFound:
+            return False
+        return any(
+            entry.timestamp == record.timestamp
+            for entry in index.versions(record.key)
+        )
+
+    def move(_: LogPointer, record: LogRecord) -> bool:
+        crash_point(CP_ADOPT_MID, server=server.name, tablet=tablet_id)
+        if record.record_type is RecordType.WRITE and already_adopted(record):
+            report.skipped += 1
+            server.machine.counters.add(RECOVERY_ADOPT_SKIPPED)
+            return False
+        # A tombstone is not deduped: its replay is naturally idempotent
+        # (the mark only moves forward) and duplicates from a restarted
+        # adoption collapse at the next compaction's (key, timestamp)
+        # dedupe.  The commit markers are not rewritten, hence the stamp.
+        pointer, _ = server.log.append(as_committed(record))
+        return apply(pointer, record)
+
+    gate = CommitGate(move)
+    with span(
+        SPAN_RECOVERY_ADOPT, server.machine, root=server.config.tracing,
+        tablet=tablet_id,
+    ):
+        for pointer, record in scan:
+            report.records_scanned += 1
+            if accept is None or record.record_type in _MARKERS or accept(record):
+                gate.feed(pointer, record)
+    report.uncommitted_ignored = gate.uncommitted
+    return report
 
 
 def adopt_split_log(
@@ -307,21 +364,11 @@ def adopt_split_log(
     *,
     fence: int | None = None,
 ) -> RecoveryReport:
-    """Redo one tablet's split-log file into an adopting server's indexes.
+    """:func:`rehome` one tablet's split-log file into an adopting server.
 
-    The adopting server must already have the tablet assigned.  Note the
-    pointers applied refer to the *split* file's repository, so the
-    adopting server re-reads record payloads from the failed server's
-    original log via the shared DFS; to keep pointers valid this rewrites
-    the records into the adopter's own log (data is re-appended once,
-    which also re-homes the tablet's data locally).
-
-    Adoption is restartable: a write whose (key, timestamp) version is
-    already in the adopter's index (a previous adoption attempt crashed
-    after appending it) is skipped, so re-running never double-appends
-    re-homed data.  When ``fence`` is given, the split directory's fence
-    token must match it — a stale fence means the splitter crashed before
-    finishing this epoch and the failover must re-split first.
+    When ``fence`` is given, the split directory's fence token must match
+    it — a stale fence means the splitter crashed before finishing this
+    epoch and the failover must re-split first.
 
     Raises:
         RecoveryError: on a fence mismatch.
@@ -335,45 +382,7 @@ def adopt_split_log(
             )
     split_root = f"/logbase/splits/{failed_server_name}/{tablet_id}"
     split_repo = LogRepository.reattach(dfs, server.machine, split_root)
-    report = RecoveryReport()
-    apply = _redo_into(server, report)
-
-    def already_adopted(record: LogRecord) -> bool:
-        # TSO timestamps are unique per version, so an index entry with
-        # this record's (key, timestamp) can only be a previous adoption
-        # attempt's append — replaying it again would double-append.
-        try:
-            index = server.index_for(record.table, record.key, record.group)
-        except TabletNotFound:
-            return False
-        return any(
-            entry.timestamp == record.timestamp
-            for entry in index.versions(record.key)
-        )
-
-    def rehome(_: LogPointer, record: LogRecord) -> bool:
-        crash_point(CP_ADOPT_MID, server=server.name, tablet=tablet_id)
-        if record.record_type is RecordType.WRITE and already_adopted(record):
-            report.skipped += 1
-            server.machine.counters.add(RECOVERY_ADOPT_SKIPPED)
-            return False
-        # A tombstone is not deduped: its replay is naturally idempotent
-        # (the mark only moves forward) and duplicates from a restarted
-        # adoption collapse at the next compaction's (key, timestamp)
-        # dedupe.  The commit markers are not rewritten, hence the stamp.
-        pointer, _ = server.log.append(as_committed(record))
-        return apply(pointer, record)
-
-    gate = CommitGate(rehome)
-    with span(
-        SPAN_RECOVERY_ADOPT, server.machine, root=server.config.tracing,
-        tablet=tablet_id,
-    ):
-        for pointer, record in split_repo.scan_all():
-            report.records_scanned += 1
-            gate.feed(pointer, record)
-    report.uncommitted_ignored = gate.uncommitted
-    return report
+    return rehome(server, split_repo.scan_all(), tablet_id)
 
 
 def recover_server_parallel(

@@ -122,13 +122,13 @@ class TabletServer:
         # Tablets owned but not yet redone (fast recovery's serve-while-
         # recovering window); ops on them raise TabletRecoveringError.
         self.recovering_tablets: set[str] = set()
-        # Live-migration state (config.live_migration gate; the empty
-        # structures cost nothing on the seed path).  ``migrating_tablets``
-        # holds tablets inside a fenced flip window (ops raise
-        # TabletMigratingError); ``lease_until`` maps tablet id to the
-        # ownership-lease expiry on *this machine's* clock; ``_key_samples``
-        # keeps a bounded deterministic sample of accessed keys per tablet
-        # so a hot tablet can be split at its median observed key.
+        # Handoff state.  ``migrating_tablets`` holds tablets inside a
+        # fenced flip window and ``lease_until`` maps tablet id to the
+        # ownership-lease expiry on *this machine's* clock — both always
+        # kept, and checked on the op path under config.live_migration
+        # (ops then raise TabletMigratingError); ``_key_samples`` (same
+        # gate) keeps a bounded deterministic sample of accessed keys per
+        # tablet so a hot tablet can be split at its median observed key.
         self.migrating_tablets: set[str] = set()
         self.lease_until: dict[str, float] = {}
         self._key_samples: dict[str, list[bytes]] = {}
@@ -253,7 +253,7 @@ class TabletServer:
         """Host a read replica of ``tablet``, tailing ``owner_name``'s log.
 
         Idempotent for an unchanged (owner, epoch): the heartbeat calls
-        this every pass.  A changed owner or a bumped fence epoch tears
+        this every pass.  A changed owner or a bumped ownership epoch tears
         the old replica down and starts a fresh one — a follower must
         never keep applying a deposed owner's post-fence records.
         """
@@ -537,8 +537,7 @@ class TabletServer:
         self._route_cache.pop(tablet.table, None)
         for group in tablet.schema.group_names:
             self._ensure_index(tablet.tablet_id, group)
-        if self.config.live_migration:
-            self.grant_lease(tablet.tablet_id)
+        self.grant_lease(tablet.tablet_id)
 
     def unassign_tablet(self, tablet_id: TabletId) -> None:
         """Drop a tablet (after reassignment elsewhere)."""
@@ -599,10 +598,9 @@ class TabletServer:
         self.heat[str(right.tablet_id)] = old_heat * (1.0 - left_share)
         self._key_samples[str(left.tablet_id)] = left_sample
         self._key_samples[str(right.tablet_id)] = right_sample
-        if self.config.live_migration:
-            self.revoke_lease(old_id)
-            self.grant_lease(left.tablet_id)
-            self.grant_lease(right.tablet_id)
+        self.revoke_lease(old_id)
+        self.grant_lease(left.tablet_id)
+        self.grant_lease(right.tablet_id)
         self.migrating_tablets.discard(old_id)
         return moved
 

@@ -178,9 +178,9 @@ CP_DFS_APPEND = "dfs.append"            # ctx: block, writer — per pipeline ru
 CP_DFS_REREPLICATE = "dfs.rereplicate"  # ctx: block — per block re-replicated
 CP_RECOVERY_MID = "recovery.mid"        # ctx: server, segment|tablet — mid redo
 CP_SPLIT_PERSIST = "recovery.split_persist"  # split file on temp, not yet swapped
-CP_ADOPT_MID = "recovery.adopt_mid"     # ctx: server, tablet — mid adoption replay
+CP_ADOPT_MID = "recovery.adopt_mid"     # ctx: server, tablet — between re-homed records
 CP_MIGRATION_PREPARE = "migration.prepare"  # ctx: tablet, source, target — intent persisted
-CP_MIGRATION_CATCHUP = "migration.catchup"  # ctx: tablet, source, target — mid catch-up
+CP_MIGRATION_CATCHUP = "migration.catchup"  # ctx: tablet, source, target, stage — before / after the re-home
 CP_MIGRATION_FLIP = "migration.flip"    # ctx: tablet, source, target, stage — fenced flip
 CP_SPLIT_FLIP = "migration.split_flip"  # ctx: tablet, server — tablet split commit window
 

@@ -134,7 +134,7 @@ def test_stale_location_cache_retries_after_tablet_move(db):
     _, tablet = master.locate("events", key)
     old_owner = master.locate("events", key)[0]
     new_owner = next(s.name for s in db.cluster.servers if s.name != old_owner)
-    master.move_tablet(str(tablet.tablet_id), new_owner)
+    db.cluster.migrate_tablet(str(tablet.tablet_id), new_owner)
     # The client's cache still points at old_owner; ops must still work.
     assert client.get("events", key, "payload") == {"body": b"v"}
     client.put("events", key, {"payload": {"body": b"v2"}})

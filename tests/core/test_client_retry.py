@@ -82,7 +82,7 @@ def test_stale_cache_after_graceful_move_retries_transparently():
     client = db.client(db.cluster.machines[2])
     client.put_raw("t", b"000000000001", "g", b"x")  # cache now warm
     tablet = db.cluster.master.tablets("t")[0]
-    db.cluster.master.move_tablet(str(tablet.tablet_id), "ts-node-1")
+    db.cluster.migrate_tablet(str(tablet.tablet_id), "ts-node-1")
     # The cached location points at ts-node-0, which answers
     # TabletNotFound; the client must refresh and succeed silently.
     client.put_raw("t", b"000000000001", "g", b"y")

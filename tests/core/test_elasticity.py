@@ -3,17 +3,23 @@
 import pytest
 
 from repro import ColumnGroup, LogBase, LogBaseConfig, TableSchema
-from repro.errors import ServerDownError
+from repro.chaos.invariants import check_single_owner
+from repro.errors import LogBaseError, ServerDownError
+from repro.sim.failure import CP_ADOPT_MID, FaultPlan, fault_plan
+
+
+def _acked_rows(db, step):
+    keys = [str(k).zfill(12).encode() for k in range(0, 2_000_000_000, step)]
+    for i, key in enumerate(keys):
+        db.put("events", key, {"payload": {"body": f"v{i}".encode()}})
+    return keys
 
 
 @pytest.fixture
 def loaded_db(schema, small_config):
     db = LogBase(n_nodes=3, config=small_config)
     db.create_table(schema, tablets_per_server=2)
-    keys = [str(k).zfill(12).encode() for k in range(0, 2_000_000_000, 53_000_017)]
-    for i, key in enumerate(keys):
-        db.put("events", key, {"payload": {"body": f"v{i}".encode()}})
-    return db, keys
+    return db, _acked_rows(db, 53_000_017)
 
 
 def test_move_tablet_preserves_data(loaded_db):
@@ -23,20 +29,11 @@ def test_move_tablet_preserves_data(loaded_db):
     tablet_id = str(tablet.tablet_id)
     old_owner = master.locate("events", tablet.key_range.start or b"0")[0]
     new_owner = next(s.name for s in db.cluster.servers if s.name != old_owner)
-    master.move_tablet(tablet_id, new_owner)
+    db.cluster.migrate_tablet(tablet_id, new_owner)
     assert master.locate("events", tablet.key_range.start or b"0")[0] == new_owner
     client = db.client(db.cluster.machines[1])
     for i, key in enumerate(keys):
         assert client.get("events", key, "payload") == {"body": f"v{i}".encode()}
-
-
-def test_move_to_self_is_noop(loaded_db):
-    db, _ = loaded_db
-    master = db.cluster.master
-    tablet = master.tablets("events")[0]
-    owner = master.locate("events", tablet.key_range.start or b"0")[0]
-    report = master.move_tablet(str(tablet.tablet_id), owner)
-    assert report.records_scanned == 0
 
 
 def test_scale_out_rebalances_tablets(loaded_db):
@@ -136,3 +133,92 @@ def test_scaled_out_datanode_keeps_replica_checksums():
     assert dfs.open("/probe", machine).read_all() == payload
     assert machine.name not in block.locations
     assert machine.counters.get("dfs.corrupt_replicas") == 1
+
+
+# -- one mover: every elastic move is the fenced, resumable handoff ------------
+
+
+def test_interrupted_scale_out_keeps_a_single_owner(schema):
+    """An elastic move that dies mid-re-home must leave what a live
+    migration leaves: one willing owner and an intent to resume from."""
+    db = LogBase(
+        n_nodes=3, config=LogBaseConfig.with_live_migration(segment_size=16 * 1024)
+    )
+    db.create_table(schema, tablets_per_server=2)
+    keys = _acked_rows(db, 23_000_017)
+    db.cluster.add_node(rebalance=False)
+    db.cluster.heartbeat()
+
+    def die(ctx):
+        raise LogBaseError("interrupted mid-re-home")
+
+    plan = FaultPlan()
+    plan.add(CP_ADOPT_MID, die, hits=5)
+    with fault_plan(plan):
+        with pytest.raises(LogBaseError):
+            db.cluster.master.rebalance()
+    assert len(plan.fired) == 1
+    assert check_single_owner(db) == []
+    assert len(db.cluster.migrator.pending_migrations()) == 1
+    outcomes = db.cluster.resume_migrations()
+    assert [o["outcome"] for o in outcomes] == ["aborted"]
+    db.cluster.heartbeat()
+    assert check_single_owner(db) == []
+    client = db.client(db.cluster.machines[1])
+    for i, key in enumerate(keys):
+        assert client.get("events", key, "payload") == {"body": f"v{i}".encode()}
+    # Nothing was lost, so the operator's retry simply succeeds.
+    assert db.cluster.master.rebalance()
+    assert check_single_owner(db) == []
+
+
+def test_nothing_is_left_under_the_splits_directory(loaded_db):
+    db, keys = loaded_db
+    cluster, dfs = db.cluster, db.cluster.dfs
+    tablet_id, source = sorted(cluster.master.catalog.assignments.items())[0]
+    target = next(s.name for s in cluster.servers if s.name != source)
+    cluster.migrate_tablet(tablet_id, target)
+    assert dfs.list_files("/logbase/splits") == []
+    cluster.add_node()
+    assert dfs.list_files("/logbase/splits") == []
+    cluster.remove_node(cluster.servers[0].name)
+    assert dfs.list_files("/logbase/splits") == []
+    # Failover alone stages split files, and deletes them once the last
+    # orphan has flipped.
+    report = cluster.kill_server(cluster.servers[1].name, permanent=True)
+    assert report.reassigned and report.recovery
+    assert cluster.total_counters()["recovery.splits_persisted"] >= 1
+    assert dfs.list_files("/logbase/splits") == []
+    client = db.client(cluster.machines[2])
+    for i, key in enumerate(keys):
+        assert client.get("events", key, "payload") == {"body": f"v{i}".encode()}
+
+
+@pytest.mark.parametrize("how", ["migrate_tablet", "add_node"])
+def test_a_move_writes_the_tablet_once(schema, how):
+    """A moving tablet is re-homed once, never staged: at replication 3
+    the whole cluster writes three bytes per byte that lands in the
+    target's log (a split-file detour made it six, and nine when the
+    source's other tablet was split out too)."""
+    db = LogBase(
+        n_nodes=4, config=LogBaseConfig.with_read_replicas(segment_size=1024 * 1024)
+    )
+    assert db.cluster.config.replication == 3
+    db.create_table(schema, tablets_per_server=2)
+    for k in range(0, 2_000_000_000, 5_000_011):
+        db.put("events", str(k).zfill(12).encode(), {"payload": {"body": b"x" * 256}})
+    cluster = db.cluster
+    cluster.heartbeat()
+    written = cluster.total_counters()["disk.bytes_written"]
+    if how == "add_node":
+        target = cluster.add_node()
+        rehomed = target.log.total_bytes()
+    else:
+        tablet_id, source = sorted(cluster.master.catalog.assignments.items())[0]
+        target = next(s for s in cluster.servers if s.name != source)
+        before = target.log.total_bytes()
+        assert cluster.migrate_tablet(tablet_id, target.name).completed
+        rehomed = target.log.total_bytes() - before
+    assert rehomed > 10_000
+    delta = cluster.total_counters()["disk.bytes_written"] - written
+    assert delta <= 3.1 * rehomed

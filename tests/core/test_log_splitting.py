@@ -1,4 +1,5 @@
-"""Direct unit tests for log splitting and split-log adoption (§3.8)."""
+"""Direct unit tests for log splitting, split-log adoption (§3.8) and the
+one re-home loop under both adoption and migration (``rehome``)."""
 
 import pytest
 
@@ -6,10 +7,11 @@ from repro.config import LogBaseConfig
 from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService
 from repro.core.partition import KeyRange
-from repro.core.recovery import adopt_split_log, split_log_by_tablet
+from repro.core.recovery import adopt_split_log, rehome, split_log_by_tablet
 from repro.core.tablet import Tablet, TabletId
 from repro.core.tablet_server import TabletServer
 from repro.wal.record import LogRecord, RecordType, commit_record
+from repro.wal.repository import LogRepository
 
 
 @pytest.fixture
@@ -53,19 +55,95 @@ def test_adopt_replays_only_its_tablet(dfs, machines, schema, tso):
         adopter.read("events", b"aaa", "payload")
 
 
-def test_split_respects_start_pointer(dfs, machines, schema, tso):
-    """Only the post-checkpoint suffix is split (the §3.8 'from the
-    consistent recovery starting point')."""
+def _left_adopter(dfs, machine, schema, tso, name) -> TabletServer:
+    adopter = TabletServer(name, machine, dfs, tso, LogBaseConfig())
+    adopter.assign_tablet(Tablet(TabletId("events", 0), KeyRange(b"", b"m"), schema))
+    return adopter
+
+
+def _source_scan(dfs, machine, source, start=None):
+    """The source's log as another machine reads it from the shared DFS."""
+    log = LogRepository.reattach(dfs, machine, f"/logbase/{source.name}/log")
+    return log.scan_all(start=start)
+
+
+def _is_left(record: LogRecord) -> bool:
+    return record.key < b"m"
+
+
+def _txn_write(txn_id, key, timestamp, value=b"v", tablet="events#0") -> LogRecord:
+    return LogRecord(RecordType.WRITE, txn_id=txn_id, table="events", tablet=tablet,
+                     key=key, group="payload", timestamp=timestamp, value=value)
+
+
+def _own_writes(server) -> list[bytes]:
+    return [r.key for _, r in server.log.scan_all() if r.record_type is RecordType.WRITE]
+
+
+def test_rehome_start_replays_only_the_suffix(dfs, machines, schema, tso):
+    """Only what follows the persisted cursor is re-homed (a migration's
+    flip delta; the §3.8 'from the consistent recovery starting point')."""
     server = two_tablet_server(dfs, machines[0], schema, tso)
     server.write("events", b"aaa", {"payload": b"old"})
     marker = server.log.end_pointer()
     server.write("events", b"bbb", {"payload": b"new"})
-    splits = split_log_by_tablet(dfs, server.name, machines[1], start=marker)
-    assert set(splits.paths) == {"events#0"}
-    adopter = TabletServer("ts-adopt2", machines[2], dfs, tso, LogBaseConfig())
-    adopter.assign_tablet(Tablet(TabletId("events", 0), KeyRange(b"", b"m"), schema))
-    report = adopt_split_log(adopter, dfs, server.name, "events#0")
+    adopter = _left_adopter(dfs, machines[2], schema, tso, "ts-adopt2")
+    report = rehome(
+        adopter, _source_scan(dfs, machines[2], server, start=marker), "events#0", _is_left
+    )
     assert report.writes_applied == 1  # only "bbb"
+    assert adopter.read("events", b"aaa", "payload") is None
+    assert adopter.read("events", b"bbb", "payload")[1] == b"new"
+
+
+def test_rehome_txn_spanning_two_tablets_moves_only_its_side_at_commit(
+    dfs, machines, schema, tso
+):
+    server = two_tablet_server(dfs, machines[0], schema, tso)
+    server.append_transactional([
+        _txn_write(7, b"left", 20),
+        _txn_write(7, b"right", 20, tablet="events#1"),
+    ])
+    adopter = _left_adopter(dfs, machines[1], schema, tso, "ts-adopt6")
+    # The COMMIT has not been logged yet: nothing takes effect.
+    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    assert (report.writes_applied, report.uncommitted_ignored) == (0, 1)
+    assert _own_writes(adopter) == []
+    server.append_transactional([commit_record(7, 20)])
+    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    assert (report.writes_applied, report.uncommitted_ignored) == (1, 0)
+    assert _own_writes(adopter) == [b"left"]
+    assert adopter.read("events", b"left", "payload")[1] == b"v"
+    # Re-homed as auto-committed: the COMMIT marker stays behind.
+    assert [r.txn_id for _, r in adopter.log.scan_all()] == [0]
+
+
+def test_rehome_attributes_a_split_parents_records_by_key(dfs, machines, schema, tso):
+    # Both records were logged under a since-split parent's id; only the
+    # key says which child each belongs to.
+    server = two_tablet_server(dfs, machines[0], schema, tso)
+    server.append_transactional([
+        _txn_write(0, b"aaa", 5, tablet="events#9"),
+        _txn_write(0, b"zzz", 6, tablet="events#9"),
+    ])
+    adopter = _left_adopter(dfs, machines[1], schema, tso, "ts-adopt7")
+    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    assert (report.records_scanned, report.writes_applied) == (2, 1)
+    assert _own_writes(adopter) == [b"aaa"]
+
+
+def test_rehome_again_over_the_same_scan_appends_nothing(dfs, machines, schema, tso):
+    server = two_tablet_server(dfs, machines[0], schema, tso)
+    for i in range(6):
+        server.write("events", b"a%02d" % i, {"payload": b"v%d" % i})
+    server.write("events", b"zzz", {"payload": b"other tablet"})
+    adopter = _left_adopter(dfs, machines[1], schema, tso, "ts-adopt8")
+    first = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    assert (first.writes_applied, first.skipped) == (6, 0)
+    size = adopter.log.total_bytes()
+    second = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    assert (second.writes_applied, second.skipped) == (0, 6)
+    assert adopter.log.total_bytes() == size
 
 
 def test_uncommitted_txn_writes_not_adopted(dfs, machines, schema, tso):

@@ -422,7 +422,9 @@ def test_master_failover_mid_migration_converges(schema, point, stage):
         assert client.get(TABLE, key, GROUP) == {"body": f"v{i}".encode()}
 
 
-def test_gate_off_uses_offline_move(schema, small_config):
+def test_gate_off_same_mover(schema, small_config):
+    """``live_migration`` gates lease checking, key sampling and the heat
+    balancer — not which mover runs."""
     db = LogBase(n_nodes=3, config=small_config)
     db.create_table(schema, tablets_per_server=1)
     keys = [str(k).zfill(12).encode() for k in range(0, 2_000_000_000, 53_000_017)]
@@ -433,10 +435,11 @@ def test_gate_off_uses_offline_move(schema, small_config):
     target = next(
         s.name for s in db.cluster.servers if s.name != assignments[tablet_id]
     )
-    db.cluster.migrate_tablet(tablet_id, target)  # master.move_tablet path
+    assert db.cluster.migrate_tablet(tablet_id, target).completed
     assert assignments[tablet_id] == target
+    assert _unreadable(db, keys) == []
+    assert db.cluster.total_counters()["migration.completed"] == 1
+    assert db.cluster.resume_migrations() == []
     with pytest.raises(ValueError):
         db.cluster.split_tablet(tablet_id)
     assert db.cluster.balance() == []
-    counters = db.cluster.total_counters()
-    assert counters.get("migration.started", 0) == 0
