@@ -30,7 +30,7 @@ the crash lands inside it:
 
 from __future__ import annotations
 
-from repro.chaos.scenario import Run, Scenario
+from repro.chaos.scenario import GROUP, TABLE, Run, Scenario
 from repro.config import LogBaseConfig
 from repro.sim.failure import CP_ADOPT_MID, CP_RECOVERY_MID, CP_SPLIT_PERSIST
 
@@ -83,10 +83,19 @@ def _crash_during_split(run: Run) -> None:
 
 def _crash_during_adoption(run: Run) -> None:
     """Kill the first adopter after it durably re-homed part of a tablet."""
+    # An adopter appends by the 64 KiB chunk, so "part of a tablet" takes
+    # a tablet of more than one: pad the one the helper adopts first and
+    # kill the helper at that tablet's last record, a chunk already out.
+    first = min(run.tablet_of(key) for key in run.keys)
+    mine = [key for key in run.keys if run.tablet_of(key) == first]
+    padding = [mine[0] + b"-%d" % i for i in range(10)]
+    for key in padding:
+        run.client.put_raw(TABLE, key, GROUP, bytes(8192))
     run.db.cluster.kill_node(VICTIM)
     run.heartbeat()
-    # hits=3: let a couple of records reach the adopter's log first.
-    run.kill_at(CP_ADOPT_MID, HELPER, hits=3, server=HELPER)
+    run.kill_at(
+        CP_ADOPT_MID, HELPER, hits=len(mine) + len(padding), server=HELPER
+    )
     _interrupted_failover(run)
 
 

@@ -12,9 +12,11 @@ contracts: the durability oracle through the replica-routed client
 staleness probe of every follower (:mod:`repro.chaos.invariants`).  The
 bodies add what only they can see:
 
-* a follower beyond its bound **rejects** instead of serving; and
+* a follower beyond its bound **rejects** instead of serving;
 * **fencing** — after a live migration flips ownership, no server keeps
-  a replica fed from the deposed owner's log.
+  a replica fed from the deposed owner's log; and
+* **install** — a run and its index left behind by an owner that died
+  before the ``segments.meta`` swap are never admitted by a follower.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from repro.chaos.invariants import follower_servers
 from repro.chaos.scenario import GROUP, TABLE, Run, Scenario
 from repro.config import LogBaseConfig
 from repro.errors import FollowerLaggingError
+from repro.sim.failure import CP_COMPACTION_MID
 
+OWNER = "ts-node-0"
 TARGET = "ts-node-1"
 
 
@@ -159,6 +163,35 @@ def _fencing_on_migration(run: Run) -> None:
             )
 
 
+def _compaction_crash_before_install(run: Run) -> None:
+    """The owner dies between writing a run's index and naming the run.
+
+    The plan's inputs stay authoritative: the followers, tailing in that
+    window, must not admit the unnamed run (nor open its index), and the
+    restarted owner's retried compaction — which vacuums the orphan pair
+    as scopeless tail garbage — must leave them re-homed onto a run the
+    map does name.
+    """
+    cluster = run.db.cluster
+    owner = cluster.server_by_name(OWNER)
+    run.write(run.keys[: len(run.keys) // 2])
+    run.kill_at(CP_COMPACTION_MID, OWNER, machine=owner.machine.name)
+    failed = run.attempt(owner.compact)
+    run.heartbeat()  # a tail pass over the dead owner's directory
+    for server in follower_servers(run.db, run.tablet_id):
+        tailer = server._tailers.get(OWNER)
+        if tailer is not None and any(
+            tailer.repo.is_sorted_segment(n) for n in tailer.repo.segments()
+        ):
+            run.report.violations.append(
+                f"install: {server.name} admitted a run {OWNER} never installed"
+            )
+    cluster.restart_server(OWNER)
+    run.report.restarted_servers.append(OWNER)
+    owner.compact()
+    run.observe(first_attempt_failed=failed)
+
+
 ROWS = tuple(
     Scenario(
         "replica",
@@ -188,6 +221,12 @@ ROWS = tuple(
             "ownership moves; every replica of the deposed owner is torn down",
             _fencing_on_migration,
             None,
+        ),
+        (
+            "compaction-crash-before-install",
+            "owner dies with a run and its index written, the map not swapped",
+            _compaction_crash_before_install,
+            "server-down",
         ),
     )
 )

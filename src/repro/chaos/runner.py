@@ -11,7 +11,9 @@ that are the same for all of them:
 4. **fault** — the plan is armed, the body injects the fault (unless
    this is the clean twin) and the row's workload, if any, runs under it;
 5. **settle** — heal partitions, restart whatever is still dead through
-   checkpoint+redo recovery, two heartbeats so repair finishes;
+   checkpoint+redo recovery, two heartbeats so repair finishes; what is
+   left on the DFS that should not be is counted (``split_files_left``,
+   ``runs_without_index``);
 6. **invariants** — durability always; single ownership iff the config
    has ``live_migration``; the follower staleness probe iff it has
    ``read_replicas``.  The config decides, not the family: a migration
@@ -45,6 +47,7 @@ from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.sim import metrics
 from repro.sim.failure import fault_plan
+from repro.wal.repository import RUN_INDEX_SUFFIX
 
 SCENARIOS: dict[str, Scenario] = {
     row.key: row
@@ -93,6 +96,28 @@ def _preload(run: Run) -> None:
     run.heartbeat()
     covering = [run.tablet_of(key) for key in run.keys]
     run.tablet_id = max(sorted(set(covering)), key=covering.count)
+
+
+def _runs_without_index(cluster) -> int:
+    """Sorted runs a live server's map names that lack their index file,
+    plus run index files whose run is gone: a run and its index are
+    installed, and retired, together."""
+    dfs = cluster.dfs
+    broken = 0
+    for server in cluster.servers:
+        if not server.machine.alive:
+            continue
+        log = server.log
+        runs = {log.run_index_path(n): n for n in log.segments()}
+        broken += sum(
+            log.is_sorted_segment(n) and not dfs.exists(path)
+            for path, n in runs.items()
+        )
+        broken += sum(
+            path.endswith(RUN_INDEX_SUFFIX) and path not in runs
+            for path in dfs.list_files(log.root + "/")
+        )
+    return broken
 
 
 def _check_invariants(run: Run) -> None:
@@ -187,7 +212,10 @@ def run_scenario(
     for _ in range(2):
         run.heartbeat()
     # Failover stages split files and deletes them; nothing else may.
-    run.observe(split_files_left=len(cluster.dfs.list_files("/logbase/splits/")))
+    run.observe(
+        split_files_left=len(cluster.dfs.list_files("/logbase/splits/")),
+        runs_without_index=_runs_without_index(cluster),
+    )
 
     _check_invariants(run)
 

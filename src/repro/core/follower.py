@@ -21,31 +21,43 @@ Two classes:
 
 Tailing protocol.  The owner's log is an append stream of unsorted
 ``segment-*.log`` files plus compaction-produced ``sorted-*.log`` files
-(slim layout, old data re-emitted in key order).  The tailer keeps a
-byte cursor over the unsorted stream — segment N+1 is only created after
-N closed, so once a higher unsorted segment exists the lower one is
-immutable — and scans each sorted segment exactly once when it appears.
-Sorted segments matter for two reasons: they re-emit live versions under
-*new* pointers (the originals are about to be retired, so the follower's
-index entries would dangle), and they carry re-emitted tombstones.
-Replay is recovery's redo (:mod:`repro.wal.replay`): one commit gate and
-one tombstone map per tailer, both living as long as the subscription.
-``insert`` replaces at (key, timestamp), so replay is idempotent — a
-fresh subscriber simply resets the cursor and the whole stream replays.
+(slim layout, old data re-emitted in key order).  Step 1: the tailer
+keeps a byte cursor over the unsorted stream — segment N+1 is only
+created after N closed, so once a higher unsorted segment exists the
+lower one is immutable — and decodes what lies past it.  Step 2: a sorted
+run holds nothing new, only live versions under *new* pointers (the
+originals are about to be retired, so the follower's index entries would
+dangle) and re-emitted tombstones, and its writer left exactly that list
+beside it (:func:`repro.index.persist.encode_run_index`).  So the tailer
+never reads a run: once ``segments.meta`` names one it loads the run's
+index, once, and re-homes its pointers from the ~30-byte entries — told
+what moved, Taurus-style, instead of re-deriving it from 1 KB values.  An
+index that is missing or fails its checksum fails the pass like any
+unreadable file: nothing is marked caught up and reads age out to the
+owner.  Both steps feed recovery's redo (:mod:`repro.wal.replay`): one
+commit gate and one tombstone map per tailer, both living as long as the
+subscription.  ``insert`` replaces at (key, timestamp), so replay is
+idempotent — a fresh subscriber simply resets the cursor and the whole
+stream replays.
 
 A read that chases a pointer into a segment the owner retired between
 tail passes raises :class:`FollowerLaggingError`; the client falls back
-to the owner and the next tail pass heals the pointer from the sorted
-segment that replaced it.
+to the owner and the next tail pass heals the pointer from the index of
+the run that replaced it.  What a *drained* pass leaves pointing at a file
+the owner no longer lists was retired without being re-homed: a deleted
+version whose tombstone the plan dropped with it (:meth:`LogTailer.drop_dead`).
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from repro.config import LogBaseConfig
 from repro.core.tablet import Tablet
 from repro.dfs.filesystem import DFS
 from repro.index.blink import BLinkTreeIndex
-from repro.index.interface import MultiversionIndex
+from repro.index.interface import IndexEntry, MultiversionIndex
+from repro.index.persist import decode_run_index
 from repro.obs.trace import span
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
@@ -53,8 +65,8 @@ from repro.sim.metrics import (
     REPLICA_TAIL_BATCHES,
     SPAN_FOLLOWER_TAIL,
 )
-from repro.wal.record import LogPointer, LogRecord
-from repro.wal.replay import CommitGate, Tombstones, redo
+from repro.wal.record import LogPointer, LogRecord, RecordType
+from repro.wal.replay import CommitGate, Tombstones, keep_versions, redo
 from repro.wal.repository import LogRepository
 
 
@@ -133,9 +145,12 @@ class LogTailer:
         # Byte cursor over the unsorted append stream: next record starts
         # at offset `_cursor[1]` of segment `_cursor[0]`.
         self._cursor: tuple[int, int] = (0, 0)
-        # Per-sorted-segment resume offsets and the set fully consumed.
-        self._sorted_progress: dict[int, int] = {}
+        # The entries of a sorted run's index a bounded pass has not
+        # reached yet, and the set of runs fully consumed.
+        self._sorted_progress: dict[int, list[tuple[LogPointer, LogRecord]]] = {}
         self._sorted_done: set[int] = set()
+        # Whether the last pass consumed everything ``repo`` lists.
+        self._drained = False
         # The redo state of the stream.  The gate's watermark — the
         # highest commit timestamp it let through — is synced into every
         # member's on a fully drained pass.
@@ -162,6 +177,7 @@ class LogTailer:
         self._cursor = (0, 0)
         self._sorted_progress.clear()
         self._sorted_done.clear()
+        self._drained = False
         self._gate = CommitGate(self._redo)
         self._tombstones.clear()
 
@@ -183,6 +199,7 @@ class LogTailer:
         with span(SPAN_FOLLOWER_TAIL, self._machine, owner=self.owner_name):
             applied = 0
             feed = self._gate.feed
+            self._drained = False
             try:
                 self.repo.refresh_from_dfs()
                 scanned = 0
@@ -220,45 +237,88 @@ class LogTailer:
                     if not drained:
                         break
 
-                # 2. Sorted segments, each consumed exactly once as it appears
-                # (new pointers for data whose original segments are being
-                # retired, plus re-emitted tombstones).  Their content is
-                # already-committed, so records apply directly.
+                # 2. Sorted runs, each consumed exactly once as the map names
+                # it: new pointers for data whose original segments are
+                # being retired, plus re-emitted tombstones, read off the
+                # run's index.  Their content is already committed, so the
+                # entries apply directly.
                 if drained:
                     for file_no in sorted_segs:
                         if file_no in self._sorted_done:
                             continue
-                        start = self._sorted_progress.get(file_no, 0)
-                        complete = True
-                        for pointer, record in self.repo.scan_segment(
-                            file_no, start_offset=start
-                        ):
-                            if scanned >= batch_limit:
-                                drained = False
-                                complete = False
-                                break
-                            scanned += 1
+                        entries = self._sorted_progress.pop(file_no, None)
+                        if entries is None:
+                            entries = self._run_entries(file_no)
+                        take = batch_limit - scanned
+                        for pointer, record in entries[:take]:
                             applied += feed(pointer, record, True)
-                            self._sorted_progress[file_no] = (
-                                pointer.offset + pointer.size
-                            )
-                        if complete:
-                            self._sorted_done.add(file_no)
-                            self._sorted_progress.pop(file_no, None)
-                        if not drained:
+                        if take < len(entries):
+                            self._sorted_progress[file_no] = entries[take:]
+                            drained = False
                             break
+                        scanned += len(entries)
+                        self._sorted_done.add(file_no)
 
                 if drained:
                     now = self._machine.clock.now
                     for member in self.members.values():
                         member.watermark = max(member.watermark, self._gate.watermark)
                         member.caught_up_at = now
+                    self._drained = True
             finally:
                 # Also when a read fails mid-pass: what was applied stays applied.
                 if applied:
                     self._machine.counters.add(REPLICA_LAG_RECORDS, applied)
                     self._machine.counters.add(REPLICA_TAIL_BATCHES)
             return applied, drained
+
+    def _run_entries(self, file_no: int) -> list[tuple[LogPointer, LogRecord]]:
+        """A named run's index as the ``(pointer, record)`` stream a scan of
+        the run would feed the gate, minus the values: tombstones, then
+        versions.  The timestamp rule makes their order immaterial."""
+        table, group = self.repo.segment_scope(file_no)
+        versions, tombstones = decode_run_index(self.repo.read_run_index(file_no))
+        return [
+            (
+                entry.pointer,
+                LogRecord(
+                    kind, table=table, key=entry.key, group=group,
+                    timestamp=entry.timestamp,
+                ),
+            )
+            for kind, block in (
+                (RecordType.INVALIDATE, tombstones),
+                (RecordType.WRITE, versions),
+            )
+            for entry in block
+        ]
+
+    def drop_dead(
+        self, index: MultiversionIndex, entries: Iterable[IndexEntry]
+    ) -> list[IndexEntry]:
+        """``entries`` of a member's ``index`` minus those naming a dead
+        version, which leave the index too.
+
+        Judged only after a fully drained pass, run indexes included:
+        every live version was then re-pointed into a file the refreshed
+        handle lists, so an entry still naming a file it does not list was
+        retired without being re-homed — the owner's plan dropped the
+        version, and the tombstone that would have said so, together.  A
+        file still listed that cannot be read is a lagging replica, not a
+        dead version, and so is anything before the pass drains."""
+        entries = list(entries)  # the drops below restructure the index
+        if not self._drained:
+            return entries
+        def listed(entry: IndexEntry) -> bool:
+            return self.repo.has_segment(entry.pointer.file_no)
+
+        live = []
+        for entry in entries:
+            if listed(entry):
+                live.append(entry)
+            else:
+                keep_versions(index, entry.key, listed)
+        return live
 
     def _redo(self, pointer: LogPointer, record: LogRecord) -> bool:
         """Redo one effective record into the member covering its key."""

@@ -23,6 +23,7 @@ from typing import Callable, Iterable
 
 from repro.core.checkpoint import CheckpointManager
 from repro.core.tablet_server import TabletServer
+from repro.dfs.datanode import CHECKSUM_CHUNK
 from repro.dfs.filesystem import DFS
 from repro.errors import RecoveryError, TabletNotFound
 from repro.obs.hist import Histogram
@@ -304,10 +305,16 @@ def rehome(
     effective record is re-appended once to the server's log (which also
     makes the tablet's data local) and indexed at its new position.
 
+    Records are appended by the chunk, as compaction writes a run: the
+    effective ones queue until they fill a DFS checksum chunk and go out
+    in one ``append_batch`` (one replication round trip, one chunk-CRC
+    pass), then are indexed in order at the positions it returned.
+
     Re-homing is restartable: a write whose (key, timestamp) version is
     already in the server's index (an earlier attempt, or the catch-up
-    pass before a flip delta, appended it) is skipped, so running over
-    the same records again never double-appends.
+    pass before a flip delta, appended it) or in the queue is skipped, so
+    running over the same records again never double-appends.  A crash
+    loses only the queue, which the next attempt re-reads.
 
     Args:
         accept: which WRITE / INVALIDATE records of ``scan`` belong to the
@@ -316,6 +323,19 @@ def rehome(
     """
     report = RecoveryReport()
     apply = _redo_into(server, report)
+    queue: list[LogRecord] = []
+    queued_versions: set[tuple[str, str, bytes, int]] = set()
+    queued_bytes = 0
+
+    def flush() -> None:
+        nonlocal queued_bytes
+        # The commit markers are not rewritten, hence the stamp.
+        appended = server.log.append_batch([as_committed(r) for r in queue])
+        for (pointer, _), record in zip(appended, queue):
+            apply(pointer, record)
+        queue.clear()
+        queued_versions.clear()
+        queued_bytes = 0
 
     def already_adopted(record: LogRecord) -> bool:
         # TSO timestamps are unique per version, so an index entry with
@@ -330,18 +350,25 @@ def rehome(
             for entry in index.versions(record.key)
         )
 
-    def move(_: LogPointer, record: LogRecord) -> bool:
+    def move(source: LogPointer, record: LogRecord) -> bool:
+        nonlocal queued_bytes
         crash_point(CP_ADOPT_MID, server=server.name, tablet=tablet_id)
-        if record.record_type is RecordType.WRITE and already_adopted(record):
-            report.skipped += 1
-            server.machine.counters.add(RECOVERY_ADOPT_SKIPPED)
-            return False
+        if record.record_type is RecordType.WRITE:
+            version = (record.table, record.group, record.key, record.timestamp)
+            if version in queued_versions or already_adopted(record):
+                report.skipped += 1
+                server.machine.counters.add(RECOVERY_ADOPT_SKIPPED)
+                return False
+            queued_versions.add(version)
         # A tombstone is not deduped: its replay is naturally idempotent
         # (the mark only moves forward) and duplicates from a restarted
         # adoption collapse at the next compaction's (key, timestamp)
-        # dedupe.  The commit markers are not rewritten, hence the stamp.
-        pointer, _ = server.log.append(as_committed(record))
-        return apply(pointer, record)
+        # dedupe.
+        queue.append(record)
+        queued_bytes += source.size
+        if queued_bytes >= CHECKSUM_CHUNK:
+            flush()
+        return True
 
     gate = CommitGate(move)
     with span(
@@ -352,6 +379,8 @@ def rehome(
             report.records_scanned += 1
             if accept is None or record.record_type in _MARKERS or accept(record):
                 gate.feed(pointer, record)
+        if queue:
+            flush()
     report.uncommitted_ignored = gate.uncommitted
     return report
 

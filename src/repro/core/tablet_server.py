@@ -22,6 +22,7 @@ from repro.core.read_cache import ReadCache
 from repro.core.tablet import Tablet, TabletId
 from repro.dfs.filesystem import DFS
 from repro.errors import (
+    CorruptLogRecord,
     DFSError,
     FollowerLaggingError,
     InvalidLogPointer,
@@ -304,9 +305,10 @@ class TabletServer:
         for tailer in self._tailers.values():
             try:
                 tailer.tail(REPLICA_TAIL_BATCH)
-            except DFSError:
+            except (DFSError, CorruptLogRecord):
                 # This server cannot read that owner's log right now (it is
-                # partitioned from every replica, say).  The tailer keeps
+                # partitioned from every replica, say, or a run's index
+                # fails its checksum).  The tailer keeps
                 # its cursor and tries again next tick; its replicas were
                 # not marked caught up, so they age out of their staleness
                 # bound and reads fall back to the owner.  Raising instead
@@ -380,10 +382,10 @@ class TabletServer:
                 if as_of is None
                 else index.lookup_asof(key, as_of)
             )
-            if entry is None:
+            tailer = self._tailers[follower.owner_name]
+            if entry is None or not tailer.drop_dead(index, [entry]):
                 self.machine.counters.add(REPLICA_READS_SERVED)
                 return None
-            tailer = self._tailers[follower.owner_name]
             try:
                 record = tailer.repo.read(entry.pointer)
             except (InvalidLogPointer, DFSError) as exc:
@@ -452,8 +454,9 @@ class TabletServer:
                     follower, as_of=as_of, max_staleness=max_staleness
                 )
                 tailer = self._tailers[follower.owner_name]
-                entries = follower.index(group).latest_in_range(
-                    start_key, end_key, as_of=as_of
+                index = follower.index(group)
+                entries = tailer.drop_dead(
+                    index, index.latest_in_range(start_key, end_key, as_of=as_of)
                 )
                 try:
                     rows.extend(self._live_rows(tailer.repo, entries))

@@ -8,6 +8,8 @@ log.  The file layout is a framed, checksummed sequence of entries::
     header  := magic(4B) count(uvarint)
     entry   := key_len key timestamp file_no offset size   (uvarints)
     trailer := crc32c(u32 LE) over header+entries
+
+A sorted run's index (:func:`encode_run_index`) is two such blocks.
 """
 
 from __future__ import annotations
@@ -46,24 +48,59 @@ def decode_entries(payload: bytes) -> list[IndexEntry]:
     Raises:
         CorruptLogRecord: on bad magic or checksum mismatch.
     """
-    if len(payload) < len(_MAGIC) + 4 or payload[:4] != _MAGIC:
-        raise CorruptLogRecord("bad index file magic")
-    body, (crc,) = payload[:-4], struct.unpack("<I", payload[-4:])
-    if crc32c(body) != crc:
-        raise CorruptLogRecord("index file checksum mismatch")
-    pos = len(_MAGIC)
-    count, pos = decode_uvarint(body, pos)
-    entries = []
-    for _ in range(count):
-        n, pos = decode_uvarint(body, pos)
-        key = body[pos : pos + n]
-        pos += n
-        timestamp, pos = decode_uvarint(body, pos)
-        file_no, pos = decode_uvarint(body, pos)
-        offset, pos = decode_uvarint(body, pos)
-        size, pos = decode_uvarint(body, pos)
-        entries.append(IndexEntry(key, timestamp, LogPointer(file_no, offset, size)))
+    entries, end = _decode_block(payload, 0)
+    if end != len(payload):
+        raise CorruptLogRecord("bytes after the index file's trailer")
     return entries
+
+
+def _decode_block(payload: bytes, start: int) -> tuple[list[IndexEntry], int]:
+    """One ``header entries trailer`` block of ``payload`` from ``start``;
+    returns ``(entries, end)``.  The block's length is only known once it
+    is parsed, so the checksum is verified last and a parse that runs off
+    a damaged block is reported as the corruption it is."""
+    pos = start + len(_MAGIC)
+    if payload[start:pos] != _MAGIC:
+        raise CorruptLogRecord("bad index file magic")
+    entries = []
+    try:
+        count, pos = decode_uvarint(payload, pos)
+        for _ in range(count):
+            n, pos = decode_uvarint(payload, pos)
+            key = payload[pos : pos + n]
+            pos += n
+            timestamp, pos = decode_uvarint(payload, pos)
+            file_no, pos = decode_uvarint(payload, pos)
+            offset, pos = decode_uvarint(payload, pos)
+            size, pos = decode_uvarint(payload, pos)
+            entries.append(IndexEntry(key, timestamp, LogPointer(file_no, offset, size)))
+        (crc,) = struct.unpack_from("<I", payload, pos)
+    except (ValueError, struct.error):
+        raise CorruptLogRecord("truncated index file") from None
+    if crc32c(payload[start:pos]) != crc:
+        raise CorruptLogRecord("index file checksum mismatch")
+    return entries, pos + 4
+
+
+def encode_run_index(versions: list[IndexEntry], tombstones: list[IndexEntry]) -> bytes:
+    """A sorted run's index file: where each surviving version and each
+    carried tombstone sits in the run, as two entry blocks.  A tombstone's
+    timestamp is its delete mark.  Whoever holds this needs no scan of the
+    run to point an index into it (§3.6.5 moves pointers, not data)."""
+    return encode_entries(versions) + encode_entries(tombstones)
+
+
+def decode_run_index(payload: bytes) -> tuple[list[IndexEntry], list[IndexEntry]]:
+    """``(versions, tombstones)`` of an :func:`encode_run_index` file.
+
+    Raises:
+        CorruptLogRecord: on bad magic, truncation or checksum mismatch.
+    """
+    versions, end = _decode_block(payload, 0)
+    tombstones, end = _decode_block(payload, end)
+    if end != len(payload):
+        raise CorruptLogRecord("bytes after the run index's trailer")
+    return versions, tombstones
 
 
 def write_index_file(

@@ -174,6 +174,7 @@ CP_TXN_POST_COMMIT = "txn.post_commit"  # durable but not yet applied
 CP_CHECKPOINT_MID = "checkpoint.mid"    # between index files of a checkpoint
 CP_COMPACTION_MID = "compaction.mid"    # after reduce, before install
 CP_META_PERSIST = "log.meta_persist"    # slim metadata written to temp, not yet swapped
+CP_LOG_RETIRE = "log.retire"            # ctx: machine, root — map swapped, retired files not yet deleted
 CP_DFS_APPEND = "dfs.append"            # ctx: block, writer — per pipeline run
 CP_DFS_REREPLICATE = "dfs.rereplicate"  # ctx: block — per block re-replicated
 CP_RECOVERY_MID = "recovery.mid"        # ctx: server, segment|tablet — mid redo

@@ -5,16 +5,15 @@ segments stored in the DFS.  Log records carry ``<LogKey, Data>`` where
 LogKey is (LSN, table, tablet) and Data is (row key, column group, write
 timestamp, value); a null value marks an invalidated (deleted) entry.
 Compaction (§3.6.5) rewrites the log into segments sorted by
-(table, column group, key, timestamp) with obsolete versions removed.
+(table, column group, key, timestamp) with obsolete versions removed; it
+also writes each run's index, so :mod:`repro.wal.compaction` sits above
+:mod:`repro.index` (which builds on :mod:`repro.wal.record`) and is
+imported by name, not re-exported from here.
 """
 
 from repro.wal.record import LogRecord, LogPointer, RecordType
 from repro.wal.segment import LogSegmentWriter, LogSegmentReader
 from repro.wal.repository import LogRepository
-from repro.wal.compaction import (
-    CompactionResult,
-    IncrementalCompactionJob,
-)
 from repro.wal.planner import CompactionPlan, CompactionPlanner
 from repro.wal.archive import ArchiveReport, ColdStorage, LogArchiver
 
@@ -25,8 +24,6 @@ __all__ = [
     "LogSegmentWriter",
     "LogSegmentReader",
     "LogRepository",
-    "CompactionResult",
-    "IncrementalCompactionJob",
     "CompactionPlan",
     "CompactionPlanner",
     "ArchiveReport",

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.dfs.datanode import CHECKSUM_CHUNK
+from repro.index.interface import IndexEntry
+from repro.index.persist import encode_run_index
 from repro.sim.failure import CP_COMPACTION_MID, crash_point
 from repro.sim.metrics import (
     COMPACTION_BYTES_READ,
@@ -180,12 +182,11 @@ class IncrementalCompactionJob:
         counters.add(COMPACTION_BYTES_WRITTEN, result.stats.bytes_written)
         counters.add(COMPACTION_TOMBSTONES_CARRIED, result.stats.tombstones_carried)
         # Each plan installs independently; a crash here leaves this
-        # plan's new runs written but unreferenced while every record
-        # stays readable through the plan's inputs.  Earlier plans in the
-        # same round are already fully installed.
+        # plan's new runs and their indexes written but unreferenced while
+        # every record stays readable through the plan's inputs.  Earlier
+        # plans in the same round are already fully installed.
         crash_point(CP_COMPACTION_MID, machine=self._repo.machine.name)
         self._repo.retire_segments(result.retired_segments)
-        self._repo.persist_meta()
         return result
 
     # -- shared helpers -----------------------------------------------------
@@ -216,29 +217,49 @@ class IncrementalCompactionJob:
         in one ``append_many`` — one replication round trip and one
         chunk-CRC pass per ``CHECKSUM_CHUNK`` of output instead of one per
         record (§3.7.2's batching applied to §3.6.5's sort/merge output).
-        Flushes fall on frame boundaries only, so a follower tailing the
-        half-written run, or a scan of what a crash between two flushes
-        left behind, never meets a torn frame.  An empty run creates no
-        segment.
+        Flushes fall on frame boundaries only, so a scan of what a crash
+        between two flushes left behind never meets a torn frame.  The
+        finished run's index is written beside it from the pointers those
+        appends returned.  An empty run creates no segment.
         """
         segment: LogSegmentWriter | None = None
-        pending: list[tuple[bytes, bytes, int | None]] = []
+        versions: list[IndexEntry] = []
+        tombstones: list[IndexEntry] = []
+        pending: list[tuple[bytes, bytes, int, bool]] = []
         pending_bytes = 0
+
+        def flush() -> None:
+            pointers = segment.append_many([frame for frame, _, _, _ in pending])
+            for pointer, (_, key, timestamp, live) in zip(pointers, pending):
+                result.stats.bytes_written += pointer.size
+                (versions if live else tombstones).append(
+                    IndexEntry(key, timestamp, pointer)
+                )
+            pending.clear()
+
         for item in self._frames(table, group, carry, keyed, result.stats):
             if segment is None:
                 segment = self._repo.create_sorted_segment(table, group)
             pending.append(item)
             pending_bytes += len(item[0])
             if pending_bytes >= CHECKSUM_CHUNK:
-                self._flush(segment, table, group, pending, result)
-                pending.clear()
+                flush()
                 pending_bytes = 0
         if segment is None:
             return
         if pending:
-            self._flush(segment, table, group, pending, result)
+            flush()
         segment.close()
+        # The run's index: exactly the pointers the appends returned, so
+        # nobody has to scan the run to learn them.
+        self._repo.write_run_index(
+            segment.file_no, encode_run_index(versions, tombstones)
+        )
         result.new_segments.append(segment.file_no)
+        result.index_entries.extend(
+            (table, group, entry.key, entry.timestamp, entry.pointer)
+            for entry in versions
+        )
 
     @staticmethod
     def _frames(
@@ -247,11 +268,12 @@ class IncrementalCompactionJob:
         carry: bool,
         keyed: Iterable[tuple[bytes, int, int, list[LogRecord]]],
         stats: CompactionStats,
-    ) -> Iterator[tuple[bytes, bytes, int | None]]:
-        """The run's ``(frame, key, timestamp)`` in file order.  With
+    ) -> Iterator[tuple[bytes, bytes, int, bool]]:
+        """The run's ``(frame, key, timestamp, live)`` in file order.  With
         ``carry`` a key that has a delete high-water mark (``cutoff >= 0``)
         gets a slim tombstone ahead of its surviving versions; a
-        tombstone's timestamp is ``None`` — written, never indexed."""
+        tombstone is not ``live`` — written, listed in the run's index,
+        never in the owner's."""
         for key, cutoff, cutoff_lsn, live in keyed:
             if carry and cutoff >= 0:
                 marker = LogRecord(
@@ -266,26 +288,10 @@ class IncrementalCompactionJob:
                     value=None,
                 )
                 stats.tombstones_carried += 1
-                yield marker.encode(slim=True), key, None
+                yield marker.encode(slim=True), key, cutoff, False
             for record in live:
                 stats.kept_versions += 1
-                yield as_committed(record).encode(slim=True), key, record.timestamp
-
-    @staticmethod
-    def _flush(
-        segment: LogSegmentWriter,
-        table: str,
-        group: str,
-        pending: list[tuple[bytes, bytes, int | None]],
-        result: CompactionResult,
-    ) -> None:
-        """Append ``pending`` in one DFS write and index the versions it
-        holds."""
-        pointers = segment.append_many([frame for frame, _, _ in pending])
-        for pointer, (_, key, timestamp) in zip(pointers, pending):
-            result.stats.bytes_written += pointer.size
-            if timestamp is not None:
-                result.index_entries.append((table, group, key, timestamp, pointer))
+                yield as_committed(record).encode(slim=True), key, record.timestamp, True
 
     # -- tail plans ---------------------------------------------------------
 

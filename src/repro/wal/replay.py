@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.wal.record import LogPointer, LogRecord, RecordType
 
 if TYPE_CHECKING:  # pragma: no cover - repro.index imports repro.wal
-    from repro.index.interface import MultiversionIndex
+    from repro.index.interface import IndexEntry, MultiversionIndex
 
 Tombstones = dict[tuple[str, str, bytes], int]  # (table, group, key) -> delete mark
 
@@ -104,11 +104,19 @@ def redo(
         tombstones[slot] = timestamp
     if index is None:
         return False
-    survivors = [e for e in index.versions(record.key) if e.timestamp > timestamp]
-    index.delete_key(record.key)
+    keep_versions(index, record.key, lambda entry: entry.timestamp > timestamp)
+    return True
+
+
+def keep_versions(
+    index: MultiversionIndex, key: bytes, keep: Callable[[IndexEntry], bool]
+) -> None:
+    """Drop every version of ``key`` that ``keep`` rejects (the index
+    contract deletes by key, so the survivors are put back)."""
+    survivors = [entry for entry in index.versions(key) if keep(entry)]
+    index.delete_key(key)
     for entry in survivors:
         index.insert(entry.key, entry.timestamp, entry.pointer)
-    return True
 
 
 def as_committed(record: LogRecord) -> LogRecord:

@@ -10,6 +10,17 @@ Sorted segments use the slim record layout (table/tablet/group omitted per
 entry); the repository keeps a metadata map ``file_no -> (table, group)``
 persisted in the DFS so reads can reconstitute full records — the §3.6.5
 storage optimization.
+
+A compaction plan installs in four steps: write the run
+(``sorted-N.log``), write its index beside it (``index-N.log.idx``,
+:func:`repro.index.persist.encode_run_index`), swap ``segments.meta`` once
+so that it names the run, then delete the plan's inputs and the index
+files of the runs among them.  The swap is the commit point for both
+files — nobody admits a run, or opens its index, before the map names it
+— and it comes before the deletes so that a crash anywhere leaves every
+record in a file some map still reaches: at worst the inputs and the
+named run are both live, which redo and the next merge's
+(key, timestamp) dedupe absorb.
 """
 
 from __future__ import annotations
@@ -23,7 +34,12 @@ from repro.dfs.filesystem import DFS
 from repro.errors import InvalidLogPointer
 from repro.obs.trace import span
 from repro.sim.deadline import check_deadline
-from repro.sim.failure import CP_LOG_APPEND, CP_META_PERSIST, crash_point
+from repro.sim.failure import (
+    CP_LOG_APPEND,
+    CP_LOG_RETIRE,
+    CP_META_PERSIST,
+    crash_point,
+)
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
     LOG_INGEST_BYTES,
@@ -38,6 +54,11 @@ from repro.wal.record import LogPointer, LogRecord
 from repro.wal.segment import LogSegmentReader, LogSegmentWriter, open_segment_reader
 
 DEFAULT_SEGMENT_SIZE = 64 * 1024 * 1024
+# Sorted run ``sorted-N.log`` has its index at ``index-N.log`` plus this.
+# The name must not parse as ``…-<digits>.<ext>``, which is how ``reattach``
+# and ``refresh_from_dfs`` recognise a segment in a directory listing, and
+# only a run's own file carries the ``sorted-`` prefix.
+RUN_INDEX_SUFFIX = ".idx"
 
 
 class LogRepository:
@@ -125,6 +146,10 @@ class LogRepository:
     def segments(self) -> list[int]:
         """All live segment file numbers in order."""
         return sorted(self._paths)
+
+    def has_segment(self, file_no: int) -> bool:
+        """Whether this handle lists segment ``file_no``."""
+        return file_no in self._paths
 
     def segment_path(self, file_no: int) -> str:
         """DFS path of segment ``file_no``."""
@@ -402,18 +427,46 @@ class LogRepository:
         self._slim_meta[file_no] = (table, group)
         return segment
 
+    def run_index_path(self, file_no: int) -> str:
+        """DFS path of sorted run ``file_no``'s index file."""
+        return f"{self._root}/index-{file_no:08d}.log{RUN_INDEX_SUFFIX}"
+
+    def write_run_index(self, file_no: int, payload: bytes) -> None:
+        """Store a finished run's encoded index beside it.  Written in
+        place: nobody opens it before the map names the run."""
+        writer = self._dfs.create(self.run_index_path(file_no), self._machine)
+        writer.append(payload)
+        writer.close()
+
+    def read_run_index(self, file_no: int) -> bytes:
+        """The encoded index of a run the metadata map names."""
+        return self._dfs.open(self.run_index_path(file_no), self._machine).read_all()
+
     def retire_segments(self, file_nos: list[int]) -> None:
-        """Delete old segments after compaction has installed their
-        replacements (§3.6.5: "the old log segments ... can be safely
-        discarded")."""
+        """Commit what replaces ``file_nos`` and discard them (§3.6.5:
+        "the old log segments ... can be safely discarded").
+
+        One ``segments.meta`` swap names the runs created since the last
+        one and forgets the retired ones; only then are the files deleted,
+        a run's index ahead of the run so that no index ever outlives it.
+        """
+        retired = set(file_nos)
+        slim_meta = {
+            no: meta for no, meta in self._slim_meta.items() if no not in retired
+        }
+        self._persist_meta(slim_meta)
+        self._slim_meta = slim_meta
+        crash_point(CP_LOG_RETIRE, machine=self._machine.name, root=self._root)
         for file_no in file_nos:
             if self._current is not None and self._current.file_no == file_no:
                 # The active segment was compacted away; the next append
                 # starts a fresh one.
                 self._current = None
             path = self._paths.pop(file_no, None)
-            self._slim_meta.pop(file_no, None)
             self._readers.pop(file_no, None)
+            index_path = self.run_index_path(file_no)
+            if self._dfs.exists(index_path):
+                self._dfs.delete(index_path)
             archived = self._archived.pop(file_no, None)
             if archived is not None:
                 cold_dfs, cold_path = archived
@@ -421,7 +474,6 @@ class LogRepository:
                     cold_dfs.delete(cold_path)
             elif path is not None:
                 self._dfs.delete(path)
-        self._persist_meta()
 
     def _meta_path(self) -> str:
         return f"{self._root}/segments.meta"
@@ -430,15 +482,15 @@ class LogRepository:
         # Where ``DFS.install`` stages the map; only the two readers use it.
         return self._meta_path() + ".tmp"
 
-    def _persist_meta(self) -> None:
-        """Persist the slim-segment metadata map through ``DFS.install``:
+    def _persist_meta(self, slim_meta: dict[int, tuple[str, str]]) -> None:
+        """Persist a slim-segment metadata map through ``DFS.install``:
         a crash at any point leaves either the old map or the complete
         new one on the DFS — never a window with neither (``reattach``
         prefers a complete temp file, which is always the newer state
         when one exists).
         """
         payload = json.dumps(
-            {str(no): list(meta) for no, meta in self._slim_meta.items()}
+            {str(no): list(meta) for no, meta in slim_meta.items()}
         ).encode()
         self._dfs.install(
             self._meta_path(),
@@ -448,10 +500,6 @@ class LogRepository:
                 crash_point, CP_META_PERSIST, machine=self._machine.name, root=self._root
             ),
         )
-
-    def persist_meta(self) -> None:
-        """Public hook used after compaction installs sorted segments."""
-        self._persist_meta()
 
     # -- recovery support -------------------------------------------------------------
 

@@ -15,6 +15,8 @@ def test_same_seed_same_report(name):
     assert first.passed, first.violations
     # Only failover stages files, and it deletes them when it is done.
     assert first.observed["split_files_left"] == 0
+    # A run and its index are installed, and retired, together.
+    assert first.observed["runs_without_index"] == 0
     assert run_scenario(name, seed=1).to_dict() == first.to_dict()
 
 

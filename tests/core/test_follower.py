@@ -17,7 +17,7 @@ import pytest
 from repro import LogBase, LogBaseConfig
 from repro.chaos.invariants import StalenessChecker
 from repro.chaos.oracle import encode_value
-from repro.errors import DataNodeDownError, FollowerLaggingError
+from repro.errors import CorruptLogRecord, DataNodeDownError, FollowerLaggingError
 from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan
 
 TABLE = "events"
@@ -215,6 +215,114 @@ def test_follower_tailing_a_half_written_run_ends_pointer_exact(schema):
     assert {pointer.file_no for pointer in after.values()} == {run}
     for i, key in enumerate(keys):
         assert server.follower_read(TABLE, key, GROUP)[1] == bytes([i % 251]) * 1000
+
+
+def _compacted_kilobyte_rows(schema, n=120):
+    """One tablet of ``n`` 1 KB rows, tailed, then compacted by its owner:
+    ``(db, keys, owner, follower server, its tailer)``."""
+    db = LogBase(n_nodes=3, config=_rep_config())
+    db.create_table(schema, tablets_per_server=1, only_servers=[SOURCE])
+    client = db.client(db.cluster.machines[-1])
+    keys = [str(k).zfill(12).encode() for k in range(0, n * 13_000_003, 13_000_003)]
+    for i, key in enumerate(keys):
+        client.put_raw(TABLE, key, GROUP, bytes([i % 251]) * 1000)
+    db.cluster.heartbeat()
+    _, server, _ = _the_follower(db)
+    owner = db.cluster.server_by_name(SOURCE)
+    owner.compact()
+    return db, keys, owner, server, server._tailers[SOURCE]
+
+
+def test_tailing_a_run_reads_its_index_not_its_values(schema):
+    """A run holds nothing a follower has not applied, only new pointers,
+    and its index lists them at ~30 bytes each: re-homing N x 1 KB rows
+    must not cost reading N KB again."""
+    db, keys, owner, server, tailer = _compacted_kilobyte_rows(schema)
+    (run,) = owner.log.segments()
+    run_bytes = owner.log.segment_bytes(run)
+    assert run_bytes > len(keys) * 1000
+
+    def bytes_read():
+        totals = db.cluster.total_counters()
+        return totals.get("disk.bytes_read", 0) + totals.get("blockcache.fill_bytes", 0)
+
+    before = bytes_read()
+    assert tailer.tail(10 * len(keys)) == (len(keys), True)
+    assert bytes_read() - before < run_bytes / 10
+    for i, key in enumerate(keys):
+        assert server.follower_read(TABLE, key, GROUP)[1] == bytes([i % 251]) * 1000
+    rows = server.follower_scan(TABLE, GROUP, b"", b"\xff")
+    assert [key for key, _, _ in rows] == keys
+    (follower,) = server.followers.values()
+    assert {e.pointer.file_no for e in follower.index(GROUP).entries()} == {run}
+
+
+def test_a_bounded_pass_resumes_inside_a_run_index(schema):
+    db, keys, owner, server, tailer = _compacted_kilobyte_rows(schema, n=25)
+    passes = []
+    while not passes or not passes[-1][1]:
+        passes.append(tailer.tail(10))
+    assert passes == [(10, False), (10, False), (5, True)]
+
+
+def test_a_damaged_run_index_fails_the_pass(schema):
+    """A run's index that fails its checksum is an unreadable file: the
+    pass ends, nothing is marked caught up, the heartbeat goes on, and
+    the replicas age out to the owner."""
+    db, keys, owner, server, tailer = _compacted_kilobyte_rows(schema, n=25)
+    (run,) = owner.log.segments()
+    path = owner.log.run_index_path(run)
+    payload = bytearray(db.cluster.dfs.open(path, owner.machine).read_all())
+    payload[len(payload) // 2] ^= 0x40
+    db.cluster.dfs.install(path, bytes(payload), owner.machine)
+    (follower,) = server.followers.values()
+    caught_up_at = follower.caught_up_at
+    with pytest.raises(CorruptLogRecord):
+        tailer.tail(1000)
+    server.machine.clock.advance(1.0)
+    db.cluster.heartbeat()
+    assert follower.caught_up_at == caught_up_at
+    assert server.machine.counters.get("replica.tail_errors") == 1
+    with pytest.raises(FollowerLaggingError):
+        server.follower_read(TABLE, keys[0], GROUP)
+    client = db.client(db.cluster.machines[-1])
+    assert client.get_raw(TABLE, keys[3], GROUP) == bytes([3]) * 1000
+
+
+def test_a_version_retired_without_being_rehomed_reads_absent(schema):
+    """``put k, delete k, tail(1), compact()``: the plan covers the scope,
+    so it drops the tombstone with the write and retires both segments.
+    The follower applied the put and never read the delete; nothing will
+    re-emit either.  Once a pass drains, an entry whose file the owner no
+    longer lists is a dead version — absent, not a replica that lags on
+    this key for good."""
+    db = LogBase(n_nodes=2, config=LogBaseConfig(segment_size=16 * 1024))
+    db.create_table(schema, tablets_per_server=1, only_servers=[SOURCE])
+    owner, server = db.cluster.servers
+    (tablet,) = owner.tablets.values()
+    server.follow_tablet(tablet, SOURCE, 0)
+    tailer = server._tailers[SOURCE]
+    dead, alive, later = b"000000000001", b"000000000002", b"000000000003"
+    client = db.client(db.cluster.machines[-1])
+    client.put_raw(TABLE, alive, GROUP, b"kept")
+    client.put_raw(TABLE, later, GROUP, b"kept")
+    assert tailer.tail(8) == (2, True)
+    client.put_raw(TABLE, dead, GROUP, b"doomed")
+    db.delete(TABLE, dead, GROUP)
+    assert tailer.tail(1) == (1, False)
+    owner.compact()
+    # Mid-replay the handle already lacks the retired file, but a version
+    # whose run index has not been applied yet is not dead: still lagging.
+    assert tailer.tail(1) == (1, False)
+    for key in (dead, later):
+        with pytest.raises(FollowerLaggingError):
+            server.follower_read(TABLE, key, GROUP)
+    assert tailer.tail(8) == (1, True)
+    assert server.follower_read(TABLE, dead, GROUP) is None
+    assert server.follower_read(TABLE, later, GROUP)[1] == b"kept"
+    rows = server.follower_scan(TABLE, GROUP, b"", b"\xff")
+    assert [key for key, _, _ in rows] == [alive, later]
+    assert rows == list(owner.range_scan(TABLE, GROUP, b"", b"\xff"))
 
 
 def test_retired_segment_is_absent_not_corrupt(rep_db):

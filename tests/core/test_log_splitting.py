@@ -10,6 +10,8 @@ from repro.core.partition import KeyRange
 from repro.core.recovery import adopt_split_log, rehome, split_log_by_tablet
 from repro.core.tablet import Tablet, TabletId
 from repro.core.tablet_server import TabletServer
+from repro.sim.failure import CP_ADOPT_MID, FaultPlan, fault_plan
+from repro.sim.metrics import DFS_APPEND_ROUND_TRIPS
 from repro.wal.record import LogRecord, RecordType, commit_record
 from repro.wal.repository import LogRepository
 
@@ -65,6 +67,10 @@ def _source_scan(dfs, machine, source, start=None):
     """The source's log as another machine reads it from the shared DFS."""
     log = LogRepository.reattach(dfs, machine, f"/logbase/{source.name}/log")
     return log.scan_all(start=start)
+
+
+def _crash(_ctx):
+    raise RuntimeError("adopter died")
 
 
 def _is_left(record: LogRecord) -> bool:
@@ -144,6 +150,36 @@ def test_rehome_again_over_the_same_scan_appends_nothing(dfs, machines, schema, 
     second = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
     assert (second.writes_applied, second.skipped) == (0, 6)
     assert adopter.log.total_bytes() == size
+
+
+def test_rehome_appends_by_the_chunk_and_a_crash_loses_only_the_queue(
+    dfs, machines, schema, tso
+):
+    """150 x 1 KB records re-home in a DFS append per 64 KiB, not one per
+    record, the same version met twice in one scan is queued once, and an
+    adopter killed late dedupes what its flushes made durable."""
+    server = two_tablet_server(dfs, machines[0], schema, tso)
+    for i in range(150):
+        server.write("events", b"a%03d" % i, {"payload": bytes([i]) * 1000})
+    twice = list(_source_scan(dfs, machines[1], server))
+    twice.insert(3, twice[0])
+    adopter = _left_adopter(dfs, machines[1], schema, tso, "ts-adopt9")
+    counters = machines[1].counters
+    plan = FaultPlan()
+    plan.add(CP_ADOPT_MID, _crash, hits=140)
+    with fault_plan(plan), pytest.raises(RuntimeError):
+        rehome(adopter, twice, "events#0", _is_left)
+    # Two full chunks went out before the 140th record; the rest of the
+    # queue died with the adopter.
+    assert counters.get(DFS_APPEND_ROUND_TRIPS) == 2
+    kept = len(_own_writes(adopter))
+    assert 120 < kept < 139 and kept == len(set(_own_writes(adopter)))
+    report = rehome(adopter, twice, "events#0", _is_left)
+    assert (report.skipped, report.writes_applied) == (kept + 1, 150 - kept)
+    assert counters.get(DFS_APPEND_ROUND_TRIPS) == 3
+    assert sorted(_own_writes(adopter)) == [b"a%03d" % i for i in range(150)]
+    for i in (0, 77, 149):
+        assert adopter.read("events", b"a%03d" % i, "payload")[1] == bytes([i]) * 1000
 
 
 def test_uncommitted_txn_writes_not_adopted(dfs, machines, schema, tso):

@@ -97,7 +97,6 @@ def test_every_reader_of_the_log_sees_the_same_state(history):
             ]
             owner.append_transactional(records + [abort_record(txn_id)] * op[2])
         elif op[0] == "compact":
-            drain(tailer)  # a follower behind a compaction: ROADMAP item 4
             owner.compact()
         elif op[0] == "checkpoint":
             cluster.checkpoints[OWNER].write_checkpoint()

@@ -6,9 +6,12 @@ import pytest
 
 from repro.dfs.datanode import CHECKSUM_CHUNK
 from repro.dfs.filesystem import DFS
+from repro.index.persist import decode_run_index
 from repro.sim.failure import (
     CP_COMPACTION_MID,
     CP_DFS_APPEND,
+    CP_LOG_RETIRE,
+    CP_META_PERSIST,
     FailureInjector,
     FaultPlan,
     fault_plan,
@@ -438,13 +441,60 @@ def test_run_crossing_several_flushes_and_a_dfs_block_boundary(machines):
             assert dfs.datanodes[name].verify_replica(block.block_id)
 
 
+def assert_run_index_matches(repo, result, carried):
+    """The run's index file lists exactly the versions the plan reported,
+    in file order, and ``carried``, each tombstone under the pointer of
+    its frame in the run."""
+    (run,) = result.new_segments
+    versions, tombstones = decode_run_index(repo.read_run_index(run))
+    assert [
+        ("t", "g", e.key, e.timestamp, e.pointer) for e in versions
+    ] == result.index_entries
+    assert [(e.key, e.timestamp) for e in tombstones] == carried
+    assert result.stats.tombstones_carried == len(carried)
+    for entry in tombstones:
+        marker = repo.read(entry.pointer)
+        assert marker.is_delete
+        assert (marker.key, marker.timestamp) == (entry.key, entry.timestamp)
+
+
+def test_run_index_is_the_plans_index_entries_and_carried_tombstones(repo, dfs):
+    for i in range(6):
+        repo.append(write(b"k%d" % i, 1 + i, b"first"))
+    repo.roll()
+    (first,) = run_plans(repo)
+    assert_run_index_matches(repo, first, [])
+    repo.append(delete(b"k1", 10))
+    repo.append(write(b"k2", 11, b"second"))
+    repo.roll()
+    (tail,) = run_plans(repo)
+    assert_run_index_matches(repo, tail, [(b"k1", 10)])
+    repo.append(write(b"k7", 12, b"third"))
+    repo.roll()
+    run_plans(repo)  # a third run of the scope, left out of the merge
+    inputs = (*first.new_segments, *tail.new_segments)
+    index_files = [repo.run_index_path(run) for run in inputs]
+    merge = IncrementalCompactionJob(
+        repo,
+        CompactionPlan(
+            "merge", inputs, sum(map(repo.segment_bytes, inputs)), scope=("t", "g")
+        ),
+    ).run()
+    assert [(key, ts) for _, _, key, ts, _ in merge.index_entries] == [
+        (b"k0", 1), (b"k2", 3), (b"k2", 11), (b"k3", 4), (b"k4", 5), (b"k5", 6)
+    ]
+    assert_run_index_matches(repo, merge, [(b"k1", 10)])
+    # The merged runs' indexes were retired with them.
+    assert not any(map(dfs.exists, index_files))
+
+
 # -- crash safety -----------------------------------------------------------
 
 
-def crash_mid_plan(repo, dfs, machines, point, hits):
-    """Kill the owner at the ``hits``-th ``point`` of a tail plan whose run
-    spans several flushes; every record must stay readable through the
-    plan's inputs, before and after a restart."""
+def crash_mid_plan(repo, dfs, machines, point, hits, *, after=None):
+    """Kill the owner at the ``hits``-th ``point`` (counted from the first
+    ``after``, when given) of a tail plan whose run spans several flushes;
+    every record must stay readable, before and after a restart."""
     repo.append(write(b"a", 1, b"v"))
     repo.append(delete(b"a", 2))
     repo.append(write(b"b", 3, b"v"))
@@ -455,26 +505,26 @@ def crash_mid_plan(repo, dfs, machines, point, hits):
     injector = FailureInjector()
     injector.register(machines[0].name, machines[0])
     plan = FaultPlan()
-    plan.add(
-        point,
-        kill_action(injector, machines[0].name, RuntimeError("died")),
-        hits=hits,
-    )
+    kill = kill_action(injector, machines[0].name, RuntimeError("died"))
+    if after is None:
+        plan.add(point, kill, hits=hits)
+    else:
+        plan.add(after, lambda ctx: plan.add(point, kill, hits=hits))
     (compaction_plan,) = CompactionPlanner(repo).plan()
     with fault_plan(plan):
         with pytest.raises(RuntimeError):
             IncrementalCompactionJob(repo, compaction_plan).run()
-    # Inputs were never retired: every record is still readable.
-    assert set(inputs) <= set(repo.segments())
     machines[0].restart()
     reattached = LogRepository.reattach(dfs, machines[0], "/logbase/ts-0/log")
-    assert set(inputs) <= set(reattached.segments())
     survivors = {
         slot: tss for slot, tss in visible_versions(reattached).items() if slot[0]
     }
     assert survivors == before
     assert survivors[("t", "g", b"b")] == {3}
     assert ("t", "g", b"a") not in survivors
+    # Inputs were never retired: every record is still readable.
+    assert set(inputs) <= set(repo.segments())
+    assert set(inputs) <= set(reattached.segments())
     return reattached, [f for f in reattached.segments() if f not in inputs]
 
 
@@ -497,6 +547,56 @@ def test_crash_between_two_flushes_keeps_inputs_live(repo, dfs, machines):
         reattached.segment_bytes(orphan)
     )
     assert reattached.segment_bytes(orphan) >= CHECKSUM_CHUNK
+
+
+# The install is write run -> write its index -> one ``segments.meta`` swap
+# -> delete the inputs.  The three windows that order opens:
+
+
+def test_crash_between_index_and_swap_leaves_an_unadmitted_pair(repo, dfs, machines):
+    reattached, (orphan,) = crash_mid_plan(repo, dfs, machines, CP_COMPACTION_MID, 1)
+    assert dfs.exists(reattached.run_index_path(orphan))
+    # A follower's handle admits a run only once the map names it.
+    tailing = LogRepository.reattach(dfs, machines[1], "/logbase/ts-0/log")
+    tailing.refresh_from_dfs()
+    assert orphan not in tailing.segments()
+
+
+def test_crash_writing_the_map_keeps_every_rewritten_record(repo, dfs, machines):
+    # The first DFS append after the runs and their indexes is the staged
+    # map.  Dying inside it used to find the inputs already deleted: a
+    # scopeless run and a torn temp file were all that was left of 151
+    # versions.
+    reattached, (orphan,) = crash_mid_plan(
+        repo, dfs, machines, CP_DFS_APPEND, 1, after=CP_COMPACTION_MID
+    )
+    assert reattached.segment_scope(orphan) is None
+
+
+def test_crash_inside_the_swap_installs_the_new_map_or_the_old(repo, dfs, machines):
+    # The staged map is complete, so a restart takes it: run and inputs
+    # are both live and every version is visible once.
+    reattached, (run,) = crash_mid_plan(repo, dfs, machines, CP_META_PERSIST, 1)
+    assert reattached.segment_scope(run) == ("t", "g")
+    versions, tombstones = decode_run_index(reattached.read_run_index(run))
+    assert len(versions) == 151 and not tombstones
+
+
+def test_crash_after_the_swap_leaves_inputs_and_run_both_live(repo, dfs, machines):
+    reattached, (run,) = crash_mid_plan(repo, dfs, machines, CP_LOG_RETIRE, 1)
+    assert reattached.segment_scope(run) == ("t", "g")
+    assert not dfs.exists("/logbase/ts-0/log/segments.meta.tmp")
+    # The next round retires the inputs again; the merge after it drops
+    # the duplicate copies and takes the first run's index with it.
+    before = visible_versions(reattached)
+    first_index = reattached.run_index_path(run)
+    run_plans(reattached, tier_fanout=2)
+    (merged,) = run_plans(reattached, tier_fanout=2)
+    assert merged.stats.kept_versions == 151
+    assert reattached.segments() == merged.new_segments
+    assert visible_versions(reattached) == before
+    assert dfs.exists(reattached.run_index_path(merged.new_segments[0]))
+    assert not dfs.exists(first_index)
 
 
 def test_validation():

@@ -41,7 +41,7 @@ def make_run(repo, keys_ts, *, table="t", group="g"):
     for key, ts in keys_ts:
         segment.append(write(key, ts, b"v", table=table, group=group).encode(slim=True))
     segment.close()
-    repo.persist_meta()
+    repo.retire_segments([])  # the map swap that names the run
     return segment.file_no
 
 

@@ -156,7 +156,8 @@ def test_meta_swap_crash_leaves_complete_map(repo, dfs, machines):
     re-creating it, so a crash in between lost the slim map and reads of
     sorted segments came back without table/group.  The swap now goes
     through a temp file; a crash after the temp is complete but before
-    the rename must still let ``reattach`` recover the new map."""
+    the rename must still let ``reattach`` recover the new map.  (The
+    swap now precedes the deletes, so the plan's input is still there.)"""
     repo.append(write_record(b"k", b"payload"))
     plan = FaultPlan()
     plan.add(CP_META_PERSIST, _crash, machine=machines[0].name)
@@ -164,7 +165,7 @@ def test_meta_swap_crash_leaves_complete_map(repo, dfs, machines):
         with pytest.raises(RuntimeError):
             compact_whole_log(repo)
     attached = LogRepository.reattach(dfs, machines[1], "/logbase/ts-0/log")
-    (file_no,) = attached.segments()
+    _input, file_no = attached.segments()
     assert attached.segment_scope(file_no) == ("t", "g")
     (record,) = [record for _, record in attached.scan_segment(file_no)]
     assert record.table == "t" and record.group == "g"
@@ -189,3 +190,27 @@ def test_meta_swap_cleans_up_tmp(repo, dfs):
     compact_whole_log(repo)
     assert not dfs.exists("/logbase/ts-0/log/segments.meta.tmp")
     assert dfs.exists("/logbase/ts-0/log/segments.meta")
+
+
+# -- run index files ----------------------------------------------------------
+
+
+def test_a_run_index_is_never_taken_for_a_segment(repo, dfs, machines):
+    """Both directory listings parse ``...-<digits>.<ext>`` as a file
+    number; a run's index (or a temp name beside it) sits in the same
+    directory and must not parse that way."""
+    repo.append(write_record(b"k", b"v"))
+    compact_whole_log(repo)
+    (run,) = repo.segments()
+    index_path = repo.run_index_path(run)
+    assert dfs.exists(index_path)
+    dfs.create(index_path + ".tmp", machines[0]).close()
+    attached = LogRepository.reattach(dfs, machines[1], "/logbase/ts-0/log")
+    assert attached.segments() == [run]
+    attached.refresh_from_dfs()
+    assert attached.segments() == [run]
+    # The index goes when its run does.
+    repo.retire_segments([run])
+    assert not dfs.exists(index_path)
+    attached.refresh_from_dfs()
+    assert attached.segments() == []
