@@ -1,10 +1,13 @@
 """Datanode: stores replica payloads on a machine's simulated disk.
 
-Each replica is held as a bytearray (the simulation's "disk contents")
-while read/write *costs* are charged through the machine's
-:class:`~repro.sim.disk.SimDisk`, keyed by block id so that sequential
-appends to the same block are charged sequential-transfer cost and reads
-elsewhere pay seeks.
+Each replica is the list of immutable ``bytes`` payloads it was handed,
+in append order, beside the running offsets they start and end at (the
+simulation's "disk contents").  Nothing is copied on append: the pipeline hands every replica
+of a block the same object, so a payload exists once however many
+replicas hold it.  Read/write *costs* are charged through the machine's
+:class:`~repro.sim.disk.SimDisk` from lengths alone, keyed by block id so
+that sequential appends to the same block are charged sequential-transfer
+cost and reads elsewhere pay seeks.
 
 Replica checksums are kept per fixed-size chunk, as HDFS keeps one per
 ``bytes.per.checksum``: an append extends only the tail chunk's CRC and a
@@ -13,6 +16,8 @@ block cache's fill unit, so one cache fill verifies exactly one chunk.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from repro.dfs.block_cache import DEFAULT_CHUNK_SIZE as CHECKSUM_CHUNK
 from repro.errors import BlockCorruptionError, DataNodeDownError
@@ -24,8 +29,28 @@ from repro.util.crc import crc32c
 ShippedChecksums = tuple[int, list[int]]
 
 
+def _range(
+    pieces: list[bytes], bounds: list[int], first: int, offset: int, end: int
+) -> bytes:
+    """Bytes ``[offset, end)`` of a replica, ``offset < end <= bounds[-1]``,
+    where ``first = bisect_right(bounds, offset) - 1`` is the piece
+    ``offset`` falls in: a slice of that piece, or one join across several."""
+    start = bounds[first]
+    if end <= bounds[first + 1]:
+        return pieces[first][offset - start : end - start]
+    last = bisect_left(bounds, end, first + 2) - 1
+    parts = pieces[first : last + 1]
+    parts[0] = parts[0][offset - start :]
+    parts[-1] = parts[-1][: end - bounds[last]]
+    return b"".join(parts)
+
+
 class DataNode:
     """One datanode process, co-located on a :class:`Machine`.
+
+    Payloads are kept by reference and never written into; a stored byte
+    only changes through :meth:`corrupt_replica`, which swaps a damaged
+    copy of one piece into this replica alone.
 
     Args:
         machine: the hosting machine.
@@ -39,7 +64,9 @@ class DataNode:
     def __init__(self, machine: Machine, checksum_replicas: bool = False) -> None:
         self.machine = machine
         self.checksum_replicas = checksum_replicas
-        self._blocks: dict[int, bytearray] = {}
+        # block id -> (pieces, bounds): the payloads in append order, none
+        # empty; piece i is replica bytes [bounds[i], bounds[i + 1]).
+        self._blocks: dict[int, tuple[list[bytes], list[int]]] = {}
         # block id -> CRC of each chunk; only the last may be partial.
         self._checksums: dict[int, list[int]] = {}
 
@@ -67,13 +94,18 @@ class DataNode:
 
     def block_length(self, block_id: int) -> int:
         """Current length of the local replica."""
-        return len(self._blocks[block_id])
+        return self._blocks[block_id][1][-1]
 
     def create_replica(self, block_id: int) -> None:
         """Allocate an empty replica for a new block."""
         self._require_alive()
-        self._blocks[block_id] = bytearray()
+        self._blocks[block_id] = ([], [0])
         self._checksums[block_id] = []
+
+    def checksums_for_copy(self, block_id: int) -> ShippedChecksums | None:
+        """What ships beside a whole-replica copy: the stored CRC of every
+        chunk, from offset 0.  None when this datanode keeps none."""
+        return (0, self._checksums[block_id]) if self.checksum_replicas else None
 
     def checksums_for_append(
         self, block_id: int, data: bytes
@@ -84,7 +116,7 @@ class DataNode:
         when this datanode keeps no checksums.  Stores nothing."""
         if not self.checksum_replicas:
             return None
-        offset = len(self._blocks[block_id])
+        offset = self.block_length(block_id)
         crcs: list[int] = []
         view = memoryview(data)
         pos = 0
@@ -101,27 +133,32 @@ class DataNode:
     ) -> float:
         """Append ``data`` to the local replica, charging disk cost.
 
+        ``data`` is kept, not copied: it must be immutable, and other
+        replicas may hold the same object.
+
         Args:
-            shipped: checksums the head of the pipeline already computed
-                for this payload (:meth:`checksums_for_append` on the
-                first replica).  Stored as they are when this replica is
-                as long as the sender's; otherwise — and for a copy made
-                by re-replication, which ships none — the datanode
-                computes its own from the bytes it was handed.
+            shipped: checksums computed elsewhere for this payload: by the
+                head of the pipeline (:meth:`checksums_for_append` on the
+                first replica), or the stored ones of the replica a
+                re-replicated copy was read from.  Stored as they are when
+                this replica is as long as the sender's offset; otherwise
+                the datanode computes its own from the bytes it was handed.
 
         Returns:
             Seconds of disk time charged to the hosting machine.
         """
         self._require_alive()
-        replica = self._blocks[block_id]
+        pieces, bounds = self._blocks[block_id]
+        offset = bounds[-1]
         cost = self.machine.disk.write_buffered(len(data))
         if self.checksum_replicas:
-            offset = len(replica)
             if shipped is None or shipped[0] != offset:
                 shipped = self.checksums_for_append(block_id, data)
             # Replaces the partial tail chunk's CRC, then extends.
             self._checksums[block_id][offset // CHECKSUM_CHUNK :] = shipped[1]
-        replica.extend(data)
+        if data:
+            pieces.append(data)
+            bounds.append(offset + len(data))
         return cost
 
     def read_cost(self, length: int) -> float:
@@ -142,14 +179,23 @@ class DataNode:
             BlockCorruptionError: if the read range exceeds the replica.
         """
         self._require_alive()
-        replica = self._blocks[block_id]
-        if offset + length > len(replica):
+        pieces, bounds = self._blocks[block_id]
+        have = bounds[-1]
+        end = offset + length
+        if end > have:
             raise BlockCorruptionError(
                 f"read past end of block {block_id}: "
-                f"offset={offset} length={length} have={len(replica)}"
+                f"offset={offset} length={length} have={have}"
             )
         cost = self.machine.disk.read(block_id, offset, length)
-        return bytes(replica[offset : offset + length]), cost
+        if length <= 0:
+            return b"", cost
+        first = bisect_right(bounds, offset) - 1
+        if bounds[first] == offset and bounds[first + 1] == end:
+            # Exactly one piece (every record read of an unsorted
+            # segment): the stored object itself, no copy.
+            return pieces[first], cost
+        return _range(pieces, bounds, first, offset, end), cost
 
     def verify_replica(
         self, block_id: int, offset: int = 0, length: int | None = None
@@ -168,28 +214,35 @@ class DataNode:
             return False
         if not self.checksum_replicas:
             return True
-        end = len(replica) if length is None else min(offset + length, len(replica))
+        pieces, bounds = replica
+        have = bounds[-1]
+        end = have if length is None else min(offset + length, have)
         checksums = self._checksums[block_id]
-        with memoryview(replica) as view:
-            for chunk_no in range(offset // CHECKSUM_CHUNK, -(-end // CHECKSUM_CHUNK)):
-                start = chunk_no * CHECKSUM_CHUNK
-                if crc32c(view[start : start + CHECKSUM_CHUNK]) != checksums[chunk_no]:
-                    return False
+        for chunk_no in range(offset // CHECKSUM_CHUNK, -(-end // CHECKSUM_CHUNK)):
+            start = chunk_no * CHECKSUM_CHUNK
+            first = bisect_right(bounds, start) - 1
+            chunk = _range(pieces, bounds, first, start, min(start + CHECKSUM_CHUNK, have))
+            if crc32c(chunk) != checksums[chunk_no]:
+                return False
         return True
 
     def corrupt_replica(self, block_id: int, at: int = 0) -> None:
         """Flip one payload byte *without* updating its chunk's checksum —
         fault injection for read-path corruption tests.  The damage is only
         detectable when ``checksum_replicas`` is on and a reader verifies
-        a range touching that chunk.
+        a range touching that chunk.  Copy-on-write: the damaged piece is
+        a new object, so replicas sharing the original are untouched.
 
         Raises:
             KeyError: if this datanode holds no such replica.
         """
-        replica = self._blocks[block_id]
-        if not replica:
+        pieces, bounds = self._blocks[block_id]
+        if not pieces:
             raise ValueError(f"replica of block {block_id} is empty")
-        replica[at % len(replica)] ^= 0xFF
+        at %= bounds[-1]
+        i = bisect_right(bounds, at) - 1
+        piece, j = pieces[i], at - bounds[i]
+        pieces[i] = piece[:j] + bytes([piece[j] ^ 0xFF]) + piece[j + 1 :]
 
     def drop_replica(self, block_id: int) -> None:
         """Delete the local replica (file deletion / re-replication)."""

@@ -222,11 +222,9 @@ class DFS:
         created = 0
         for target_name in targets[: want - len(live)]:
             # The source may have died mid-pass (e.g. a fault fired at the
-            # crash point above): fall back to any remaining live replica.
-            source = next(
-                (self.datanodes[n] for n in live if self.datanodes[n].alive),
-                None,
-            )
+            # crash point above) or hold damaged bytes: fall back to any
+            # remaining live replica that verifies.
+            source = self._copy_source(block, live)
             if source is None:
                 block.locations[:] = [n for n in live if self.datanodes[n].alive]
                 return created if created else lost()
@@ -245,7 +243,11 @@ class DFS:
             )
             source.machine.send(target.machine, len(payload))
             target.create_replica(block.block_id)
-            target.append_replica(block.block_id, payload)
+            # The copy is checked against the checksums the source just
+            # verified, not ones the target computes over what arrived.
+            target.append_replica(
+                block.block_id, payload, source.checksums_for_copy(block.block_id)
+            )
             block.locations.append(target_name)
             live.append(target_name)
             target.machine.counters.add(DFS_REREPLICATIONS)
@@ -255,6 +257,20 @@ class DFS:
         else:
             self.namenode.report_under_replicated(block.block_id)
         return created
+
+    def _copy_source(self, block: BlockInfo, live: list[str]) -> DataNode | None:
+        """The first live replica in ``live`` to copy ``block`` from.  With
+        replica checksums on it must verify end to end; one that does not
+        is dropped, from ``live`` too, as a failed verified read drops it."""
+        for name in list(live):
+            node = self.datanodes[name]
+            if not node.alive:
+                continue
+            if not self.checksum_replicas or node.verify_replica(block.block_id):
+                return node
+            live.remove(name)
+            self._drop_bad_replica(block, node, node.machine, corrupt=True)
+        return None
 
     def heartbeat(self) -> int:
         """One background repair tick, as the namenode would run off
@@ -458,6 +474,16 @@ class DFS:
         machine.counters.add(DFS_UNDER_REPLICATED, len(dead))
         self.namenode.report_under_replicated(block.block_id)
 
+    def _drop_bad_replica(
+        self, block: BlockInfo, node: DataNode, machine: Machine, corrupt: bool
+    ) -> None:
+        """Prune a replica that could not serve a read ``machine`` made,
+        counting the failover (and the corruption) on ``machine``."""
+        self._prune_replicas(block, [node.name], machine)
+        machine.counters.add(DFS_READ_FAILOVERS)
+        if corrupt:
+            machine.counters.add(DFS_CORRUPT_REPLICAS)
+
 
 class DFSWriter:
     """Append-only handle on a DFS file.
@@ -494,15 +520,20 @@ class DFSWriter:
         """
         if self._closed:
             raise FileClosedError(self._path)
+        if not isinstance(data, bytes):
+            # Replicas keep the object they are handed: a mutable buffer
+            # is copied once, here, so the caller cannot change it later.
+            data = bytes(data)
         with span(SPAN_DFS_APPEND, self._writer, bytes=len(data)):
             meta = self._dfs.namenode.get_file(self._path)
             start_offset = meta.length
-            remaining = memoryview(data)
-            while len(remaining) > 0:
+            pos = 0
+            while pos < len(data):
                 block = self._current_block(meta)
                 room = self._dfs.block_size - block.length
-                chunk = bytes(remaining[:room])
-                remaining = remaining[room:] if room < len(remaining) else remaining[len(remaining):]
+                # Unsliced when it fits: replicas store this very object.
+                chunk = data if not pos and len(data) <= room else data[pos : pos + room]
+                pos += len(chunk)
                 self._dfs._append_to_block(block, chunk, self._writer)
             return start_offset
 
@@ -723,7 +754,7 @@ class DFSReader:
             if self._dfs.verify_reads and not node.verify_replica(
                 block.block_id, offset, length
             ):
-                self._drop_bad_replica(block, node, corrupt=True)
+                self._dfs._drop_bad_replica(block, node, self._reader, corrupt=True)
                 last_exc = ReplicaCorruptError(
                     f"replica of block {block.block_id} on {node.name} "
                     f"failed checksum verification"
@@ -751,8 +782,8 @@ class DFSReader:
             try:
                 payload, cost = node.read_replica(block.block_id, offset, length)
             except (DataNodeDownError, BlockCorruptionError) as exc:
-                self._drop_bad_replica(
-                    block, node, corrupt=isinstance(exc, BlockCorruptionError)
+                self._dfs._drop_bad_replica(
+                    block, node, self._reader, isinstance(exc, BlockCorruptionError)
                 )
                 last_exc = exc
                 continue
@@ -849,8 +880,8 @@ class DFSReader:
             try:
                 payload, cost = winner.read_replica(block.block_id, offset, length)
             except (DataNodeDownError, BlockCorruptionError) as exc:
-                self._drop_bad_replica(
-                    block, winner, corrupt=isinstance(exc, BlockCorruptionError)
+                self._dfs._drop_bad_replica(
+                    block, winner, reader, isinstance(exc, BlockCorruptionError)
                 )
                 return None
             if winner is hedge:
@@ -881,14 +912,6 @@ class DFSReader:
             )
         self._observe_health(winner, winner_latency)
         return payload, cost, winner
-
-    def _drop_bad_replica(
-        self, block: BlockInfo, node: DataNode, corrupt: bool
-    ) -> None:
-        self._dfs._prune_replicas(block, [node.name], self._reader)
-        self._reader.counters.add(DFS_READ_FAILOVERS)
-        if corrupt:
-            self._reader.counters.add(DFS_CORRUPT_REPLICAS)
 
     def _replica_candidates(self, block: BlockInfo) -> list[DataNode]:
         """Live, reachable replicas in the order reads should try them:

@@ -55,7 +55,7 @@ def test_checksum_verification(node):
 def test_verify_detects_corruption(node):
     node.create_replica(7)
     node.append_replica(7, b"block data")
-    node._blocks[7][0] ^= 0xFF  # simulate bit rot
+    node.corrupt_replica(7, at=0)  # simulate bit rot
     assert not node.verify_replica(7)
 
 
@@ -82,7 +82,7 @@ def test_appends_charge_disk_time(node):
 
 def _chunk_crcs(node, block_id):
     """What the stored list must equal: one CRC per chunk of the bytes."""
-    replica = bytes(node._blocks[block_id])
+    replica, _ = node.read_replica(block_id, 0, node.block_length(block_id))
     return [
         crc32c(replica[start : start + CHECKSUM_CHUNK])
         for start in range(0, len(replica), CHECKSUM_CHUNK)

@@ -135,6 +135,7 @@ def test_stale_copy_on_revived_node_is_replaced(dfs, machines):
     assert dfs.heartbeat() == 1
     assert stale in block.locations
     assert dfs.datanode(stale).block_length(block.block_id) == len(b"old+new")
+    assert dfs.datanode(stale).read_replica(block.block_id, 0, 7)[0] == b"old+new"
 
 
 def test_partitioned_target_left_queued_until_heal(dfs, machines, network):
@@ -184,3 +185,98 @@ def test_strict_allocation_still_refuses_when_degraded_off(machines):
         dfs.datanode(name).fail()
     with pytest.raises(ReplicationError):
         dfs.create("/f", machines[0]).append(b"refused")
+
+
+# -- checksummed replicas: a copy is only ever made from verified bytes --------
+
+
+@pytest.fixture
+def checked_dfs(machines):
+    return DFS(
+        machines,
+        replication=3,
+        block_size=1 << 16,
+        checksum_replicas=True,
+        verify_reads=True,
+    )
+
+
+def test_rereplication_does_not_launder_a_corrupt_source(checked_dfs, machines):
+    payload = bytes(range(250)) * 20
+    checked_dfs.create("/f", machines[0]).append(payload)
+    block = _block(checked_dfs, "/f")
+    bad, good, doomed = block.locations
+    spare = next(m.name for m in machines if m.name not in block.locations)
+    checked_dfs.datanode(bad).corrupt_replica(block.block_id, at=100)
+    checked_dfs.datanode(doomed).fail()
+    assert checked_dfs.rereplicate() == 1
+    # The damaged first replica was found out and dropped, exactly as a
+    # verified read drops one; the copy came from the next survivor.
+    assert bad not in block.locations
+    assert block.locations == [good, spare]
+    counters = checked_dfs.datanode(bad).machine.counters
+    assert counters.get("dfs.corrupt_replicas") == 1
+    assert counters.get("dfs.read_failovers") == 1
+    copy = checked_dfs.datanode(spare)
+    assert copy.verify_replica(block.block_id)
+    assert copy.read_replica(block.block_id, 0, len(payload))[0] == payload
+    # One source was lost on the way, so the block is still one short.
+    assert block.block_id in checked_dfs.namenode.under_replicated
+    assert checked_dfs.heartbeat() == 1  # replaces the stale copy on ``bad``
+    assert sorted(block.locations) == sorted([bad, good, spare])
+    assert checked_dfs.datanode(bad).verify_replica(block.block_id)
+    assert checked_dfs.open("/f", machines[0]).read_all() == payload
+
+
+def test_copy_is_checked_against_the_sources_checksums(checked_dfs, machines):
+    # Damage that appears between the source's verification and the copy
+    # (here: injected through the read) must not be blessed by the target.
+    payload = b"s" * 5000
+    checked_dfs.create("/f", machines[0]).append(payload)
+    block = _block(checked_dfs, "/f")
+    source = checked_dfs.datanode(block.locations[0])
+    spare = next(m.name for m in machines if m.name not in block.locations)
+    checked_dfs.datanode(block.locations[2]).fail()
+    clean_read = source.read_replica
+
+    def torn_read(block_id, offset, length):
+        data, cost = clean_read(block_id, offset, length)
+        return b"X" + data[1:], cost
+
+    source.read_replica = torn_read
+    assert checked_dfs.rereplicate() == 1
+    assert not checked_dfs.datanode(spare).verify_replica(block.block_id)
+
+
+def test_no_source_verifies_leaves_block_queued(checked_dfs, machines):
+    checked_dfs.create("/f", machines[0]).append(b"q" * 5000)
+    block = _block(checked_dfs, "/f")
+    checked_dfs.datanode(block.locations[2]).fail()
+    for name in block.locations[:2]:
+        checked_dfs.datanode(name).corrupt_replica(block.block_id, at=7)
+    assert checked_dfs.rereplicate(strict=False) == 0  # background: no raise
+    assert block.locations == []
+    assert block.block_id in checked_dfs.namenode.under_replicated
+    with pytest.raises(DFSError):
+        checked_dfs.rereplicate()
+
+
+def test_checksummed_copy_on_revived_node_verifies_and_reads_back(
+    checked_dfs, machines
+):
+    writer = checked_dfs.create("/f", machines[0])
+    writer.append(b"old")
+    block = _block(checked_dfs, "/f")
+    stale = block.locations[-1]
+    non_holder = next(m.name for m in machines if m.name not in block.locations)
+    checked_dfs.datanode(stale).fail()
+    writer.append(b"+new")
+    checked_dfs.datanode(non_holder).fail()
+    checked_dfs.datanode(stale).machine.restart()
+    assert checked_dfs.heartbeat() == 1
+    revived = checked_dfs.datanode(stale)
+    assert revived.verify_replica(block.block_id)
+    assert revived.read_replica(block.block_id, 0, 7)[0] == b"old+new"
+    assert revived.checksums_for_copy(block.block_id) == checked_dfs.datanode(
+        block.locations[0]
+    ).checksums_for_copy(block.block_id)
