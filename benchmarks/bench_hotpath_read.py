@@ -14,8 +14,11 @@ per phase (uncompacted and compacted log), and appends a run entry to
 ``BENCH_read_pipeline.json`` at the repo root so the seek-reduction
 trajectory is tracked across commits.
 
-Run directly (``python benchmarks/bench_hotpath_read.py [--smoke]``) or
-via pytest, which asserts the >= 2x seek-reduction acceptance bar.
+Run directly (``python benchmarks/bench_hotpath_read.py [--smoke]``, which
+exits non-zero when a bar fails) or via pytest; both check the same bars
+(``check_acceptance``): the >= 2x seek reduction on the unclustered log,
+and on both logs the same rows, never more seeks, less simulated time
+and coalescing engaged.
 """
 
 from __future__ import annotations
@@ -143,27 +146,52 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
+def check_acceptance(results: dict) -> list[str]:
+    """The acceptance bars; returns a list of violations (empty = pass)."""
+    failures = []
+    for phase in ("uncompacted", "compacted"):
+        base = results["baseline"][phase]
+        piped = results["pipeline"][phase]
+        # Same workload, same answers.
+        if piped["rows"] != base["rows"]:
+            failures.append(
+                f"{phase}: rows diverged: {piped['rows']} vs {base['rows']}"
+            )
+        # Never worse than the seed path, even on a clustered log.
+        if piped["disk_seeks"] > base["disk_seeks"]:
+            failures.append(
+                f"{phase}: pipeline paid more seeks than the seed path "
+                f"({piped['disk_seeks']:.0f} vs {base['disk_seeks']:.0f})"
+            )
+        if piped["simulated_seconds"] >= base["simulated_seconds"]:
+            failures.append(
+                f"{phase}: pipeline not faster in simulated time "
+                f"({piped['simulated_seconds']:.4f} vs "
+                f"{base['simulated_seconds']:.4f} s)"
+            )
+        # Coalescing really engaged: many records per span read.
+        if not 0 < piped["read_many_spans"] < piped["read_many_records"]:
+            failures.append(
+                f"{phase}: coalescing did not engage ({piped['read_many_spans']:.0f} "
+                f"spans for {piped['read_many_records']:.0f} records)"
+            )
+    # The bar: warm scans over the unclustered log pay at least 2x fewer
+    # simulated seeks with the pipeline on.
+    if results["seek_reduction_uncompacted"] < 2.0:
+        failures.append(
+            f"expected >=2x seek reduction, got "
+            f"{results['seek_reduction_uncompacted']:.2f}x"
+        )
+    return failures
+
+
 # -- pytest entry point -----------------------------------------------------------
 
 
 def test_hotpath_read_pipeline():
     results = run_experiment(records=800, scans=10)
-    for phase in ("uncompacted", "compacted"):
-        base = results["baseline"][phase]
-        piped = results["pipeline"][phase]
-        # Same workload, same answers.
-        assert piped["rows"] == base["rows"]
-        # Never worse than the seed path, even on a clustered log.
-        assert piped["disk_seeks"] <= base["disk_seeks"]
-        assert piped["simulated_seconds"] < base["simulated_seconds"]
-        # Coalescing really engaged: many records per span read.
-        assert 0 < piped["read_many_spans"] < piped["read_many_records"]
-    # The acceptance bar: warm scans over the unclustered log pay at
-    # least 2x fewer simulated seeks with the pipeline on.
-    assert results["seek_reduction_uncompacted"] >= 2.0, (
-        f"expected >=2x seek reduction, got "
-        f"{results['seek_reduction_uncompacted']:.2f}x"
-    )
+    failures = check_acceptance(results)
+    assert not failures, "; ".join(failures)
 
 
 def main() -> None:
@@ -190,6 +218,10 @@ def main() -> None:
     print(format_report(results))
     append_trajectory(TRAJECTORY, results)
     print(f"\ntrajectory appended to {TRAJECTORY}")
+    failures = check_acceptance(results)
+    if failures:
+        raise SystemExit("ACCEPTANCE FAILED: " + "; ".join(failures))
+    print("acceptance bars met")
 
 
 if __name__ == "__main__":

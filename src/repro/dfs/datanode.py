@@ -178,7 +178,8 @@ class DataNode:
             DataNodeDownError: if the machine is down.
             BlockCorruptionError: if the read range exceeds the replica.
         """
-        self._require_alive()
+        if not self.machine.alive:
+            raise DataNodeDownError(f"datanode {self.name} is down")
         pieces, bounds = self._blocks[block_id]
         have = bounds[-1]
         end = offset + length
@@ -190,11 +191,9 @@ class DataNode:
         cost = self.machine.disk.read(block_id, offset, length)
         if length <= 0:
             return b"", cost
+        # A range inside one piece (every record read) is a slice of it,
+        # which for the whole piece is the stored object itself, not a copy.
         first = bisect_right(bounds, offset) - 1
-        if bounds[first] == offset and bounds[first + 1] == end:
-            # Exactly one piece (every record read of an unsorted
-            # segment): the stored object itself, no copy.
-            return pieces[first], cost
         return _range(pieces, bounds, first, offset, end), cost
 
     def verify_replica(

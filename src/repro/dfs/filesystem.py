@@ -589,7 +589,15 @@ class DFSReader:
         Raises:
             FileNotFoundInDFS: if the range is beyond the end of file.
         """
-        if offset + length > self._meta.length:
+        blocks = self._meta.blocks
+        first, pos = 0, offset
+        while first < len(blocks) and pos >= blocks[first].length:
+            pos -= blocks[first].length
+            first += 1
+        # A range inside one block (every record read) is inside the file
+        # and is that block's read as it is: no EOF sum, no join.
+        inside = first < len(blocks) and pos + length <= blocks[first].length
+        if not inside and offset + length > self._meta.length:
             raise FileNotFoundInDFS(
                 f"read past EOF of {self._meta.path}: "
                 f"offset={offset} length={length} file={self._meta.length}"
@@ -598,21 +606,17 @@ class DFSReader:
         # mirror-charged to the reader's clock by _read_from_block, so
         # the span's own duration already covers them.
         with span(SPAN_DFS_READ, self._reader, bytes=length):
+            if inside and length:
+                return self._read_from_block(blocks[first], pos, length)
             parts = []
             remaining = length
-            pos = offset
-            for block in self._meta.blocks:
-                if remaining == 0:
+            for block in blocks[first:]:
+                if not remaining:
                     break
-                if pos >= block.length:
-                    pos -= block.length
-                    continue
                 take = min(block.length - pos, remaining)
                 parts.append(self._read_from_block(block, pos, take))
                 remaining -= take
                 pos = 0
-            # A record read lies in one block, and joining one part returns
-            # it as it is; only a range that spans blocks is copied.
             return b"".join(parts)
 
     def read_all(self) -> bytes:
@@ -694,6 +698,17 @@ class DFSReader:
                 now=self._reader.clock.now,
                 counters=self._reader.counters,
             )
+
+    def _observe_read(self, node: DataNode, cost: float, length: int) -> None:
+        """Feed the health monitor a served read's latency: its disk cost,
+        plus the transfer when the replica is not on the reader's machine."""
+        if self._dfs.health is None:
+            return
+        if node.machine is not self._reader:
+            cost += self._dfs.network.transfer_cost(
+                length, a=node.name, b=self._reader.name
+            )
+        self._observe_health(node, cost)
 
     def _failover_read(
         self, block: BlockInfo, offset: int, length: int
@@ -787,12 +802,7 @@ class DFSReader:
                 )
                 last_exc = exc
                 continue
-            latency = cost
-            if node.machine is not self._reader:
-                latency += self._dfs.network.transfer_cost(
-                    length, a=node.name, b=self._reader.name
-                )
-            self._observe_health(node, latency)
+            self._observe_read(node, cost, length)
             return payload, cost, node
         if not self._dfs.namenode.owns(self._meta):
             raise FileNotFoundInDFS(
@@ -905,12 +915,7 @@ class DFSReader:
                 loser.machine.clock.advance(min(loser.read_cost(length), loser_busy))
             loser.machine.disk.invalidate_head()
         self._observe_health(loser, self._serve_estimate(loser, length))
-        winner_latency = cost
-        if winner.machine is not reader:
-            winner_latency += self._dfs.network.transfer_cost(
-                length, a=winner.name, b=reader.name
-            )
-        self._observe_health(winner, winner_latency)
+        self._observe_read(winner, cost, length)
         return payload, cost, winner
 
     def _replica_candidates(self, block: BlockInfo) -> list[DataNode]:
@@ -924,20 +929,21 @@ class DFSReader:
         limping-but-alive node stops being anyone's first choice while
         staying available as the read of last resort.
         """
-        live = [
-            self._dfs.datanodes[name]
-            for name in block.locations
-            if self._dfs.datanodes[name].alive
-            and self._dfs.network.reachable(self._reader.name, name)
-        ]
-        local = [n for n in live if n.machine is self._reader]
-        rack = [
-            n
-            for n in live
-            if n.machine is not self._reader
-            and n.machine.rack == self._reader.rack
-        ]
-        rest = [n for n in live if n not in local and n not in rack]
+        reader = self._reader
+        datanodes = self._dfs.datanodes
+        reachable = self._dfs.network.reachable
+        local, rack, rest = [], [], []
+        for name in block.locations:
+            node = datanodes[name]
+            machine = node.machine
+            if not machine.alive or not reachable(reader.name, name):
+                continue
+            if machine is reader:
+                local.append(node)
+            elif machine.rack == reader.rack:
+                rack.append(node)
+            else:
+                rest.append(node)
         ordered = local + rack + rest
         health = self._dfs.health
         if health is not None and len(ordered) > 1:

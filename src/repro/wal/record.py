@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from repro.errors import CorruptLogRecord
@@ -224,9 +224,27 @@ class LogRecord:
             value = body[pos : pos + n]
         if scope is not None and not table:
             table, group = scope
-        return cls(
-            record_type, lsn, txn_id, table, tablet, key, group, timestamp, value
-        ), body_end
+        record = object.__new__(cls)
+        _SET_TYPE(record, record_type)
+        _SET_LSN(record, lsn)
+        _SET_TXN(record, txn_id)
+        _SET_TABLE(record, table)
+        _SET_TABLET(record, tablet)
+        _SET_KEY(record, key)
+        _SET_GROUP(record, group)
+        _SET_TIMESTAMP(record, timestamp)
+        _SET_VALUE(record, value)
+        return record, body_end
+
+
+# The slot descriptors of the nine fields, bound once: ``decode`` fills a
+# record through them rather than the frozen ``__init__``'s nine
+# ``object.__setattr__`` calls.  What it builds is an ordinary
+# ``LogRecord`` (same type, equality, hash and immutability).
+(
+    _SET_TYPE, _SET_LSN, _SET_TXN, _SET_TABLE, _SET_TABLET,
+    _SET_KEY, _SET_GROUP, _SET_TIMESTAMP, _SET_VALUE,
+) = (getattr(LogRecord, field.name).__set__ for field in fields(LogRecord))  # fmt: skip
 
 
 @lru_cache(maxsize=1024)

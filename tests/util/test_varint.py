@@ -56,3 +56,17 @@ def test_consecutive_varints_parse_in_sequence():
     v3, pos = decode_uvarint(buf, pos)
     assert (v1, v2, v3) == (7, 70000, 0)
     assert pos == len(buf)
+
+
+@pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 16383, 16384, 2**21, 2**35])
+@pytest.mark.parametrize(
+    "tail", [b"", b"\x05", b"\xff\x01"], ids=["end", "byte", "varint"]
+)
+def test_every_length_decodes_at_an_offset_before_any_tail(value, tail):
+    encoded = encode_uvarint(value)
+    buf = b"\x81" + encoded + tail
+    assert decode_uvarint(buf, 1) == (value, 1 + len(encoded))
+    # Cut anywhere inside the varint (and nothing after it): truncated.
+    for cut in range(1, len(encoded)):
+        with pytest.raises(ValueError, match="truncated"):
+            decode_uvarint(b"\x81" + encoded[:cut], 1)

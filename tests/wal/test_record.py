@@ -6,7 +6,7 @@ the two golden frames it is what holds the wire format still.
 """
 
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -283,3 +283,36 @@ def test_scope_fills_what_a_slim_entry_leaves_out():
     assert LogRecord.decode(unnamed.encode(), 0, scope)[0] == replace(
         unnamed, table="events", group="payload"
     )
+
+
+# -- a decoded record is the record ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value", [None, b"", bytes(range(256)) * 4], ids=["none", "empty", "1k"]
+)
+@pytest.mark.parametrize("record_type", list(RecordType), ids=lambda t: t.name)
+@pytest.mark.parametrize("layout", ["full", "slim", "slim-scoped"])
+def test_a_decoded_record_is_the_record(record_type, value, layout):
+    built = LogRecord(
+        record_type, 300, 7, "events", "events#0", b"key-1", "payload", 2**35, value
+    )
+    slim = layout != "full"
+    scope = ("events", "payload") if layout == "slim-scoped" else None
+    frame = built.encode(slim=slim)
+    decoded, end = LogRecord.decode(b"\x00" + frame, 1, scope)
+    if slim:
+        table, group = scope or ("", "")
+        built = LogRecord(record_type, 300, 7, table, "", b"key-1", group, 2**35, value)
+    assert end == 1 + len(frame)
+    assert type(decoded) is LogRecord
+    assert decoded == built and not decoded != built
+    assert hash(decoded) == hash(built)
+    for field in fields(LogRecord):
+        assert getattr(decoded, field.name) == getattr(built, field.name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(decoded, field.name, getattr(built, field.name))
+    with pytest.raises(FrozenInstanceError):
+        del decoded.value
+    assert decoded.encode(slim=slim) == frame
+    assert decoded.with_lsn(301) == replace(built, lsn=301)
