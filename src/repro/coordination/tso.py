@@ -14,6 +14,8 @@ import struct
 from repro.coordination.znodes import CoordinationService
 from repro.errors import NodeExistsError
 
+_COUNTER = struct.Struct(">q")
+
 
 class TimestampOracle:
     """Strictly monotonic 64-bit timestamp dispenser backed by a znode."""
@@ -25,21 +27,20 @@ class TimestampOracle:
         self._session = service.connect("tso")
         service.ensure_path(self._session, "/logbase")
         try:
-            service.create(self._session, self._PATH, struct.pack(">q", start))
+            service.create(self._session, self._PATH, _COUNTER.pack(start))
         except NodeExistsError:
             pass
 
     def next_timestamp(self) -> int:
         """Allocate and return the next timestamp."""
-        data, _ = self._service.get(self._PATH)
-        (value,) = struct.unpack(">q", data)
-        self._service.set(self._session, self._PATH, struct.pack(">q", value + 1))
+        service = self._service
+        (value,) = _COUNTER.unpack(service.get(self._PATH)[0])
+        service.set(self._session, self._PATH, _COUNTER.pack(value + 1))
         return value
 
     def current(self) -> int:
         """The next timestamp that *would* be allocated (read-only peek)."""
-        data, _ = self._service.get(self._PATH)
-        (value,) = struct.unpack(">q", data)
+        (value,) = _COUNTER.unpack(self._service.get(self._PATH)[0])
         return value
 
     def read_timestamp(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.errors import (
@@ -111,10 +112,14 @@ class CoordinationService:
     # -- path helpers -----------------------------------------------------------
 
     @staticmethod
-    def _split(path: str) -> list[str]:
+    @lru_cache(maxsize=1024)
+    def _split(path: str) -> tuple[str, ...]:
+        # Pure, so a path validated once (the TSO's, on every timestamp)
+        # is not re-split; an invalid one raises and is never cached.
+        # Nodes are still walked on every lookup.
         if not path.startswith("/") or path == "/":
             raise ValueError(f"invalid znode path {path!r}")
-        return [part for part in path.split("/") if part]
+        return tuple(part for part in path.split("/") if part)
 
     def _lookup(self, path: str) -> _ZNode:
         node = self._root

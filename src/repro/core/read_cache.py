@@ -43,9 +43,10 @@ class ReadCache:
 
     def put(self, table: str, group: str, key: bytes, timestamp: int, value: bytes) -> None:
         """Cache a version if it is at least as new as the cached one."""
-        cached = self._cache.peek((table, group, key))
+        entry = (table, group, key)
+        cached = self._cache.peek(entry)
         if cached is None or cached[0] <= timestamp:
-            self._cache.put((table, group, key), (timestamp, value))
+            self._cache.put(entry, (timestamp, value))
 
     def invalidate(self, table: str, group: str, key: bytes) -> None:
         """Drop the cached version (deletes must not serve stale data)."""

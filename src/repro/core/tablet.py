@@ -15,8 +15,13 @@ class TabletId:
     table: str
     ordinal: int
 
+    def __post_init__(self) -> None:
+        # Formatted once: every write keys its heat, log record, index
+        # and update counter by this name.
+        object.__setattr__(self, "_name", f"{self.table}#{self.ordinal}")
+
     def __str__(self) -> str:
-        return f"{self.table}#{self.ordinal}"
+        return self._name
 
 
 @dataclass(frozen=True)

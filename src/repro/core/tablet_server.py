@@ -695,16 +695,13 @@ class TabletServer:
         self._touch_heat(tablet, key)
         if timestamp is None:
             timestamp = self.tso.next_timestamp()
+        tablet_name = str(tablet.tablet_id)
+        # Positional, in field order: type, lsn (stamped at append),
+        # txn_id, table, tablet, key, group, timestamp, value.
         records = [
             LogRecord(
-                record_type=RecordType.WRITE,
-                txn_id=txn_id,
-                table=table,
-                tablet=str(tablet.tablet_id),
-                key=key,
-                group=group,
-                timestamp=timestamp,
-                value=value,
+                RecordType.WRITE, 0, txn_id, table, tablet_name, key, group,
+                timestamp, value,
             )
             for group, value in group_values.items()
         ]

@@ -147,10 +147,12 @@ class DataNode:
         Returns:
             Seconds of disk time charged to the hosting machine.
         """
-        self._require_alive()
+        machine = self.machine
+        if not machine.alive:
+            raise DataNodeDownError(f"datanode {machine.name} is down")
         pieces, bounds = self._blocks[block_id]
         offset = bounds[-1]
-        cost = self.machine.disk.write_buffered(len(data))
+        cost = machine.disk.write_buffered(len(data))
         if self.checksum_replicas:
             if shipped is None or shipped[0] != offset:
                 shipped = self.checksums_for_append(block_id, data)

@@ -410,58 +410,62 @@ class DFS:
         """
         # Only the partial chunk at the old tail can hold stale cached
         # bytes after this append; full chunks are immutable.
-        self._invalidate_cached_tail(block.block_id, block.length)
-        crash_point(CP_DFS_APPEND, block=block.block_id, writer=writer.name)
+        block_id = block.block_id
+        self._invalidate_cached_tail(block_id, block.length)
+        writer_name = writer.name
+        crash_point(CP_DFS_APPEND, block=block_id, writer=writer_name)
         writer.counters.add(DFS_APPEND_ROUND_TRIPS)
-        live: list[DataNode] = []
+        network = self.network
+        reachable = network.reachable
+        # A location is its datanode's machine name: each is resolved once
+        # and checked once per pipeline stage, here and at its turn below.
+        live: list[tuple[DataNode, Machine, str]] = []
         dead: list[str] = []
         for name in block.locations:
             node = self.datanodes[name]
-            if node.alive and self.network.reachable(writer.name, name):
-                live.append(node)
+            machine = node.machine
+            if machine.alive and reachable(writer_name, name):
+                live.append((node, machine, name))
             else:
                 dead.append(name)
         if not live:
-            raise DFSError(f"no live replica for block {block.block_id}")
-        primary, *secondaries = live
+            raise DFSError(f"no live replica for block {block_id}")
+        (primary, primary_machine, primary_name), *secondaries = live
+        size = len(data)
         # The writer streams to the primary (loopback when co-located)...
-        writer.send(primary.machine, len(data))
+        writer.send(primary_machine, size)
         # ...with the payload's chunk checksums computed once, here, and
         # shipped to every replica beside the bytes (HDFS carries them in
         # the packet) rather than recomputed per replica.
-        shipped = primary.checksums_for_append(block.block_id, data)
-        primary.append_replica(block.block_id, data, shipped)
+        shipped = primary.checksums_for_append(block_id, data)
+        primary.append_replica(block_id, data, shipped)
         # ...which pipelines once to the remaining replicas; remote disks pay
         # their own write cost on their own clocks.  A limping link slows
         # both the replica transfer and that replica's ack leg, so a slow
         # link inside the pipeline stretches the synchronous append — the
         # gray failure mode the link-limp chaos schedule exercises.
         acked = 0.0
-        for replica in secondaries:
+        for replica, machine, name in secondaries:
             # A fault may kill or partition a secondary between the liveness
             # check above and its turn in the pipeline; drop it and go on.
-            if not replica.alive or not self.network.reachable(
-                primary.name, replica.name
-            ):
-                dead.append(replica.name)
+            if not machine.alive or not reachable(primary_name, name):
+                dead.append(name)
                 continue
-            primary.machine.counters.add("net.bytes_sent", len(data))
-            replica.machine.clock.advance(
-                self.network.transfer_cost(
-                    len(data), a=primary.name, b=replica.name
-                )
+            primary_machine.counters.add("net.bytes_sent", size)
+            machine.clock.advance(
+                network.transfer_cost(size, a=primary_name, b=name)
             )
-            replica.append_replica(block.block_id, data, shipped)
-            acked += self.network.links.factor(primary.name, replica.name)
+            replica.append_replica(block_id, data, shipped)
+            acked += network.links.factor(primary_name, name)
         # Synchronous ack travels back up the pipeline before return —
         # unless a group-commit flush is deferring acks to overlap the
         # next group's data stream with this one's ack drain.
-        ack_wait = self.network.latency * acked
+        ack_wait = network.latency * acked
         if _ACK_DEFERRAL is not None:
             _ACK_DEFERRAL.seconds += ack_wait
         else:
             writer.clock.advance(ack_wait)
-        block.length += len(data)
+        block.length += size
         if dead:
             self._prune_replicas(block, dead, writer)
 

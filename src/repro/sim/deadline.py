@@ -17,9 +17,6 @@ deadline is active, so the gated-off benchmarks are unaffected.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.errors import DeadlineExceededError
 from repro.sim.clock import SimClock
 
@@ -96,20 +93,28 @@ def check_deadline(label: str = "operation") -> None:
         _ACTIVE_DEADLINE.check(label)
 
 
-@contextmanager
-def deadline_scope(deadline: Deadline | None) -> Iterator[Deadline | None]:
+class deadline_scope:
     """Arm ``deadline`` as the ambient deadline for the ``with`` block.
 
     ``None`` is accepted and leaves the ambient state untouched, so
     call sites can pass their optional deadline through unconditionally.
+    A plain class rather than a generator: every client call enters one.
     """
-    global _ACTIVE_DEADLINE
-    if deadline is None:
-        yield None
-        return
-    previous = _ACTIVE_DEADLINE
-    _ACTIVE_DEADLINE = deadline
-    try:
-        yield deadline
-    finally:
-        _ACTIVE_DEADLINE = previous
+
+    __slots__ = ("_deadline", "_previous")
+
+    def __init__(self, deadline: Deadline | None) -> None:
+        self._deadline = deadline
+        self._previous: Deadline | None = None
+
+    def __enter__(self) -> Deadline | None:
+        global _ACTIVE_DEADLINE
+        if self._deadline is not None:
+            self._previous = _ACTIVE_DEADLINE
+            _ACTIVE_DEADLINE = self._deadline
+        return self._deadline
+
+    def __exit__(self, *exc_info) -> None:
+        global _ACTIVE_DEADLINE
+        if self._deadline is not None:
+            _ACTIVE_DEADLINE = self._previous

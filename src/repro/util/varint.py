@@ -27,15 +27,12 @@ def encode_uvarint(value: int) -> bytes:
         return _ONE_BYTE[value]
     if value < 0:
         raise ValueError(f"uvarint cannot encode negative value {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    out = []
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
+    return bytes(out)
 
 
 def decode_uvarint(buf: bytes, offset: int = 0) -> tuple[int, int]:

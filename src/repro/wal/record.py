@@ -98,18 +98,19 @@ class LogRecord:
         return self.record_type is RecordType.INVALIDATE
 
     def with_lsn(self, lsn: int) -> "LogRecord":
-        """Copy of this record with the LSN the repository assigned."""
-        return LogRecord(
-            self.record_type,
-            lsn,
-            self.txn_id,
-            self.table,
-            self.tablet,
-            self.key,
-            self.group,
-            self.timestamp,
-            self.value,
-        )
+        """Copy of this record with the LSN the repository assigned
+        (filled through the slot descriptors, as :meth:`decode` does)."""
+        record = object.__new__(LogRecord)
+        _SET_TYPE(record, self.record_type)
+        _SET_LSN(record, lsn)
+        _SET_TXN(record, self.txn_id)
+        _SET_TABLE(record, self.table)
+        _SET_TABLET(record, self.tablet)
+        _SET_KEY(record, self.key)
+        _SET_GROUP(record, self.group)
+        _SET_TIMESTAMP(record, self.timestamp)
+        _SET_VALUE(record, self.value)
+        return record
 
     # -- encoding ----------------------------------------------------------------
 
@@ -237,8 +238,8 @@ class LogRecord:
         return record, body_end
 
 
-# The slot descriptors of the nine fields, bound once: ``decode`` fills a
-# record through them rather than the frozen ``__init__``'s nine
+# The slot descriptors of the nine fields, bound once: ``decode`` and
+# ``with_lsn`` fill a record through them rather than the frozen ``__init__``'s nine
 # ``object.__setattr__`` calls.  What it builds is an ordinary
 # ``LogRecord`` (same type, equality, hash and immutability).
 (

@@ -229,12 +229,14 @@ class LogRepository:
         crash_point(CP_LOG_APPEND, machine=self._machine.name, root=self._root)
         stamped = []
         encoded = []
+        total = 0
         for record in records:
             rec = record.with_lsn(self._next_lsn)
             self._next_lsn += 1
             stamped.append(rec)
-            encoded.append(rec.encode())
-        total = sum(len(e) for e in encoded)
+            frame = rec.encode()
+            encoded.append(frame)
+            total += len(frame)
         self._machine.counters.add(LOG_INGEST_BYTES, total)
         with span(SPAN_LOG_APPEND, self._machine, bytes=total, records=len(records)):
             writer = self._roll_if_needed(total)

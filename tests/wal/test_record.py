@@ -316,3 +316,30 @@ def test_a_decoded_record_is_the_record(record_type, value, layout):
         del decoded.value
     assert decoded.encode(slim=slim) == frame
     assert decoded.with_lsn(301) == replace(built, lsn=301)
+
+
+@pytest.mark.parametrize(
+    "value", [None, b"", bytes(range(256)) * 4], ids=["none", "empty", "1k"]
+)
+@pytest.mark.parametrize("record_type", list(RecordType), ids=lambda t: t.name)
+def test_with_lsn_is_the_record(record_type, value):
+    """What the repository stamps is an ordinary record: equal to, and
+    hashing like, the one the constructor builds with that LSN."""
+    source = LogRecord(
+        record_type, 0, 7, "events", "events#0", b"key-1", "payload", 2**35, value
+    )
+    stamped = source.with_lsn(2**40)
+    built = LogRecord(
+        record_type, 2**40, 7, "events", "events#0", b"key-1", "payload", 2**35, value
+    )
+    assert type(stamped) is LogRecord
+    assert stamped == built and not stamped != built
+    assert hash(stamped) == hash(built)
+    assert source.lsn == 0 and source != stamped
+    for field in fields(LogRecord):
+        assert getattr(stamped, field.name) == getattr(built, field.name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(stamped, field.name, getattr(built, field.name))
+    frame = stamped.encode()
+    assert frame == built.encode()
+    assert LogRecord.decode(frame) == (built, len(frame))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidLogPointer
-from repro.sim.failure import CP_META_PERSIST, FaultPlan, fault_plan
+from repro.sim.failure import CP_LOG_APPEND, CP_META_PERSIST, FaultPlan, fault_plan
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
 from tests.wal.helpers import compact_whole_log
@@ -214,3 +214,41 @@ def test_a_run_index_is_never_taken_for_a_segment(repo, dfs, machines):
     assert not dfs.exists(index_path)
     attached.refresh_from_dfs()
     assert attached.segments() == []
+
+
+def test_append_batch_across_a_roll_stamps_and_tiles(repo, machines):
+    """One batch spanning a segment roll: contiguous LSNs, pointers that
+    tile each segment from offset 0, ingest bytes equal to the frames
+    written, and one CP_LOG_APPEND for the whole batch."""
+    repo.append(write_record(b"first", b"v"))
+    records = [write_record(str(i).encode(), b"x" * 700) for i in range(12)]
+    first_lsn = repo.next_lsn
+    ingest = machines[0].counters.get("log.ingest_bytes")
+    hits = []
+    plan = FaultPlan()
+    plan.add(CP_LOG_APPEND, hits.append, repeat=True)
+    with fault_plan(plan):
+        pairs = repo.append_batch(records)
+    assert hits == [{"machine": machines[0].name, "root": repo.root}]
+    assert [stamped.lsn for _, stamped in pairs] == list(
+        range(first_lsn, first_lsn + len(records))
+    )
+    assert repo.next_lsn == first_lsn + len(records)
+    frames = [stamped.encode() for _, stamped in pairs]
+    assert machines[0].counters.get("log.ingest_bytes") - ingest == sum(
+        len(frame) for frame in frames
+    )
+    assert len({pointer.file_no for pointer, _ in pairs}) >= 2
+    by_segment = {}
+    for (pointer, _), frame in zip(pairs, frames):
+        assert pointer.size == len(frame)
+        by_segment.setdefault(pointer.file_no, []).append(pointer)
+    for file_no, pointers in by_segment.items():
+        # The first segment also holds the record appended before the batch.
+        offset = pointers[0].offset if file_no == repo.segments()[0] else 0
+        for pointer in pointers:
+            assert pointer.offset == offset
+            offset += pointer.size
+        assert offset == repo.segment_bytes(file_no)
+    for pointer, stamped in pairs:
+        assert repo.read(pointer) == stamped
