@@ -19,7 +19,17 @@ Run directly (``python benchmarks/bench_compaction.py [--smoke]``) or via
 pytest, which asserts the acceptance bars: >= 40 % fewer cumulative
 compaction bytes written, post-compaction scans within 5 % of the
 monolithic arm, and at most 20 DFS append round trips per MiB of
-compaction output on either arm.
+compaction output on either arm.  Both also pin one smoke-size round of
+the incremental arm (round ``PROBE_ROUND``: its simulated seconds,
+``compaction.bytes_read/written`` and ``disk.bytes_written``), so a change
+meant to cost host time only fails here if it moves a simulated number.
+
+``main()`` also prints the host cost of each incremental round, with one
+follower tailing the owner: inclusive host ms of ``TabletServer.compact``,
+the plan job (``IncrementalCompactionJob.run``), the owner's index
+``repoint``, the checkpoint written after each plan, and the follower's
+run re-home (reading the run index and re-pointing its replica).  Host
+times are printed, never gated.
 """
 
 from __future__ import annotations
@@ -27,10 +37,16 @@ from __future__ import annotations
 import argparse
 import pathlib
 import random
+import time
+from contextlib import contextmanager
 
 from conftest import RECORD_SIZE, append_trajectory
 from repro.bench.adapters import LogBaseAdapter, make_logbase
 from repro.config import LogBaseConfig
+from repro.core.checkpoint import CheckpointManager
+from repro.core.follower import LogTailer
+from repro.core.tablet_server import TabletServer
+from repro.index.blink import BLinkTreeIndex
 from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan
 from repro.sim.metrics import (
     COMPACTION_BYTES_READ,
@@ -53,6 +69,16 @@ RANGE_SIZE = 80  # tuples returned per scan, the Fig. 10 mid-range point
 # One append per 64 KiB chunk of a run is 16 per MiB, plus each run's last
 # partial chunk; one append per 1 KB record was ~1,000.
 MAX_ROUND_TRIPS_PER_MIB = 20.0
+
+# The deterministic probe: round PROBE_ROUND (1-based) of the incremental
+# arm at smoke size, and what its compaction must charge.
+PROBE_ROUND = 3
+PINNED_ROUND = {
+    "sim_seconds": 0.08025467199999992,
+    "compaction_bytes_read": 210800,
+    "compaction_bytes_written": 206000,
+    "disk_bytes_written": 1326096,
+}
 
 
 def build_adapter(records: int) -> LogBaseAdapter:
@@ -121,9 +147,11 @@ def run_churn(
     updates_per_round = records // 2
     per_round: list[dict] = []
     run_appends = [0]
+    clocks = [machine.clock for machine in adapter.cluster.machines]
     for _ in range(rounds):
         for _ in range(updates_per_round):
             adapter.put(0, rng.choice(keys), rng.randbytes(RECORD_SIZE))
+        began = sum(clock.now for clock in clocks)
         with counting_run_appends(adapter, run_appends):
             compact(adapter)
         counters = adapter.cluster.total_counters()
@@ -132,6 +160,10 @@ def run_churn(
                 "compaction_bytes_written": counters.get(COMPACTION_BYTES_WRITTEN, 0.0),
                 "compaction_bytes_read": counters.get(COMPACTION_BYTES_READ, 0.0),
                 "ingest_bytes": counters.get(LOG_INGEST_BYTES, 0.0),
+                "disk_bytes_written": counters.get("disk.bytes_written", 0.0),
+                # simulated seconds the round's compaction charged, summed
+                # over every machine's clock
+                "sim_seconds": sum(clock.now for clock in clocks) - began,
             }
         )
     counters = adapter.cluster.total_counters()
@@ -150,6 +182,93 @@ def run_churn(
             len(server.log.segments()) for server in adapter.cluster.servers
         ),
     }
+
+
+def probe() -> dict[str, float]:
+    """Round ``PROBE_ROUND`` of the incremental arm at smoke size: what its
+    compaction charged (simulated seconds, and the counters' deltas)."""
+    adapter = build_adapter(SMOKE_RECORDS)
+    rounds = run_churn(adapter, SMOKE_RECORDS, PROBE_ROUND, LogBaseAdapter.compact_all)
+    before, last = rounds["rounds"][-2], rounds["rounds"][-1]
+    return {
+        name: last[name] - (0.0 if name == "sim_seconds" else before[name])
+        for name in PINNED_ROUND
+    }
+
+
+@contextmanager
+def host_timers(spent: dict[str, float]):
+    """Within the block, add each costed function's inclusive host
+    seconds to ``spent`` under its column name."""
+    targets = [
+        ("compact", TabletServer, "compact"),
+        ("plan job", IncrementalCompactionJob, "run"),
+        ("repoint", BLinkTreeIndex, "repoint"),
+        ("checkpoint", CheckpointManager, "write_checkpoint"),
+        ("follower re-home", LogTailer, "_run_entries"),
+        ("follower re-home", LogTailer, "_rehome"),
+    ]
+    saved = []
+    for column, owner, name in targets:
+        original = owner.__dict__.get(name)
+        if original is None:  # an older tree without this step
+            continue
+
+        def timed(*args, _original=original, _column=column, **kwargs):
+            began = time.perf_counter()
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                spent[_column] = spent.get(_column, 0.0) + time.perf_counter() - began
+
+        saved.append((owner, name, original))
+        setattr(owner, name, timed)
+    try:
+        yield
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+
+
+def host_cost_rounds(records: int, rounds: int, *, seed: int = 11) -> list[dict]:
+    """The incremental arm's churn with a follower on the second node
+    tailing the owner after every round; per round, the host ms of each
+    ``host_timers`` column."""
+    adapter = build_adapter(records)
+    owner, host = adapter.cluster.servers[:2]
+    for tablet in owner.tablets.values():
+        host.follow_tablet(tablet, owner.name, 0)
+    tailer = host._tailers[owner.name]
+    rng = random.Random(seed)
+    keys = [f"user{i:08d}".encode() for i in range(records)]
+    for key in keys:
+        adapter.put(0, key, rng.randbytes(RECORD_SIZE))
+    tailer.tail(10 * records)
+    per_round = []
+    for _ in range(rounds):
+        for _ in range(records // 2):
+            adapter.put(0, rng.choice(keys), rng.randbytes(RECORD_SIZE))
+        spent: dict[str, float] = {}
+        with host_timers(spent):
+            adapter.compact_all()
+            tailer.tail(10 * records)
+        per_round.append({column: 1e3 * seconds for column, seconds in spent.items()})
+    return per_round
+
+
+def format_round_costs(per_round: list[dict]) -> str:
+    columns = ["compact", "plan job", "repoint", "checkpoint", "follower re-home"]
+    lines = [
+        "Host cost of one incremental round (ms, inclusive; compact holds the "
+        "plan job, repoint and checkpoint)",
+        f"{'round':>5} " + " ".join(f"{column:>16}" for column in columns),
+    ]
+    for number, spent in enumerate(per_round, 1):
+        lines.append(
+            f"{number:>5} "
+            + " ".join(f"{spent.get(column, 0.0):>16.2f}" for column in columns)
+        )
+    return "\n".join(lines)
 
 
 def run_scan_phase(
@@ -227,9 +346,18 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def check_acceptance(results: dict) -> list[str]:
-    """The acceptance bars; returns a list of violations (empty = pass)."""
+def check_acceptance(results: dict, round_probe: dict[str, float]) -> list[str]:
+    """The acceptance bars and the pinned probe round; returns a list of
+    violations (empty = pass)."""
     failures = []
+    sim = round_probe["sim_seconds"]
+    if abs(sim - PINNED_ROUND["sim_seconds"]) > 1e-9 * PINNED_ROUND["sim_seconds"]:
+        failures.append(f"round {PROBE_ROUND} simulated seconds {sim!r} != pinned")
+    for name, pinned in PINNED_ROUND.items():
+        if name != "sim_seconds" and round_probe[name] != pinned:
+            failures.append(
+                f"round {PROBE_ROUND} {name} {round_probe[name]:.0f} != pinned {pinned}"
+            )
     mono = results["monolithic"]
     inc = results["incremental"]
     if results["write_reduction"] < 0.40:
@@ -268,7 +396,7 @@ def check_acceptance(results: dict) -> list[str]:
 def test_compaction_churn():
     results = run_experiment(records=SMOKE_RECORDS, rounds=SMOKE_ROUNDS)
     assert results["incremental"]["ingest_bytes"] == results["monolithic"]["ingest_bytes"]
-    failures = check_acceptance(results)
+    failures = check_acceptance(results, probe())
     assert not failures, "; ".join(failures)
 
 
@@ -294,10 +422,16 @@ def main() -> None:
         parser.error("--records and --rounds must be >= 1")
     results = run_experiment(records=records, rounds=rounds)
     print(format_report(results))
+    print(format_round_costs(host_cost_rounds(records, rounds)))
+    round_probe = probe()
+    print(
+        f"probe: round {PROBE_ROUND} at {SMOKE_RECORDS} records charged "
+        + ", ".join(f"{name} {value!r}" for name, value in round_probe.items())
+    )
     if not args.smoke:  # smoke runs (CI) must not pollute the trajectory
         append_trajectory(TRAJECTORY, results)
         print(f"\ntrajectory appended to {TRAJECTORY}")
-    failures = check_acceptance(results)
+    failures = check_acceptance(results, round_probe)
     if failures:
         raise SystemExit("ACCEPTANCE FAILED: " + "; ".join(failures))
     print("acceptance bars met")

@@ -414,6 +414,20 @@ class LogBaseConfig:
         settings.update(overrides)
         return cls(**settings)
 
+    @classmethod
+    def production(cls, **overrides) -> "LogBaseConfig":
+        """Every gate on at once: the gray-resilience stack plus everything
+        below, the configuration a user would run.  ``group_commit`` stays
+        off, as the blocking write path bypasses the commit coordinator."""
+        settings: dict = dict(
+            segment_size=1 * MiB, block_cache_enabled=True,
+            read_coalesce_gap=64 * 1024, scan_prefetch_bytes=1 * MiB,
+            fast_recovery=True, incremental_compaction=True, live_migration=True,
+            read_replicas=True, tracing=True, monitoring=True,
+        )
+        settings.update(overrides)
+        return cls.with_gray_resilience(**settings)
+
     def gray_policy(self):
         """The :class:`~repro.sim.health.GrayPolicy` for this config, or
         None when the ``gray_resilience`` gate is off."""

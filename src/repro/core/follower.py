@@ -30,8 +30,8 @@ originals are about to be retired, so the follower's index entries would
 dangle) and re-emitted tombstones, and its writer left exactly that list
 beside it (:func:`repro.index.persist.encode_run_index`).  So the tailer
 never reads a run: once ``segments.meta`` names one it loads the run's
-index, once, and re-homes its pointers from the ~30-byte entries — told
-what moved, Taurus-style, instead of re-deriving it from 1 KB values.  An
+index, once, and re-points each member's index in one walk over its
+~30-byte rows — told what moved, Taurus-style, not re-deriving it.  An
 index that is missing or fails its checksum fails the pass like any
 unreadable file: nothing is marked caught up and reads age out to the
 owner.  Both steps feed recovery's redo (:mod:`repro.wal.replay`): one
@@ -56,7 +56,7 @@ from repro.config import LogBaseConfig
 from repro.core.tablet import Tablet
 from repro.dfs.filesystem import DFS
 from repro.index.blink import BLinkTreeIndex
-from repro.index.interface import IndexEntry, MultiversionIndex
+from repro.index.interface import IndexEntry, MultiversionIndex, Row
 from repro.index.persist import decode_run_index
 from repro.obs.trace import span
 from repro.sim.machine import Machine
@@ -147,7 +147,7 @@ class LogTailer:
         self._cursor: tuple[int, int] = (0, 0)
         # The entries of a sorted run's index a bounded pass has not
         # reached yet, and the set of runs fully consumed.
-        self._sorted_progress: dict[int, list[tuple[LogPointer, LogRecord]]] = {}
+        self._sorted_progress: dict[int, tuple[list[Row], int]] = {}
         self._sorted_done: set[int] = set()
         # Whether the last pass consumed everything ``repo`` lists.
         self._drained = False
@@ -246,14 +246,16 @@ class LogTailer:
                     for file_no in sorted_segs:
                         if file_no in self._sorted_done:
                             continue
-                        entries = self._sorted_progress.pop(file_no, None)
-                        if entries is None:
-                            entries = self._run_entries(file_no)
+                        progress = self._sorted_progress.pop(file_no, None)
+                        entries, marks = progress or self._run_entries(file_no)
                         take = batch_limit - scanned
-                        for pointer, record in entries[:take]:
-                            applied += feed(pointer, record, True)
+                        applied += self._rehome(
+                            self.repo.segment_scope(file_no), entries[:take], marks
+                        )
                         if take < len(entries):
-                            self._sorted_progress[file_no] = entries[take:]
+                            self._sorted_progress[file_no] = (
+                                entries[take:], max(0, marks - take)
+                            )
                             drained = False
                             break
                         scanned += len(entries)
@@ -272,26 +274,44 @@ class LogTailer:
                     self._machine.counters.add(REPLICA_TAIL_BATCHES)
             return applied, drained
 
-    def _run_entries(self, file_no: int) -> list[tuple[LogPointer, LogRecord]]:
-        """A named run's index as the ``(pointer, record)`` stream a scan of
-        the run would feed the gate, minus the values: tombstones, then
-        versions.  The timestamp rule makes their order immaterial."""
-        table, group = self.repo.segment_scope(file_no)
+    def _run_entries(self, file_no: int) -> tuple[list[Row], int]:
+        """A named run's index rows, tombstones first, and their count."""
         versions, tombstones = decode_run_index(self.repo.read_run_index(file_no))
-        return [
-            (
-                entry.pointer,
-                LogRecord(
-                    kind, table=table, key=entry.key, group=group,
-                    timestamp=entry.timestamp,
-                ),
+        return tombstones + versions, len(tombstones)
+
+    def _rehome(self, scope: tuple[str, str], rows: list[Row], marks: int) -> int:
+        """Apply run-index rows, the first ``marks`` of them tombstones (fed
+        to the gate); returns what the gate would count.  A version moves
+        the watermarks, is skipped at or below its key's delete mark, and is
+        re-pointed in one walk of its member's index, or redone if absent."""
+        table, group = scope
+
+        def record(kind: RecordType, key: bytes, timestamp: int) -> LogRecord:
+            return LogRecord(
+                kind, table=table, key=key, group=group, timestamp=timestamp
             )
-            for kind, block in (
-                (RecordType.INVALIDATE, tombstones),
-                (RecordType.WRITE, versions),
-            )
-            for entry in block
-        ]
+
+        gate, applied = self._gate, 0
+        moved: dict[FollowerTablet, dict[tuple[bytes, int], LogPointer]] = {}
+        for i, (key, timestamp, pointer) in enumerate(rows):
+            if i < marks:
+                marker = record(RecordType.INVALIDATE, key, timestamp)
+                applied += gate.feed(pointer, marker, True)
+                continue
+            gate.watermark = max(gate.watermark, timestamp)
+            member = self._member(table, key)
+            if member is not None:
+                member.watermark = max(member.watermark, timestamp)
+                if self._tombstones.get((table, group, key), -1) < timestamp:
+                    moved.setdefault(member, {})[key, timestamp] = pointer
+                    applied += 1
+        for member, versions in moved.items():
+            index = member.index(group)
+            index.repoint(versions, ())
+            for (key, timestamp), pointer in versions.items():
+                version = record(RecordType.WRITE, key, timestamp)
+                redo(index, pointer, version, self._tombstones)
+        return applied
 
     def drop_dead(
         self, index: MultiversionIndex, entries: Iterable[IndexEntry]
@@ -320,13 +340,19 @@ class LogTailer:
                 keep_versions(index, entry.key, listed)
         return live
 
+    def _member(self, table: str, key: bytes) -> FollowerTablet | None:
+        """The member replicating ``(table, key)``, if any."""
+        for member in self.members.values():
+            if member.tablet.table == table and member.tablet.covers(key):
+                return member
+        return None
+
     def _redo(self, pointer: LogPointer, record: LogRecord) -> bool:
         """Redo one effective record into the member covering its key."""
         index = None
-        for member in self.members.values():
-            if member.tablet.table == record.table and member.tablet.covers(record.key):
-                if record.timestamp > member.watermark:
-                    member.watermark = record.timestamp
-                index = member.index(record.group)
-                break
+        member = self._member(record.table, record.key)
+        if member is not None:
+            if record.timestamp > member.watermark:
+                member.watermark = record.timestamp
+            index = member.index(record.group)
         return redo(index, pointer, record, self._tombstones)

@@ -11,7 +11,6 @@ which is the design removing the WAL+Data write bottleneck.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from itertools import islice
 
 from repro.config import LogBaseConfig
@@ -1026,8 +1025,8 @@ class TabletServer:
 
     def compact(self, *, retain_after: int | None = None) -> CompactionResult:
         """Run one size-tiered compaction round: execute the planner's
-        per-run plans, patching only the touched (table, group) indexes
-        after each.
+        per-run plans, re-pointing the indexes of the (table, group)
+        scopes each rewrote after it (:meth:`_patch_indexes`).
 
         Plans install one at a time (each guarded by its own
         ``CP_COMPACTION_MID`` crash point), and the checkpoint is
@@ -1073,60 +1072,49 @@ class TabletServer:
         Compaction drops records that fail it: they belong to tablets
         moved away by a rebalance or failover, whose new owner re-homed
         them into its own log at adoption time."""
-        return any(
-            tablet.table == table and tablet.covers(key)
-            for tablet in self.tablets.values()
-        )
+        try:
+            return self._route(table, key) is not None
+        except TabletNotFound:
+            return False
 
     def _patch_indexes(self, result: CompactionResult) -> None:
-        """Swap fresh indexes in for only the scopes one plan touched.
+        """Point the indexes of the scopes one plan rewrote at its output.
 
-        A touched scope's new index is the old index's entries minus
-        those pointing into the plan's retired segments, plus the plan's
-        surviving entries.  Untouched scopes keep their index objects —
-        and, for LSM indexes, their generation's run files — alive.
+        The live index is authoritative: a version it lacks was deleted
+        after it was logged (a merge plan cannot see a delete marker still
+        in the unsorted tail) and must not come back.  A B-link index is
+        re-pointed in place (:meth:`MultiversionIndex.repoint`); an LSM
+        index is rebuilt by the same rule into a new generation; a tablet
+        with no index yet takes the plan's entries it covers.
         """
         retired = set(result.retired_segments)
-        entries_by_scope: dict[
-            tuple[str, str], list[tuple[bytes, int, LogPointer]]
-        ] = defaultdict(list)
-        for table, group, key, timestamp, pointer in result.index_entries:
-            entries_by_scope[(table, group)].append((key, timestamp, pointer))
         # One generation bump per plan keeps a round's rebuilt LSM roots
         # (e.g. a merge plan and the tail plan touching the same scope)
         # from colliding on run paths.
         self._index_generation += 1
-        for table, group in sorted(result.touched_scopes):
-            entries = entries_by_scope.get((table, group), [])
+        for (table, group), entries in sorted(result.index_entries.items()):
+            moved = {(key, timestamp): pointer for key, timestamp, pointer in entries}
             for tablet in self.tablets.values():
                 if tablet.table != table or group not in tablet.schema.group_names:
                     continue
                 index_key = (str(tablet.tablet_id), group)
                 old = self._indexes.get(index_key)
+                if old is not None and self.config.index_kind == "blink":
+                    old.repoint(moved, retired)
+                    continue
                 fresh = self._new_index(tablet.tablet_id, group)
-                # The live index is authoritative for the visible set: a
-                # plan's entries only *remap* versions the index already
-                # holds (their old pointers fall in retired segments).  A
-                # version absent from the live index was deleted after it
-                # was logged — a merge plan re-reading old runs cannot see
-                # the delete marker still sitting in the unsorted tail, so
-                # inserting its entries unconditionally would resurrect
-                # deleted keys.
-                old_versions: set[tuple[bytes, int]] = set()
-                if old is not None:
+                if old is None:
+                    for key, timestamp, pointer in entries:
+                        if tablet.covers(key):
+                            fresh.insert(key, timestamp, pointer)
+                else:
                     for entry in old.entries():
-                        old_versions.add((entry.key, entry.timestamp))
-                        if entry.pointer.file_no not in retired:
-                            fresh.insert(entry.key, entry.timestamp, entry.pointer)
-                for key, timestamp, pointer in entries:
-                    if tablet.covers(key) and (
-                        old is None or (key, timestamp) in old_versions
-                    ):
-                        fresh.insert(key, timestamp, pointer)
-                if old is not None:
-                    destroy = getattr(old, "destroy", None)
-                    if destroy is not None:
-                        destroy()
+                        pointer = moved.get((entry.key, entry.timestamp))
+                        if pointer is None and entry.pointer.file_no not in retired:
+                            pointer = entry.pointer
+                        if pointer is not None:
+                            fresh.insert(entry.key, entry.timestamp, pointer)
+                    old.destroy()
                 self._indexes[index_key] = fresh
                 self._update_counters.setdefault(index_key, 0)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterator
 
-from repro.index.interface import IndexEntry, MultiversionIndex
+from repro.index.interface import IndexEntry, MultiversionIndex, Row
 from repro.wal.record import LogPointer
 
 _MAX_TS = 1 << 62  # sentinel above any real timestamp
@@ -141,7 +141,7 @@ class BLinkTreeIndex(MultiversionIndex):
 
     def delete_key(self, key: bytes) -> int:
         """Remove every version of ``key`` (no node merging — B-link trees
-        commonly delete lazily; space is reclaimed on compaction rebuild)."""
+        commonly delete lazily, and an emptied leaf stays on the chain)."""
         removed = 0
         leaf, _ = self._descend((key, 0))
         while leaf is not None:
@@ -157,6 +157,27 @@ class BLinkTreeIndex(MultiversionIndex):
             leaf = leaf.right
         self._size -= removed
         return removed
+
+    def repoint(self, moved, retired) -> None:
+        """One walk of the leaf chain, no insert and no split; it stops
+        early once nothing is left to move and nothing is retired."""
+        leaf, _ = self._descend((b"", 0))
+        take = moved.pop
+        while leaf is not None and (moved or retired):
+            values = leaf.values
+            dropped = 0
+            for i, composite in enumerate(leaf.keys):
+                pointer = take(composite, None)
+                if pointer is not None:
+                    values[i] = pointer
+                elif values[i].file_no in retired:
+                    values[i] = None
+                    dropped += 1
+            if dropped:
+                leaf.keys = [k for k, v in zip(leaf.keys, values) if v is not None]
+                leaf.values = [v for v in values if v is not None]
+                self._size -= dropped
+            leaf = leaf.right
 
     # -- queries -------------------------------------------------------------------
 
@@ -203,6 +224,10 @@ class BLinkTreeIndex(MultiversionIndex):
     def entries(self) -> Iterator[IndexEntry]:
         for (entry_key, ts), pointer in self._iterate_from((b"", 0)):
             yield IndexEntry(entry_key, ts, pointer)
+
+    def rows(self) -> list[Row]:
+        chain = self._iterate_from((b"", 0))
+        return [(key, ts, pointer) for (key, ts), pointer in chain]
 
     # -- structural checks (used by property tests) ----------------------------------
 

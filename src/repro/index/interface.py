@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Container, Iterator
 
 from repro.wal.record import LogPointer
 
 ENTRY_BYTES = 24  # paper's estimate: 16-byte IdxKey + 8-byte Ptr
+Row = tuple[bytes, int, LogPointer]  # an entry as (key, timestamp, pointer)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,20 @@ class MultiversionIndex(ABC):
     @abstractmethod
     def __len__(self) -> int:
         """Total number of entries."""
+
+    def rows(self) -> list[Row]:
+        """Every entry as a row, in (key, timestamp) order (persistence)."""
+        return [(e.key, e.timestamp, e.pointer) for e in self.entries()]
+
+    def repoint(
+        self, moved: dict[tuple[bytes, int], LogPointer], retired: Container[int]
+    ) -> None:
+        """Apply one compaction plan in place: a held version the plan
+        ``moved`` takes its new pointer (and leaves the dict), one left in a
+        ``retired`` segment that the plan did not carry is dropped.  Nothing
+        is added: the index is authoritative for which versions exist.  An
+        LSM index's runs are immutable, so its owner rebuilds it instead."""
+        raise NotImplementedError(f"{type(self).__name__} is rebuilt, not re-pointed")
 
     def memory_bytes(self) -> int:
         """Approximate resident memory of the index, paper accounting."""

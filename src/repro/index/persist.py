@@ -18,7 +18,7 @@ import struct
 
 from repro.dfs.filesystem import DFS
 from repro.errors import CorruptLogRecord
-from repro.index.interface import IndexEntry, MultiversionIndex
+from repro.index.interface import IndexEntry, MultiversionIndex, Row
 from repro.sim.machine import Machine
 from repro.util.crc import crc32c
 from repro.util.varint import decode_uvarint, encode_uvarint
@@ -29,15 +29,19 @@ _MAGIC = b"LBIX"
 
 def encode_entries(entries: list[IndexEntry]) -> bytes:
     """Serialize entries into the index-file byte layout."""
+    return _encode_block([(e.key, e.timestamp, e.pointer) for e in entries])
+
+
+def _encode_block(rows: list[Row]) -> bytes:
     body = bytearray(_MAGIC)
-    body += encode_uvarint(len(entries))
-    for entry in entries:
-        body += encode_uvarint(len(entry.key))
-        body += entry.key
-        body += encode_uvarint(entry.timestamp)
-        body += encode_uvarint(entry.pointer.file_no)
-        body += encode_uvarint(entry.pointer.offset)
-        body += encode_uvarint(entry.pointer.size)
+    body += encode_uvarint(len(rows))
+    for key, timestamp, pointer in rows:
+        body += encode_uvarint(len(key))
+        body += key
+        body += encode_uvarint(timestamp)
+        body += encode_uvarint(pointer.file_no)
+        body += encode_uvarint(pointer.offset)
+        body += encode_uvarint(pointer.size)
     body += struct.pack("<I", crc32c(body))
     return bytes(body)
 
@@ -48,21 +52,21 @@ def decode_entries(payload: bytes) -> list[IndexEntry]:
     Raises:
         CorruptLogRecord: on bad magic or checksum mismatch.
     """
-    entries, end = _decode_block(payload, 0)
+    rows, end = _decode_block(payload, 0)
     if end != len(payload):
         raise CorruptLogRecord("bytes after the index file's trailer")
-    return entries
+    return [IndexEntry(*row) for row in rows]
 
 
-def _decode_block(payload: bytes, start: int) -> tuple[list[IndexEntry], int]:
+def _decode_block(payload: bytes, start: int) -> tuple[list[Row], int]:
     """One ``header entries trailer`` block of ``payload`` from ``start``;
-    returns ``(entries, end)``.  The block's length is only known once it
+    returns ``(rows, end)``.  The block's length is only known once it
     is parsed, so the checksum is verified last and a parse that runs off
     a damaged block is reported as the corruption it is."""
     pos = start + len(_MAGIC)
     if payload[start:pos] != _MAGIC:
         raise CorruptLogRecord("bad index file magic")
-    entries = []
+    rows = []
     try:
         count, pos = decode_uvarint(payload, pos)
         for _ in range(count):
@@ -73,24 +77,24 @@ def _decode_block(payload: bytes, start: int) -> tuple[list[IndexEntry], int]:
             file_no, pos = decode_uvarint(payload, pos)
             offset, pos = decode_uvarint(payload, pos)
             size, pos = decode_uvarint(payload, pos)
-            entries.append(IndexEntry(key, timestamp, LogPointer(file_no, offset, size)))
+            rows.append((key, timestamp, LogPointer(file_no, offset, size)))
         (crc,) = struct.unpack_from("<I", payload, pos)
     except (ValueError, struct.error):
         raise CorruptLogRecord("truncated index file") from None
     if crc32c(payload[start:pos]) != crc:
         raise CorruptLogRecord("index file checksum mismatch")
-    return entries, pos + 4
+    return rows, pos + 4
 
 
-def encode_run_index(versions: list[IndexEntry], tombstones: list[IndexEntry]) -> bytes:
+def encode_run_index(versions: list[Row], tombstones: list[Row]) -> bytes:
     """A sorted run's index file: where each surviving version and each
-    carried tombstone sits in the run, as two entry blocks.  A tombstone's
+    carried tombstone sits in the run, as two blocks of rows.  A tombstone's
     timestamp is its delete mark.  Whoever holds this needs no scan of the
     run to point an index into it (§3.6.5 moves pointers, not data)."""
-    return encode_entries(versions) + encode_entries(tombstones)
+    return _encode_block(versions) + _encode_block(tombstones)
 
 
-def decode_run_index(payload: bytes) -> tuple[list[IndexEntry], list[IndexEntry]]:
+def decode_run_index(payload: bytes) -> tuple[list[Row], list[Row]]:
     """``(versions, tombstones)`` of an :func:`encode_run_index` file.
 
     Raises:
@@ -110,7 +114,7 @@ def write_index_file(
 
     Atomically replaces any existing file at ``path`` (checkpoints
     replace their predecessor, which a crash mid-write must not lose)."""
-    payload = encode_entries(list(index.entries()))
+    payload = _encode_block(index.rows())
     dfs.install(path, payload, machine)
     return len(payload)
 

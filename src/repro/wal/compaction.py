@@ -15,7 +15,7 @@ Structure mirrors the paper's MapReduce framing:
   (key, timestamp), and emit slim records into a new sorted segment.
 
 The caller (tablet server) keeps serving reads and writes from the old
-segments while the job runs and swaps indexes atomically afterwards.
+segments while the job runs and re-points its indexes afterwards.
 
 :class:`IncrementalCompactionJob` executes one planner-produced
 :class:`~repro.wal.planner.CompactionPlan`: tail plans run the
@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 from repro.dfs.datanode import CHECKSUM_CHUNK
-from repro.index.interface import IndexEntry
+from repro.index.interface import Row
 from repro.index.persist import encode_run_index
 from repro.sim.failure import CP_COMPACTION_MID, crash_point
 from repro.sim.metrics import (
@@ -44,7 +44,7 @@ from repro.sim.metrics import (
     COMPACTION_TOMBSTONES_CARRIED,
 )
 from repro.wal.planner import CompactionPlan
-from repro.wal.record import LogPointer, LogRecord, RecordType
+from repro.wal.record import LogRecord, RecordType
 from repro.wal.replay import as_committed
 from repro.wal.repository import LogRepository
 from repro.wal.segment import LogSegmentWriter
@@ -66,15 +66,8 @@ class CompactionStats:
 
     def merge(self, other: "CompactionStats") -> None:
         """Accumulate another run's accounting into this one."""
-        self.input_records += other.input_records
-        self.kept_versions += other.kept_versions
-        self.dropped_obsolete += other.dropped_obsolete
-        self.dropped_deleted += other.dropped_deleted
-        self.dropped_uncommitted += other.dropped_uncommitted
-        self.dropped_unowned += other.dropped_unowned
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.tombstones_carried += other.tombstones_carried
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -83,30 +76,26 @@ class CompactionResult:
 
     Attributes:
         new_segments: file numbers of the sorted segments written.
-        index_entries: ``(table, group, key, timestamp, pointer)`` for
-            every surviving version, in sorted order — the tablet server
-            rebuilds its in-memory indexes from this.
+        index_entries: per (table, group) scope the run rewrote, its
+            surviving versions as rows in file order — the list the run's
+            index was written from, which the tablet server re-points its
+            indexes with.  A scope whose versions all died maps to ``[]``;
+            scopes not listed keep their indexes untouched.
         retired_segments: input file numbers now safe to discard.
-        touched_scopes: the (table, group) scopes whose data this run
-            rewrote — the tablet server swaps only these scopes' indexes,
-            leaving the rest alive.
         stats: drop/keep accounting.
     """
 
     new_segments: list[int] = field(default_factory=list)
-    index_entries: list[tuple[str, str, bytes, int, LogPointer]] = field(
-        default_factory=list
-    )
+    index_entries: dict[tuple[str, str], list[Row]] = field(default_factory=dict)
     retired_segments: list[int] = field(default_factory=list)
-    touched_scopes: set[tuple[str, str]] = field(default_factory=set)
     stats: CompactionStats = field(default_factory=CompactionStats)
 
     def merge(self, other: "CompactionResult") -> None:
         """Fold another plan's result in (plans have disjoint inputs)."""
         self.new_segments.extend(other.new_segments)
-        self.index_entries.extend(other.index_entries)
+        for scope, entries in other.index_entries.items():
+            self.index_entries.setdefault(scope, []).extend(entries)
         self.retired_segments.extend(other.retired_segments)
-        self.touched_scopes.update(other.touched_scopes)
         self.stats.merge(other.stats)
 
 
@@ -212,39 +201,53 @@ class IncrementalCompactionJob:
     ) -> None:
         """Write one sorted run of (table, group), a chunk per DFS append.
 
-        ``keyed`` yields ``(key, cutoff, cutoff_lsn, live)`` in key order.
-        Frames queue until they fill a DFS checksum chunk and then go out
-        in one ``append_many`` — one replication round trip and one
-        chunk-CRC pass per ``CHECKSUM_CHUNK`` of output instead of one per
-        record (§3.7.2's batching applied to §3.6.5's sort/merge output).
-        Flushes fall on frame boundaries only, so a scan of what a crash
-        between two flushes left behind never meets a torn frame.  The
-        finished run's index is written beside it from the pointers those
-        appends returned.  An empty run creates no segment.
+        ``keyed`` yields ``(key, cutoff, cutoff_lsn, live)`` in key order;
+        with ``carry`` a key with a delete high-water mark (``cutoff >= 0``)
+        gets a slim tombstone ahead of its versions, listed in the run's
+        index, never in the owner's.  Frames queue until they fill a DFS
+        checksum chunk and go out in one ``append_many`` — one replication
+        round trip and chunk-CRC pass per ``CHECKSUM_CHUNK`` (§3.7.2's
+        batching applied to §3.6.5's output).  Flushes fall on frame
+        boundaries, so a crash between two never leaves a torn frame.  The
+        pointers fill one row list per kind: the run's index is written from
+        both, and the versions' list is the scope's ``index_entries``.  An
+        empty run creates no segment.
         """
+        stats = result.stats
         segment: LogSegmentWriter | None = None
-        versions: list[IndexEntry] = []
-        tombstones: list[IndexEntry] = []
-        pending: list[tuple[bytes, bytes, int, bool]] = []
+        versions: list[Row] = []
+        tombstones: list[Row] = []
+        result.index_entries[(table, group)] = versions
+        pending: list[tuple[bytes, bytes, int, list[Row]]] = []
         pending_bytes = 0
 
         def flush() -> None:
             pointers = segment.append_many([frame for frame, _, _, _ in pending])
-            for pointer, (_, key, timestamp, live) in zip(pointers, pending):
-                result.stats.bytes_written += pointer.size
-                (versions if live else tombstones).append(
-                    IndexEntry(key, timestamp, pointer)
-                )
+            for pointer, (_, key, timestamp, rows) in zip(pointers, pending):
+                rows.append((key, timestamp, pointer))
+            stats.bytes_written += pending_bytes
             pending.clear()
 
-        for item in self._frames(table, group, carry, keyed, result.stats):
-            if segment is None:
-                segment = self._repo.create_sorted_segment(table, group)
-            pending.append(item)
-            pending_bytes += len(item[0])
-            if pending_bytes >= CHECKSUM_CHUNK:
-                flush()
-                pending_bytes = 0
+        for key, cutoff, cutoff_lsn, live in keyed:
+            frames = [
+                (as_committed(r).encode(slim=True), r.timestamp, versions) for r in live
+            ]
+            stats.kept_versions += len(live)
+            if carry and cutoff >= 0:
+                marker = LogRecord(
+                    RecordType.INVALIDATE, lsn=cutoff_lsn, table=table, key=key,
+                    group=group, timestamp=cutoff,
+                )
+                frames.insert(0, (marker.encode(slim=True), cutoff, tombstones))
+                stats.tombstones_carried += 1
+            for frame, timestamp, rows in frames:
+                if segment is None:
+                    segment = self._repo.create_sorted_segment(table, group)
+                pending.append((frame, key, timestamp, rows))
+                pending_bytes += len(frame)
+                if pending_bytes >= CHECKSUM_CHUNK:
+                    flush()
+                    pending_bytes = 0
         if segment is None:
             return
         if pending:
@@ -256,42 +259,6 @@ class IncrementalCompactionJob:
             segment.file_no, encode_run_index(versions, tombstones)
         )
         result.new_segments.append(segment.file_no)
-        result.index_entries.extend(
-            (table, group, entry.key, entry.timestamp, entry.pointer)
-            for entry in versions
-        )
-
-    @staticmethod
-    def _frames(
-        table: str,
-        group: str,
-        carry: bool,
-        keyed: Iterable[tuple[bytes, int, int, list[LogRecord]]],
-        stats: CompactionStats,
-    ) -> Iterator[tuple[bytes, bytes, int, bool]]:
-        """The run's ``(frame, key, timestamp, live)`` in file order.  With
-        ``carry`` a key that has a delete high-water mark (``cutoff >= 0``)
-        gets a slim tombstone ahead of its surviving versions; a
-        tombstone is not ``live`` — written, listed in the run's index,
-        never in the owner's."""
-        for key, cutoff, cutoff_lsn, live in keyed:
-            if carry and cutoff >= 0:
-                marker = LogRecord(
-                    record_type=RecordType.INVALIDATE,
-                    lsn=cutoff_lsn,
-                    txn_id=0,
-                    table=table,
-                    tablet="",
-                    key=key,
-                    group=group,
-                    timestamp=cutoff,
-                    value=None,
-                )
-                stats.tombstones_carried += 1
-                yield marker.encode(slim=True), key, cutoff, False
-            for record in live:
-                stats.kept_versions += 1
-                yield as_committed(record).encode(slim=True), key, record.timestamp, True
 
     # -- tail plans ---------------------------------------------------------
 
@@ -300,21 +267,23 @@ class IncrementalCompactionJob:
         inputs = list(self._plan.inputs)
         committed: set[int] = set()
         resolved: set[int] = set()  # txns with a COMMIT or ABORT in the plan
-        data: list[tuple[int, LogRecord]] = []  # (file_no, WRITE/INVALIDATE)
+        data: dict[int, list[LogRecord]] = {}  # file_no -> WRITEs/INVALIDATEs
         txns_by_segment: dict[int, set[int]] = defaultdict(set)
         for file_no in inputs:
+            records = data[file_no] = []
             for pointer, record in self._repo.scan_segment(file_no):
                 stats.input_records += 1
                 stats.bytes_read += pointer.size
-                if record.record_type is RecordType.COMMIT:
-                    committed.add(record.txn_id)
-                    resolved.add(record.txn_id)
-                elif record.record_type is RecordType.ABORT:
-                    resolved.add(record.txn_id)
-                elif record.record_type in (RecordType.WRITE, RecordType.INVALIDATE):
+                kind = record.record_type
+                if kind is RecordType.WRITE or kind is RecordType.INVALIDATE:
                     if record.txn_id != 0:
                         txns_by_segment[file_no].add(record.txn_id)
-                    data.append((file_no, record))
+                    records.append(record)
+                elif kind is RecordType.COMMIT:
+                    committed.add(record.txn_id)
+                    resolved.add(record.txn_id)
+                elif kind is RecordType.ABORT:
+                    resolved.add(record.txn_id)
 
         # Budget-capped plans must not treat a transaction whose COMMIT
         # lies past the cut as uncommitted: defer its segments instead.
@@ -329,60 +298,58 @@ class IncrementalCompactionJob:
                     f for f, txns in txns_by_segment.items() if txns & dangling
                 }
 
+        # The shuffle: each scope's WRITEs and INVALIDATEs per key, in log
+        # order; a key this server does not own leaves as a whole.
         grouped: dict[tuple[str, str], dict[bytes, list[LogRecord]]] = defaultdict(
             lambda: defaultdict(list)
         )
-        delete_high_water: dict[tuple[str, str, bytes], tuple[int, int]] = {}
-        for file_no, record in data:
+        for file_no, records in data.items():
             if file_no in deferred:
                 continue
-            if record.txn_id != 0 and record.txn_id not in committed:
-                stats.dropped_uncommitted += 1
-                continue
-            if self._owned is not None and not self._owned(record.table, record.key):
-                stats.dropped_unowned += 1
-                continue
-            if record.record_type is RecordType.WRITE:
+            for record in records:
+                if record.txn_id != 0 and record.txn_id not in committed:
+                    stats.dropped_uncommitted += 1
+                    continue
                 grouped[(record.table, record.group)][record.key].append(record)
-            else:
-                slot = (record.table, record.group, record.key)
-                mark = delete_high_water.get(slot)
-                if mark is None or record.timestamp > mark[0]:
-                    delete_high_water[slot] = (record.timestamp, record.lsn)
+        if self._owned is not None:
+            for (table, _), per_key in grouped.items():
+                for key in [k for k in per_key if not self._owned(table, k)]:
+                    stats.dropped_unowned += len(per_key.pop(key))
+        scopes = sorted(scope for scope, per_key in grouped.items() if per_key)
 
         retired = [f for f in inputs if f not in deferred]
         result = CompactionResult(stats=stats, retired_segments=retired)
-        scopes = set(grouped) | {(t, g) for t, g, _ in delete_high_water}
-        result.touched_scopes.update(scopes)
         # Coverage must be decided before any output segment is created
         # (a new run of the same scope must not count as "outside").
         input_set = set(retired)
         covered = {s: self._scope_covered(s, input_set) for s in scopes}
-        for scope in sorted(scopes):
+        for scope in scopes:
             table, group = scope
             self._write_run(
                 table,
                 group,
                 not covered[scope],
-                self._tail_keys(scope, grouped.get(scope, {}), delete_high_water, stats),
+                self._tail_keys(grouped[scope], stats),
                 result,
             )
         return result
 
     def _tail_keys(
-        self,
-        scope: tuple[str, str],
-        per_key: dict[bytes, list[LogRecord]],
-        delete_high_water: dict[tuple[str, str, bytes], tuple[int, int]],
-        stats: CompactionStats,
+        self, per_key: dict[bytes, list[LogRecord]], stats: CompactionStats
     ) -> Iterator[tuple[bytes, int, int, list[LogRecord]]]:
         """The reduce step for one scope: per key, in key order, its delete
-        high-water mark and the versions that survive it and retention."""
-        table, group = scope
-        keys = set(per_key) | {k for t, g, k in delete_high_water if (t, g) == scope}
-        for key in sorted(keys):
-            versions = sorted(per_key.get(key, []), key=lambda r: r.timestamp)
-            cutoff, cutoff_lsn = delete_high_water.get((table, group, key), (-1, 0))
+        high-water mark (the first INVALIDATE with the highest timestamp)
+        and the versions that survive it and retention."""
+        for key in sorted(per_key):
+            cutoff, cutoff_lsn = -1, 0
+            versions: list[LogRecord] = []
+            for record in per_key[key]:
+                if record.record_type is RecordType.WRITE:
+                    versions.append(record)
+                elif record.timestamp > cutoff:
+                    cutoff, cutoff_lsn = record.timestamp, record.lsn
+            if len(versions) > 1:
+                versions.sort(key=lambda r: r.timestamp)
             live = [r for r in versions if r.timestamp > cutoff]
             stats.dropped_deleted += len(versions) - len(live)
             live = _trim_versions(live, stats, self._max_versions, self._retain_after)
@@ -395,7 +362,6 @@ class IncrementalCompactionJob:
         stats = CompactionStats()
         inputs = list(self._plan.inputs)
         result = CompactionResult(stats=stats, retired_segments=inputs)
-        result.touched_scopes.add((table, group))
         covered = self._scope_covered((table, group), set(inputs))
         self._write_run(
             table, group, not covered, self._merged_keys(table, inputs, stats), result

@@ -1,6 +1,7 @@
 """Configuration arithmetic and validation."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -28,6 +29,21 @@ def test_option_count_ratchet():
     assert len(fields) == 45
     assert sum(1 for f in fields if f.type == "bool") == 16
     assert sum(1 for name in vars(LogBaseConfig) if name.startswith("with_")) == 8
+
+
+def test_production_preset_is_the_benchmark_profile():
+    """``production()`` is the end-to-end benchmark's production profile,
+    field by field; the profile file is read, not imported or changed."""
+    path = pathlib.Path(__file__).parents[2] / "benchmarks" / "e2e" / "profiles.py"
+    profiles: dict = {"__name__": "e2e_profiles"}
+    exec(compile(path.read_text(), str(path), "exec"), profiles)
+    expected = LogBaseConfig(**profiles["PROFILE_PRODUCTION"])
+    config = LogBaseConfig.production()
+    for field in dataclasses.fields(LogBaseConfig):
+        assert getattr(config, field.name) == getattr(expected, field.name), field.name
+    config.validate()
+    assert config.group_commit is False
+    assert LogBaseConfig.production(tracing=False).tracing is False
 
 
 def test_budget_arithmetic():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.wal.record import LogRecord, RecordType, commit_record
 from repro.wal.repository import LogRepository
-from tests.wal.helpers import compact_whole_log
+from tests.wal.helpers import compact_whole_log, indexed
 
 
 def write(key: bytes, ts: int, value: bytes, *, table="t", group="g", txn=0) -> LogRecord:
@@ -41,7 +41,7 @@ def test_output_sorted_by_key_then_timestamp(repo):
     for key, ts in ((b"b", 2), (b"a", 3), (b"b", 1), (b"a", 1)):
         repo.append(write(key, ts, b"v"))
     result = compact_whole_log(repo)
-    order = [(key, ts) for _, _, key, ts, _ in result.index_entries]
+    order = [(key, ts) for _, _, key, ts, _ in indexed(result)]
     assert order == [(b"a", 1), (b"a", 3), (b"b", 1), (b"b", 2)]
 
 
@@ -56,7 +56,7 @@ def test_max_versions_drops_oldest(repo):
     for ts in range(1, 6):
         repo.append(write(b"k", ts, b"v%d" % ts))
     result = compact_whole_log(repo, max_versions=2)
-    kept_ts = [ts for _, _, _, ts, _ in result.index_entries]
+    kept_ts = [ts for _, _, _, ts, _ in indexed(result)]
     assert kept_ts == [4, 5]
     assert result.stats.dropped_obsolete == 3
 
@@ -75,7 +75,7 @@ def test_write_after_delete_survives(repo):
     repo.append(delete(b"k", 2))
     repo.append(write(b"k", 3, b"reborn"))
     result = compact_whole_log(repo)
-    kept = [(key, ts) for _, _, key, ts, _ in result.index_entries]
+    kept = [(key, ts) for _, _, key, ts, _ in indexed(result)]
     assert kept == [(b"k", 3)]
 
 
@@ -84,7 +84,7 @@ def test_uncommitted_transactional_writes_dropped(repo):
     repo.append(commit_record(10, 1))
     repo.append(write(b"b", 2, b"uncommitted", txn=11))  # no commit record
     result = compact_whole_log(repo)
-    keys = [key for _, _, key, _, _ in result.index_entries]
+    keys = [key for _, _, key, _, _ in indexed(result)]
     assert keys == [b"a"]
     assert result.stats.dropped_uncommitted == 1
 
@@ -111,7 +111,7 @@ def test_old_segments_retired(repo):
 def test_pointers_into_sorted_segments_resolve(repo):
     repo.append(write(b"k", 5, b"payload"))
     result = compact_whole_log(repo)
-    _, _, key, ts, pointer = result.index_entries[0]
+    _, _, key, ts, pointer = indexed(result)[0]
     record = repo.read(pointer)
     assert record.key == key
     assert record.timestamp == ts
@@ -134,7 +134,7 @@ def test_recompaction_of_sorted_segments(repo):
     compact_whole_log(repo)
     repo.append(write(b"a", 2, b"v2"))
     result = compact_whole_log(repo)
-    kept = [(key, ts) for _, _, key, ts, _ in result.index_entries]
+    kept = [(key, ts) for _, _, key, ts, _ in indexed(result)]
     assert kept == [(b"a", 1), (b"a", 2)]
 
 
@@ -166,7 +166,7 @@ def test_unowned_records_dropped_with_filter(repo):
     repo.append(write(b"mine", 1, b"keep"))
     repo.append(write(b"theirs", 2, b"drop"))
     result = compact_whole_log(repo, owned=lambda table, key: key == b"mine")
-    kept = [key for _, _, key, _, _ in result.index_entries]
+    kept = [key for _, _, key, _, _ in indexed(result)]
     assert kept == [b"mine"]
     assert result.stats.dropped_unowned == 1
 
@@ -175,7 +175,7 @@ def test_retain_after_expires_old_history_keeps_latest(repo):
     for ts in range(1, 7):
         repo.append(write(b"k", ts, b"v%d" % ts))
     result = compact_whole_log(repo, retain_after=4)
-    kept_ts = [ts for _, _, _, ts, _ in result.index_entries]
+    kept_ts = [ts for _, _, _, ts, _ in indexed(result)]
     assert kept_ts == [4, 5, 6]
     assert result.stats.dropped_obsolete == 3
 
@@ -183,7 +183,7 @@ def test_retain_after_expires_old_history_keeps_latest(repo):
 def test_retain_after_never_drops_only_version(repo):
     repo.append(write(b"ancient", 1, b"only"))
     result = compact_whole_log(repo, retain_after=100)
-    kept = [(key, ts) for _, _, key, ts, _ in result.index_entries]
+    kept = [(key, ts) for _, _, key, ts, _ in indexed(result)]
     assert kept == [(b"ancient", 1)]
 
 
@@ -191,5 +191,5 @@ def test_retain_after_composes_with_max_versions(repo):
     for ts in range(1, 9):
         repo.append(write(b"k", ts, b"v"))
     result = compact_whole_log(repo, max_versions=2, retain_after=3)
-    kept_ts = [ts for _, _, _, ts, _ in result.index_entries]
+    kept_ts = [ts for _, _, _, ts, _ in indexed(result)]
     assert kept_ts == [7, 8]

@@ -22,7 +22,7 @@ from repro.wal.compaction import CompactionResult, IncrementalCompactionJob
 from repro.wal.planner import CompactionPlan, CompactionPlanner
 from repro.wal.record import LogRecord, RecordType, abort_record, commit_record
 from repro.wal.repository import LogRepository
-from tests.wal.helpers import compact_whole_log
+from tests.wal.helpers import compact_whole_log, indexed
 
 
 def write(key: bytes, ts: int, value: bytes, *, table="t", group="g", txn=0) -> LogRecord:
@@ -99,10 +99,10 @@ def test_tail_plan_matches_monolithic_semantics(repo):
     repo.append(commit_record(9, 4))
     repo.append(write(b"d", 5, b"lost", txn=10))  # never committed
     (result,) = run_plans(repo)
-    order = [(key, ts) for _, _, key, ts, _ in result.index_entries]
+    order = [(key, ts) for _, _, key, ts, _ in indexed(result)]
     assert order == [(b"a", 1), (b"a", 3), (b"b", 1), (b"b", 2), (b"c", 4)]
     assert result.stats.dropped_uncommitted == 1
-    assert result.touched_scopes == {("t", "g")}
+    assert set(result.index_entries) == {("t", "g")}
     # Survivors are auto-committed slim records in sorted runs.
     for file_no in repo.segments():
         assert repo.is_sorted_segment(file_no)
@@ -188,7 +188,7 @@ def test_aborted_txn_not_deferred(repo):
     # ABORT resolves txn 7 inside the plan: nothing dangles, the segment
     # compacts and the aborted write disappears.
     assert result.retired_segments == [first]
-    kept = [key for _, _, key, _, _ in result.index_entries]
+    kept = [key for _, _, key, _, _ in indexed(result)]
     assert kept == [b"live"]
 
 
@@ -226,7 +226,7 @@ def test_merge_plan_streams_runs_into_one(repo):
     )
     result = IncrementalCompactionJob(repo, plan).run()
     assert len(result.new_segments) == 1
-    order = [(key, ts) for _, _, key, ts, _ in result.index_entries]
+    order = [(key, ts) for _, _, key, ts, _ in indexed(result)]
     assert order == [(b"a", 1), (b"b", 3), (b"c", 2), (b"c", 4)]
     assert sorted(result.retired_segments) == sorted(runs)
     for file_no in runs:
@@ -243,7 +243,7 @@ def test_merge_dedupes_same_key_timestamp_across_runs(repo):
     )
     plan = CompactionPlan("merge", tuple(runs), 0, ("t", "g"))
     result = IncrementalCompactionJob(repo, plan).run()
-    kept = [(key, ts) for _, _, key, ts, _ in result.index_entries]
+    kept = [(key, ts) for _, _, key, ts, _ in indexed(result)]
     assert kept == [(b"k", 5), (b"k", 6)]
 
 
@@ -259,7 +259,7 @@ def test_merge_applies_carried_tombstones(repo):
     assert len(runs) == 2
     plan = CompactionPlan("merge", tuple(runs), 0, ("t", "g"))
     result = IncrementalCompactionJob(repo, plan).run()
-    kept = [(key, ts) for _, _, key, ts, _ in result.index_entries]
+    kept = [(key, ts) for _, _, key, ts, _ in indexed(result)]
     assert kept == [(b"k", 8)]
     # The merge covers every segment of the scope: tombstone dropped.
     assert result.stats.tombstones_carried == 0
@@ -280,7 +280,7 @@ def test_merge_keeps_tombstone_while_uncovered(repo):
     plan = CompactionPlan("merge", tuple(runs), 0, ("t", "g"))
     result = IncrementalCompactionJob(repo, plan).run()
     assert result.stats.tombstones_carried == 1
-    assert result.index_entries == []  # k@1 was shadowed and dropped
+    assert indexed(result) == []  # k@1 was shadowed and dropped
     assert ("t", "g", b"k") not in visible_versions(repo)
 
 
@@ -394,10 +394,10 @@ def test_run_file_is_its_frames_in_key_timestamp_order(repo):
     assert result.stats.tombstones_carried == 1
     # Every surviving version is indexed, in file order, under a pointer
     # that decodes to that very record.
-    assert [(key, ts) for _, _, key, ts, _ in result.index_entries] == [
+    assert [(key, ts) for _, _, key, ts, _ in indexed(result)] == [
         (b"a", 3), (b"a", 6), (b"b", 7), (b"c", 2), (b"c", 4)
     ]
-    for table, group, key, ts, pointer in result.index_entries:
+    for table, group, key, ts, pointer in indexed(result):
         record = repo.read(pointer)
         assert (record.table, record.group, record.key, record.timestamp) == (
             table, group, key, ts,
@@ -422,16 +422,16 @@ def test_run_crossing_several_flushes_and_a_dfs_block_boundary(machines):
     # The file is exactly the indexed frames, back to back from offset 0...
     scanned = list(repo.scan_segment(run))
     assert [pointer for pointer, _ in scanned] == [
-        pointer for *_, pointer in result.index_entries
+        pointer for *_, pointer in indexed(result)
     ]
     assert sum(pointer.size for pointer, _ in scanned) == size
     # ...each readable through its own pointer, the one straddling the
     # block boundary included...
     assert any(
-        p.offset < 160 * 1024 < p.offset + p.size for *_, p in result.index_entries
+        p.offset < 160 * 1024 < p.offset + p.size for *_, p in indexed(result)
     )
-    records = repo.read_many([pointer for *_, pointer in result.index_entries])
-    for (_, _, key, ts, _), record in zip(result.index_entries, records):
+    records = repo.read_many([pointer for *_, pointer in indexed(result)])
+    for (_, _, key, ts, _), record in zip(indexed(result), records):
         assert (record.key, record.timestamp, record.value) == (
             key, ts, kilobyte(ts - 1),
         )
@@ -447,15 +447,13 @@ def assert_run_index_matches(repo, result, carried):
     its frame in the run."""
     (run,) = result.new_segments
     versions, tombstones = decode_run_index(repo.read_run_index(run))
-    assert [
-        ("t", "g", e.key, e.timestamp, e.pointer) for e in versions
-    ] == result.index_entries
-    assert [(e.key, e.timestamp) for e in tombstones] == carried
+    assert [("t", "g", *row) for row in versions] == indexed(result)
+    assert [(key, ts) for key, ts, _ in tombstones] == carried
     assert result.stats.tombstones_carried == len(carried)
-    for entry in tombstones:
-        marker = repo.read(entry.pointer)
+    for key, ts, pointer in tombstones:
+        marker = repo.read(pointer)
         assert marker.is_delete
-        assert (marker.key, marker.timestamp) == (entry.key, entry.timestamp)
+        assert (marker.key, marker.timestamp) == (key, ts)
 
 
 def test_run_index_is_the_plans_index_entries_and_carried_tombstones(repo, dfs):
@@ -480,7 +478,7 @@ def test_run_index_is_the_plans_index_entries_and_carried_tombstones(repo, dfs):
             "merge", inputs, sum(map(repo.segment_bytes, inputs)), scope=("t", "g")
         ),
     ).run()
-    assert [(key, ts) for _, _, key, ts, _ in merge.index_entries] == [
+    assert [(key, ts) for _, _, key, ts, _ in indexed(merge)] == [
         (b"k0", 1), (b"k2", 3), (b"k2", 11), (b"k3", 4), (b"k4", 5), (b"k5", 6)
     ]
     assert_run_index_matches(repo, merge, [(b"k1", 10)])
