@@ -14,11 +14,32 @@ per phase (uncompacted and compacted log), and appends a run entry to
 ``BENCH_read_pipeline.json`` at the repo root so the seek-reduction
 trajectory is tracked across commits.
 
+It also prints the host cost of one scanned row on the paper profile
+(the end-to-end benchmark's ``ycsb_read_paper`` configuration:
+``LogBaseConfig()`` with 500 KB segments and a 2 MB heap, 4 nodes).  A
+range scan walks the index, then follows each pointer::
+
+    BLinkTreeIndex.latest_in_range
+    LogRepository.read -> DFSReader.read (-> _replica_candidates,
+      DataNode.read_replica -> SimDisk.read) -> LogRecord.decode -> crc32c
+
+Each function is timed on its own over the same rows of one server, best
+of N rounds, round-robin so a slow spell on a shared machine hits every
+case alike; ``crc32c`` is also timed on 64 KiB, one replica checksum
+chunk.  The µs are printed, never gated.  The calls really read: they
+charge simulated time and counters to the set-up cluster, which is thrown
+away.  The cases use only entry points that predate them, so the same
+script times a parent checkout: ``PYTHONPATH`` picks the ``src/`` it
+measures.
+
 Run directly (``python benchmarks/bench_hotpath_read.py [--smoke]``, which
 exits non-zero when a bar fails) or via pytest; both check the same bars
 (``check_acceptance``): the >= 2x seek reduction on the unclustered log,
-and on both logs the same rows, never more seeks, less simulated time
-and coalescing engaged.
+on both logs the same rows, never more seeks, less simulated time and
+coalescing engaged, and the probe: one fixed paper-profile scan charges
+exactly the pinned simulated seconds, ``disk.seeks``, ``disk.reads`` and
+``disk.bytes_read``, so a host-only change cannot move a simulated number
+unnoticed.
 """
 
 from __future__ import annotations
@@ -28,9 +49,14 @@ import pathlib
 import random
 import time
 
+from bench_hotpath_write import NODES, PAPER, _value
 from conftest import RECORD_SIZE, append_trajectory, load_keys_single_server
-from repro.bench.adapters import LogBaseAdapter, make_logbase
+from repro.bench.adapters import GROUP, TABLE, LogBaseAdapter, make_logbase
+from repro.bench.ycsb import YCSBWorkload
 from repro.config import LogBaseConfig
+from repro.core.cluster import LogBaseCluster
+from repro.util.crc import crc32c
+from repro.wal.record import LogRecord
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_read_pipeline.json"
@@ -40,6 +66,28 @@ DEFAULT_SCANS = 24
 SMOKE_RECORDS = 600
 SMOKE_SCANS = 8
 RANGE_SIZE = 80  # tuples returned per scan, the Fig. 10 mid-range point
+
+# Host cost of one row: ``ycsb_read_paper``'s 8,000 keys on 4 servers, and
+# up to ROW_LIMIT rows of server 0 in scan order.  Keys and load order are
+# that workload's at this seed.
+DEFAULT_ROW_RECORDS, SMOKE_ROW_RECORDS = 8000, 1600
+ROW_LIMIT = 2000
+DEFAULT_ROUNDS, SMOKE_ROUNDS = 15, 3
+CHUNK_BYTES = 64 * 1024  # one replica checksum chunk
+
+LOAD_SEED = 42
+
+# The deterministic probe: on a fresh paper-profile cluster holding
+# PROBE_RECORDS keys, client 0 scans the sorted keys PROBE_RANGE.
+PROBE_RECORDS = 400
+PROBE_RANGE = (80, 160)  # crosses from server 0 into server 1
+PINNED_PROBE = {
+    "rows": 80,
+    "sim_seconds": 0.9647541040000008,
+    "disk_seeks": 79,
+    "disk_reads": 80,
+    "disk_bytes_read": 84212,
+}
 
 PHASE_COUNTERS = {
     "disk_seeks": "disk.seeks",
@@ -119,6 +167,7 @@ def run_experiment(
         base = results["baseline"][phase]["disk_seeks"]
         piped = results["pipeline"][phase]["disk_seeks"]
         results[f"seek_reduction_{phase}"] = base / piped if piped else float("inf")
+    results["probe"] = probe()
     return results
 
 
@@ -146,9 +195,136 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
+def build_paper(records: int) -> tuple[LogBaseAdapter, list[bytes]]:
+    """A paper-profile cluster bulk-loaded as ``ycsb_read_paper`` loads:
+    its YCSB keys in shuffled order through buffered puts.  Returns the
+    adapter and the sorted keys."""
+    keys = YCSBWorkload(records_per_node=records // NODES, seed=LOAD_SEED).load_keys(NODES)
+    order = list(keys)
+    random.Random(LOAD_SEED).shuffle(order)
+    adapter = LogBaseAdapter(LogBaseCluster(NODES, LogBaseConfig(**PAPER)))
+    for i, key in enumerate(order):
+        adapter.put_buffered(i % NODES, key, _value(i))
+    for node in range(NODES):
+        adapter.flush_buffers(node)
+    return adapter, keys
+
+
+def probe() -> dict[str, float]:
+    """Rows and simulated charges of the fixed scan on a fresh cluster,
+    with its simulated seconds summed over every machine's clock as the
+    end-to-end benchmark times a scan."""
+    adapter, keys = build_paper(PROBE_RECORDS)
+    cluster = adapter.cluster
+    lo, hi = PROBE_RANGE
+    before = cluster.total_counters()
+    began = sum(machine.clock.now for machine in cluster.machines)
+    rows = adapter._clients[0].scan_raw(TABLE, GROUP, keys[lo], keys[hi])
+    spent = sum(machine.clock.now for machine in cluster.machines) - began
+    after = cluster.total_counters()
+    facts = {"rows": len(rows), "sim_seconds": spent}
+    for name in ("disk_seeks", "disk_reads", "disk_bytes_read"):
+        counter = name.replace("_", ".", 1)
+        facts[name] = int(after.get(counter, 0) - before.get(counter, 0))
+    return facts
+
+
+def row_costs(records: int, rounds: int) -> tuple[int, dict[str, float]]:
+    """Best-of-``rounds`` inclusive host microseconds per row, per
+    function on the range-scan row path of server 0."""
+    adapter, _ = build_paper(records)
+    server = adapter.cluster.servers[0]
+    repo = server.log
+    indexes = [server._ensure_index(t.tablet_id, GROUP) for t in server.tablets.values()]
+    entries = [e for index in indexes for e in index.latest_in_range(b"", b"\xff" * 32)]
+    pointers = [entry.pointer for entry in entries[:ROW_LIMIT]]
+    # Readers of the log's own files, as the repository holds them.
+    dfs_readers = {
+        file_no: adapter.cluster.dfs.open(repo.segment_path(file_no), server.machine)
+        for file_no in {p.file_no for p in pointers}
+    }
+    readers = [dfs_readers[p.file_no] for p in pointers]
+    scopes = [repo.segment_scope(p.file_no) for p in pointers]
+
+    def block_of(reader, offset):
+        for block in reader._meta.blocks:
+            if offset < block.length:
+                return block, offset
+            offset -= block.length
+
+    blocks = [block_of(r, p.offset) for r, p in zip(readers, pointers)]
+    nodes = [r._replica_candidates(b)[0] for r, (b, _) in zip(readers, blocks)]
+    raws = [r.read(p.offset, p.size) for r, p in zip(readers, pointers)]
+    bodies = [raw[8:] for raw in raws]
+    chunk = bytes(range(256)) * (CHUNK_BYTES // 256)
+    work = list(zip(pointers, readers, blocks, nodes))
+    cases = {
+        "TabletServer.range_scan": lambda: list(
+            server.range_scan(TABLE, GROUP, b"", b"\xff" * 32)
+        ),
+        "BLinkTreeIndex.latest_in_range": lambda: [
+            list(index.latest_in_range(b"", b"\xff" * 32)) for index in indexes
+        ],
+        "LogRepository.read": lambda: [repo.read(p) for p in pointers],
+        "DFSReader.read": lambda: [r.read(p.offset, p.size) for p, r, *_ in work],
+        "_replica_candidates": lambda: [r._replica_candidates(b) for _, r, (b, _), _ in work],
+        "DataNode.read_replica": lambda: [
+            n.read_replica(b.block_id, o, p.size) for p, _, (b, o), n in work
+        ],
+        "SimDisk.read": lambda: [
+            n.machine.disk.read(b.block_id, o, p.size) for p, _, (b, o), n in work
+        ],
+        "LogRecord.decode": lambda: [
+            LogRecord.decode(raw, 0, scope) for raw, scope in zip(raws, scopes)
+        ],
+        "crc32c (frame body)": lambda: [crc32c(body) for body in bodies],
+        "crc32c (64 KiB, per call)": lambda: crc32c(chunk),
+    }
+    # Whole-scan and whole-walk cases cover every row of the server.
+    per = dict.fromkeys(cases, len(pointers))
+    per["TabletServer.range_scan"] = per["BLinkTreeIndex.latest_in_range"] = len(entries)
+    per["crc32c (64 KiB, per call)"] = 1
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(rounds):
+        for name, fn in cases.items():
+            began = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - began)
+    return len(pointers), {name: 1e6 * t / per[name] for name, t in best.items()}
+
+
+def format_row_costs(rows: int, costs: dict[str, float], facts: dict) -> str:
+    lines = [f"Host cost of one scanned row ({rows} rows, best-of-N, inclusive)"]
+    lines += [f"  {name:<32} {us:8.2f} us" for name, us in costs.items()]
+    lines.append(
+        f"  non-CRC part of a row read       "
+        f"{costs['LogRepository.read'] - costs['crc32c (frame body)']:8.2f} us"
+    )
+    lines.append(
+        f"probe: {facts['rows']} rows, sim {facts['sim_seconds']!r} s, "
+        f"disk.seeks {facts['disk_seeks']}, disk.reads {facts['disk_reads']}, "
+        f"disk.bytes_read {facts['disk_bytes_read']}"
+    )
+    return "\n".join(lines)
+
+
+def check_probe(facts: dict) -> list[str]:
+    """The probe's pinned charges; returns violations (empty = pass)."""
+    failures = []
+    for name, pinned in PINNED_PROBE.items():
+        got = facts[name]
+        if name == "sim_seconds":
+            moved = abs(got - pinned) > 1e-9 * pinned
+        else:
+            moved = got != pinned
+        if moved:
+            failures.append(f"probe {name} {got!r} != pinned {pinned!r}")
+    return failures
+
+
 def check_acceptance(results: dict) -> list[str]:
     """The acceptance bars; returns a list of violations (empty = pass)."""
-    failures = []
+    failures = check_probe(results["probe"])
     for phase in ("uncompacted", "compacted"):
         base = results["baseline"][phase]
         piped = results["pipeline"][phase]
@@ -216,6 +392,11 @@ def main() -> None:
         parser.error("--records and --scans must be >= 1")
     results = run_experiment(records=records, scans=scans)
     print(format_report(results))
+    rows, costs = row_costs(
+        SMOKE_ROW_RECORDS if args.smoke else DEFAULT_ROW_RECORDS,
+        SMOKE_ROUNDS if args.smoke else DEFAULT_ROUNDS,
+    )
+    print("\n" + format_row_costs(rows, costs, results["probe"]))
     append_trajectory(TRAJECTORY, results)
     print(f"\ntrajectory appended to {TRAJECTORY}")
     failures = check_acceptance(results)

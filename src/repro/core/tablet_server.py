@@ -977,10 +977,11 @@ class TabletServer:
         early (e.g. LIMIT queries) never read past their cursor.
         """
         if self.config.read_coalesce_gap is None:
+            read = repo.read
             for entry in entries:
-                record = repo.read(entry.pointer)
-                if record.value is not None:
-                    yield entry.key, entry.timestamp, record.value
+                value = read(entry.pointer).value
+                if value is not None:
+                    yield entry.key, entry.timestamp, value
             return
         entries = iter(entries)
         while batch := list(islice(entries, READ_BATCH_SIZE)):

@@ -221,6 +221,34 @@ class BLinkTreeIndex(MultiversionIndex):
                 break
             yield IndexEntry(entry_key, ts, pointer)
 
+    def latest_in_range(
+        self, start_key: bytes, end_key: bytes, *, as_of: int | None = None
+    ) -> Iterator[IndexEntry]:
+        """One walk of the leaf chain from ``start_key``.  A key's versions
+        are adjacent, oldest first, so its latest visible one is the last
+        at or below ``as_of`` before the key changes: one entry per key."""
+        limit = _MAX_TS if as_of is None else as_of
+        end = (end_key, 0)
+        leaf, _ = self._descend((start_key, 0))
+        idx = bisect.bisect_left(leaf.keys, (start_key, 0))
+        current = None
+        while leaf is not None:
+            keys = leaf.keys
+            stop = bisect.bisect_left(keys, end, idx)
+            for (key, ts), pointer in zip(keys[idx:stop], leaf.values[idx:stop]):
+                if ts > limit:
+                    continue
+                if key != current:
+                    if current is not None:
+                        yield IndexEntry(current, best_ts, best)
+                    current = key
+                best_ts, best = ts, pointer
+            # The range ends inside this leaf, or runs on into the next.
+            leaf = leaf.right if stop == len(keys) else None
+            idx = 0
+        if current is not None:
+            yield IndexEntry(current, best_ts, best)
+
     def entries(self) -> Iterator[IndexEntry]:
         for (entry_key, ts), pointer in self._iterate_from((b"", 0)):
             yield IndexEntry(entry_key, ts, pointer)

@@ -3,8 +3,8 @@
 A byte-at-a-time table loop costs ~100 ms per MiB in pure Python, which
 made checksumming 92-96 % of the composed system's host time.  This
 implementation instead *folds* the message on Python big integers, whose
-shifts and XORs run at C speed, and leaves only the last 16 bytes to the
-256-entry table.
+shifts and XORs run at C speed, and leaves only the last 16 bytes to
+table lookups.
 
 Convention: CRC-32C is reflected, so reading the message as a
 little-endian integer makes bit ``i`` of the integer the coefficient of
@@ -27,7 +27,8 @@ the fewest set bits in ``x^K mod P`` among the ``min(4096, K_i // 8)``
 sizes up to the limit ``2*K_i - 31`` (``tests/util/test_crc.py`` re-derives
 the table by that rule).  The first round folds the message, whatever its
 length, onto the largest size below it; every later round folds exactly
-``K_{i+1} -> K_i``; one loop (in ``crc32c``) runs both.
+``K_{i+1} -> K_i``; one loop (in ``crc32c``) runs both, a fixed round from
+its precomputed ``_ROUNDS`` entry.  Sixteen slice tables take the last 128.
 """
 
 from __future__ import annotations
@@ -36,25 +37,27 @@ from bisect import bisect_left
 
 _POLY = 0x82F63B78  # reversed Castagnoli polynomial
 
-# Messages this short, and the tail every fold ends with, go through the
-# byte table.
+# Messages this short go through the byte loop; the tail every fold ends
+# with is this long and goes through the slice tables.
 _TABLE_BYTES = 16
 
 
-def _build_table() -> tuple[int, ...]:
+def _slice_tables() -> list[tuple[int, ...]]:
+    """``T_k[v]``, ``k < 16``: the CRC register after byte ``v`` and ``k``
+    zero bytes.  ``T_0`` is the byte loop's table."""
     table = []
-    for i in range(256):
-        crc = i
+    for crc in range(256):
         for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _POLY
-            else:
-                crc >>= 1
+            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
         table.append(crc)
-    return tuple(table)
+    tables = [tuple(table)]
+    for _ in range(_TABLE_BYTES - 1):
+        tables.append(tuple(tables[0][c & 0xFF] ^ (c >> 8) for c in tables[-1]))
+    return tables
 
 
-_TABLE = _build_table()
+(_T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7,
+ _T8, _T9, _T10, _T11, _T12, _T13, _T14, _T15) = _slice_tables()  # fmt: skip
 
 
 # (K, x^K mod P) for every fold size, smallest first; the last covers a
@@ -76,29 +79,33 @@ _FOLD_SIZES = (
 _SIZES = tuple(size for size, _ in _FOLD_SIZES)
 
 
-def _rounds() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """``(K, out, shifts)`` per fold size, for a head of any length ``s``.
+# Masks are held up to one 64 KiB replica checksum chunk (~36 KB in all);
+# above it a mask is as large as the message and is made per round.
+_MASKED_BITS = 8 * 64 * 1024
+
+
+def _rounds() -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+    """``(shifts, s, mask, lift)`` per fold size: the fixed round onto it.
 
     Bit ``j`` of the carry-less ``head * constant`` is the coefficient of
     ``x^(s + 30 - j)`` and bit ``j`` of the kept message is
     ``x^(K - 1 - j)``, so the product lines up ``K - s - 31`` bits in.
     ``shifts`` are the constant's set bits relative to its lowest one and
-    ``out`` is ``K - 31`` plus that lowest bit.
+    ``lift`` is ``K - 31 - s`` plus that lowest bit.  The head ``s`` is
+    ``K_{i+1} - K_i`` (the top level's is its largest, ``K - 31``); its
+    ``mask`` is ``2^s - 1``, or 0 above ``_MASKED_BITS``.
     """
     rounds = []
-    for size, constant in _FOLD_SIZES:
+    above_sizes = _SIZES[1:] + (2 * _SIZES[-1] - 31,)
+    for (size, constant), above in zip(_FOLD_SIZES, above_sizes):
         low, *rest = (b for b in range(32) if constant >> b & 1)
-        rounds.append((size, size - 31 + low, tuple(b - low for b in rest)))
+        s = above - size
+        mask = (1 << s) - 1 if above <= _MASKED_BITS else 0
+        rounds.append((tuple(b - low for b in rest), s, mask, size - 31 + low - s))
     return tuple(rounds)
 
 
 _ROUNDS = _rounds()
-
-
-def _bytewise(data, crc: int) -> int:
-    for byte in data:
-        crc = _TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc
 
 
 def crc32c(data, crc: int = 0) -> int:
@@ -114,17 +121,36 @@ def crc32c(data, crc: int = 0) -> int:
     """
     n = len(data)
     if n <= _TABLE_BYTES:
-        return _bytewise(data, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+        crc ^= 0xFFFFFFFF
+        for byte in data:
+            crc = _T0[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+        return crc ^ 0xFFFFFFFF
     # The running CRC enters by XOR into the first four message bytes.
     d = int.from_bytes(data, "little") ^ (crc ^ 0xFFFFFFFF)
     bits = n * 8
-    # Fold onto the largest size below the message, then size by size.
-    for level in range(bisect_left(_SIZES, bits) - 1, -1, -1):
-        keep, out, shifts = _ROUNDS[level]
-        s = bits - keep  # fold the first s bits onto the remaining keep
-        head = product = d & ((1 << s) - 1)
+    # Fold onto the largest size below the message, then size by size.  The
+    # first round's head is whatever lies above that size: its mask is made
+    # (``mask`` 0) and it lands ``fixed - s`` bits off the fixed round's spot.
+    level = bisect_left(_SIZES, bits) - 1
+    shifts, fixed, _, lift = _ROUNDS[level]
+    s = bits - _SIZES[level]
+    lift += fixed - s
+    mask = 0
+    while True:
+        head = product = d & (mask or (1 << s) - 1)
         for b in shifts:
             product ^= head << b
-        d = (d >> s) ^ (product << (out - s))
-        bits = keep
-    return _bytewise(d.to_bytes(_TABLE_BYTES, "little"), 0) ^ 0xFFFFFFFF
+        d = (d >> s) ^ (product << lift)
+        if not level:
+            break
+        level -= 1
+        shifts, s, mask, lift = _ROUNDS[level]
+    # 16 bytes are left: byte i is followed by 15 - i more.
+    t = d.to_bytes(_TABLE_BYTES, "little")
+    return (
+        _T15[t[0]] ^ _T14[t[1]] ^ _T13[t[2]] ^ _T12[t[3]]
+        ^ _T11[t[4]] ^ _T10[t[5]] ^ _T9[t[6]] ^ _T8[t[7]]
+        ^ _T7[t[8]] ^ _T6[t[9]] ^ _T5[t[10]] ^ _T4[t[11]]
+        ^ _T3[t[12]] ^ _T2[t[13]] ^ _T1[t[14]] ^ _T0[t[15]]
+        ^ 0xFFFFFFFF
+    )  # fmt: skip

@@ -164,7 +164,8 @@ class LogRecord:
             ``(record, next_offset)``.
 
         Raises:
-            CorruptLogRecord: on truncation or checksum mismatch.
+            CorruptLogRecord: on truncation, checksum mismatch, or a body
+                that matches its checksum but does not parse.
         """
         header_end = offset + _FRAME_HEADER.size
         if header_end > len(buf):
@@ -179,50 +180,58 @@ class LogRecord:
         if crc32c(body) != crc:
             raise CorruptLogRecord("checksum mismatch")
 
-        # One pass over the body; a length below 0x80 is its own uvarint,
-        # anything else (a body that ends early too) is decode_uvarint's.
-        end = len(body)
-        type_byte = body[0]
-        code = type_byte & 0x7F
-        record_type = _RECORD_TYPES.get(code) or RecordType(code)
-        lsn, pos = decode_uvarint(body, 1)
-        txn_id, pos = decode_uvarint(body, pos)
-        table = tablet = group = ""
-        if type_byte < 0x80:
+        try:
+            # One pass over the body; a length below 0x80 is its own uvarint,
+            # anything else (a body that ends early too) is decode_uvarint's.
+            end = len(body)
+            type_byte = body[0]
+            code = type_byte & 0x7F
+            record_type = _RECORD_TYPES.get(code) or RecordType(code)
+            lsn, pos = decode_uvarint(body, 1)
+            txn_id, pos = decode_uvarint(body, pos)
+            table = tablet = group = ""
+            if type_byte < 0x80:
+                n = body[pos] if pos < end else 0x80
+                if n < 0x80:
+                    pos += 1
+                else:
+                    n, pos = decode_uvarint(body, pos)
+                table = body[pos : pos + n].decode()
+                pos += n
+                n = body[pos] if pos < end else 0x80
+                if n < 0x80:
+                    pos += 1
+                else:
+                    n, pos = decode_uvarint(body, pos)
+                tablet = body[pos : pos + n].decode()
+                pos += n
             n = body[pos] if pos < end else 0x80
             if n < 0x80:
                 pos += 1
             else:
                 n, pos = decode_uvarint(body, pos)
-            table = body[pos : pos + n].decode()
+            key = body[pos : pos + n]
             pos += n
-            n = body[pos] if pos < end else 0x80
-            if n < 0x80:
-                pos += 1
+            if type_byte < 0x80:
+                n = body[pos] if pos < end else 0x80
+                if n < 0x80:
+                    pos += 1
+                else:
+                    n, pos = decode_uvarint(body, pos)
+                group = body[pos : pos + n].decode()
+                pos += n
+            timestamp, pos = decode_uvarint(body, pos)
+            value: bytes | None = None
+            if body[pos]:
+                n, pos = decode_uvarint(body, pos + 1)
+                value = body[pos : pos + n]
+                pos += n
             else:
-                n, pos = decode_uvarint(body, pos)
-            tablet = body[pos : pos + n].decode()
-            pos += n
-        n = body[pos] if pos < end else 0x80
-        if n < 0x80:
-            pos += 1
-        else:
-            n, pos = decode_uvarint(body, pos)
-        key = body[pos : pos + n]
-        pos += n
-        if type_byte < 0x80:
-            n = body[pos] if pos < end else 0x80
-            if n < 0x80:
                 pos += 1
-            else:
-                n, pos = decode_uvarint(body, pos)
-            group = body[pos : pos + n].decode()
-            pos += n
-        timestamp, pos = decode_uvarint(body, pos)
-        value: bytes | None = None
-        if body[pos]:
-            n, pos = decode_uvarint(body, pos + 1)
-            value = body[pos : pos + n]
+            if pos != end:
+                raise CorruptLogRecord(f"fields end at byte {pos} of a {end}-byte body")
+        except (IndexError, ValueError) as exc:
+            raise CorruptLogRecord(f"malformed record body: {exc}") from exc
         if scope is not None and not table:
             table, group = scope
         record = object.__new__(cls)

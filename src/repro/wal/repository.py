@@ -294,10 +294,11 @@ class LogRepository:
     def read(self, pointer: LogPointer) -> LogRecord:
         """Random read of one record (a single disk seek, §3.5)."""
         check_deadline("log read")
+        file_no = pointer.file_no
         with span(SPAN_LOG_READ, self._machine, bytes=pointer.size):
-            return self._reader(pointer.file_no).read_at(
-                pointer, self._slim_meta.get(pointer.file_no)
-            )
+            raw = self._reader(file_no).dfs_reader.read(pointer.offset, pointer.size)
+            record, _ = LogRecord.decode(raw, 0, self._slim_meta.get(file_no))
+            return record
 
     def read_many(self, pointers: list[LogPointer]) -> list[LogRecord]:
         """Batch random reads; returns records in input pointer order.
@@ -360,7 +361,7 @@ class LogRepository:
     ) -> None:
         """Fetch one coalesced span and decode each run member out of it."""
         self._machine.counters.add(READ_MANY_SPANS)
-        raw = reader.read_range(start, end - start)
+        raw = reader.dfs_reader.read(start, end - start)
         scope = self._slim_meta.get(file_no)
         for position in run:
             offset = pointers[position].offset - start

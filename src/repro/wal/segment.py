@@ -58,7 +58,8 @@ class LogSegmentWriter:
 
 
 class LogSegmentReader:
-    """Random and sequential reads over one segment file.
+    """Sequential reads over one segment file; a random read is one
+    ``dfs_reader.read``, which the repository decodes itself.
 
     Args:
         file_no: segment number (stamped into yielded pointers).
@@ -73,35 +74,17 @@ class LogSegmentReader:
         self, file_no: int, reader: DFSReader, prefetch_bytes: int = 0
     ) -> None:
         self.file_no = file_no
-        self._reader = reader
+        self.dfs_reader = reader
         self._prefetch_bytes = prefetch_bytes
 
     @property
     def length(self) -> int:
         """Current segment length in bytes."""
-        return self._reader.length
+        return self.dfs_reader.length
 
     def refresh(self) -> None:
         """Pick up appends that landed after this reader was opened."""
-        self._reader.refresh()
-
-    def read_at(
-        self, pointer: LogPointer, scope: tuple[str, str] | None = None
-    ) -> LogRecord:
-        """Decode the record at ``pointer`` (one random DFS read).
-
-        ``scope`` is the ``(table, group)`` of a sorted segment, which its
-        slim entries leave out; see :meth:`LogRecord.decode`.
-        """
-        raw = self._reader.read(pointer.offset, pointer.size)
-        record, _ = LogRecord.decode(raw, 0, scope)
-        return record
-
-    def read_range(self, offset: int, length: int) -> bytes:
-        """Raw bytes of ``[offset, offset+length)`` — one DFS read.  The
-        repository's coalesced batch reads decode multiple records out of
-        one such span."""
-        return self._reader.read(offset, length)
+        self.dfs_reader.refresh()
 
     def scan(
         self, *, start: int = 0, scope: tuple[str, str] | None = None
@@ -117,10 +100,11 @@ class LogSegmentReader:
 
         ``start`` must be a record boundary (a pointer's ``offset + size``
         from a previous scan); a log tailer resumes mid-segment with it and
-        pays only for the bytes past its cursor.  ``scope`` is as for
-        :meth:`read_at`.
+        pays only for the bytes past its cursor.  ``scope`` is the
+        ``(table, group)`` of a sorted segment, which its slim entries leave
+        out; see :meth:`LogRecord.decode`.
         """
-        length = self._reader.length
+        length = self.dfs_reader.length
         window = self._prefetch_bytes if self._prefetch_bytes > 0 else length - start
         counting = self._prefetch_bytes > 0
         buf = b""
@@ -134,11 +118,11 @@ class LogSegmentReader:
                 if fetched >= length:
                     return  # torn final record (or trailing corruption)
                 take = min(window, length - fetched)
-                buf = buf[offset - base :] + self._reader.read(fetched, take)
+                buf = buf[offset - base :] + self.dfs_reader.read(fetched, take)
                 base = offset
                 fetched += take
                 if counting:
-                    self._reader.machine.counters.add(SCAN_PREFETCH_WINDOWS)
+                    self.dfs_reader.machine.counters.add(SCAN_PREFETCH_WINDOWS)
                 continue
             next_offset = base + rel_next
             yield LogPointer(self.file_no, offset, next_offset - offset), record

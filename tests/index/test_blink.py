@@ -93,3 +93,21 @@ def test_versions_spanning_multiple_leaves():
     assert [v.timestamp for v in tree.versions(b"hot-key")] == list(range(1, 30))
     assert tree.delete_key(b"hot-key") == 29
     assert tree.versions(b"hot-key") == []
+
+
+def test_latest_in_range_walks_versions_across_leaves():
+    # Ten keys of ten versions each: every key's run spans leaves at order 4.
+    tree = BLinkTreeIndex(order=4)
+    for ts in range(1, 11):
+        for k in range(10):
+            tree.insert(b"k%d" % k, ts, ptr(100 * k + ts))
+    assert tree.height > 2
+    latest = list(tree.latest_in_range(b"k2", b"k7"))
+    assert [(e.key, e.timestamp, e.pointer) for e in latest] == [
+        (b"k%d" % k, 10, ptr(100 * k + 10)) for k in range(2, 7)
+    ]
+    as_of = list(tree.latest_in_range(b"k2", b"k7", as_of=4))
+    assert [(e.key, e.timestamp) for e in as_of] == [(b"k%d" % k, 4) for k in range(2, 7)]
+    assert list(tree.latest_in_range(b"k2", b"k7", as_of=0)) == []
+    assert list(tree.latest_in_range(b"k7", b"k2")) == []
+    assert list(tree.latest_in_range(b"z", b"zz")) == []

@@ -8,6 +8,7 @@ result as a literal and these tests derive it again.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,17 @@ def reference(data: bytes, crc: int = 0) -> int:
     for byte in data:
         crc = _REFERENCE_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
+
+
+def reference_prefixes(data: bytes, crc: int) -> list[int]:
+    """``reference(data[:n], crc)`` for every ``n`` from 0 to ``len(data)``,
+    in one pass of the byte loop."""
+    crc ^= 0xFFFFFFFF
+    found = [crc ^ 0xFFFFFFFF]
+    for byte in data:
+        crc = _REFERENCE_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+        found.append(crc ^ 0xFFFFFFFF)
+    return found
 
 
 def raw_remainder(data: bytes) -> int:
@@ -191,10 +203,71 @@ def test_matches_reference_past_three_megabytes():
     assert crc32c(data[1_234_567:], crc32c(data[:1_234_567])) == expected
 
 
+def test_matches_reference_at_every_length_to_4200_from_random_starts():
+    # Lengths 0..4200 cover the table-only messages, the first seven ladder
+    # sizes and every head length the first round folds onto them.  Each of
+    # eight random starting CRCs takes every eighth length.
+    rng = random.Random(4200)
+    data = rng.randbytes(4200)
+    for start in range(8):
+        crc = rng.getrandbits(32)
+        expected = reference_prefixes(data, crc)
+        for length in range(start, 4201, 8):
+            assert crc32c(data[:length], crc) == expected[length], (length, crc)
+
+
 @pytest.mark.parametrize("length", FOLD_BOUNDARIES)
 def test_matches_reference_at_every_fold_boundary(length):
-    data = random.Random(length).randbytes(length)
+    rng = random.Random(length)
+    data = rng.randbytes(length)
     assert crc32c(data) == reference(data)
+    crc = rng.getrandbits(32)
+    assert crc32c(data, crc) == reference(data, crc)
+
+
+def test_round_table_follows_from_the_fold_sizes():
+    # Level i's fixed round folds K_{i+1} bits onto K_i (the top level's
+    # head is K - 31 bits, the most it can take): head length s, its mask
+    # while K_{i+1} is within a 64 KiB checksum chunk, and where the product
+    # of the head and x^K mod P lands.
+    chunk_bits = 8 * 64 * 1024
+    above = SIZES[1:] + [2 * SIZES[-1] - 31]
+    for level, ((size, constant), upper) in enumerate(zip(crc_module._FOLD_SIZES, above)):
+        bits = [b for b in range(32) if constant >> b & 1]
+        s = upper - size
+        expected = (
+            tuple(b - bits[0] for b in bits[1:]),
+            s,
+            (1 << s) - 1 if upper <= chunk_bits else 0,
+            size - s - 31 + bits[0],
+        )
+        assert crc_module._ROUNDS[level] == expected, level
+    masked = [level for level, (_, _, mask, _) in enumerate(crc_module._ROUNDS) if mask]
+    assert masked == list(range(12))  # a 64 KiB chunk folds through these
+
+
+def test_slice_tables_are_the_byte_loop_over_trailing_zeros():
+    for k in range(16):
+        table = getattr(crc_module, f"_T{k}")
+        for value in (0, 1, 0x5A, 0x80, 0xFF):
+            message = bytes([value]) + bytes(k)
+            assert table[value] == reference(message, 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
+def test_precomputed_state_stays_small():
+    # Masks held for every level took RSS from 89 to 610 MB; capped at the
+    # checksum chunk they and the sixteen slice tables are ~200 KB.
+    masks = sum(sys.getsizeof(mask) for _, _, mask, _ in crc_module._ROUNDS)
+    seen: set[int] = set()
+    tables = 0
+    for k in range(16):
+        table = getattr(crc_module, f"_T{k}")
+        tables += sys.getsizeof(table)
+        for value in table:
+            if id(value) not in seen:
+                seen.add(id(value))
+                tables += sys.getsizeof(value)
+    assert masks + tables <= 256 * 1024, (masks, tables)
 
 
 @settings(max_examples=120, deadline=None)

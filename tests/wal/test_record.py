@@ -247,29 +247,64 @@ def test_every_single_bit_flip_of_a_frame_is_corrupt(frame):
             LogRecord.decode(bytes(damaged))
 
 
-def test_unknown_record_type_is_a_value_error():
-    body = b"\x09" + GOLDEN_SLIM_FRAME[9:]
-    frame = struct.pack("<II", len(body), crc32c(body)) + body
-    with pytest.raises(ValueError):
+def framed(body: bytes) -> bytes:
+    """``body`` under a header whose length and checksum match it."""
+    return struct.pack("<II", len(body), crc32c(body)) + body
+
+
+# A frame whose checksum matches a body that does not parse is as corrupt as
+# one whose checksum does not: segment scan, redo and the follower tail
+# catch CorruptLogRecord and nothing else.
+
+
+def test_unknown_record_type_is_corrupt():
+    frame = framed(b"\x09" + GOLDEN_SLIM_FRAME[9:])
+    with pytest.raises(CorruptLogRecord) as raised:
         LogRecord.decode(frame)
+    assert isinstance(raised.value.__cause__, ValueError)
+
+
+def test_an_all_zero_header_is_corrupt():
+    # Length 0 and crc32c(b"") == 0: the checksum holds, there is no body.
+    assert crc32c(b"") == 0
+    with pytest.raises(CorruptLogRecord):
+        LogRecord.decode(bytes(8))
+    with pytest.raises(CorruptLogRecord):
+        LogRecord.decode(GOLDEN_SLIM_FRAME + bytes(8), len(GOLDEN_SLIM_FRAME))
 
 
 @pytest.mark.parametrize(
     "frame, cut",
     [
-        (GOLDEN_FULL_FRAME, 4),  # table length
-        (GOLDEN_FULL_FRAME, 17),  # tablet length
-        (GOLDEN_FULL_FRAME, 32),  # key length
-        (GOLDEN_FULL_FRAME, 45),  # group length
-        (GOLDEN_SLIM_FRAME, 3),  # key length
+        (GOLDEN_FULL_FRAME, 4),
+        (GOLDEN_FULL_FRAME, 17),
+        (GOLDEN_FULL_FRAME, 32),
+        (GOLDEN_FULL_FRAME, 45),
+        (GOLDEN_SLIM_FRAME, 3),
     ],
+    ids=["full-table", "full-tablet", "full-key", "full-group", "slim-key"],
 )
-def test_body_ending_where_a_length_begins_is_a_value_error(frame, cut):
-    # A checksum that matches a body which stops short: the length reads
-    # raise what decode_uvarint raises there, not an IndexError.
-    body = frame[8 : 8 + cut]
-    with pytest.raises(ValueError, match="truncated uvarint"):
-        LogRecord.decode(struct.pack("<II", len(body), crc32c(body)) + body)
+def test_body_ending_where_a_length_begins_is_corrupt(frame, cut):
+    # A checksum that matches a body which stops short: the length read
+    # fails in decode_uvarint, and decode reports the frame as corrupt.
+    with pytest.raises(CorruptLogRecord) as raised:
+        LogRecord.decode(framed(frame[8 : 8 + cut]))
+    assert "truncated uvarint" in str(raised.value.__cause__)
+
+
+@GOLDEN_FRAMES
+def test_bytes_after_the_last_field_are_corrupt(frame):
+    with pytest.raises(CorruptLogRecord, match="fields end"):
+        LogRecord.decode(framed(frame[8:] + b"\x00"))
+
+
+@GOLDEN_FRAMES
+def test_every_checksummed_prefix_of_a_body_is_corrupt(frame):
+    # Every proper prefix of a body, re-framed so its checksum holds.
+    body = frame[8:]
+    for cut in range(len(body)):
+        with pytest.raises(CorruptLogRecord):
+            LogRecord.decode(framed(body[:cut]))
 
 
 def test_scope_fills_what_a_slim_entry_leaves_out():

@@ -18,6 +18,13 @@ def record(key: bytes) -> LogRecord:
     )
 
 
+def read_at(reader: LogSegmentReader, pointer) -> LogRecord:
+    """The record at ``pointer``: one positional DFS read, decoded (what
+    ``LogRepository.read`` does)."""
+    raw = reader.dfs_reader.read(pointer.offset, pointer.size)
+    return LogRecord.decode(raw)[0]
+
+
 @pytest.fixture
 def segment(dfs, machines):
     writer = dfs.create("/log/segment-1", machines[0])
@@ -45,7 +52,7 @@ def test_read_at_and_scan(dfs, machines, segment):
     frames = [record(str(i).encode()).encode() for i in range(3)]
     pointers = segment.append_many(frames)
     reader = open_segment_reader(dfs, "/log/segment-1", 1, machines[0])
-    assert reader.read_at(pointers[1]).key == b"1"
+    assert read_at(reader, pointers[1]).key == b"1"
     scanned = [rec.key for _, rec in reader.scan()]
     assert scanned == [b"0", b"1", b"2"]
 
@@ -63,4 +70,4 @@ def test_scan_pointers_are_readable(dfs, machines, segment):
     segment.append_many([record(str(i).encode()).encode() for i in range(3)])
     reader = open_segment_reader(dfs, "/log/segment-1", 1, machines[0])
     for pointer, rec in list(reader.scan()):
-        assert reader.read_at(pointer) == rec
+        assert read_at(reader, pointer) == rec
