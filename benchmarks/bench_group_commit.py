@@ -2,9 +2,9 @@
 
 Runs the concurrent-client put workload
 (:func:`repro.bench.concurrent.run_concurrent_puts`) on a single-server
-3-node LogBase with ``LogBaseConfig.with_group_commit()`` at client
-fan-ins of 1, 8 and 64, plus a gate-off synchronous arm as the seed
-reference.  Every arm writes the same number of records; the sweep shows
+3-node LogBase (every server's writes go through its commit coordinator)
+at client fan-ins of 1, 8 and 64.  Every arm writes the same number of
+records; the sweep shows
 the commit coordinator collapsing DFS replication round trips from one
 per committed op toward one per group as concurrent submissions pile
 into each group window.
@@ -44,15 +44,12 @@ DEFAULT_OPS = 1024
 SMOKE_OPS = 256
 
 
-def build_adapter(ops: int, *, group_commit: bool) -> LogBaseAdapter:
+def build_adapter(ops: int) -> LogBaseAdapter:
     """A single-server 3-node LogBase (the §4.2 micro-benchmark
     deployment) sized so the whole phase stays in one segment regime."""
     total = max(ops * RECORD_SIZE, 64 * 1024)
-    settings = dict(segment_size=max(total // 4, 64 * 1024), heap_bytes=8 * total)
-    config = (
-        LogBaseConfig.with_group_commit(**settings)
-        if group_commit
-        else LogBaseConfig(**settings)
+    config = LogBaseConfig(
+        segment_size=max(total // 4, 64 * 1024), heap_bytes=8 * total
     )
     return make_logbase(
         3,
@@ -63,9 +60,9 @@ def build_adapter(ops: int, *, group_commit: bool) -> LogBaseAdapter:
     )
 
 
-def run_arm(ops: int, fanin: int, *, group_commit: bool = True) -> dict:
+def run_arm(ops: int, fanin: int) -> dict:
     """One fresh-cluster arm of the sweep."""
-    adapter = build_adapter(ops, group_commit=group_commit)
+    adapter = build_adapter(ops)
     counters_before = adapter.cluster.total_counters()
     result = run_concurrent_puts(
         adapter, n_clients=fanin, n_ops=ops, value=b"x" * RECORD_SIZE
@@ -78,7 +75,6 @@ def run_arm(ops: int, fanin: int, *, group_commit: bool = True) -> dict:
     fanin_sum = counters.get(COMMIT_GROUP_FANIN, 0.0)
     return {
         "fanin": fanin,
-        "group_commit": group_commit,
         "ops": ops,
         "acked": result.acked,
         "failed": result.failed,
@@ -95,12 +91,11 @@ def run_arm(ops: int, fanin: int, *, group_commit: bool = True) -> dict:
 
 
 def run_experiment(ops: int = DEFAULT_OPS) -> dict:
-    """The fan-in sweep plus the gate-off synchronous reference arm."""
+    """The fan-in sweep."""
     results: dict = {"ops": ops, "record_size": RECORD_SIZE, "arms": []}
-    results["arms"].append(run_arm(ops, 1, group_commit=False))
     for fanin in FANINS:
         results["arms"].append(run_arm(ops, fanin))
-    by_fanin = {a["fanin"]: a for a in results["arms"] if a["group_commit"]}
+    by_fanin = {a["fanin"]: a for a in results["arms"]}
     baseline = by_fanin[1]
     results["speedup_64_vs_1"] = (
         by_fanin[64]["throughput"] / baseline["throughput"]
@@ -118,7 +113,7 @@ def format_report(results: dict) -> str:
         f"{'groups':>7} {'fan-in':>7} {'rt/op':>7}",
     ]
     for arm in results["arms"]:
-        label = f"fanin={arm['fanin']}" + ("" if arm["group_commit"] else " (off)")
+        label = f"fanin={arm['fanin']}"
         lines.append(
             f"{label:<14} {arm['acked']:>6d} {arm['throughput']:>10.0f} "
             f"{arm['commit_p50_ms']:>8.2f} {arm['commit_p99_ms']:>8.2f} "
@@ -132,7 +127,7 @@ def format_report(results: dict) -> str:
 def check_acceptance(results: dict) -> list[str]:
     """The acceptance bars; returns a list of violations (empty = pass)."""
     failures = []
-    by_fanin = {a["fanin"]: a for a in results["arms"] if a["group_commit"]}
+    by_fanin = {a["fanin"]: a for a in results["arms"]}
     for arm in results["arms"]:
         if arm["failed"] or arm["acked"] != arm["ops"]:
             failures.append(

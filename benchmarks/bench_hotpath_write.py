@@ -6,6 +6,7 @@ segments and a 2 MB heap, 4 nodes) passes through, in order::
 
     Client.put_raw -> Client._call -> TabletServer.write
       -> _stage_write (-> TimestampOracle.next_timestamp)
+      -> CommitCoordinator.commit (a group of one)
       -> LogRepository.append_batch (-> LogRecord.with_lsn, LogRecord.encode)
         -> LogSegmentWriter.append_many -> DFSWriter.append
           -> DFS._append_to_block -> DataNode.append_replica
@@ -20,9 +21,12 @@ to the set-up cluster, which is thrown away.
 
 ``check_acceptance`` asserts only deterministic facts, so it cannot
 flake: on a fresh paper-profile cluster, a fixed sequence of puts
-charges exactly the pinned simulated seconds and ``net.bytes_sent``, and
-every put pays three ``disk.writes`` and one ``dfs.append_round_trips``.
-Host timings are printed, never gated.
+charges exactly the pinned simulated seconds and ``net.bytes_sent``,
+every put pays three ``disk.writes`` and one ``dfs.append_round_trips``,
+and every put is its own commit group (``commit.groups`` and
+``commit.group_fanin`` both equal the put count).  Host timings are
+printed, never gated.  A tree without ``CommitCoordinator.commit`` (an
+older checkout timed through ``PYTHONPATH``) skips that row.
 
 Run directly (``python benchmarks/bench_hotpath_write.py [--smoke]``,
 which exits non-zero when a check fails) or via pytest.
@@ -93,6 +97,10 @@ def probe() -> dict[str, float]:
     return {
         "sim_seconds": sim_seconds,
         "net_bytes_sent": after.get("net.bytes_sent", 0) - before.get("net.bytes_sent", 0),
+        "commit_groups": after.get("commit.groups", 0) - before.get("commit.groups", 0),
+        "commit_group_fanin": (
+            after.get("commit.group_fanin", 0) - before.get("commit.group_fanin", 0)
+        ),
         "disk_writes_per_put": sorted(per_put_writes),
         "round_trips_per_put": sorted(per_put_round_trips),
     }
@@ -129,6 +137,7 @@ def host_costs(records: int, writes: int, rounds: int) -> dict[str, float]:
     disk = primary.machine.disk
     tso = server.tso
     cache = server.read_cache
+    commit = getattr(getattr(server, "commit", None), "commit", None)
 
     cases = {
         "Client.put_raw": lambda: [client.put_raw(TABLE, key, GROUP, value) for key in keys],
@@ -139,6 +148,7 @@ def host_costs(records: int, writes: int, rounds: int) -> dict[str, float]:
         "TabletServer.write": lambda: [server.write(TABLE, key, payload) for key in keys],
         "_stage_write": lambda: [server._stage_write(TABLE, key, payload, 0) for key in keys],
         "TimestampOracle.next_timestamp": lambda: [tso.next_timestamp() for _ in keys],
+        "CommitCoordinator.commit": lambda: [commit([record]) for record in staged],
         "append_batch": lambda: [log.append_batch([record]) for record in staged],
         "LogRecord.with_lsn": lambda: [record.with_lsn(7) for record in staged],
         "LogRecord.encode": lambda: [record.encode() for _, record in appended],
@@ -160,6 +170,8 @@ def host_costs(records: int, writes: int, rounds: int) -> dict[str, float]:
             for _, record in appended
         ],
     }
+    if commit is None:
+        del cases["CommitCoordinator.commit"]
     best = dict.fromkeys(cases, float("inf"))
     for _ in range(rounds):
         for name, fn in cases.items():
@@ -180,7 +192,8 @@ def format_report(costs: dict[str, float], facts: dict) -> str:
         f"probe: {PROBE_PUTS} puts, sim {facts['sim_seconds']!r} s, "
         f"net.bytes_sent {facts['net_bytes_sent']:.0f}, disk.writes/put "
         f"{facts['disk_writes_per_put']}, round trips/put "
-        f"{facts['round_trips_per_put']}"
+        f"{facts['round_trips_per_put']}, commit groups "
+        f"{facts['commit_groups']:.0f} / fan-in {facts['commit_group_fanin']:.0f}"
     )
     return "\n".join(lines)
 
@@ -193,6 +206,11 @@ def check_acceptance(facts: dict) -> list[str]:
     if facts["round_trips_per_put"] != [1]:
         failures.append(
             f"dfs.append_round_trips per put {facts['round_trips_per_put']} != [1]"
+        )
+    if not facts["commit_groups"] == facts["commit_group_fanin"] == PROBE_PUTS:
+        failures.append(
+            f"commit.groups {facts['commit_groups']:.0f} / commit.group_fanin "
+            f"{facts['commit_group_fanin']:.0f} != {PROBE_PUTS} (one group per put)"
         )
     if abs(facts["sim_seconds"] - PINNED_SIM_SECONDS) > 1e-9 * PINNED_SIM_SECONDS:
         failures.append(

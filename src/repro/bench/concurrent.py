@@ -1,22 +1,14 @@
-"""Concurrent-client workload drivers over the virtual-time scheduler.
+"""Concurrent-client put driver over the virtual-time scheduler.
 
 The seed harness (:mod:`repro.bench.runner`) issues one operation at a
-time, so nothing overlaps in simulated time and the commit coordinator
-would only ever see fan-in 1.  These drivers multiplex N logical clients
-through :class:`repro.sim.scheduler.ConcurrentScheduler`: each client is
-a generator of ops on its own machine, submissions from different
-clients land inside the same commit-group window, and the coordinator
-collapses them into one DFS replication round trip per group.
-
-Two entry points:
-
-- :func:`run_concurrent_puts` — the fan-in sweep the group-commit
-  benchmark measures: N clients × M puts each, returning per-op commit
-  latencies and the phase makespan.  With the ``group_commit`` gate off
-  it degrades to synchronous queued writes (the fan-in-1-equivalent
-  baseline).
-- :func:`run_mixed_concurrent` — the YCSB mixed phase (fig11/fig12
-  style) with ``workload.concurrency`` logical clients per node.
+time, so nothing overlaps in simulated time and every blocking write is a
+commit group of one.  :func:`run_concurrent_puts` multiplexes N logical
+clients through :class:`repro.sim.scheduler.ConcurrentScheduler`: each
+client is a generator of puts on its own machine, submissions from
+different clients land inside the same commit-group window, and the
+coordinator collapses them into one DFS replication round trip per group.
+It is the fan-in sweep the group-commit benchmark measures: N clients ×
+M puts each, returning per-op commit latencies and the phase makespan.
 """
 
 from __future__ import annotations
@@ -25,15 +17,10 @@ from dataclasses import dataclass, field
 from math import ceil
 
 from repro.bench.adapters import GROUP, TABLE, LogBaseAdapter
-from repro.bench.runner import MixedResult
-from repro.bench.ycsb import YCSBWorkload
 from repro.core.client import Client
 from repro.errors import LogBaseError
 from repro.sim.machine import Machine
-from repro.sim.scheduler import Advance, ConcurrentScheduler, Invoke, Submit
-
-_REQUEST_OVERHEAD = 64  # matches repro.core.client framing
-_ACK_BYTES = 16
+from repro.sim.scheduler import Advance, ConcurrentScheduler, Submit
 
 
 @dataclass
@@ -61,20 +48,6 @@ class ConcurrentRunResult:
         return ordered[rank - 1]
 
 
-def _register_coordinators(scheduler: ConcurrentScheduler, cluster) -> None:
-    for server in cluster.servers:
-        scheduler.add_coordinator(getattr(server, "commit", None))
-
-
-def _client_machines(cluster, n_clients: int, prefix: str) -> list[Machine]:
-    # Logical clients get their own machines sharing the cluster's
-    # network model, so client-side time never contends with server work.
-    return [
-        Machine(f"{prefix}-{i}", network=cluster.config.network)
-        for i in range(n_clients)
-    ]
-
-
 def run_concurrent_puts(
     adapter: LogBaseAdapter,
     *,
@@ -87,80 +60,50 @@ def run_concurrent_puts(
     """N logical clients splitting ``n_ops`` puts, overlapped in
     simulated time.
 
-    With the cluster's ``group_commit`` gate on, each put is submitted
-    asynchronously and its latency runs from issue to the client
-    receiving the group-durability ack.  With the gate off, each put is
-    a synchronous queued write against the serving server — one
-    replication round trip per op, the seed behaviour — measured with
-    the same queue-aware latency definition.
+    Each put is submitted asynchronously to the serving server's commit
+    coordinator; its latency runs from issue to the client receiving the
+    group-durability ack.
     """
     cluster = adapter.cluster
-    master = cluster.master
-    grouped = cluster.config.group_commit
-    machines = _client_machines(cluster, n_clients, "cc")
-    clients = [Client(master, m) for m in machines]
+    # Logical clients get their own machines sharing the cluster's
+    # network model, so client-side time never contends with server work.
+    machines = [
+        Machine(f"cc-{i}", network=cluster.config.network) for i in range(n_clients)
+    ]
+    clients = [Client(cluster.master, m) for m in machines]
     result = ConcurrentRunResult(clients=n_clients, ops=n_ops)
     base, extra = divmod(n_ops, n_clients)
 
     def writer(i: int):
         client = clients[i]
-        machine = machines[i]
         ops = base + (1 if i < extra else 0)
         for j in range(ops):
             key = b"c%03dk%08d" % (i, j)
-            if grouped:
-                cell: dict = {}
+            cell: dict = {}
 
-                def _submit(now, key=key, cell=cell):
-                    future, request, ack = client.submit_put_raw(
-                        table, key, group, value, arrival=now
-                    )
-                    cell["issue"] = now
-                    cell["ack"] = ack
-                    return future
+            def _submit(now, key=key, cell=cell):
+                future, request, ack = client.submit_put_raw(
+                    table, key, group, value, arrival=now
+                )
+                cell["issue"] = now
+                cell["ack"] = ack
+                return future
 
-                try:
-                    future = yield Submit(_submit)
-                except LogBaseError:
-                    result.failed += 1
-                    continue
-                yield Advance(cell["ack"])
-                if future.error is None:
-                    result.acked += 1
-                    result.latencies.append(
-                        future.completion_time + cell["ack"] - cell["issue"]
-                    )
-                else:
-                    result.failed += 1
-            else:
-
-                def _put(now, key=key):
-                    server = master.server(master.locate(table, key)[0])
-                    request = machine.network.transfer_cost(
-                        len(key) + len(value) + _REQUEST_OVERHEAD,
-                        a=machine.name,
-                        b=server.machine.name,
-                    )
-                    ack = machine.network.transfer_cost(
-                        _ACK_BYTES, a=server.machine.name, b=machine.name
-                    )
-                    # Queue-aware: the request reaches the server one
-                    # request leg after issue; a busy server (its clock
-                    # already past that) makes the op wait its turn.
-                    server.machine.clock.advance_to(now + request)
-                    server.write(table, key, {group: value})
-                    return None, (server.machine.clock.now - now) + ack
-
-                try:
-                    _, seconds = yield Invoke(_put)
-                except LogBaseError:
-                    result.failed += 1
-                    continue
+            try:
+                future = yield Submit(_submit)
+            except LogBaseError:
+                result.failed += 1
+                continue
+            yield Advance(cell["ack"])
+            if future.error is None:
                 result.acked += 1
-                result.latencies.append(seconds)
+                result.latencies.append(
+                    future.completion_time + cell["ack"] - cell["issue"]
+                )
+            else:
+                result.failed += 1
 
-    scheduler = ConcurrentScheduler()
-    _register_coordinators(scheduler, cluster)
+    scheduler = ConcurrentScheduler(server.commit for server in cluster.servers)
     start = cluster.elapsed_makespan()
     for i in range(n_clients):
         scheduler.add_client(writer(i), at=start)
@@ -168,100 +111,4 @@ def run_concurrent_puts(
     # Any group still open when the last client finished flushes here
     # (its members were parked clients, so normally none remain).
     result.makespan = max(end, cluster.elapsed_makespan()) - start
-    return result
-
-
-def run_mixed_concurrent(
-    adapter: LogBaseAdapter, workload: YCSBWorkload, ops_per_node: int
-) -> MixedResult:
-    """YCSB mixed phase with ``workload.concurrency`` clients per node.
-
-    Reads stay synchronous point reads (queue-aware, like the seed
-    driver); updates go through the group-commit submit path when the
-    cluster's gate is on, and fall back to synchronous queued writes
-    otherwise.  Op streams are deterministic per (node, client).
-    """
-    cluster = adapter.cluster
-    master = cluster.master
-    grouped = cluster.config.group_commit
-    n_nodes = adapter.n_nodes()
-    value = workload.value()
-    result = MixedResult(
-        system=adapter.name,
-        n_nodes=n_nodes,
-        update_fraction=workload.update_fraction,
-        ops=0,
-        seconds=0.0,
-    )
-    total_clients = n_nodes * workload.concurrency
-    machines = _client_machines(cluster, total_clients, "mc")
-    clients = [Client(master, m) for m in machines]
-
-    def runner(slot: int, stream):
-        client = clients[slot]
-        machine = machines[slot]
-        for kind, key in stream:
-            if kind == "update" and grouped:
-                cell: dict = {}
-
-                def _submit(now, key=key, cell=cell):
-                    future, request, ack = client.submit_put_raw(
-                        TABLE, key, GROUP, value, arrival=now
-                    )
-                    cell["issue"] = now
-                    cell["ack"] = ack
-                    return future
-
-                try:
-                    future = yield Submit(_submit)
-                except LogBaseError:
-                    continue
-                yield Advance(cell["ack"])
-                if future.error is None:
-                    result.ops += 1
-                    result.update_latencies.append(
-                        future.completion_time + cell["ack"] - cell["issue"]
-                    )
-            else:
-
-                def _sync(now, kind=kind, key=key):
-                    server = master.server(master.locate(TABLE, key)[0])
-                    size = len(key) + (len(value) if kind == "update" else 0)
-                    request = machine.network.transfer_cost(
-                        size + _REQUEST_OVERHEAD,
-                        a=machine.name,
-                        b=server.machine.name,
-                    )
-                    response = machine.network.transfer_cost(
-                        len(value) if kind == "read" else _ACK_BYTES,
-                        a=server.machine.name,
-                        b=machine.name,
-                    )
-                    server.machine.clock.advance_to(now + request)
-                    if kind == "update":
-                        server.write(TABLE, key, {GROUP: value})
-                    else:
-                        server.read(TABLE, key, GROUP)
-                    return None, (server.machine.clock.now - now) + response
-
-                try:
-                    _, seconds = yield Invoke(_sync)
-                except LogBaseError:
-                    continue
-                result.ops += 1
-                if kind == "update":
-                    result.update_latencies.append(seconds)
-                else:
-                    result.read_latencies.append(seconds)
-
-    scheduler = ConcurrentScheduler()
-    _register_coordinators(scheduler, cluster)
-    start = cluster.elapsed_makespan()
-    slot = 0
-    for node in range(n_nodes):
-        for stream in workload.operation_streams(ops_per_node, seed_offset=node):
-            scheduler.add_client(runner(slot, stream), at=start)
-            slot += 1
-    end = scheduler.run()
-    result.seconds = max(end, cluster.elapsed_makespan()) - start
     return result

@@ -128,23 +128,6 @@ def run_mixed(
     return result
 
 
-def run_mixed_concurrent(
-    adapter: SystemAdapter, workload: YCSBWorkload, ops_per_node: int
-) -> MixedResult:
-    """Mixed phase with ``workload.concurrency`` logical clients per node
-    multiplexed over simulated time (LogBase clusters only: the update
-    path uses the group-commit coordinator when the gate is on).
-
-    With ``concurrency`` of 1 this is exactly :func:`run_mixed`, so
-    fig11/fig12-style runs opt in per workload.
-    """
-    if workload.concurrency <= 1:
-        return run_mixed(adapter, workload, ops_per_node)
-    from repro.bench.concurrent import run_mixed_concurrent as _concurrent
-
-    return _concurrent(adapter, workload, ops_per_node)
-
-
 def run_random_reads(
     adapter: SystemAdapter,
     keys: list[bytes],

@@ -34,11 +34,6 @@ class YCSBWorkload:
         update_fraction: share of updates in the mixed phase.
         theta: Zipfian coefficient for key choice (paper: 1.0).
         seed: deterministic RNG seed.
-        concurrency: logical clients per node in the mixed phase.  1 —
-            the default — keeps the seed one-op-at-a-time driver; above 1
-            the runner multiplexes this many clients per node over the
-            virtual-time scheduler (requires the ``group_commit`` gate
-            for the update path to actually overlap).
     """
 
     records_per_node: int = 1000
@@ -46,7 +41,6 @@ class YCSBWorkload:
     update_fraction: float = 0.95
     theta: float = 1.0
     seed: int = 42
-    concurrency: int = 1
     _keys: list[bytes] = field(default_factory=list, repr=False)
 
     def load_keys(self, n_nodes: int) -> list[bytes]:
@@ -88,27 +82,3 @@ class YCSBWorkload:
                 yield "update", key
             else:
                 yield "read", key
-
-    def operation_streams(
-        self, n_ops: int, *, seed_offset: int = 0
-    ) -> list[Iterator[tuple[str, bytes]]]:
-        """Split one node's mixed phase across ``concurrency`` logical
-        clients.
-
-        Each client gets an independent deterministic Zipfian stream (the
-        op count is divided as evenly as possible); with ``concurrency``
-        of 1 this is exactly ``[operations(n_ops, seed_offset)]``, so the
-        seed stream is unchanged.
-        """
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if self.concurrency == 1:
-            return [self.operations(n_ops, seed_offset=seed_offset)]
-        base, extra = divmod(n_ops, self.concurrency)
-        return [
-            self.operations(
-                base + (1 if c < extra else 0),
-                seed_offset=seed_offset + 104729 * (c + 1),
-            )
-            for c in range(self.concurrency)
-        ]

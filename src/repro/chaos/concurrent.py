@@ -6,11 +6,12 @@ that flush (the ``CP_LOG_APPEND`` / ``CP_DFS_APPEND`` hooks) must fail
 *every* member — an ack for any of them would violate Guarantee 1.
 
 The workload drives N logical clients through the virtual-time scheduler
-with the ``group_commit`` and fault-tolerance gates on; each row arms a
-kill rule at a crash point so the victim — home of every tablet — dies
-mid-group-flush with all clients parked on its coordinator.  Auto-
-failover re-homes the tablets (the adopters run their own commit
-coordinators), and the durability oracle then reads back every key:
+with the fault-tolerance gates on (every server has a commit coordinator
+under any config); each row arms a kill rule at a crash point so the
+victim — home of every tablet — dies mid-group-flush with all clients
+parked on its coordinator.  Auto-failover re-homes the tablets (the
+adopters run their own commit coordinators), and the durability oracle
+then reads back every key:
 ACKED values must survive, INDETERMINATE ones may go either way.
 """
 
@@ -90,9 +91,7 @@ def concurrent_clients(run: Run, _events: Events) -> None:
                 oracle.record(key, seq, WriteStatus.INDETERMINATE)
                 rescue(client)
 
-    scheduler = ConcurrentScheduler()
-    for server in db.cluster.servers:
-        scheduler.add_coordinator(server.commit)
+    scheduler = ConcurrentScheduler(server.commit for server in db.cluster.servers)
     start = db.cluster.elapsed_makespan()
     for i in range(CLIENTS):
         scheduler.add_client(chaos_client(i), at=start)
@@ -100,7 +99,7 @@ def concurrent_clients(run: Run, _events: Events) -> None:
     # Failover may have installed fresh coordinators (restart swaps
     # them); flush anything a non-scheduler path left open.
     for server in db.cluster.servers:
-        if server.commit is not None and server.machine.alive:
+        if server.machine.alive:
             server.commit.drain()
     totals = db.cluster.total_counters()
     groups = totals.get(COMMIT_GROUPS, 0)
@@ -117,7 +116,6 @@ ROWS = tuple(
         description,
         _kill_mid_flush(crash_point_name, hits),
         workload=concurrent_clients,
-        overrides={"group_commit": True},
         ops=12 * CLIENTS,
         preload=False,
         auto_failover=True,

@@ -54,19 +54,13 @@ class LogBaseConfig:
             scans; 0 reads the whole segment in one request (seed
             behaviour), a positive value streams the scan in windows of
             this many bytes.
-        group_commit_batch: max records buffered per group-commit flush.
-        group_commit: run tablet-server writes through the commit
-            coordinator (:mod:`repro.wal.group_commit`): appends arriving
-            while a flush is in flight join an open group (leader/follower),
-            the whole group lands with one ``append_batch`` — one DFS
-            replication round trip — and every member is acked on group
-            durability.  Off by default so the seed figures are reproduced
-            byte-identically; :meth:`with_group_commit` enables it.
-        group_commit_max_delay: how long (simulated seconds) a group
-            leader waits for followers before sealing its group.
-        group_commit_max_bytes: byte budget per commit group (estimated
-            record sizes); None removes the cap and only
-            ``group_commit_batch`` bounds the group.
+        group_commit: retired gate, pinned to ``False`` — every
+            tablet-server log append goes through the commit coordinator
+            (:mod:`repro.wal.group_commit`) under any config.  The field
+            survives only because the frozen
+            ``benchmarks/e2e/tests/test_profiles.py`` reads it; it goes
+            once ROADMAP item 5 (A) lifts that pin.  ``validate()``
+            rejects ``True``.
         dfs_checksum_replicas: datanodes keep one CRC-32C per 64 KiB
             chunk of every replica (needed for read-path corruption
             detection).  An append computes the chunk CRCs once at the
@@ -192,10 +186,7 @@ class LogBaseConfig:
     block_cache_chunk: int = 64 * 1024
     read_coalesce_gap: int | None = None
     scan_prefetch_bytes: int = 0
-    group_commit_batch: int = 16
     group_commit: bool = False
-    group_commit_max_delay: float = 0.002
-    group_commit_max_bytes: int | None = None
     dfs_checksum_replicas: bool = False
     dfs_verify_reads: bool = False
     dfs_auto_rereplicate: bool = False
@@ -363,24 +354,6 @@ class LogBaseConfig:
         return cls(**settings)
 
     @classmethod
-    def with_group_commit(cls, **overrides) -> "LogBaseConfig":
-        """A config with group commit enabled: tablet-server writes are
-        submitted to a commit coordinator that coalesces concurrent
-        appends into one DFS replication round trip per group and acks
-        every member on group durability (BtrLog-style leader/follower
-        batching with pipelined replication).
-
-        The plain constructor keeps it off so the seed cost model and
-        figures are reproduced byte-identically; this preset is what the
-        fan-in benchmark (``bench_group_commit``) measures.
-        """
-        settings: dict = {
-            "group_commit": True,
-        }
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
     def with_tracing(cls, **overrides) -> "LogBaseConfig":
         """A config with the observability subsystem enabled: the cluster
         installs a tracer, every charged simulated second is attributed to
@@ -417,8 +390,8 @@ class LogBaseConfig:
     @classmethod
     def production(cls, **overrides) -> "LogBaseConfig":
         """Every gate on at once: the gray-resilience stack plus everything
-        below, the configuration a user would run.  ``group_commit`` stays
-        off, as the blocking write path bypasses the commit coordinator."""
+        below, the configuration a user would run.  Writes go through the
+        commit coordinator here as under every config."""
         settings: dict = dict(
             segment_size=1 * MiB, block_cache_enabled=True,
             read_coalesce_gap=64 * 1024, scan_prefetch_bytes=1 * MiB,
@@ -456,12 +429,6 @@ class LogBaseConfig:
             raise ValueError("read_coalesce_gap must be >= 0 or None")
         if self.scan_prefetch_bytes < 0:
             raise ValueError("scan_prefetch_bytes must be >= 0")
-        if self.group_commit_batch < 1:
-            raise ValueError("group_commit_batch must be >= 1")
-        if self.group_commit_max_delay < 0:
-            raise ValueError("group_commit_max_delay must be >= 0")
-        if self.group_commit_max_bytes is not None and self.group_commit_max_bytes < 1:
-            raise ValueError("group_commit_max_bytes must be >= 1 or None")
         if self.dfs_verify_reads and not self.dfs_checksum_replicas:
             raise ValueError("dfs_verify_reads requires dfs_checksum_replicas")
         if self.client_retry_limit < 0:
@@ -486,6 +453,11 @@ class LogBaseConfig:
                     f"{gate}=False is no longer supported: PR 14 retired "
                     "the monolithic compaction and sequential restart paths"
                 )
+        if self.group_commit:
+            raise ValueError(
+                "group_commit=True is no longer supported: every write goes "
+                "through the commit coordinator"
+            )
         if self.recovery_workers < 1:
             raise ValueError("recovery_workers must be >= 1")
         if self.compaction_tier_fanout < 2:

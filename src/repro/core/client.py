@@ -660,7 +660,8 @@ class Client:
 
         ``arrival`` is the virtual time the op is issued (defaults to
         this client's clock); the submission reaches the server one
-        request leg later.  Requires the server's ``group_commit`` gate.
+        request leg later.  :meth:`put_raw` reaches the same coordinator
+        and waits for its group instead.
         """
         server = self._server_for(table, key)
         local = server.machine is self._machine

@@ -204,6 +204,8 @@ class LogBaseCluster:
         for machine in self.machines:
             machine.clock.reset()
             machine.disk.invalidate_head()
+        for server in self.servers:
+            server.commit.reset_clock()
 
     def total_counters(self) -> dict[str, float]:
         """Cluster-wide counter totals."""

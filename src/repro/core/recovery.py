@@ -307,8 +307,8 @@ def rehome(
 
     Records are appended by the chunk, as compaction writes a run: the
     effective ones queue until they fill a DFS checksum chunk and go out
-    in one ``append_batch`` (one replication round trip, one chunk-CRC
-    pass), then are indexed in order at the positions it returned.
+    in one commit-coordinator append (one replication round trip, one
+    chunk-CRC pass), then are indexed in order at the positions it returned.
 
     Re-homing is restartable: a write whose (key, timestamp) version is
     already in the server's index (an earlier attempt, or the catch-up
@@ -330,7 +330,7 @@ def rehome(
     def flush() -> None:
         nonlocal queued_bytes
         # The commit markers are not rewritten, hence the stamp.
-        appended = server.log.append_batch([as_committed(r) for r in queue])
+        appended = server.commit.commit([as_committed(r) for r in queue])
         for (pointer, _), record in zip(appended, queue):
             apply(pointer, record)
         queue.clear()

@@ -3,9 +3,11 @@
 Each server manages (i) a *single log instance* in the DFS holding data of
 every tablet it serves, (ii) one in-memory multiversion index per column
 group per tablet, and (iii) an optional read buffer.  A write is appended
-to the log once, the index is updated with the returned pointer, and the
-write is done — there is no memtable flush and no separate data file,
-which is the design removing the WAL+Data write bottleneck.
+to the log once, through the server's commit coordinator (the only code
+that appends to the log), the index is updated with the returned
+pointer, and the write is done — there is no memtable flush and no
+separate data file, which is the design removing the WAL+Data write
+bottleneck.
 """
 
 from __future__ import annotations
@@ -79,7 +81,11 @@ REPLICA_TAIL_BATCH = 512
 
 
 class TabletServer:
-    """One tablet-server process co-located with a datanode on a machine."""
+    """One tablet-server process co-located with a datanode on a machine.
+
+    Every log append — write, write_batch, append_transactional, delete
+    and re-homing — goes through ``self.commit``, one
+    :class:`~repro.wal.group_commit.CommitCoordinator` per process."""
 
     def __init__(
         self,
@@ -149,10 +155,10 @@ class TabletServer:
         """What a process start builds over the DFS: the log handle
         (``open_log`` is ``LogRepository`` for a first start,
         ``LogRepository.reattach`` for a restart), an empty read cache,
-        and the group-commit coordinator (config.group_commit gate:
-        concurrent writes submitted through submit_write coalesce into
-        one DFS replication round trip per group; None — the default —
-        keeps the seed write path untouched)."""
+        and the commit coordinator, the only code that appends to the
+        log (a blocking write with nothing queued is a group of one;
+        concurrent submit_write calls coalesce into one DFS replication
+        round trip per group)."""
         self.log = open_log(
             self.dfs,
             self.machine,
@@ -163,17 +169,8 @@ class TabletServer:
         )
         if self.config.read_cache_enabled:
             self.read_cache = ReadCache(self.config.cache_budget_bytes)
-        self.commit = (
-            CommitCoordinator(
-                self.log,
-                self.machine,
-                max_delay=self.config.group_commit_max_delay,
-                max_records=self.config.group_commit_batch,
-                max_bytes=self.config.group_commit_max_bytes,
-                traced=self.config.tracing,
-            )
-            if self.config.group_commit
-            else None
+        self.commit = CommitCoordinator(
+            self.log, self.machine, traced=self.config.tracing
         )
 
     # -- lifecycle ------------------------------------------------------------------
@@ -504,8 +501,7 @@ class TabletServer:
         heartbeat (or the master) grants a fresh lease.  Replicas are
         re-placed by the heartbeat, and their fresh tailers replay the
         owners' logs from the start."""
-        if self.commit is not None:
-            self.commit.abandon()
+        self.commit.abandon()
         self._indexes.clear()
         self._update_counters.clear()
         self.secondary.clear()
@@ -666,16 +662,17 @@ class TabletServer:
     ) -> int:
         """Insert/update one record's column groups.
 
-        The write is transformed into log records, persisted with a single
-        group-commit batch, and the per-group indexes are updated with the
-        returned offsets.  Returns the version timestamp.
+        The write is transformed into log records, persisted through the
+        commit coordinator (a group of one when nothing is queued), and the
+        per-group indexes are updated with the returned offsets.  Returns
+        the version timestamp.
         """
         self._require_serving()
         with span(SPAN_TS_WRITE, self.machine, table=table):
             tablet, timestamp, records = self._stage_write(
                 table, key, group_values, txn_id, timestamp
             )
-            for pointer, record in self.log.append_batch(records):
+            for pointer, record in self.commit.commit(records):
                 self._apply_write(tablet, record, pointer)
             return timestamp
 
@@ -723,13 +720,9 @@ class TabletServer:
         reads — only when the member's group reaches durability, at which
         point the future resolves with the appended pairs.  ``arrival``
         is the submission's virtual time (defaults to this server's
-        clock).  Requires the ``group_commit`` gate.
+        clock).
         """
         self._require_serving()
-        if self.commit is None:
-            raise RuntimeError(
-                "group commit is not enabled (LogBaseConfig.group_commit)"
-            )
         tablet, timestamp, records = self._stage_write(
             table, key, group_values, txn_id
         )
@@ -770,7 +763,7 @@ class TabletServer:
                 timestamps.append(timestamp)
                 tablets.extend([tablet] * len(staged))
                 records.extend(staged)
-            appended = self.log.append_batch(records)
+            appended = self.commit.commit(records)
             for (pointer, record), tablet in zip(appended, tablets):
                 self._apply_write(tablet, record, pointer)
             return timestamps
@@ -786,7 +779,7 @@ class TabletServer:
         the commit record the visibility gate (Guarantee 3)."""
         self._require_serving()
         with span(SPAN_TS_APPEND_TXN, self.machine, records=len(records)):
-            return self.log.append_batch(records)
+            return self.commit.commit(records)
 
     def apply_committed(self, appended: list[tuple[LogPointer, LogRecord]]) -> None:
         """Reflect a committed transaction's writes and deletes into the
@@ -909,7 +902,7 @@ class TabletServer:
                 timestamp=timestamp,
                 value=None,
             )
-            self.log.append(marker)
+            self.commit.commit([marker])
             if self.read_cache is not None:
                 self.read_cache.invalidate(table, group, key)
             return removed

@@ -101,10 +101,7 @@ class ConcurrentScheduler:
     """Interleaves logical-client generators in virtual-time order.
 
     Args:
-        coordinators: commit coordinators to poll between client events
-            (more can be registered later with :meth:`add_coordinator` —
-            e.g. when failover moves tablets to a server the run had not
-            touched yet).
+        coordinators: commit coordinators to poll between client events.
     """
 
     def __init__(self, coordinators: Iterable = ()) -> None:
@@ -114,11 +111,6 @@ class ConcurrentScheduler:
         self._parked: dict[int, tuple[Any, _Client]] = {}
         self.makespan = 0.0
         self.finished = 0
-
-    def add_coordinator(self, coordinator) -> None:
-        """Register a commit coordinator for polling (idempotent)."""
-        if coordinator is not None and coordinator not in self._coordinators:
-            self._coordinators.append(coordinator)
 
     def add_client(self, gen: Generator, *, at: float = 0.0) -> None:
         """Add a logical client starting at virtual time ``at``."""

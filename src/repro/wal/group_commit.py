@@ -1,16 +1,17 @@
-"""Group commit: coalesce concurrent WAL appends into one replication
-round trip (BtrLog-style; the ROADMAP's "Concurrent clients + group
-commit" item).
+"""Group commit: the one way a tablet server appends to its log
+(BtrLog-style leader/follower batching, §3.7.2's batched log persistence).
 
-The seed write path pays one DFS append — one synchronous replication
-round trip — per committed write.  With concurrent clients the commit
-coordinator amortizes that: the first submission to an idle coordinator
-becomes a group *leader* and waits ``max_delay`` for followers; every
-submission arriving inside that window joins the open group until the
-record/byte budget fills.  A sealed group lands with a single
-:meth:`~repro.wal.repository.LogRepository.append_batch` — one DFS
-replication round trip for the whole group — and every member is acked
-only once the group is durable.
+A blocking write is a submission that waits (:meth:`CommitCoordinator.commit`).
+With nothing queued its records form a group of one and append at once —
+no leader window, no deferred ack — so it charges exactly what
+:meth:`~repro.wal.repository.LogRepository.append_batch` charges.  Under
+concurrent clients (:meth:`CommitCoordinator.submit`) the first
+submission to an idle coordinator becomes a group *leader* and waits
+``max_delay`` for followers; every submission arriving inside that window
+joins the open group until the record/byte budget fills.  A sealed group
+lands with a single ``append_batch`` — one DFS replication round trip for
+the whole group — and every member is acked only once the group is
+durable.
 
 With pipelining on, the coordinator defers the replication-ack drain
 (:func:`repro.dfs.filesystem.defer_replication_acks`): the next group's
@@ -20,8 +21,8 @@ Members are still acked at their own group's ack-drain time, so
 durability semantics are unchanged — only the pipeline idle time between
 groups is removed.
 
-The coordinator is event-driven in virtual time: it never blocks.
-Callers either poll it through the scheduler protocol
+Submissions are event-driven in virtual time: they never block.
+Callers either poll the coordinator through the scheduler protocol
 (:meth:`CommitCoordinator.next_due` / :meth:`CommitCoordinator.run_due`,
 what :class:`repro.sim.scheduler.ConcurrentScheduler` does) or call
 :meth:`CommitCoordinator.drain` to flush everything pending.
@@ -171,11 +172,43 @@ class CommitCoordinator:
         # Virtual time at which the replication pipeline can take the
         # next group's data stream.
         self._pipe_free_at = 0.0
-        self.groups_flushed = 0
         self.latency = Histogram(HIST_COMMIT_LATENCY)
         self.fanin = Histogram(HIST_COMMIT_FANIN)
 
+    def reset_clock(self) -> None:
+        """The machine clock was zeroed (between benchmark phases): the
+        pipeline is idle from the new time origin."""
+        self._pipe_free_at = 0.0
+
     # -- submission ----------------------------------------------------------------
+
+    def commit(
+        self,
+        records: list[LogRecord],
+        *,
+        on_durable: Callable[[list[tuple[LogPointer, LogRecord]]], None] | None = None,
+    ) -> list[tuple[LogPointer, LogRecord]]:
+        """Blocking write: append ``records`` and return their (pointer,
+        stamped record) pairs once they are durable.
+
+        With nothing queued the records are a group of one and append at
+        once on the machine's clock.  Otherwise they join the open group,
+        everything pending flushes, and the clock waits for this member's
+        ack; a flush that fails raises here, with no member acked.
+        ``on_durable`` runs before this returns.
+        """
+        if self._open is None and not self._sealed:
+            appended = self._log.append_batch(records)
+            counters = self._machine.counters
+            counters.add(COMMIT_GROUPS)
+            counters.add(COMMIT_GROUP_FANIN)
+            if on_durable is not None:
+                on_durable(appended)
+            return appended
+        future = self.submit(self._machine.clock.now, records, on_durable=on_durable)
+        self.drain()
+        self._machine.clock.advance_to(future.completion_time)
+        return future.result()
 
     @property
     def pending(self) -> int:
@@ -327,7 +360,6 @@ class CommitCoordinator:
         counters.add(COMMIT_GROUP_FANIN, len(group.futures))
         if deferred > 0.0:
             counters.add(COMMIT_ACKS_DEFERRED, len(group.futures))
-        self.groups_flushed += 1
         self.fanin.record(float(len(group.futures)))
         offset = 0
         for future in group.futures:

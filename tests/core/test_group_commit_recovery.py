@@ -15,9 +15,7 @@ def make_key(value: int) -> bytes:
 
 
 def build_db(schema, **overrides) -> LogBase:
-    config = LogBaseConfig.with_group_commit(
-        segment_size=16 * 1024, **overrides
-    )
+    config = LogBaseConfig(segment_size=16 * 1024, **overrides)
     db = LogBase(n_nodes=3, config=config)
     db.create_table(schema)
     return db

@@ -1,5 +1,6 @@
-"""Server-side group commit: the config gate, submit_write visibility,
-and coordinator lifecycle across crash/restart."""
+"""Server-side group commit: every server's coordinator, the retired
+config gate, submit_write visibility, and coordinator lifecycle across
+crash/restart and clock resets."""
 
 import pytest
 
@@ -14,9 +15,7 @@ def make_key(value: int) -> bytes:
 
 @pytest.fixture
 def gc_db(schema):
-    db = LogBase(
-        n_nodes=3, config=LogBaseConfig.with_group_commit(segment_size=16 * 1024)
-    )
+    db = LogBase(n_nodes=3, config=LogBaseConfig(segment_size=16 * 1024))
     db.create_table(schema)
     return db
 
@@ -26,11 +25,11 @@ def server_for(db, key):
     return db.cluster.master.server(name)
 
 
-def test_gate_defaults_off_and_preset_turns_on():
+def test_group_commit_is_a_retired_field():
     assert LogBaseConfig().group_commit is False
-    config = LogBaseConfig.with_group_commit()
-    assert config.group_commit is True
-    config.validate()
+    assert not hasattr(LogBaseConfig, "with_group_commit")
+    with pytest.raises(ValueError, match="group_commit"):
+        LogBaseConfig(group_commit=True).validate()
 
 
 @pytest.mark.parametrize(
@@ -42,15 +41,45 @@ def test_gate_defaults_off_and_preset_turns_on():
     ],
 )
 def test_validate_rejects_bad_group_commit_settings(kwargs):
-    with pytest.raises(ValueError):
+    # The knobs are gone (coordinator defaults): setting one is an error.
+    with pytest.raises(TypeError):
         LogBaseConfig(**kwargs).validate()
 
 
-def test_gate_off_has_no_coordinator(db):
-    server = server_for(db, make_key(1))
-    assert server.commit is None
-    with pytest.raises(RuntimeError, match="group_commit"):
-        server.submit_write("events", make_key(1), {"payload": b"v"})
+def test_every_server_has_a_coordinator(db):
+    assert all(server.commit is not None for server in db.cluster.servers)
+    key = make_key(1)
+    server = server_for(db, key)
+    future = server.submit_write("events", key, {"payload": b"v"})
+    server.commit.drain()
+    assert future.acked
+    assert server.read("events", key, "payload")[1] == b"v"
+
+
+def _submit_phase(db) -> float:
+    """Eight submissions to one server, drained; the phase's end time."""
+    server = server_for(db, make_key(0))
+    futures = [
+        server.submit_write("events", make_key(i), {"payload": b"v%d" % i})
+        for i in range(8)
+    ]
+    server.commit.drain()
+    assert all(f.acked for f in futures)
+    return max(f.completion_time for f in futures)
+
+
+def test_reset_clocks_idles_the_commit_pipeline(schema):
+    """After ``reset_clocks()`` the first flush must not wait on the
+    previous phase's pipeline: the phase ends when a fresh cluster's
+    does."""
+    used = LogBase(n_nodes=3, config=LogBaseConfig(segment_size=16 * 1024))
+    used.create_table(schema)
+    _submit_phase(used)
+    used.cluster.reset_clocks()
+    fresh = LogBase(n_nodes=3, config=LogBaseConfig(segment_size=16 * 1024))
+    fresh.create_table(schema)
+    fresh.cluster.reset_clocks()
+    assert _submit_phase(used) == _submit_phase(fresh)
 
 
 def test_submit_write_visible_only_after_flush(gc_db):

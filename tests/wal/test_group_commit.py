@@ -1,8 +1,10 @@
 """Unit tests for the commit coordinator: leader/follower grouping, one
-DFS round trip per group, ack pipelining, and crash semantics."""
+DFS round trip per group, ack pipelining, crash semantics, and the
+blocking commit every tablet-server write goes through."""
 
 import pytest
 
+from repro.dfs.filesystem import DFS
 from repro.errors import ServerDownError
 from repro.sim.failure import CP_LOG_APPEND, FaultPlan, fault_plan
 from repro.sim.metrics import (
@@ -12,6 +14,7 @@ from repro.sim.metrics import (
     DFS_APPEND_ROUND_TRIPS,
     REGISTRY,
 )
+from repro.sim.machine import Machine
 from repro.wal.group_commit import CommitCoordinator
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
@@ -212,3 +215,73 @@ def test_byte_budget_limits_group(repo, machines):
     coordinator.drain()
     # The second submission did not fit the byte budget: two groups.
     assert machines[0].counters.get(COMMIT_GROUPS) == 2
+
+
+def _twin() -> tuple[Machine, LogRepository]:
+    """A fresh 3-node DFS and a log on its first machine; two calls give
+    identical twins."""
+    machines = [Machine(f"node-{i}", rack=f"rack-{i % 2}") for i in range(3)]
+    dfs = DFS(machines, replication=3, block_size=1 << 20, checksum_replicas=True)
+    return machines[0], LogRepository(
+        dfs, machines[0], "/logbase/ts-0/log", segment_size=1 << 20
+    )
+
+
+def test_group_of_one_commit_charges_what_append_batch_charges():
+    """Nothing queued: a blocking commit is exactly ``append_batch`` —
+    same pointer, LSN and clock — plus one group of fan-in 1."""
+    machine_a, repo_a = _twin()
+    machine_b, repo_b = _twin()
+    coordinator = CommitCoordinator(repo_a, machine_a)
+    for i in range(3):
+        [(pointer_a, stamped_a)] = coordinator.commit([write_record(b"k%d" % i, b"x" * 900)])
+        [(pointer_b, stamped_b)] = repo_b.append_batch([write_record(b"k%d" % i, b"x" * 900)])
+        assert pointer_a == pointer_b
+        assert stamped_a.lsn == stamped_b.lsn
+        assert machine_a.clock.now == machine_b.clock.now
+    assert machine_a.counters.get(COMMIT_GROUPS) == 3
+    assert machine_a.counters.get(COMMIT_GROUP_FANIN) == 3
+    # No leader window, no deferred ack, no flush bookkeeping.
+    assert machine_a.counters.get(COMMIT_ACKS_DEFERRED) == 0
+    assert coordinator.fanin.count == 0 and coordinator.latency.count == 0
+    assert coordinator.next_due() is None
+
+
+def test_blocking_commit_joins_the_open_group(coordinator, machines):
+    queued = [coordinator.submit(0.0, [write_record(b"q%d" % i)]) for i in range(3)]
+    before = machines[0].counters.get(DFS_APPEND_ROUND_TRIPS)
+    [(pointer, stamped)] = coordinator.commit([write_record(b"b")])
+    # Acked by the same flush as the queued members: one round trip.
+    assert machines[0].counters.get(DFS_APPEND_ROUND_TRIPS) - before == 1
+    assert machines[0].counters.get(COMMIT_GROUPS) == 1
+    assert machines[0].counters.get(COMMIT_GROUP_FANIN) == 4
+    assert all(f.acked for f in queued)
+    assert coordinator.pending == 0
+    # The caller waited for the group's ack, not only its data.
+    assert machines[0].clock.now == queued[0].completion_time
+    assert coordinator._log.read(pointer) == stamped
+
+
+def test_blocking_commit_raises_when_its_flush_dies(coordinator, machines):
+    plan = FaultPlan()
+
+    def die(_ctx):
+        machines[0].fail()
+        raise ServerDownError("crashed mid-group-flush")
+
+    plan.add(CP_LOG_APPEND, die, machine=machines[0].name)
+    queued = [coordinator.submit(0.0, [write_record(b"q%d" % i)]) for i in range(3)]
+    with fault_plan(plan):
+        with pytest.raises(ServerDownError):
+            coordinator.commit([write_record(b"b")])
+    assert all(f.done and not f.acked for f in queued)
+    assert machines[0].counters.get(COMMIT_GROUPS) == 0
+
+
+@pytest.mark.parametrize("queued", [0, 2], ids=["group-of-one", "joining"])
+def test_commit_runs_on_durable_before_returning(coordinator, queued):
+    for i in range(queued):
+        coordinator.submit(0.0, [write_record(b"q%d" % i)])
+    applied = []
+    appended = coordinator.commit([write_record(b"a")], on_durable=applied.extend)
+    assert applied == appended
