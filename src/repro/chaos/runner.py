@@ -68,6 +68,7 @@ COUNTERS = {
     "groups": metrics.COMMIT_GROUPS,
     "acks_deferred": metrics.COMMIT_ACKS_DEFERRED,
     "adopt_skipped": metrics.RECOVERY_ADOPT_SKIPPED,
+    "corrupt_replicas": metrics.DFS_CORRUPT_REPLICAS,
 }
 
 

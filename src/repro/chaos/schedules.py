@@ -115,6 +115,28 @@ def _kill_revive_readopt(run: Run) -> Events:
     }
 
 
+def _corrupt_replica(run: Run) -> Events:
+    # One flipped byte in every block node-0 holds of ts-node-0's log, after
+    # the checkpoint: the restart's redo, reads and the compaction pass all
+    # cross the damage, and each must read around it, never stop at it.
+    cluster = run.db.cluster
+    dfs, node = cluster.dfs, cluster.dfs.datanode("node-0")
+
+    def corrupt() -> None:
+        for path in dfs.list_files("/logbase/ts-node-0/log/"):
+            for block in dfs.namenode.get_file(path).blocks:
+                if node.has_block(block.block_id) and block.length:
+                    node.corrupt_replica(block.block_id, run.rng.randrange(block.length))
+
+    def restart() -> None:
+        cluster.kill_server("ts-node-0")
+        cluster.restart_server("ts-node-0")
+        run.report.restarted_servers.append("ts-node-0")
+        run.heartbeat()  # re-grants the restarted server's leases
+
+    return {25: corrupt, 30: restart}
+
+
 ROWS = tuple(
     Scenario("base", name, description, body, **OP_INDEXED)
     for name, description, body in (
@@ -147,6 +169,11 @@ ROWS = tuple(
             "kill-revive-readopt",
             "node killed, failed over, revived, and rebalanced back in",
             _kill_revive_readopt,
+        ),
+        (
+            "corrupt-replica",
+            "a byte flipped in each local log replica, then a restart",
+            _corrupt_replica,
         ),
     )
 )

@@ -66,11 +66,11 @@ class LogBaseConfig:
             detection).  An append computes the chunk CRCs once at the
             head of the replication pipeline and ships them to every
             replica with the bytes.
-        dfs_verify_reads: before a replica serves a read, re-checksum the
-            chunks the read touches; on mismatch the reader fails over to
-            another replica instead of returning bad bytes.  Damage is
-            found by a read that lands on its chunk, not by any read of
-            that replica.  Requires ``dfs_checksum_replicas``.
+        dfs_verify_reads: retired gate, pinned to ``True`` — the format
+            checks; the DFS verifies on a mismatch or for checksum-less
+            files.  It survives only because the frozen
+            ``benchmarks/e2e/tests/test_profiles.py`` asserts it is
+            ``True``, and goes with ROADMAP item 5 (A).
         dfs_auto_rereplicate: the cluster heartbeat runs the namenode's
             background re-replication pass over blocks the pipeline or
             read path reported under-replicated.
@@ -188,7 +188,7 @@ class LogBaseConfig:
     scan_prefetch_bytes: int = 0
     group_commit: bool = False
     dfs_checksum_replicas: bool = False
-    dfs_verify_reads: bool = False
+    dfs_verify_reads: bool = True
     dfs_auto_rereplicate: bool = False
     dfs_degraded_allocation: bool = False
     client_retry_limit: int = 0
@@ -256,7 +256,7 @@ class LogBaseConfig:
     @classmethod
     def with_fault_tolerance(cls, **overrides) -> "LogBaseConfig":
         """A config with the fault-tolerance layer enabled: replica
-        checksums with verified, failing-over reads; heartbeat-driven
+        checksums, so a read that fails its check fails over; heartbeat-driven
         background re-replication; and client retries over failover.
 
         The plain constructor keeps all of it off so the seed cost model
@@ -265,7 +265,6 @@ class LogBaseConfig:
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
-            "dfs_verify_reads": True,
             "dfs_auto_rereplicate": True,
             "dfs_degraded_allocation": True,
             "client_retry_limit": 3,
@@ -286,7 +285,6 @@ class LogBaseConfig:
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
-            "dfs_verify_reads": True,
             "dfs_auto_rereplicate": True,
             "dfs_degraded_allocation": True,
             "client_retry_limit": 4,
@@ -316,7 +314,6 @@ class LogBaseConfig:
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
-            "dfs_verify_reads": True,
             "dfs_auto_rereplicate": True,
             "dfs_degraded_allocation": True,
             "client_retry_limit": 4,
@@ -343,7 +340,6 @@ class LogBaseConfig:
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
-            "dfs_verify_reads": True,
             "dfs_auto_rereplicate": True,
             "dfs_degraded_allocation": True,
             "client_retry_limit": 4,
@@ -429,8 +425,6 @@ class LogBaseConfig:
             raise ValueError("read_coalesce_gap must be >= 0 or None")
         if self.scan_prefetch_bytes < 0:
             raise ValueError("scan_prefetch_bytes must be >= 0")
-        if self.dfs_verify_reads and not self.dfs_checksum_replicas:
-            raise ValueError("dfs_verify_reads requires dfs_checksum_replicas")
         if self.client_retry_limit < 0:
             raise ValueError("client_retry_limit must be >= 0")
         if self.client_retry_backoff < 0:
@@ -447,12 +441,9 @@ class LogBaseConfig:
             raise ValueError("breaker_min_samples must be >= 1")
         if self.admission_queue_depth is not None and self.admission_queue_depth < 1:
             raise ValueError("admission_queue_depth must be >= 1 or None")
-        for gate in ("incremental_compaction", "fast_recovery"):
+        for gate in ("incremental_compaction", "fast_recovery", "dfs_verify_reads"):
             if not getattr(self, gate):
-                raise ValueError(
-                    f"{gate}=False is no longer supported: PR 14 retired "
-                    "the monolithic compaction and sequential restart paths"
-                )
+                raise ValueError(f"{gate}=False is no longer supported: the gate is retired")
         if self.group_commit:
             raise ValueError(
                 "group_commit=True is no longer supported: every write goes "

@@ -92,8 +92,8 @@ class CheckpointManager:
 
     def read_block(self) -> CheckpointBlock:
         """Read the checkpoint block (without loading index files)."""
-        payload = self._dfs.open(self._block_path(), self._server.machine).read_all()
-        return CheckpointBlock.from_bytes(payload)
+        reader = self._dfs.open(self._block_path(), self._server.machine)
+        return CheckpointBlock.from_bytes(reader.read_all(verified=True))
 
     def load_tablet(self, block: CheckpointBlock, tablet_id: str) -> int:
         """Reload only one tablet's index files from ``block``.

@@ -65,7 +65,6 @@ class LogBaseCluster:
                 else 0
             ),
             block_cache_chunk=self.config.block_cache_chunk,
-            verify_reads=self.config.dfs_verify_reads,
             degraded_allocation=self.config.dfs_degraded_allocation,
             gray=self.config.gray_policy(),
         )

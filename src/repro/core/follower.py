@@ -55,6 +55,7 @@ from typing import Iterable
 from repro.config import LogBaseConfig
 from repro.core.tablet import Tablet
 from repro.dfs.filesystem import DFS
+from repro.errors import CorruptLogRecord
 from repro.index.blink import BLinkTreeIndex
 from repro.index.interface import IndexEntry, MultiversionIndex, Row
 from repro.index.persist import decode_run_index
@@ -276,7 +277,11 @@ class LogTailer:
 
     def _run_entries(self, file_no: int) -> tuple[list[Row], int]:
         """A named run's index rows, tombstones first, and their count."""
-        versions, tombstones = decode_run_index(self.repo.read_run_index(file_no))
+        try:
+            versions, tombstones = decode_run_index(self.repo.read_run_index(file_no))
+        except CorruptLogRecord:
+            payload = self.repo.read_run_index(file_no, verified=True)
+            versions, tombstones = decode_run_index(payload)
         return tombstones + versions, len(tombstones)
 
     def _rehome(self, scope: tuple[str, str], rows: list[Row], marks: int) -> int:

@@ -218,7 +218,7 @@ def read_split_fence(dfs: DFS, failed_server_name: str, machine: Machine) -> int
     path = split_fence_path(failed_server_name)
     if not dfs.exists(path):
         return None
-    return int(dfs.open(path, machine).read_all().decode())
+    return int(dfs.open(path, machine).read_all(verified=True).decode())
 
 
 def split_log_by_tablet(

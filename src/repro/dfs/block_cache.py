@@ -53,8 +53,8 @@ class BlockCache:
             raise ValueError("chunk_size must be >= 1")
         self.chunk_size = chunk_size
         self.counters = counters if counters is not None else Counters()
-        self._cache: LRUCache[tuple[int, int], bytes] = LRUCache(
-            byte_capacity=capacity_bytes, sizer=len
+        self._cache: LRUCache[tuple[int, int], tuple[bytes, bool]] = LRUCache(
+            byte_capacity=capacity_bytes, sizer=lambda entry: len(entry[0])
         )
 
     def __len__(self) -> int:
@@ -80,16 +80,20 @@ class BlockCache:
         """Lifetime eviction count."""
         return self._cache.evictions
 
-    def get(self, block_id: int, chunk_no: int) -> bytes | None:
-        """The cached chunk, or None; records a hit/miss counter."""
-        data = self._cache.get((block_id, chunk_no))
-        self.counters.add(BLOCK_CACHE_HITS if data is not None else BLOCK_CACHE_MISSES)
-        return data
+    def get(self, block_id: int, chunk_no: int, verified: bool = False) -> bytes | None:
+        """The cached chunk, or None; records a hit/miss counter.  A
+        ``verified`` get first drops the chunk if a plain read filled it."""
+        key = (block_id, chunk_no)
+        if verified and not self._cache.peek(key, (b"", True))[1]:
+            self._cache.remove(key)
+        entry = self._cache.get(key)
+        self.counters.add(BLOCK_CACHE_HITS if entry is not None else BLOCK_CACHE_MISSES)
+        return None if entry is None else entry[0]
 
-    def put(self, block_id: int, chunk_no: int, data: bytes) -> None:
-        """Install a chunk just read from a datanode."""
+    def put(self, block_id: int, chunk_no: int, data: bytes, verified: bool = False) -> None:
+        """Install a chunk just read from a datanode, ``verified`` or not."""
         before = self._cache.evictions
-        self._cache.put((block_id, chunk_no), data)
+        self._cache.put((block_id, chunk_no), (data, verified))
         self.counters.add(BLOCK_CACHE_FILL_BYTES, len(data))
         evicted = self._cache.evictions - before
         if evicted:

@@ -109,11 +109,11 @@ class DFS:
         checksum_replicas: every datanode (including ones added later)
             keeps a CRC-32C per 64 KiB chunk of each replica; an append
             computes them once at the head of the pipeline and ships them
-            to every replica with the bytes.
-        verify_reads: checksum-verify the chunks a read touches on the
-            replica about to serve it (requires ``checksum_replicas``);
-            on mismatch the reader fails over to another replica instead
-            of returning bad bytes.  Off by default — the seed read path.
+            to every replica with the bytes.  A plain read never checks
+            them: the format checks its own bytes, and only a *verified*
+            read (:meth:`DFSReader.read`), made after that check fails or
+            for a file with no checksum, serves from a replica whose
+            chunks match and prunes one that does not.
         degraded_allocation: allocate new blocks on however many
             datanodes are live (queued for repair) instead of refusing
             writes when fewer than ``replication`` survive.  Off by
@@ -131,17 +131,13 @@ class DFS:
         checksum_replicas: bool = False,
         block_cache_bytes: int = 0,
         block_cache_chunk: int = DEFAULT_CHUNK_SIZE,
-        verify_reads: bool = False,
         degraded_allocation: bool = False,
         gray: GrayPolicy | None = None,
     ) -> None:
         if not machines:
             raise ValueError("a DFS needs at least one machine")
-        if verify_reads and not checksum_replicas:
-            raise ValueError("verify_reads requires checksum_replicas")
         self.block_size = block_size
         self.checksum_replicas = checksum_replicas
-        self.verify_reads = verify_reads
         self.gray = gray
         self.health: HealthMonitor | None = (
             HealthMonitor(gray) if gray is not None else None
@@ -587,8 +583,12 @@ class DFSReader:
         one reader per segment across appends)."""
         self._meta = self._dfs.namenode.get_file(self._meta.path)
 
-    def read(self, offset: int, length: int) -> bytes:
+    def read(self, offset: int, length: int, *, verified: bool = False) -> bytes:
         """Read ``length`` bytes starting at file ``offset``.
+
+        A plain read checks no replica checksum.  A ``verified`` one serves
+        only cached chunks a verified read filled, and fills the rest from
+        a replica whose chunk checksums match (plain if the DFS keeps none).
 
         Raises:
             FileNotFoundInDFS: if the range is beyond the end of file.
@@ -607,46 +607,55 @@ class DFSReader:
                 f"offset={offset} length={length} file={self._meta.length}"
             )
         # Anchored on the READER: remote disk waits and transfers are
-        # mirror-charged to the reader's clock by _read_from_block, so
-        # the span's own duration already covers them.
+        # mirror-charged to the reader's clock by _fetch, so the span's
+        # own duration already covers them.
         with span(SPAN_DFS_READ, self._reader, bytes=length):
             if inside and length:
-                return self._read_from_block(blocks[first], pos, length)
+                return self._read_from_block(blocks[first], pos, length, verified)
             parts = []
             remaining = length
             for block in blocks[first:]:
                 if not remaining:
                     break
                 take = min(block.length - pos, remaining)
-                parts.append(self._read_from_block(block, pos, take))
+                parts.append(self._read_from_block(block, pos, take, verified))
                 remaining -= take
                 pos = 0
             return b"".join(parts)
 
-    def read_all(self) -> bytes:
-        """Read the whole file sequentially."""
-        return self.read(0, self._meta.length)
+    def read_all(self, *, verified: bool = False) -> bytes:
+        """Read the whole file sequentially (see :meth:`read`)."""
+        return self.read(0, self._meta.length, verified=verified)
 
-    def _read_from_block(self, block: BlockInfo, offset: int, length: int) -> bytes:
+    def _read_from_block(
+        self, block: BlockInfo, offset: int, length: int, verified: bool
+    ) -> bytes:
+        verify = verified and self._dfs.checksum_replicas
         cache = self._dfs.block_cache_for(self._reader)
         if cache is not None:
-            return self._read_through_cache(cache, block, offset, length)
-        payload, cost, node = self._failover_read(block, offset, length)
-        if node.machine is not self._reader:
-            # Remote read: the reader waits for the remote disk + transfer.
-            self._reader.clock.advance(
-                cost
-                + self._dfs.network.transfer_cost(
-                    length, a=node.name, b=self._reader.name
-                )
-            )
-            self._reader.counters.add("net.bytes_received", length)
-        else:
+            return self._read_through_cache(cache, block, offset, length, verify)
+        payload, local = self._fetch(block, offset, length, verify)
+        if local:
             self._reader.clock.advance(self._dfs.network.local_latency)
         return payload
 
+    def _fetch(
+        self, block: BlockInfo, offset: int, length: int, verify: bool
+    ) -> tuple[bytes, bool]:
+        """A failover read, charging a remote replica's disk and transfer to
+        the reader; ``(payload, served locally)``."""
+        payload, cost, node = self._failover_read(block, offset, length, verify)
+        if node.machine is self._reader:
+            return payload, True
+        self._reader.clock.advance(
+            cost + self._dfs.network.transfer_cost(length, a=node.name, b=self._reader.name)
+        )
+        self._reader.counters.add("net.bytes_received", length)
+        return payload, False
+
     def _read_through_cache(
-        self, cache: "BlockCache", block: BlockInfo, offset: int, length: int
+        self, cache: "BlockCache", block: BlockInfo, offset: int, length: int,
+        verify: bool,
     ) -> bytes:
         """Serve the range chunk-by-chunk through the reader's block cache.
 
@@ -662,19 +671,11 @@ class DFSReader:
         last = (offset + length - 1) // chunk_size
         for chunk_no in range(first, last + 1):
             chunk_start = chunk_no * chunk_size
-            data = cache.get(block.block_id, chunk_no)
+            data = cache.get(block.block_id, chunk_no, verify)
             if data is None:
                 take = min(chunk_size, block.length - chunk_start)
-                data, cost, node = self._failover_read(block, chunk_start, take)
-                if node.machine is not self._reader:
-                    self._reader.clock.advance(
-                        cost
-                        + self._dfs.network.transfer_cost(
-                            take, a=node.name, b=self._reader.name
-                        )
-                    )
-                    self._reader.counters.add("net.bytes_received", take)
-                cache.put(block.block_id, chunk_no, data)
+                data, _ = self._fetch(block, chunk_start, take, verify)
+                cache.put(block.block_id, chunk_no, data, verify)
             lo = max(offset, chunk_start) - chunk_start
             hi = min(offset + length, chunk_start + len(data)) - chunk_start
             parts.append(data[lo:hi])
@@ -715,17 +716,18 @@ class DFSReader:
         self._observe_health(node, cost)
 
     def _failover_read(
-        self, block: BlockInfo, offset: int, length: int
+        self, block: BlockInfo, offset: int, length: int, verify: bool
     ) -> tuple[bytes, float, DataNode]:
         """Read a range, failing over across replicas.
 
         Candidates are tried in locality order (local, rack, any), with
         replicas behind an open circuit breaker demoted to last when the
         gray-resilience layer is on.  A candidate that turns out dead,
-        holds a short/stale copy, or — when the DFS verifies reads —
-        fails checksum verification of the chunks this range touches is
-        pruned from the block's locations and the next replica is tried;
-        failed attempts charge nothing (liveness comes from heartbeats).
+        holds a short/stale copy, or — for a ``verify`` read — fails
+        checksum verification of the chunks this range touches is pruned
+        from the block's locations (a corrupt one counted and queued for
+        repair) and the next replica is tried; failed attempts charge
+        nothing (liveness comes from heartbeats).
 
         A candidate that does not hold the block at all is absent, not
         corrupt: it is passed over without a counter, and if nothing
@@ -770,9 +772,7 @@ class DFSReader:
                 if est > deadline.remaining():
                     starved = True
                     continue
-            if self._dfs.verify_reads and not node.verify_replica(
-                block.block_id, offset, length
-            ):
+            if verify and not node.verify_replica(block.block_id, offset, length):
                 self._dfs._drop_bad_replica(block, node, self._reader, corrupt=True)
                 last_exc = ReplicaCorruptError(
                     f"replica of block {block.block_id} on {node.name} "
@@ -786,7 +786,7 @@ class DFSReader:
                 delay = self._dfs.health.hedge_delay()
                 if est > delay:
                     hedge = self._pick_hedge(
-                        candidates[i + 1 :], block, offset, length
+                        candidates[i + 1 :], block, offset, length, verify
                     )
             if hedge is not None:
                 result = self._hedged_read(
@@ -831,11 +831,12 @@ class DFSReader:
         )
 
     def _pick_hedge(
-        self, backups: list[DataNode], block: BlockInfo, offset: int, length: int
+        self, backups: list[DataNode], block: BlockInfo, offset: int, length: int,
+        verify: bool,
     ) -> DataNode | None:
         """The first viable hedge target among the remaining candidates:
-        alive, breaker-allowed, holding the block, and (when verification
-        is on) checksum-clean over the range about to be read.
+        alive, breaker-allowed, holding the block, and (for a ``verify``
+        read) checksum-clean over the range about to be read.
         Verification charges nothing."""
         health = self._dfs.health
         now = self._reader.clock.now
@@ -846,9 +847,7 @@ class DFSReader:
                 continue
             if not node.has_block(block.block_id):
                 continue
-            if self._dfs.verify_reads and not node.verify_replica(
-                block.block_id, offset, length
-            ):
+            if verify and not node.verify_replica(block.block_id, offset, length):
                 continue
             return node
         return None

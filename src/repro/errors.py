@@ -76,6 +76,10 @@ class CorruptLogRecord(LogError):
     """A log record failed checksum or framing validation while decoding."""
 
 
+class TruncatedLogRecord(CorruptLogRecord):
+    """A log frame runs past the end of the bytes it was decoded from."""
+
+
 class InvalidLogPointer(LogError):
     """A log pointer addressed a segment or offset that does not exist."""
 

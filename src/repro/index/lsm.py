@@ -341,7 +341,7 @@ class LSMTreeIndex(MultiversionIndex):
         path = self._manifest_path()
         if not self._dfs.exists(path):
             return 0
-        doc = json.loads(self._dfs.open(path, self._machine).read_all().decode())
+        doc = json.loads(self._dfs.open(path, self._machine).read_all(verified=True).decode())
         self._runs = []
         max_run_id = 0
         total = 0
@@ -377,7 +377,7 @@ class LSMTreeIndex(MultiversionIndex):
         if cached is not None:
             return cached
         _, offset, length = run.block_index[block_idx]
-        payload = self._dfs.open(run.path, self._machine).read(offset, length)
+        payload = self._dfs.open(run.path, self._machine).read(offset, length, verified=True)
         block = _decode_block(payload)
         self._block_cache.put(cache_key, block)
         return block

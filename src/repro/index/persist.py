@@ -122,9 +122,13 @@ def write_index_file(
 def load_index_file(
     dfs: DFS, path: str, machine: Machine, index: MultiversionIndex
 ) -> int:
-    """Load ``path`` into ``index``; returns the number of entries loaded."""
-    payload = dfs.open(path, machine).read_all()
-    entries = decode_entries(payload)
+    """Load ``path`` into ``index``; returns the number of entries loaded.
+    The file checks itself; one that fails is read again verified."""
+    reader = dfs.open(path, machine)
+    try:
+        entries = decode_entries(reader.read_all())
+    except CorruptLogRecord:
+        entries = decode_entries(reader.read_all(verified=True))
     for entry in entries:
         index.insert(entry.key, entry.timestamp, entry.pointer)
     return len(entries)

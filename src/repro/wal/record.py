@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from repro.errors import CorruptLogRecord
+from repro.errors import CorruptLogRecord, TruncatedLogRecord
 from repro.util.crc import crc32c
 from repro.util.varint import decode_uvarint, encode_uvarint
 
@@ -164,16 +164,16 @@ class LogRecord:
             ``(record, next_offset)``.
 
         Raises:
-            CorruptLogRecord: on truncation, checksum mismatch, or a body
-                that matches its checksum but does not parse.
+            CorruptLogRecord: on truncation (``TruncatedLogRecord``), checksum
+                mismatch, or a body that matches its checksum but does not parse.
         """
         header_end = offset + _FRAME_HEADER.size
         if header_end > len(buf):
-            raise CorruptLogRecord("truncated frame header")
+            raise TruncatedLogRecord("truncated frame header")
         length, crc = _FRAME_HEADER.unpack_from(buf, offset)
         body_end = header_end + length
         if body_end > len(buf):
-            raise CorruptLogRecord("truncated frame body")
+            raise TruncatedLogRecord("truncated frame body")
         body = buf[header_end:body_end]
         if type(body) is not bytes:
             body = bytes(body)

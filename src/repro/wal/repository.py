@@ -31,7 +31,7 @@ from functools import partial
 from typing import Iterator
 
 from repro.dfs.filesystem import DFS
-from repro.errors import InvalidLogPointer
+from repro.errors import CorruptLogRecord, InvalidLogPointer
 from repro.obs.trace import span
 from repro.sim.deadline import check_deadline
 from repro.sim.failure import (
@@ -184,7 +184,7 @@ class LogRepository:
         """The raw bytes of one segment (used when copying to cold
         storage)."""
         path = self._paths[file_no]
-        return self._dfs.open(path, self._machine).read_all()
+        return self._dfs.open(path, self._machine).read_all(verified=True)
 
     def mark_archived(self, file_no: int, cold_dfs: "DFS", cold_path: str) -> None:
         """Record that ``file_no`` now lives at ``cold_path`` on the cold
@@ -292,13 +292,18 @@ class LogRepository:
         return reader
 
     def read(self, pointer: LogPointer) -> LogRecord:
-        """Random read of one record (a single disk seek, §3.5)."""
+        """Random read of one record (a single disk seek, §3.5); a frame
+        that fails its check is read again verified."""
         check_deadline("log read")
         file_no = pointer.file_no
         with span(SPAN_LOG_READ, self._machine, bytes=pointer.size):
-            raw = self._reader(file_no).dfs_reader.read(pointer.offset, pointer.size)
-            record, _ = LogRecord.decode(raw, 0, self._slim_meta.get(file_no))
-            return record
+            reader = self._reader(file_no).dfs_reader
+            scope = self._slim_meta.get(file_no)
+            try:
+                return LogRecord.decode(reader.read(pointer.offset, pointer.size), 0, scope)[0]
+            except CorruptLogRecord:
+                raw = reader.read(pointer.offset, pointer.size, verified=True)
+                return LogRecord.decode(raw, 0, scope)[0]
 
     def read_many(self, pointers: list[LogPointer]) -> list[LogRecord]:
         """Batch random reads; returns records in input pointer order.
@@ -359,13 +364,18 @@ class LogRepository:
         pointers: list[LogPointer],
         results: list[LogRecord | None],
     ) -> None:
-        """Fetch one coalesced span and decode each run member out of it."""
+        """Fetch one coalesced span and decode each run member out of it
+        (re-reading the span verified if one fails its check)."""
         self._machine.counters.add(READ_MANY_SPANS)
         raw = reader.dfs_reader.read(start, end - start)
         scope = self._slim_meta.get(file_no)
         for position in run:
             offset = pointers[position].offset - start
-            results[position], _ = LogRecord.decode(raw, offset, scope)
+            try:
+                results[position], _ = LogRecord.decode(raw, offset, scope)
+            except CorruptLogRecord:
+                raw = reader.dfs_reader.read(start, end - start, verified=True)
+                results[position], _ = LogRecord.decode(raw, offset, scope)
 
     def scan_segment(
         self, file_no: int, *, start_offset: int = 0
@@ -441,9 +451,10 @@ class LogRepository:
         writer.append(payload)
         writer.close()
 
-    def read_run_index(self, file_no: int) -> bytes:
+    def read_run_index(self, file_no: int, *, verified: bool = False) -> bytes:
         """The encoded index of a run the metadata map names."""
-        return self._dfs.open(self.run_index_path(file_no), self._machine).read_all()
+        path = self.run_index_path(file_no)
+        return self._dfs.open(path, self._machine).read_all(verified=verified)
 
     def retire_segments(self, file_nos: list[int]) -> None:
         """Commit what replaces ``file_nos`` and discard them (§3.6.5:
@@ -530,7 +541,7 @@ class LogRepository:
         for meta_path in (repo._meta_tmp_path(), repo._meta_path()):
             if not dfs.exists(meta_path):
                 continue
-            raw = dfs.open(meta_path, machine).read_all()
+            raw = dfs.open(meta_path, machine).read_all(verified=True)
             try:
                 parsed = json.loads(raw.decode())
             except ValueError:
@@ -594,7 +605,7 @@ class LogRepository:
             for meta_path in (self._meta_path(), self._meta_tmp_path()):
                 if not self._dfs.exists(meta_path):
                     continue
-                raw = self._dfs.open(meta_path, self._machine).read_all()
+                raw = self._dfs.open(meta_path, self._machine).read_all(verified=True)
                 try:
                     parsed = json.loads(raw.decode())
                 except ValueError:

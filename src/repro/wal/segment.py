@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.dfs.filesystem import DFS, DFSReader, DFSWriter
-from repro.errors import CorruptLogRecord
+from repro.errors import CorruptLogRecord, TruncatedLogRecord
 from repro.sim.machine import Machine
 from repro.sim.metrics import SCAN_PREFETCH_WINDOWS
 from repro.wal.record import LogPointer, LogRecord
@@ -94,9 +94,11 @@ class LogSegmentReader:
         With a prefetch window configured, the segment is read in
         consecutive windows (sequential on the disk model: only the first
         window pays a seek per block) and records straddling a window
-        boundary are carried over.  A torn final record (crash mid-append)
-        terminates the scan cleanly, matching recovery semantics: bytes
-        after the last complete frame are ignored.
+        boundary are carried over.  A frame that fails its check is read
+        again verified; failing again, it raises ``CorruptLogRecord`` —
+        unless the file ends inside it: a torn final record (crash
+        mid-append) terminates the scan cleanly, matching recovery
+        semantics: bytes after the last complete frame are ignored.
 
         ``start`` must be a record boundary (a pointer's ``offset + size``
         from a previous scan); a log tailer resumes mid-segment with it and
@@ -111,18 +113,26 @@ class LogSegmentReader:
         base = start  # file offset of buf[0]
         fetched = start  # file offset up to which the segment has been read
         offset = start  # file offset of the next record
+        verified = False  # whether buf came from a verified read
         while offset < length:
             try:
                 record, rel_next = LogRecord.decode(buf, offset - base, scope)
-            except CorruptLogRecord:
-                if fetched >= length:
-                    return  # torn final record (or trailing corruption)
-                take = min(window, length - fetched)
-                buf = buf[offset - base :] + self.dfs_reader.read(fetched, take)
-                base = offset
-                fetched += take
-                if counting:
-                    self.dfs_reader.machine.counters.add(SCAN_PREFETCH_WINDOWS)
+            except CorruptLogRecord as exc:
+                cut = isinstance(exc, TruncatedLogRecord)
+                if cut and fetched < length:
+                    take = min(window, length - fetched)
+                    buf = buf[offset - base :] + self.dfs_reader.read(fetched, take)
+                    base, verified = offset, False
+                    fetched += take
+                    if counting:
+                        self.dfs_reader.machine.counters.add(SCAN_PREFETCH_WINDOWS)
+                    continue
+                if verified:
+                    if cut:
+                        return  # torn final record
+                    raise
+                buf = self.dfs_reader.read(offset, fetched - offset, verified=True)
+                base, verified = offset, True
                 continue
             next_offset = base + rel_next
             yield LogPointer(self.file_no, offset, next_offset - offset), record

@@ -4,6 +4,7 @@ contract, and must actually disrupt the cluster while doing so."""
 import pytest
 
 from repro.chaos import run_scenario
+from repro.config import LogBaseConfig
 from tests.chaos.helpers import names
 
 SCHEDULES = names("base")
@@ -41,6 +42,17 @@ def test_schedule_upholds_durability_contract(scenario, seed):
         + len(report.restarted_servers)
     )
     assert disruption > 0, f"{scenario} caused no disruption"
+
+
+@pytest.mark.parametrize("production", [False, True], ids=["own-config", "production"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_corrupt_local_log_replica_is_read_around(seed, production):
+    # Redo, reads and compaction all cross a flipped byte in every local
+    # log replica; each re-reads verified instead of stopping at it.
+    config = LogBaseConfig.production(segment_size=64 * 1024) if production else None
+    report = run_scenario("base/corrupt-replica", seed=seed, config=config)
+    assert report.passed, report.violations
+    assert report.observed["corrupt_replicas"] >= 1
 
 
 def test_unknown_scenario_raises():

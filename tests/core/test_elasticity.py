@@ -130,7 +130,7 @@ def test_scaled_out_datanode_keeps_replica_checksums():
     assert block.locations[0] == machine.name  # first replica is writer-local
     dfs.datanode(machine.name).corrupt_replica(block.block_id)
     assert not dfs.datanode(machine.name).verify_replica(block.block_id)
-    assert dfs.open("/probe", machine).read_all() == payload
+    assert dfs.open("/probe", machine).read_all(verified=True) == payload
     assert machine.name not in block.locations
     assert machine.counters.get("dfs.corrupt_replicas") == 1
 

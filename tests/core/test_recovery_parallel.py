@@ -107,7 +107,9 @@ def readback(db: LogBase, keys):
 # -- config gate ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("gate", ["incremental_compaction", "fast_recovery"])
+@pytest.mark.parametrize(
+    "gate", ["incremental_compaction", "fast_recovery", "dfs_verify_reads"]
+)
 def test_retired_gates_are_pinned_on(gate):
     assert getattr(LogBaseConfig(), gate) is True
     with pytest.raises(ValueError, match=gate):

@@ -173,7 +173,6 @@ def checked_dfs():
         replication=3,
         block_size=1 << 20,
         checksum_replicas=True,
-        verify_reads=True,
     )
 
 
@@ -218,7 +217,7 @@ def test_verified_read_checksums_only_the_chunks_it_reads(
     checked_dfs.create("/f", machine).append(b"r" * (1 << 20))
     del replica_crc_bytes[:]
     reader = checked_dfs.open("/f", machine)
-    assert reader.read((1 << 20) - 1024, 1024) == b"r" * 1024
+    assert reader.read((1 << 20) - 1024, 1024, verified=True) == b"r" * 1024
     assert 0 < sum(replica_crc_bytes) <= CHECKSUM_CHUNK
 
 

@@ -37,7 +37,6 @@ def _dfs(machines, gray=None):
         replication=3,
         block_size=1 << 16,
         checksum_replicas=True,
-        verify_reads=True,
         gray=gray,
     )
 
@@ -164,7 +163,6 @@ def test_hedge_target_is_verified_over_the_read_range_only():
         replication=3,
         block_size=1 << 20,
         checksum_replicas=True,
-        verify_reads=True,
         gray=GrayPolicy(breaker_enabled=False),
     )
     dfs.create("/f", machines[0]).append(b"h" * (3 * CHECKSUM_CHUNK))
@@ -177,7 +175,7 @@ def test_hedge_target_is_verified_over_the_read_range_only():
         block.block_id, at=2 * CHECKSUM_CHUNK + 10
     )  # outside it
     machines[0].disk.set_slowdown(LIMP)
-    assert reader.read(0, 4096) == b"h" * 4096
+    assert reader.read(0, 4096, verified=True) == b"h" * 4096
     counters = machines[0].counters
     assert counters.get(DFS_HEDGE_WINS) == 1
     # The backup damaged where the read lands was passed over; the one

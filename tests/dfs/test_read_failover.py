@@ -35,7 +35,6 @@ def dfs(machines):
         replication=3,
         block_size=1 << 16,
         checksum_replicas=True,
-        verify_reads=True,
     )
 
 
@@ -52,7 +51,7 @@ def test_corrupt_replica_fails_over_and_is_pruned(dfs, machines):
     first = block.locations[0]
     dfs.datanode(first).corrupt_replica(block.block_id)
     reader = dfs.open("/f", machines[0])
-    assert reader.read_all() == PAYLOAD  # served by a clean replica
+    assert reader.read_all(verified=True) == PAYLOAD  # served by a clean replica
     assert first not in block.locations
     assert block.block_id in dfs.namenode.under_replicated
     counters = machines[0].counters
@@ -67,7 +66,7 @@ def test_all_replicas_corrupt_raises(dfs, machines):
     for name in block.locations:
         dfs.datanode(name).corrupt_replica(block.block_id)
     with pytest.raises(ReplicaCorruptError):
-        dfs.open("/f", machines[0]).read_all()
+        dfs.open("/f", machines[0]).read_all(verified=True)
 
 
 def test_corruption_not_detected_without_verify(machines):
@@ -101,7 +100,7 @@ def test_failover_then_heartbeat_restores_replication(dfs, machines):
     dfs.create("/f", machines[0]).append(PAYLOAD)
     block = _block(dfs, "/f")
     dfs.datanode(block.locations[0]).corrupt_replica(block.block_id)
-    dfs.open("/f", machines[0]).read_all()  # prunes the corrupt copy
+    dfs.open("/f", machines[0]).read_all(verified=True)  # prunes the corrupt copy
     assert dfs.heartbeat() == 1
     live = [n for n in block.locations if dfs.datanodes[n].alive]
     assert len(live) == 3
@@ -151,25 +150,18 @@ def _assert_no_dfs_bookkeeping(dfs, machines):
     assert not dfs.namenode.under_replicated
 
 
-@pytest.mark.parametrize("verify_reads", [True, False])
-def test_read_of_a_deleted_file_is_not_a_corrupt_replica(machines, verify_reads):
+@pytest.mark.parametrize("verified", [True, False])
+def test_read_of_a_deleted_file_is_not_a_corrupt_replica(dfs, machines, verified):
     # A long-lived reader (a follower's, over a segment the owner's
     # compaction retired) outlives its file.  Every replica is absent,
     # which is not damage: nothing is pruned, counted or queued.
-    dfs = DFS(
-        machines,
-        replication=3,
-        block_size=1 << 16,
-        checksum_replicas=True,
-        verify_reads=verify_reads,
-    )
     dfs.create("/f", machines[0]).append(PAYLOAD)
     block = _block(dfs, "/f")
     locations = list(block.locations)
     reader = dfs.open("/f", machines[1])
     dfs.delete("/f")
     with pytest.raises(FileNotFoundInDFS):
-        reader.read_all()
+        reader.read_all(verified=verified)
     assert block.locations == locations
     _assert_no_dfs_bookkeeping(dfs, machines)
     assert dfs.heartbeat() == 0

@@ -24,7 +24,6 @@ def _checked_dfs(machines, block_size=1 << 20):
         replication=3,
         block_size=block_size,
         checksum_replicas=True,
-        verify_reads=True,
     )
 
 
@@ -116,7 +115,7 @@ def test_corruption_stays_in_the_replica_it_was_injected_into():
     )
     # A verified read of the damaged range fails over and drops the replica.
     reader = dfs.open("/f", machines[0])
-    assert reader.read(k * CHECKSUM_CHUNK, 64) == whole[k * CHECKSUM_CHUNK :][:64]
+    assert reader.read(k * CHECKSUM_CHUNK, 64, verified=True) == whole[k * CHECKSUM_CHUNK :][:64]
     assert damaged.name not in block.locations
     assert machines[0].counters.get(DFS_READ_FAILOVERS) == 1
     assert machines[0].counters.get(DFS_CORRUPT_REPLICAS) == 1

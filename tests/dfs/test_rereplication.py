@@ -197,7 +197,6 @@ def checked_dfs(machines):
         replication=3,
         block_size=1 << 16,
         checksum_replicas=True,
-        verify_reads=True,
     )
 
 

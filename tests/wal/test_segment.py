@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.metrics import DFS_CORRUPT_REPLICAS
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.segment import LogSegmentReader, LogSegmentWriter, open_segment_reader
 
@@ -71,3 +72,21 @@ def test_scan_pointers_are_readable(dfs, machines, segment):
     reader = open_segment_reader(dfs, "/log/segment-1", 1, machines[0])
     for pointer, rec in list(reader.scan()):
         assert read_at(reader, pointer) == rec
+
+
+@pytest.mark.parametrize("at", [10, 0], ids=["body", "length-field"])
+def test_scan_reads_a_damaged_middle_frame_from_a_clean_replica(
+    dfs, machines, segment, at
+):
+    # A complete frame that fails its check mid-segment is damage, not a
+    # torn tail; a flipped length field makes it look as if it runs past
+    # the end of the file.  Either way the verified re-read passes over
+    # the damaged local replica and the scan goes on.
+    pointers = segment.append_many([record(str(i).encode()).encode() for i in range(5)])
+    block = dfs.namenode.get_file("/log/segment-1").blocks[0]
+    local = dfs.datanode(machines[0].name)
+    local.corrupt_replica(block.block_id, pointers[2].offset + at)
+    reader = open_segment_reader(dfs, "/log/segment-1", 1, machines[0])
+    assert [rec.key for _, rec in reader.scan()] == [b"0", b"1", b"2", b"3", b"4"]
+    assert local.name not in block.locations
+    assert machines[0].counters.get(DFS_CORRUPT_REPLICAS) == 1
