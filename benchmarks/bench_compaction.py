@@ -237,8 +237,8 @@ def host_cost_rounds(records: int, rounds: int, *, seed: int = 11) -> list[dict]
     adapter = build_adapter(records)
     owner, host = adapter.cluster.servers[:2]
     for tablet in owner.tablets.values():
-        host.follow_tablet(tablet, owner.name, 0)
-    tailer = host._tailers[owner.name]
+        host.replicas.follow(tablet, owner.name, 0)
+    tailer = host.replicas.tailers[owner.name]
     rng = random.Random(seed)
     keys = [f"user{i:08d}".encode() for i in range(records)]
     for key in keys:

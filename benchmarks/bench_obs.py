@@ -1,7 +1,7 @@
 """Observability benchmark: where does LogBase's simulated time go?
 
 Runs a YCSB-style put/get/scan mix on a traced cluster
-(``LogBaseConfig.with_tracing``) and holds the trace subsystem to its
+(``LogBaseConfig(tracing=True)``) and holds the trace subsystem to its
 acceptance bars: every traced operation's span tree must explain >= 99%
 of its end-to-end simulated latency, the per-layer breakdown must sum to
 ~100% of total latency, and the write path must show the paper's shape —
@@ -57,12 +57,7 @@ DISABLED_OVERHEAD_BAR_PCT = 2.0
 
 
 def _build_db(*, tracing: bool) -> LogBase:
-    settings = {"segment_size": 256 * 1024}
-    config = (
-        LogBaseConfig.with_tracing(**settings)
-        if tracing
-        else LogBaseConfig(**settings)
-    )
+    config = LogBaseConfig(segment_size=256 * 1024, tracing=tracing)
     db = LogBase(n_nodes=3, config=config)
     # The table lives on ts-node-1 while the client runs on node-2, so
     # every operation crosses a real machine boundary.

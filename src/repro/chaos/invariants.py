@@ -26,19 +26,15 @@ def check_single_owner(db: LogBase) -> list[str]:
     """
     violations: list[str] = []
     catalog = db.cluster.master.catalog
-    gated = db.cluster.config.live_migration
     for tablet_id, owner in catalog.assignments.items():
-        willing = []
-        for server in db.cluster.servers:
-            if not server.machine.alive or not server.serving:
-                continue
-            if tablet_id not in server.tablets:
-                continue
-            if tablet_id in server.migrating_tablets:
-                continue
-            if gated and not server.lease_valid(tablet_id):
-                continue
-            willing.append(server.name)
+        willing = [
+            server.name
+            for server in db.cluster.servers
+            if server.machine.alive
+            and server.serving
+            and tablet_id in server.tablets
+            and server.ownership.may_serve(tablet_id)
+        ]
         if len(willing) > 1:
             violations.append(
                 f"single-owner: {tablet_id} served by {sorted(willing)}"
@@ -140,7 +136,7 @@ def probe_followers(
         for server in follower_servers(db, tablet_id):
             if not server.machine.alive or not server.serving:
                 continue
-            follower = server.followers.get(tablet_id)
+            follower = server.replicas.followers.get(tablet_id)
             if follower is None:
                 violations.append(
                     f"placement: catalog lists {server.name} as a follower "

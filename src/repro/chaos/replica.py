@@ -142,7 +142,7 @@ def _fencing_on_migration(run: Run) -> None:
     # Fencing: inside the flip, every replica of the moved tablet was
     # torn down — none may still be fed from the deposed owner's log.
     for server in cluster.servers:
-        follower = server.followers.get(tablet_id)
+        follower = server.replicas.followers.get(tablet_id)
         if follower is not None:
             run.report.violations.append(
                 f"fencing: {server.name} still hosts a replica of "
@@ -155,7 +155,7 @@ def _fencing_on_migration(run: Run) -> None:
     # Re-placement points the new replicas at the new owner.
     run.heartbeat()
     for server in follower_servers(run.db, tablet_id):
-        follower = server.followers.get(tablet_id)
+        follower = server.replicas.followers.get(tablet_id)
         if follower is not None and follower.owner_name != TARGET:
             run.report.violations.append(
                 f"fencing: re-placed replica on {server.name} follows "
@@ -179,7 +179,7 @@ def _compaction_crash_before_install(run: Run) -> None:
     failed = run.attempt(owner.compact)
     run.heartbeat()  # a tail pass over the dead owner's directory
     for server in follower_servers(run.db, run.tablet_id):
-        tailer = server._tailers.get(OWNER)
+        tailer = server.replicas.tailers.get(OWNER)
         if tailer is not None and any(
             tailer.repo.is_sorted_segment(n) for n in tailer.repo.segments()
         ):

@@ -151,15 +151,15 @@ class LogBaseConfig:
             ops, tablet-server calls, compaction, recovery), attributing
             each charged simulated second to the innermost open span.
             Off by default so the seed figures are reproduced
-            byte-identically; :meth:`with_tracing` enables it.
+            byte-identically.
         monitoring: install a :class:`~repro.obs.monitor.ClusterMonitor`
             on the cluster: every heartbeat scrapes per-machine counter
             deltas and derived health gauges into ring-buffer time
             series, evaluates the SLO/alert rules in simulated time, and
             snapshots flight-recorder post-mortems on alert fire or any
             observed fault.  Off by default so the seed figures are
-            reproduced byte-identically; :meth:`with_monitoring` enables
-            it.  Pure bookkeeping — no simulated cost either way.
+            reproduced byte-identically.  Pure bookkeeping — no
+            simulated cost either way.
         monitor_scrape_interval: minimum *simulated* seconds between
             scrape ticks — the production-style cadence that keeps the
             enabled gate's wall-clock overhead bounded.  ``0.0`` scrapes
@@ -345,40 +345,6 @@ class LogBaseConfig:
             "client_retry_limit": 4,
             "live_migration": True,
             "read_replicas": True,
-        }
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
-    def with_tracing(cls, **overrides) -> "LogBaseConfig":
-        """A config with the observability subsystem enabled: the cluster
-        installs a tracer, every charged simulated second is attributed to
-        a span, and per-op latency histograms + the critical-path report
-        become available through ``cluster.tracer``.
-
-        The plain constructor keeps it off so the seed cost model and
-        figures are reproduced byte-identically; this preset is what the
-        trace benchmark (``bench_obs``) measures.
-        """
-        settings: dict = {
-            "tracing": True,
-        }
-        settings.update(overrides)
-        return cls(**settings)
-
-    @classmethod
-    def with_monitoring(cls, **overrides) -> "LogBaseConfig":
-        """A config with the cluster monitoring plane enabled: the
-        heartbeat-driven time-series scrape, the SLO/alert engine, and
-        the chaos flight recorder, all reachable as ``cluster.monitor``.
-
-        The plain constructor keeps it off so the seed cost model and
-        figures are reproduced byte-identically; the detection oracle
-        (``repro.chaos.detection``) and ``bench_monitoring`` run each
-        chaos scenario's own preset with ``monitoring=True`` layered on top.
-        """
-        settings: dict = {
-            "monitoring": True,
         }
         settings.update(overrides)
         return cls(**settings)

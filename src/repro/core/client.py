@@ -41,6 +41,9 @@ _REQUEST_OVERHEAD = 64  # approximate request framing bytes
 
 _NO_TRACE = nullcontext()
 
+# What a follower attempt returns when the caller must ask the owner.
+_TO_OWNER = object()
+
 
 class Client:
     """A LogBase client running on (or near) a cluster machine.
@@ -191,43 +194,60 @@ class Client:
         name = rotation[seq % len(rotation)]
         return None if name == owner_name else name
 
-    def _replica_read(
-        self, table: str, key: bytes, group: str, *, as_of: int | None
-    ) -> tuple[int, bytes] | None:
-        """Bounded-staleness read: try the rotation's follower once, fall
-        back to the owner on lag or failure.
+    def _follower_attempt(
+        self,
+        table: str,
+        tablet: Tablet,
+        owner_name: str,
+        request_bytes: int,
+        response_bytes: int,
+        op_factory,
+    ):
+        """One call of ``op_factory(server)()`` on the rotation's follower
+        for ``tablet``, or ``_TO_OWNER`` when the caller must ask the owner:
+        the rotation picked it, or the follower is lagging, overloaded or
+        gone.
 
         A lagging follower stays in rotation (lag is transient — the next
         heartbeat advances its tail); a dead one drops out when the
         follower routes are refreshed."""
+        follower_name = self._pick_follower(table, tablet, owner_name)
+        if follower_name is None:
+            return _TO_OWNER
+        try:
+            server = self._master.server(follower_name)
+        except KeyError:
+            self.invalidate_follower_routes(table)
+            return _TO_OWNER
+        try:
+            return self._call(
+                server, request_bytes, response_bytes, op_factory(server),
+                table=table, deadline=self._new_deadline(),
+            )
+        except (FollowerLaggingError, ServerOverloadedError):
+            return _TO_OWNER
+        except (ServerDownError, TabletNotFound, TabletMigratingError):
+            # _call already dropped the owner-location cache on
+            # ServerDownError; the follower routes are just as suspect.
+            self.invalidate_follower_routes(table)
+            return _TO_OWNER
+
+    def _replica_read(
+        self, table: str, key: bytes, group: str, *, as_of: int | None
+    ) -> tuple[int, bytes] | None:
+        """Bounded-staleness read: try the rotation's follower once, fall
+        back to the owner on lag or failure."""
         request = _REQUEST_OVERHEAD + len(key)
         owner_name, tablet = self._locate(table, key)
-        follower_name = self._pick_follower(table, tablet, owner_name)
-        if follower_name is not None:
-            try:
-                server = self._master.server(follower_name)
-            except KeyError:
-                self.invalidate_follower_routes(table)
-                server = None
-            if server is not None:
-                try:
-                    return self._call(
-                        server, request, 1024,
-                        lambda: server.follower_read(
-                            table, key, group,
-                            as_of=as_of,
-                            max_staleness=self._replica_max_staleness,
-                        ),
-                        table=table,
-                        deadline=self._new_deadline(),
-                    )
-                except (FollowerLaggingError, ServerOverloadedError):
-                    pass  # owner fallback; the follower stays in rotation
-                except (ServerDownError, TabletNotFound, TabletMigratingError):
-                    # _call already dropped the owner-location cache on
-                    # ServerDownError; the follower routes are just as
-                    # suspect.
-                    self.invalidate_follower_routes(table)
+        result = self._follower_attempt(
+            table, tablet, owner_name, request, 1024,
+            lambda server: lambda: server.follower_read(
+                table, key, group,
+                as_of=as_of, max_staleness=self._replica_max_staleness,
+            ),
+        )
+        if result is not _TO_OWNER:
+            return result
         return self._routed_call(
             table, key, request, 1024,
             lambda srv: lambda: srv.read(table, key, group, as_of=as_of),
@@ -451,18 +471,8 @@ class Client:
         self, table: str, key: bytes, group: str, *, as_of: int | None = None
     ) -> dict[str, bytes] | None:
         """Read one column group of a record; None if absent."""
-        with self._op_span("op.get", table=table, group=group):
-            if self._read_replicas:
-                result = self._replica_read(table, key, group, as_of=as_of)
-            else:
-                result = self._routed_call(
-                    table, key, _REQUEST_OVERHEAD + len(key), 1024,
-                    lambda server: lambda: server.read(table, key, group, as_of=as_of),
-                )
-        if result is None:
-            return None
-        _, value = result
-        return decode_group_value(value)
+        value = self.get_raw(table, key, group, as_of=as_of)
+        return None if value is None else decode_group_value(value)
 
     def get_row(self, table: str, key: bytes) -> dict[str, dict[str, bytes]] | None:
         """Reconstruct a whole tuple by collecting every column group
@@ -556,12 +566,16 @@ class Client:
                 if tablet.key_range.end is None
                 else min(end_key, tablet.key_range.end)
             )
-            rows = None
+            rows = _TO_OWNER
             if self._read_replicas:
-                rows = self._follower_scan(
-                    table, group, tablet, owner_name, sub_start, sub_end, as_of
+                rows = self._follower_attempt(
+                    table, tablet, owner_name, _REQUEST_OVERHEAD, 4096,
+                    lambda server: lambda: server.follower_scan(
+                        table, group, sub_start, sub_end,
+                        as_of=as_of, max_staleness=self._replica_max_staleness,
+                    ),
                 )
-            if rows is None:
+            if rows is _TO_OWNER:
                 rows = self._owner_scan(table, group, sub_start, sub_end, as_of)
             results.extend((key, value) for key, _, value in rows)
         results.sort(key=lambda pair: pair[0])
@@ -589,44 +603,6 @@ class Client:
             )
 
         return self._with_retries(table, attempt)
-
-    def _follower_scan(
-        self,
-        table: str,
-        group: str,
-        tablet: Tablet,
-        owner_name: str,
-        sub_start: bytes,
-        sub_end: bytes,
-        as_of: int | None,
-    ) -> list[tuple[bytes, int, bytes]] | None:
-        """Try one tablet's slice on the rotation's follower; None sends
-        the caller to the owner (rotation picked it, or the follower is
-        lagging, overloaded or gone)."""
-        follower_name = self._pick_follower(table, tablet, owner_name)
-        if follower_name is None:
-            return None
-        try:
-            server = self._master.server(follower_name)
-        except KeyError:
-            self.invalidate_follower_routes(table)
-            return None
-        try:
-            return self._call(
-                server, _REQUEST_OVERHEAD, 4096,
-                lambda: server.follower_scan(
-                    table, group, sub_start, sub_end,
-                    as_of=as_of,
-                    max_staleness=self._replica_max_staleness,
-                ),
-                table=table,
-                deadline=self._new_deadline(),
-            )
-        except (FollowerLaggingError, ServerOverloadedError):
-            return None
-        except (ServerDownError, TabletNotFound, TabletMigratingError):
-            self.invalidate_follower_routes(table)
-            return None
 
     # -- raw byte API (benchmarks; payloads are opaque 1 KB blobs) ---------------------------
 

@@ -347,7 +347,7 @@ class LogBaseCluster:
             owner = self.master.catalog.servers.get(owner_name)
             if owner is None or not owner.machine.alive or not owner.serving:
                 continue
-            if tablet_id in owner.migrating_tablets:
+            if owner.ownership.fenced(tablet_id):
                 continue
             if migrator._majority_reachable(owner):
                 owner.grant_lease(tablet_id)
@@ -402,11 +402,11 @@ class LogBaseCluster:
         for name in live:
             server = catalog.servers[name]
             desired = desired_by_server.get(name, {})
-            for tablet_id in list(server.followers):
+            for tablet_id in list(server.replicas.followers):
                 if tablet_id not in desired:
-                    server.unfollow_tablet(tablet_id)
+                    server.replicas.unfollow(tablet_id)
             for tablet_id, (tablet, owner_name, epoch) in desired.items():
-                server.follow_tablet(tablet, owner_name, epoch)
+                server.replicas.follow(tablet, owner_name, epoch)
 
     def _tail_followers(self) -> dict[str, float]:
         """One tail pass on every live follower server; records each
@@ -416,7 +416,7 @@ class LogBaseCluster:
         for server in self.servers:
             if not server.machine.alive or not server.serving:
                 continue
-            if not server.followers:
+            if not server.replicas.followers:
                 continue
             lags = server.tail_followed_logs()
             for tablet_id, lag in lags.items():
@@ -436,7 +436,7 @@ class LogBaseCluster:
             if not server.machine.alive or not server.serving:
                 continue
             for tablet_id in list(server.tablets):
-                if tablet_id in server.migrating_tablets:
+                if server.ownership.fenced(tablet_id):
                     continue
                 if assignments.get(tablet_id) != server.name:
                     server.unassign_tablet(server.tablets[tablet_id].tablet_id)

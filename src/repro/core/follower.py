@@ -7,8 +7,10 @@ machine (charging its own clock and warming its own block cache), replays
 them into a private :class:`MultiversionIndex` per column group, and
 serves bounded-staleness reads.
 
-Two classes:
+Three classes:
 
+* :class:`ReplicaHost` — every replica one tablet server hosts: its
+  tailers, the tail pass, and the staleness-gated replica read and scan.
 * :class:`FollowerTablet` — the replica of one tablet on one non-owner
   server: per-group indexes, the replication watermark (highest applied
   version/commit timestamp), and ``caught_up_at`` (the follower-clock
@@ -53,9 +55,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.config import LogBaseConfig
-from repro.core.tablet import Tablet
+from repro.core.tablet import Tablet, hosted_cover, live_rows, read_version
 from repro.dfs.filesystem import DFS
-from repro.errors import CorruptLogRecord
+from repro.errors import CorruptLogRecord, DFSError, FollowerLaggingError, InvalidLogPointer
 from repro.index.blink import BLinkTreeIndex
 from repro.index.interface import IndexEntry, MultiversionIndex, Row
 from repro.index.persist import decode_run_index
@@ -63,12 +65,19 @@ from repro.obs.trace import span
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
     REPLICA_LAG_RECORDS,
+    REPLICA_READS_SERVED,
+    REPLICA_REDIRECTS,
     REPLICA_TAIL_BATCHES,
+    REPLICA_TAIL_ERRORS,
     SPAN_FOLLOWER_TAIL,
 )
 from repro.wal.record import LogPointer, LogRecord, RecordType
 from repro.wal.replay import CommitGate, Tombstones, keep_versions, redo
 from repro.wal.repository import LogRepository
+
+# Max log records a follower applies per tail pass (bounds one heartbeat's
+# catch-up work; lag beyond it is worked off over subsequent passes).
+REPLICA_TAIL_BATCH = 512
 
 
 class FollowerTablet:
@@ -361,3 +370,166 @@ class LogTailer:
                 member.watermark = record.timestamp
             index = member.index(record.group)
         return redo(index, pointer, record, self._tombstones)
+
+
+class ReplicaHost:
+    """The read replicas one tablet server hosts for tablets it does NOT
+    own: ``followers`` by tablet id, and one ``tailers`` entry per owner,
+    shared because an owner keeps a single log for all its tablets.  Both
+    stay empty — and cost nothing — until the placement subscribes the
+    server, whose follower entry points check it is up, then delegate here.
+    """
+
+    def __init__(self, server) -> None:
+        self._server = server
+        self.followers: dict[str, FollowerTablet] = {}
+        self.tailers: dict[str, LogTailer] = {}
+
+    def follow(self, tablet: Tablet, owner_name: str, epoch: int) -> FollowerTablet:
+        """Host a read replica of ``tablet``, tailing ``owner_name``'s log.
+
+        Idempotent for an unchanged (owner, epoch): the heartbeat calls
+        this every pass.  A changed owner or a bumped ownership epoch tears
+        the old replica down and starts a fresh one — a follower must
+        never keep applying a deposed owner's post-fence records.
+        """
+        server = self._server
+        server._require_serving()
+        tablet_id = str(tablet.tablet_id)
+        existing = self.followers.get(tablet_id)
+        if existing is not None:
+            if (existing.owner_name, existing.epoch) == (owner_name, epoch):
+                return existing
+            self.unfollow(tablet_id)
+        tailer = self.tailers.get(owner_name)
+        if tailer is None:
+            tailer = LogTailer(server.dfs, server.machine, owner_name, server.config)
+            self.tailers[owner_name] = tailer
+        follower = self.followers[tablet_id] = FollowerTablet(tablet, owner_name, epoch)
+        tailer.subscribe(follower)
+        return follower
+
+    def unfollow(self, tablet_id) -> None:
+        """Tear down the replica of one tablet (ownership changed, the
+        placement moved it elsewhere, or this server was promoted)."""
+        follower = self.followers.pop(str(tablet_id), None)
+        if follower is None:
+            return
+        tailer = self.tailers.get(follower.owner_name)
+        if tailer is not None:
+            tailer.unsubscribe(str(tablet_id))
+            if not tailer.members:
+                del self.tailers[follower.owner_name]
+
+    def tail(self) -> dict[str, float]:
+        """The body of ``TabletServer.tail_followed_logs``."""
+        machine = self._server.machine
+        lags = {tid: f.lag(machine.clock.now) for tid, f in self.followers.items()}
+        for tailer in self.tailers.values():
+            try:
+                tailer.tail(REPLICA_TAIL_BATCH)
+            except (DFSError, CorruptLogRecord):
+                # This server cannot read that owner's log right now (it is
+                # partitioned from every replica, say, or a run's index
+                # fails its checksum).  The tailer keeps its cursor and
+                # tries again next tick; its replicas were not marked caught
+                # up, so they age out of their staleness bound and reads
+                # fall back to the owner.  Raising instead would end the
+                # cluster heartbeat this pass runs inside.
+                machine.counters.add(REPLICA_TAIL_ERRORS)
+        return lags
+
+    def read(self, table, key, group, as_of, max_staleness) -> tuple[int, bytes] | None:
+        """The body of ``TabletServer.follower_read``."""
+        follower = self._follower_for(table, key)
+        self._check_serving(follower, as_of, max_staleness)
+        index = follower.index(group)
+        tailer = self.tailers[follower.owner_name]
+        try:
+            result = read_version(
+                index, tailer.repo.read, key, as_of,
+                live=lambda entry: tailer.drop_dead(index, [entry]),
+            )
+        except (InvalidLogPointer, DFSError) as exc:
+            raise self._retired(follower, exc) from exc
+        self._server.machine.counters.add(REPLICA_READS_SERVED)
+        return result
+
+    def scan(self, table, group, start_key, end_key, as_of, max_staleness) -> list[tuple]:
+        """The body of ``TabletServer.follower_scan``."""
+        server = self._server
+        followed, covered = hosted_cover(
+            (
+                f.tablet for f in self.followers.values()
+                if f.tablet.key_range.start < end_key
+                and (f.tablet.key_range.end is None or f.tablet.key_range.end > start_key)
+            ),
+            table, start_key, end_key,
+        )
+        # The hosted replicas must jointly cover the range, as
+        # _follower_for's check does for a key.  A client with a stale
+        # follower route (placement rotates on live-set or split changes)
+        # can land on a server hosting only *other* tablets of the table —
+        # an empty result would silently drop the target tablet's rows, so
+        # raise and let the client fall back to the owner instead.
+        if not covered:
+            raise self._redirect(
+                f"{server.name} hosts no replica covering "
+                f"{table}:[{start_key!r}, {end_key!r})"
+            )
+        rows: list[tuple[bytes, int, bytes]] = []
+        coalesce_gap = server.config.read_coalesce_gap
+        for tablet in followed:
+            follower = self.followers[str(tablet.tablet_id)]
+            self._check_serving(follower, as_of, max_staleness)
+            tailer = self.tailers[follower.owner_name]
+            index = follower.index(group)
+            entries = tailer.drop_dead(
+                index, index.latest_in_range(start_key, end_key, as_of=as_of)
+            )
+            try:
+                rows.extend(live_rows(tailer.repo, entries, coalesce_gap))
+            except (InvalidLogPointer, DFSError) as exc:
+                raise self._retired(follower, exc) from exc
+        server.machine.counters.add(REPLICA_READS_SERVED)
+        return rows
+
+    def _follower_for(self, table: str, key: bytes) -> FollowerTablet:
+        for follower in self.followers.values():
+            if follower.tablet.table == table and follower.tablet.covers(key):
+                return follower
+        raise self._redirect(
+            f"{self._server.name} hosts no replica covering {table}:{key!r}"
+        )
+
+    def _check_serving(self, follower: FollowerTablet, as_of, max_staleness) -> None:
+        """The follower-mode op gate: a replica serves only inside its
+        staleness bound."""
+        server = self._server
+        limit = max_staleness
+        if limit is None:
+            limit = server.config.replica_max_staleness
+        lag = follower.lag(server.machine.clock.now)
+        if lag > limit:
+            raise self._redirect(
+                f"replica of {follower.tablet.tablet_id} on {server.name} is "
+                f"{lag:.3f}s stale (bound {limit:.3f}s)"
+            )
+        if as_of is not None and as_of > follower.watermark:
+            raise self._redirect(
+                f"replica of {follower.tablet.tablet_id} on {server.name} has "
+                f"watermark {follower.watermark} < as_of {as_of}"
+            )
+
+    def _retired(self, follower: FollowerTablet, exc: Exception) -> FollowerLaggingError:
+        """The owner compacted a position away between tail passes; the
+        next pass re-points the entry at the sorted segment that replaced it."""
+        return self._redirect(
+            f"replica of {follower.tablet.tablet_id} on {self._server.name}: "
+            f"log position retired by the owner ({exc})"
+        )
+
+    def _redirect(self, message: str) -> FollowerLaggingError:
+        """Count a redirect to the owner and build its retryable error."""
+        self._server.machine.counters.add(REPLICA_REDIRECTS)
+        return FollowerLaggingError(message)

@@ -50,8 +50,7 @@ from dataclasses import dataclass
 
 from repro.core.partition import KeyRange
 from repro.core.recovery import rehome
-from repro.core.tablet import Tablet, TabletId
-from repro.core.tablet_server import LEASE_SECONDS
+from repro.core.tablet import LEASE_SECONDS, Tablet, TabletId
 from repro.errors import MigrationError, NoNodeError, TabletNotFound
 from repro.obs.hist import Histogram
 from repro.obs.trace import span
@@ -289,8 +288,7 @@ class LiveMigrator:
         # source, so only a stale direct call could land here anyway).
         tablet = self.master._tablet_by_id(tablet_id)
         target.assign_tablet(tablet)
-        target.begin_tablet_migration(tablet_id)
-        target.revoke_lease(tablet_id)
+        target.ownership.fence(tablet_id)
         return rec
 
     def _rehome_from_source(self, rec: dict, start: LogPointer | None = None) -> int:
@@ -359,8 +357,7 @@ class LiveMigrator:
             if source is not None and self._majority_reachable(source):
                 # Reachable source: fence it directly — ops bounce with the
                 # retryable TabletMigratingError from here to the flip.
-                source.begin_tablet_migration(tablet_id)
-                source.revoke_lease(tablet_id)
+                source.ownership.fence(tablet_id)
             else:
                 # Partitioned or paused owner: it cannot be told, so wait
                 # out its ownership lease — it self-fences the moment its
@@ -391,8 +388,7 @@ class LiveMigrator:
         tablet_id = rec["tablet"]
         target = self._server(rec["target"])
         source = self._server(rec["source"])
-        target.finish_tablet_migration(tablet_id)
-        target.grant_lease(tablet_id)
+        target.ownership.unfence(tablet_id, grant=True)
         # Ownership changed under a bumped epoch: tear the tablet's read
         # replicas (if any) down right now so none keeps applying the
         # deposed owner's log.  The next heartbeat re-places them against
@@ -400,7 +396,7 @@ class LiveMigrator:
         for follower_name in self.master.catalog.followers.pop(tablet_id, []):
             follower_server = self._server(follower_name)
             if follower_server is not None:
-                follower_server.unfollow_tablet(tablet_id)
+                follower_server.replicas.unfollow(tablet_id)
         if (
             source is not None
             and source.machine.alive
@@ -483,7 +479,7 @@ class LiveMigrator:
         source = self._server(rec["source"])
         if target is not None and catalog.assignments.get(tablet_id) != rec["target"]:
             tablet = target.tablets.get(tablet_id)
-            target.finish_tablet_migration(tablet_id)
+            target.ownership.unfence(tablet_id)
             if tablet is not None:
                 # Records a crashed catch-up already appended to the
                 # target's log stay there harmlessly: compaction's
@@ -491,13 +487,12 @@ class LiveMigrator:
                 # routes them to TabletNotFound.
                 target.unassign_tablet(tablet.tablet_id)
         if source is not None:
-            source.finish_tablet_migration(tablet_id)
-            if (
-                catalog.assignments.get(tablet_id) == rec["source"]
+            source.ownership.unfence(
+                tablet_id,
+                grant=catalog.assignments.get(tablet_id) == rec["source"]
                 and source.machine.alive
-                and source.serving
-            ):
-                source.grant_lease(tablet_id)
+                and source.serving,
+            )
         machine = (target or source).machine if (target or source) else None
         if machine is not None:
             machine.counters.add(MIGRATION_ABORTED)
@@ -521,7 +516,7 @@ class LiveMigrator:
             raise MigrationError(f"split owner {owner_name} is not serving")
         old = self.master._tablet_by_id(tablet_id)
         if split_key is None:
-            split_key = owner.split_key(tablet_id)
+            split_key = owner.ownership.split_key(tablet_id)
         if split_key is None:
             raise MigrationError(
                 f"no observed-key sample to split {tablet_id} on"
@@ -555,7 +550,7 @@ class LiveMigrator:
         self._persist(rec, SPLITS_PATH)
         # The brief fenced window: ops on the old tablet bounce while the
         # index entries re-bucket, then the catalog commits the new pair.
-        owner.begin_tablet_migration(tablet_id)
+        owner.ownership.fence(tablet_id)
         crash_point(CP_SPLIT_FLIP, tablet=tablet_id, server=owner_name)
         moved = owner.split_tablet(old, left, right)
         tablets = catalog.tablets[table]
@@ -587,13 +582,12 @@ class LiveMigrator:
         )
         owner = self._server(rec["server"])
         if not committed and owner is not None:
-            owner.finish_tablet_migration(rec["tablet"])
-            if (
-                catalog.assignments.get(rec["tablet"]) == rec["server"]
+            owner.ownership.unfence(
+                rec["tablet"],
+                grant=catalog.assignments.get(rec["tablet"]) == rec["server"]
                 and owner.machine.alive
-                and owner.serving
-            ):
-                owner.grant_lease(rec["tablet"])
+                and owner.serving,
+            )
         self._clear(rec, SPLITS_PATH)
         return "completed" if committed else "aborted"
 
@@ -639,7 +633,7 @@ class LiveMigrator:
         if (
             hot_share >= BALANCER_SPLIT_FRACTION
             and owner is not None
-            and owner.split_key(hot_tablet) is not None
+            and owner.ownership.split_key(hot_tablet) is not None
         ):
             report = self.split(hot_tablet)
             owner.machine.counters.add(MIGRATION_BALANCER_MOVES)

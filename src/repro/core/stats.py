@@ -109,7 +109,7 @@ def collect_server_stats(server: TabletServer) -> ServerStats:
             if server.last_recovery is not None
             else None
         ),
-        follower_tablets=len(server.followers),
+        follower_tablets=len(server.replicas.followers),
     )
 
 

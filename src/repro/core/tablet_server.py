@@ -13,25 +13,16 @@ bottleneck.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice
 
 from repro.config import LogBaseConfig
 from repro.coordination.tso import TimestampOracle
-from repro.core.follower import FollowerTablet, LogTailer
-from repro.core.partition import ranges_cover
+from repro.core.follower import ReplicaHost
 from repro.core.read_cache import ReadCache
-from repro.core.tablet import Tablet, TabletId
-from repro.dfs.filesystem import DFS
-from repro.errors import (
-    CorruptLogRecord,
-    DFSError,
-    FollowerLaggingError,
-    InvalidLogPointer,
-    ServerDownError,
-    TabletMigratingError,
-    TabletNotFound,
-    TabletRecoveringError,
+from repro.core.tablet import (
+    Tablet, TabletId, TabletOwnership, hosted_cover, live_rows, read_version,
 )
+from repro.dfs.filesystem import DFS
+from repro.errors import ServerDownError, TabletNotFound, TabletRecoveringError
 from repro.index.blink import BLinkTreeIndex
 from repro.index.interface import MultiversionIndex
 from repro.index.lsm import LSMTreeIndex
@@ -41,11 +32,7 @@ from repro.sim.deadline import check_deadline
 from repro.sim.health import AdmissionController
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
-    MIGRATION_LEASE_REJECTS,
     RECOVERY_REJECTED_OPS,
-    REPLICA_READS_SERVED,
-    REPLICA_REDIRECTS,
-    REPLICA_TAIL_ERRORS,
     SPAN_COMPACTION_PLAN,
     SPAN_COMPACTION_ROUND,
     SPAN_FOLLOWER_READ,
@@ -62,22 +49,6 @@ from repro.wal.record import LogPointer, LogRecord, RecordType
 from repro.wal.repository import LogRepository
 
 IndexKey = tuple[str, str]  # (tablet_id str, group name)
-
-# Observed keys retained per tablet for median-split estimation.
-KEY_SAMPLE_CAP = 128
-
-# Ownership lease TTL in simulated seconds.  A server whose lease lapsed
-# (partitioned or paused, so the heartbeat could not renew it) rejects ops
-# instead of double-serving; a fenced flip against an unreachable owner
-# waits out at most this long.
-LEASE_SECONDS = 0.5
-
-# Index entries fetched per ``read_many`` window when coalescing is on.
-READ_BATCH_SIZE = 256
-
-# Max log records a follower applies per tail pass (bounds one heartbeat's
-# catch-up work; lag beyond it is worked off over subsequent passes).
-REPLICA_TAIL_BATCH = 512
 
 
 class TabletServer:
@@ -128,23 +99,8 @@ class TabletServer:
         # Tablets owned but not yet redone (fast recovery's serve-while-
         # recovering window); ops on them raise TabletRecoveringError.
         self.recovering_tablets: set[str] = set()
-        # Handoff state.  ``migrating_tablets`` holds tablets inside a
-        # fenced flip window and ``lease_until`` maps tablet id to the
-        # ownership-lease expiry on *this machine's* clock — both always
-        # kept, and checked on the op path under config.live_migration
-        # (ops then raise TabletMigratingError); ``_key_samples`` (same
-        # gate) keeps a bounded deterministic sample of accessed keys per
-        # tablet so a hot tablet can be split at its median observed key.
-        self.migrating_tablets: set[str] = set()
-        self.lease_until: dict[str, float] = {}
-        self._key_samples: dict[str, list[bytes]] = {}
-        # Read-replica state (config.read_replicas gate; both dicts stay
-        # empty — and cost nothing — on the seed path).  ``followers``
-        # maps tablet id to the replica this server hosts for a tablet it
-        # does NOT own; ``_tailers`` shares one log tailer per owner
-        # because an owner keeps a single log for all its tablets.
-        self.followers: dict[str, FollowerTablet] = {}
-        self._tailers: dict[str, LogTailer] = {}
+        self.ownership = TabletOwnership(self)
+        self.replicas = ReplicaHost(self)
         # Last RecoveryReport this server's recovery produced (stats).
         self.last_recovery = None
         # Per-tablet redo-duration histogram of the last parallel recovery.
@@ -179,7 +135,7 @@ class TabletServer:
         if not self.serving or not self.machine.alive:
             raise ServerDownError(f"tablet server {self.name} is down")
 
-    # -- fast-recovery serving state -----------------------------------------------
+    # -- serving state: recovery window, ownership ----------------------------------
 
     def begin_tablet_recovery(self, tablet_ids) -> None:
         """Mark tablets as owned-but-recovering: ops on them are rejected
@@ -197,95 +153,15 @@ class TabletServer:
             raise TabletRecoveringError(
                 f"tablet {tablet.tablet_id} on {self.name} is still recovering"
             )
-        if self.config.live_migration:
-            tablet_id = str(tablet.tablet_id)
-            if tablet_id in self.migrating_tablets:
-                raise TabletMigratingError(
-                    f"tablet {tablet_id} on {self.name} is mid-handoff"
-                )
-            if not self.lease_valid(tablet_id):
-                # The split-brain guard: a paused or partitioned owner whose
-                # lease the heartbeat could not renew must stop serving —
-                # ownership may already have flipped elsewhere.
-                self.machine.counters.add(MIGRATION_LEASE_REJECTS)
-                raise TabletMigratingError(
-                    f"{self.name} ownership lease for {tablet_id} lapsed"
-                )
-
-    # -- live-migration serving state ------------------------------------------------
-
-    def begin_tablet_migration(self, tablet_id) -> None:
-        """Enter the fenced flip window: ops on the tablet are rejected
-        with the retryable :class:`TabletMigratingError` until the handoff
-        commits (or aborts back to this server)."""
-        self.migrating_tablets.add(str(tablet_id))
-
-    def finish_tablet_migration(self, tablet_id) -> None:
-        """Leave the flip window (handoff committed elsewhere or aborted)."""
-        self.migrating_tablets.discard(str(tablet_id))
+        self.ownership.check(tablet.tablet_id)
 
     def grant_lease(self, tablet_id) -> None:
         """(Re)grant the ownership lease for one tablet, anchored on this
-        machine's clock — a paused process cannot observe a fresher clock
-        than its own, so expiry is judged where serving happens."""
-        self.lease_until[str(tablet_id)] = (
-            self.machine.clock.now + LEASE_SECONDS
-        )
-
-    def revoke_lease(self, tablet_id) -> None:
-        """Drop the ownership lease (the fenced flip fences a reachable
-        source this way without waiting out the TTL)."""
-        self.lease_until.pop(str(tablet_id), None)
-
-    def lease_valid(self, tablet_id) -> bool:
-        """Whether this server's ownership lease for the tablet is live."""
-        until = self.lease_until.get(str(tablet_id))
-        return until is not None and self.machine.clock.now <= until
+        machine's clock.  Every grant enters here — the heartbeat's
+        renewals, assignment, splits and the migrator's unfences."""
+        self.ownership.grant(tablet_id)
 
     # -- read-replica (follower) serving ---------------------------------------------
-
-    def follow_tablet(
-        self, tablet: Tablet, owner_name: str, epoch: int
-    ) -> FollowerTablet:
-        """Host a read replica of ``tablet``, tailing ``owner_name``'s log.
-
-        Idempotent for an unchanged (owner, epoch): the heartbeat calls
-        this every pass.  A changed owner or a bumped ownership epoch tears
-        the old replica down and starts a fresh one — a follower must
-        never keep applying a deposed owner's post-fence records.
-        """
-        self._require_serving()
-        tablet_id = str(tablet.tablet_id)
-        existing = self.followers.get(tablet_id)
-        if (
-            existing is not None
-            and existing.owner_name == owner_name
-            and existing.epoch == epoch
-        ):
-            return existing
-        if existing is not None:
-            self.unfollow_tablet(tablet_id)
-        tailer = self._tailers.get(owner_name)
-        if tailer is None:
-            tailer = LogTailer(self.dfs, self.machine, owner_name, self.config)
-            self._tailers[owner_name] = tailer
-        follower = FollowerTablet(tablet, owner_name, epoch)
-        tailer.subscribe(follower)
-        self.followers[tablet_id] = follower
-        return follower
-
-    def unfollow_tablet(self, tablet_id) -> None:
-        """Tear down the replica of one tablet (ownership changed, the
-        placement moved it elsewhere, or this server was promoted)."""
-        tablet_id = str(tablet_id)
-        follower = self.followers.pop(tablet_id, None)
-        if follower is None:
-            return
-        tailer = self._tailers.get(follower.owner_name)
-        if tailer is not None:
-            tailer.unsubscribe(tablet_id)
-            if not tailer.members:
-                del self._tailers[follower.owner_name]
 
     def tail_followed_logs(self) -> dict[str, float]:
         """One tail pass over every followed owner's log (heartbeat-driven).
@@ -294,60 +170,7 @@ class TabletServer:
         pass, keyed by tablet id — the heartbeat-reported lag (``inf``
         for a replica that has never fully drained its owner's log)."""
         self._require_serving()
-        now = self.machine.clock.now
-        lags = {
-            str(f.tablet.tablet_id): f.lag(now) for f in self.followers.values()
-        }
-        for tailer in self._tailers.values():
-            try:
-                tailer.tail(REPLICA_TAIL_BATCH)
-            except (DFSError, CorruptLogRecord):
-                # This server cannot read that owner's log right now (it is
-                # partitioned from every replica, say, or a run's index
-                # fails its checksum).  The tailer keeps
-                # its cursor and tries again next tick; its replicas were
-                # not marked caught up, so they age out of their staleness
-                # bound and reads fall back to the owner.  Raising instead
-                # would end the cluster heartbeat this pass runs inside.
-                self.machine.counters.add(REPLICA_TAIL_ERRORS)
-        return lags
-
-    def _follower_for(self, table: str, key: bytes) -> FollowerTablet:
-        for follower in self.followers.values():
-            if follower.tablet.table == table and follower.tablet.covers(key):
-                return follower
-        self.machine.counters.add(REPLICA_REDIRECTS)
-        raise FollowerLaggingError(
-            f"{self.name} hosts no replica covering {table}:{key!r}"
-        )
-
-    def _check_follower_serving(
-        self,
-        follower: FollowerTablet,
-        *,
-        as_of: int | None,
-        max_staleness: float | None,
-    ) -> None:
-        """The follower-mode op gate (next to the recovery/migration
-        gates): a replica serves only inside its staleness bound."""
-        limit = (
-            max_staleness
-            if max_staleness is not None
-            else self.config.replica_max_staleness
-        )
-        lag = follower.lag(self.machine.clock.now)
-        if lag > limit:
-            self.machine.counters.add(REPLICA_REDIRECTS)
-            raise FollowerLaggingError(
-                f"replica of {follower.tablet.tablet_id} on {self.name} is "
-                f"{lag:.3f}s stale (bound {limit:.3f}s)"
-            )
-        if as_of is not None and as_of > follower.watermark:
-            self.machine.counters.add(REPLICA_REDIRECTS)
-            raise FollowerLaggingError(
-                f"replica of {follower.tablet.tablet_id} on {self.name} has "
-                f"watermark {follower.watermark} < as_of {as_of}"
-            )
+        return self.replicas.tail()
 
     def follower_read(
         self,
@@ -368,35 +191,9 @@ class TabletServer:
         self._require_serving()
         check_deadline("follower read")
         with span(SPAN_FOLLOWER_READ, self.machine, table=table, group=group):
-            follower = self._follower_for(table, key)
-            self._check_follower_serving(
-                follower, as_of=as_of, max_staleness=max_staleness
+            return self.replicas.read(
+                table, key, group, as_of=as_of, max_staleness=max_staleness
             )
-            index = follower.index(group)
-            entry = (
-                index.lookup_latest(key)
-                if as_of is None
-                else index.lookup_asof(key, as_of)
-            )
-            tailer = self._tailers[follower.owner_name]
-            if entry is None or not tailer.drop_dead(index, [entry]):
-                self.machine.counters.add(REPLICA_READS_SERVED)
-                return None
-            try:
-                record = tailer.repo.read(entry.pointer)
-            except (InvalidLogPointer, DFSError) as exc:
-                # The owner compacted this position away between tail
-                # passes; the next pass re-points the entry at the sorted
-                # segment that replaced it.
-                self.machine.counters.add(REPLICA_REDIRECTS)
-                raise FollowerLaggingError(
-                    f"replica of {follower.tablet.tablet_id} on {self.name}: "
-                    f"log position retired by the owner ({exc})"
-                ) from exc
-            self.machine.counters.add(REPLICA_READS_SERVED)
-            if record.value is None:
-                return None
-            return entry.timestamp, record.value
 
     def follower_scan(
         self,
@@ -415,69 +212,17 @@ class TabletServer:
         RPC rather than mid-consumption on the client."""
         self._require_serving()
         check_deadline("follower range scan")
-        rows: list[tuple[bytes, int, bytes]] = []
         with span(SPAN_FOLLOWER_READ, self.machine, table=table, group=group):
-            followed = sorted(
-                (
-                    f
-                    for f in self.followers.values()
-                    if f.tablet.table == table
-                    and f.tablet.key_range.start < end_key
-                    and (
-                        f.tablet.key_range.end is None
-                        or f.tablet.key_range.end > start_key
-                    )
-                ),
-                key=lambda f: f.tablet.key_range.start,
+            return self.replicas.scan(
+                table, group, start_key, end_key,
+                as_of=as_of, max_staleness=max_staleness,
             )
-            # Mirror _follower_for's coverage check: the hosted replicas
-            # must jointly cover the requested range.  A client with a
-            # stale follower route (placement rotates on live-set or
-            # split changes) can land on a server hosting only *other*
-            # tablets of the table — an empty result then silently drops
-            # the target tablet's rows, so raise and let the client fall
-            # back to the owner instead.
-            if not ranges_cover(
-                (f.tablet.key_range for f in followed), start_key, end_key
-            ):
-                self.machine.counters.add(REPLICA_REDIRECTS)
-                raise FollowerLaggingError(
-                    f"{self.name} hosts no replica covering "
-                    f"{table}:[{start_key!r}, {end_key!r})"
-                )
-            for follower in followed:
-                self._check_follower_serving(
-                    follower, as_of=as_of, max_staleness=max_staleness
-                )
-                tailer = self._tailers[follower.owner_name]
-                index = follower.index(group)
-                entries = tailer.drop_dead(
-                    index, index.latest_in_range(start_key, end_key, as_of=as_of)
-                )
-                try:
-                    rows.extend(self._live_rows(tailer.repo, entries))
-                except (InvalidLogPointer, DFSError) as exc:
-                    self.machine.counters.add(REPLICA_REDIRECTS)
-                    raise FollowerLaggingError(
-                        f"replica of {follower.tablet.tablet_id} on "
-                        f"{self.name}: log position retired by the owner "
-                        f"({exc})"
-                    ) from exc
-            self.machine.counters.add(REPLICA_READS_SERVED)
-        return rows
 
     def _touch_heat(self, tablet: Tablet, key: bytes | None = None) -> None:
         tablet_id = str(tablet.tablet_id)
-        self.heat[tablet_id] = self.heat.get(tablet_id, 0.0) + 1.0
-        if key is not None and self.config.live_migration:
-            # Deterministic bounded key sample per tablet: fill to the cap,
-            # then overwrite a heat-indexed slot (no RNG — replays are
-            # byte-stable).  The median of the sample is the split key.
-            sample = self._key_samples.setdefault(tablet_id, [])
-            if len(sample) < KEY_SAMPLE_CAP:
-                sample.append(key)
-            else:
-                sample[int(self.heat[tablet_id]) % KEY_SAMPLE_CAP] = key
+        heat = self.heat[tablet_id] = self.heat.get(tablet_id, 0.0) + 1.0
+        if key is not None:
+            self.ownership.observe(tablet_id, key, heat)
 
     def crash(self) -> None:
         """Kill the server process: every in-memory structure is lost.
@@ -507,11 +252,8 @@ class TabletServer:
         self.secondary.clear()
         self.heat.clear()
         self.recovering_tablets.clear()
-        self.migrating_tablets.clear()
-        self.lease_until.clear()
-        self._key_samples.clear()
-        self.followers.clear()
-        self._tailers.clear()
+        self.ownership = TabletOwnership(self)
+        self.replicas = ReplicaHost(self)
 
     def restart(self) -> None:
         """Bring the process back up with empty memory.  The caller runs
@@ -527,10 +269,9 @@ class TabletServer:
 
     def assign_tablet(self, tablet: Tablet) -> None:
         """Take responsibility for ``tablet``: create its group indexes."""
-        if self.followers:
-            # Promotion: a server that becomes the owner of a tablet it was
-            # following serves authoritatively from now on.
-            self.unfollow_tablet(tablet.tablet_id)
+        # Promotion: a server that becomes the owner of a tablet it was
+        # following serves authoritatively from now on.
+        self.replicas.unfollow(tablet.tablet_id)
         self.tablets[str(tablet.tablet_id)] = tablet
         self._route_cache.pop(tablet.table, None)
         for group in tablet.schema.group_names:
@@ -545,18 +286,8 @@ class TabletServer:
         for key in [k for k in self._indexes if k[0] == str(tablet_id)]:
             del self._indexes[key]
             self._update_counters.pop(key, None)
-        self.revoke_lease(tablet_id)
-        self.migrating_tablets.discard(str(tablet_id))
+        self.ownership.drop(tablet_id)
         self.heat.pop(str(tablet_id), None)
-        self._key_samples.pop(str(tablet_id), None)
-
-    def split_key(self, tablet_id) -> bytes | None:
-        """Median of the tablet's observed-key sample (None if the sample
-        is too thin to say anything)."""
-        sample = sorted(self._key_samples.get(str(tablet_id), ()))
-        if len(sample) < 2:
-            return None
-        return sample[len(sample) // 2]
 
     def split_tablet(self, old: Tablet, left: Tablet, right: Tablet) -> int:
         """Repartition ``old``'s in-memory state into ``left``/``right``.
@@ -588,18 +319,9 @@ class TabletServer:
             if destroy is not None:
                 destroy()
         old_heat = self.heat.pop(old_id, 0.0)
-        sample = self._key_samples.pop(old_id, [])
-        left_sample = [k for k in sample if left.covers(k)]
-        right_sample = [k for k in sample if not left.covers(k)]
-        left_share = len(left_sample) / len(sample) if sample else 0.5
+        left_share = self.ownership.split(old_id, left, right)
         self.heat[str(left.tablet_id)] = old_heat * left_share
         self.heat[str(right.tablet_id)] = old_heat * (1.0 - left_share)
-        self._key_samples[str(left.tablet_id)] = left_sample
-        self._key_samples[str(right.tablet_id)] = right_sample
-        self.revoke_lease(old_id)
-        self.grant_lease(left.tablet_id)
-        self.grant_lease(right.tablet_id)
-        self.migrating_tablets.discard(old_id)
         return moved
 
     def _ensure_index(self, tablet_id: TabletId, group: str) -> MultiversionIndex:
@@ -852,19 +574,10 @@ class TabletServer:
                     if as_of is None or cached[0] <= as_of:
                         return cached
             index = self._ensure_index(tablet.tablet_id, group)
-            entry = (
-                index.lookup_latest(key)
-                if as_of is None
-                else index.lookup_asof(key, as_of)
-            )
-            if entry is None:
-                return None
-            record = self.log.read(entry.pointer)
-            if record.value is None:
-                return None
-            if as_of is None and self.read_cache is not None:
-                self.read_cache.put(table, group, key, entry.timestamp, record.value)
-            return entry.timestamp, record.value
+            result = read_version(index, self.log.read, key, as_of)
+            if result is not None and as_of is None and self.read_cache is not None:
+                self.read_cache.put(table, group, key, *result)
+            return result
 
     def read_version_timestamp(self, table: str, key: bytes, group: str) -> int | None:
         """Current version timestamp only (MVOCC validation, §3.7.1)."""
@@ -927,7 +640,7 @@ class TabletServer:
         compaction the pointers are clustered so consecutive reads become
         sequential — exactly the Figure 10 effect.
 
-        Pointers are followed by :meth:`_live_rows`.
+        Pointers are followed by :func:`~repro.core.tablet.live_rows`.
 
         A caller that routed the range here as one tablet's slice (the
         client) passes ``require_coverage``: the tablets hosted here must
@@ -940,13 +653,8 @@ class TabletServer:
         """
         self._require_serving()
         check_deadline("tablet range scan")
-        hosted = sorted(
-            (t for t in self.tablets.values() if t.table == table),
-            key=lambda t: t.key_range.start,
-        )
-        if require_coverage and not ranges_cover(
-            (t.key_range for t in hosted), start_key, end_key
-        ):
+        hosted, covered = hosted_cover(self.tablets.values(), table, start_key, end_key)
+        if require_coverage and not covered:
             raise TabletNotFound(
                 f"server {self.name} does not host all of "
                 f"{table}:[{start_key!r}, {end_key!r})"
@@ -956,32 +664,7 @@ class TabletServer:
             self._touch_heat(tablet)
             index = self._ensure_index(tablet.tablet_id, group)
             entries = index.latest_in_range(start_key, end_key, as_of=as_of)
-            yield from self._live_rows(self.log, entries)
-
-    def _live_rows(self, repo: LogRepository, entries):
-        """Yield (key, timestamp, value) for each index entry whose log
-        record in ``repo`` still carries a value.
-
-        With coalescing enabled (``read_coalesce_gap``) the pointers are
-        drained in windows of ``READ_BATCH_SIZE`` entries and fetched via
-        :meth:`LogRepository.read_many`, which merges near-adjacent
-        pointers into single DFS reads.  With it disabled the seed
-        behaviour is kept: one lazy read per entry, so callers that stop
-        early (e.g. LIMIT queries) never read past their cursor.
-        """
-        if self.config.read_coalesce_gap is None:
-            read = repo.read
-            for entry in entries:
-                value = read(entry.pointer).value
-                if value is not None:
-                    yield entry.key, entry.timestamp, value
-            return
-        entries = iter(entries)
-        while batch := list(islice(entries, READ_BATCH_SIZE)):
-            records = repo.read_many([entry.pointer for entry in batch])
-            for entry, record in zip(batch, records):
-                if record.value is not None:
-                    yield entry.key, entry.timestamp, record.value
+            yield from live_rows(self.log, entries, self.config.read_coalesce_gap)
 
     def full_scan(self, table: str, group: str):
         """Yield (key, timestamp, value) of current versions via a
@@ -1136,7 +819,8 @@ class TabletServer:
                 if tablet is None or tablet.table != index.table or group != index.group:
                     continue
                 entries = primary.latest_in_range(b"", b"\xff" * 64)
-                for key, timestamp, value in self._live_rows(self.log, entries):
+                rows = live_rows(self.log, entries, self.config.read_coalesce_gap)
+                for key, timestamp, value in rows:
                     self.secondary.on_write(index.table, group, key, timestamp, value)
                     fed += 1
         return fed

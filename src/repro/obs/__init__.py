@@ -1,6 +1,6 @@
 """Observability over the simulated clock: spans, histograms, analysis.
 
-Everything here is gated behind ``LogBaseConfig.with_tracing()``: with the
+Everything here is gated behind ``LogBaseConfig(tracing=True)``: with the
 gate off no tracer is installed, every span helper is an ``is None`` check,
 and the seed cost model runs byte-identically.  With it on, every simulated
 second charged to any machine clock is attributed to the innermost open

@@ -94,7 +94,7 @@ def collect_health_gauges(cluster: "LogBaseCluster") -> dict[tuple[str, str], fl
         if config.live_migration and up:
             owned = [t for t, owner in assignments.items() if owner == server.name]
             if owned:
-                valid = sum(1 for t in owned if server.lease_valid(t))
+                valid = sum(1 for t in owned if server.ownership.lease_valid(t))
                 gauges[(server.name, GAUGE_LEASE_HEALTH)] = valid / len(owned)
             else:
                 gauges[(server.name, GAUGE_LEASE_HEALTH)] = 1.0
@@ -105,7 +105,7 @@ def collect_health_gauges(cluster: "LogBaseCluster") -> dict[tuple[str, str], fl
             # Replica lag per tablet: worst follower staleness, read the
             # same way the heartbeat's lag histogram defines it (time
             # since the follower last drained to its owner's log tail).
-            for tablet_id, follower in server.followers.items():
+            for tablet_id, follower in server.replicas.followers.items():
                 lag = follower.lag(server.machine.clock.now)
                 if lag == float("inf"):
                     continue  # never caught up yet: no sample, not a spike

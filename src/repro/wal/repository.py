@@ -538,19 +538,16 @@ class LogRepository:
         # ``_persist_meta`` only deletes the old map after the temp is
         # fully written.  An unparseable temp is a crash mid-write — fall
         # back to the old map it never replaced.
-        for meta_path in (repo._meta_tmp_path(), repo._meta_path()):
-            if not dfs.exists(meta_path):
-                continue
-            raw = dfs.open(meta_path, machine).read_all(verified=True)
-            try:
-                parsed = json.loads(raw.decode())
-            except ValueError:
-                continue
-            repo._slim_meta = {
-                int(no): (meta[0], meta[1]) for no, meta in parsed.items()
-            }
-            break
-        for path in dfs.list_files(repo._root + "/"):
+        repo._load_meta((repo._meta_tmp_path(), repo._meta_path()))
+        for file_no, path in repo._list_segments().items():
+            repo._paths[file_no] = path
+            repo._next_file_no = max(repo._next_file_no, file_no + 1)
+        return repo
+
+    def _list_segments(self) -> dict[int, str]:
+        """``file_no -> path`` of every segment file in the directory."""
+        listed: dict[int, str] = {}
+        for path in self._dfs.list_files(self._root + "/"):
             name = path.rsplit("/", 1)[-1]
             if name.startswith("segments.meta"):
                 continue
@@ -562,9 +559,24 @@ class LogRepository:
                 # ``segment-*.log.tmp`` from a crash mid-persist, or a
                 # fence token.  Skip rather than refuse to reattach.
                 continue
-            repo._paths[file_no] = path
-            repo._next_file_no = max(repo._next_file_no, file_no + 1)
-        return repo
+            listed[file_no] = path
+        return listed
+
+    def _load_meta(self, meta_paths: tuple[str, str]) -> None:
+        """Load the slim-segment map from the first of ``meta_paths`` that
+        exists and parses (an unparseable one is a crash mid-write)."""
+        for meta_path in meta_paths:
+            if not self._dfs.exists(meta_path):
+                continue
+            raw = self._dfs.open(meta_path, self._machine).read_all(verified=True)
+            try:
+                parsed = json.loads(raw.decode())
+            except ValueError:
+                continue
+            self._slim_meta = {
+                int(no): (meta[0], meta[1]) for no, meta in parsed.items()
+            }
+            return
 
     def refresh_from_dfs(self) -> None:
         """Re-sync this handle with the segment files currently in the DFS.
@@ -581,20 +593,12 @@ class LogRepository:
         Cost: one namenode listing plus a small metadata read while an
         unmapped sorted segment is listed — no data I/O.
         """
-        listed: dict[int, str] = {}
-        sorted_listed: set[int] = set()
-        for path in self._dfs.list_files(self._root + "/"):
-            name = path.rsplit("/", 1)[-1]
-            if name.startswith("segments.meta"):
-                continue
-            stem = name.rsplit(".", 1)[0]
-            try:
-                file_no = int(stem.split("-")[-1])
-            except ValueError:
-                continue
-            listed[file_no] = path
-            if name.startswith("sorted-"):
-                sorted_listed.add(file_no)
+        listed = self._list_segments()
+        sorted_listed = {
+            no
+            for no, path in listed.items()
+            if path.rsplit("/", 1)[-1].startswith("sorted-")
+        }
         if not sorted_listed <= self._slim_meta.keys():
             # Prefer the committed map: unlike ``reattach`` (crash
             # recovery, where a complete temp is always the newest
@@ -602,18 +606,7 @@ class LogRepository:
             # an owner crash long since superseded — parseable but
             # stale.  Fall back to the temp only when the committed map
             # is absent (crash between delete and rename) or torn.
-            for meta_path in (self._meta_path(), self._meta_tmp_path()):
-                if not self._dfs.exists(meta_path):
-                    continue
-                raw = self._dfs.open(meta_path, self._machine).read_all(verified=True)
-                try:
-                    parsed = json.loads(raw.decode())
-                except ValueError:
-                    continue
-                self._slim_meta = {
-                    int(no): (meta[0], meta[1]) for no, meta in parsed.items()
-                }
-                break
+            self._load_meta((self._meta_path(), self._meta_tmp_path()))
         # A run the map still does not name is not installed: the owner is
         # writing it (compaction appends a run a chunk at a time) or died
         # before installing it.  Its slim records have no scope to decode

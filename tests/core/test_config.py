@@ -28,7 +28,7 @@ def test_option_count_ratchet():
     fields = dataclasses.fields(LogBaseConfig)
     assert len(fields) == 42
     assert sum(1 for f in fields if f.type == "bool") == 16
-    assert sum(1 for name in vars(LogBaseConfig) if name.startswith("with_")) == 7
+    assert sum(1 for name in vars(LogBaseConfig) if name.startswith("with_")) == 5
 
 
 def test_production_preset_is_the_benchmark_profile():

@@ -81,7 +81,7 @@ def follower_entries(db: LogBase) -> dict[bytes, tuple]:
     host = db.cluster.server_by_name(FOLLOWER)
     return {
         entry.key: (entry.timestamp, entry.pointer)
-        for follower in host.followers.values()
+        for follower in host.replicas.followers.values()
         for entry in follower.index(GROUP).entries()
     }
 
@@ -99,7 +99,7 @@ def follow(db: LogBase):
     owner = db.cluster.server_by_name(OWNER)
     host = db.cluster.server_by_name(FOLLOWER)
     for tablet in owner.tablets.values():
-        host.follow_tablet(tablet, OWNER, 0)
+        host.replicas.follow(tablet, OWNER, 0)
     return owner, host
 
 

@@ -50,7 +50,7 @@ def _the_follower(db):
     followers = db.cluster.master.catalog.followers
     tablet_id = next(iter(followers))
     server = db.cluster.server_by_name(followers[tablet_id][0])
-    return tablet_id, server, server.followers[tablet_id]
+    return tablet_id, server, server.replicas.followers[tablet_id]
 
 
 def test_follower_placed_and_caught_up(rep_db):
@@ -139,10 +139,10 @@ def test_fresh_replica_never_serves_before_first_tail(rep_db):
         if s.name not in (SOURCE, server.name)
     )
     tablet = db.cluster.master._tablet_by_id(tablet_id)
-    other.follow_tablet(tablet, SOURCE, 0)
+    other.replicas.follow(tablet, SOURCE, 0)
     with pytest.raises(FollowerLaggingError):
         other.follower_read(TABLE, keys[0], GROUP)
-    other.unfollow_tablet(tablet_id)
+    other.replicas.unfollow(tablet_id)
 
 
 def test_deletes_replicate_as_tombstones(rep_db):
@@ -230,7 +230,7 @@ def _compacted_kilobyte_rows(schema, n=120):
     _, server, _ = _the_follower(db)
     owner = db.cluster.server_by_name(SOURCE)
     owner.compact()
-    return db, keys, owner, server, server._tailers[SOURCE]
+    return db, keys, owner, server, server.replicas.tailers[SOURCE]
 
 
 def test_tailing_a_run_reads_its_index_not_its_values(schema):
@@ -253,7 +253,7 @@ def test_tailing_a_run_reads_its_index_not_its_values(schema):
         assert server.follower_read(TABLE, key, GROUP)[1] == bytes([i % 251]) * 1000
     rows = server.follower_scan(TABLE, GROUP, b"", b"\xff")
     assert [key for key, _, _ in rows] == keys
-    (follower,) = server.followers.values()
+    (follower,) = server.replicas.followers.values()
     assert {e.pointer.file_no for e in follower.index(GROUP).entries()} == {run}
 
 
@@ -275,7 +275,7 @@ def test_a_damaged_run_index_fails_the_pass(schema):
     payload = bytearray(db.cluster.dfs.open(path, owner.machine).read_all())
     payload[len(payload) // 2] ^= 0x40
     db.cluster.dfs.install(path, bytes(payload), owner.machine)
-    (follower,) = server.followers.values()
+    (follower,) = server.replicas.followers.values()
     caught_up_at = follower.caught_up_at
     with pytest.raises(CorruptLogRecord):
         tailer.tail(1000)
@@ -300,8 +300,8 @@ def test_a_version_retired_without_being_rehomed_reads_absent(schema):
     db.create_table(schema, tablets_per_server=1, only_servers=[SOURCE])
     owner, server = db.cluster.servers
     (tablet,) = owner.tablets.values()
-    server.follow_tablet(tablet, SOURCE, 0)
-    tailer = server._tailers[SOURCE]
+    server.replicas.follow(tablet, SOURCE, 0)
+    tailer = server.replicas.tailers[SOURCE]
     dead, alive, later = b"000000000001", b"000000000002", b"000000000003"
     client = db.client(db.cluster.machines[-1])
     client.put_raw(TABLE, alive, GROUP, b"kept")
@@ -381,7 +381,7 @@ def test_scan_with_no_covering_replica_rejects(schema):
     assert followers[t0_id] != followers[t1_id]
     t1 = db.cluster.master._tablet_by_id(t1_id)
     s0 = db.cluster.server_by_name(followers[t0_id][0])
-    assert t1_id not in s0.followers
+    assert t1_id not in s0.replicas.followers
     with pytest.raises(FollowerLaggingError):
         s0.follower_scan(TABLE, GROUP, t1.key_range.start, k1 + b"\xff")
     # The server that does cover the range serves the same clipped scan.
@@ -405,7 +405,7 @@ def test_scan_ignores_lag_of_non_intersecting_replicas(schema):
     # One non-owner, so it co-hosts both replicas on one tailer.
     server = db.cluster.server_by_name(followers[t0_id][0])
     assert followers[t1_id][0] == server.name
-    server.followers[t1_id].caught_up_at = None  # unrelated replica lags
+    server.replicas.followers[t1_id].caught_up_at = None  # unrelated replica lags
     rows = server.follower_scan(TABLE, GROUP, k0, k0 + b"\xff")
     assert [(k, v) for k, _, v in rows] == [(k0, encode_value(0))]
     t1 = db.cluster.master._tablet_by_id(t1_id)
@@ -432,10 +432,10 @@ def test_new_subscription_quarantines_cohosted_replicas(schema):
     assert server.follower_read(TABLE, k0, GROUP) is None
     # Re-point tablet 1's replica: the shared stream restarts from zero.
     t1 = db.cluster.master._tablet_by_id(t1_id)
-    epoch = server.followers[t1_id].epoch
-    server.unfollow_tablet(t1_id)
-    server.follow_tablet(t1, SOURCE, epoch)
-    tailer = server._tailers[SOURCE]
+    epoch = server.replicas.followers[t1_id].epoch
+    server.replicas.unfollow(t1_id)
+    server.replicas.follow(t1, SOURCE, epoch)
+    tailer = server.replicas.tailers[SOURCE]
     with pytest.raises(FollowerLaggingError):
         server.follower_read(TABLE, k0, GROUP)
     # One-record passes re-insert k0's WRITE before its INVALIDATE is
@@ -456,8 +456,8 @@ def test_promotion_tears_the_replica_down(rep_db):
     tablet_id, server, _ = _the_follower(db)
     tablet = db.cluster.master._tablet_by_id(tablet_id)
     server.assign_tablet(tablet)
-    assert tablet_id not in server.followers
-    assert not server._tailers
+    assert tablet_id not in server.replicas.followers
+    assert not server.replicas.tailers
 
 
 def test_migration_fences_and_repoints_the_replica(rep_db):
@@ -471,7 +471,7 @@ def test_migration_fences_and_repoints_the_replica(rep_db):
     report = db.cluster.migrate_tablet(tablet_id, target)
     assert report.completed
     # Torn down inside the flip...
-    assert all(tablet_id not in s.followers for s in db.cluster.servers)
+    assert all(tablet_id not in s.replicas.followers for s in db.cluster.servers)
     # ...and re-placed against the new owner at the next heartbeat.
     db.cluster.heartbeat()
     _, new_server, new_follower = _the_follower(db)
@@ -503,7 +503,7 @@ def test_gate_off_places_nothing(schema):
     tick = db.cluster.heartbeat()
     assert tick["replica_lags"] == {}
     assert not db.cluster.master.catalog.followers
-    assert all(not s.followers for s in db.cluster.servers)
+    assert all(not s.replicas.followers for s in db.cluster.servers)
 
 
 def test_a_follower_that_cannot_tail_does_not_stop_the_heartbeat(schema, monkeypatch):
@@ -535,7 +535,7 @@ def test_a_follower_that_cannot_tail_does_not_stop_the_heartbeat(schema, monkeyp
         key=lambda server: server.machine.name in holders,
     )
     assert cut_off.machine.name not in holders
-    assert cut_off.followers[tablet_id].lag(cut_off.machine.clock.now) == 0.0
+    assert cut_off.replicas.followers[tablet_id].lag(cut_off.machine.clock.now) == 0.0
     cluster.config.network.partitions.isolate(cut_off.machine.name)
 
     rereplicate = Mock(wraps=cluster.dfs.heartbeat)
@@ -550,9 +550,9 @@ def test_a_follower_that_cannot_tail_does_not_stop_the_heartbeat(schema, monkeyp
             machine.clock.advance(0.5)
         tick = cluster.heartbeat()
         assert {"rereplicated", "replica_lags", "alerts_fired"} <= tick.keys()
-        assert healthy.followers[tablet_id].watermark >= ts
-        assert cut_off.followers[tablet_id].watermark < ts
-        lags.append(cut_off.followers[tablet_id].lag(cut_off.machine.clock.now))
+        assert healthy.replicas.followers[tablet_id].watermark >= ts
+        assert cut_off.replicas.followers[tablet_id].watermark < ts
+        lags.append(cut_off.replicas.followers[tablet_id].lag(cut_off.machine.clock.now))
     assert rereplicate.call_count == monitor_tick.call_count == 3
     assert lags == sorted(set(lags)) and lags[0] > 0.0
     assert cluster.total_counters()["replica.tail_errors"] == 3
@@ -564,7 +564,7 @@ def test_a_tail_pass_abandoned_midway_counts_what_it_applied(rep_db, monkeypatch
     client = db.client(db.cluster.machines[-1])
     for round_no in range(4):
         client.put_raw(TABLE, keys[round_no], GROUP, encode_value(round_no))
-    repo = server._tailers[SOURCE].repo
+    repo = server.replicas.tailers[SOURCE].repo
     scan_segment = repo.scan_segment
 
     def two_records_then_down(file_no, start_offset=0):

@@ -37,7 +37,7 @@ def rehome_entry_by_entry(self, scope, rows, marks):
 def replica_state(server):
     return {
         tablet_id: (member.watermark, list(member.index(GROUP).entries()))
-        for tablet_id, member in server.followers.items()
+        for tablet_id, member in server.replicas.followers.items()
     }
 
 
@@ -74,8 +74,8 @@ def test_in_place_rehome_equals_feeding_the_gate(history):
     hosts = [cluster.server_by_name(name) for name in (IN_PLACE, ENTRY_BY_ENTRY)]
     for host in hosts:
         for tablet in owner.tablets.values():
-            host.follow_tablet(tablet, OWNER, 0)
-    in_place, oracle = (host._tailers[OWNER] for host in hosts)
+            host.replicas.follow(tablet, OWNER, 0)
+    in_place, oracle = (host.replicas.tailers[OWNER] for host in hosts)
     oracle._rehome = types.MethodType(rehome_entry_by_entry, oracle)
 
     def tail_both(batch):

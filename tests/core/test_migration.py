@@ -12,7 +12,7 @@ from repro import LogBase, LogBaseConfig
 from repro.chaos.invariants import check_single_owner
 from repro.core.cluster import HEAT_HALF_LIFE
 from repro.core.migration import FLIP_BUDGET_SECONDS, MIGRATIONS_PATH
-from repro.core.tablet_server import LEASE_SECONDS
+from repro.core.tablet import LEASE_SECONDS
 from repro.errors import (
     LogBaseError,
     MigrationError,
@@ -143,14 +143,14 @@ def test_client_invalidates_cache_on_migrating_error(mig_db):
         invalidations.append(table),
         original(table),
     )
-    server.begin_tablet_migration(tablet_id)
+    server.ownership.fence(tablet_id)
     with pytest.raises(TabletMigratingError):
         client.get(TABLE, key, GROUP)
     # Every rejected attempt dropped the cached route (ownership may have
     # moved) and re-resolved from the master after backing off.
     assert invalidations.count(TABLE) >= 1
     assert client._machine.counters.get("client.retries") >= 1
-    server.finish_tablet_migration(tablet_id)
+    server.ownership.unfence(tablet_id, grant=True)
     assert client.get(TABLE, key, GROUP) is not None
 
 
@@ -160,14 +160,14 @@ def test_client_scan_retry_covers_the_flip_window(mig_db):
     server = db.cluster.server_by_name(source)
     client = db.client(db.cluster.machines[1])
     expected = client.scan(TABLE, GROUP, b"0" * 12, b"9" * 12)
-    server.begin_tablet_migration(tablet_id)
+    server.ownership.fence(tablet_id)
     original = server.range_scan
     calls = {"n": 0}
 
     def scan_with_flip_ending(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] == 2:  # the flip commits while the client backs off
-            server.finish_tablet_migration(tablet_id)
+            server.ownership.unfence(tablet_id, grant=True)
         return original(*args, **kwargs)
 
     server.range_scan = scan_with_flip_ending
@@ -282,9 +282,9 @@ def test_restarted_server_comes_back_leaseless(mig_db):
     db.cluster.kill_server(source)
     db.cluster.restart_server(source)
     server = db.cluster.server_by_name(source)
-    assert not server.lease_valid(tablet_id)
+    assert not server.ownership.lease_valid(tablet_id)
     db.cluster.heartbeat()
-    assert server.lease_valid(tablet_id)
+    assert server.ownership.lease_valid(tablet_id)
 
 
 def test_split_at_observed_median(mig_db):
@@ -317,7 +317,7 @@ def test_split_without_sample_rejected(mig_db):
     tablet_id, _, _ = _victim(db)
     # Reads went through put-time only; wipe the sample to simulate a
     # cold tablet.
-    db.cluster.server_by_name(_victim(db)[1])._key_samples.clear()
+    db.cluster.server_by_name(_victim(db)[1]).ownership._samples.clear()
     with pytest.raises(MigrationError):
         db.cluster.split_tablet(tablet_id)
 

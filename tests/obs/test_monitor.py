@@ -14,8 +14,8 @@ from repro.sim.metrics import GAUGE_SERVER_UP, validate_metric_name
 
 @pytest.fixture
 def monitored_db():
-    config = LogBaseConfig.with_monitoring(
-        segment_size=64 * 1024, monitor_scrape_interval=0.0
+    config = LogBaseConfig(
+        monitoring=True, segment_size=64 * 1024, monitor_scrape_interval=0.0
     )
     db = LogBase(n_nodes=4, config=config)
     db.create_table(SCHEMA, tablets_per_server=2)
@@ -97,7 +97,7 @@ def test_postmortem_exports_json_and_markdown(monitored_db):
 
 
 def test_scrape_interval_gates_ticks():
-    config = LogBaseConfig.with_monitoring(segment_size=64 * 1024)
+    config = LogBaseConfig(monitoring=True, segment_size=64 * 1024)
     assert config.monitor_scrape_interval > 0.0
     db = LogBase(n_nodes=4, config=config)
     db.create_table(SCHEMA, tablets_per_server=2)
@@ -158,9 +158,7 @@ def test_monitoring_gate_changes_no_simulated_state():
     of the gate-off figure identity)."""
 
     def run(monitoring):
-        config = LogBaseConfig.with_monitoring(
-            segment_size=64 * 1024, monitoring=monitoring
-        )
+        config = LogBaseConfig(segment_size=64 * 1024, monitoring=monitoring)
         db = LogBase(n_nodes=4, config=config)
         db.create_table(SCHEMA, tablets_per_server=2)
         client = db.client(db.cluster.machines[-1])

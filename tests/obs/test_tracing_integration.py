@@ -16,7 +16,7 @@ KEY = b"000000000001"
 
 
 def traced_db(**overrides) -> LogBase:
-    config = LogBaseConfig.with_tracing(segment_size=64 * 1024, **overrides)
+    config = LogBaseConfig(tracing=True, segment_size=64 * 1024, **overrides)
     return LogBase(n_nodes=3, config=config)
 
 

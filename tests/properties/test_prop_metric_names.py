@@ -29,7 +29,8 @@ from repro.sim.metrics import REGISTRY, validate_metric_name
 
 def _emitted_names() -> set[str]:
     """Every metric name a monitored run (workload + fault) emits."""
-    config = LogBaseConfig.with_monitoring(
+    config = LogBaseConfig(
+        monitoring=True,
         segment_size=64 * 1024,
         monitor_scrape_interval=0.0,
         tracing=True,

@@ -66,8 +66,8 @@ def test_every_reader_of_the_log_sees_the_same_state(history):
     owner = cluster.server_by_name(OWNER)
     replica_host = cluster.server_by_name(REPLICA_HOST)
     for tablet in owner.tablets.values():
-        replica_host.follow_tablet(tablet, OWNER, 0)
-    tailer = replica_host._tailers[OWNER]
+        replica_host.replicas.follow(tablet, OWNER, 0)
+    tailer = replica_host.replicas.tailers[OWNER]
 
     for step, op in enumerate(history):
         if op[0] == "put":
