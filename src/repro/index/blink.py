@@ -192,17 +192,26 @@ class BLinkTreeIndex(MultiversionIndex):
             idx = 0
 
     def lookup_latest(self, key: bytes) -> IndexEntry | None:
-        best: IndexEntry | None = None
-        for (entry_key, ts), pointer in self._iterate_from((key, 0)):
-            if entry_key != key:
-                break
-            best = IndexEntry(entry_key, ts, pointer)
-        return best
+        return self._version_at(key, _MAX_TS)
 
     def lookup_asof(self, key: bytes, timestamp: int) -> IndexEntry | None:
+        return self._version_at(key, timestamp)
+
+    def _version_at(self, key: bytes, limit: int) -> IndexEntry | None:
+        """The newest version of ``key`` at or below ``limit``: one descent
+        to ``(key, limit + 1)`` and one step back.  Only a landing leaf
+        with no smaller entry sends it on the walk from ``(key, 0)``."""
+        bound = (key, limit + 1)
+        leaf, _ = self._descend(bound)
+        idx = bisect.bisect_left(leaf.keys, bound)
+        if idx:
+            entry_key, ts = leaf.keys[idx - 1]
+            if entry_key != key:
+                return None
+            return IndexEntry(key, ts, leaf.values[idx - 1])
         best: IndexEntry | None = None
         for (entry_key, ts), pointer in self._iterate_from((key, 0)):
-            if entry_key != key or ts > timestamp:
+            if entry_key != key or ts > limit:
                 break
             best = IndexEntry(entry_key, ts, pointer)
         return best

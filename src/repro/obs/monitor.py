@@ -231,8 +231,9 @@ class ClusterMonitor:
     Construction installs this monitor as the process-wide fault
     observer (latest-wins, same pattern as the tracer) so injected
     kills, degradations, and fired crash points stamp fault times and
-    trigger post-mortem snapshots.  Call :meth:`close` (or let a newer
-    monitor replace it) when the cluster is torn down.
+    trigger post-mortem snapshots.  The hook holds this monitor weakly,
+    so a dropped cluster is freed without :meth:`close`; closing only
+    unhooks a live cluster early.
     """
 
     def __init__(self, cluster: "LogBaseCluster") -> None:
@@ -248,16 +249,12 @@ class ClusterMonitor:
         self._last_now = 0.0
         self._scrape_interval = config.monitor_scrape_interval
         self._last_scrape = float("-inf")
-        # Bind once: ``self._on_fault`` makes a fresh bound-method object
-        # per access, and the identity-guarded clear below needs the very
-        # object that was installed.
-        self._observer = self._on_fault
-        set_fault_observer(self._observer)
+        set_fault_observer(self._on_fault)
 
     def close(self) -> None:
         """Unhook from the fault observer (guarded: never unhooks a
         newer cluster's monitor)."""
-        clear_fault_observer(self._observer)
+        clear_fault_observer(self._on_fault)
 
     # -- time ------------------------------------------------------------
 

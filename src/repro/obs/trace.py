@@ -309,6 +309,10 @@ class Tracer:
 
     def _finish(self, finished: Span) -> None:
         finished.end = finished._clock.now
+        # Only the clock hook reads ``parent``, and only on open spans:
+        # dropping it makes a closed trace a tree that reference counting
+        # frees when it leaves the ring.
+        finished.parent = None
         self.spans_closed += 1
         self.open_spans -= 1
         # Only roots carry a whole trace: they are recorded into the ring,

@@ -22,6 +22,7 @@ or "crash at commit" schedules are built.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Protocol
@@ -41,14 +42,18 @@ class Failable(Protocol):
 # degradation, and every fault-plan rule that fires is reported to it as
 # ``observer(kind, detail)``.  The monitoring plane's flight recorder
 # hooks in here to stamp fault times and snapshot post-mortems; with no
-# observer installed the cost is one ``is None`` check.
-_FAULT_OBSERVER: Callable[[str, dict[str, Any]], None] | None = None
+# observer installed the cost is one ``is None`` check.  The hook holds
+# the bound method weakly: a process-wide hook never owns what it
+# observes, so a dropped cluster's monitor dies with it and a dead one
+# counts as not installed.
+_FAULT_OBSERVER: weakref.WeakMethod | None = None
 
 
 def set_fault_observer(observer: Callable[[str, dict[str, Any]], None]) -> None:
-    """Install ``observer`` as the process-wide fault observer."""
+    """Install the bound method ``observer`` as the process-wide fault
+    observer, held weakly."""
     global _FAULT_OBSERVER
-    _FAULT_OBSERVER = observer
+    _FAULT_OBSERVER = weakref.WeakMethod(observer)
 
 
 def clear_fault_observer(
@@ -58,15 +63,18 @@ def clear_fault_observer(
 
     Passing an observer clears only if it is still the installed one, so
     tearing down an old cluster cannot unhook a newer cluster's monitor.
+    The check is ``==``: every dereference makes a fresh bound method.
     """
     global _FAULT_OBSERVER
-    if observer is not None and _FAULT_OBSERVER is not observer:
+    if observer is not None and (
+        _FAULT_OBSERVER is None or _FAULT_OBSERVER() != observer
+    ):
         return
     _FAULT_OBSERVER = None
 
 
 def _notify_fault(kind: str, detail: dict[str, Any]) -> None:
-    observer = _FAULT_OBSERVER
+    observer = _FAULT_OBSERVER() if _FAULT_OBSERVER is not None else None
     if observer is not None:
         observer(kind, detail)
 

@@ -1,6 +1,8 @@
 """Integration tests for the ClusterMonitor scrape/alert/recorder plane."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -8,7 +10,9 @@ from repro.chaos.scenario import GROUP, KEY_WIDTH, SCHEMA, TABLE
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.stats import collect_cluster_stats
-from repro.obs.monitor import collect_health_gauges, gauges_by_entity
+from repro.obs.monitor import ClusterMonitor, collect_health_gauges, gauges_by_entity
+from repro.sim.failure import FailureInjector
+from repro.sim.machine import Machine
 from repro.sim.metrics import GAUGE_SERVER_UP, validate_metric_name
 
 
@@ -187,3 +191,28 @@ def test_close_unhooks_fault_observer(monitored_db):
     before = len(monitor.fault_log)
     db.cluster.kill_node(db.cluster.servers[0].name)
     assert len(monitor.fault_log) == before
+
+
+def test_dropped_cluster_is_freed_and_unhooked(monkeypatch):
+    # The fault hook holds the monitor weakly: a dropped production
+    # cluster is collected without close(), and its dead hook is skipped.
+    db = LogBase(n_nodes=4, config=LogBaseConfig.production())
+    cluster = weakref.ref(db.cluster)
+    del db
+    gc.collect()
+    assert cluster() is None
+
+    noted = []
+    monkeypatch.setattr(ClusterMonitor, "note_fault", lambda *args: noted.append(args))
+    injector = FailureInjector()
+    injector.register("m0", Machine("m0"))
+    injector.kill("m0")
+    assert noted == []
+    monkeypatch.undo()
+
+    second = LogBase(n_nodes=4, config=LogBaseConfig.production())
+    victim = second.cluster.servers[0].name
+    second.cluster.kill_node(victim)
+    assert [(e["kind"], e["detail"]) for e in second.cluster.monitor.fault_log] == [
+        ("kill", {"node": victim})
+    ]

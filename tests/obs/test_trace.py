@@ -1,5 +1,6 @@
 """Unit tests for spans, clock attribution, trace analysis and export."""
 
+import gc
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.obs.analyze import (
 )
 from repro.obs.export import chrome_trace, export_chrome_trace
 from repro.obs.trace import (
+    Span,
     Tracer,
     current_span,
     current_tracer,
@@ -202,6 +204,30 @@ def test_trace_log_ring_evicts_oldest():
             machine.clock.advance(0.01)
     assert len(installed.trace_log) == 2
     assert installed.trace_log.appended == 3
+
+
+def test_evicted_trace_is_freed_without_the_cycle_collector():
+    # A closed span drops its parent link, so a finished trace is a tree
+    # that reference counting frees as soon as the ring lets it go.
+    installed = tracer(ring=1, slow_samples=0)
+    client, server = Machine("client"), Machine("server")
+
+    def one_trace():
+        with root_span("op.get", client):
+            with span("rpc.server", server):
+                with span("log.append", server):
+                    server.clock.advance(0.1)
+
+    gc.collect()
+    gc.disable()
+    try:
+        one_trace()
+        first = installed.trace_log.traces()[0].trace_id
+        one_trace()  # evicts the first trace from the one-slot ring
+        left = [o for o in gc.get_objects() if isinstance(o, Span) and o.trace_id == first]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 def test_trace_log_rejects_empty_ring():

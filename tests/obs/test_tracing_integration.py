@@ -54,6 +54,8 @@ def test_trace_propagates_across_machine_boundaries():
     for node in root.walk():
         assert node.trace_id == root.trace_id
         assert node.closed
+    # A closed span lets go of its parent: a finished trace is a tree.
+    assert all(node.parent is None for node in root.walk())
     # The tree reproduces the client-observed latency (warm cache: no
     # metadata lookup outside the measured call).
     assert root.end_to_end() == pytest.approx(client.last_op_seconds, rel=1e-9)

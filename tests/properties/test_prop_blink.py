@@ -117,14 +117,7 @@ walk_ops = st.lists(
 bounds = st.one_of(few_keys, st.just(b""), st.just(b"g"))
 
 
-@given(
-    walk_ops,
-    st.one_of(st.just(b""), bounds),
-    st.one_of(st.just(b"g"), bounds),
-    st.one_of(st.none(), st.integers(-1, 14)),
-)
-@settings(max_examples=100, deadline=None)
-def test_latest_in_range_matches_the_generic_walk(ops, lo, hi, as_of):
+def build_walk_tree(ops) -> BLinkTreeIndex:
     tree = BLinkTreeIndex(order=4)
     for n, op in enumerate(ops):
         if op[0] == "insert":
@@ -137,6 +130,35 @@ def test_latest_in_range_matches_the_generic_walk(ops, lo, hi, as_of):
             held = [(key, ts) for key, ts, _ in tree.rows()]
             moved = {held[i % len(held)]: LogPointer(5, n, i) for i in picks if held}
             tree.repoint(moved, retired)
+    return tree
+
+
+@given(
+    walk_ops,
+    st.one_of(st.just(b""), bounds),
+    st.one_of(st.just(b"g"), bounds),
+    st.one_of(st.none(), st.integers(-1, 14)),
+)
+@settings(max_examples=100, deadline=None)
+def test_latest_in_range_matches_the_generic_walk(ops, lo, hi, as_of):
+    tree = build_walk_tree(ops)
     got = list(tree.latest_in_range(lo, hi, as_of=as_of))
     assert got == list(MultiversionIndex.latest_in_range(tree, lo, hi, as_of=as_of))
     assert [e.key for e in got] == sorted({e.key for e in got})
+
+
+# One descent and one step back against the walk over every version, for
+# every key held and two that are not, at every as_of from below the oldest
+# timestamp (-1) to above the newest (14).  Retired and deleted entries leave
+# leaves that start past a key's older versions, which sends the descent on
+# its walk from (key, 0).
+@given(walk_ops)
+@settings(max_examples=150, deadline=None)
+def test_version_lookups_match_the_version_walk(ops):
+    tree = build_walk_tree(ops)
+    for probe in {key for key, _, _ in tree.rows()} | {b"", b"g"}:
+        walked = tree.versions(probe)
+        assert tree.lookup_latest(probe) == (walked[-1] if walked else None)
+        for as_of in range(-1, 15):
+            visible = [entry for entry in walked if entry.timestamp <= as_of]
+            assert tree.lookup_asof(probe, as_of) == (visible[-1] if visible else None)
