@@ -33,7 +33,7 @@ from repro.core.database import LogBase
 from repro.core.schema import ColumnGroup, TableSchema
 from repro.obs.analyze import coverage, format_time_report, where_did_time_go
 from repro.obs.export import export_chrome_trace
-from repro.obs.trace import span, uninstall_tracer
+from repro.obs.trace import span
 from repro.sim.machine import Machine
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -106,9 +106,8 @@ def _disabled_gate_overhead_pct(db_off: LogBase, span_calls: int, wall_off: floa
 
 
 def run_experiment(ops: int = DEFAULT_OPS, seed: int = 1) -> dict:
-    # Untraced arm first (no tracer has ever been installed): the
-    # wall-clock baseline every seed benchmark pays.
-    uninstall_tracer()
+    # Untraced arm first (its machines have no tracer): the wall-clock
+    # baseline every seed benchmark pays.
     started = time.perf_counter()
     db_off = _build_db(tracing=False)
     _run_workload(db_off, ops, seed)
@@ -137,7 +136,6 @@ def run_experiment(ops: int = DEFAULT_OPS, seed: int = 1) -> dict:
 
     span_calls = tracer.spans_started
     open_spans = tracer.open_spans
-    uninstall_tracer()
     gate_pct = _disabled_gate_overhead_pct(db_off, span_calls, wall_off)
 
     return {

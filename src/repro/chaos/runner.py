@@ -201,7 +201,7 @@ def run_scenario(
     if scenario.preload:
         _preload(run)
 
-    with fault_plan(run.plan):
+    with fault_plan(run.plan, cluster.failures):
         events = (scenario.body(run) if faults else None) or {}
         if scenario.workload is not None:
             scenario.workload(run, events)
@@ -234,7 +234,6 @@ def run_scenario(
         report.alerts = monitor.alert_log()
         report.postmortems = monitor.postmortem_dicts()
         report.fault_times = monitor.fault_times()
-        monitor.close()
     return report
 
 

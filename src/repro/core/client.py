@@ -10,8 +10,6 @@ server-side work is charged to the server's machine by the server itself.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 from repro.core.master import Master
 from repro.core.schema import decode_group_value, encode_group_value
 from repro.core.tablet import Tablet
@@ -25,7 +23,7 @@ from repro.errors import (
 )
 from repro.obs.trace import root_span, span
 from repro.sim.deadline import Deadline, deadline_scope
-from repro.sim.health import CircuitBreaker, GrayPolicy
+from repro.sim.health import GrayPolicy, HealthMonitor
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
     BREAKER_TRIPS,
@@ -39,8 +37,6 @@ from repro.sim.metrics import (
 
 _REQUEST_OVERHEAD = 64  # approximate request framing bytes
 
-_NO_TRACE = nullcontext()
-
 # What a follower attempt returns when the caller must ask the owner.
 _TO_OWNER = object()
 
@@ -50,7 +46,9 @@ class Client:
 
     Args:
         master: the active master (location lookups).
-        machine: the machine this client charges RPC costs to.
+        machine: the machine this client charges RPC costs to; every
+            operation opens a root span on it, which records when the
+            machine is attached to a tracer.
         retry_limit: times an operation that hit a dead or overloaded
             server is retried after refreshing locations, with
             sim-clock-charged backoff.  0 (the seed behaviour) raises
@@ -65,9 +63,6 @@ class Client:
         gray_policy: gray-resilience policy; when it enables breakers the
             client keeps a per-server latency circuit breaker and waits
             out an open breaker's cooldown before probing the server.
-        tracing: open a root span per client operation (put/get/delete/
-            scan); requires a tracer installed by the cluster to record
-            anything.
         read_replicas: route eligible reads across the tablet's follower
             replicas (deterministic rotation that includes the owner),
             falling back to the owner when a follower is lagging or down.
@@ -90,22 +85,21 @@ class Client:
         retry_backoff_max: float = 30.0,
         op_deadline: float | None = None,
         gray_policy: GrayPolicy | None = None,
-        tracing: bool = False,
         read_replicas: bool = False,
         replica_read_fraction: float = 1.0,
         replica_max_staleness: float | None = None,
     ) -> None:
         self._master = master
         self._machine = machine
-        self._tracing = tracing
         self._retry_limit = retry_limit
         self._retry_backoff = retry_backoff
         self._retry_backoff_max = retry_backoff_max
         self._op_deadline = op_deadline
-        self._gray = gray_policy
-        # server name -> breaker, when the gray policy enables them.
-        self._breakers: dict[str, CircuitBreaker] | None = (
-            {} if gray_policy is not None and gray_policy.breaker_enabled else None
+        # Per-server breakers, when the gray policy enables them.
+        self._health: HealthMonitor | None = (
+            HealthMonitor(gray_policy)
+            if gray_policy is not None and gray_policy.breaker_enabled
+            else None
         )
         # table -> list of (server name, tablet), cached after first lookup
         self._locations: dict[str, list[tuple[str, Tablet]]] = {}
@@ -118,13 +112,6 @@ class Client:
         # Deterministic read-rotation counter (no RNG: replays are stable).
         self._replica_seq = 0
         self.last_op_seconds = 0.0
-
-    def _op_span(self, name: str, **attrs):
-        """A root span for one client operation, or a no-op when this
-        client is untraced (the per-call cost of tracing-off)."""
-        if self._tracing:
-            return root_span(name, self._machine, **attrs)
-        return _NO_TRACE
 
     # -- routing ------------------------------------------------------------------
 
@@ -262,21 +249,6 @@ class Client:
             name, _ = self._locate(table, key)
             return self._master.server(name)
 
-    def _breaker_for(self, name: str) -> CircuitBreaker | None:
-        if self._breakers is None:
-            return None
-        breaker = self._breakers.get(name)
-        if breaker is None:
-            policy = self._gray
-            breaker = CircuitBreaker(
-                trip_after=policy.breaker_trip_seconds,
-                cooldown=policy.breaker_cooldown,
-                min_samples=policy.breaker_min_samples,
-                alpha=policy.ewma_alpha,
-            )
-            self._breakers[name] = breaker
-        return breaker
-
     def _call(
         self,
         server,
@@ -301,7 +273,8 @@ class Client:
         whether the call succeeds or fails, so health tracking sees
         failure latency too.
         """
-        breaker = self._breaker_for(server.name)
+        health = self._health
+        breaker = health.breaker(server.name) if health is not None else None
         if breaker is not None and not breaker.allow(self._machine.clock.now):
             wait = breaker.remaining_cooldown(self._machine.clock.now)
             if wait > 0:
@@ -461,7 +434,7 @@ class Client:
             group: encode_group_value(columns) for group, columns in row.items()
         }
         size = sum(len(v) for v in payload.values()) + len(key)
-        with self._op_span("op.put", table=table, bytes=size):
+        with root_span("op.put", self._machine, table=table, bytes=size):
             return self._routed_call(
                 table, key, size + _REQUEST_OVERHEAD, 16,
                 lambda server: lambda: server.write(table, key, payload),
@@ -489,7 +462,7 @@ class Client:
         """Delete a record (one group, or every group when None)."""
         schema = self._master.schema(table)
         groups = [group] if group is not None else schema.group_names
-        with self._op_span("op.delete", table=table):
+        with root_span("op.delete", self._machine, table=table):
             for group_name in groups:
                 self._routed_call(
                     table, key, _REQUEST_OVERHEAD + len(key), 16,
@@ -534,7 +507,7 @@ class Client:
         TabletNotFound, and the scan is planned again from the master's
         current assignment.
         """
-        with self._op_span("op.scan", table=table, group=group):
+        with root_span("op.scan", self._machine, table=table, group=group):
             try:
                 return self._scan_rows_inner(table, group, start_key, end_key, as_of)
             except TabletNotFound:
@@ -608,7 +581,7 @@ class Client:
 
     def put_raw(self, table: str, key: bytes, group: str, value: bytes) -> int:
         """Write one opaque group payload (no column encoding)."""
-        with self._op_span("op.put", table=table, bytes=len(value)):
+        with root_span("op.put", self._machine, table=table, bytes=len(value)):
             return self._routed_call(
                 table, key, len(value) + len(key) + _REQUEST_OVERHEAD, 16,
                 lambda server: lambda: server.write(table, key, {group: value}),
@@ -666,7 +639,7 @@ class Client:
         self, table: str, key: bytes, group: str, *, as_of: int | None = None
     ) -> bytes | None:
         """Read one opaque group payload."""
-        with self._op_span("op.get", table=table, group=group):
+        with root_span("op.get", self._machine, table=table, group=group):
             if self._read_replicas:
                 result = self._replica_read(table, key, group, as_of=as_of)
             else:

@@ -16,7 +16,7 @@ from repro.core.migration import LiveMigrator
 from repro.core.tablet_server import TabletServer
 from repro.dfs.filesystem import DFS
 from repro.obs.hist import Histogram
-from repro.obs.trace import Tracer, install_tracer
+from repro.obs.trace import Tracer
 from repro.sim.clock import makespan
 from repro.sim.failure import FailureInjector
 from repro.sim.machine import Machine
@@ -68,11 +68,7 @@ class LogBaseCluster:
             degraded_allocation=self.config.dfs_degraded_allocation,
             gray=self.config.gray_policy(),
         )
-        if self.config.tracing:
-            self.tracer: Tracer | None = Tracer()
-            install_tracer(self.tracer)
-        else:
-            self.tracer = None
+        self.tracer: Tracer | None = Tracer() if self.config.tracing else None
         self.coordination = CoordinationService()
         self.tso = TimestampOracle(self.coordination)
         catalog = SharedCatalog()
@@ -82,6 +78,8 @@ class LogBaseCluster:
         ]
         self.servers: list[TabletServer] = []
         self.checkpoints: dict[str, CheckpointManager] = {}
+        # Telemetry hooks are the cluster's own: its tracer is attached to
+        # its machines, and its monitor observes this injector's faults.
         self.failures = FailureInjector()
         # Master-side view of tablet access heat, folded in from server
         # heartbeats.  It survives server crashes (the server's own heat
@@ -109,7 +107,14 @@ class LogBaseCluster:
         else:
             self.monitor = None
         for machine in self.machines:
+            self.attach(machine)
             self._start_server(machine)
+
+    def attach(self, machine: Machine) -> None:
+        """Hook ``machine`` — one of the cluster's own, or a client's —
+        into this cluster's tracer (nothing to do when untraced)."""
+        if self.tracer is not None:
+            self.tracer.attach(machine)
 
     def _start_server(self, machine: Machine) -> TabletServer:
         server = TabletServer(
@@ -131,6 +136,7 @@ class LogBaseCluster:
             network=self.config.network,
         )
         self.machines.append(machine)
+        self.attach(machine)
         self.dfs.add_machine(machine)
         server = self._start_server(machine)
         if rebalance:

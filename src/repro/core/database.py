@@ -44,7 +44,6 @@ class LogBase:
             self.cluster.master,
             self.cluster.tso,
             self.cluster.coordination,
-            tracing=self.cluster.config.tracing,
         )
         self._default_client = self.client()
 
@@ -71,17 +70,20 @@ class LogBase:
     # -- clients & transactions -------------------------------------------------------
 
     def client(self, machine: Machine | None = None) -> Client:
-        """A client bound to ``machine`` (default: the first node)."""
+        """A client bound to ``machine`` (default: the first node), which
+        joins the cluster's tracer when the cluster is traced."""
         config = self.cluster.config
+        if machine is None:
+            machine = self.cluster.machines[0]
+        self.cluster.attach(machine)
         return Client(
             self.cluster.master,
-            machine if machine is not None else self.cluster.machines[0],
+            machine,
             retry_limit=config.client_retry_limit,
             retry_backoff=config.client_retry_backoff,
             retry_backoff_max=config.client_retry_backoff_max,
             op_deadline=config.op_deadline if config.gray_resilience else None,
             gray_policy=config.gray_policy(),
-            tracing=config.tracing,
             read_replicas=config.read_replicas,
             replica_read_fraction=config.replica_read_fraction,
             replica_max_staleness=config.replica_max_staleness,

@@ -27,7 +27,7 @@ from repro.dfs.datanode import CHECKSUM_CHUNK
 from repro.dfs.filesystem import DFS
 from repro.errors import RecoveryError, TabletNotFound
 from repro.obs.hist import Histogram
-from repro.obs.trace import span
+from repro.obs.trace import root_span, span
 from repro.sim.failure import (
     CP_ADOPT_MID,
     CP_RECOVERY_MID,
@@ -173,12 +173,9 @@ def _redo_into(server: TabletServer, report: RecoveryReport):
 def recover_server(server: TabletServer, checkpoints: CheckpointManager) -> RecoveryReport:
     """Full restart recovery: reload checkpoint (if any) then redo the tail."""
     start_clock = server.machine.clock.now
-    # Recovery runs with no client op open, so on a traced cluster it
+    # Recovery runs with no client op open, so on a traced machine it
     # starts its own trace; on an untraced one the span is a no-op.
-    with span(
-        SPAN_RECOVERY_RECOVER, server.machine, root=server.config.tracing,
-        server=server.name,
-    ):
+    with root_span(SPAN_RECOVERY_RECOVER, server.machine, server=server.name):
         # Spilled (LSM) indexes can reopen their flushed runs from the
         # manifest instead of rebuilding them from the log.
         for index in server.indexes().values():
@@ -371,10 +368,7 @@ def rehome(
         return True
 
     gate = CommitGate(move)
-    with span(
-        SPAN_RECOVERY_ADOPT, server.machine, root=server.config.tracing,
-        tablet=tablet_id,
-    ):
+    with root_span(SPAN_RECOVERY_ADOPT, server.machine, tablet=tablet_id):
         for pointer, record in scan:
             report.records_scanned += 1
             if accept is None or record.record_type in _MARKERS or accept(record):
@@ -462,9 +456,8 @@ def recover_server_parallel(
     report = RecoveryReport(parallel=True)
     redo_histogram = Histogram(HIST_RECOVERY_TABLET_SECONDS)
 
-    with span(
-        SPAN_RECOVERY_RECOVER, machine, root=server.config.tracing,
-        server=server.name, parallel=True,
+    with root_span(
+        SPAN_RECOVERY_RECOVER, machine, server=server.name, parallel=True
     ):
         server.begin_tablet_recovery(server.tablets.keys())
 

@@ -26,7 +26,7 @@ from repro.errors import ServerDownError, TabletNotFound, TabletRecoveringError
 from repro.index.blink import BLinkTreeIndex
 from repro.index.interface import MultiversionIndex
 from repro.index.lsm import LSMTreeIndex
-from repro.obs.trace import span
+from repro.obs.trace import root_span, span
 from repro.query.secondary import SecondaryIndexManager
 from repro.sim.deadline import check_deadline
 from repro.sim.health import AdmissionController
@@ -125,9 +125,7 @@ class TabletServer:
         )
         if self.config.read_cache_enabled:
             self.read_cache = ReadCache(self.config.cache_budget_bytes)
-        self.commit = CommitCoordinator(
-            self.log, self.machine, traced=self.config.tracing
-        )
+        self.commit = CommitCoordinator(self.log, self.machine)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -718,11 +716,8 @@ class TabletServer:
         """
         self._require_serving()
         # Server-driven maintenance may start a trace of its own on a
-        # traced cluster; inside a traced client op it nests.
-        with span(
-            SPAN_COMPACTION_ROUND, self.machine, root=self.config.tracing,
-            server=self.name,
-        ):
+        # traced machine; inside a traced client op it nests.
+        with root_span(SPAN_COMPACTION_ROUND, self.machine, server=self.name):
             inputs = self.log.segments()
             self.log.roll()
             planner = CompactionPlanner(

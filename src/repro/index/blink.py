@@ -17,10 +17,9 @@ from __future__ import annotations
 import bisect
 from typing import Iterator
 
-from repro.index.interface import IndexEntry, MultiversionIndex, Row
+from repro.index.interface import MAX_TS, IndexEntry, MultiversionIndex, Row
 from repro.wal.record import LogPointer
 
-_MAX_TS = 1 << 62  # sentinel above any real timestamp
 
 Composite = tuple[bytes, int]
 
@@ -192,7 +191,7 @@ class BLinkTreeIndex(MultiversionIndex):
             idx = 0
 
     def lookup_latest(self, key: bytes) -> IndexEntry | None:
-        return self._version_at(key, _MAX_TS)
+        return self._version_at(key, MAX_TS)
 
     def lookup_asof(self, key: bytes, timestamp: int) -> IndexEntry | None:
         return self._version_at(key, timestamp)
@@ -236,7 +235,7 @@ class BLinkTreeIndex(MultiversionIndex):
         """One walk of the leaf chain from ``start_key``.  A key's versions
         are adjacent, oldest first, so its latest visible one is the last
         at or below ``as_of`` before the key changes: one entry per key."""
-        limit = _MAX_TS if as_of is None else as_of
+        limit = MAX_TS if as_of is None else as_of
         end = (end_key, 0)
         leaf, _ = self._descend((start_key, 0))
         idx = bisect.bisect_left(leaf.keys, (start_key, 0))

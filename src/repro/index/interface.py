@@ -20,6 +20,7 @@ from typing import Container, Iterator
 from repro.wal.record import LogPointer
 
 ENTRY_BYTES = 24  # paper's estimate: 16-byte IdxKey + 8-byte Ptr
+MAX_TS = 1 << 62  # sentinel above any real timestamp
 Row = tuple[bytes, int, LogPointer]  # an entry as (key, timestamp, pointer)
 
 

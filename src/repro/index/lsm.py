@@ -29,12 +29,14 @@ bound rather than an exact count.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+from operator import itemgetter
 from typing import Iterator
 
 from repro.dfs.filesystem import DFS
-from repro.index.interface import ENTRY_BYTES, IndexEntry, MultiversionIndex
+from repro.index.interface import ENTRY_BYTES, MAX_TS, IndexEntry, MultiversionIndex
 from repro.index.persist import decode_entries, encode_entries
 from repro.sim.machine import Machine
 from repro.util.bloom import BloomFilter
@@ -404,8 +406,20 @@ class LSMTreeIndex(MultiversionIndex):
         ]
 
     def lookup_latest(self, key: bytes) -> IndexEntry | None:
-        mem = self._memtable_versions(key)
-        best = mem[-1] if mem else None
+        return self._version_at(key, MAX_TS)
+
+    def lookup_asof(self, key: bytes, timestamp: int) -> IndexEntry | None:
+        return self._version_at(key, timestamp)
+
+    def _version_at(self, key: bytes, limit: int) -> IndexEntry | None:
+        """The newest live version of ``key`` at or below ``limit``: the
+        memtable's by bisect, then any run that may hold a newer one."""
+        best: IndexEntry | None = None
+        mem = self._memtable.get(key)
+        if mem:
+            idx = bisect.bisect_right(mem, limit, key=itemgetter(0))
+            if idx:
+                best = IndexEntry(key, *mem[idx - 1])
         for run in self._runs:  # newest first
             # A run whose newest timestamp cannot beat the best so far is
             # skipped; with the system's monotonic timestamps this prunes
@@ -418,29 +432,7 @@ class LSMTreeIndex(MultiversionIndex):
                 entry
                 for block_idx in run.blocks_for_range((key, 0), key + b"\x00")
                 for entry in self._read_block(run, block_idx)
-                if entry.key == key and not self._dead(entry)
-            ]
-            if hits:
-                candidate = max(hits, key=lambda e: e.timestamp)
-                if best is None or candidate.timestamp > best.timestamp:
-                    best = candidate
-        return best
-
-    def lookup_asof(self, key: bytes, timestamp: int) -> IndexEntry | None:
-        candidates = [
-            entry for entry in self._memtable_versions(key) if entry.timestamp <= timestamp
-        ]
-        best = candidates[-1] if candidates else None
-        for run in self._runs:
-            if best is not None and run.max_ts <= best.timestamp:
-                continue
-            if not run.bloom.might_contain(key):
-                continue
-            hits = [
-                entry
-                for block_idx in run.blocks_for_range((key, 0), key + b"\x00")
-                for entry in self._read_block(run, block_idx)
-                if entry.key == key and entry.timestamp <= timestamp and not self._dead(entry)
+                if entry.key == key and entry.timestamp <= limit and not self._dead(entry)
             ]
             if hits:
                 candidate = max(hits, key=lambda e: e.timestamp)

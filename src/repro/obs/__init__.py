@@ -1,12 +1,13 @@
 """Observability over the simulated clock: spans, histograms, analysis.
 
 Everything here is gated behind ``LogBaseConfig(tracing=True)``: with the
-gate off no tracer is installed, every span helper is an ``is None`` check,
-and the seed cost model runs byte-identically.  With it on, every simulated
-second charged to any machine clock is attributed to the innermost open
-span, so a trace tree explains where an operation's latency went —
-client RPC, tablet server, WAL, DFS replication, disk — without storing
-per-sample data (histograms keep fixed geometric buckets).
+gate off the cluster attaches no tracer to its machines, every span helper
+is an ``is None`` check, and the seed cost model runs byte-identically.
+With it on, every simulated second charged to one of the cluster's
+machine clocks is attributed to the innermost open span, so a trace tree
+explains where an operation's latency went — client RPC, tablet server,
+WAL, DFS replication, disk — without storing per-sample data (histograms
+keep fixed geometric buckets).
 """
 
 from repro.obs.alerts import AlertEngine, SloRule, ThresholdRule
@@ -27,11 +28,8 @@ from repro.obs.trace import (
     Span,
     Tracer,
     current_span,
-    current_tracer,
-    install_tracer,
     root_span,
     span,
-    uninstall_tracer,
 )
 
 __all__ = [
@@ -54,13 +52,10 @@ __all__ = [
     "coverage",
     "critical_path",
     "current_span",
-    "current_tracer",
     "export_chrome_trace",
     "format_time_report",
-    "install_tracer",
     "layer_breakdown",
     "root_span",
     "span",
-    "uninstall_tracer",
     "where_did_time_go",
 ]

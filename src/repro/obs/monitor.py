@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 from repro.obs.alerts import AlertEngine, SloRule, ThresholdRule
 from repro.obs.recorder import FlightRecorder
 from repro.obs.timeseries import MetricStore
-from repro.sim.failure import clear_fault_observer, set_fault_observer
 from repro.sim.metrics import (
     DFS_HEDGE_FIRED,
     GAUGE_ADMISSION_BACKLOG,
@@ -228,12 +227,10 @@ def default_rules(config: "LogBaseConfig") -> list:
 class ClusterMonitor:
     """Scrape + alert + flight-recorder plane for one cluster.
 
-    Construction installs this monitor as the process-wide fault
-    observer (latest-wins, same pattern as the tracer) so injected
-    kills, degradations, and fired crash points stamp fault times and
-    trigger post-mortem snapshots.  The hook holds this monitor weakly,
-    so a dropped cluster is freed without :meth:`close`; closing only
-    unhooks a live cluster early.
+    Construction makes this monitor the observer of the cluster's own
+    :class:`~repro.sim.failure.FailureInjector`, so the cluster's
+    injected kills, degradations, and fired crash points stamp fault
+    times and trigger post-mortem snapshots — and no other cluster's do.
     """
 
     def __init__(self, cluster: "LogBaseCluster") -> None:
@@ -249,12 +246,7 @@ class ClusterMonitor:
         self._last_now = 0.0
         self._scrape_interval = config.monitor_scrape_interval
         self._last_scrape = float("-inf")
-        set_fault_observer(self._on_fault)
-
-    def close(self) -> None:
-        """Unhook from the fault observer (guarded: never unhooks a
-        newer cluster's monitor)."""
-        clear_fault_observer(self._on_fault)
+        cluster.failures.observer = self.note_fault
 
     # -- time ------------------------------------------------------------
 
@@ -270,14 +262,12 @@ class ClusterMonitor:
 
     # -- fault observation ----------------------------------------------
 
-    def _on_fault(self, kind: str, detail: dict) -> None:
-        self.note_fault(kind, detail)
-
     def note_fault(self, kind: str, detail: dict | None = None) -> None:
         """Stamp a fault at the current simulated time and snapshot a
         post-mortem.  Chaos runners call this for schedule events the
-        injector cannot see (e.g. an overload burst); the fault observer
-        routes injected kills/degradations and crash-point fires here."""
+        injector cannot see (e.g. an overload burst); the cluster's
+        injector routes injected kills/degradations and crash-point fires
+        here."""
         t = self.now()
         clean = {
             k: (v if isinstance(v, (int, float, bool)) else str(v)[:80])

@@ -2,17 +2,18 @@
 
 A :class:`Span` is anchored to exactly one machine's
 :class:`~repro.sim.clock.SimClock`; its *duration* is the time that clock
-advanced while the span was open.  The installed :class:`Tracer` registers
-itself as the clock observer (:func:`repro.sim.clock.set_clock_observer`),
-so every ``clock.advance`` anywhere in the simulator is credited to the
-innermost open span *anchored on that clock* (walking up the ancestor
-chain), accumulating as its *self seconds* (exclusive time).  A charge
-on a clock no open span owns is *background seconds* of the innermost
-span: parallel work — secondary replica disks, cancelled hedge reads —
-that does not extend the operation's latency.  The walk matters when a
-machine plays two roles at once: a DFS replica write hosted on the
-client's own machine extends the client op's duration, so it must land
-in the client root span's self time, not in the background of the
+advanced while the span was open.  A traced cluster owns one
+:class:`Tracer` and attaches it to each of its machines
+(:meth:`Tracer.attach`): spans opened on an attached machine record into
+that tracer, and every ``advance`` of the machine's clock is credited to
+the innermost open span *anchored on that clock* (walking up the
+ancestor chain), accumulating as its *self seconds* (exclusive time).  A
+charge on a clock no open span owns is *background seconds* of the
+innermost span: parallel work — secondary replica disks, cancelled hedge
+reads — that does not extend the operation's latency.  The walk matters
+when a machine plays two roles at once: a DFS replica write hosted on
+the client's own machine extends the client op's duration, so it must
+land in the client root span's self time, not in the background of the
 ``dfs.append`` span open on the primary.
 
 Clock attribution rules (see DESIGN.md "Observability"):
@@ -28,9 +29,10 @@ Clock attribution rules (see DESIGN.md "Observability"):
 
 Propagation uses ambient context in the same style as
 :mod:`repro.sim.deadline`: :func:`span` is a no-op context manager unless
-a tracer is installed *and* an enclosing span exists, so untraced
-clusters — even in a process that traced another cluster earlier — never
-record anything.  Trace/span ids flow across machines implicitly: the
+the machine it is given has a tracer *and* an enclosing span exists;
+:func:`root_span` — what entry points open — may also start a trace.  An
+untraced machine has no tracer, so nothing is recorded for it whatever
+other cluster the process traces.  Trace/span ids flow across machines implicitly: the
 child span created on the server's clock inherits the ambient parent's
 ``trace_id``, which is exactly the id a real RPC would carry in its
 headers.
@@ -41,7 +43,6 @@ from __future__ import annotations
 from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
-from repro.sim import clock as _clock_module
 from repro.sim.metrics import HIST_SPAN_LATENCY_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -135,7 +136,6 @@ class Span:
         )
 
 
-_TRACER: "Tracer | None" = None
 _CURRENT: ContextVar[Span | None] = ContextVar("repro_obs_span", default=None)
 
 
@@ -185,39 +185,36 @@ class _SpanScope:
         return False
 
 
-def span(
-    name: str,
-    machine: "Machine",
-    *,
-    background: bool = False,
-    root: bool = False,
-    **attrs,
-):
+def span(name: str, machine: "Machine", *, background: bool = False, **attrs):
     """A child span: records only inside an already-open trace.
 
-    No-op (returns a shared null context manager) unless a tracer is
-    installed and an enclosing span is current — shared infrastructure
-    (WAL, DFS) calls this unconditionally and pays nothing when the
-    calling cluster is untraced.
-
-    With ``root`` the span may instead start a new trace.  Only
-    config-gated entry points (client ops, tablet-server calls and
-    maintenance) pass it, as ``root=config.tracing``; inside an
-    already-open trace it is still a child span, so e.g. a server-side
-    compaction triggered within a traced client op nests correctly.
+    No-op (returns a shared null context manager) unless ``machine`` has
+    a tracer and an enclosing span is current — shared infrastructure
+    (WAL, DFS) calls this unconditionally and pays nothing on an
+    untraced machine.
     """
-    tracer = _TRACER
+    tracer = machine.tracer
     if tracer is None:
         return _NULL
     parent = _CURRENT.get()
-    if parent is None and not root:
+    if parent is None:
         return _NULL
     return _SpanScope(tracer, name, machine, parent, background, attrs)
 
 
 def root_span(name: str, machine: "Machine", **attrs):
-    """A span that may start a new trace: ``span(..., root=True)``."""
-    return span(name, machine, root=True, **attrs)
+    """A span that may start a new trace on a traced ``machine``.
+
+    Entry points open it unconditionally: client ops, tablet-server
+    maintenance, recovery, commit flushes and transaction commits.
+    Inside an already-open trace it is a child span, so e.g. a
+    server-side compaction triggered within a traced client op nests
+    correctly.
+    """
+    tracer = machine.tracer
+    if tracer is None:
+        return _NULL
+    return _SpanScope(tracer, name, machine, _CURRENT.get(), False, attrs)
 
 
 def current_span() -> Span | None:
@@ -225,30 +222,24 @@ def current_span() -> Span | None:
     return _CURRENT.get()
 
 
-def current_tracer() -> "Tracer | None":
-    """The installed tracer, if any."""
-    return _TRACER
-
-
-def install_tracer(tracer: "Tracer") -> None:
-    """Make ``tracer`` the process-wide tracer and hook it into every
-    simulated clock's advance path."""
-    global _TRACER
-    _TRACER = tracer
-    _clock_module.set_clock_observer(tracer._on_clock_advance)
-
-
-def uninstall_tracer(tracer: "Tracer | None" = None) -> None:
-    """Remove the installed tracer (and the clock observer with it).
-
-    Passing a tracer uninstalls only if it is still the installed one, so
-    tearing down an old cluster cannot unhook a newer cluster's tracer.
-    """
-    global _TRACER
-    if tracer is not None and _TRACER is not tracer:
+def _credit_open_span(clock: "SimClock", seconds: float) -> None:
+    """The advance observer of every attached clock."""
+    active = _CURRENT.get()
+    if active is None:
         return
-    _TRACER = None
-    _clock_module.set_clock_observer(None)
+    # Credit the innermost *open* span anchored on the advanced clock:
+    # the charge extends that span's duration even when a descendant on
+    # another machine is innermost (e.g. a DFS replica write hosted on
+    # the client's own machine while dfs.append is open on the primary).
+    # A clock no open span owns is parallel work the operation never
+    # waits for — book it as the innermost span's background time.
+    node: Span | None = active
+    while node is not None:
+        if clock is node._clock:
+            node.self_seconds += seconds
+            return
+        node = node.parent
+    active.background_seconds += seconds
 
 
 class Tracer:
@@ -275,6 +266,13 @@ class Tracer:
         self.open_spans = 0
         self._next_trace_id = 1
         self._next_span_id = 1
+
+    def attach(self, machine: "Machine") -> None:
+        """Trace ``machine``: spans opened on it record here, and its
+        clock's advances are credited to the open spans.  The observer
+        refers to no tracer, so a clock never pins one."""
+        machine.tracer = self
+        machine.clock.observer = _credit_open_span
 
     # -- span lifecycle (driven by _SpanScope) -----------------------------
 
@@ -324,24 +322,3 @@ class Tracer:
             ).record(latency)
             self.trace_log.append(finished)
             self.slow_ops.offer(finished.name, latency, finished)
-
-    # -- clock observer ----------------------------------------------------
-
-    def _on_clock_advance(self, clock: "SimClock", seconds: float) -> None:
-        active = _CURRENT.get()
-        if active is None:
-            return
-        # Credit the innermost *open* span anchored on the advanced clock:
-        # the charge extends that span's duration even when a descendant
-        # on another machine is innermost (e.g. a DFS replica write hosted
-        # on the client's own machine while dfs.append is open on the
-        # primary).  A clock no open span owns is parallel work the
-        # operation never waits for — book it as the innermost span's
-        # background time.
-        node: Span | None = active
-        while node is not None:
-            if clock is node._clock:
-                node.self_seconds += seconds
-                return
-            node = node.parent
-        active.background_seconds += seconds

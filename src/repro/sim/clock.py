@@ -5,23 +5,18 @@ Device models charge costs to the clock of the node performing the work.
 Cluster-level experiment duration is the *makespan*: the maximum clock
 value across the nodes that participated, since real nodes work in
 parallel.
+
+A clock may carry an advance ``observer``, called as
+``observer(clock, seconds)`` after every positive advance.  Only the
+tracer of the cluster that owns the machine sets it
+(:meth:`repro.obs.trace.Tracer.attach`), to credit charged time to the
+innermost open span; an untraced machine's clock has none, and the cost
+is one ``is None`` check per advance.
 """
 
 from __future__ import annotations
 
 from typing import Callable
-
-# Optional process-wide hook called as ``observer(clock, seconds)`` after
-# every positive advance.  The tracer (repro.obs.trace) uses it to credit
-# charged time to the innermost open span; with no observer installed the
-# cost is one ``is None`` check per advance.
-_OBSERVER: "Callable[[SimClock, float], None] | None" = None
-
-
-def set_clock_observer(observer: "Callable[[SimClock, float], None] | None") -> None:
-    """Install (or clear, with None) the process-wide advance observer."""
-    global _OBSERVER
-    _OBSERVER = observer
 
 
 class SimClock:
@@ -29,6 +24,7 @@ class SimClock:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
+        self.observer: Callable[[SimClock, float], None] | None = None
 
     @property
     def now(self) -> float:
@@ -40,16 +36,16 @@ class SimClock:
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time {seconds}")
         self._now += seconds
-        if _OBSERVER is not None and seconds:
-            _OBSERVER(self, seconds)
+        if self.observer is not None and seconds:
+            self.observer(self, seconds)
 
     def advance_to(self, deadline: float) -> None:
         """Move time forward to ``deadline`` if it is in the future."""
         if deadline > self._now:
             delta = deadline - self._now
             self._now = deadline
-            if _OBSERVER is not None:
-                _OBSERVER(self, delta)
+            if self.observer is not None:
+                self.observer(self, delta)
 
     def reset(self, start: float = 0.0) -> None:
         """Rewind the clock (used between benchmark phases)."""

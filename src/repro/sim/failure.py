@@ -6,7 +6,10 @@ deterministically at chosen points.
 
 Beyond whole-node kills the injector supports ``revive()`` (restart
 bookkeeping for kill -> revive -> kill cycles) and ``degrade()`` (slow-disk
-mode for nodes whose registered object exposes a ``disk``).
+mode for nodes whose registered object exposes a ``disk``).  Each cluster
+owns one injector; its ``observer`` — the cluster's monitor, when there
+is one — hears every kill and degradation of that cluster, and every
+fault-plan rule that fires while the plan is armed on that injector.
 
 Deterministic *crash schedules* are expressed as a :class:`FaultPlan`: a
 list of :class:`FaultRule` objects keyed by named crash points.
@@ -22,7 +25,6 @@ or "crash at commit" schedules are built.
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Protocol
@@ -35,48 +37,6 @@ class Failable(Protocol):
 
     def fail(self) -> None:
         """Transition the node to the failed state."""
-
-
-# Process-wide fault observer (same latest-wins install pattern as the
-# tracer in repro.obs.trace): when set, every injected kill, every
-# degradation, and every fault-plan rule that fires is reported to it as
-# ``observer(kind, detail)``.  The monitoring plane's flight recorder
-# hooks in here to stamp fault times and snapshot post-mortems; with no
-# observer installed the cost is one ``is None`` check.  The hook holds
-# the bound method weakly: a process-wide hook never owns what it
-# observes, so a dropped cluster's monitor dies with it and a dead one
-# counts as not installed.
-_FAULT_OBSERVER: weakref.WeakMethod | None = None
-
-
-def set_fault_observer(observer: Callable[[str, dict[str, Any]], None]) -> None:
-    """Install the bound method ``observer`` as the process-wide fault
-    observer, held weakly."""
-    global _FAULT_OBSERVER
-    _FAULT_OBSERVER = weakref.WeakMethod(observer)
-
-
-def clear_fault_observer(
-    observer: Callable[[str, dict[str, Any]], None] | None = None,
-) -> None:
-    """Remove the installed fault observer.
-
-    Passing an observer clears only if it is still the installed one, so
-    tearing down an old cluster cannot unhook a newer cluster's monitor.
-    The check is ``==``: every dereference makes a fresh bound method.
-    """
-    global _FAULT_OBSERVER
-    if observer is not None and (
-        _FAULT_OBSERVER is None or _FAULT_OBSERVER() != observer
-    ):
-        return
-    _FAULT_OBSERVER = None
-
-
-def _notify_fault(kind: str, detail: dict[str, Any]) -> None:
-    observer = _FAULT_OBSERVER() if _FAULT_OBSERVER is not None else None
-    if observer is not None:
-        observer(kind, detail)
 
 
 class FailureInjector:
@@ -94,6 +54,13 @@ class FailureInjector:
         self.kill_history: list[str] = []
         # name -> current slowdown factor for nodes degraded (not 1.0).
         self.degraded: dict[str, float] = {}
+        # Called as ``observer(kind, detail)`` for every fault noted here.
+        self.observer: Callable[[str, dict[str, Any]], None] | None = None
+
+    def notify(self, kind: str, detail: dict[str, Any]) -> None:
+        """Report one fault to the observer, if any."""
+        if self.observer is not None:
+            self.observer(kind, detail)
 
     def register(self, name: str, node: Failable) -> None:
         """Track ``node`` under ``name`` for later failure injection."""
@@ -119,7 +86,7 @@ class FailureInjector:
         node.fail()
         self.killed.append(name)
         self.kill_history.append(name)
-        _notify_fault("kill", {"node": name})
+        self.notify("kill", {"node": name})
 
     def revive(self, name: str) -> None:
         """Bring a killed node back up and clear it from ``killed``.
@@ -159,7 +126,7 @@ class FailureInjector:
             self.degraded.pop(name, None)
         else:
             self.degraded[name] = factor
-            _notify_fault("degrade", {"node": name, "factor": factor})
+            self.notify("degrade", {"node": name, "factor": factor})
 
     def is_alive(self, name: str) -> bool:
         """Whether the named node is currently up."""
@@ -232,6 +199,8 @@ class FaultPlan:
         self.rules: list[FaultRule] = []
         # (point, ctx) of every action that fired, in order.
         self.fired: list[tuple[str, dict[str, Any]]] = []
+        # The injector of the cluster the plan is armed on (fault_plan).
+        self.injector: FailureInjector | None = None
 
     def add(
         self,
@@ -263,7 +232,8 @@ class FaultPlan:
                 self.fired.append((point, dict(ctx)))
                 # Observed *before* the action runs: the flight recorder's
                 # snapshot must show the cluster as the crash found it.
-                _notify_fault(f"crash-point:{point}", dict(ctx))
+                if self.injector is not None:
+                    self.injector.notify(f"crash-point:{point}", dict(ctx))
                 rule.action(ctx)
 
 
@@ -277,9 +247,13 @@ def crash_point(name: str, **ctx: Any) -> None:
 
 
 @contextmanager
-def fault_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Arm ``plan`` for the duration of the ``with`` block."""
+def fault_plan(
+    plan: FaultPlan, injector: FailureInjector | None = None
+) -> Iterator[FaultPlan]:
+    """Arm ``plan`` for the duration of the ``with`` block; its fired
+    rules are reported through ``injector`` (the cluster's)."""
     global _ACTIVE_PLAN
+    plan.injector = injector
     previous = _ACTIVE_PLAN
     _ACTIVE_PLAN = plan
     try:

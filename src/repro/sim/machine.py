@@ -41,6 +41,9 @@ class Machine:
         self.disk = SimDisk(self.clock, disk_model, self.counters)
         self.network = network if network is not None else NetworkModel()
         self.alive = True
+        # The tracer of the cluster that owns this machine
+        # (:meth:`~repro.obs.trace.Tracer.attach`); None when untraced.
+        self.tracer = None
 
     def fail(self) -> None:
         """Crash the machine: all processes on it stop serving."""

@@ -27,7 +27,7 @@ from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService, Session
 from repro.core.master import Master
 from repro.errors import LogBaseError, TransactionAborted, ValidationConflict
-from repro.obs.trace import span
+from repro.obs.trace import root_span
 from repro.sim.failure import CP_TXN_POST_COMMIT, CP_TXN_PRE_COMMIT, crash_point
 from repro.sim.metrics import SPAN_TXN_COMMIT
 from repro.txn.transaction import Slot, Transaction, TxnStatus
@@ -49,8 +49,6 @@ class TransactionManager:
             mode): validation additionally takes read locks and checks the
             whole read set, closing the write-skew anomaly at the cost the
             paper describes — read locks now conflict with writers.
-        tracing: open a (root-capable) span around each commit's write
-            phase; requires the cluster's tracer to record anything.
     """
 
     def __init__(
@@ -60,12 +58,10 @@ class TransactionManager:
         coordination: CoordinationService,
         *,
         serializable: bool = False,
-        tracing: bool = False,
     ) -> None:
         self._master = master
         self._tso = tso
         self._coordination = coordination
-        self.tracing = tracing
         self._locks = DistributedLockManager(coordination)
         self._txn_ids = itertools.count(1)
         self._sessions: dict[int, Session] = {}
@@ -266,8 +262,8 @@ class TransactionManager:
         # runs on no machine); root-capable so a bare txn workload on a
         # traced cluster still produces traces.
         first_server = self._master.server(next(iter(by_server)))
-        with span(
-            SPAN_TXN_COMMIT, first_server.machine, root=self.tracing,
+        with root_span(
+            SPAN_TXN_COMMIT, first_server.machine,
             txn=txn.txn_id, participants=len(by_server),
         ):
             if len(by_server) == 1:

@@ -36,7 +36,7 @@ from typing import Callable
 from repro.dfs.filesystem import defer_replication_acks
 from repro.errors import ServerDownError
 from repro.obs.hist import Histogram
-from repro.obs.trace import span
+from repro.obs.trace import root_span
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
     COMMIT_ACKS_DEFERRED,
@@ -140,9 +140,6 @@ class CommitCoordinator:
         max_bytes: estimated-byte budget per group (None = uncapped).
         pipeline: overlap the next group's data stream with the previous
             group's ack drain.
-        traced: open each flush as a root span (set on traced clusters so
-            group flushes show up as their own traces, mirroring
-            ``TabletServer._maint_span``).
     """
 
     def __init__(
@@ -154,7 +151,6 @@ class CommitCoordinator:
         max_records: int = 16,
         max_bytes: int | None = None,
         pipeline: bool = True,
-        traced: bool = False,
     ) -> None:
         if max_records < 1:
             raise ValueError("max_records must be >= 1")
@@ -166,7 +162,6 @@ class CommitCoordinator:
         self._max_records = max_records
         self._max_bytes = max_bytes
         self._pipeline = pipeline
-        self._traced = traced
         self._open: _Group | None = None
         self._sealed: deque[_Group] = deque()
         # Virtual time at which the replication pipeline can take the
@@ -333,8 +328,10 @@ class CommitCoordinator:
         machine.clock.advance_to(start)
         deferred = 0.0
         try:
-            with span(
-                SPAN_COMMIT_FLUSH, machine, root=self._traced,
+            # A root span: on a traced machine a group flush outside any
+            # client op is its own trace, as maintenance is.
+            with root_span(
+                SPAN_COMMIT_FLUSH, machine,
                 records=len(records), members=len(group.futures),
             ):
                 if self._pipeline:

@@ -23,9 +23,7 @@ def monitored_db():
     )
     db = LogBase(n_nodes=4, config=config)
     db.create_table(SCHEMA, tablets_per_server=2)
-    yield db
-    if db.cluster.monitor is not None:
-        db.cluster.monitor.close()
+    return db
 
 
 def _write_some(db, n=20):
@@ -106,17 +104,14 @@ def test_scrape_interval_gates_ticks():
     db = LogBase(n_nodes=4, config=config)
     db.create_table(SCHEMA, tablets_per_server=2)
     monitor = db.cluster.monitor
-    try:
-        db.cluster.heartbeat()
-        scrapes = monitor.scrapes
-        # Same simulated instant: the cadence gate swallows the tick...
-        monitor.tick()
-        assert monitor.scrapes == scrapes
-        # ...but force bypasses it.
-        monitor.tick(force=True)
-        assert monitor.scrapes == scrapes + 1
-    finally:
-        monitor.close()
+    db.cluster.heartbeat()
+    scrapes = monitor.scrapes
+    # Same simulated instant: the cadence gate swallows the tick...
+    monitor.tick()
+    assert monitor.scrapes == scrapes
+    # ...but force bypasses it.
+    monitor.tick(force=True)
+    assert monitor.scrapes == scrapes + 1
 
 
 def test_note_fault_records_event_and_bundle(monitored_db):
@@ -171,31 +166,19 @@ def test_monitoring_gate_changes_no_simulated_state():
             if i % 5 == 0:
                 db.cluster.heartbeat()
         db.cluster.heartbeat()
-        state = (
+        return (
             db.cluster.elapsed_makespan(),
             db.cluster.total_counters(),
             [s.log.total_bytes() for s in db.cluster.servers],
             [s.log.next_lsn for s in db.cluster.servers],
         )
-        if db.cluster.monitor is not None:
-            db.cluster.monitor.close()
-        return state
 
     assert run(False) == run(True)
 
 
-def test_close_unhooks_fault_observer(monitored_db):
-    db = monitored_db
-    monitor = db.cluster.monitor
-    monitor.close()
-    before = len(monitor.fault_log)
-    db.cluster.kill_node(db.cluster.servers[0].name)
-    assert len(monitor.fault_log) == before
-
-
 def test_dropped_cluster_is_freed_and_unhooked(monkeypatch):
-    # The fault hook holds the monitor weakly: a dropped production
-    # cluster is collected without close(), and its dead hook is skipped.
+    # The fault hook is the cluster's own injector: a dropped production
+    # cluster is collected, and no other injector reaches its monitor.
     db = LogBase(n_nodes=4, config=LogBaseConfig.production())
     cluster = weakref.ref(db.cluster)
     del db

@@ -16,22 +16,14 @@ from repro.obs.analyze import (
     where_did_time_go,
 )
 from repro.obs.export import chrome_trace, export_chrome_trace
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    current_span,
-    current_tracer,
-    install_tracer,
-    root_span,
-    span,
-    uninstall_tracer,
-)
+from repro.obs.trace import Span, Tracer, current_span, root_span, span
 from repro.sim.machine import Machine
 
 
-def tracer(**kwargs) -> Tracer:
+def tracer(*machines: Machine, **kwargs) -> Tracer:
     created = Tracer(**kwargs)
-    install_tracer(created)
+    for machine in machines:
+        created.attach(machine)
     return created
 
 
@@ -40,35 +32,28 @@ def tracer(**kwargs) -> Tracer:
 
 def test_span_is_noop_without_tracer():
     machine = Machine("m0")
-    with span("log.append", machine) as opened:
+    with root_span("op.get", machine) as opened:
         assert opened is None
+        with span("log.append", machine) as child:
+            assert child is None
     assert current_span() is None
-    assert current_tracer() is None
+    assert machine.tracer is None and machine.clock.observer is None
 
 
 def test_child_span_is_noop_without_open_trace():
-    installed = tracer()
-    with span("log.append", Machine("m0")) as opened:
+    machine = Machine("m0")
+    installed = tracer(machine)
+    with span("log.append", machine) as opened:
         assert opened is None
     assert installed.spans_started == 0
-
-
-def test_uninstall_ignores_stale_tracer_handles():
-    first = tracer()
-    second = Tracer()
-    install_tracer(second)
-    uninstall_tracer(first)  # stale handle: must not unhook the newer tracer
-    assert current_tracer() is second
-    uninstall_tracer(second)
-    assert current_tracer() is None
 
 
 # -- clock attribution -----------------------------------------------------
 
 
 def test_root_span_collects_own_clock_advance():
-    installed = tracer()
     machine = Machine("m0")
+    installed = tracer(machine)
     with root_span("op.get", machine) as root:
         machine.clock.advance(0.25)
     assert root.closed
@@ -79,8 +64,8 @@ def test_root_span_collects_own_clock_advance():
 
 
 def test_cross_clock_child_extends_end_to_end():
-    tracer()
     client, server = Machine("client"), Machine("server")
+    tracer(client, server)
     with root_span("op.get", client) as root:
         client.clock.advance(0.1)
         with span("rpc.server", server) as rpc:
@@ -93,8 +78,8 @@ def test_cross_clock_child_extends_end_to_end():
 
 
 def test_same_clock_child_does_not_double_count():
-    tracer()
     machine = Machine("m0")
+    tracer(machine)
     with root_span("op.put", machine) as root:
         with span("log.append", machine) as child:
             machine.clock.advance(0.3)
@@ -109,8 +94,8 @@ def test_same_clock_child_does_not_double_count():
 
 
 def test_background_child_excluded_from_latency():
-    tracer()
     reader, loser = Machine("reader"), Machine("loser")
+    tracer(reader, loser)
     with root_span("op.get", reader) as root:
         reader.clock.advance(0.1)
         with span("dfs.hedge.loser", loser, background=True) as bg:
@@ -123,8 +108,8 @@ def test_background_child_excluded_from_latency():
 
 
 def test_unowned_clock_charge_lands_in_background_seconds():
-    tracer()
     anchor, other = Machine("anchor"), Machine("other")
+    tracer(anchor, other)
     with root_span("op.put", anchor) as root:
         other.clock.advance(0.3)
     assert root.self_seconds == 0.0
@@ -136,8 +121,8 @@ def test_ancestor_clock_charge_credits_the_owning_span():
     # client's machine, charged while a server-side span is innermost,
     # extends the client root's duration — so it must be the root's self
     # time, not the inner span's background time.
-    tracer()
     client, server = Machine("c"), Machine("s")
+    tracer(client, server)
     with root_span("op.put", client) as root:
         with span("dfs.append", server) as inner:
             client.clock.advance(0.2)
@@ -150,8 +135,8 @@ def test_ancestor_clock_charge_credits_the_owning_span():
 
 
 def test_each_root_starts_a_fresh_trace():
-    installed = tracer()
     machine = Machine("m0")
+    installed = tracer(machine)
     with root_span("op.put", machine):
         pass
     with root_span("op.get", machine):
@@ -161,8 +146,8 @@ def test_each_root_starts_a_fresh_trace():
 
 
 def test_root_span_degrades_to_child_inside_open_trace():
-    installed = tracer()
     machine = Machine("m0")
+    installed = tracer(machine)
     with root_span("op.put", machine) as outer:
         with root_span("compaction.round", machine) as inner:
             pass
@@ -172,8 +157,8 @@ def test_root_span_degrades_to_child_inside_open_trace():
 
 
 def test_exception_tags_span_and_still_closes_it():
-    installed = tracer()
     machine = Machine("m0")
+    installed = tracer(machine)
     with pytest.raises(RuntimeError):
         with root_span("op.get", machine) as root:
             raise RuntimeError("boom")
@@ -183,8 +168,8 @@ def test_exception_tags_span_and_still_closes_it():
 
 
 def test_root_latency_recorded_in_histogram():
-    installed = tracer()
     machine = Machine("m0")
+    installed = tracer(machine)
     with root_span("op.get", machine):
         machine.clock.advance(0.2)
     hist = installed.histograms.get("latency.op.get")
@@ -197,8 +182,8 @@ def test_root_latency_recorded_in_histogram():
 
 
 def test_trace_log_ring_evicts_oldest():
-    installed = tracer(ring=2)
     machine = Machine("m0")
+    installed = tracer(machine, ring=2)
     for _ in range(3):
         with root_span("op.put", machine):
             machine.clock.advance(0.01)
@@ -209,8 +194,8 @@ def test_trace_log_ring_evicts_oldest():
 def test_evicted_trace_is_freed_without_the_cycle_collector():
     # A closed span drops its parent link, so a finished trace is a tree
     # that reference counting frees as soon as the ring lets it go.
-    installed = tracer(ring=1, slow_samples=0)
     client, server = Machine("client"), Machine("server")
+    installed = tracer(client, server, ring=1, slow_samples=0)
 
     def one_trace():
         with root_span("op.get", client):
@@ -258,8 +243,8 @@ def test_span_layer_mapping():
 
 
 def test_where_did_time_go_percentages_sum_to_hundred():
-    installed = tracer()
     client, server = Machine("c"), Machine("s")
+    installed = tracer(client, server)
     with root_span("op.get", client):
         client.clock.advance(0.1)
         with span("ts.read", server):
@@ -273,8 +258,8 @@ def test_where_did_time_go_percentages_sum_to_hundred():
 
 
 def test_format_time_report_renders_every_section():
-    installed = tracer()
     machine = Machine("m0")
+    installed = tracer(machine)
     with root_span("op.put", machine):
         machine.clock.advance(0.2)
     text = format_time_report(installed)
@@ -292,8 +277,8 @@ def test_format_time_report_empty_trace_log():
 
 
 def test_chrome_trace_event_shape(tmp_path):
-    installed = tracer()
     client, server = Machine("c"), Machine("s")
+    installed = tracer(client, server)
     with root_span("op.get", client) as root:
         client.clock.advance(0.1)
         with span("rpc.server", server):

@@ -9,7 +9,7 @@ from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.schema import ColumnGroup, TableSchema
 from repro.obs.analyze import coverage, where_did_time_go
-from repro.obs.trace import current_tracer, uninstall_tracer
+from repro.obs.trace import Tracer
 
 SCHEMA = TableSchema("t", "id", (ColumnGroup("g", ("v",)),))
 KEY = b"000000000001"
@@ -22,12 +22,15 @@ def traced_db(**overrides) -> LogBase:
 
 def test_traced_cluster_installs_tracer_and_gate_off_does_not():
     db = traced_db()
-    assert db.cluster.tracer is not None
-    assert current_tracer() is db.cluster.tracer
-    uninstall_tracer()
+    tracer = db.cluster.tracer
+    assert tracer is not None
+    db.cluster.add_node(rebalance=False)
+    assert all(machine.tracer is tracer for machine in db.cluster.machines)
+    assert all(machine.clock.observer is not None for machine in db.cluster.machines)
     plain = LogBase(n_nodes=3)
     assert plain.cluster.tracer is None
-    assert current_tracer() is None
+    assert all(machine.tracer is None for machine in plain.cluster.machines)
+    assert all(machine.clock.observer is None for machine in plain.cluster.machines)
 
 
 def test_trace_propagates_across_machine_boundaries():
@@ -86,10 +89,18 @@ def test_put_trace_shows_one_sequential_append_and_full_coverage():
     assert hist is not None and hist.count == 4
 
 
-def test_hedged_read_spans_close_with_loser_in_background():
+def test_hedged_read_spans_close_with_loser_in_background(monkeypatch):
     # The hedge-under-limp gray schedule on a traced cluster: hedges must
     # fire, every span must close (no orphans across the whole chaotic
     # run), and cancelled-loser work must be marked background.
+    built = []
+
+    class Recorded(Tracer):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr("repro.core.cluster.Tracer", Recorded)
     config = LogBaseConfig.with_gray_resilience(
         segment_size=64 * 1024,
         read_cache_enabled=False,
@@ -100,8 +111,7 @@ def test_hedged_read_spans_close_with_loser_in_background():
     assert report.passed, report.violations
     assert report.observed["hedge_wins"] > 0
 
-    tracer = current_tracer()
-    assert tracer is not None
+    (tracer,) = built
     assert tracer.open_spans == 0
 
     winners = [s for root in tracer.trace_log for s in root.find("dfs.hedge.winner")]

@@ -62,7 +62,6 @@ def _emitted_names() -> set[str]:
     for pm in monitor.postmortem_dicts():
         for per_entity in pm.get("series", {}).values():
             names.update(per_entity)
-    monitor.close()
     return names
 
 
