@@ -4,8 +4,11 @@ A blocking put on the paper profile (the end-to-end benchmark's
 ``ycsb_update_paper`` configuration: ``LogBaseConfig()`` with 500 KB
 segments and a 2 MB heap, 4 nodes) passes through, in order::
 
-    Client.put_raw -> Client._call -> TabletServer.write
-      -> _stage_write (-> TimestampOracle.next_timestamp)
+    Client.put_raw -> Client._with_retries
+      -> Client._routed_call (-> Client._locate) -> Client._call
+      -> TabletServer.write
+      -> _stage_write (-> TabletServer._route, TimestampOracle.next_timestamp,
+                       new_record)
       -> CommitCoordinator.commit (a group of one)
       -> LogRepository.append_batch (-> LogRecord.with_lsn, LogRecord.encode)
         -> LogSegmentWriter.append_many -> DFSWriter.append
@@ -17,7 +20,10 @@ The benchmark loads a table, then times each of those functions on its
 own, best-of-N rounds, round-robin so a slow spell on a shared machine
 hits every case alike, and prints the inclusive host microseconds per
 write.  The calls really write: they charge simulated time and counters
-to the set-up cluster, which is thrown away.
+to the set-up cluster, which is thrown away.  Beside the table it prints
+the Python-level calls per steady-state put: every ``call`` and
+``c_call`` profile event (``sys.setprofile``) over one more pass of the
+timed puts, after the timing.  It is printed, never gated.
 
 ``check_acceptance`` asserts only deterministic facts, so it cannot
 flake: on a fresh paper-profile cluster, a fixed sequence of puts
@@ -35,7 +41,9 @@ which exits non-zero when a check fails) or via pytest.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from operator import methodcaller
 
 from repro.bench.adapters import GROUP, TABLE, LogBaseAdapter
 from repro.config import LogBaseConfig
@@ -106,9 +114,9 @@ def probe() -> dict[str, float]:
     }
 
 
-def host_costs(records: int, writes: int, rounds: int) -> dict[str, float]:
+def host_costs(records: int, writes: int, rounds: int) -> tuple[dict[str, float], float]:
     """Best-of-``rounds`` inclusive host microseconds per write, per
-    function on the put path."""
+    function on the put path, and the Python-level calls per put."""
     adapter = build(records)
     cluster = adapter.cluster
     client = adapter._clients[0]
@@ -126,7 +134,7 @@ def host_costs(records: int, writes: int, rounds: int) -> dict[str, float]:
     staged = [server._stage_write(TABLE, key, payload, 0)[2][0] for key in keys]
     appended = [log.append_batch([record])[0] for record in staged]
     frames = [record.encode() for _, record in appended]
-    tablets = [server._route(TABLE, key) for key in keys]
+    tablet_names = [str(server._route(TABLE, key).tablet_id) for key in keys]
     # The DFS-level cases append to a file of their own: the log's
     # segments roll (and close) under the log-level cases.
     dfs = cluster.dfs
@@ -141,12 +149,14 @@ def host_costs(records: int, writes: int, rounds: int) -> dict[str, float]:
 
     cases = {
         "Client.put_raw": lambda: [client.put_raw(TABLE, key, GROUP, value) for key in keys],
+        "Client._locate": lambda: [client._locate(TABLE, key) for key in keys],
         "Client._call": lambda: [
-            client._call(server, RECORD_SIZE, 16, lambda: server.write(TABLE, key, payload))
+            client._call(server, RECORD_SIZE, 16, methodcaller("write", TABLE, key, payload))
             for key in keys
         ],
         "TabletServer.write": lambda: [server.write(TABLE, key, payload) for key in keys],
         "_stage_write": lambda: [server._stage_write(TABLE, key, payload, 0) for key in keys],
+        "TabletServer._route": lambda: [server._route(TABLE, key) for key in keys],
         "TimestampOracle.next_timestamp": lambda: [tso.next_timestamp() for _ in keys],
         "CommitCoordinator.commit": lambda: [commit([record]) for record in staged],
         "append_batch": lambda: [log.append_batch([record]) for record in staged],
@@ -162,8 +172,8 @@ def host_costs(records: int, writes: int, rounds: int) -> dict[str, float]:
         ],
         "SimDisk.write_buffered": lambda: [disk.write_buffered(len(frame)) for frame in frames],
         "_apply_write": lambda: [
-            server._apply_write(tablet, record, pointer)
-            for tablet, (pointer, record) in zip(tablets, appended)
+            server._apply_write(name, record, pointer)
+            for name, (pointer, record) in zip(tablet_names, appended)
         ],
         "ReadCache.put": lambda: [
             cache.put(TABLE, GROUP, record.key, record.timestamp, value)
@@ -178,16 +188,37 @@ def host_costs(records: int, writes: int, rounds: int) -> dict[str, float]:
             began = time.perf_counter()
             fn()
             best[name] = min(best[name], time.perf_counter() - began)
-    return {name: 1e6 * seconds / writes for name, seconds in best.items()}
+    costs = {name: 1e6 * seconds / writes for name, seconds in best.items()}
+    return costs, calls_per_put(client, keys, value)
 
 
-def format_report(costs: dict[str, float], facts: dict) -> str:
+def calls_per_put(client, keys: list[bytes], value: bytes) -> float:
+    """Python-level calls per ``put_raw``: ``call`` and ``c_call`` profile
+    events over one pass of ``keys``."""
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        if event == "call" or event == "c_call":
+            events += 1
+
+    sys.setprofile(count)
+    try:
+        for key in keys:
+            client.put_raw(TABLE, key, GROUP, value)
+    finally:
+        sys.setprofile(None)
+    return events / len(keys)
+
+
+def format_report(costs: dict[str, float], calls: float, facts: dict) -> str:
     lines = ["Host cost of one record write (best-of-N, inclusive)"]
     lines += [f"  {name:<32} {us:7.2f} us/write" for name, us in costs.items()]
     lines.append(
         f"  non-CRC part of a put            "
         f"{costs['Client.put_raw'] - costs['crc32c (frame body)']:7.2f} us/write"
     )
+    lines.append(f"  Python-level calls per put       {calls:7.2f}")
     lines.append(
         f"probe: {PROBE_PUTS} puts, sim {facts['sim_seconds']!r} s, "
         f"net.bytes_sent {facts['net_bytes_sent']:.0f}, disk.writes/put "
@@ -244,7 +275,7 @@ def main() -> None:
         else (DEFAULT_RECORDS, DEFAULT_WRITES, DEFAULT_ROUNDS)
     )
     facts = probe()
-    print(format_report(host_costs(*sizes), facts))
+    print(format_report(*host_costs(*sizes), facts))
     failures = check_acceptance(facts)
     if failures:
         raise SystemExit("ACCEPTANCE FAILED: " + "; ".join(failures))

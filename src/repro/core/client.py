@@ -10,9 +10,11 @@ server-side work is charged to the server's machine by the server itself.
 
 from __future__ import annotations
 
+from operator import methodcaller
+
 from repro.core.master import Master
 from repro.core.schema import decode_group_value, encode_group_value
-from repro.core.tablet import Tablet
+from repro.core.tablet import Tablet, TabletRouter
 from repro.errors import (
     FollowerLaggingError,
     ServerDownError,
@@ -101,8 +103,8 @@ class Client:
             if gray_policy is not None and gray_policy.breaker_enabled
             else None
         )
-        # table -> list of (server name, tablet), cached after first lookup
-        self._locations: dict[str, list[tuple[str, Tablet]]] = {}
+        # table -> router to (server name, tablet), cached after first lookup
+        self._locations: dict[str, TabletRouter] = {}
         self._read_replicas = read_replicas
         self._replica_read_fraction = replica_read_fraction
         self._replica_max_staleness = replica_max_staleness
@@ -116,18 +118,19 @@ class Client:
     # -- routing ------------------------------------------------------------------
 
     def _locate(self, table: str, key: bytes) -> tuple[str, Tablet]:
-        cached = self._locations.get(table)
-        if cached is None:
+        router = self._locations.get(table)
+        if router is None:
             # One metadata RPC to the master, then cached.
             self._machine.clock.advance(
                 self._machine.network.rpc_cost(_REQUEST_OVERHEAD, 1024)
             )
-            cached = self._master.locations(table)
-            self._locations[table] = cached
-        for server_name, tablet in cached:
-            if tablet.covers(key):
-                return server_name, tablet
-        raise TabletNotFound(f"{table}:{key!r}")
+            router = self._locations[table] = TabletRouter(
+                (t, (name, t)) for name, t in self._master.locations(table)
+            )
+        found = router.find(key)
+        if found is None:
+            raise TabletNotFound(f"{table}:{key!r}")
+        return found
 
     def invalidate_cache(self, table: str | None = None) -> None:
         """Drop cached locations (stale after failover)."""
@@ -188,9 +191,9 @@ class Client:
         owner_name: str,
         request_bytes: int,
         response_bytes: int,
-        op_factory,
+        op,
     ):
-        """One call of ``op_factory(server)()`` on the rotation's follower
+        """One call of ``op(server)`` on the rotation's follower
         for ``tablet``, or ``_TO_OWNER`` when the caller must ask the owner:
         the rotation picked it, or the follower is lagging, overloaded or
         gone.
@@ -208,7 +211,7 @@ class Client:
             return _TO_OWNER
         try:
             return self._call(
-                server, request_bytes, response_bytes, op_factory(server),
+                server, request_bytes, response_bytes, op,
                 table=table, deadline=self._new_deadline(),
             )
         except (FollowerLaggingError, ServerOverloadedError):
@@ -228,16 +231,16 @@ class Client:
         owner_name, tablet = self._locate(table, key)
         result = self._follower_attempt(
             table, tablet, owner_name, request, 1024,
-            lambda server: lambda: server.follower_read(
-                table, key, group,
+            methodcaller(
+                "follower_read", table, key, group,
                 as_of=as_of, max_staleness=self._replica_max_staleness,
             ),
         )
         if result is not _TO_OWNER:
             return result
-        return self._routed_call(
-            table, key, request, 1024,
-            lambda srv: lambda: srv.read(table, key, group, as_of=as_of),
+        return self._with_retries(
+            table, self._routed_call, key, request, 1024,
+            methodcaller("read", table, key, group, as_of=as_of),
         )
 
     def _server_for(self, table: str, key: bytes):
@@ -259,8 +262,8 @@ class Client:
         table: str | None = None,
         deadline: Deadline | None = None,
     ):
-        """Run ``op`` against ``server``, charging RPC and measuring the
-        server-side latency of this operation.
+        """Run ``op(server)``, charging RPC and measuring the server-side
+        latency of this operation.
 
         With a client-side breaker open for ``server``, the client waits
         out the remaining cooldown on its own clock before the half-open
@@ -308,7 +311,7 @@ class Client:
             with deadline_scope(deadline), span(
                 SPAN_RPC_SERVER, server.machine, server=server.name
             ):
-                result = op()
+                result = op(server)
             if admission is not None:
                 admission.observe(server.machine.clock.now - start)
             return result
@@ -340,40 +343,36 @@ class Client:
         )
 
     def _routed_call(
-        self, table: str, key: bytes, request_bytes: int, response_bytes: int, op_factory
+        self, deadline: Deadline | None, table: str, key: bytes,
+        request_bytes: int, response_bytes: int, op,
     ):
-        """Route, call, and retry once on a stale location.
+        """Route, call ``op(server)``, and retry once on a stale location.
 
         After a tablet moves (rebalance, failover, decommission) the
         cached location points at a server that no longer owns the key;
         that server answers TabletNotFound, the client refreshes its
         cache from the master and retries — "the information ... only
         need to be looked up ... when the cache is stale" (§3.3).
-        Retryable server errors are handled by :meth:`_with_retries`.
+        Callers run it under :meth:`_with_retries`, which handles the
+        retryable server errors.
         """
-
-        def attempt(deadline: Deadline | None):
+        server = self._server_for(table, key)
+        try:
+            return self._call(
+                server, request_bytes, response_bytes, op, table=table, deadline=deadline
+            )
+        except TabletNotFound:
+            self.invalidate_cache(table)
             server = self._server_for(table, key)
-            try:
-                return self._call(
-                    server, request_bytes, response_bytes,
-                    op_factory(server), table=table, deadline=deadline,
-                )
-            except TabletNotFound:
-                self.invalidate_cache(table)
-                server = self._server_for(table, key)
-                return self._call(
-                    server, request_bytes, response_bytes,
-                    op_factory(server), table=table, deadline=deadline,
-                )
+            return self._call(
+                server, request_bytes, response_bytes, op, table=table, deadline=deadline
+            )
 
-        return self._with_retries(table, attempt)
-
-    def _with_retries(self, table: str, attempt):
-        """Run ``attempt(deadline)``, retrying retryable server errors up
-        to ``retry_limit`` times with capped exponential backoff charged
-        to the client's clock.  With the default limit of 0 the seed
-        behaviour is unchanged: the error propagates immediately.
+    def _with_retries(self, table: str, attempt, *args):
+        """Run ``attempt(deadline, table, *args)``, retrying retryable
+        server errors up to ``retry_limit`` times with capped exponential
+        backoff charged to the client's clock.  With the default limit of
+        0 the seed behaviour is unchanged: the error propagates immediately.
 
         * ServerDownError — covers the window in which the master fails
           the dead server's tablets over to healthy adopters.
@@ -400,7 +399,7 @@ class Client:
                 self._machine.counters.add(DEADLINES_EXCEEDED)
                 deadline.check("client operation")
             try:
-                return attempt(deadline)
+                return attempt(deadline, table, *args)
             except (
                 ServerDownError,
                 ServerOverloadedError,
@@ -435,9 +434,9 @@ class Client:
         }
         size = sum(len(v) for v in payload.values()) + len(key)
         with root_span("op.put", self._machine, table=table, bytes=size):
-            return self._routed_call(
-                table, key, size + _REQUEST_OVERHEAD, 16,
-                lambda server: lambda: server.write(table, key, payload),
+            return self._with_retries(
+                table, self._routed_call, key, size + _REQUEST_OVERHEAD, 16,
+                methodcaller("write", table, key, payload),
             )
 
     def get(
@@ -464,9 +463,9 @@ class Client:
         groups = [group] if group is not None else schema.group_names
         with root_span("op.delete", self._machine, table=table):
             for group_name in groups:
-                self._routed_call(
-                    table, key, _REQUEST_OVERHEAD + len(key), 16,
-                    lambda server, g=group_name: lambda: server.delete(table, key, g),
+                self._with_retries(
+                    table, self._routed_call, key, _REQUEST_OVERHEAD + len(key), 16,
+                    methodcaller("delete", table, key, group_name),
                 )
 
     def scan(
@@ -543,8 +542,8 @@ class Client:
             if self._read_replicas:
                 rows = self._follower_attempt(
                     table, tablet, owner_name, _REQUEST_OVERHEAD, 4096,
-                    lambda server: lambda: server.follower_scan(
-                        table, group, sub_start, sub_end,
+                    methodcaller(
+                        "follower_scan", table, group, sub_start, sub_end,
                         as_of=as_of, max_staleness=self._replica_max_staleness,
                     ),
                 )
@@ -561,11 +560,10 @@ class Client:
         handling point operations get (a retry re-resolves the owner of
         ``sub_start``, so it follows the tablet through a migration)."""
 
-        def attempt(deadline: Deadline | None):
-            server = self._server_for(table, sub_start)
+        def attempt(deadline: Deadline | None, table: str):
             return self._call(
-                server, _REQUEST_OVERHEAD, 4096,
-                lambda: list(
+                self._server_for(table, sub_start), _REQUEST_OVERHEAD, 4096,
+                lambda server: list(
                     server.range_scan(
                         table, group, sub_start, sub_end,
                         as_of=as_of, require_coverage=True,
@@ -582,9 +580,10 @@ class Client:
     def put_raw(self, table: str, key: bytes, group: str, value: bytes) -> int:
         """Write one opaque group payload (no column encoding)."""
         with root_span("op.put", self._machine, table=table, bytes=len(value)):
-            return self._routed_call(
-                table, key, len(value) + len(key) + _REQUEST_OVERHEAD, 16,
-                lambda server: lambda: server.write(table, key, {group: value}),
+            return self._with_retries(
+                table, self._routed_call, key,
+                len(value) + len(key) + _REQUEST_OVERHEAD, 16,
+                methodcaller("write", table, key, {group: value}),
             )
 
     def submit_put_raw(
@@ -643,9 +642,9 @@ class Client:
             if self._read_replicas:
                 result = self._replica_read(table, key, group, as_of=as_of)
             else:
-                result = self._routed_call(
-                    table, key, _REQUEST_OVERHEAD + len(key), 1024,
-                    lambda server: lambda: server.read(table, key, group, as_of=as_of),
+                result = self._with_retries(
+                    table, self._routed_call, key, _REQUEST_OVERHEAD + len(key), 1024,
+                    methodcaller("read", table, key, group, as_of=as_of),
                 )
         return None if result is None else result[1]
 

@@ -23,7 +23,7 @@ from repro.core.recovery import (
     split_log_by_tablet,
 )
 from repro.core.schema import TableSchema
-from repro.core.tablet import Tablet, TabletId
+from repro.core.tablet import Tablet, TabletId, TabletRouter
 from repro.core.tablet_server import TabletServer
 from repro.dfs.filesystem import DFS
 from repro.errors import (
@@ -46,7 +46,8 @@ class SharedCatalog:
     """
 
     tables: dict[str, TableSchema] = field(default_factory=dict)
-    tablets: dict[str, list[Tablet]] = field(default_factory=dict)
+    # table -> router over its tablets; replaced when a split changes them
+    tablets: dict[str, TabletRouter] = field(default_factory=dict)
     assignments: dict[str, str] = field(default_factory=dict)  # tablet -> server
     servers: dict[str, TabletServer] = field(default_factory=dict)
     server_sessions: dict[str, Session] = field(default_factory=dict)
@@ -64,10 +65,9 @@ class SharedCatalog:
     def tablet_for(self, table: str, key: bytes) -> str:
         """Id of the tablet of ``table`` that covers ``key`` today ("" when
         none does) — how a log split attributes a record by key."""
-        for tablet in self.tablets.get(table, []):
-            if tablet.covers(key):
-                return str(tablet.tablet_id)
-        return ""
+        router = self.tablets.get(table)
+        tablet = None if router is None else router.find(key)
+        return "" if tablet is None else str(tablet.tablet_id)
 
 
 @dataclass
@@ -108,7 +108,7 @@ class Master:
         return self.catalog.tables
 
     @property
-    def _tablets(self) -> dict[str, list[Tablet]]:
+    def _tablets(self) -> dict[str, TabletRouter]:
         return self.catalog.tablets
 
     @property
@@ -189,7 +189,7 @@ class Master:
             for i, key_range in enumerate(ranges)
         ]
         self._tables[schema.name] = schema
-        self._tablets[schema.name] = tablets
+        self._tablets[schema.name] = TabletRouter((t, t) for t in tablets)
         for i, tablet in enumerate(tablets):
             target = servers[i % len(servers)]
             self._assign(tablet, target)
@@ -224,10 +224,12 @@ class Master:
         Raises:
             TabletNotFound: if no tablet covers the key.
         """
-        for tablet in self.tablets(table):
-            if tablet.covers(key):
-                return self._assignments[str(tablet.tablet_id)], tablet
-        raise TabletNotFound(f"{table}:{key!r}")
+        if table not in self._tablets:
+            raise TableNotFound(table)
+        tablet = self._tablets[table].find(key)
+        if tablet is None:
+            raise TabletNotFound(f"{table}:{key!r}")
+        return self._assignments[str(tablet.tablet_id)], tablet
 
     def locations(self, table: str) -> list[tuple[str, Tablet]]:
         """(server, tablet) for every tablet of ``table`` (scan planning)."""

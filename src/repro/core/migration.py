@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from repro.core.partition import KeyRange
 from repro.core.recovery import rehome
-from repro.core.tablet import LEASE_SECONDS, Tablet, TabletId
+from repro.core.tablet import LEASE_SECONDS, Tablet, TabletId, TabletRouter
 from repro.errors import MigrationError, NoNodeError, TabletNotFound
 from repro.obs.hist import Histogram
 from repro.obs.trace import span
@@ -553,10 +553,8 @@ class LiveMigrator:
         owner.ownership.fence(tablet_id)
         crash_point(CP_SPLIT_FLIP, tablet=tablet_id, server=owner_name)
         moved = owner.split_tablet(old, left, right)
-        tablets = catalog.tablets[table]
-        tablets.remove(old)
-        tablets.extend([left, right])
-        tablets.sort(key=lambda t: t.key_range.start)
+        tablets = [t for t in catalog.tablets[table] if t is not old] + [left, right]
+        catalog.tablets[table] = TabletRouter((t, t) for t in tablets)
         del catalog.assignments[tablet_id]
         catalog.assignments[str(left.tablet_id)] = owner_name
         catalog.assignments[str(right.tablet_id)] = owner_name

@@ -3,6 +3,7 @@ may serve it (:class:`TabletOwnership`); how owner and replica read it."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
@@ -57,6 +58,26 @@ class Tablet:
     def covers(self, key: bytes) -> bool:
         """Whether this tablet's range contains ``key``."""
         return self.key_range.contains(key)
+
+
+class TabletRouter:
+    """``(tablet, value)`` pairs sorted by range start, rebuilt wherever the
+    tablet list changes.  :meth:`find` is one bisect and one ``covers``
+    test, the linear walk's answer; iterating yields the values in order."""
+
+    def __init__(self, pairs: Iterable[tuple[Tablet, object]]) -> None:
+        self._pairs = sorted(pairs, key=lambda pair: pair[0].key_range.start)
+        self._starts = [tablet.key_range.start for tablet, _ in self._pairs]
+
+    def __iter__(self):
+        return (value for _, value in self._pairs)
+
+    def find(self, key: bytes):
+        """The value paired with the tablet covering ``key``, or None."""
+        position = bisect_right(self._starts, key) - 1
+        if position >= 0 and self._pairs[position][0].covers(key):
+            return self._pairs[position][1]
+        return None
 
 
 class TabletOwnership:

@@ -12,14 +12,13 @@ bottleneck.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from repro.config import LogBaseConfig
 from repro.coordination.tso import TimestampOracle
 from repro.core.follower import ReplicaHost
 from repro.core.read_cache import ReadCache
 from repro.core.tablet import (
-    Tablet, TabletId, TabletOwnership, hosted_cover, live_rows, read_version,
+    Tablet, TabletId, TabletOwnership, TabletRouter, hosted_cover, live_rows,
+    read_version,
 )
 from repro.dfs.filesystem import DFS
 from repro.errors import ServerDownError, TabletNotFound, TabletRecoveringError
@@ -45,7 +44,7 @@ from repro.sim.metrics import (
 from repro.wal.compaction import CompactionResult, IncrementalCompactionJob
 from repro.wal.group_commit import CommitCoordinator
 from repro.wal.planner import CompactionPlanner
-from repro.wal.record import LogPointer, LogRecord, RecordType
+from repro.wal.record import LogPointer, LogRecord, RecordType, new_record
 from repro.wal.repository import LogRepository
 
 IndexKey = tuple[str, str]  # (tablet_id str, group name)
@@ -75,9 +74,9 @@ class TabletServer:
         self.read_cache: ReadCache | None = None
         self._open_storage(LogRepository)
         self.tablets: dict[str, Tablet] = {}
-        # table -> (sorted range-start keys, tablets in that order); built
-        # lazily by _route, dropped on assign/unassign.
-        self._route_cache: dict[str, tuple[list[bytes], list[Tablet]]] = {}
+        # table -> its hosted tablets' router; built lazily by _route,
+        # dropped on assign, unassign and split.
+        self._route_cache: dict[str, TabletRouter] = {}
         self._indexes: dict[IndexKey, MultiversionIndex] = {}
         self._update_counters: dict[IndexKey, int] = {}
         self._index_generation = 0  # bumps when compaction replaces indexes
@@ -145,13 +144,16 @@ class TabletServer:
         """Flip one tablet back to serving the moment its redo completes."""
         self.recovering_tablets.discard(str(tablet_id))
 
-    def _check_tablet_serving(self, tablet: Tablet) -> None:
-        if self.recovering_tablets and str(tablet.tablet_id) in self.recovering_tablets:
+    def _check_tablet_serving(self, tablet: Tablet) -> str:
+        """Reject an op on ``tablet`` unless it serves; returns its name."""
+        tablet_name = str(tablet.tablet_id)
+        if self.recovering_tablets and tablet_name in self.recovering_tablets:
             self.machine.counters.add(RECOVERY_REJECTED_OPS)
             raise TabletRecoveringError(
-                f"tablet {tablet.tablet_id} on {self.name} is still recovering"
+                f"tablet {tablet_name} on {self.name} is still recovering"
             )
-        self.ownership.check(tablet.tablet_id)
+        self.ownership.check(tablet_name)
+        return tablet_name
 
     def grant_lease(self, tablet_id) -> None:
         """(Re)grant the ownership lease for one tablet, anchored on this
@@ -216,11 +218,10 @@ class TabletServer:
                 as_of=as_of, max_staleness=max_staleness,
             )
 
-    def _touch_heat(self, tablet: Tablet, key: bytes | None = None) -> None:
-        tablet_id = str(tablet.tablet_id)
-        heat = self.heat[tablet_id] = self.heat.get(tablet_id, 0.0) + 1.0
+    def _touch_heat(self, tablet_name: str, key: bytes | None = None) -> None:
+        heat = self.heat[tablet_name] = self.heat.get(tablet_name, 0.0) + 1.0
         if key is not None:
-            self.ownership.observe(tablet_id, key, heat)
+            self.ownership.observe(tablet_name, key, heat)
 
     def crash(self) -> None:
         """Kill the server process: every in-memory structure is lost.
@@ -322,7 +323,7 @@ class TabletServer:
         self.heat[str(right.tablet_id)] = old_heat * (1.0 - left_share)
         return moved
 
-    def _ensure_index(self, tablet_id: TabletId, group: str) -> MultiversionIndex:
+    def _ensure_index(self, tablet_id: TabletId | str, group: str) -> MultiversionIndex:
         key = (str(tablet_id), group)
         index = self._indexes.get(key)
         if index is None:
@@ -343,22 +344,15 @@ class TabletServer:
         return BLinkTreeIndex()
 
     def _route(self, table: str, key: bytes) -> Tablet:
-        # Every read/write/apply routes, so this is a bisect over the
-        # table's sorted range starts instead of a linear scan over all
-        # tablets (ranges are disjoint; covers() rejects keys in gaps).
-        cached = self._route_cache.get(table)
-        if cached is None:
-            tablets = sorted(
-                (t for t in self.tablets.values() if t.table == table),
-                key=lambda t: t.key_range.start,
+        router = self._route_cache.get(table)
+        if router is None:
+            router = self._route_cache[table] = TabletRouter(
+                (t, t) for t in self.tablets.values() if t.table == table
             )
-            cached = ([t.key_range.start for t in tablets], tablets)
-            self._route_cache[table] = cached
-        starts, tablets = cached
-        position = bisect_right(starts, key) - 1
-        if position >= 0 and tablets[position].covers(key):
-            return tablets[position]
-        raise TabletNotFound(f"server {self.name} has no tablet for {table}:{key!r}")
+        tablet = router.find(key)
+        if tablet is None:
+            raise TabletNotFound(f"server {self.name} has no tablet for {table}:{key!r}")
+        return tablet
 
     def index_for(self, table: str, key: bytes, group: str) -> MultiversionIndex:
         """The index responsible for (table, key, group) on this server."""
@@ -389,11 +383,11 @@ class TabletServer:
         """
         self._require_serving()
         with span(SPAN_TS_WRITE, self.machine, table=table):
-            tablet, timestamp, records = self._stage_write(
+            tablet_name, timestamp, records = self._stage_write(
                 table, key, group_values, txn_id, timestamp
             )
             for pointer, record in self.commit.commit(records):
-                self._apply_write(tablet, record, pointer)
+                self._apply_write(tablet_name, record, pointer)
             return timestamp
 
     def _stage_write(
@@ -403,25 +397,23 @@ class TabletServer:
         group_values: dict[str, bytes],
         txn_id: int,
         timestamp: int | None = None,
-    ) -> tuple[Tablet, int, list[LogRecord]]:
+    ) -> tuple[str, int, list[LogRecord]]:
         """Route and gate one record's write, stamp it, and build its
-        per-group log records (nothing is appended yet)."""
-        tablet = self._route(table, key)
-        self._check_tablet_serving(tablet)
-        self._touch_heat(tablet, key)
+        per-group log records (nothing is appended yet); returns the
+        tablet's name, formatted once, with the timestamp and records."""
+        tablet_name = self._check_tablet_serving(self._route(table, key))
+        self._touch_heat(tablet_name, key)
         if timestamp is None:
             timestamp = self.tso.next_timestamp()
-        tablet_name = str(tablet.tablet_id)
-        # Positional, in field order: type, lsn (stamped at append),
-        # txn_id, table, tablet, key, group, timestamp, value.
+        # The lsn (0 here) is stamped at append.
         records = [
-            LogRecord(
+            new_record(
                 RecordType.WRITE, 0, txn_id, table, tablet_name, key, group,
                 timestamp, value,
             )
             for group, value in group_values.items()
         ]
-        return tablet, timestamp, records
+        return tablet_name, timestamp, records
 
     def submit_write(
         self,
@@ -443,13 +435,13 @@ class TabletServer:
         clock).
         """
         self._require_serving()
-        tablet, timestamp, records = self._stage_write(
+        tablet_name, timestamp, records = self._stage_write(
             table, key, group_values, txn_id
         )
 
         def on_durable(appended):
             for pointer, record in appended:
-                self._apply_write(tablet, record, pointer)
+                self._apply_write(tablet_name, record, pointer)
 
         if arrival is None:
             arrival = self.machine.clock.now
@@ -474,18 +466,18 @@ class TabletServer:
         self._require_serving()
         with span(SPAN_TS_WRITE_BATCH, self.machine, table=table, items=len(items)):
             records: list[LogRecord] = []
-            tablets: list[Tablet] = []  # routed once; reused in the apply loop
+            names: list[str] = []  # routed once; reused in the apply loop
             timestamps: list[int] = []
             for key, group_values in items:
-                tablet, timestamp, staged = self._stage_write(
+                tablet_name, timestamp, staged = self._stage_write(
                     table, key, group_values, txn_id
                 )
                 timestamps.append(timestamp)
-                tablets.extend([tablet] * len(staged))
+                names.extend([tablet_name] * len(staged))
                 records.extend(staged)
             appended = self.commit.commit(records)
-            for (pointer, record), tablet in zip(appended, tablets):
-                self._apply_write(tablet, record, pointer)
+            for (pointer, record), tablet_name in zip(appended, names):
+                self._apply_write(tablet_name, record, pointer)
             return timestamps
 
     def append_transactional(
@@ -507,7 +499,7 @@ class TabletServer:
         for pointer, record in appended:
             if record.record_type is RecordType.WRITE:
                 tablet = self._route(record.table, record.key)
-                self._apply_write(tablet, record, pointer)
+                self._apply_write(str(tablet.tablet_id), record, pointer)
             elif record.record_type is RecordType.INVALIDATE:
                 tablet = self._route(record.table, record.key)
                 index = self._ensure_index(tablet.tablet_id, record.group)
@@ -516,8 +508,8 @@ class TabletServer:
                 if self.read_cache is not None:
                     self.read_cache.invalidate(record.table, record.group, record.key)
 
-    def _apply_write(self, tablet: Tablet, record: LogRecord, pointer: LogPointer) -> None:
-        index = self._ensure_index(tablet.tablet_id, record.group)
+    def _apply_write(self, tablet_name: str, record: LogRecord, pointer: LogPointer) -> None:
+        index = self._ensure_index(tablet_name, record.group)
         index.insert(record.key, record.timestamp, pointer)
         if self.read_cache is not None and record.value is not None:
             self.read_cache.put(
@@ -527,7 +519,7 @@ class TabletServer:
             self.secondary.on_write(
                 record.table, record.group, record.key, record.timestamp, record.value
             )
-        self._bump_update_counter((str(tablet.tablet_id), record.group))
+        self._bump_update_counter((tablet_name, record.group))
 
     def _bump_update_counter(self, index_key: IndexKey) -> None:
         self._update_counters[index_key] = self._update_counters.get(index_key, 0) + 1
@@ -559,9 +551,9 @@ class TabletServer:
         self._require_serving()
         check_deadline("tablet read")
         with span(SPAN_TS_READ, self.machine, table=table, group=group):
-            tablet = self._route(table, key)  # reject keys this server no longer owns
-            self._check_tablet_serving(tablet)
-            self._touch_heat(tablet, key)
+            # Reject keys this server no longer owns.
+            tablet_name = self._check_tablet_serving(self._route(table, key))
+            self._touch_heat(tablet_name, key)
             if self.read_cache is not None:
                 cached = self.read_cache.get(table, group, key)
                 if cached is not None:
@@ -571,7 +563,7 @@ class TabletServer:
                     # can be visible to the snapshot.
                     if as_of is None or cached[0] <= as_of:
                         return cached
-            index = self._ensure_index(tablet.tablet_id, group)
+            index = self._ensure_index(tablet_name, group)
             result = read_version(index, self.log.read, key, as_of)
             if result is not None and as_of is None and self.read_cache is not None:
                 self.read_cache.put(table, group, key, *result)
@@ -580,9 +572,8 @@ class TabletServer:
     def read_version_timestamp(self, table: str, key: bytes, group: str) -> int | None:
         """Current version timestamp only (MVOCC validation, §3.7.1)."""
         self._require_serving()
-        tablet = self._route(table, key)
-        self._check_tablet_serving(tablet)
-        entry = self._ensure_index(tablet.tablet_id, group).lookup_latest(key)
+        tablet_name = self._check_tablet_serving(self._route(table, key))
+        entry = self._ensure_index(tablet_name, group).lookup_latest(key)
         return None if entry is None else entry.timestamp
 
     # -- delete path (§3.6.3) ----------------------------------------------------------------
@@ -596,18 +587,17 @@ class TabletServer:
         """
         self._require_serving()
         with span(SPAN_TS_DELETE, self.machine, table=table, group=group):
-            tablet = self._route(table, key)
-            self._check_tablet_serving(tablet)
-            self._touch_heat(tablet, key)
+            tablet_name = self._check_tablet_serving(self._route(table, key))
+            self._touch_heat(tablet_name, key)
             timestamp = self.tso.next_timestamp()
-            index = self._ensure_index(tablet.tablet_id, group)
+            index = self._ensure_index(tablet_name, group)
             removed = index.delete_key(key)
             self.secondary.on_delete(table, group, key)
             marker = LogRecord(
                 record_type=RecordType.INVALIDATE,
                 txn_id=txn_id,
                 table=table,
-                tablet=str(tablet.tablet_id),
+                tablet=tablet_name,
                 key=key,
                 group=group,
                 timestamp=timestamp,
@@ -658,9 +648,9 @@ class TabletServer:
                 f"{table}:[{start_key!r}, {end_key!r})"
             )
         for tablet in hosted:
-            self._check_tablet_serving(tablet)
-            self._touch_heat(tablet)
-            index = self._ensure_index(tablet.tablet_id, group)
+            tablet_name = self._check_tablet_serving(tablet)
+            self._touch_heat(tablet_name)
+            index = self._ensure_index(tablet_name, group)
             entries = index.latest_in_range(start_key, end_key, as_of=as_of)
             yield from live_rows(self.log, entries, self.config.read_coalesce_gap)
 

@@ -33,13 +33,11 @@ class FileMeta:
         path: absolute path of the file.
         blocks: ordered block list.
         closed: True once the writer finalized the file.
+        length: total file length in bytes, the sum of the blocks'
+            lengths: grown by ``DFSWriter.append`` beside each block's.
     """
 
     path: str
     blocks: list[BlockInfo] = field(default_factory=list)
     closed: bool = False
-
-    @property
-    def length(self) -> int:
-        """Total file length in bytes."""
-        return sum(block.length for block in self.blocks)
+    length: int = 0

@@ -330,13 +330,11 @@ class DFS:
     def create(self, path: str, writer: Machine) -> "DFSWriter":
         """Create ``path`` and return an append-only writer bound to
         ``writer`` (the machine doing the writing)."""
-        self.namenode.create_file(path)
-        return DFSWriter(self, path, writer)
+        return DFSWriter(self, self.namenode.create_file(path), writer)
 
     def open_for_append(self, path: str, writer: Machine) -> "DFSWriter":
         """Reopen an existing file for further appends."""
-        self.namenode.get_file(path)
-        return DFSWriter(self, path, writer)
+        return DFSWriter(self, self.namenode.get_file(path), writer)
 
     def open(self, path: str, reader: Machine) -> "DFSReader":
         """Open ``path`` for positional reads on behalf of ``reader``."""
@@ -407,7 +405,8 @@ class DFS:
         # Only the partial chunk at the old tail can hold stale cached
         # bytes after this append; full chunks are immutable.
         block_id = block.block_id
-        self._invalidate_cached_tail(block_id, block.length)
+        if self._block_caches:
+            self._invalidate_cached_tail(block_id, block.length)
         writer_name = writer.name
         crash_point(CP_DFS_APPEND, block=block_id, writer=writer_name)
         writer.counters.add(DFS_APPEND_ROUND_TRIPS)
@@ -433,7 +432,9 @@ class DFS:
         # ...with the payload's chunk checksums computed once, here, and
         # shipped to every replica beside the bytes (HDFS carries them in
         # the packet) rather than recomputed per replica.
-        shipped = primary.checksums_for_append(block_id, data)
+        shipped = None
+        if self.checksum_replicas:
+            shipped = primary.checksums_for_append(block_id, data)
         primary.append_replica(block_id, data, shipped)
         # ...which pipelines once to the remaining replicas; remote disks pay
         # their own write cost on their own clocks.  A limping link slows
@@ -493,9 +494,10 @@ class DFSWriter:
     a block, in which case it is split.
     """
 
-    def __init__(self, dfs: DFS, path: str, writer: Machine) -> None:
+    def __init__(self, dfs: DFS, meta: FileMeta, writer: Machine) -> None:
         self._dfs = dfs
-        self._path = path
+        self._path = meta.path
+        self._meta = meta  # the namenode's own entry, as a DFSReader's
         self._writer = writer
         self._closed = False
 
@@ -507,7 +509,7 @@ class DFSWriter:
     @property
     def length(self) -> int:
         """Current file length (== offset of the next append)."""
-        return self._dfs.namenode.get_file(self._path).length
+        return self._meta.length
 
     def append(self, data: bytes) -> int:
         """Durably append ``data``; returns the starting file offset.
@@ -524,17 +526,19 @@ class DFSWriter:
             # Replicas keep the object they are handed: a mutable buffer
             # is copied once, here, so the caller cannot change it later.
             data = bytes(data)
-        with span(SPAN_DFS_APPEND, self._writer, bytes=len(data)):
-            meta = self._dfs.namenode.get_file(self._path)
+        size = len(data)
+        with span(SPAN_DFS_APPEND, self._writer, bytes=size):
+            meta = self._meta = self._dfs.namenode.get_file(self._path)
             start_offset = meta.length
             pos = 0
-            while pos < len(data):
+            while pos < size:
                 block = self._current_block(meta)
                 room = self._dfs.block_size - block.length
                 # Unsliced when it fits: replicas store this very object.
-                chunk = data if not pos and len(data) <= room else data[pos : pos + room]
-                pos += len(chunk)
+                chunk = data if not pos and size <= room else data[pos : pos + room]
                 self._dfs._append_to_block(block, chunk, self._writer)
+                meta.length += len(chunk)
+                pos += len(chunk)
             return start_offset
 
     def _current_block(self, meta: FileMeta) -> BlockInfo:
@@ -578,9 +582,9 @@ class DFSReader:
     def refresh(self) -> None:
         """Re-fetch the file's metadata from the namenode.
 
-        Lets a long-lived reader observe appends that happened after it
-        was opened without re-opening the file (the log repository keeps
-        one reader per segment across appends)."""
+        Appends need none: the reader holds the namenode's own FileMeta,
+        which every append grows.  A refresh follows a file re-created at
+        the path, and raises FileNotFoundInDFS once the file is gone."""
         self._meta = self._dfs.namenode.get_file(self._meta.path)
 
     def read(self, offset: int, length: int, *, verified: bool = False) -> bytes:

@@ -123,15 +123,16 @@ class SecondaryIndexManager:
 
     def __init__(self) -> None:
         # (table, group) -> list of indexes on that group's columns
-        self._by_group: dict[tuple[str, str], list[SecondaryIndex]] = defaultdict(list)
+        self._by_group: dict[tuple[str, str], list[SecondaryIndex]] = {}
 
     def create(self, table: str, group: str, column: str) -> SecondaryIndex:
         """Register an index on ``table.column`` (stored in ``group``)."""
-        for index in self._by_group[(table, group)]:
+        indexes = self._by_group.setdefault((table, group), [])
+        for index in indexes:
             if index.column == column:
                 return index
         index = SecondaryIndex(table, group, column)
-        self._by_group[(table, group)].append(index)
+        indexes.append(index)
         return index
 
     def get(self, table: str, column: str) -> SecondaryIndex | None:
@@ -147,8 +148,8 @@ class SecondaryIndexManager:
         return [index for indexes in self._by_group.values() for index in indexes]
 
     def has_any(self) -> bool:
-        """Whether any index is registered (fast write-path guard)."""
-        return any(self._by_group.values())
+        """Whether any index is registered: one test, as only indexed groups are listed."""
+        return bool(self._by_group)
 
     # -- write-path hooks -------------------------------------------------------
 

@@ -17,6 +17,8 @@ deadline is active, so the gated-off benchmarks are unaffected.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.errors import DeadlineExceededError
 from repro.sim.clock import SimClock
 
@@ -96,25 +98,27 @@ def check_deadline(label: str = "operation") -> None:
 class deadline_scope:
     """Arm ``deadline`` as the ambient deadline for the ``with`` block.
 
-    ``None`` is accepted and leaves the ambient state untouched, so
-    call sites can pass their optional deadline through unconditionally.
-    A plain class rather than a generator: every client call enters one.
+    ``None`` returns one shared no-op scope, so call sites can pass their
+    optional deadline through unconditionally: every client call enters one.
     """
 
     __slots__ = ("_deadline", "_previous")
 
-    def __init__(self, deadline: Deadline | None) -> None:
-        self._deadline = deadline
-        self._previous: Deadline | None = None
+    def __new__(cls, deadline: Deadline | None):
+        return _NO_SCOPE if deadline is None else object.__new__(cls)
 
-    def __enter__(self) -> Deadline | None:
+    def __init__(self, deadline: Deadline) -> None:
+        self._deadline = deadline
+
+    def __enter__(self) -> Deadline:
         global _ACTIVE_DEADLINE
-        if self._deadline is not None:
-            self._previous = _ACTIVE_DEADLINE
-            _ACTIVE_DEADLINE = self._deadline
+        self._previous = _ACTIVE_DEADLINE
+        _ACTIVE_DEADLINE = self._deadline
         return self._deadline
 
     def __exit__(self, *exc_info) -> None:
         global _ACTIVE_DEADLINE
-        if self._deadline is not None:
-            _ACTIVE_DEADLINE = self._previous
+        _ACTIVE_DEADLINE = self._previous
+
+
+_NO_SCOPE = nullcontext()

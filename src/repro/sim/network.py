@@ -115,6 +115,7 @@ class NetworkModel:
         local_latency: latency for same-node loopback messages.
         partitions: shared mutable partition state (fault injection).
         links: shared mutable per-link slowdown state (gray failures).
+        reachable: the partition state's own ``reachable(a, b)``, bound once.
     """
 
     latency: float = 0.0002
@@ -127,9 +128,8 @@ class NetworkModel:
         default_factory=LinkHealth, compare=False, repr=False
     )
 
-    def reachable(self, a: str, b: str) -> bool:
-        """Whether machine ``a`` can currently reach machine ``b``."""
-        return self.partitions.reachable(a, b)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reachable", self.partitions.reachable)
 
     def transfer_cost(
         self,
@@ -149,9 +149,8 @@ class NetworkModel:
         if local:
             return lat  # loopback copies are effectively memory-speed
         cost = lat + nbytes / self.bandwidth
-        factor = self.links.factor(a, b)
-        if factor != 1.0:
-            cost *= factor
+        if self.links._factors is not None:
+            cost *= self.links.factor(a, b)
         return cost
 
     def rpc_cost(

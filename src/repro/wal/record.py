@@ -98,19 +98,11 @@ class LogRecord:
         return self.record_type is RecordType.INVALIDATE
 
     def with_lsn(self, lsn: int) -> "LogRecord":
-        """Copy of this record with the LSN the repository assigned
-        (filled through the slot descriptors, as :meth:`decode` does)."""
-        record = object.__new__(LogRecord)
-        _SET_TYPE(record, self.record_type)
-        _SET_LSN(record, lsn)
-        _SET_TXN(record, self.txn_id)
-        _SET_TABLE(record, self.table)
-        _SET_TABLET(record, self.tablet)
-        _SET_KEY(record, self.key)
-        _SET_GROUP(record, self.group)
-        _SET_TIMESTAMP(record, self.timestamp)
-        _SET_VALUE(record, self.value)
-        return record
+        """Copy of this record with the LSN the repository assigned."""
+        return new_record(
+            self.record_type, lsn, self.txn_id, self.table, self.tablet,
+            self.key, self.group, self.timestamp, self.value,
+        )
 
     # -- encoding ----------------------------------------------------------------
 
@@ -234,27 +226,36 @@ class LogRecord:
             raise CorruptLogRecord(f"malformed record body: {exc}") from exc
         if scope is not None and not table:
             table, group = scope
-        record = object.__new__(cls)
-        _SET_TYPE(record, record_type)
-        _SET_LSN(record, lsn)
-        _SET_TXN(record, txn_id)
-        _SET_TABLE(record, table)
-        _SET_TABLET(record, tablet)
-        _SET_KEY(record, key)
-        _SET_GROUP(record, group)
-        _SET_TIMESTAMP(record, timestamp)
-        _SET_VALUE(record, value)
+        record = new_record(
+            record_type, lsn, txn_id, table, tablet, key, group, timestamp, value
+        )
         return record, body_end
 
 
-# The slot descriptors of the nine fields, bound once: ``decode`` and
-# ``with_lsn`` fill a record through them rather than the frozen ``__init__``'s nine
-# ``object.__setattr__`` calls.  What it builds is an ordinary
-# ``LogRecord`` (same type, equality, hash and immutability).
+# The slot descriptors of the nine fields, bound once.
 (
     _SET_TYPE, _SET_LSN, _SET_TXN, _SET_TABLE, _SET_TABLET,
     _SET_KEY, _SET_GROUP, _SET_TIMESTAMP, _SET_VALUE,
 ) = (getattr(LogRecord, field.name).__set__ for field in fields(LogRecord))  # fmt: skip
+
+
+def new_record(
+    record_type: RecordType, lsn: int, txn_id: int, table: str, tablet: str,
+    key: bytes, group: str, timestamp: int, value: bytes | None,
+) -> LogRecord:
+    """``LogRecord(...)``, filled through the slot descriptors instead of the
+    frozen ``__init__``: an ordinary, equal, hashable, immutable record."""
+    record = object.__new__(LogRecord)
+    _SET_TYPE(record, record_type)
+    _SET_LSN(record, lsn)
+    _SET_TXN(record, txn_id)
+    _SET_TABLE(record, table)
+    _SET_TABLET(record, tablet)
+    _SET_KEY(record, key)
+    _SET_GROUP(record, group)
+    _SET_TIMESTAMP(record, timestamp)
+    _SET_VALUE(record, value)
+    return record
 
 
 @lru_cache(maxsize=1024)

@@ -254,21 +254,13 @@ class LogRepository:
                 ):
                     size += len(encoded[end])
                     end += 1
+                # A cached reader of this segment sees the bytes at once:
+                # it holds the namenode's own FileMeta, which the append grew.
                 pointers.extend(writer.append_many(encoded[start:end]))
-                self._refresh_reader(writer.file_no)
                 start = end
                 if start < len(encoded):
                     writer = self._roll_if_needed(len(encoded[start]))
         return list(zip(pointers, stamped))
-
-    def _refresh_reader(self, file_no: int) -> None:
-        # An append extends the file the cached reader sees; refreshing
-        # its length metadata (instead of discarding the reader, as this
-        # used to) keeps the active segment's reader — and the block-cache
-        # state behind it — warm across appends.
-        reader = self._readers.get(file_no)
-        if reader is not None:
-            reader.refresh()
 
     # -- reads ----------------------------------------------------------------------
 
@@ -589,7 +581,7 @@ class LogRepository:
         reads of deleted files), (c) reloads the slim-segment metadata map
         while a sorted segment in the directory is missing from it and
         admits a sorted segment only once the map names it, and (d) refreshes
-        cached readers so they observe appends past their opened length.
+        cached readers' file metadata (:meth:`DFSReader.refresh`).
         Cost: one namenode listing plus a small metadata read while an
         unmapped sorted segment is listed — no data I/O.
         """

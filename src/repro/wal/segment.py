@@ -83,7 +83,7 @@ class LogSegmentReader:
         return self.dfs_reader.length
 
     def refresh(self) -> None:
-        """Pick up appends that landed after this reader was opened."""
+        """Re-fetch the segment file's metadata (:meth:`DFSReader.refresh`)."""
         self.dfs_reader.refresh()
 
     def scan(

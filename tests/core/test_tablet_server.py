@@ -1,5 +1,7 @@
 """Unit tests for the tablet server: write/read/delete/scan/compaction."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from repro.config import LogBaseConfig
@@ -12,6 +14,7 @@ from repro.core.tablet import Tablet, TabletId
 from repro.core.tablet_server import TabletServer
 from repro.errors import ServerDownError, TabletNotFound
 from repro.sim.failure import CP_COMPACTION_MID, FaultPlan, fault_plan
+from repro.wal.record import LogRecord, RecordType
 
 
 @pytest.fixture
@@ -489,3 +492,25 @@ def test_compact_with_retention_cutoff(server):
     assert server.read("events", b"k", "payload")[1] == b"v4"
     assert server.read("events", b"k", "payload", as_of=timestamps[3])[1] == b"v3"
     assert server.read("events", b"k", "payload", as_of=timestamps[1]) is None
+
+
+@pytest.mark.parametrize(
+    "value", [None, b"", bytes(range(256)) * 4], ids=["none", "empty", "1k"]
+)
+def test_a_staged_record_is_the_record(server, value):
+    """What staging builds equals, hashes and encodes like the record the
+    frozen constructor builds, and is just as immutable."""
+    _, timestamp, [staged] = server._stage_write(
+        "events", b"key-1", {"payload": value}, 7
+    )
+    built = LogRecord(
+        RecordType.WRITE, 0, 7, "events", "events#0", b"key-1", "payload",
+        timestamp, value,
+    )
+    assert type(staged) is LogRecord
+    assert staged == built and not staged != built
+    assert hash(staged) == hash(built)
+    assert staged.encode() == built.encode()
+    for field in fields(LogRecord):
+        with pytest.raises(FrozenInstanceError):
+            setattr(staged, field.name, getattr(built, field.name))

@@ -119,3 +119,20 @@ def test_replication_capped_by_cluster_size():
     machines = [Machine(f"n{i}") for i in range(2)]
     dfs = DFS(machines, replication=3)
     assert dfs.namenode.replication == 2
+
+
+def test_a_reader_opened_before_an_append_reads_it_without_refresh(dfs, machines):
+    writer = dfs.create("/f", machines[0])
+    writer.append(b"x" * 60)
+    reader = dfs.open("/f", machines[1])
+    writer.append(b"y" * 90)  # crosses into a second block
+    assert reader.length == 150
+    assert reader.read(0, 150) == b"x" * 60 + b"y" * 90
+
+
+def test_append_to_a_file_deleted_under_its_writer_raises(dfs, machines):
+    writer = dfs.create("/f", machines[0])
+    writer.append(b"a")
+    dfs.delete("/f")
+    with pytest.raises(FileNotFoundInDFS):
+        writer.append(b"b")

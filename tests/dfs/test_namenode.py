@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.dfs.filesystem import DFS
 from repro.dfs.namenode import NameNode
 from repro.errors import FileAlreadyExists, FileNotFoundInDFS, ReplicationError
+from repro.sim.machine import Machine
 
 
 @pytest.fixture
@@ -90,10 +92,12 @@ def test_replication_error_when_too_few_nodes(namenode):
         namenode.allocate_block("/f", "node-0", {"node-0", "node-1"})
 
 
-def test_file_length_sums_blocks(namenode):
-    meta = namenode.create_file("/f")
-    b1 = namenode.allocate_block("/f", "node-0", ALIVE)
-    b1.length = 100
-    b2 = namenode.allocate_block("/f", "node-0", ALIVE)
-    b2.length = 50
+def test_file_length_sums_blocks():
+    # The length is kept by the append that grows the blocks, so the file
+    # is written through the DFS rather than by setting block lengths.
+    machines = [Machine(f"node-{i}", rack=f"rack-{i % 2}") for i in range(6)]
+    dfs = DFS(machines, replication=3, block_size=100)
+    dfs.create("/f", machines[0]).append(b"x" * 150)
+    meta = dfs.namenode.get_file("/f")
+    assert [block.length for block in meta.blocks] == [100, 50]
     assert meta.length == 150

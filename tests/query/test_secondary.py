@@ -95,6 +95,36 @@ class TestServerIntegration:
     def db(self, db):
         return db  # reuse conftest: events(payload{body}, meta{source,kind})
 
+    def test_registration_switches_write_maintenance_on_exactly(
+        self, db, monkeypatch
+    ):
+        """Writes feed the secondary indexes exactly when one is
+        registered: never before, once per written group after, and still
+        after a crash and restart (which drops contents, not
+        registrations)."""
+        fed = []
+        monkeypatch.setattr(
+            SecondaryIndexManager, "on_write", lambda self, *args: fed.append(args)
+        )
+        row = {"meta": {"source": b"web", "kind": b"click"}, "payload": {"body": b"x"}}
+        db.put("events", b"000000000001", row)
+        assert fed == []
+        owner_name, _ = db.cluster.master.locate("events", b"000000000001")
+        server = db.cluster.master.server(owner_name)
+        server.create_secondary_index("events", "meta", "source")
+        fed.clear()  # the backfill
+        db.put("events", b"000000000001", row)
+        assert sorted(args[1] for args in fed) == ["meta", "payload"]
+        fed.clear()
+        tablets = list(server.tablets.values())
+        server.crash()
+        server.restart()
+        for tablet in tablets:
+            server.assign_tablet(tablet)
+        assert server.secondary.has_any()
+        server.write("events", b"000000000001", {"meta": b"\x00"})
+        assert [args[1] for args in fed] == ["meta"]
+
     def test_index_maintained_on_put(self, db):
         engine_server = db.cluster.servers
         for server in engine_server:

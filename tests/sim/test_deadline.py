@@ -94,3 +94,17 @@ def test_check_deadline_raises_inside_scope():
         with pytest.raises(DeadlineExceededError):
             check_deadline("log read")
     assert current_deadline() is None  # scope unwound despite the raise
+
+
+def test_a_none_scope_inside_an_armed_one_leaves_it_ambient():
+    clock = SimClock()
+    outer = Deadline.after(clock, 1.0)
+    with deadline_scope(outer):
+        with deadline_scope(None) as inner:
+            assert inner is None
+            assert current_deadline() is outer
+            with deadline_scope(None):
+                assert current_deadline() is outer
+            assert current_deadline() is outer
+        assert current_deadline() is outer
+    assert current_deadline() is None

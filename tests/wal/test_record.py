@@ -21,6 +21,7 @@ from repro.wal.record import (
     RecordType,
     abort_record,
     commit_record,
+    new_record,
 )
 
 
@@ -378,3 +379,21 @@ def test_with_lsn_is_the_record(record_type, value):
     frame = stamped.encode()
     assert frame == built.encode()
     assert LogRecord.decode(frame) == (built, len(frame))
+
+
+@pytest.mark.parametrize(
+    "value", [None, b"", bytes(range(256)) * 4], ids=["none", "empty", "1k"]
+)
+@pytest.mark.parametrize("record_type", list(RecordType), ids=lambda t: t.name)
+def test_new_record_is_the_record(record_type, value):
+    """What staging builds through the slot descriptors equals, hashes and
+    encodes like the frozen constructor's record, and is as immutable."""
+    fields_ = (record_type, 0, 7, "events", "events#0", b"key-1", "payload", 2**35, value)
+    staged, built = new_record(*fields_), LogRecord(*fields_)
+    assert type(staged) is LogRecord
+    assert staged == built and not staged != built
+    assert hash(staged) == hash(built)
+    assert staged.encode() == built.encode()
+    for field in fields(LogRecord):
+        with pytest.raises(FrozenInstanceError):
+            setattr(staged, field.name, getattr(built, field.name))

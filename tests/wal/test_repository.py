@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import InvalidLogPointer
+from repro.errors import FileNotFoundInDFS, InvalidLogPointer
 from repro.sim.failure import CP_LOG_APPEND, CP_META_PERSIST, FaultPlan, fault_plan
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
@@ -252,3 +252,21 @@ def test_append_batch_across_a_roll_stamps_and_tiles(repo, machines):
         assert offset == repo.segment_bytes(file_no)
     for pointer, stamped in pairs:
         assert repo.read(pointer) == stamped
+
+
+def test_a_cached_segment_reader_reads_later_appends(repo):
+    """The active segment's reader, opened by a read, serves records
+    appended after it was opened."""
+    first, stamped = repo.append(write_record(b"a", b"1"))
+    assert repo.read(first) == stamped
+    pointers = repo.append_batch([write_record(b"b", b"2"), write_record(b"c", b"3")])
+    for pointer, record in pointers:
+        assert pointer.file_no == first.file_no
+        assert repo.read(pointer) == record
+
+
+def test_append_to_a_segment_deleted_under_its_writer_raises(repo, dfs):
+    pointer, _ = repo.append(write_record(b"a", b"1"))
+    dfs.delete(repo.segment_path(pointer.file_no))
+    with pytest.raises(FileNotFoundInDFS):
+        repo.append(write_record(b"b", b"2"))
