@@ -17,14 +17,15 @@ availability — the fraction of interleaved client operations that
 succeeded (retries included; the retryable ``TabletMigratingError`` plus
 route-cache invalidation must make that 100%).  A final pass re-reads
 every written key.  The ``migration/`` rows of the chaos registry
-(:mod:`repro.chaos.migration`) run alongside and must be green.
+(:mod:`repro.chaos.migration`) are not re-run here: tier-1, the family
+tests and CI's chaos-smoke step run them.
 
 Appends a run entry to ``BENCH_migration.json`` at the repo root.
 
 Run directly (``python benchmarks/bench_migration.py [--smoke]``) or via
 pytest, which asserts the acceptance bars: flip p99 within the
-``FLIP_BUDGET_SECONDS`` bound, 100% availability, zero lost
-writes, and a green chaos matrix.
+``FLIP_BUDGET_SECONDS`` bound, 100% availability and zero lost
+writes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import pathlib
 import random
 
 from conftest import append_trajectory
-from repro.chaos import matrix
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.migration import FLIP_BUDGET_SECONDS
@@ -192,19 +192,11 @@ def run_arm(ops: int, *, event: str) -> dict:
     }
 
 
-#: what the trajectory keeps of each chaos run.
-CHAOS_FIELDS = ("scenario", "passed", "violations", "faults_fired")
-
-
 def run_experiment(sizes=SIZES) -> dict:
     results: dict = {
         "record_size": RECORD_SIZE,
         "zipf_exponent": ZIPF_EXPONENT,
         "curve": [],
-        "chaos_matrix": [
-            {name: run[name] for name in CHAOS_FIELDS}
-            for run in matrix("migration")
-        ],
     }
     for ops in sizes:
         for event in ("add-node", "drain-node"):
@@ -226,10 +218,6 @@ def format_report(results: dict) -> str:
             f"{point['flip_p99_seconds']:>11.4f} "
             f"{point['availability']:>6.1%} {point['keys_lost']:>5d}"
         )
-    chaos_ok = sum(1 for c in results["chaos_matrix"] if c["passed"])
-    lines.append(
-        f"chaos matrix: {chaos_ok}/{len(results['chaos_matrix'])} scenarios green"
-    )
     return "\n".join(lines)
 
 
@@ -252,11 +240,6 @@ def check_acceptance(results: dict) -> list[str]:
             )
         if point["keys_lost"]:
             failures.append(f"{tag}: {point['keys_lost']} acked writes lost")
-    for entry in results["chaos_matrix"]:
-        if not entry["passed"]:
-            failures.append(
-                f"chaos {entry['scenario']}: {'; '.join(entry['violations'])}"
-            )
     return failures
 
 

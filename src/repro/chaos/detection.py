@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.chaos.runner import SCENARIOS, run_scenario
+from repro.obs.monitor import detection_latency
 
 #: per-family detection budget (simulated seconds from first fault to
 #: first matching firing).  Observed latencies at the pinned seed sit at
@@ -73,23 +74,6 @@ class DetectionResult:
         return {**asdict(self), "detected": self.detected, "passed": self.passed}
 
 
-def detection_latency_from_report(report, alert_name: str) -> float | None:
-    """Simulated seconds from the report's first fault to the first
-    firing of ``alert_name`` at or after it; None if it never fired (or
-    the monitor observed no fault at all)."""
-    if not report.fault_times:
-        return None
-    first_fault = min(report.fault_times)
-    for record in report.alerts:
-        if (
-            record["state"] == "firing"
-            and record["alert"] == alert_name
-            and record["time"] >= first_fault
-        ):
-            return record["time"] - first_fault
-    return None
-
-
 def detectable() -> list[str]:
     """Registry keys of every row the oracle covers."""
     return [key for key, row in SCENARIOS.items() if row.expected_alert]
@@ -110,8 +94,8 @@ def run_detection(
         run_passed=report.passed,
         fired=sorted(report.fired_alert_names()),
         fault_times=list(report.fault_times),
-        detection_latency=detection_latency_from_report(
-            report, row.expected_alert
+        detection_latency=detection_latency(
+            report.fault_times, report.alerts, row.expected_alert
         ),
     )
     if clean_twin:

@@ -129,10 +129,10 @@ def _corrupt_replica(run: Run) -> Events:
                     node.corrupt_replica(block.block_id, run.rng.randrange(block.length))
 
     def restart() -> None:
+        # The restart grants the leases itself: no heartbeat before the next op.
         cluster.kill_server("ts-node-0")
         cluster.restart_server("ts-node-0")
         run.report.restarted_servers.append("ts-node-0")
-        run.heartbeat()  # re-grants the restarted server's leases
 
     return {25: corrupt, 30: restart}
 

@@ -142,10 +142,6 @@ class LogBaseConfig:
             the owner's last-commit time minus this bound rejects the
             read with ``FollowerLaggingError`` (per-request override via
             the client API).
-        replica_read_fraction: share of eligible reads the client routes
-            to followers (1.0 = all reads try a follower first); writes
-            and historical ``as_of`` reads below the watermark still go
-            wherever correctness requires.
         tracing: install a :class:`~repro.obs.trace.Tracer` on the
             cluster and open spans at every gated entry point (client
             ops, tablet-server calls, compaction, recovery), attributing
@@ -209,7 +205,6 @@ class LogBaseConfig:
     read_replicas: bool = False
     replicas_per_tablet: int = 1
     replica_max_staleness: float = 5.0
-    replica_read_fraction: float = 1.0
     tracing: bool = False
     monitoring: bool = False
     monitor_scrape_interval: float = 0.05
@@ -430,8 +425,6 @@ class LogBaseConfig:
             raise ValueError("replicas_per_tablet must be >= 0")
         if self.replica_max_staleness <= 0:
             raise ValueError("replica_max_staleness must be > 0")
-        if not 0.0 <= self.replica_read_fraction <= 1.0:
-            raise ValueError("replica_read_fraction must be in [0, 1]")
         if self.monitor_scrape_interval < 0:
             raise ValueError("monitor_scrape_interval must be >= 0")
         for op_class, target in self.slo_op_p99.items():

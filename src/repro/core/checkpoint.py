@@ -95,42 +95,31 @@ class CheckpointManager:
         reader = self._dfs.open(self._block_path(), self._server.machine)
         return CheckpointBlock.from_bytes(reader.read_all(verified=True))
 
-    def load_tablet(self, block: CheckpointBlock, tablet_id: str) -> int:
-        """Reload only one tablet's index files from ``block``.
+    def load_checkpoint(
+        self, block: CheckpointBlock | None = None, tablet_id: str | None = None
+    ) -> CheckpointBlock:
+        """Reload the persisted index files into the server's indexes and
+        restore the LSN cursor; returns the block (read here if not given).
 
-        Fast recovery staggers checkpoint reloads per tablet so each
-        tablet pays only its own DFS reads before it can serve; the
-        caller restores the LSN cursor once for the whole pass.  Returns
-        the number of index files loaded.
+        With ``tablet_id`` only that tablet's files load and the cursor is
+        left alone: fast recovery staggers the reloads per tablet, so each
+        pays only its own DFS reads before it can serve, and restores the
+        cursor once for the whole pass.  The server must already have its
+        tablets assigned (the master re-assigns them on restart) so the
+        index shells exist.
         """
+        if block is None:
+            block = self.read_block()
         server = self._server
-        loaded = 0
         for slot, path in block.index_files.items():
             tablet_id_str, group = slot.split("|")
-            if tablet_id_str != tablet_id:
+            if tablet_id is not None and tablet_id_str != tablet_id:
                 continue
             tablet = server.tablets.get(tablet_id_str)
             if tablet is None:
                 continue  # tablet moved elsewhere; its new owner loads it
             index = server._ensure_index(tablet.tablet_id, group)
             load_index_file(self._dfs, path, server.machine, index)
-            loaded += 1
-        return loaded
-
-    def load_checkpoint(self) -> CheckpointBlock:
-        """Reload the persisted index files into the server's indexes.
-
-        The server must already have its tablets assigned (the master
-        re-assigns them on restart) so the index shells exist.
-        """
-        block = self.read_block()
-        server = self._server
-        for slot, path in block.index_files.items():
-            tablet_id_str, group = slot.split("|")
-            tablet = server.tablets.get(tablet_id_str)
-            if tablet is None:
-                continue  # tablet moved elsewhere; its new owner loads it
-            index = server._ensure_index(tablet.tablet_id, group)
-            load_index_file(self._dfs, path, server.machine, index)
-        server.log.set_next_lsn(block.lsn + 1)
+        if tablet_id is None:
+            server.log.set_next_lsn(block.lsn + 1)
         return block

@@ -71,9 +71,6 @@ class Client:
             The rotation composes with the breakers above: a limping
             follower's reads still pay its breaker cooldown, biasing the
             client away from it.
-        replica_read_fraction: share of reads eligible for follower
-            routing (a YCSB-style 95/5 workload keeps its 5% of writes
-            and any fraction-excluded reads on the owner).
         replica_max_staleness: per-request staleness bound forwarded to
             followers; None uses the server-side configured default.
     """
@@ -88,7 +85,6 @@ class Client:
         op_deadline: float | None = None,
         gray_policy: GrayPolicy | None = None,
         read_replicas: bool = False,
-        replica_read_fraction: float = 1.0,
         replica_max_staleness: float | None = None,
     ) -> None:
         self._master = master
@@ -106,7 +102,6 @@ class Client:
         # table -> router to (server name, tablet), cached after first lookup
         self._locations: dict[str, TabletRouter] = {}
         self._read_replicas = read_replicas
-        self._replica_read_fraction = replica_read_fraction
         self._replica_max_staleness = replica_max_staleness
         # table -> {tablet id: [follower server names]}, cached like
         # ``_locations`` and invalidated alongside it on ownership change.
@@ -171,12 +166,9 @@ class Client:
 
         Deterministic rotation over ``followers + [owner]`` — including
         the owner keeps it serving its fair share instead of idling while
-        followers saturate — with ``replica_read_fraction`` carving out
-        the reads that must stay on the owner entirely."""
+        followers saturate."""
         seq = self._replica_seq
         self._replica_seq += 1
-        if (seq % 100) >= int(self._replica_read_fraction * 100):
-            return None
         followers = self._follower_route(table, str(tablet.tablet_id))
         if not followers:
             return None

@@ -253,7 +253,9 @@ class LogBaseCluster:
         Recovery is the parallel hot-first path: redo partitioned across
         ``recovery_workers`` virtual workers, tablets brought up
         hottest-first (using the heartbeat heat snapshot) and served as
-        each one completes.
+        each one completes.  Once the redo finishes, the tablets the
+        server still owns serve under a fresh lease, granted by the
+        heartbeat's rule (an isolated server still bounces).
         """
         from repro.core.recovery import recover_server_parallel
 
@@ -266,11 +268,13 @@ class LogBaseCluster:
         else:
             # Session survived the crash: just refresh the catalog handle.
             self.master.catalog.servers[name] = server
-        if recover:
-            return recover_server_parallel(
-                server, self.checkpoints[name], heat=dict(self.tablet_heat)
-            )
-        return None
+        if not recover:
+            return None
+        report = recover_server_parallel(
+            server, self.checkpoints[name], heat=dict(self.tablet_heat)
+        )
+        self._renew_leases(only=name)
+        return report
 
     def heartbeat(self) -> dict:
         """One cluster heartbeat tick, the periodic pass a real deployment
@@ -344,12 +348,15 @@ class LogBaseCluster:
                 self.tablet_heat[tablet_id] = decayed
                 self._heat_seen[tablet_id] = now
 
-    def _renew_leases(self) -> None:
+    def _renew_leases(self, only: str | None = None) -> None:
         """Re-grant ownership leases to catalog owners the cluster can
-        still reach.  Tablets mid-handoff are skipped — the migrator's
-        fence, not the heartbeat, decides when they serve again."""
+        still reach (with ``only``, to that one server).  Tablets
+        mid-handoff are skipped — the migrator's fence, not the
+        heartbeat, decides when they serve again."""
         migrator = self.migrator
         for tablet_id, owner_name in self.master.catalog.assignments.items():
+            if only is not None and owner_name != only:
+                continue
             owner = self.master.catalog.servers.get(owner_name)
             if owner is None or not owner.machine.alive or not owner.serving:
                 continue

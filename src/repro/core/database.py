@@ -85,7 +85,6 @@ class LogBase:
             op_deadline=config.op_deadline if config.gray_resilience else None,
             gray_policy=config.gray_policy(),
             read_replicas=config.read_replicas,
-            replica_read_fraction=config.replica_read_fraction,
             replica_max_staleness=config.replica_max_staleness,
         )
 

@@ -555,7 +555,7 @@ def recover_server_parallel(
                         if reopen is not None:
                             reopen()
                     if block is not None:
-                        checkpoints.load_tablet(block, tablet_key)
+                        checkpoints.load_checkpoint(block, tablet_key)
                     for pointer, record in effective.get(tablet_key, ()):
                         apply(pointer, record)
                 seconds = machine.clock.now - clock0

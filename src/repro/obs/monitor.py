@@ -360,17 +360,21 @@ class ClusterMonitor:
     def first_fault_time(self) -> float | None:
         return self.fault_log[0]["time"] if self.fault_log else None
 
-    def detection_latency(self, alert_name: str) -> float | None:
-        """Simulated seconds from the first observed fault to the first
-        firing of ``alert_name`` at or after it; None if it never fired."""
-        first_fault = self.first_fault_time()
-        if first_fault is None:
-            return None
-        for record in self.engine.log:
-            if (
-                record["state"] == "firing"
-                and record["alert"] == alert_name
-                and record["time"] >= first_fault
-            ):
-                return record["time"] - first_fault
+
+def detection_latency(
+    fault_times: list[float], alert_log: list[dict], alert_name: str
+) -> float | None:
+    """Simulated seconds from the first fault to the first firing of
+    ``alert_name`` at or after it, in a monitor's alert log; None if it
+    never fired (or no fault was observed at all)."""
+    if not fault_times:
         return None
+    first_fault = min(fault_times)
+    for record in alert_log:
+        if (
+            record["state"] == "firing"
+            and record["alert"] == alert_name
+            and record["time"] >= first_fault
+        ):
+            return record["time"] - first_fault
+    return None

@@ -8,9 +8,9 @@ from repro.chaos import SCENARIOS, run_scenario
 from repro.chaos.detection import (
     DETECTION_BUDGETS,
     detectable,
-    detection_latency_from_report,
     run_detection,
 )
+from repro.obs.monitor import detection_latency
 
 #: rows of the covered families that inject nothing the plane could
 #: detect — the migrations they run are sanctioned.
@@ -53,19 +53,12 @@ def test_clean_twin_raises_no_alerts(family):
 
 
 def test_detection_latency_helper_edge_cases():
-    class FakeReport:
-        fault_times = [2.0, 5.0]
-        alerts = [
-            {"state": "firing", "alert": "server-down", "time": 1.0},  # pre-fault
-            {"state": "resolved", "alert": "server-down", "time": 2.5},
-            {"state": "firing", "alert": "server-down", "time": 3.0},
-        ]
-
-    assert detection_latency_from_report(FakeReport(), "server-down") == 1.0
-    assert detection_latency_from_report(FakeReport(), "no-such-alert") is None
-
-    class NoFaults:
-        fault_times = []
-        alerts = FakeReport.alerts
-
-    assert detection_latency_from_report(NoFaults(), "server-down") is None
+    fault_times = [2.0, 5.0]
+    alerts = [
+        {"state": "firing", "alert": "server-down", "time": 1.0},  # pre-fault
+        {"state": "resolved", "alert": "server-down", "time": 2.5},
+        {"state": "firing", "alert": "server-down", "time": 3.0},
+    ]
+    assert detection_latency(fault_times, alerts, "server-down") == 1.0
+    assert detection_latency(fault_times, alerts, "no-such-alert") is None
+    assert detection_latency([], alerts, "server-down") is None

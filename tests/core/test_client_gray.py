@@ -105,7 +105,7 @@ def test_overloaded_server_shed_is_retried_after_hint():
 
 @pytest.mark.parametrize(
     "replica_gates",
-    [{}, {"live_migration": True, "read_replicas": True, "replica_read_fraction": 0.0}],
+    [{}, {"live_migration": True, "read_replicas": True, "replicas_per_tablet": 0}],
     ids=["owner-only", "replica-routing-owner-arm"],
 )
 def test_shed_scan_is_retried_after_hint(replica_gates):

@@ -277,14 +277,47 @@ def test_lapsed_lease_fences_the_owner(mig_db):
 
 
 def test_restarted_server_comes_back_leaseless(mig_db):
+    # The process comes back lease-less; with no redo run, only the
+    # heartbeat grants it a fresh lease.
     db, keys = mig_db
     tablet_id, source, _ = _victim(db)
     db.cluster.kill_server(source)
-    db.cluster.restart_server(source)
+    db.cluster.restart_server(source, recover=False)
     server = db.cluster.server_by_name(source)
     assert not server.ownership.lease_valid(tablet_id)
     db.cluster.heartbeat()
     assert server.ownership.lease_valid(tablet_id)
+
+
+@pytest.mark.parametrize("isolated", [False, True], ids=["reachable", "isolated"])
+def test_restarted_owner_serves_once_its_redo_finishes(schema, isolated):
+    # No heartbeat between the restart and the ops: the redo's end grants
+    # the lease, by the heartbeat's own majority-reachable rule.
+    db = LogBase(n_nodes=4, config=LogBaseConfig.production())
+    db.create_table(schema)
+    keys = [str(k).zfill(12).encode() for k in range(0, 2_000_000_000, 53_000_017)]
+    for i, key in enumerate(keys):
+        db.put(TABLE, key, {GROUP: {"body": f"v{i}".encode()}})
+    tablet_id, source, _ = _victim(db)
+    key = next(k for k in keys if db.cluster.master.locate(TABLE, k)[0] == source)
+    server = db.cluster.server_by_name(source)
+    db.cluster.kill_server(source)
+    if isolated:
+        server.machine.network.partitions.isolate(server.machine.name)
+    db.cluster.restart_server(source)
+    if isolated:
+        assert not server.ownership.lease_valid(tablet_id)
+        with pytest.raises(TabletMigratingError, match="lapsed"):
+            server.write(TABLE, key, {GROUP: b"bounced"})
+        return
+    assert server.ownership.lease_valid(tablet_id)
+    client = db.client(db.cluster.machines[-1])
+    client.put_raw(TABLE, key, GROUP, b"after-restart")
+    txn = db.begin()
+    txn.write_raw(TABLE, key, GROUP, b"in-a-txn")
+    txn.commit()
+    assert client.get_raw(TABLE, key, GROUP) == b"in-a-txn"
+    assert server.machine.counters.get("migration.lease_rejects") == 0
 
 
 def test_split_at_observed_median(mig_db):

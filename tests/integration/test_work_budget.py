@@ -1,30 +1,66 @@
-"""The put path's work budget: exact per-op work on a fixed, fault-free
-``LogBaseConfig.production()`` workload, held to the ceilings checked in
-beside this test (``work_budget.json``).
+"""Work budgets: the exact work of LogBase's paths — the log-only write,
+reads served from the log, compaction and restart recovery — held to one
+checked-in table, ``work_budget.json``, keyed by profile, then by slice.
 
-Four nodes; every node's client writes in turn, 200 puts in all, and
-every tenth put is followed by a two-key transaction, 20 in all: it
-snapshots, a client overwrites the key just put, the transaction reads
-that key's older version (a log read, so the owner keeps a reader on its
-active segment), then writes two other keys and commits.  The ops run one
-after another in simulated time (a client's clock is brought up to the
-cluster's latest before it issues one), and the heartbeat is ticked every
-few ops, so nothing is shed and no lease lapses; both are asserted.
+``production`` is a fixed, fault-free workload on a 4-node
+``LogBaseConfig.production()`` cluster, one slice after another:
 
-Work is counted two ways.  Calls to ``NameNode.get_file``,
-``Tablet.covers``, ``crc32c`` (calls and bytes) and
-``DataNode.append_replica`` are counted by wrapping them, as the
-end-to-end benchmark's layer tracer does; ``dfs.append_round_trips``,
-``disk.writes``, ``commit.groups`` and the tracer's closed spans are read
-from counters.  Each op's work is what happened inside it; heartbeats are
-not charged to any op.
+* ``put``: 200 puts, every node's client in turn;
+* ``txn``: after every tenth put, a two-key transaction.  It snapshots, a
+  client overwrites the key just put, the transaction reads that key's
+  older version (a log read, so the owner keeps a reader on its active
+  segment), then writes two other keys and commits;
+* ``get``: 100 reads of the keys put (followers serve some of them);
+* ``scan``: 10 range scans of 20 of those keys each;
+* ``compaction``: six rounds of 40 more puts spread over every server,
+  then ``compact()`` on every server, each server's round one op.  The
+  sixth round's merge plans fire (asserted).  The checkpoint written
+  after every plan is a row (``checkpoints``), and so are the bytes it
+  writes (``checkpoint_bytes``);
+* ``rehome``: the heartbeat after each compaction round, whose tail pass
+  re-homes the new runs on the followers;
+* ``restart``: ``kill_server`` then ``restart_server`` of one server (its
+  recovery), then a put and a get of each of its keys, with no heartbeat
+  after the restart.
 
-The table is a ratchet: a change that does more work per op fails here,
-and one that does less must lower the number in the same diff.
+Each op's client clock is first brought up to the cluster's latest, and
+the heartbeat is ticked every few ops outside any charged op, so nothing
+is shed, no lease lapses and no client retries; all three are asserted.
+
+``paper`` is the end-to-end benchmark's paper profile (``LogBaseConfig()``
+with 500 KB segments and a 2 MB heap, 4 nodes, 1 KB values):
+
+* ``put``: 200 puts on a fresh cluster, from client ``i % 4`` of key
+  ``i``.  Every put does the same work: the slice's ``every_op`` rows;
+* ``scan``: one scan of the sorted keys 80..160 (it crosses from one
+  server into the next) on a cluster bulk-loaded with 400 keys as
+  ``ycsb_read_paper`` loads them: seed 42's keys, shuffled, through the
+  client write buffers.
+
+What a slice is charged, summed over its ops:
+
+* calls, counted by wrapping: ``NameNode.get_file``, ``Tablet.covers``,
+  ``DataNode.append_replica`` and ``verify_replica``, ``DFSReader.read``,
+  ``LogRecord.decode`` and ``encode``, ``BLinkTreeIndex.insert``,
+  ``crc32c`` (calls, and the bytes as ``crc32c_bytes``, in every module
+  that imported it by name), compaction's tail and merge plans, and
+  ``CheckpointManager.write_checkpoint``;
+* the cluster counters in ``COUNTERS`` and the tracer's closed spans;
+* ``sim_s``: simulated seconds, summed over every machine's clock;
+* what an op reports of itself: a paper put's ``latency_s``, the
+  client's ``last_op_seconds``, and a scan's ``rows``.
+
+Heartbeats and loading are charged to no slice, save the ``rehome`` one.
+
+The table is a ratchet: a change that does more work fails here, and one
+that does less must lower the number in the same diff.  Simulated seconds
+compare to a relative 1e-9.
 """
 
 import json
+import math
 import pathlib
+import random
 import time
 from collections import Counter
 
@@ -36,137 +72,320 @@ import repro.util
 import repro.util.crc
 import repro.wal.record
 from repro import LogBase
+from repro.bench.adapters import GROUP as PAPER_GROUP
+from repro.bench.adapters import TABLE as PAPER_TABLE
+from repro.bench.adapters import LogBaseAdapter
+from repro.bench.ycsb import YCSBWorkload
 from repro.config import LogBaseConfig
+from repro.core.checkpoint import CheckpointManager
+from repro.core.cluster import LogBaseCluster
 from repro.core.schema import ColumnGroup, TableSchema
 from repro.core.tablet import Tablet
 from repro.dfs.datanode import DataNode
+from repro.dfs.filesystem import DFSReader
 from repro.dfs.namenode import NameNode
+from repro.index.blink import BLinkTreeIndex
+from repro.wal.compaction import IncrementalCompactionJob
+from repro.wal.record import LogRecord
 
 CEILINGS = pathlib.Path(__file__).with_name("work_budget.json")
 NODES, PUTS, TXN_EVERY, HEARTBEAT_EVERY = 4, 200, 10, 5
+GETS, SCANS, SCAN_KEYS, ROUND_PUTS, ROUNDS = 100, 10, 20, 40, 6
 TABLE, GROUP = "budget", "g"
 SCHEMA = TableSchema(TABLE, "id", (ColumnGroup(GROUP, ("v",)),))
-COUNTERS = ("dfs.append_round_trips", "disk.writes", "commit.groups")
+PAPER = {"segment_size": 500_000, "heap_bytes": 2_000_000}
+PAPER_PUTS, PAPER_LOAD, PAPER_SCAN, PAPER_SEED = 200, 400, (80, 160), 42
+
+# name -> (owner, attribute): each call counts one.
+CALLS = {
+    "get_file": (NameNode, "get_file"),
+    "covers": (Tablet, "covers"),
+    "append_replica": (DataNode, "append_replica"),
+    "verify_replica": (DataNode, "verify_replica"),
+    "DFSReader.read": (DFSReader, "read"),
+    "LogRecord.decode": (LogRecord, "decode"),
+    "LogRecord.encode": (LogRecord, "encode"),
+    "BLinkTreeIndex.insert": (BLinkTreeIndex, "insert"),
+    "tail_plans": (IncrementalCompactionJob, "_run_tail"),
+    "merge_plans": (IncrementalCompactionJob, "_run_merge"),
+}
+COUNTERS = (
+    "commit.groups", "commit.group_fanin", "dfs.append_round_trips",
+    "disk.reads", "disk.seeks", "disk.writes", "disk.bytes_read",
+    "disk.bytes_written", "net.bytes_sent",
+)
+SECONDS = ("sim_s", "latency_s")  # float rows, compared to a relative 1e-9
+CRC_MODULES = (
+    repro.util.crc, repro.util, repro.wal.record, repro.index.persist,
+    repro.dfs.datanode,
+)
 
 
 def _key(i: int) -> bytes:
     return b"%012d" % (i * 9_999_991 % 2_000_000_000)
 
 
-def _value(i: int) -> bytes:
-    return bytes((i + j) % 251 for j in range(100))
+def _value(i: int, size: int = 100) -> bytes:
+    return bytes((i + j) % 251 for j in range(size))
 
 
-def _wrap(monkeypatch, calls: Counter) -> None:
-    """Count calls to the work the budget names, in every module that
-    imported ``crc32c`` by name."""
+def _paper_key(i: int) -> bytes:
+    return b"user%08d" % (i * 7919 % 100_000_000)
 
-    def counted(name, fn):
+
+def _spans_closed(cluster) -> int:
+    return cluster.tracer.spans_closed if cluster.tracer is not None else 0
+
+
+class Meter:
+    """Counts the named work while installed, and charges it to slices:
+    ``charged`` is the one path every op of every slice goes through."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = Counter(
+            dict.fromkeys([*CALLS, "crc32c", "crc32c_bytes", "checkpoints", "checkpoint_bytes"], 0)
+        )
+        self.cluster = None  # the cluster whose counters are being read
+        self.ops: dict[tuple[str, str], list[dict]] = {}
+        for name, (owner, attr) in CALLS.items():
+            monkeypatch.setattr(owner, attr, self._counted(name, vars(owner)[attr]))
+        crc = repro.util.crc.crc32c
+        calls = self.calls
+
+        def crc32c(data, crc_in=0):
+            calls["crc32c"] += 1
+            calls["crc32c_bytes"] += len(data)
+            return crc(data, crc_in)
+
+        for module in CRC_MODULES:
+            monkeypatch.setattr(module, "crc32c", crc32c)
+        checkpoint = CheckpointManager.write_checkpoint
+        meter = self
+
+        def write_checkpoint(manager):
+            calls["checkpoints"] += 1
+            before = meter.cluster.total_counters().get("disk.bytes_written", 0)
+            block = checkpoint(manager)
+            after = meter.cluster.total_counters().get("disk.bytes_written", 0)
+            calls["checkpoint_bytes"] += after - before
+            return block
+
+        monkeypatch.setattr(CheckpointManager, "write_checkpoint", write_checkpoint)
+
+    def _counted(self, name, original):
+        calls = self.calls
+        fn = original.__func__ if isinstance(original, classmethod) else original
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        return wrapper
+        return classmethod(wrapper) if isinstance(original, classmethod) else wrapper
 
-    for owner, attr in (
-        (NameNode, "get_file"),
-        (Tablet, "covers"),
-        (DataNode, "append_replica"),
-    ):
-        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
-    crc = repro.util.crc.crc32c
+    def charged(self, profile: str, kind: str, op):
+        """Run ``op()`` and charge everything it did to ``profile/kind``.
+        ``op`` may return a dict of facts it measured itself (a put's
+        latency, a scan's rows), charged beside the counts."""
+        cluster = self.cluster
+        calls = Counter(self.calls)
+        before = cluster.total_counters()
+        clocks = sum(machine.clock.now for machine in cluster.machines)
+        spans = _spans_closed(cluster)
+        facts = op() or {}
+        after = cluster.total_counters()
+        work = {name: self.calls[name] - calls[name] for name in self.calls}
+        work.update((name, after.get(name, 0) - before.get(name, 0)) for name in COUNTERS)
+        work["spans_closed"] = _spans_closed(cluster) - spans
+        work["sim_s"] = sum(machine.clock.now for machine in cluster.machines) - clocks
+        work.update(facts)
+        self.ops.setdefault((profile, kind), []).append(work)
 
-    def crc32c(data, crc_in=0):
-        calls["crc32c"] += 1
-        calls["crc32c_bytes"] += len(data)
-        return crc(data, crc_in)
+    def table(self) -> dict:
+        """``{profile: {slice: {"ops": n, row: total, ...}}}``."""
+        out: dict = {}
+        for (profile, kind), ops in self.ops.items():
+            row = {"ops": len(ops)}
+            for name in sorted({name for work in ops for name in work}):
+                total = sum(work.get(name, 0) for work in ops)
+                row[name] = total if name in SECONDS else int(total)
+            out.setdefault(profile, {})[kind] = row
+        return out
 
-    for module in (
-        repro.util.crc, repro.util, repro.wal.record, repro.index.persist,
-        repro.dfs.datanode,
-    ):
-        monkeypatch.setattr(module, "crc32c", crc32c)
+    def alike(self, profile: str, kind: str) -> dict:
+        """The rows every op of the slice did alike, with their value."""
+        ops = self.ops[(profile, kind)]
+        return {
+            name: int(ops[0][name])
+            for name in ops[0]
+            if name not in SECONDS and len({work.get(name) for work in ops}) == 1
+        }
 
 
-def measure(monkeypatch) -> dict[str, dict[str, float]]:
-    """Per-op work of each op kind, and the run's shed and lapse counts."""
+def production(meter: Meter) -> dict:
+    """The production slices; returns the run's shed, lapse and retry
+    counts."""
     db = LogBase(NODES, LogBaseConfig.production())
     db.create_table(SCHEMA)
-    cluster = db.cluster
+    cluster = meter.cluster = db.cluster
     clients = [db.client(machine) for machine in cluster.machines]
-    calls: Counter = Counter()
-    _wrap(monkeypatch, calls)
-    work = {"put": Counter(), "txn": Counter()}
-    ops = Counter()
 
-    def charged(kind, op):
-        before_calls = Counter(calls)
-        before = cluster.total_counters()
-        spans = cluster.tracer.spans_closed
-        op()
-        after = cluster.total_counters()
-        work[kind].update(calls - before_calls)
-        for name in COUNTERS:
-            work[kind][name] += after.get(name, 0) - before.get(name, 0)
-        work[kind]["spans_closed"] += cluster.tracer.spans_closed - spans
-        ops[kind] += 1
+    def align(client):
+        client._machine.clock.advance_to(max(m.clock.now for m in cluster.machines))
+
+    def charged(n, kind, client, op):
+        """Op ``n`` of a slice: a heartbeat every few ops, then the op."""
+        if n % HEARTBEAT_EVERY == 0:
+            cluster.heartbeat()
+        align(client)
+        meter.charged("production", kind, op)
 
     def put(i, value):
-        client = clients[i % NODES]
-        client._machine.clock.advance_to(max(m.clock.now for m in cluster.machines))
-        client.put_raw(TABLE, _key(i), GROUP, value)
+        clients[i % NODES].put_raw(TABLE, _key(i), GROUP, value)
 
     def txn(i):
         txn = db.begin()
+        align(clients[i % NODES])
         put(i, _value(i + 1))  # a newer version lands after the snapshot
         assert txn.read_raw(TABLE, _key(i), GROUP) == _value(i)
         txn.write_raw(TABLE, _key(i + 1000), GROUP, _value(i))
         txn.write_raw(TABLE, _key(i + 2000), GROUP, _value(i))
         txn.commit()
 
+    def get(i):
+        assert clients[i % NODES].get_raw(TABLE, _key(i), GROUP) is not None
+
     for i in range(PUTS):
-        if i % HEARTBEAT_EVERY == 0:
-            cluster.heartbeat()
-        charged("put", lambda: put(i, _value(i)))
+        charged(i, "put", clients[i % NODES], lambda: put(i, _value(i)))
         if i % TXN_EVERY == TXN_EVERY - 1:
-            charged("txn", lambda: txn(i))
+            meter.charged("production", "txn", lambda: txn(i))
+
+    for n in range(GETS):
+        charged(n, "get", clients[2 * n % NODES], lambda: get(2 * n))
+
+    keys = sorted(_key(i) for i in range(PUTS))
+
+    def scan(n):
+        rows = clients[n % NODES].scan_raw(
+            TABLE, GROUP, keys[n * SCAN_KEYS], keys[n * SCAN_KEYS + SCAN_KEYS - 1]
+        )
+        return {"rows": len(rows)}
+
+    for n in range(SCANS):
+        charged(n, "scan", clients[n % NODES], lambda: scan(n))
+
+    for round_no in range(ROUNDS):
+        for n in range(ROUND_PUTS):
+            if n % HEARTBEAT_EVERY == 0:
+                cluster.heartbeat()
+            i = PUTS + n * ROUNDS + round_no  # spread over every server
+            align(clients[i % NODES])
+            put(i, _value(i))
+        for server in cluster.servers:
+            meter.charged("production", "compaction", lambda: void(server.compact()))
+        meter.charged("production", "rehome", lambda: void(cluster.heartbeat()))
+
+    victim = cluster.servers[1].name
+    owned = [i for i in range(PUTS) if cluster.master.locate(TABLE, _key(i))[0] == victim]
+    cluster.heartbeat()
+
+    def restart():
+        cluster.kill_server(victim)
+        cluster.restart_server(victim)
+
+    meter.charged("production", "restart", restart)
+    for i in owned:
+        client = clients[i % NODES]
+        align(client)
+        meter.charged("production", "restart", lambda: put(i, _value(i + 3)))
+        align(client)
+        meter.charged("production", "restart", lambda: get(i))
+
     totals = cluster.total_counters()
-    per_op = {
-        kind: {name: round(count / ops[kind], 3) for name, count in sorted(work[kind].items())}
-        for kind in work
-    }
-    per_op["run"] = {
-        "ops": ops["put"] + ops["txn"],
+    return {
         "admission.shed": totals.get("admission.shed", 0),
         "migration.lease_rejects": totals.get("migration.lease_rejects", 0),
         "client.retries": totals.get("client.retries", 0),
     }
-    return per_op
 
 
-def test_the_put_path_stays_within_its_work_budget(monkeypatch):
+def paper(meter: Meter) -> None:
+    """The paper-profile slices, each on a fresh cluster."""
+    adapter = LogBaseAdapter(LogBaseCluster(NODES, LogBaseConfig(**PAPER)))
+    meter.cluster = adapter.cluster
+    for i in range(PAPER_PUTS):
+        meter.charged("paper", "put", lambda: {
+            "latency_s": adapter.put(i % NODES, _paper_key(i), _value(i, 1000))
+        })
+
+    keys = YCSBWorkload(
+        records_per_node=PAPER_LOAD // NODES, seed=PAPER_SEED
+    ).load_keys(NODES)
+    order = list(keys)
+    random.Random(PAPER_SEED).shuffle(order)
+    adapter = LogBaseAdapter(LogBaseCluster(NODES, LogBaseConfig(**PAPER)))
+    meter.cluster = adapter.cluster
+    for i, key in enumerate(order):
+        adapter.put_buffered(i % NODES, key, _value(i, 1000))
+    for node in range(NODES):
+        adapter.flush_buffers(node)
+    lo, hi = PAPER_SCAN
+    client = adapter._clients[0]
+    meter.charged("paper", "scan", lambda: {
+        "rows": len(client.scan_raw(PAPER_TABLE, PAPER_GROUP, keys[lo], keys[hi]))
+    })
+
+
+def void(_result) -> None:
+    """An op that reports nothing of itself."""
+
+
+def measure(monkeypatch) -> tuple[Meter, dict]:
+    """The charged meter, and the production run's shed, lapse and retry
+    counts."""
+    meter = Meter(monkeypatch)
+    run = production(meter)
+    paper(meter)
+    return meter, run
+
+
+def _compare(measured, ceiling) -> int:
+    """-1, 0 or 1: ``measured`` below, at or over ``ceiling``."""
+    if isinstance(ceiling, float) and math.isclose(measured, ceiling, rel_tol=1e-9):
+        return 0
+    return (measured > ceiling) - (measured < ceiling)
+
+
+def test_every_slice_stays_within_its_work_budget(monkeypatch):
     began = time.perf_counter()
-    measured = measure(monkeypatch)
+    meter, run = measure(monkeypatch)
     elapsed = time.perf_counter() - began
+    measured = meter.table()
     ceilings = json.loads(CEILINGS.read_text())
-    run = measured["run"]
-    assert run["admission.shed"] == 0 and run["client.retries"] == 0, run
-    assert run["migration.lease_rejects"] == 0, run
-    assert run["ops"] == PUTS + PUTS // TXN_EVERY
+    assert run == {"admission.shed": 0, "migration.lease_rejects": 0, "client.retries": 0}
+    assert measured["production"]["compaction"]["merge_plans"] >= 1
+    assert {p: set(s) for p, s in ceilings.items()} == {p: set(s) for p, s in measured.items()}
     over, under = [], []
-    for kind in ("put", "txn"):
-        for name, ceiling in ceilings[kind].items():
-            value = measured[kind].get(name, 0.0)
-            if value > ceiling:
-                over.append(f"{kind} {name}: {value} > {ceiling}")
-            elif value < ceiling:
-                under.append(f"{kind} {name}: {value} < {ceiling}")
-        unlisted = set(measured[kind]) - set(ceilings[kind])
-        assert not unlisted, f"{kind}: work with no ceiling: {sorted(unlisted)}"
-    assert not over, "more work per op than the budget allows: " + "; ".join(over)
+    for profile, slices in ceilings.items():
+        for kind, rows in slices.items():
+            got = measured[profile][kind]
+            tag = f"{profile}/{kind}"
+            assert got["ops"] == rows["ops"], f"{tag}: {got['ops']} ops, not {rows['ops']}"
+            alike = meter.alike(profile, kind)
+            for name, value in rows.pop("every_op", {}).items():
+                assert alike.get(name) == value, f"{tag}: {name} is not {value} on every op"
+            unlisted = set(got) - set(rows)
+            assert not unlisted, f"{tag}: work with no ceiling: {sorted(unlisted)}"
+            for name, ceiling in rows.items():
+                moved = _compare(got.get(name, 0), ceiling)
+                line = f"{tag} {name}: {got.get(name, 0)!r} vs {ceiling!r} ({rows['ops']} ops)"
+                if moved > 0:
+                    over.append(line)
+                elif moved < 0:
+                    under.append(line)
+    assert not over, "more work than the budget allows: " + "; ".join(over)
     assert not under, (
-        "less work per op than the budget: lower the ceilings in "
-        f"{CEILINGS.name} in this change: " + "; ".join(under)
+        f"less work than the budget: lower the ceilings in {CEILINGS.name} "
+        "in this change: " + "; ".join(under)
     )
     assert elapsed < 3.0, f"the budget run took {elapsed:.2f} s"
 
@@ -174,5 +393,14 @@ def test_the_put_path_stays_within_its_work_budget(monkeypatch):
 if __name__ == "__main__":
     # Prints the measured table (e.g. to lower the ceilings after a change
     # that does less work): python tests/integration/test_work_budget.py
+    # The ``every_op`` rows the checked-in table names are carried over.
     with pytest.MonkeyPatch.context() as patch:
-        print(json.dumps(measure(patch), indent=1))
+        meter, run = measure(patch)
+    table = meter.table()
+    for profile, slices in json.loads(CEILINGS.read_text()).items():
+        for kind, rows in slices.items():
+            if "every_op" in rows and kind in table.get(profile, {}):
+                alike = meter.alike(profile, kind)
+                table[profile][kind]["every_op"] = {n: alike.get(n) for n in rows["every_op"]}
+    print(json.dumps(table, indent=1))
+    print(json.dumps(run))

@@ -10,7 +10,12 @@ from repro.chaos.scenario import GROUP, KEY_WIDTH, SCHEMA, TABLE
 from repro.config import LogBaseConfig
 from repro.core.database import LogBase
 from repro.core.stats import collect_cluster_stats
-from repro.obs.monitor import ClusterMonitor, collect_health_gauges, gauges_by_entity
+from repro.obs.monitor import (
+    ClusterMonitor,
+    collect_health_gauges,
+    detection_latency,
+    gauges_by_entity,
+)
 from repro.sim.failure import FailureInjector
 from repro.sim.machine import Machine
 from repro.sim.metrics import GAUGE_SERVER_UP, validate_metric_name
@@ -75,7 +80,9 @@ def test_kill_fires_server_down_and_postmortem(monitored_db):
     # The injected kill was observed as a fault...
     assert monitor.fault_times()
     # ...and the alert latency against it is non-negative and small.
-    latency = monitor.detection_latency("server-down")
+    latency = detection_latency(
+        monitor.fault_times(), monitor.alert_log(), "server-down"
+    )
     assert latency is not None and latency >= 0.0
     # The fire snapshotted a post-mortem bundle.
     reasons = [pm["reason"] for pm in monitor.postmortem_dicts()]
