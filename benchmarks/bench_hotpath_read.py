@@ -17,20 +17,22 @@ trajectory is tracked across commits.
 It also prints the host cost of one scanned row on the paper profile
 (the end-to-end benchmark's ``ycsb_read_paper`` configuration:
 ``LogBaseConfig()`` with 500 KB segments and a 2 MB heap, 4 nodes).  A
-range scan walks the index, then follows each pointer::
+range scan walks the index, then follows each pointer to its value::
 
     BLinkTreeIndex.latest_in_range
-    LogRepository.read -> DFSReader.read (-> _replica_candidates,
-      DataNode.read_replica -> SimDisk.read) -> LogRecord.decode -> crc32c
+    LogRepository.read -> DFSReader.read (short-circuit: the local
+      DataNode.read_replica -> SimDisk.read) -> LogRecord.decode_value
+      -> crc32c
 
 Each function is timed on its own over the same rows of one server, best
 of N rounds, round-robin so a slow spell on a shared machine hits every
-case alike; ``crc32c`` is also timed on 64 KiB, one replica checksum
-chunk.  The µs are printed, never gated.  The calls really read: they
-charge simulated time and counters to the set-up cluster, which is thrown
-away.  The cases use only entry points that predate them, so the same
-script times a parent checkout: ``PYTHONPATH`` picks the ``src/`` it
-measures.
+case alike; ``LogRecord.decode``, the whole-record decode scans use, is
+timed beside ``decode_value``, and ``crc32c`` also on 64 KiB, one replica
+checksum chunk.  The µs are printed, never gated.  The calls really read:
+they charge simulated time and counters to the set-up cluster, which is
+thrown away.  The same script times a parent checkout (``PYTHONPATH``
+picks the ``src/`` it measures); a case whose entry point that tree lacks
+prints "—".
 
 Run directly (``python benchmarks/bench_hotpath_read.py [--smoke]``, which
 exits non-zero when a bar fails) or via pytest; both check the same bars
@@ -221,11 +223,12 @@ def row_costs(records: int, rounds: int) -> tuple[int, dict[str, float]]:
             offset -= block.length
 
     blocks = [block_of(r, p.offset) for r, p in zip(readers, pointers)]
-    nodes = [r._replica_candidates(b)[0] for r, (b, _) in zip(readers, blocks)]
+    nodes = [adapter.cluster.dfs.datanode(server.machine.name)] * len(pointers)
     raws = [r.read(p.offset, p.size) for r, p in zip(readers, pointers)]
     bodies = [raw[8:] for raw in raws]
     chunk = bytes(range(256)) * (CHUNK_BYTES // 256)
     work = list(zip(pointers, readers, blocks, nodes))
+    decode_value = getattr(LogRecord, "decode_value", None)
     cases = {
         "TabletServer.range_scan": lambda: list(
             server.range_scan(TABLE, GROUP, b"", b"\xff" * 32)
@@ -235,13 +238,15 @@ def row_costs(records: int, rounds: int) -> tuple[int, dict[str, float]]:
         ],
         "LogRepository.read": lambda: [repo.read(p) for p in pointers],
         "DFSReader.read": lambda: [r.read(p.offset, p.size) for p, r, *_ in work],
-        "_replica_candidates": lambda: [r._replica_candidates(b) for _, r, (b, _), _ in work],
         "DataNode.read_replica": lambda: [
             n.read_replica(b.block_id, o, p.size) for p, _, (b, o), n in work
         ],
         "SimDisk.read": lambda: [
             n.machine.disk.read(b.block_id, o, p.size) for p, _, (b, o), n in work
         ],
+        "LogRecord.decode_value": decode_value and (
+            lambda: [decode_value(raw) for raw in raws]
+        ),
         "LogRecord.decode": lambda: [
             LogRecord.decode(raw, 0, scope) for raw, scope in zip(raws, scopes)
         ],
@@ -255,15 +260,22 @@ def row_costs(records: int, rounds: int) -> tuple[int, dict[str, float]]:
     best = dict.fromkeys(cases, float("inf"))
     for _ in range(rounds):
         for name, fn in cases.items():
+            if fn is None:
+                continue
             began = time.perf_counter()
             fn()
             best[name] = min(best[name], time.perf_counter() - began)
-    return len(pointers), {name: 1e6 * t / per[name] for name, t in best.items()}
+    return len(pointers), {
+        name: 1e6 * t / per[name] if cases[name] else None for name, t in best.items()
+    }
 
 
-def format_row_costs(rows: int, costs: dict[str, float]) -> str:
+def format_row_costs(rows: int, costs: dict[str, float | None]) -> str:
     lines = [f"Host cost of one scanned row ({rows} rows, best-of-N, inclusive)"]
-    lines += [f"  {name:<32} {us:8.2f} us" for name, us in costs.items()]
+    lines += [
+        f"  {name:<32} {us:8.2f} us" if us is not None else f"  {name:<32} {'—':>8}"
+        for name, us in costs.items()
+    ]
     lines.append(
         f"  non-CRC part of a row read       "
         f"{costs['LogRepository.read'] - costs['crc32c (frame body)']:8.2f} us"

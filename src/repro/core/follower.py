@@ -52,10 +52,10 @@ version whose tombstone the plan dropped with it (:meth:`LogTailer.drop_dead`).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Collection, Iterable
 
 from repro.config import LogBaseConfig
-from repro.core.tablet import Tablet, hosted_cover, live_rows, read_version
+from repro.core.tablet import Tablet, TabletRouter, hosted_cover, live_rows, read_version
 from repro.dfs.filesystem import DFS
 from repro.errors import CorruptLogRecord, DFSError, FollowerLaggingError, InvalidLogPointer
 from repro.index.blink import BLinkTreeIndex
@@ -128,6 +128,14 @@ class FollowerTablet:
         return sum(len(index) for index in self._indexes.values())
 
 
+def _route_by_table(members: Collection[FollowerTablet]) -> dict[str, TabletRouter]:
+    """One router per table over ``members``' tablets."""
+    return {
+        table: TabletRouter((m.tablet, m) for m in members if m.tablet.table == table)
+        for table in {m.tablet.table for m in members}
+    }
+
+
 class LogTailer:
     """Tails one owner's log directory for all of a server's followers.
 
@@ -152,6 +160,7 @@ class LogTailer:
             scan_prefetch=config.scan_prefetch_bytes,
         )
         self.members: dict[str, FollowerTablet] = {}  # tablet id -> replica
+        self._routes: dict[str, TabletRouter] = {}  # table -> members by range
         # Byte cursor over the unsorted append stream: next record starts
         # at offset `_cursor[1]` of segment `_cursor[0]`.
         self._cursor: tuple[int, int] = (0, 0)
@@ -182,6 +191,7 @@ class LogTailer:
         lands in a later pass, and a member still judged fresh from its
         pre-reset drain would serve that resurrected deleted version."""
         self.members[str(follower.tablet.tablet_id)] = follower
+        self._routes = _route_by_table(self.members.values())
         for member in self.members.values():
             member.caught_up_at = None
         self._cursor = (0, 0)
@@ -194,6 +204,7 @@ class LogTailer:
     def unsubscribe(self, tablet_id: str) -> None:
         """Drop a replica (teardown on ownership change or re-placement)."""
         self.members.pop(str(tablet_id), None)
+        self._routes = _route_by_table(self.members.values())
 
     # -- tailing ---------------------------------------------------------------
 
@@ -356,10 +367,8 @@ class LogTailer:
 
     def _member(self, table: str, key: bytes) -> FollowerTablet | None:
         """The member replicating ``(table, key)``, if any."""
-        for member in self.members.values():
-            if member.tablet.table == table and member.tablet.covers(key):
-                return member
-        return None
+        router = self._routes.get(table)
+        return None if router is None else router.find(key)
 
     def _redo(self, pointer: LogPointer, record: LogRecord) -> bool:
         """Redo one effective record into the member covering its key."""
@@ -384,6 +393,7 @@ class ReplicaHost:
         self._server = server
         self.followers: dict[str, FollowerTablet] = {}
         self.tailers: dict[str, LogTailer] = {}
+        self._routes: dict[str, TabletRouter] = {}  # table -> followers by range
 
     def follow(self, tablet: Tablet, owner_name: str, epoch: int) -> FollowerTablet:
         """Host a read replica of ``tablet``, tailing ``owner_name``'s log.
@@ -406,6 +416,7 @@ class ReplicaHost:
             tailer = LogTailer(server.dfs, server.machine, owner_name, server.config)
             self.tailers[owner_name] = tailer
         follower = self.followers[tablet_id] = FollowerTablet(tablet, owner_name, epoch)
+        self._routes = _route_by_table(self.followers.values())
         tailer.subscribe(follower)
         return follower
 
@@ -415,6 +426,7 @@ class ReplicaHost:
         follower = self.followers.pop(str(tablet_id), None)
         if follower is None:
             return
+        self._routes = _route_by_table(self.followers.values())
         tailer = self.tailers.get(follower.owner_name)
         if tailer is not None:
             tailer.unsubscribe(str(tablet_id))
@@ -495,9 +507,9 @@ class ReplicaHost:
         return rows
 
     def _follower_for(self, table: str, key: bytes) -> FollowerTablet:
-        for follower in self.followers.values():
-            if follower.tablet.table == table and follower.tablet.covers(key):
-                return follower
+        router = self._routes.get(table)
+        if router is not None and (follower := router.find(key)) is not None:
+            return follower
         raise self._redirect(
             f"{self._server.name} hosts no replica covering {table}:{key!r}"
         )

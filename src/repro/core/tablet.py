@@ -196,7 +196,7 @@ def read_version(index, read, key: bytes, as_of: int | None, live=None):
     entry = index.lookup_latest(key) if as_of is None else index.lookup_asof(key, as_of)
     if entry is None or (live is not None and not live(entry)):
         return None
-    value = read(entry.pointer).value
+    value = read(entry.pointer)
     return None if value is None else (entry.timestamp, value)
 
 
@@ -214,13 +214,13 @@ def live_rows(repo, entries, coalesce_gap: int | None):
     if coalesce_gap is None:
         read = repo.read
         for entry in entries:
-            value = read(entry.pointer).value
+            value = read(entry.pointer)
             if value is not None:
                 yield entry.key, entry.timestamp, value
         return
     entries = iter(entries)
     while batch := list(islice(entries, READ_BATCH_SIZE)):
-        records = repo.read_many([entry.pointer for entry in batch])
-        for entry, record in zip(batch, records):
-            if record.value is not None:
-                yield entry.key, entry.timestamp, record.value
+        values = repo.read_many([entry.pointer for entry in batch])
+        for entry, value in zip(batch, values):
+            if value is not None:
+                yield entry.key, entry.timestamp, value

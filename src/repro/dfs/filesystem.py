@@ -762,8 +762,18 @@ class DFSReader:
             ReplicaCorruptError / BlockCorruptionError: if every remaining
                 replica is damaged.
         """
-        gray = self._dfs.gray
-        deadline = current_deadline()
+        gray, deadline = self._dfs.gray, current_deadline()
+        local = self._dfs.datanodes.get(self._reader.name)
+        if (
+            deadline is None and not verify and gray is None and self._dfs.health is None
+            and local is not None and local.machine is self._reader and local.alive
+            and local.name in block.locations and local.has_block(block.block_id)
+        ):
+            try:  # the short-circuit read: what the loop would try first
+                payload, cost = local.read_replica(block.block_id, offset, length)
+                return payload, cost, local
+            except BlockCorruptionError:  # short: charged nothing, the loop handles it
+                pass
         last_exc: Exception | None = None
         starved = False  # some replica was skipped only for deadline reasons
         candidates = self._replica_candidates(block)

@@ -159,19 +159,7 @@ class LogRecord:
             CorruptLogRecord: on truncation (``TruncatedLogRecord``), checksum
                 mismatch, or a body that matches its checksum but does not parse.
         """
-        header_end = offset + _FRAME_HEADER.size
-        if header_end > len(buf):
-            raise TruncatedLogRecord("truncated frame header")
-        length, crc = _FRAME_HEADER.unpack_from(buf, offset)
-        body_end = header_end + length
-        if body_end > len(buf):
-            raise TruncatedLogRecord("truncated frame body")
-        body = buf[header_end:body_end]
-        if type(body) is not bytes:
-            body = bytes(body)
-        if crc32c(body) != crc:
-            raise CorruptLogRecord("checksum mismatch")
-
+        body, body_end = _frame_body(buf, offset)
         try:
             # One pass over the body; a length below 0x80 is its own uvarint,
             # anything else (a body that ends early too) is decode_uvarint's.
@@ -230,6 +218,65 @@ class LogRecord:
             record_type, lsn, txn_id, table, tablet, key, group, timestamp, value
         )
         return record, body_end
+
+    @classmethod
+    def decode_value(cls, buf: bytes, offset: int = 0) -> tuple[bytes | None, int]:
+        """``(value, next_offset)``: :meth:`decode`'s frame check and field
+        walk, raising as it does, but building no record; names are stepped
+        over, not UTF-8 decoded, and skipped uvarints are not summed."""
+        body, body_end = _frame_body(buf, offset)
+        try:
+            type_byte = body[0]
+            if type_byte & 0x7F not in _RECORD_TYPES:
+                raise ValueError(f"{type_byte & 0x7F} is not a record type")
+            pos = _skip_uvarint(body, _skip_uvarint(body, 1))  # lsn, txn id
+            for _ in range(1 if type_byte & 0x80 else 4):  # [table, tablet,] key[, group]
+                n = body[pos]
+                if n < 0x80:
+                    pos += 1 + n
+                else:
+                    n, pos = decode_uvarint(body, pos)
+                    pos += n
+            pos = _skip_uvarint(body, pos)  # timestamp
+            value: bytes | None = None
+            if body[pos]:
+                n, pos = decode_uvarint(body, pos + 1)
+                value = body[pos : pos + n]
+                pos += n
+            else:
+                pos += 1
+            if pos != len(body):
+                raise CorruptLogRecord(f"fields end at byte {pos} of a {len(body)}-byte body")
+        except (IndexError, ValueError) as exc:
+            raise CorruptLogRecord(f"malformed record body: {exc}") from exc
+        return value, body_end
+
+
+def _frame_body(buf: bytes, offset: int) -> tuple[bytes, int]:
+    """The checksum-checked body of the frame at ``offset``, and its end."""
+    header_end = offset + _FRAME_HEADER.size
+    if header_end > len(buf):
+        raise TruncatedLogRecord("truncated frame header")
+    length, crc = _FRAME_HEADER.unpack_from(buf, offset)
+    body_end = header_end + length
+    if body_end > len(buf):
+        raise TruncatedLogRecord("truncated frame body")
+    body = buf[header_end:body_end]
+    if type(body) is not bytes:
+        body = bytes(body)
+    if crc32c(body) != crc:
+        raise CorruptLogRecord("checksum mismatch")
+    return body, body_end
+
+
+def _skip_uvarint(body: bytes, pos: int) -> int:
+    """The offset past the uvarint at ``pos``, of ten bytes at most."""
+    stop = pos + 9
+    while body[pos] & 0x80:
+        if pos == stop:
+            raise ValueError("uvarint too long")
+        pos += 1
+    return pos + 1
 
 
 # The slot descriptors of the nine fields, bound once.

@@ -8,7 +8,7 @@ the sorted segments produced by compaction.
 
 Sorted segments use the slim record layout (table/tablet/group omitted per
 entry); the repository keeps a metadata map ``file_no -> (table, group)``
-persisted in the DFS so reads can reconstitute full records — the §3.6.5
+persisted in the DFS so scans can reconstitute full records — the §3.6.5
 storage optimization.
 
 A compaction plan installs in four steps: write the run
@@ -283,22 +283,22 @@ class LogRepository:
             self._readers[file_no] = reader
         return reader
 
-    def read(self, pointer: LogPointer) -> LogRecord:
-        """Random read of one record (a single disk seek, §3.5); a frame
-        that fails its check is read again verified."""
+    def read(self, pointer: LogPointer) -> bytes | None:
+        """Random read of one record's value, None for a tombstone (a
+        single disk seek, §3.5); a frame that fails its check is read
+        again verified."""
         check_deadline("log read")
-        file_no = pointer.file_no
         with span(SPAN_LOG_READ, self._machine, bytes=pointer.size):
-            reader = self._reader(file_no).dfs_reader
-            scope = self._slim_meta.get(file_no)
+            reader = self._reader(pointer.file_no).dfs_reader
             try:
-                return LogRecord.decode(reader.read(pointer.offset, pointer.size), 0, scope)[0]
+                return LogRecord.decode_value(reader.read(pointer.offset, pointer.size))[0]
             except CorruptLogRecord:
                 raw = reader.read(pointer.offset, pointer.size, verified=True)
-                return LogRecord.decode(raw, 0, scope)[0]
+                return LogRecord.decode_value(raw)[0]
 
-    def read_many(self, pointers: list[LogPointer]) -> list[LogRecord]:
-        """Batch random reads; returns records in input pointer order.
+    def read_many(self, pointers: list[LogPointer]) -> list[bytes | None]:
+        """Batch random reads; returns values (None for a tombstone) in
+        input pointer order.
 
         With coalescing enabled (``coalesce_gap`` is not None), pointers
         are grouped by segment, sorted by offset, and runs whose
@@ -320,7 +320,7 @@ class LogRepository:
         counters.add(READ_MANY_CALLS)
         counters.add(READ_MANY_RECORDS, len(pointers))
         with span(SPAN_LOG_READ_MANY, self._machine, records=len(pointers)):
-            results: list[LogRecord | None] = [None] * len(pointers)
+            results: list[bytes | None] = [None] * len(pointers)
             by_segment: dict[int, list[int]] = defaultdict(list)
             for position, pointer in enumerate(pointers):
                 by_segment[pointer.file_no].append(position)
@@ -336,38 +336,29 @@ class LogRepository:
                         run_end = max(run_end, pointer.offset + pointer.size)
                     else:
                         if run:
-                            self._read_span(reader, file_no, run, run_start, run_end,
-                                            pointers, results)
+                            self._read_span(reader, run, run_start, run_end, pointers, results)
                         run = [position]
                         run_start = pointer.offset
                         run_end = pointer.offset + pointer.size
                 if run:
-                    self._read_span(reader, file_no, run, run_start, run_end,
-                                    pointers, results)
-        return results  # type: ignore[return-value]
+                    self._read_span(reader, run, run_start, run_end, pointers, results)
+        return results
 
     def _read_span(
-        self,
-        reader: LogSegmentReader,
-        file_no: int,
-        run: list[int],
-        start: int,
-        end: int,
-        pointers: list[LogPointer],
-        results: list[LogRecord | None],
+        self, reader: LogSegmentReader, run: list[int], start: int, end: int,
+        pointers: list[LogPointer], results: list[bytes | None],
     ) -> None:
-        """Fetch one coalesced span and decode each run member out of it
-        (re-reading the span verified if one fails its check)."""
+        """Fetch one coalesced span and decode each run member's value out
+        of it (re-reading the span verified if one fails its check)."""
         self._machine.counters.add(READ_MANY_SPANS)
         raw = reader.dfs_reader.read(start, end - start)
-        scope = self._slim_meta.get(file_no)
         for position in run:
             offset = pointers[position].offset - start
             try:
-                results[position], _ = LogRecord.decode(raw, offset, scope)
+                results[position], _ = LogRecord.decode_value(raw, offset)
             except CorruptLogRecord:
                 raw = reader.dfs_reader.read(start, end - start, verified=True)
-                results[position], _ = LogRecord.decode(raw, offset, scope)
+                results[position], _ = LogRecord.decode_value(raw, offset)
 
     def scan_segment(
         self, file_no: int, *, start_offset: int = 0

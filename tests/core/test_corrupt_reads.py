@@ -19,6 +19,7 @@ from repro.sim.metrics import (
     SCAN_PREFETCH_WINDOWS,
 )
 from repro.wal.record import RecordType
+from tests.wal.helpers import read_record, read_records
 
 TABLE, GROUP = "recov", "g"
 SCHEMA = TableSchema(TABLE, "id", (ColumnGroup(GROUP, ("v",)),))
@@ -109,7 +110,7 @@ def shape_point_read(db, values):
     owner = db.cluster.server_by_name(OWNER)
     path = owner.log.segment_path(pointer.file_no)
     damage = corrupt_first_hit(db, path, OWNER, pointer.offset + pointer.size - 2)
-    assert owner.log.read(pointer).value == values[key]
+    assert written([read_record(owner.log, pointer)]) == {key: values[key]}
     return damage
 
 
@@ -120,8 +121,7 @@ def shape_coalesced_span(db, values):
     middle = pointers[N // 2]
     path = owner.log.segment_path(middle.file_no)
     damage = corrupt_first_hit(db, path, OWNER, middle.offset + middle.size - 2)
-    records = owner.log.read_many(pointers)
-    assert [r.value for r in records] == [values[key] for key in keys]
+    assert written(read_records(owner.log, pointers)) == values
     assert owner.machine.counters.get(READ_MANY_SPANS) == 1
     return damage
 
@@ -221,7 +221,7 @@ def test_fault_free_reads_verify_no_replica(monkeypatch):
     _, values = load(db)
     owner = db.cluster.server_by_name(OWNER)
     key = sorted(values)[0]
-    assert owner.log.read(pointer_of(db, key)).value == values[key]
+    assert written([read_record(owner.log, pointer_of(db, key))]) == {key: values[key]}
     [file_no] = owner.log.segments()
     assert written(r for _, r in owner.log.scan_segment(file_no)) == values
     assert calls == []

@@ -41,9 +41,10 @@ What a slice is charged, summed over its ops:
 
 * calls, counted by wrapping: ``NameNode.get_file``, ``Tablet.covers``,
   ``DataNode.append_replica`` and ``verify_replica``, ``DFSReader.read``,
-  ``LogRecord.decode`` and ``encode``, ``BLinkTreeIndex.insert``,
-  ``crc32c`` (calls, and the bytes as ``crc32c_bytes``, in every module
-  that imported it by name), compaction's tail and merge plans, and
+  ``LogRecord.decode``, ``decode_value`` and ``encode``,
+  ``BLinkTreeIndex.insert``, ``crc32c`` (calls, and the bytes as
+  ``crc32c_bytes``, in every module that imported it by name),
+  compaction's tail and merge plans, and
   ``CheckpointManager.write_checkpoint``;
 * the cluster counters in ``COUNTERS`` and the tracer's closed spans;
 * ``sim_s``: simulated seconds, summed over every machine's clock;
@@ -104,6 +105,7 @@ CALLS = {
     "verify_replica": (DataNode, "verify_replica"),
     "DFSReader.read": (DFSReader, "read"),
     "LogRecord.decode": (LogRecord, "decode"),
+    "LogRecord.decode_value": (LogRecord, "decode_value"),
     "LogRecord.encode": (LogRecord, "encode"),
     "BLinkTreeIndex.insert": (BLinkTreeIndex, "insert"),
     "tail_plans": (IncrementalCompactionJob, "_run_tail"),

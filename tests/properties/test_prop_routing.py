@@ -3,8 +3,9 @@ gaps or without, the last one bounded or not) and any key (inside a range,
 in a gap, on a boundary, before the first or past the last tablet),
 :class:`TabletRouter` answers as the linear walk over ``Tablet.covers`` it
 replaced — and every router built on it (the server's ``_route``, the
-master's ``locate``, the catalog's ``tablet_for``) raises ``TabletNotFound``
-or answers "" exactly where the walk finds nothing."""
+master's ``locate``, the catalog's ``tablet_for``, a follower host's and its
+log tailer's) raises ``TabletNotFound``, answers "" or redirects exactly where
+the walk finds nothing."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,9 @@ from repro.core.master import SharedCatalog
 from repro.core.partition import KeyRange
 from repro.core.schema import ColumnGroup, TableSchema
 from repro.core.tablet import Tablet, TabletId, TabletRouter
+from repro.dfs.filesystem import DFS
+from repro.errors import FollowerLaggingError
+from repro.sim.machine import Machine
 
 SCHEMA = TableSchema("t", "id", (ColumnGroup("g", ("v",)),))
 
@@ -88,3 +92,39 @@ def test_the_server_route_raises_where_the_walk_finds_nothing(dfs, machines):
                 server._route("t", key)
         else:
             assert server._route("t", key) is expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts(), st.data())
+def test_follower_routing_answers_as_the_linear_walk(layout, data):
+    from repro.coordination.tso import TimestampOracle
+    from repro.coordination.znodes import CoordinationService
+    from repro.core.tablet_server import TabletServer
+
+    order, tablets, probes = layout
+    machines = [Machine(f"node-{i}") for i in range(2)]
+    server = TabletServer(
+        "ts-0", machines[0], DFS(machines, replication=2),
+        TimestampOracle(CoordinationService()),
+    )
+    # Another table's replica on the same owner keeps the tailer alive.
+    other = Tablet(TabletId("u", 0), KeyRange(b"", None), SCHEMA)
+    for tablet in [*order, other]:
+        server.replicas.follow(tablet, "ts-1", 0)
+    drops = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    for tablet, drop in zip(order, drops):
+        if drop:
+            server.replicas.unfollow(tablet.tablet_id)
+    kept = [tablet for tablet, drop in zip(order, drops) if not drop]
+    tailer = server.replicas.tailers["ts-1"]
+    for key in probes:
+        expected = walk(kept, key)
+        member = tailer._member("t", key)
+        assert (member and member.tablet) is expected
+        if expected is None:
+            with pytest.raises(FollowerLaggingError):
+                server.replicas._follower_for("t", key)
+        else:
+            assert server.replicas._follower_for("t", key).tablet is expected
+        assert tailer._member("u", key).tablet is other
+        assert tailer._member("missing", key) is None

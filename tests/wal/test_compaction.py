@@ -4,7 +4,7 @@ import pytest
 
 from repro.wal.record import LogRecord, RecordType, commit_record
 from repro.wal.repository import LogRepository
-from tests.wal.helpers import compact_whole_log, indexed
+from tests.wal.helpers import compact_whole_log, indexed, read_record
 
 
 def write(key: bytes, ts: int, value: bytes, *, table="t", group="g", txn=0) -> LogRecord:
@@ -112,11 +112,11 @@ def test_pointers_into_sorted_segments_resolve(repo):
     repo.append(write(b"k", 5, b"payload"))
     result = compact_whole_log(repo)
     _, _, key, ts, pointer = indexed(result)[0]
-    record = repo.read(pointer)
+    record = read_record(repo, pointer)
     assert record.key == key
     assert record.timestamp == ts
     assert record.value == b"payload"
-    # Slim metadata reconstitutes table/group on read.
+    # Slim metadata reconstitutes table/group on decode.
     assert record.table == "t" and record.group == "g"
 
 

@@ -22,7 +22,7 @@ from repro.wal.compaction import CompactionResult, IncrementalCompactionJob
 from repro.wal.planner import CompactionPlan, CompactionPlanner
 from repro.wal.record import LogRecord, RecordType, abort_record, commit_record
 from repro.wal.repository import LogRepository
-from tests.wal.helpers import compact_whole_log, indexed
+from tests.wal.helpers import compact_whole_log, indexed, read_record, read_records
 
 
 def write(key: bytes, ts: int, value: bytes, *, table="t", group="g", txn=0) -> LogRecord:
@@ -398,7 +398,7 @@ def test_run_file_is_its_frames_in_key_timestamp_order(repo):
         (b"a", 3), (b"a", 6), (b"b", 7), (b"c", 2), (b"c", 4)
     ]
     for table, group, key, ts, pointer in indexed(result):
-        record = repo.read(pointer)
+        record = read_record(repo, pointer)
         assert (record.table, record.group, record.key, record.timestamp) == (
             table, group, key, ts,
         )
@@ -430,7 +430,7 @@ def test_run_crossing_several_flushes_and_a_dfs_block_boundary(machines):
     assert any(
         p.offset < 160 * 1024 < p.offset + p.size for *_, p in indexed(result)
     )
-    records = repo.read_many([pointer for *_, pointer in indexed(result)])
+    records = read_records(repo, [pointer for *_, pointer in indexed(result)])
     for (_, _, key, ts, _), record in zip(indexed(result), records):
         assert (record.key, record.timestamp, record.value) == (
             key, ts, kilobyte(ts - 1),
@@ -451,7 +451,7 @@ def assert_run_index_matches(repo, result, carried):
     assert [(key, ts) for key, ts, _ in tombstones] == carried
     assert result.stats.tombstones_carried == len(carried)
     for key, ts, pointer in tombstones:
-        marker = repo.read(pointer)
+        marker = read_record(repo, pointer)
         assert marker.is_delete
         assert (marker.key, marker.timestamp) == (key, ts)
 

@@ -18,6 +18,7 @@ from repro.sim.machine import Machine
 from repro.wal.group_commit import CommitCoordinator
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
+from tests.wal.helpers import read_record
 
 
 def write_record(key: bytes, value: bytes = b"v", ts: int = 1) -> LogRecord:
@@ -70,7 +71,7 @@ def test_append_delegates_to_append_batch(dfs, machines):
     assert machines[0].clock.now - before_a == pytest.approx(
         machines[1].clock.now - before_b
     )
-    assert repo_a.read(pointer_a) == stamped_a
+    assert read_record(repo_a, pointer_a) == stamped_a
 
 
 def test_single_submission_flushes_on_drain(coordinator, repo):
@@ -81,7 +82,7 @@ def test_single_submission_flushes_on_drain(coordinator, repo):
     assert resolved is future
     assert future.acked
     (pointer, stamped) = future.result()[0]
-    assert repo.read(pointer) == stamped
+    assert read_record(repo, pointer) == stamped
 
 
 def test_followers_join_one_round_trip(coordinator, machines):
@@ -259,7 +260,7 @@ def test_blocking_commit_joins_the_open_group(coordinator, machines):
     assert coordinator.pending == 0
     # The caller waited for the group's ack, not only its data.
     assert machines[0].clock.now == queued[0].completion_time
-    assert coordinator._log.read(pointer) == stamped
+    assert read_record(coordinator._log, pointer) == stamped
 
 
 def test_blocking_commit_raises_when_its_flush_dies(coordinator, machines):

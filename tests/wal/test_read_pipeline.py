@@ -9,6 +9,7 @@ from repro import LogBase, LogBaseConfig
 from repro.dfs.filesystem import DFS
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
+from tests.wal.helpers import read_record, read_records
 
 
 def make_key(value: int) -> bytes:
@@ -52,7 +53,7 @@ def test_append_batch_straddles_block_boundary(tiny_block_dfs, machines):
     meta = tiny_block_dfs.namenode.get_file(repo.segment_path(1))
     assert len(meta.blocks) >= 3
     for pointer, stamped in pairs:
-        assert repo.read(pointer) == stamped
+        assert read_record(repo, pointer) == stamped
 
 
 def test_read_many_spans_block_boundaries(cached_tiny_dfs, machines):
@@ -67,7 +68,7 @@ def test_read_many_spans_block_boundaries(cached_tiny_dfs, machines):
         [write_record(make_key(i), b"v" * 400, ts=i + 1) for i in range(30)]
     )
     pointers = [pointer for pointer, _ in pairs]
-    assert repo.read_many(pointers) == [stamped for _, stamped in pairs]
+    assert read_records(repo, pointers) == [stamped for _, stamped in pairs]
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -77,10 +78,10 @@ def test_read_after_append_sees_fresh_tail(
     dfs = cached_tiny_dfs if cached else tiny_block_dfs
     repo = LogRepository(dfs, machines[0], "/log", segment_size=1 << 20)
     p1, r1 = repo.append(write_record(b"a", b"first"))
-    assert repo.read(p1) == r1  # warms the reader (and cache, if enabled)
+    assert read_record(repo, p1) == r1  # warms the reader (and cache, if enabled)
     p2, r2 = repo.append(write_record(b"b", b"second"))
-    assert repo.read(p2) == r2  # the tail append must be visible
-    assert repo.read(p1) == r1
+    assert read_record(repo, p2) == r2  # the tail append must be visible
+    assert read_record(repo, p1) == r1
 
 
 @pytest.mark.parametrize("gap", [None, 0, 64 * 1024])
@@ -95,7 +96,7 @@ def test_read_many_preserves_input_order(dfs, machines, gap):
     assert len(repo.segments()) >= 2  # the batch crosses segments
     rng = random.Random(7)
     sample = rng.sample(pairs, len(pairs)) + [pairs[3], pairs[3]]  # duplicates too
-    records = repo.read_many([pointer for pointer, _ in sample])
+    records = read_records(repo, [pointer for pointer, _ in sample])
     assert records == [stamped for _, stamped in sample]
 
 

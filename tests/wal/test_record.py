@@ -397,3 +397,141 @@ def test_new_record_is_the_record(record_type, value):
     for field in fields(LogRecord):
         with pytest.raises(FrozenInstanceError):
             setattr(staged, field.name, getattr(built, field.name))
+
+
+# -- decode_value is decode's value ------------------------------------------------
+
+# WRITE and INVALIDATE records (the kinds a read follows a pointer to), with
+# names, keys and values long enough for multi-byte uvarint lengths.
+value_records = st.builds(
+    LogRecord,
+    record_type=st.sampled_from([RecordType.WRITE, RecordType.INVALIDATE]),
+    lsn=st.integers(0, 2**40),
+    txn_id=st.integers(0, 2**30),
+    table=st.text(max_size=150),
+    tablet=st.text(max_size=150),
+    key=st.one_of(st.binary(max_size=20), st.binary(min_size=128, max_size=300)),
+    group=st.text(max_size=150),
+    timestamp=st.one_of(st.integers(0, 200), st.integers(2**35, 2**62)),
+    value=st.one_of(st.binary(max_size=20), st.binary(min_size=128, max_size=300)),
+).map(lambda r: replace(r, value=None) if r.record_type is RecordType.INVALIDATE else r)
+
+
+def outcome(decoder, buf, offset=0):
+    """What ``decoder`` returns on ``buf``, or the exact class it raised."""
+    try:
+        return decoder(buf, offset)
+    except CorruptLogRecord as exc:
+        return type(exc)
+
+
+def decoded_value(buf, offset=0):
+    """``LogRecord.decode``'s answer in ``decode_value``'s shape."""
+    record, end = LogRecord.decode(buf, offset)
+    return record.value, end
+
+
+def assert_decoded_alike(buf, offset=0):
+    assert outcome(LogRecord.decode_value, buf, offset) == outcome(decoded_value, buf, offset)
+
+
+def padded_body(record: LogRecord, slim: bool, field: str, extra: int) -> bytes:
+    """``record``'s body with the uvarint of ``field`` written ``extra``
+    bytes longer than it needs to be (past ten bytes it is over-long)."""
+
+    def uvarint(name, value):
+        raw = encode_uvarint(value)
+        if name != field:
+            return raw
+        return raw[:-1] + bytes([raw[-1] | 0x80]) + b"\x80" * (extra - 1) + b"\x00"
+
+    def named(name, raw):
+        return uvarint(name, len(raw)) + raw
+
+    parts = [bytes([record.record_type | (0x80 if slim else 0)])]
+    parts += [uvarint("lsn", record.lsn), uvarint("txn_id", record.txn_id)]
+    if not slim:
+        parts += [named("table", record.table.encode()), named("tablet", record.tablet.encode())]
+    parts.append(named("key", record.key))
+    if not slim:
+        parts.append(named("group", record.group.encode()))
+    parts.append(uvarint("timestamp", record.timestamp))
+    if record.value is None:
+        parts.append(b"\x00")
+    else:
+        parts += [b"\x01", named("value", record.value)]
+    return b"".join(parts)
+
+
+@given(value_records)
+@settings(max_examples=200, deadline=None)
+def test_decode_value_is_the_decoded_records_value(record):
+    for slim in (False, True):
+        frame = record.encode(slim=slim)
+        assert LogRecord.decode_value(frame) == (record.value, len(frame))
+        assert LogRecord.decode_value(bytearray(b"\x00" * 3 + frame), 3) == (
+            record.value,
+            3 + len(frame),
+        )
+        assert_decoded_alike(frame)
+
+
+@given(value_records, st.integers(1, 255))
+@settings(max_examples=50, deadline=None)
+def test_decode_value_raises_as_decode_on_a_damaged_frame(record, delta):
+    for slim in (False, True):
+        frame = record.encode(slim=slim)
+        for cut in range(len(frame)):
+            assert_decoded_alike(frame[:cut])
+        for at in range(len(frame)):
+            damaged = bytearray(frame)
+            damaged[at] = (damaged[at] + delta) % 256
+            assert_decoded_alike(bytes(damaged))
+
+
+@GOLDEN_FRAMES
+def test_decode_value_raises_as_decode_on_every_single_byte_change(frame):
+    for at in range(len(frame)):
+        for byte in range(256):
+            damaged = bytearray(frame)
+            damaged[at] = byte
+            assert_decoded_alike(bytes(damaged))
+
+
+@given(value_records)
+@settings(max_examples=50, deadline=None)
+def test_decode_value_raises_as_decode_on_a_checksummed_malformed_body(record):
+    for slim in (False, True):
+        body = record.encode(slim=slim)[8:]
+        for cut in range(len(body)):  # a wrong end: the body stops short
+            assert_decoded_alike(framed(body[:cut]))
+        assert_decoded_alike(framed(body + b"\x00"))  # a wrong end: one byte over
+        for code in range(0x80):  # the type byte, same layout
+            assert_decoded_alike(framed(bytes([code | body[0] & 0x80]) + body[1:]))
+        uvarints = ["lsn", "txn_id", "key", "timestamp"]
+        uvarints += [] if slim else ["table", "tablet", "group"]
+        uvarints += [] if record.value is None else ["value"]
+        for field in uvarints:
+            for extra in range(1, 12):  # non-minimal, then over-long
+                assert_decoded_alike(framed(padded_body(record, slim, field, extra)))
+
+
+def test_padded_uvarints_decode_up_to_ten_bytes():
+    record = sample_record(lsn=5)
+    assert padded_body(record, False, "", 0) == record.encode()[8:]
+    assert LogRecord.decode_value(framed(padded_body(record, False, "lsn", 9)))[0] == b"the value"
+    with pytest.raises(CorruptLogRecord, match="too long"):
+        LogRecord.decode_value(framed(padded_body(record, False, "lsn", 10)))
+    with pytest.raises(CorruptLogRecord, match="too long"):
+        LogRecord.decode(framed(padded_body(record, False, "lsn", 10)))
+
+
+def test_decode_value_steps_over_name_bytes_unchecked():
+    """The one thing ``decode`` checks that ``decode_value`` does not: a
+    name's UTF-8.  A frame's checksum vouches for its bytes; only a body
+    built with a bad name and then checksummed tells them apart."""
+    body = padded_body(sample_record(table="events"), False, "", 0)
+    bad = framed(body.replace(b"events", b"\xffvents", 1))
+    with pytest.raises(CorruptLogRecord):
+        LogRecord.decode(bad)
+    assert LogRecord.decode_value(bad) == (b"the value", len(bad))

@@ -6,7 +6,7 @@ from repro.errors import FileNotFoundInDFS, InvalidLogPointer
 from repro.sim.failure import CP_LOG_APPEND, CP_META_PERSIST, FaultPlan, fault_plan
 from repro.wal.record import LogRecord, RecordType
 from repro.wal.repository import LogRepository
-from tests.wal.helpers import compact_whole_log
+from tests.wal.helpers import compact_whole_log, read_record
 
 
 def write_record(key: bytes, value: bytes, ts: int = 1) -> LogRecord:
@@ -34,7 +34,7 @@ def test_append_assigns_increasing_lsns(repo):
 
 def test_append_then_read_back(repo):
     pointer, stamped = repo.append(write_record(b"key", b"value"))
-    read = repo.read(pointer)
+    read = read_record(repo, pointer)
     assert read == stamped
 
 
@@ -46,7 +46,7 @@ def test_batch_append_is_one_dfs_write(repo, machines):
     # One replication round for the whole batch (group commit).
     assert messages_after - messages_before == 1
     for pointer, stamped in pairs:
-        assert repo.read(pointer) == stamped
+        assert read_record(repo, pointer) == stamped
 
 
 def test_segments_roll_at_size(repo):
@@ -129,7 +129,7 @@ def test_append_batch_splits_across_rolls(repo, machines):
         assert repo.segment_bytes(file_no) <= 4096
     assert machines[0].counters.get("net.messages") - before == segments_touched
     for pointer, stamped in pairs:
-        assert repo.read(pointer) == stamped
+        assert read_record(repo, pointer) == stamped
     scanned = [record for _, record in repo.scan_all()]
     assert scanned == [stamped for _, stamped in pairs]
 
@@ -141,7 +141,7 @@ def test_append_batch_single_record_larger_than_segment(repo):
     # The oversized record goes alone; the next record opens a new segment.
     assert len(repo.segments()) == 2
     for pointer, stamped in pairs:
-        assert repo.read(pointer) == stamped
+        assert read_record(repo, pointer) == stamped
 
 
 # -- atomic metadata persistence --------------------------------------------
@@ -251,18 +251,18 @@ def test_append_batch_across_a_roll_stamps_and_tiles(repo, machines):
             offset += pointer.size
         assert offset == repo.segment_bytes(file_no)
     for pointer, stamped in pairs:
-        assert repo.read(pointer) == stamped
+        assert read_record(repo, pointer) == stamped
 
 
 def test_a_cached_segment_reader_reads_later_appends(repo):
     """The active segment's reader, opened by a read, serves records
     appended after it was opened."""
     first, stamped = repo.append(write_record(b"a", b"1"))
-    assert repo.read(first) == stamped
+    assert read_record(repo, first) == stamped
     pointers = repo.append_batch([write_record(b"b", b"2"), write_record(b"c", b"3")])
     for pointer, record in pointers:
         assert pointer.file_no == first.file_no
-        assert repo.read(pointer) == record
+        assert read_record(repo, pointer) == record
 
 
 def test_append_to_a_segment_deleted_under_its_writer_raises(repo, dfs):
