@@ -304,8 +304,8 @@ class LogBaseConfig:
 
         The plain constructor keeps it off so the seed cost model and
         figures are reproduced byte-identically; this preset is what the
-        elasticity benchmark (``bench_migration``) and the ``migration/``
-        chaos scenarios run under.
+        elasticity sweep (``tests/core/test_elasticity.py``) and the
+        ``migration/`` chaos scenarios run under.
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
@@ -330,8 +330,8 @@ class LogBaseConfig:
 
         The plain constructor keeps it off so the seed cost model and
         figures are reproduced byte-identically; this preset is what the
-        replica benchmark (``bench_replicas``) and the ``replica/`` chaos
-        scenarios run under.
+        replica sweep (``tests/core/test_follower.py``) and the ``replica/``
+        chaos scenarios run under.
         """
         settings: dict = {
             "dfs_checksum_replicas": True,
@@ -420,8 +420,8 @@ class LogBaseConfig:
                 "fenced through migration epochs)"
             )
         if self.replicas_per_tablet < 0:
-            # 0 is legal under the gate: the replica benchmark's baseline
-            # arm runs the same config with no followers placed.
+            # 0 is legal under the gate: the replica sweep's owner-only arm
+            # (tests/core/test_follower.py) places no followers.
             raise ValueError("replicas_per_tablet must be >= 0")
         if self.replica_max_staleness <= 0:
             raise ValueError("replica_max_staleness must be > 0")

@@ -84,8 +84,8 @@ SPLITS_PATH = "/logbase/tablet-splits"
 _LEASE_EPSILON = 1e-6
 
 # Acceptance bound (simulated seconds) on one migration's fenced-flip
-# window — the only unavailability a live migration may cause.  Tests and
-# ``bench_migration`` assert flip p99 stays under it.
+# window — the only unavailability a live migration may cause.  The
+# elasticity sweep (tests/core/test_elasticity.py) asserts flip p99 under it.
 FLIP_BUDGET_SECONDS = 2.0
 
 # The balancer acts when the hottest server's heat exceeds the coldest's

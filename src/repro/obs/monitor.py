@@ -129,13 +129,8 @@ def _compaction_debt(server, config: "LogBaseConfig") -> float:
     only; the planner simulates no cost)."""
     from repro.wal.planner import CompactionPlanner
 
-    try:
-        planner = CompactionPlanner(
-            server.log, tier_fanout=config.compaction_tier_fanout
-        )
-        return float(sum(plan.input_bytes for plan in planner.plan()))
-    except Exception:
-        return 0.0
+    planner = CompactionPlanner(server.log, tier_fanout=config.compaction_tier_fanout)
+    return float(sum(plan.input_bytes for plan in planner.plan()))
 
 
 def gauges_by_entity(cluster: "LogBaseCluster") -> dict[str, dict[str, float]]:

@@ -1,9 +1,12 @@
 """Elastic scaling tests (§1 desiderata: scale out and back on demand)."""
 
+import random
+
 import pytest
 
 from repro import ColumnGroup, LogBase, LogBaseConfig, TableSchema
 from repro.chaos.invariants import check_single_owner
+from repro.core.migration import FLIP_BUDGET_SECONDS
 from repro.errors import LogBaseError, ServerDownError
 from repro.sim.failure import CP_ADOPT_MID, FaultPlan, fault_plan
 
@@ -222,3 +225,113 @@ def test_a_move_writes_the_tablet_once(schema, how):
     assert rehomed > 10_000
     delta = cluster.total_counters()["disk.bytes_written"] - written
     assert delta <= 3.1 * rehomed
+
+
+# -- the elasticity sweep: live moves under a skewed, interleaved workload -----
+
+SWEEP_TABLE, SWEEP_GROUP = "elastic", "g"
+SWEEP_KEY_WIDTH, SWEEP_KEY_DOMAIN = 8, 100_000
+SWEEP_OPS = 160
+OPS_PER_PHASE = 12  # client ops interleaved between migration phases
+HEARTBEAT_EVERY = 20  # the background pass that keeps ownership leases renewed
+
+
+class _SkewedWorkload:
+    """A seeded Zipfian 70/30 write/read mix (key = domain * u^3: ~89 % of
+    traffic in the first tablet) that counts failed client operations."""
+
+    def __init__(self, db, rng):
+        self.db, self.rng = db, rng
+        self.client = db.client(db.cluster.machines[0])
+        self.written: dict[bytes, bytes] = {}
+        self.attempted = self.failed = 0
+
+    def run(self, ops):
+        for _ in range(ops):
+            if self.attempted % HEARTBEAT_EVERY == 0:
+                self.db.cluster.heartbeat()
+            key = str(int(SWEEP_KEY_DOMAIN * self.rng.random() ** 3))
+            key = key.zfill(SWEEP_KEY_WIDTH).encode()
+            self.attempted += 1
+            try:
+                if self.written and self.rng.random() < 0.3:
+                    self.client.get_raw(SWEEP_TABLE, key, SWEEP_GROUP)
+                else:
+                    value = b"%08d" % self.rng.randrange(10**8)
+                    self.client.put_raw(SWEEP_TABLE, key, SWEEP_GROUP, value)
+                    self.written[key] = value
+            except LogBaseError:
+                self.failed += 1
+
+
+def _interleaved_migrate(db, workload, tablet_id, target):
+    """One live migration with client ops running between its phases, so
+    mid-handoff writes land on the source and ride the flip delta."""
+    steps, ctx = db.cluster.migrator.phases(tablet_id, target)
+    for _name, step in steps:
+        workload.run(OPS_PER_PHASE)
+        step()
+    workload.run(OPS_PER_PHASE)
+    return ctx["report"]
+
+
+@pytest.mark.parametrize("event", ["add-node", "drain-node"])
+def test_elastic_event_under_interleaved_load(event):
+    """Add a node and move the two hottest tablets onto it, or drain a
+    node live, with client ops between every migration phase: each move
+    flips within the unavailability budget, every client op succeeds (a
+    stale location is re-resolved on ``TabletNotFound``; the drained
+    server's ``ServerDownError`` is retried) and no acked write is lost.
+    Fence and flip run inside one phase, so no op here meets a fenced
+    tablet: ``test_migration.py`` covers the ``TabletMigratingError`` retry."""
+    db = LogBase(
+        n_nodes=3, config=LogBaseConfig.with_live_migration(segment_size=32 * 1024)
+    )
+    db.create_table(
+        TableSchema(SWEEP_TABLE, "id", (ColumnGroup(SWEEP_GROUP, ("v",)),)),
+        tablets_per_server=2,
+        key_domain=SWEEP_KEY_DOMAIN,
+        key_width=SWEEP_KEY_WIDTH,
+    )
+    cluster = db.cluster
+    workload = _SkewedWorkload(db, random.Random(11))
+    workload.run(SWEEP_OPS)
+    if event == "add-node":
+        target = cluster.add_node(rebalance=False).name
+        cluster.heartbeat()
+        moves = sorted(
+            cluster.master.catalog.assignments,
+            key=lambda t: cluster.tablet_heat.get(t, 0.0),
+            reverse=True,
+        )[:2]
+        targets = [target] * len(moves)
+    else:
+        victim = "ts-node-0"
+        others = [s.name for s in cluster.servers if s.name != victim]
+        cluster.heartbeat()
+        moves = sorted(
+            (t for t, owner in cluster.master.catalog.assignments.items()
+             if owner == victim),
+            key=lambda t: cluster.tablet_heat.get(t, 0.0),
+            reverse=True,
+        )
+        targets = [others[i % len(others)] for i in range(len(moves))]
+    reports = [
+        _interleaved_migrate(db, workload, tablet_id, target)
+        for tablet_id, target in zip(moves, targets)
+    ]
+    if event == "drain-node":
+        cluster.server_by_name(victim).serving = False
+    workload.run(SWEEP_OPS // 4)  # post-event traffic on the new topology
+
+    assert len(reports) >= 1
+    assert cluster.migrator.flip_histogram.percentile(0.99) <= FLIP_BUDGET_SECONDS
+    assert workload.failed == 0, f"{workload.failed} of {workload.attempted} ops failed"
+    verifier = db.client(cluster.machines[1])
+    lost = []
+    for i, (key, value) in enumerate(workload.written.items()):
+        if i % HEARTBEAT_EVERY == 0:
+            cluster.heartbeat()  # keep leases renewed while verifying
+        if verifier.get_raw(SWEEP_TABLE, key, SWEEP_GROUP) != value:
+            lost.append(key)
+    assert lost == []

@@ -14,11 +14,17 @@ from unittest.mock import Mock
 
 import pytest
 
-from repro import LogBase, LogBaseConfig
+from repro import ColumnGroup, LogBase, LogBaseConfig, TableSchema
 from repro.chaos.invariants import StalenessChecker
 from repro.chaos.oracle import encode_value
-from repro.errors import CorruptLogRecord, DataNodeDownError, FollowerLaggingError
+from repro.errors import (
+    CorruptLogRecord,
+    DataNodeDownError,
+    FollowerLaggingError,
+    LogBaseError,
+)
 from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan
+from repro.sim.machine import Machine
 
 TABLE = "events"
 GROUP = "payload"
@@ -587,3 +593,93 @@ def test_a_tail_pass_abandoned_midway_counts_what_it_applied(rep_db, monkeypatch
     monkeypatch.undo()
     server.tail_followed_logs()
     assert counters.get("replica.lag_records") == before[0] + 4
+
+
+# -- the read-replica sweep: followers scale the owner's serving capacity ------
+
+SWEEP_TABLE, SWEEP_GROUP = "reads", "g"
+SWEEP_KEY_DOMAIN, SWEEP_RECORD = 100_000, 200
+SWEEP_NODES = 5  # owner + 3 follower slots + a client-side node
+SWEEP_CLIENTS = 4  # open-loop client pool, on machines outside the cluster
+SWEEP_OPS = 300
+
+
+def _replica_sweep_arm(followers):
+    """One tablet server owns the table while ``followers`` followers tail
+    its log; a 95/5 Zipfian read/write mix (u^2 skew) over 400 preloaded
+    keys runs from clients outside the cluster.  Returns (ops per
+    simulated second of the cluster makespan, failed ops, replica reads)."""
+    # No read buffer (the paper's disk-resident working set: every read
+    # pays its DFS fetch wherever it is served, the cost replicas spread),
+    # and full replication, so each follower tails a local log replica.
+    config = LogBaseConfig.with_read_replicas(
+        segment_size=64 * 1024,
+        replicas_per_tablet=followers,
+        read_cache_enabled=False,
+        replication=SWEEP_NODES,
+    )
+    db = LogBase(n_nodes=SWEEP_NODES, config=config)
+    db.create_table(
+        TableSchema(SWEEP_TABLE, "id", (ColumnGroup(SWEEP_GROUP, ("v",)),)),
+        tablets_per_server=1,
+        key_domain=SWEEP_KEY_DOMAIN,
+        key_width=8,
+        only_servers=[SOURCE],
+    )
+    clients = [
+        db.client(
+            Machine(f"client-{i}", rack="rack-client", disk_model=config.disk,
+                    network=config.network)
+        )
+        for i in range(SWEEP_CLIENTS)
+    ]
+    rng = random.Random(23)
+    written = set()
+    for i in range(400):
+        key = str(int(SWEEP_KEY_DOMAIN * rng.random() ** 2)).zfill(8).encode()
+        clients[i % SWEEP_CLIENTS].put_raw(
+            SWEEP_TABLE, key, SWEEP_GROUP, b"%0*d" % (SWEEP_RECORD, i)
+        )
+        written.add(key)
+    keyset = sorted(written)
+    # Place the followers and let them catch up before the measured phase.
+    db.cluster.heartbeat()
+    db.cluster.heartbeat()
+    db.cluster.reset_clocks()
+    failed = 0
+    for i in range(SWEEP_OPS):
+        if i % 25 == 0:
+            db.cluster.heartbeat()  # lease renewal + follower tail passes
+        key = keyset[int(len(keyset) * rng.random() ** 2)]
+        client = clients[i % SWEEP_CLIENTS]
+        try:
+            if rng.random() < 0.95:
+                client.get_raw(SWEEP_TABLE, key, SWEEP_GROUP)
+            else:
+                client.put_raw(SWEEP_TABLE, key, SWEEP_GROUP, b"%0*d" % (SWEEP_RECORD, i + 1))
+        except LogBaseError:
+            failed += 1
+    served = db.cluster.total_counters().get("replica.reads_served", 0)
+    return SWEEP_OPS / db.cluster.elapsed_makespan(), failed, served
+
+
+@pytest.fixture(scope="module")
+def replica_sweep():
+    """follower count -> (throughput, failed ops, replica reads)."""
+    return {n: _replica_sweep_arm(n) for n in (0, 1, 3)}
+
+
+def test_three_followers_scale_read_throughput(replica_sweep):
+    """3 followers serve >= 2.5x the owner-only throughput: the makespan
+    covers every server, so follower tail work is charged against it."""
+    speedup = replica_sweep[3][0] / replica_sweep[0][0]
+    assert speedup >= 2.5, f"3-follower speed-up {speedup:.2f}x"
+
+
+def test_replica_sweep_is_fully_available(replica_sweep):
+    assert {n: failed for n, (_, failed, _) in replica_sweep.items()} == {0: 0, 1: 0, 3: 0}
+
+
+@pytest.mark.parametrize("followers", [1, 3])
+def test_every_follower_arm_serves_replica_reads(replica_sweep, followers):
+    assert replica_sweep[followers][2] > 0

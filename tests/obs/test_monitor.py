@@ -19,6 +19,7 @@ from repro.obs.monitor import (
 from repro.sim.failure import FailureInjector
 from repro.sim.machine import Machine
 from repro.sim.metrics import GAUGE_SERVER_UP, validate_metric_name
+from repro.wal.planner import CompactionPlanner
 
 
 @pytest.fixture
@@ -156,6 +157,19 @@ def test_health_gauges_shared_with_stats(monitored_db):
     monitor = db.cluster.monitor
     for (entity, metric), value in flat.items():
         assert monitor.store.latest(entity, metric) == pytest.approx(value)
+
+
+def test_a_planner_error_is_not_read_as_zero_debt(monitored_db, monkeypatch):
+    """The compaction-debt gauge runs the planner over an up server's log;
+    a planner that raises must surface, not read as "no debt"."""
+    _write_some(monitored_db)
+
+    def broken_plan(self, segments=None):
+        raise RuntimeError("planner bug")
+
+    monkeypatch.setattr(CompactionPlanner, "plan", broken_plan)
+    with pytest.raises(RuntimeError, match="planner bug"):
+        collect_health_gauges(monitored_db.cluster)
 
 
 def test_monitoring_gate_changes_no_simulated_state():
