@@ -10,20 +10,24 @@ graph into sub partitions while reducing number of cross-partition
 transactions."
 
 This module implements that advisor: build the co-access graph from a
-transaction trace, partition it with recursive Kernighan-Lin bisection
-(networkx), and score assignments by the fraction of transactions that
-would need two-phase commit.
+transaction trace, partition it with recursive Kernighan-Lin bisection,
+and score assignments by the fraction of transactions that would need
+two-phase commit.  Keys hash with CRC-32C and graph nodes are added in
+sorted order, so every assignment is the same in every process.
 """
 
 from __future__ import annotations
 
+import heapq
+import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 
-import networkx as nx
+from repro.util.crc import crc32c
 
 TransactionTrace = list[set[bytes]]  # keys co-accessed per transaction
+CoAccessGraph = dict[bytes, dict[bytes, int]]  # key -> neighbour -> weight
 
 
 @dataclass
@@ -38,7 +42,7 @@ class PartitionAssignment:
         assigned = self.mapping.get(key)
         if assigned is not None:
             return assigned
-        return hash(key) % self.n_partitions
+        return crc32c(key) % self.n_partitions
 
     def partitions_touched(self, keys: set[bytes]) -> set[int]:
         """Partitions one transaction's key set spans."""
@@ -70,7 +74,7 @@ def hash_assignment(keys: set[bytes], n_partitions: int) -> PartitionAssignment:
     """Baseline: hash keys onto partitions (ignores the workload)."""
     assignment = PartitionAssignment(n_partitions)
     for key in keys:
-        assignment.mapping[key] = hash(key) % n_partitions
+        assignment.mapping[key] = crc32c(key) % n_partitions
     return assignment
 
 
@@ -82,6 +86,60 @@ def range_assignment(keys: set[bytes], n_partitions: int) -> PartitionAssignment
     for i, key in enumerate(ordered):
         assignment.mapping[key] = min(i // per_part, n_partitions - 1)
     return assignment
+
+
+def _kl_sweep(graph: CoAccessGraph, side: dict) -> list:
+    """One pass of single-node moves, alternating sides, each the cheapest
+    left on its side.  The two lazy min-heaps behave as networkx's
+    ``BinaryHeap``: equal costs pop in push order, and a re-push supersedes
+    a node's older entries.  Entry ``i`` is ``(total cost after i + 1
+    moves, i + 1, (node moved to side 1, node moved to side 0))``."""
+    costs: tuple[dict, dict] = ({}, {})
+    heaps: tuple[list, list] = ([], [])
+    order = count()
+
+    def push(s: int, node: bytes, cost: int) -> None:
+        costs[s][node] = cost
+        heapq.heappush(heaps[s], (cost, next(order), node))
+
+    for u, nbrs in graph.items():
+        cost = sum(w if side[v] else -w for v, w in nbrs.items())
+        push(side[u], u, cost if side[u] else -cost)
+    moves, total = [], 0
+    while costs[0] and costs[1]:
+        pair = []
+        for s in (0, 1):
+            while costs[s].get(heaps[s][0][2]) != heaps[s][0][0]:
+                heapq.heappop(heaps[s])
+            cost, _, node = heapq.heappop(heaps[s])
+            del costs[s][node]
+            total += cost
+            pair.append(node)
+            for nbr, w in graph[node].items():
+                if nbr in costs[side[nbr]]:
+                    gain = -2 * w if side[nbr] == s else 2 * w
+                    push(side[nbr], nbr, costs[side[nbr]][nbr] + gain)
+        moves.append((total, len(moves) + 1, tuple(pair)))
+    return moves
+
+
+def _kernighan_lin_bisection(graph: CoAccessGraph) -> tuple[set[bytes], set[bytes]]:
+    """networkx 3.x ``kernighan_lin_bisection(G, weight="weight", seed=7)``:
+    a seeded half/half split, then up to 10 sweeps, each applying its
+    cheapest prefix of moves while that gains."""
+    nodes = list(graph)
+    random.Random(7).shuffle(nodes)
+    mid = len(nodes) // 2
+    side = {node: i < mid for i, node in enumerate(nodes)}
+    for _ in range(10):
+        moves = _kl_sweep(graph, side)
+        min_cost, min_i, _ = min(moves)
+        if min_cost >= 0:
+            break
+        for _, _, (u, v) in moves[:min_i]:
+            side[u] = 1
+            side[v] = 0
+    return {u for u, s in side.items() if not s}, {u for u, s in side.items() if s}
 
 
 class WorkloadPartitioner:
@@ -98,24 +156,19 @@ class WorkloadPartitioner:
             raise ValueError("need at least one partition")
         self.n_partitions = n_partitions
 
-    def build_graph(self, trace: TransactionTrace) -> nx.Graph:
-        """The co-access graph: record vertices, weighted co-access edges."""
-        graph = nx.Graph()
+    def build_graph(self, trace: TransactionTrace) -> CoAccessGraph:
+        """The co-access graph: record vertices in key order, each edge
+        weighted by how many transactions access both ends."""
+        graph: CoAccessGraph = {key: {} for key in sorted(set().union(*trace))}
         for keys in trace:
-            for key in keys:
-                if not graph.has_node(key):
-                    graph.add_node(key)
             for a, b in combinations(sorted(keys), 2):
-                if graph.has_edge(a, b):
-                    graph[a][b]["weight"] += 1
-                else:
-                    graph.add_edge(a, b, weight=1)
+                graph[a][b] = graph[b][a] = graph[a].get(b, 0) + 1
         return graph
 
     def partition(self, trace: TransactionTrace) -> PartitionAssignment:
         """Partition the trace's keys to minimize cross-partition edges."""
         graph = self.build_graph(trace)
-        parts: list[set[bytes]] = [set(graph.nodes)]
+        parts: list[set[bytes]] = [set(graph)]
         # Recursive weighted bisection until enough parts exist.
         while len(parts) < self.n_partitions:
             parts.sort(key=len, reverse=True)
@@ -123,11 +176,12 @@ class WorkloadPartitioner:
             if len(biggest) < 2:
                 parts.append(biggest)
                 break
-            sub = graph.subgraph(biggest)
-            left, right = nx.algorithms.community.kernighan_lin_bisection(
-                sub, weight="weight", seed=7
-            )
-            parts.extend([set(left), set(right)])
+            sub = {
+                u: {v: w for v, w in nbrs.items() if v in biggest}
+                for u, nbrs in graph.items()
+                if u in biggest
+            }
+            parts.extend(_kernighan_lin_bisection(sub))
         # If bisection overshot a non-power-of-two target, merge the two
         # smallest parts until the count fits.
         while len(parts) > self.n_partitions:
