@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import struct
+from _blake2 import blake2b  # not hashlib: that loads OpenSSL, ~3.5 MB
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -144,13 +145,19 @@ class LogRecord:
 
     @classmethod
     def decode(
-        cls, buf: bytes, offset: int = 0, scope: tuple[str, str] | None = None
+        cls,
+        buf: bytes,
+        offset: int = 0,
+        scope: tuple[str, str] | None = None,
+        checked: dict[bytes, int] | None = None,
     ) -> tuple["LogRecord", int]:
         """Decode one framed record from ``buf`` at ``offset``.
 
         Args:
             scope: ``(table, group)`` of the sorted segment ``buf`` was read
                 from, which a slim entry leaves out; None for a log segment.
+            checked: the cluster's memo of bodies that passed their CRC
+                (``DFS.checked_frames``); None checks every body.
 
         Returns:
             ``(record, next_offset)``.
@@ -159,7 +166,7 @@ class LogRecord:
             CorruptLogRecord: on truncation (``TruncatedLogRecord``), checksum
                 mismatch, or a body that matches its checksum but does not parse.
         """
-        body, body_end = _frame_body(buf, offset)
+        body, body_end = _frame_body(buf, offset, checked)
         try:
             # One pass over the body; a length below 0x80 is its own uvarint,
             # anything else (a body that ends early too) is decode_uvarint's.
@@ -220,11 +227,13 @@ class LogRecord:
         return record, body_end
 
     @classmethod
-    def decode_value(cls, buf: bytes, offset: int = 0) -> tuple[bytes | None, int]:
+    def decode_value(
+        cls, buf: bytes, offset: int = 0, checked: dict[bytes, int] | None = None
+    ) -> tuple[bytes | None, int]:
         """``(value, next_offset)``: :meth:`decode`'s frame check and field
         walk, raising as it does, but building no record; names are stepped
         over, not UTF-8 decoded, and skipped uvarints are not summed."""
-        body, body_end = _frame_body(buf, offset)
+        body, body_end = _frame_body(buf, offset, checked)
         try:
             type_byte = body[0]
             if type_byte & 0x7F not in _RECORD_TYPES:
@@ -252,8 +261,18 @@ class LogRecord:
         return value, body_end
 
 
-def _frame_body(buf: bytes, offset: int) -> tuple[bytes, int]:
-    """The checksum-checked body of the frame at ``offset``, and its end."""
+# The most body digests a ``checked`` memo holds (~2 MB); a full one is emptied.
+CHECKED_FRAMES_CAP = 16_384
+
+
+def _frame_body(
+    buf: bytes, offset: int, checked: dict[bytes, int] | None
+) -> tuple[bytes, int]:
+    """The checksum-checked body of the frame at ``offset``, and its end.
+
+    ``checked`` maps the 16-byte BLAKE2b digest of a body to the CRC it
+    passed: a body found there with the frame's CRC skips ``crc32c``, and
+    only a body that passes is recorded."""
     header_end = offset + _FRAME_HEADER.size
     if header_end > len(buf):
         raise TruncatedLogRecord("truncated frame header")
@@ -264,8 +283,16 @@ def _frame_body(buf: bytes, offset: int) -> tuple[bytes, int]:
     body = buf[header_end:body_end]
     if type(body) is not bytes:
         body = bytes(body)
-    if crc32c(body) != crc:
-        raise CorruptLogRecord("checksum mismatch")
+    if (
+        checked is None
+        or checked.get(digest := blake2b(body, digest_size=16).digest()) != crc
+    ):
+        if crc32c(body) != crc:
+            raise CorruptLogRecord("checksum mismatch")
+        if checked is not None:
+            if len(checked) >= CHECKED_FRAMES_CAP:
+                checked.clear()
+            checked[digest] = crc
     return body, body_end
 
 

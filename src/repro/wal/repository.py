@@ -289,12 +289,14 @@ class LogRepository:
         again verified."""
         check_deadline("log read")
         with span(SPAN_LOG_READ, self._machine, bytes=pointer.size):
-            reader = self._reader(pointer.file_no).dfs_reader
+            segment = self._reader(pointer.file_no)
+            reader, checked = segment.dfs_reader, segment.checked
             try:
-                return LogRecord.decode_value(reader.read(pointer.offset, pointer.size))[0]
+                raw = reader.read(pointer.offset, pointer.size)
+                return LogRecord.decode_value(raw, 0, checked)[0]
             except CorruptLogRecord:
                 raw = reader.read(pointer.offset, pointer.size, verified=True)
-                return LogRecord.decode_value(raw)[0]
+                return LogRecord.decode_value(raw, 0, checked)[0]
 
     def read_many(self, pointers: list[LogPointer]) -> list[bytes | None]:
         """Batch random reads; returns values (None for a tombstone) in
@@ -355,10 +357,10 @@ class LogRepository:
         for position in run:
             offset = pointers[position].offset - start
             try:
-                results[position], _ = LogRecord.decode_value(raw, offset)
+                results[position], _ = LogRecord.decode_value(raw, offset, reader.checked)
             except CorruptLogRecord:
                 raw = reader.dfs_reader.read(start, end - start, verified=True)
-                results[position], _ = LogRecord.decode_value(raw, offset)
+                results[position], _ = LogRecord.decode_value(raw, offset, reader.checked)
 
     def scan_segment(
         self, file_no: int, *, start_offset: int = 0

@@ -64,6 +64,8 @@ class LogSegmentReader:
     Args:
         file_no: segment number (stamped into yielded pointers).
         reader: positional DFS reader over the segment file.
+        checked: the file system's memo of frames whose CRC passed
+            (``DFS.checked_frames``), handed to every decode.
         prefetch_bytes: read-ahead window for :meth:`scan`; 0 reads the
             whole segment in one request (the seed behaviour), a positive
             value streams the scan in windows of this many bytes so long
@@ -71,10 +73,15 @@ class LogSegmentReader:
     """
 
     def __init__(
-        self, file_no: int, reader: DFSReader, prefetch_bytes: int = 0
+        self,
+        file_no: int,
+        reader: DFSReader,
+        checked: dict[bytes, int],
+        prefetch_bytes: int = 0,
     ) -> None:
         self.file_no = file_no
         self.dfs_reader = reader
+        self.checked = checked
         self._prefetch_bytes = prefetch_bytes
 
     @property
@@ -116,7 +123,7 @@ class LogSegmentReader:
         verified = False  # whether buf came from a verified read
         while offset < length:
             try:
-                record, rel_next = LogRecord.decode(buf, offset - base, scope)
+                record, rel_next = LogRecord.decode(buf, offset - base, scope, self.checked)
             except CorruptLogRecord as exc:
                 cut = isinstance(exc, TruncatedLogRecord)
                 if cut and fetched < length:
@@ -143,4 +150,6 @@ def open_segment_reader(
     dfs: DFS, path: str, file_no: int, machine: Machine, prefetch_bytes: int = 0
 ) -> LogSegmentReader:
     """Open ``path`` as a segment reader on behalf of ``machine``."""
-    return LogSegmentReader(file_no, dfs.open(path, machine), prefetch_bytes)
+    return LogSegmentReader(
+        file_no, dfs.open(path, machine), dfs.checked_frames, prefetch_bytes
+    )

@@ -392,6 +392,23 @@ def test_every_slice_stays_within_its_work_budget(monkeypatch):
     assert elapsed < 3.0, f"the budget run took {elapsed:.2f} s"
 
 
+def test_a_budget_does_not_depend_on_what_ran_before_it():
+    """Frame checks a cluster's memo spares are that cluster's own: the
+    paper slices measure the same ``crc32c`` work run twice in one
+    process, so an exact budget holds in any test order."""
+    runs = []
+    for _ in range(2):
+        with pytest.MonkeyPatch.context() as patch:
+            meter = Meter(patch)
+            paper(meter)
+        runs.append({
+            kind: (rows["crc32c"], rows["crc32c_bytes"])
+            for kind, rows in meter.table()["paper"].items()
+        })
+    assert runs[0] == runs[1]
+    assert runs[0]["scan"][0] > 0
+
+
 if __name__ == "__main__":
     # Prints the measured table (e.g. to lower the ceilings after a change
     # that does less work): python tests/integration/test_work_budget.py

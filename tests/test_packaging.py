@@ -37,3 +37,14 @@ def test_import_succeeds_without_networkx():
         "print(WorkloadPartitioner(2).partition([{b'a', b'b'}, {b'c'}]).n_partitions)\n"
     )
     assert out.strip() == "2"
+
+
+def test_import_loads_no_openssl_hashlib():
+    # Frame digests use the stdlib ``_blake2`` module; ``hashlib`` would
+    # load OpenSSL (~3.5 MB of RSS) into every process.
+    out = _run(
+        "import sys\n"
+        "import repro\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    assert out.strip() == "[]"

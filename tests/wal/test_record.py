@@ -7,12 +7,15 @@ the two golden frames it is what holds the wire format still.
 
 import struct
 from dataclasses import FrozenInstanceError, fields, replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.wal.record
 from repro.errors import CorruptLogRecord
+from repro.sim.metrics import DFS_CORRUPT_REPLICAS
 from repro.util.crc import crc32c
 from repro.util.varint import encode_uvarint
 from repro.wal.record import (
@@ -23,6 +26,7 @@ from repro.wal.record import (
     commit_record,
     new_record,
 )
+from repro.wal.repository import LogRepository
 
 
 def sample_record(**overrides) -> LogRecord:
@@ -535,3 +539,100 @@ def test_decode_value_steps_over_name_bytes_unchecked():
     with pytest.raises(CorruptLogRecord):
         LogRecord.decode(bad)
     assert LogRecord.decode_value(bad) == (b"the value", len(bad))
+
+
+# -- the checked-frames memo --------------------------------------------------------
+
+# ``decode`` and ``decode_value`` with a ``checked`` memo, each answering
+# with the frame's value.
+MEMO_DECODERS = [
+    pytest.param(
+        lambda buf, checked: LogRecord.decode(buf, 0, None, checked)[0].value, id="decode"
+    ),
+    pytest.param(
+        lambda buf, checked: LogRecord.decode_value(buf, 0, checked)[0], id="decode_value"
+    ),
+]
+
+
+def flipped(frame: bytes, at: int, delta: int = 0xFF) -> bytes:
+    damaged = bytearray(frame)
+    damaged[at] ^= delta
+    return bytes(damaged)
+
+
+@pytest.mark.parametrize("decode", MEMO_DECODERS)
+def test_a_flipped_body_byte_is_caught_with_a_warm_memo(decode):
+    frame, checked = sample_record().encode(), {}
+    assert decode(frame, checked) == b"the value"
+    assert len(checked) == 1
+    for at in range(8, len(frame)):
+        with pytest.raises(CorruptLogRecord):
+            decode(flipped(frame, at), checked)
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize("decode", MEMO_DECODERS)
+def test_a_flipped_crc_field_is_caught_when_the_body_digest_hits(decode):
+    frame, checked = sample_record().encode(), {}
+    decode(frame, checked)
+    for at in range(4, 8):  # the body, and so its digest, is unchanged
+        with pytest.raises(CorruptLogRecord, match="checksum mismatch"):
+            decode(flipped(frame, at), checked)
+    assert decode(frame, checked) == b"the value"
+
+
+@pytest.mark.parametrize("decode", MEMO_DECODERS)
+def test_a_frame_that_failed_is_never_recorded(decode):
+    frame, checked = sample_record().encode(), {}
+    bad = flipped(frame, len(frame) - 1)
+    for _ in range(2):
+        with pytest.raises(CorruptLogRecord, match="checksum mismatch"):
+            decode(bad, checked)
+    assert checked == {}
+
+
+@pytest.mark.parametrize("read", ["read", "read_many"])
+def test_a_log_read_of_a_flipped_byte_is_reread_verified_with_a_warm_memo(
+    dfs, machines, read
+):
+    repo = LogRepository(dfs, machines[0], "/log", coalesce_gap=0)
+    pointer, _ = repo.append(sample_record())
+    read_value = {"read": repo.read, "read_many": lambda p: repo.read_many([p])[0]}[read]
+    assert read_value(pointer) == b"the value"
+    assert len(dfs.checked_frames) == 1
+    block = dfs.namenode.get_file(repo.segment_path(pointer.file_no)).blocks[0]
+    local = dfs.datanode(machines[0].name)
+    local.corrupt_replica(block.block_id, pointer.offset + pointer.size - 1)
+    assert read_value(pointer) == b"the value"  # from a clean replica
+    assert machines[0].counters.get(DFS_CORRUPT_REPLICAS) == 1
+    assert local.name not in block.locations
+
+
+@given(value_records, st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_memo_never_changes_what_a_decoder_answers(record, slim, data):
+    frame = record.encode(slim=slim)
+    at = data.draw(st.integers(0, len(frame) - 1))
+    damaged = flipped(frame, at, data.draw(st.integers(1, 255)))
+    checked: dict[bytes, int] = {}
+
+    def decoded_value_with_memo(buf, offset=0):
+        record, end = LogRecord.decode(buf, offset, None, checked)
+        return record.value, end
+
+    with_memo = (partial(LogRecord.decode_value, checked=checked), decoded_value_with_memo)
+    # A cold memo, a warm one, then the damaged frame twice after a pass.
+    for buf in (frame, frame, damaged, damaged, frame):
+        for memo_on, memo_off in zip(with_memo, (LogRecord.decode_value, decoded_value)):
+            assert outcome(memo_on, buf) == outcome(memo_off, buf)
+
+
+def test_a_full_memo_is_emptied(monkeypatch):
+    monkeypatch.setattr(repro.wal.record, "CHECKED_FRAMES_CAP", 8)
+    checked: dict[bytes, int] = {}
+    sizes = []
+    for lsn in range(20):
+        LogRecord.decode_value(sample_record(lsn=lsn).encode(), 0, checked)
+        sizes.append(len(checked))
+    assert sizes == [1, 2, 3, 4, 5, 6, 7, 8] * 2 + [1, 2, 3, 4]
