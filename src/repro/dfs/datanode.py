@@ -45,6 +45,26 @@ def _range(
     return b"".join(parts)
 
 
+class Window:
+    """Replica bytes ``[start, end)`` as the stored pieces covering them,
+    not a copy: what a block cache keeps of a chunk.  Its piece and bound
+    lists are its own, so a later append, or :meth:`DataNode.corrupt_replica`
+    swapping a piece in the replica's list, leaves the bytes it was taken with."""
+
+    __slots__ = ("pieces", "bounds", "start", "end")
+
+    def __init__(self, pieces: list[bytes], bounds: list[int], start: int, end: int) -> None:
+        self.pieces, self.bounds, self.start, self.end = pieces, bounds, start, end
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def read(self, offset: int, end: int) -> bytes:
+        """Bytes ``[offset, end)``, ``start <= offset < end <= self.end``."""
+        bounds = self.bounds
+        return _range(self.pieces, bounds, bisect_right(bounds, offset) - 1, offset, end)
+
+
 class DataNode:
     """One datanode process, co-located on a :class:`Machine`.
 
@@ -197,6 +217,16 @@ class DataNode:
         # which for the whole piece is the stored object itself, not a copy.
         first = bisect_right(bounds, offset) - 1
         return _range(pieces, bounds, first, offset, end), cost
+
+    def window(self, block_id: int, offset: int, length: int) -> Window:
+        """The local replica's bytes ``[offset, offset + length)``, which it
+        holds, ``length > 0``, as a :class:`Window` over its pieces.
+        Charges nothing: the caller has just paid to read them."""
+        pieces, bounds = self._blocks[block_id]
+        end = offset + length
+        first = bisect_right(bounds, offset) - 1
+        last = bisect_left(bounds, end, first + 1)
+        return Window(pieces[first:last], bounds[first : last + 1], offset, end)
 
     def verify_replica(
         self, block_id: int, offset: int = 0, length: int | None = None

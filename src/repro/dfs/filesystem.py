@@ -322,11 +322,13 @@ class DFS:
 
     def _invalidate_cached_tail(self, block_id: int, old_length: int) -> None:
         for cache in self._block_caches.values():
-            cache.invalidate_tail(block_id, old_length)
+            if block_id in cache.blocks:
+                cache.invalidate_tail(block_id, old_length)
 
     def _invalidate_cached_block(self, block_id: int) -> None:
         for cache in self._block_caches.values():
-            cache.invalidate_block(block_id)
+            if block_id in cache.blocks:
+                cache.invalidate_block(block_id)
 
     # -- namespace operations -------------------------------------------------
 
@@ -641,24 +643,23 @@ class DFSReader:
         cache = self._dfs.block_cache_for(self._reader)
         if cache is not None:
             return self._read_through_cache(cache, block, offset, length, verify)
-        payload, local = self._fetch(block, offset, length, verify)
-        if local:
+        payload, node = self._fetch(block, offset, length, verify)
+        if node.machine is self._reader:
             self._reader.clock.advance(self._dfs.network.local_latency)
         return payload
 
     def _fetch(
         self, block: BlockInfo, offset: int, length: int, verify: bool
-    ) -> tuple[bytes, bool]:
+    ) -> tuple[bytes, DataNode]:
         """A failover read, charging a remote replica's disk and transfer to
-        the reader; ``(payload, served locally)``."""
+        the reader; ``(payload, serving node)``."""
         payload, cost, node = self._failover_read(block, offset, length, verify)
-        if node.machine is self._reader:
-            return payload, True
-        self._reader.clock.advance(
-            cost + self._dfs.network.transfer_cost(length, a=node.name, b=self._reader.name)
-        )
-        self._reader.counters.add("net.bytes_received", length)
-        return payload, False
+        if node.machine is not self._reader:
+            self._reader.clock.advance(
+                cost + self._dfs.network.transfer_cost(length, a=node.name, b=self._reader.name)
+            )
+            self._reader.counters.add("net.bytes_received", length)
+        return payload, node
 
     def _read_through_cache(
         self, cache: "BlockCache", block: BlockInfo, offset: int, length: int,
@@ -669,23 +670,23 @@ class DFSReader:
         A hit costs memory only (the per-call local latency below); a miss
         reads the *whole* chunk from a replica — one seek plus a
         chunk-sized transfer charged exactly as a direct read of that
-        range would be — and installs it for later hits.
+        range would be — and installs a window over the serving replica's
+        pieces for later hits.  Only the range asked for is materialized.
         """
         chunk_size = cache.chunk_size
         self._reader.clock.advance(self._dfs.network.local_latency)
+        block_id = block.block_id
+        end = offset + length
         parts: list[bytes] = []
-        first = offset // chunk_size
-        last = (offset + length - 1) // chunk_size
-        for chunk_no in range(first, last + 1):
-            chunk_start = chunk_no * chunk_size
-            data = cache.get(block.block_id, chunk_no, verify)
-            if data is None:
+        for chunk_no in range(offset // chunk_size, (end - 1) // chunk_size + 1):
+            window = cache.get(block_id, chunk_no, verify)
+            if window is None:
+                chunk_start = chunk_no * chunk_size
                 take = min(chunk_size, block.length - chunk_start)
-                data, _ = self._fetch(block, chunk_start, take, verify)
-                cache.put(block.block_id, chunk_no, data, verify)
-            lo = max(offset, chunk_start) - chunk_start
-            hi = min(offset + length, chunk_start + len(data)) - chunk_start
-            parts.append(data[lo:hi])
+                node = self._fetch(block, chunk_start, take, verify)[1]
+                window = node.window(block_id, chunk_start, take)
+                cache.put(block_id, chunk_no, window, verify)
+            parts.append(window.read(max(offset, window.start), min(end, window.end)))
         return b"".join(parts)
 
     def _serve_estimate(self, node: DataNode, length: int) -> float:

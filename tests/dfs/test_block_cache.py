@@ -1,6 +1,10 @@
 """Unit tests for the per-machine DFS block cache."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dfs.block_cache import BlockCache
 from repro.dfs.filesystem import DFS
@@ -9,6 +13,7 @@ from repro.sim.metrics import (
     BLOCK_CACHE_EVICTIONS,
     BLOCK_CACHE_HITS,
     BLOCK_CACHE_MISSES,
+    DFS_CORRUPT_REPLICAS,
 )
 
 
@@ -161,3 +166,158 @@ def test_cached_reads_return_same_bytes_as_uncached(machines, dfs, cached_dfs):
         assert cached.read(offset, length) == plain.read(offset, length)
         # Twice: the second time is served from cache.
         assert cached.read(offset, length) == plain.read(offset, length)
+
+
+# -- a cached chunk is a window over the stored pieces, not a copy -----------------
+
+
+def _checked_cached_dfs(machines, chunk=1024):
+    return DFS(
+        machines,
+        replication=3,
+        block_size=1 << 20,
+        checksum_replicas=True,
+        block_cache_bytes=1 << 22,
+        block_cache_chunk=chunk,
+    )
+
+
+def _appended(dfs, machine, path, pieces):
+    writer = dfs.create(path, machine)
+    for piece in pieces:
+        writer.append(piece)
+    writer.close()
+    return b"".join(pieces)
+
+
+def test_an_end_to_end_cached_read_keeps_no_second_copy_of_the_file(machines):
+    # 1,024 puts of 1 KiB: 16 default-sized chunks, each over 64 pieces.
+    dfs = _checked_cached_dfs(machines, chunk=64 * 1024)
+    pieces = [i.to_bytes(4, "big") * 256 for i in range(1024)]
+    total = len(_appended(dfs, machines[0], "/log", pieces))
+    reader = dfs.open("/log", machines[0])
+    cache = dfs.block_cache_for(machines[0])
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert len(reader.read(0, total)) == total
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 16 and cache.bytes_used == total
+    assert after - before < 0.1 * total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 700), min_size=1, max_size=25),
+    reads=st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 1 << 20)), max_size=8),
+    reader_no=st.integers(0, 2),
+)
+def test_cached_reads_equal_the_appended_bytes(sizes, reads, reader_no):
+    # Blocks of 1,500 bytes over 256-byte chunks: pieces straddle both.
+    machines = [Machine(f"node-{i}", rack=f"rack-{i % 2}") for i in range(3)]
+    dfs = DFS(
+        machines, replication=2, block_size=1500,
+        block_cache_bytes=1 << 20, block_cache_chunk=256,
+    )
+    pieces = [bytes((i * 31 + k) % 251 for k in range(n)) for i, n in enumerate(sizes)]
+    whole = _appended(dfs, machines[0], "/p", pieces)
+    reader = dfs.open("/p", machines[reader_no])
+    cache = dfs.block_cache_for(machines[reader_no])
+    for a, b in [(0, len(whole)), *reads]:
+        offset = a % len(whole)
+        length = 1 + b % (len(whole) - offset)
+        assert reader.read(offset, length) == whole[offset : offset + length]
+        misses = cache.misses
+        assert reader.read(offset, length) == whole[offset : offset + length]
+        assert cache.misses == misses
+
+
+def test_a_chunk_cached_before_corruption_is_served_as_it_was(machines):
+    dfs = _checked_cached_dfs(machines)
+    payload = _appended(dfs, machines[0], "/c", [bytes(range(256)) * 2] * 4)
+    reader = dfs.open("/c", machines[0])
+    assert reader.read(0, len(payload)) == payload  # filled from the local replica
+    block_id = first_block_id(dfs, "/c")
+    node = dfs.datanode(machines[0].name)
+    node.corrupt_replica(block_id, at=10)
+    assert node.read_replica(block_id, 0, len(payload))[0] != payload
+    cache = dfs.block_cache_for(machines[0])
+    misses = cache.misses
+    assert reader.read(0, len(payload)) == payload
+    assert reader.read(5, 20) == payload[5:25]
+    assert cache.misses == misses
+
+
+def test_a_fill_keeps_the_bytes_of_the_replica_that_served_it(machines):
+    dfs = _checked_cached_dfs(machines)
+    payload = _appended(dfs, machines[0], "/s", [bytes(range(256)) * 2] * 4)
+    block_id = first_block_id(dfs, "/s")
+    for machine in machines[1:]:  # every replica but the local one
+        dfs.datanode(machine.name).corrupt_replica(block_id, at=10)
+    reader = dfs.open("/s", machines[0])
+    assert reader.read(0, len(payload)) == payload
+    assert reader.read(0, len(payload)) == payload
+
+
+def test_a_verified_read_refills_a_plain_chunk_from_a_clean_replica(machines):
+    dfs = _checked_cached_dfs(machines)
+    payload = _appended(dfs, machines[0], "/v", [bytes(range(256)) * 2] * 4)
+    reader = dfs.open("/v", machines[0])
+    assert reader.read(0, len(payload)) == payload
+    block_id = first_block_id(dfs, "/v")
+    dfs.datanode(machines[0].name).corrupt_replica(block_id, at=10)
+    cache = dfs.block_cache_for(machines[0])
+    misses = cache.misses
+    assert reader.read(0, len(payload), verified=True) == payload
+    assert cache.misses == misses + 2  # both plain-filled chunks dropped and refilled
+    assert machines[0].counters.get(DFS_CORRUPT_REPLICAS) == 1
+    block = dfs.namenode.get_file("/v").blocks[0]
+    assert machines[0].name not in block.locations
+    assert all(dfs.datanode(name).verify_replica(block_id) for name in block.locations)
+    assert reader.read(0, len(payload), verified=True) == payload
+    assert cache.misses == misses + 2
+
+
+def test_delete_releases_the_files_chunks(cached_dfs, machines):
+    write_file(cached_dfs, machines[0], "/keep", b"k" * 3000)
+    write_file(cached_dfs, machines[0], "/gone", b"g" * 2500)
+    for path in ("/keep", "/gone"):
+        cached_dfs.open(path, machines[0]).read_all()
+    cache = cached_dfs.block_cache_for(machines[0])
+    used = cache.bytes_used
+    cached_dfs.delete("/gone")
+    assert cache.bytes_used == used - 2500
+    assert len(cache) == 3
+
+
+def test_a_cache_indexes_only_the_blocks_it_holds(cached_dfs, machines):
+    write_file(cached_dfs, machines[0], "/x", b"x" * 3000)
+    cached_dfs.open("/x", machines[0]).read_all()
+    block_id = first_block_id(cached_dfs, "/x")
+    assert cached_dfs.block_cache_for(machines[0]).blocks == {block_id: {0, 1, 2}}
+    assert cached_dfs.block_cache_for(machines[1]).blocks == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("ptb"), st.integers(1, 3), st.integers(0, 5),
+                  st.integers(1, 2048)),
+        max_size=40,
+    )
+)
+def test_the_block_index_covers_the_cached_chunks(ops):
+    cache = BlockCache(capacity_bytes=4096, chunk_size=1024)
+    for op, block_id, chunk_no, size in ops:
+        if op == "p":
+            cache.put(block_id, chunk_no, b"d" * size)
+        elif op == "t":
+            cache.invalidate_tail(block_id, chunk_no * 1024 + size % 1024)
+        else:
+            cache.invalidate_block(block_id)
+        for bid in (1, 2, 3):
+            held = [c for c in range(6) if cache.contains(bid, c)]
+            assert cache.cached_chunks(bid) == held
+            assert set(held) <= cache.blocks.get(bid, set())
