@@ -6,7 +6,6 @@ pays a modest byte overhead on full scans.
 """
 
 from conftest import MICRO_COUNTS, load_keys_single_server, micro_pair
-from repro.bench.runner import run_sequential_scan
 
 
 def run_experiment() -> dict[str, dict[int, float]]:
@@ -31,8 +30,8 @@ def run_experiment() -> dict[str, dict[int, float]]:
             server.block_cache.clear()
         for machine in hbase.cluster.machines:
             machine.disk.invalidate_head()
-        lb_rows, lb_seconds = run_sequential_scan(logbase)
-        hb_rows, hb_seconds = run_sequential_scan(hbase)
+        lb_rows, lb_seconds = logbase.full_scan()
+        hb_rows, hb_seconds = hbase.full_scan()
         assert lb_rows == hb_rows == count
         series["LogBase"][count] = lb_seconds
         series["HBase"][count] = hb_seconds

@@ -6,7 +6,6 @@ DFS, so the scan-time version checks cost LRS extra I/O (§4.6).
 """
 
 from conftest import MICRO_COUNTS, RECORD_SIZE, load_keys_single_server, make_lrs, micro_pair
-from repro.bench.runner import run_sequential_scan
 
 
 def run_experiment() -> dict[str, dict[int, float]]:
@@ -24,8 +23,8 @@ def run_experiment() -> dict[str, dict[int, float]]:
         for server in lrs.cluster.servers:
             for index in server.indexes().values():
                 index._block_cache.clear()
-        lb_rows, lb_seconds = run_sequential_scan(logbase)
-        lrs_rows, lrs_seconds = run_sequential_scan(lrs)
+        lb_rows, lb_seconds = logbase.full_scan()
+        lrs_rows, lrs_seconds = lrs.full_scan()
         assert lb_rows == lrs_rows == count
         series["LogBase"][count] = lb_seconds
         series["LRS"][count] = lrs_seconds

@@ -24,7 +24,6 @@ from repro.bench.runner import (
     run_load,
     run_mixed,
     run_random_reads,
-    run_sequential_scan,
     run_range_scans,
 )
 from repro.bench.report import format_table, format_series
@@ -46,7 +45,6 @@ __all__ = [
     "run_load",
     "run_mixed",
     "run_random_reads",
-    "run_sequential_scan",
     "run_range_scans",
     "format_table",
     "format_series",

@@ -1,114 +1,134 @@
-"""Concurrent-client put driver over the virtual-time scheduler.
+"""The client loop: N logical clients over the virtual-time scheduler.
 
-The seed harness (:mod:`repro.bench.runner`) issues one operation at a
-time, so nothing overlaps in simulated time and every blocking write is a
-commit group of one.  :func:`run_concurrent_puts` multiplexes N logical
-clients through :class:`repro.sim.scheduler.ConcurrentScheduler`: each
-client is a generator of puts on its own machine, submissions from
-different clients land inside the same commit-group window, and the
-coordinator collapses them into one DFS replication round trip per group.
-It is the fan-in sweep the group-commit benchmark measures: N clients ×
-M puts each, returning per-op commit latencies and the phase makespan.
+A client is a generator over its op stream.  It issues each op with
+``yield from`` one of the steps below, named after the client call it
+makes; a failed call raises inside the stream.  A transaction is one step
+per phase (begin, each read, commit), so two clients' transactions
+overlap.  :func:`run_clients` runs the streams on
+:class:`~repro.sim.scheduler.ConcurrentScheduler`, polling the commit
+coordinators of the cluster's *current* servers: a restarted server's
+fresh coordinator flushes too.
+
+A blocking step lasts as long as the largest clock advance it caused on
+a cluster machine.  The loop sets no clock, so one stream issues exactly
+its own calls, in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable
 
-from repro.bench.adapters import GROUP, TABLE, LogBaseAdapter
-from repro.core.client import Client
 from repro.errors import LogBaseError
-from repro.sim.machine import Machine
-from repro.sim.scheduler import Advance, ConcurrentScheduler, Submit
+from repro.sim.scheduler import Advance, ConcurrentScheduler, Invoke, Submit
 
 
 @dataclass
-class ConcurrentRunResult:
-    """Outcome of one concurrent put phase."""
+class _Coordinators:
+    """The commit coordinators of the cluster's servers as they are now."""
 
-    clients: int
-    ops: int
-    acked: int = 0
-    failed: int = 0
-    makespan: float = 0.0
-    latencies: list[float] = field(default_factory=list, repr=False)
+    cluster: object
 
-    @property
-    def throughput(self) -> float:
-        """Acked commits per simulated second."""
-        return self.acked / self.makespan if self.makespan else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the commit latencies."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = min(len(ordered), max(1, ceil(q * len(ordered))))
-        return ordered[rank - 1]
+    def __iter__(self):
+        return (server.commit for server in self.cluster.servers)
 
 
-def run_concurrent_puts(
-    adapter: LogBaseAdapter,
-    *,
-    n_clients: int,
-    n_ops: int,
-    value: bytes = b"x" * 1000,
-    table: str = TABLE,
-    group: str = GROUP,
-) -> ConcurrentRunResult:
-    """N logical clients splitting ``n_ops`` puts, overlapped in
-    simulated time.
-
-    Each put is submitted asynchronously to the serving server's commit
-    coordinator; its latency runs from issue to the client receiving the
-    group-durability ack.
-    """
-    cluster = adapter.cluster
-    # Logical clients get their own machines sharing the cluster's
-    # network model, so client-side time never contends with server work.
-    machines = [
-        Machine(f"cc-{i}", network=cluster.config.network) for i in range(n_clients)
-    ]
-    clients = [Client(cluster.master, m) for m in machines]
-    result = ConcurrentRunResult(clients=n_clients, ops=n_ops)
-    base, extra = divmod(n_ops, n_clients)
-
-    def writer(i: int):
-        client = clients[i]
-        ops = base + (1 if i < extra else 0)
-        for j in range(ops):
-            key = b"c%03dk%08d" % (i, j)
-            cell: dict = {}
-
-            def _submit(now, key=key, cell=cell):
-                future, request, ack = client.submit_put_raw(
-                    table, key, group, value, arrival=now
-                )
-                cell["issue"] = now
-                cell["ack"] = ack
-                return future
-
-            try:
-                future = yield Submit(_submit)
-            except LogBaseError:
-                result.failed += 1
-                continue
-            yield Advance(cell["ack"])
-            if future.error is None:
-                result.acked += 1
-                result.latencies.append(
-                    future.completion_time + cell["ack"] - cell["issue"]
-                )
-            else:
-                result.failed += 1
-
-    scheduler = ConcurrentScheduler(server.commit for server in cluster.servers)
+def run_clients(cluster, streams: Iterable) -> float:
+    """Run every client stream to completion, from the cluster's latest
+    clock; returns the phase's makespan in simulated seconds (until the
+    last client finished and the last machine went idle)."""
+    scheduler = ConcurrentScheduler(_Coordinators(cluster))
     start = cluster.elapsed_makespan()
-    for i in range(n_clients):
-        scheduler.add_client(writer(i), at=start)
-    end = scheduler.run()
-    # Any group still open when the last client finished flushes here
-    # (its members were parked clients, so normally none remain).
-    result.makespan = max(end, cluster.elapsed_makespan()) - start
+    for stream in streams:
+        scheduler.add_client(stream, at=start)
+    return max(scheduler.run(), cluster.elapsed_makespan()) - start
+
+
+def _blocking(db, call: Callable[[], object]):
+    """``call()`` as one step, as long as the largest clock advance it
+    caused on a cluster machine; returns its result."""
+
+    def invoke(now: float):
+        machines = db.cluster.machines
+        before = [machine.clock.now for machine in machines]
+        result = call()
+        return result, max(m.clock.now - t for m, t in zip(machines, before))
+
+    result, _ = yield Invoke(invoke)
     return result
+
+
+def put(db, client, table: str, key: bytes, group: str, value: bytes):
+    """Blocking ``put_raw``; returns the version timestamp."""
+    return (yield from _blocking(db, lambda: client.put_raw(table, key, group, value)))
+
+
+def submit(client, table: str, key: bytes, group: str, value: bytes):
+    """``submit_put_raw``: park until the commit group is durable, then
+    pay the ack leg.  Returns the acked future; a group that failed to
+    flush raises its error after the ack leg."""
+    ack = 0.0
+
+    def call(now: float):
+        nonlocal ack
+        future, _request, ack = client.submit_put_raw(
+            table, key, group, value, arrival=now
+        )
+        return future
+
+    future = yield Submit(call)
+    yield Advance(ack)
+    if future.error is not None:
+        raise future.error
+    return future
+
+
+def get(db, client, table: str, key: bytes, group: str):
+    """``get_raw``; returns the value or None."""
+    return (yield from _blocking(db, lambda: client.get_raw(table, key, group)))
+
+
+def scan(db, client, table: str, group: str, start_key: bytes, end_key: bytes):
+    """``scan_raw``; returns the (key, value) rows."""
+    rows = partial(client.scan_raw, table, group, start_key, end_key)
+    return (yield from _blocking(db, rows))
+
+
+def write_txn(db, writes: Iterable[tuple[str, bytes, str, bytes]]):
+    """A write transaction: begin, then stage ``writes`` (read lazily, so
+    a stream may draw each write as it is staged) and commit.  Returns
+    the committed transaction.  A failed staging aborts it and raises;
+    a failed commit raises ``TransactionAborted``."""
+    txn = yield from _blocking(db, db.begin)
+    yield from _commit(db, txn, writes)
+    return txn
+
+
+def rmw_txn(db, table: str, group: str, keys: list[bytes], update: Callable):
+    """A read-modify-write transaction: begin, read each of ``keys`` (one
+    step each), then write ``update(key, value)`` to every key read and
+    commit.  Returns the committed transaction."""
+    txn = yield from _blocking(db, db.begin)
+    values = {}
+    for key in keys:
+        read = partial(txn.read_raw, table, key, group)
+        values[key] = yield from _blocking(db, read)
+    yield from _commit(
+        db, txn, ((table, key, group, update(key, v)) for key, v in values.items())
+    )
+    return txn
+
+
+def _commit(db, txn, writes):
+    def stage_and_commit():
+        try:
+            for table, key, group, value in writes:
+                txn.write_raw(table, key, group, value)
+        except LogBaseError:
+            # Staging never touches the log: a clean abort.
+            txn.abort()
+            raise
+        return txn.commit()
+
+    yield from _blocking(db, stage_and_commit)

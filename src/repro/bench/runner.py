@@ -162,12 +162,6 @@ def run_random_reads(
     return total
 
 
-def run_sequential_scan(adapter: SystemAdapter) -> tuple[int, float]:
-    """Full-table scan; returns (rows, seconds)."""
-    for_scan = adapter.full_scan()
-    return for_scan
-
-
 def run_range_scans(
     adapter: SystemAdapter,
     keys: list[bytes],

@@ -596,7 +596,7 @@ class Client:
         that group is durable.  Unlike :meth:`put_raw`, the client does
         not stall for the replication round trip — end-to-end latency is
         ``future.completion_time + ack_seconds - arrival``, which the
-        concurrent drivers account on the client's own virtual timeline.
+        client loop's ``submit`` step accounts on the client's timeline.
 
         ``arrival`` is the virtual time the op is issued (defaults to
         this client's clock); the submission reaches the server one

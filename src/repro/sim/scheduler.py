@@ -1,12 +1,10 @@
 """Virtual-time scheduler multiplexing N logical clients over the
 simulated cluster.
 
-The seed workload drivers issue one operation at a time, so nothing ever
-overlaps in simulated time and group commit would have nothing to batch.
-This scheduler fixes that: each logical client is a Python generator
-yielding *actions*; the scheduler owns each client's virtual timeline and
-always steps the earliest-time runnable client next, so operations from
-different clients genuinely interleave in simulated time.
+Each logical client is a Python generator yielding *actions*; the
+scheduler owns each client's virtual timeline and always steps the
+earliest-time runnable client next, so operations from different clients
+genuinely interleave in simulated time.
 
 Actions a client generator may yield:
 
@@ -16,16 +14,18 @@ Actions a client generator may yield:
   ``(result, seconds)`` pair back.
 - :class:`Submit` — an asynchronous group-commit submission.  ``fn(now)``
   returns a :class:`~repro.wal.group_commit.CommitFuture`; the client
-  *parks* until the future's group flushes, then resumes at the future's
+  *parks* until the future resolves, then resumes at the future's
   completion time with the resolved future as the yield's value.
 - :class:`Advance` — client-local think/transfer time.
 
-Commit coordinators registered with the scheduler are polled between
-client events: when the next coordinator deadline (an open group's seal
-time, or a sealed group waiting for the replication pipeline) precedes
-every runnable client, the due groups flush and their parked clients are
-woken.  This is the event-driven core the ROADMAP's scale items need —
-two clients' commit waits overlap instead of serializing.
+Commit coordinators are polled between client events: when the next
+coordinator deadline (an open group's seal time, or a sealed group
+waiting for the replication pipeline) precedes every runnable client,
+the due groups flush and their parked clients are woken.  A future can
+also resolve outside a poll — another client's blocking ``commit()``
+drains the coordinator, or a crash abandons it — and the scheduler wakes
+its client after the step that resolved it, so a parked client always
+observes either a durable ack or an error.
 
 Exceptions raised by an action's ``fn`` are re-thrown *inside* the
 client's generator, so drivers handle cluster errors with an ordinary
@@ -101,11 +101,13 @@ class ConcurrentScheduler:
     """Interleaves logical-client generators in virtual-time order.
 
     Args:
-        coordinators: commit coordinators to poll between client events.
+        coordinators: commit coordinators to poll between client events,
+            re-iterated at every poll: a live view of a cluster's servers
+            sees the fresh coordinator a restart installs.
     """
 
     def __init__(self, coordinators: Iterable = ()) -> None:
-        self._coordinators = list(coordinators)
+        self._coordinators = coordinators
         self._heap: list[tuple[float, int, _Client, Any]] = []
         self._seq = 0
         self._parked: dict[int, tuple[Any, _Client]] = {}
@@ -144,9 +146,15 @@ class ConcurrentScheduler:
                 for coordinator in self._coordinators:
                     for future in coordinator.run_due(next_flush):
                         self._wake(future)
-                continue
-            _, _, client, payload = heapq.heappop(self._heap)
-            self._step(client, payload)
+            else:
+                _, _, client, payload = heapq.heappop(self._heap)
+                self._step(client, payload)
+            if self._parked:
+                # A blocking commit()'s drain, or crash() -> abandon(),
+                # resolves futures no poll returned.
+                for future, _ in list(self._parked.values()):
+                    if future.done:
+                        self._wake(future)
         return self.makespan
 
     # -- internals -----------------------------------------------------------------

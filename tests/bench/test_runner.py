@@ -4,13 +4,7 @@ import pytest
 
 from repro.bench.adapters import make_hbase, make_logbase, make_lrs
 from repro.bench.report import format_series, format_table
-from repro.bench.runner import (
-    run_load,
-    run_mixed,
-    run_random_reads,
-    run_range_scans,
-    run_sequential_scan,
-)
+from repro.bench.runner import run_load, run_mixed, run_random_reads, run_range_scans
 from repro.bench.ycsb import YCSBWorkload
 
 RECORDS = 120
@@ -26,7 +20,7 @@ def test_load_inserts_everything(workload):
     result = run_load(adapter, workload)
     assert result.records == 3 * RECORDS
     assert result.seconds > 0
-    rows, _ = run_sequential_scan(adapter)
+    rows, _ = adapter.full_scan()
     assert rows == 3 * RECORDS
 
 

@@ -27,6 +27,17 @@ Each op's client clock is first brought up to the cluster's latest, and
 the heartbeat is ticked every few ops outside any charged op, so nothing
 is shed, no lease lapses and no client retries; all three are asserted.
 
+``production/concurrent`` runs on a fresh 4-node ``production()`` cluster
+of its own, loaded with ``HOT`` keys and one heartbeat.  Its one op is a
+run of the client loop (``repro.bench.concurrent``): ``CLIENTS`` logical
+clients, client ``i`` on node ``i % 4``, each issuing ``CLIENT_OPS`` ops
+that cycle through a read-modify-write transaction (it increments two hot
+keys), ``submit``, ``get``, a write transaction (two fresh keys) and
+``scan``.  The clients share their nodes' clocks, which the loop never
+aligns.  The run reports its own ``acked`` and cleanly ``aborted`` ops,
+the pairs of committed transactions that overlapped (neither saw the
+other's commit), and the cluster's sheds, lease rejects and retries.
+
 ``paper`` is the end-to-end benchmark's paper profile (``LogBaseConfig()``
 with 500 KB segments and a 2 MB heap, 4 nodes, 1 KB values):
 
@@ -73,6 +84,7 @@ import repro.util
 import repro.util.crc
 import repro.wal.record
 from repro import LogBase
+from repro.bench import concurrent as loop
 from repro.bench.adapters import GROUP as PAPER_GROUP
 from repro.bench.adapters import TABLE as PAPER_TABLE
 from repro.bench.adapters import LogBaseAdapter
@@ -85,6 +97,7 @@ from repro.core.tablet import Tablet
 from repro.dfs.datanode import DataNode
 from repro.dfs.filesystem import DFSReader
 from repro.dfs.namenode import NameNode
+from repro.errors import TransactionAborted
 from repro.index.blink import BLinkTreeIndex
 from repro.wal.compaction import IncrementalCompactionJob
 from repro.wal.record import LogRecord
@@ -96,6 +109,7 @@ TABLE, GROUP = "budget", "g"
 SCHEMA = TableSchema(TABLE, "id", (ColumnGroup(GROUP, ("v",)),))
 PAPER = {"segment_size": 500_000, "heap_bytes": 2_000_000}
 PAPER_PUTS, PAPER_LOAD, PAPER_SCAN, PAPER_SEED = 200, 400, (80, 160), 42
+CLIENTS, CLIENT_OPS, HOT = 8, 10, 8
 
 # name -> (owner, attribute): each call counts one.
 CALLS = {
@@ -310,6 +324,68 @@ def production(meter: Meter) -> dict:
     }
 
 
+def concurrent(meter: Meter) -> None:
+    """The ``production/concurrent`` slice."""
+    db = LogBase(NODES, LogBaseConfig.production())
+    db.create_table(SCHEMA)
+    cluster = meter.cluster = db.cluster
+    hot = [_key(10_000 + h) for h in range(HOT)]
+    ordered = sorted(hot)
+    for h, key in enumerate(hot):
+        db.client(cluster.machines[h % NODES]).put_raw(TABLE, key, GROUP, b"0")
+    cluster.heartbeat()
+    done = {"acked": 0, "aborted": 0}
+    committed = []
+
+    def increment(_, value):
+        return b"%d" % (int(value) + 1)
+
+    def stream(i):
+        client = db.client(cluster.machines[i % NODES])
+        for n in range(CLIENT_OPS):
+            fresh = [_key(20_000 + 100 * i + 3 * n + k) for k in range(3)]
+            kind = n % 5
+            try:
+                if kind == 0:
+                    keys = [hot[(i + n) % HOT], hot[(i + n + 5) % HOT]]
+                    txn = yield from loop.rmw_txn(db, TABLE, GROUP, keys, increment)
+                    committed.append(txn)
+                elif kind == 1:
+                    yield from loop.submit(client, TABLE, fresh[0], GROUP, _value(n))
+                elif kind == 2:
+                    yield from loop.get(db, client, TABLE, hot[(i + n) % HOT], GROUP)
+                elif kind == 3:
+                    writes = [(TABLE, key, GROUP, _value(n)) for key in fresh[1:]]
+                    committed.append((yield from loop.write_txn(db, writes)))
+                else:
+                    low = (i + n) % (HOT - 4)
+                    bounds = ordered[low], ordered[low + 4]
+                    yield from loop.scan(db, client, TABLE, GROUP, *bounds)
+            except TransactionAborted as exc:
+                assert exc.__cause__ is None, exc  # a clean abort only
+                done["aborted"] += 1
+                continue
+            done["acked"] += 1
+
+    def run():
+        loop.run_clients(cluster, [stream(i) for i in range(CLIENTS)])
+        totals = cluster.total_counters()
+        overlapping = sum(
+            a.commit_ts >= b.read_ts and b.commit_ts >= a.read_ts
+            for n, a in enumerate(committed)
+            for b in committed[n + 1 :]
+        )
+        return {
+            **done,
+            "overlapping_txn_pairs": overlapping,
+            "admission.shed": totals.get("admission.shed", 0),
+            "migration.lease_rejects": totals.get("migration.lease_rejects", 0),
+            "client.retries": totals.get("client.retries", 0),
+        }
+
+    meter.charged("production", "concurrent", run)
+
+
 def paper(meter: Meter) -> None:
     """The paper-profile slices, each on a fresh cluster."""
     adapter = LogBaseAdapter(LogBaseCluster(NODES, LogBaseConfig(**PAPER)))
@@ -346,6 +422,7 @@ def measure(monkeypatch) -> tuple[Meter, dict]:
     counts."""
     meter = Meter(monkeypatch)
     run = production(meter)
+    concurrent(meter)
     paper(meter)
     return meter, run
 
@@ -365,6 +442,10 @@ def test_every_slice_stays_within_its_work_budget(monkeypatch):
     ceilings = json.loads(CEILINGS.read_text())
     assert run == {"admission.shed": 0, "migration.lease_rejects": 0, "client.retries": 0}
     assert measured["production"]["compaction"]["merge_plans"] >= 1
+    mixed = measured["production"]["concurrent"]
+    assert mixed["acked"] + mixed["aborted"] == CLIENTS * CLIENT_OPS
+    assert mixed["commit.group_fanin"] > mixed["commit.groups"]
+    assert mixed["overlapping_txn_pairs"] >= 1
     assert {p: set(s) for p, s in ceilings.items()} == {p: set(s) for p, s in measured.items()}
     over, under = [], []
     for profile, slices in ceilings.items():

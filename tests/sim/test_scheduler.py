@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ServerDownError
 from repro.sim.scheduler import Advance, ConcurrentScheduler, Invoke, Submit
 
 
@@ -235,3 +236,93 @@ def test_measured_charges_machine_clock_delta():
     scheduler = ConcurrentScheduler()
     scheduler.add_client(worker())
     assert scheduler.run() == pytest.approx(0.5)
+
+
+# -- a parked client is never stranded ------------------------------------------------
+#
+# A parked client's future can resolve outside ``run_due``: another
+# client's blocking commit drains the coordinator, a crash abandons it, or
+# a restart swaps in a fresh coordinator that serves the next submission.
+# Each must wake the client, never leave it parked.
+
+
+def _one_server():
+    from repro import ColumnGroup, LogBase, LogBaseConfig, TableSchema
+
+    db = LogBase(1, LogBaseConfig(segment_size=64 * 1024))
+    db.create_table(TableSchema("t", "id", (ColumnGroup("g", ("v",)),)))
+    return db.cluster, db.cluster.servers[0]
+
+
+def _submit(server, key):
+    return Submit(lambda now: server.submit_write("t", key, {"g": b"v"}, arrival=now))
+
+
+class _CurrentCoordinators:
+    """The coordinators of the cluster's servers as they are now."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+
+    def __iter__(self):
+        return (server.commit for server in self.cluster.servers)
+
+
+def test_blocking_commit_wakes_a_client_parked_on_its_coordinator():
+    _, server = _one_server()
+    woken = []
+
+    def parked():
+        future = yield _submit(server, b"000000000001")
+        woken.append(future)
+
+    def blocking():
+        # Inside the parked client's group window: commit() finds the open
+        # group and drains it before its own append.
+        yield Invoke(lambda now: (server.write("t", b"000000000002", {"g": b"w"}), 0.0))
+
+    scheduler = ConcurrentScheduler(coordinators=[server.commit])
+    scheduler.add_client(parked())
+    scheduler.add_client(blocking(), at=0.0005)
+    scheduler.run()
+    assert len(woken) == 1 and woken[0].acked
+    assert scheduler.finished == 2
+
+
+def test_crash_wakes_a_client_parked_on_the_dead_server():
+    _, server = _one_server()
+    woken = []
+
+    def parked():
+        future = yield _submit(server, b"000000000001")
+        woken.append(future)
+
+    def crasher():
+        yield Invoke(lambda now: (server.crash(), 0.0))
+
+    scheduler = ConcurrentScheduler(coordinators=[server.commit])
+    scheduler.add_client(parked())
+    scheduler.add_client(crasher(), at=0.0005)
+    scheduler.run()
+    assert len(woken) == 1
+    assert isinstance(woken[0].error, ServerDownError)
+
+
+def test_submit_after_restart_reaches_the_fresh_coordinator():
+    cluster, server = _one_server()
+    woken = []
+
+    def client():
+        yield Invoke(
+            lambda now: (
+                (cluster.kill_server(server.name), cluster.restart_server(server.name)),
+                0.0,
+            )
+        )
+        future = yield _submit(server, b"000000000001")
+        woken.append(future)
+
+    scheduler = ConcurrentScheduler(coordinators=_CurrentCoordinators(cluster))
+    scheduler.add_client(client())
+    scheduler.run()
+    assert len(woken) == 1 and woken[0].acked
