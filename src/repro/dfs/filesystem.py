@@ -573,6 +573,11 @@ class DFSReader:
         self._dfs = dfs
         self._meta = meta
         self._reader = reader
+        # The short-circuit's fixed half, resolved once: no block cache to
+        # fill, no gray policy (so no health monitor) to feed, a local node.
+        local = dfs.datanodes.get(reader.name)
+        plain = dfs.block_cache_bytes <= 0 and dfs.gray is None
+        self._local = local if plain and local is not None and local.machine is reader else None
 
     @property
     def length(self) -> int:
@@ -615,6 +620,8 @@ class DFSReader:
                 f"read past EOF of {self._meta.path}: "
                 f"offset={offset} length={length} file={self._meta.length}"
             )
+        if inside and length and self._reader.tracer is None:
+            return self._read_from_block(blocks[first], pos, length, verified)
         # Anchored on the READER: remote disk waits and transfers are
         # mirror-charged to the reader's clock by _fetch, so the span's
         # own duration already covers them.
@@ -639,6 +646,20 @@ class DFSReader:
     def _read_from_block(
         self, block: BlockInfo, offset: int, length: int, verified: bool
     ) -> bytes:
+        local, reader = self._local, self._reader
+        # The short-circuit read: what the failover loop would try first.  The
+        # local datanode is on the reader's machine: alive, listed as it is.
+        if (
+            local is not None and not verified and current_deadline() is None
+            and reader.alive and reader.name in block.locations
+            and local.has_block(block.block_id)
+        ):
+            try:  # a short replica raises, charging nothing: the loop handles it
+                payload = local.read_replica(block.block_id, offset, length)[0]
+                reader.clock.advance(self._dfs.network.local_latency)
+                return payload
+            except BlockCorruptionError:
+                pass
         verify = verified and self._dfs.checksum_replicas
         cache = self._dfs.block_cache_for(self._reader)
         if cache is not None:
@@ -767,17 +788,6 @@ class DFSReader:
                 replica is damaged.
         """
         gray, deadline = self._dfs.gray, current_deadline()
-        local = self._dfs.datanodes.get(self._reader.name)
-        if (
-            deadline is None and not verify and gray is None and self._dfs.health is None
-            and local is not None and local.machine is self._reader and local.alive
-            and local.name in block.locations and local.has_block(block.block_id)
-        ):
-            try:  # the short-circuit read: what the loop would try first
-                payload, cost = local.read_replica(block.block_id, offset, length)
-                return payload, cost, local
-            except BlockCorruptionError:  # short: charged nothing, the loop handles it
-                pass
         last_exc: Exception | None = None
         starved = False  # some replica was skipped only for deadline reasons
         candidates = self._replica_candidates(block)

@@ -167,6 +167,7 @@ class AlertEngine:
         # Re-check entities that are firing even if their series vanished
         # (value decays to absent_value, which resolves them).
         entities.update(e for (name, e) in self.active if name == rule.name)
+        detail = f"{rule.metric} {rule.op} {rule.threshold:g}"
         for entity in sorted(entities):
             series = store.series(entity, rule.metric)
             value = rule.absent_value
@@ -183,7 +184,7 @@ class AlertEngine:
                     severity=rule.severity,
                     value=value,
                     now=now,
-                    detail=f"{rule.metric} {rule.op} {rule.threshold:g}",
+                    detail=detail,
                 )
             )
         return fired

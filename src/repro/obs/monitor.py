@@ -71,6 +71,9 @@ def collect_health_gauges(cluster: "LogBaseCluster") -> dict[tuple[str, str], fl
     gauges), and tablet ids (heat and replica lag).  Pure state reads —
     no simulated cost.
     """
+    # Imported here: repro.wal imports repro.obs, whose package imports this.
+    from repro.wal.planner import CompactionPlanner
+
     gauges: dict[tuple[str, str], float] = {}
     config = cluster.config
     assignments = cluster.master.catalog.assignments
@@ -98,8 +101,10 @@ def collect_health_gauges(cluster: "LogBaseCluster") -> dict[tuple[str, str], fl
             else:
                 gauges[(server.name, GAUGE_LEASE_HEALTH)] = 1.0
         if up:
-            gauges[(server.name, GAUGE_COMPACTION_DEBT)] = _compaction_debt(
-                server, config
+            # Planner-eligible log bytes: namenode metadata, no simulated cost.
+            planner = CompactionPlanner(server.log, tier_fanout=config.compaction_tier_fanout)
+            gauges[(server.name, GAUGE_COMPACTION_DEBT)] = float(
+                sum(plan.input_bytes for plan in planner.plan())
             )
             # Replica lag per tablet: worst follower staleness, read the
             # same way the heartbeat's lag histogram defines it (time
@@ -122,15 +127,6 @@ def collect_health_gauges(cluster: "LogBaseCluster") -> dict[tuple[str, str], fl
     for tablet_id, heat in cluster.tablet_heat.items():
         gauges[(tablet_id, GAUGE_TABLET_HEAT)] = heat
     return gauges
-
-
-def _compaction_debt(server, config: "LogBaseConfig") -> float:
-    """Planner-eligible bytes in the server's log (namenode metadata
-    only; the planner simulates no cost)."""
-    from repro.wal.planner import CompactionPlanner
-
-    planner = CompactionPlanner(server.log, tier_fanout=config.compaction_tier_fanout)
-    return float(sum(plan.input_bytes for plan in planner.plan()))
 
 
 def gauges_by_entity(cluster: "LogBaseCluster") -> dict[str, dict[str, float]]:

@@ -90,16 +90,18 @@ class MetricStore:
             raise ValueError("metric-store capacity must be >= 1")
         self.capacity = capacity
         self._series: dict[tuple[str, str], TimeSeries] = {}
-        self._known_names: set[str] = set()
+        # metric -> the entities with a series of it (alert rules ask per scrape)
+        self._entities: dict[str, set[str]] = {}
 
     def record(self, entity: str, metric: str, t: float, value: float) -> None:
         """Record one sample into the ``(entity, metric)`` series."""
         key = (entity, metric)
         series = self._series.get(key)
         if series is None:
-            if metric not in self._known_names:
+            if metric not in self._entities:
                 validate_metric_name(metric)
-                self._known_names.add(metric)
+                self._entities[metric] = set()
+            self._entities[metric].add(entity)
             series = TimeSeries(entity, metric, self.capacity)
             self._series[key] = series
         series.record(t, value)
@@ -118,11 +120,11 @@ class MetricStore:
 
     def entities_for(self, metric: str) -> list[str]:
         """All entities that have recorded ``metric``, sorted."""
-        return sorted(e for (e, m) in self._series if m == metric)
+        return sorted(self._entities.get(metric, ()))
 
     def metric_names(self) -> set[str]:
         """Every distinct metric name recorded so far."""
-        return {m for (_e, m) in self._series}
+        return set(self._entities)
 
     def keys(self) -> list[tuple[str, str]]:
         """All ``(entity, metric)`` keys, sorted."""

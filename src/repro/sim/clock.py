@@ -57,6 +57,4 @@ class SimClock:
 
 def makespan(clocks: list[SimClock]) -> float:
     """Duration of a parallel phase: the max time across participating nodes."""
-    if not clocks:
-        return 0.0
-    return max(clock.now for clock in clocks)
+    return max([clock.now for clock in clocks], default=0.0)

@@ -82,8 +82,9 @@ class TransactionManager:
         return txn
 
     def abort(self, txn: Transaction) -> None:
-        """Abort ``txn``: release its locks and discard buffered writes."""
+        """Abort ``txn``: release its locks and session, drop buffered writes."""
         self._release_locks(txn)
+        self._cleanup_session(txn)
         txn.status = TxnStatus.ABORTED
         self.aborts += 1
 
@@ -167,6 +168,7 @@ class TransactionManager:
             self._write_phase(txn, commit_ts)
         except TransactionAborted:
             self._release_locks(txn)
+            self._cleanup_session(txn)
             txn.status = TxnStatus.ABORTED
             self.aborts += 1
             raise
@@ -175,6 +177,7 @@ class TransactionManager:
             # transaction aborts; any prepared-but-uncommitted writes stay
             # invisible and vanish at compaction.
             self._release_locks(txn)
+            self._cleanup_session(txn)
             txn.status = TxnStatus.ABORTED
             self.aborts += 1
             raise TransactionAborted(f"commit failed: {exc}") from exc

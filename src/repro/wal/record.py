@@ -156,7 +156,7 @@ class LogRecord:
         Args:
             scope: ``(table, group)`` of the sorted segment ``buf`` was read
                 from, which a slim entry leaves out; None for a log segment.
-            checked: the cluster's memo of bodies that passed their CRC
+            checked: the cluster's memo of frames that passed their CRC
                 (``DFS.checked_frames``); None checks every body.
 
         Returns:
@@ -166,7 +166,12 @@ class LogRecord:
             CorruptLogRecord: on truncation (``TruncatedLogRecord``), checksum
                 mismatch, or a body that matches its checksum but does not parse.
         """
-        body, body_end = _frame_body(buf, offset, checked)
+        header_end, body_end, crc = _frame(buf, offset)
+        body = bytes(buf[header_end:body_end])
+        digest = None if checked is None else _digest(buf, offset, body_end)
+        fresh = digest is None or digest not in checked  # not vouched for
+        if fresh and crc32c(body) != crc:
+            raise CorruptLogRecord("checksum mismatch")
         try:
             # One pass over the body; a length below 0x80 is its own uvarint,
             # anything else (a body that ends early too) is decode_uvarint's.
@@ -219,6 +224,8 @@ class LogRecord:
                 raise CorruptLogRecord(f"fields end at byte {pos} of a {end}-byte body")
         except (IndexError, ValueError) as exc:
             raise CorruptLogRecord(f"malformed record body: {exc}") from exc
+        if fresh and digest is not None:
+            _remember(checked, digest, body, value)
         if scope is not None and not table:
             table, group = scope
         record = new_record(
@@ -232,8 +239,18 @@ class LogRecord:
     ) -> tuple[bytes | None, int]:
         """``(value, next_offset)``: :meth:`decode`'s frame check and field
         walk, raising as it does, but building no record; names are stepped
-        over, not UTF-8 decoded, and skipped uvarints are not summed."""
-        body, body_end = _frame_body(buf, offset, checked)
+        over, not UTF-8 decoded, and skipped uvarints are not summed; a frame
+        the memo vouches for is not walked at all."""
+        header_end, body_end, crc = _frame(buf, offset)
+        digest = None
+        if checked is not None:
+            digest = _digest(buf, offset, body_end)
+            start = checked.get(digest)
+            if start is not None:  # no CRC, no walk, no copy of the body
+                return (bytes(buf[header_end + start : body_end]) if start else None), body_end
+        body = bytes(buf[header_end:body_end])
+        if crc32c(body) != crc:
+            raise CorruptLogRecord("checksum mismatch")
         try:
             type_byte = body[0]
             if type_byte & 0x7F not in _RECORD_TYPES:
@@ -258,21 +275,19 @@ class LogRecord:
                 raise CorruptLogRecord(f"fields end at byte {pos} of a {len(body)}-byte body")
         except (IndexError, ValueError) as exc:
             raise CorruptLogRecord(f"malformed record body: {exc}") from exc
+        if digest is not None:
+            _remember(checked, digest, body, value)
         return value, body_end
 
 
-# The most body digests a ``checked`` memo holds (~2 MB); a full one is emptied.
+# A ``checked`` memo maps the 16-byte BLAKE2b digest of a frame that passed its
+# CRC and parsed to where in its body the value starts (0: it has none); a frame
+# found there is not checked again.  It holds this many (~2 MB); a full one is emptied.
 CHECKED_FRAMES_CAP = 16_384
 
 
-def _frame_body(
-    buf: bytes, offset: int, checked: dict[bytes, int] | None
-) -> tuple[bytes, int]:
-    """The checksum-checked body of the frame at ``offset``, and its end.
-
-    ``checked`` maps the 16-byte BLAKE2b digest of a body to the CRC it
-    passed: a body found there with the frame's CRC skips ``crc32c``, and
-    only a body that passes is recorded."""
+def _frame(buf: bytes, offset: int) -> tuple[int, int, int]:
+    """``(header_end, body_end, crc)`` of the frame at ``offset``."""
     header_end = offset + _FRAME_HEADER.size
     if header_end > len(buf):
         raise TruncatedLogRecord("truncated frame header")
@@ -280,20 +295,19 @@ def _frame_body(
     body_end = header_end + length
     if body_end > len(buf):
         raise TruncatedLogRecord("truncated frame body")
-    body = buf[header_end:body_end]
-    if type(body) is not bytes:
-        body = bytes(body)
-    if (
-        checked is None
-        or checked.get(digest := blake2b(body, digest_size=16).digest()) != crc
-    ):
-        if crc32c(body) != crc:
-            raise CorruptLogRecord("checksum mismatch")
-        if checked is not None:
-            if len(checked) >= CHECKED_FRAMES_CAP:
-                checked.clear()
-            checked[digest] = crc
-    return body, body_end
+    return header_end, body_end, crc
+
+
+def _digest(buf: bytes, offset: int, end: int) -> bytes:
+    """The memo key of ``buf[offset:end]`` (a log read's whole buffer: no copy)."""
+    return blake2b(buf[offset:end], digest_size=16).digest()
+
+
+def _remember(checked: dict, digest: bytes, body: bytes, value: bytes | None) -> None:
+    """Record a checked frame whose body parsed to ``value``, which ends it."""
+    if len(checked) >= CHECKED_FRAMES_CAP:
+        checked.clear()
+    checked[digest] = 0 if value is None else len(body) - len(value)
 
 
 def _skip_uvarint(body: bytes, pos: int) -> int:

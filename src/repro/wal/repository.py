@@ -267,19 +267,10 @@ class LogRepository:
     def _reader(self, file_no: int) -> LogSegmentReader:
         reader = self._readers.get(file_no)
         if reader is None:
-            archived = self._archived.get(file_no)
-            if archived is not None:
-                cold_dfs, cold_path = archived
-                reader = open_segment_reader(
-                    cold_dfs, cold_path, file_no, self._machine, self._scan_prefetch
-                )
-            else:
-                path = self._paths.get(file_no)
-                if path is None:
-                    raise InvalidLogPointer(f"segment {file_no} does not exist")
-                reader = open_segment_reader(
-                    self._dfs, path, file_no, self._machine, self._scan_prefetch
-                )
+            dfs, path = self._archived.get(file_no) or (self._dfs, self._paths.get(file_no))
+            if path is None:
+                raise InvalidLogPointer(f"segment {file_no} does not exist")
+            reader = open_segment_reader(dfs, path, file_no, self._machine, self._scan_prefetch)
             self._readers[file_no] = reader
         return reader
 
@@ -288,15 +279,20 @@ class LogRepository:
         single disk seek, §3.5); a frame that fails its check is read
         again verified."""
         check_deadline("log read")
+        if self._machine.tracer is None:
+            return self._read_value(pointer)
         with span(SPAN_LOG_READ, self._machine, bytes=pointer.size):
-            segment = self._reader(pointer.file_no)
-            reader, checked = segment.dfs_reader, segment.checked
-            try:
-                raw = reader.read(pointer.offset, pointer.size)
-                return LogRecord.decode_value(raw, 0, checked)[0]
-            except CorruptLogRecord:
-                raw = reader.read(pointer.offset, pointer.size, verified=True)
-                return LogRecord.decode_value(raw, 0, checked)[0]
+            return self._read_value(pointer)
+
+    def _read_value(self, pointer: LogPointer) -> bytes | None:
+        segment = self._readers.get(pointer.file_no) or self._reader(pointer.file_no)
+        reader, checked = segment.dfs_reader, segment.checked
+        try:
+            raw = reader.read(pointer.offset, pointer.size)
+            return LogRecord.decode_value(raw, 0, checked)[0]
+        except CorruptLogRecord:
+            raw = reader.read(pointer.offset, pointer.size, verified=True)
+            return LogRecord.decode_value(raw, 0, checked)[0]
 
     def read_many(self, pointers: list[LogPointer]) -> list[bytes | None]:
         """Batch random reads; returns values (None for a tombstone) in

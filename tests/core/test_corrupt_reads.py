@@ -258,3 +258,23 @@ def test_restart_over_a_corrupt_frame_recovers_every_row_from_a_good_replica():
     assert {key: client.get_raw(TABLE, key, GROUP) for key in values} == values
     assert db.cluster.total_counters().get(DFS_CORRUPT_REPLICAS) == 1
     assert "node-0" not in block.locations
+
+
+def test_a_local_replica_corrupted_mid_scan_is_read_around():
+    """A scan's row reads take the local short-circuit; a replica damaged
+    under a row the scan has not reached yet still fails that row's frame
+    check, and the verified re-read serves it from a clean replica."""
+    db = make_db(LogBaseConfig(segment_size=16 * 1024, dfs_checksum_replicas=True))
+    _, expected = load(db)
+    owner = db.cluster.server_by_name(OWNER)
+    scan = owner.range_scan(TABLE, GROUP, b"0000", b"9999")
+    rows = [next(scan) for _ in range(5)]
+    pointer = pointer_of(db, sorted(expected)[20])
+    segment = owner.log._reader(pointer.file_no).dfs_reader
+    local = segment._local
+    assert local is not None  # the short-circuit is armed
+    block = db.cluster.dfs.namenode.get_file(owner.log.segment_path(pointer.file_no)).blocks[0]
+    local.corrupt_replica(block.block_id, pointer.offset + pointer.size - 1)
+    rows += scan
+    assert {key: value for key, _, value in rows} == expected
+    assert_pruned(db, block, local)

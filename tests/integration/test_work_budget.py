@@ -369,6 +369,7 @@ def concurrent(meter: Meter) -> None:
 
     def run():
         loop.run_clients(cluster, [stream(i) for i in range(CLIENTS)])
+        assert not db.txn_manager._sessions  # the aborted ones closed theirs too
         totals = cluster.total_counters()
         overlapping = sum(
             a.commit_ts >= b.read_ts and b.commit_ts >= a.read_ts

@@ -203,6 +203,20 @@ def test_limit_without_order_streams_key_order(populated):
     assert [key for key, _ in result] == [k for k, _, _ in rows[:5]]
 
 
+def test_a_limit_scan_reads_no_row_past_its_cursor(populated):
+    """Every row read is one disk read, and a limit stops them."""
+    db, engine, _ = populated
+
+    def disk_reads(query) -> float:
+        before = db.cluster.total_counters().get("disk.reads", 0)
+        query.run()
+        return db.cluster.total_counters().get("disk.reads", 0) - before
+
+    assert disk_reads(engine.query("users").limit(5)) == 5
+    assert disk_reads(engine.query("users").limit(1)) == 1
+    assert disk_reads(engine.query("users")) == 30
+
+
 def test_limit_rejects_negative(populated):
     _, engine, _ = populated
     import pytest as _pytest

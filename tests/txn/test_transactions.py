@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TransactionStateError, ValidationConflict
 from repro.txn.transaction import TxnStatus
+from tests.txn.helpers import open_txn_sessions
 
 
 def test_read_only_always_commits(db):
@@ -135,3 +136,17 @@ def test_abort_rate_metric(db):
     assert db.txn_manager.commits == 1
     assert db.txn_manager.aborts == 1
     assert db.txn_manager.abort_rate == 0.5
+
+
+def test_every_ended_transaction_closes_its_session(db):
+    db.put("events", b"000000000014", {"payload": {"body": b"base"}})
+    winner, loser, dropped = db.begin(), db.begin(), db.begin()
+    for txn in (winner, loser):
+        txn.read("events", b"000000000014", "payload")
+        txn.write("events", b"000000000014", "payload", {"body": b"x"})
+    winner.commit()
+    with pytest.raises(ValidationConflict):
+        loser.commit()  # first committer wins
+    dropped.write("events", b"000000000015", "payload", {"body": b"y"})
+    dropped.abort()
+    assert open_txn_sessions(db) == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TransactionAborted
 from repro.wal.record import RecordType
+from tests.txn.helpers import open_txn_sessions
 
 
 def _keys_on_distinct_servers(db, count=2):
@@ -59,6 +60,7 @@ def test_participant_failure_aborts_whole_transaction(db):
     master.server(victim_name).serving = True
     # Neither write is visible: atomicity across servers.
     assert db.get("events", k1, "payload") is None
+    assert open_txn_sessions(db) == []
 
 
 def test_single_server_transaction_skips_2pc(db):

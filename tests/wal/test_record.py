@@ -6,6 +6,7 @@ the two golden frames it is what holds the wire format still.
 """
 
 import struct
+from _blake2 import blake2b
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 
@@ -573,13 +574,27 @@ def test_a_flipped_body_byte_is_caught_with_a_warm_memo(decode):
 
 
 @pytest.mark.parametrize("decode", MEMO_DECODERS)
-def test_a_flipped_crc_field_is_caught_when_the_body_digest_hits(decode):
+def test_a_flipped_crc_field_is_caught_with_a_warm_memo(decode):
     frame, checked = sample_record().encode(), {}
     decode(frame, checked)
-    for at in range(4, 8):  # the body, and so its digest, is unchanged
+    for at in range(4, 8):  # the body is unchanged, the frame is not
         with pytest.raises(CorruptLogRecord, match="checksum mismatch"):
             decode(flipped(frame, at), checked)
     assert decode(frame, checked) == b"the value"
+
+
+@pytest.mark.parametrize("decode", MEMO_DECODERS)
+@pytest.mark.parametrize("value", [b"the value", b"", None], ids=["value", "empty", "none"])
+def test_a_warm_memo_spares_every_frame_check(decode, value, monkeypatch):
+    frame, checked = replace(sample_record(), value=value).encode(), {}
+    assert decode(frame, checked) == value
+    calls = []
+    crc32c = repro.wal.record.crc32c
+    monkeypatch.setattr(
+        repro.wal.record, "crc32c", lambda data, crc=0: calls.append(data) or crc32c(data, crc)
+    )
+    assert decode(frame, checked) == value
+    assert calls == []
 
 
 @pytest.mark.parametrize("decode", MEMO_DECODERS)
@@ -626,6 +641,14 @@ def test_a_memo_never_changes_what_a_decoder_answers(record, slim, data):
     for buf in (frame, frame, damaged, damaged, frame):
         for memo_on, memo_off in zip(with_memo, (LogRecord.decode_value, decoded_value)):
             assert outcome(memo_on, buf) == outcome(memo_off, buf)
+    # The memo holds the frame once, with where its value starts, and
+    # ``decode`` records the same entry ``decode_value`` did.
+    [(digest, start)] = checked.items()
+    assert digest == blake2b(frame, digest_size=16).digest()
+    assert (frame[8 + start :] if start else None) == record.value
+    by_decode: dict[bytes, int] = {}
+    LogRecord.decode(frame, 0, None, by_decode)
+    assert by_decode == checked
 
 
 def test_a_full_memo_is_emptied(monkeypatch):
