@@ -6,9 +6,10 @@ followed by ``compact_all()``) with one follower on the second node
 tailing the owner after every round, and prints per round the inclusive
 host ms of ``TabletServer.compact``, the plan job
 (``IncrementalCompactionJob.run``), the owner's index ``repoint``, the
-checkpoint written after each plan, and the follower's run re-home
-(reading the run index and re-pointing its replica).  Host times are
-printed, never gated; the script fails only if a round raises.
+checkpoint written after the round and the disk bytes it wrote (every
+replica), and the follower's run re-home (reading the run index and
+re-pointing its replica).  Host times and bytes are printed, never gated;
+the script fails only if a round raises.
 
 The churn comparison against a whole-log rewrite per round, and the
 exact charges of one pinned round, are tier-1 tests
@@ -27,6 +28,7 @@ import random
 import time
 from contextlib import contextmanager
 
+import repro.core.follower
 from conftest import RECORD_SIZE
 from repro.bench.adapters import LogBaseAdapter, make_logbase
 from repro.config import LogBaseConfig
@@ -70,10 +72,12 @@ def host_timers(spent: dict[str, float]):
         ("checkpoint", CheckpointManager, "write_checkpoint"),
         ("follower re-home", LogTailer, "_run_entries"),
         ("follower re-home", LogTailer, "_rehome"),
+        ("follower re-home", repro.core.follower, "read_index_file"),
+        ("follower re-home", LogTailer, "_adopt_rows"),
     ]
     saved = []
     for column, owner, name in targets:
-        original = owner.__dict__.get(name)
+        original = vars(owner).get(name)
         if original is None:  # an older tree without this step
             continue
 
@@ -112,24 +116,50 @@ def host_cost_rounds(records: int, rounds: int, *, seed: int = 11) -> list[dict]
         for _ in range(records // 2):
             adapter.put(0, rng.choice(keys), rng.randbytes(RECORD_SIZE))
         spent: dict[str, float] = {}
-        with host_timers(spent):
+        written = [0]
+        with checkpoint_bytes(adapter.cluster, written), host_timers(spent):
             adapter.compact_all()
             tailer.tail(10 * records)
-        per_round.append({column: 1e3 * seconds for column, seconds in spent.items()})
+        costs = {column: 1e3 * seconds for column, seconds in spent.items()}
+        per_round.append({**costs, "ckpt bytes": written[0]})
     return per_round
 
 
+@contextmanager
+def checkpoint_bytes(cluster, written: list[int]):
+    """Within the block, add the disk bytes each checkpoint writes, on
+    every replica, to ``written[0]``."""
+    write = CheckpointManager.write_checkpoint
+
+    def counted(manager):
+        before = cluster.total_counters().get("disk.bytes_written", 0)
+        try:
+            return write(manager)
+        finally:
+            written[0] += cluster.total_counters().get("disk.bytes_written", 0) - before
+
+    CheckpointManager.write_checkpoint = counted
+    try:
+        yield
+    finally:
+        CheckpointManager.write_checkpoint = write
+
+
 def format_round_costs(per_round: list[dict]) -> str:
-    columns = ["compact", "plan job", "repoint", "checkpoint", "follower re-home"]
+    columns = ["compact", "plan job", "repoint", "checkpoint", "ckpt bytes", "follower re-home"]
     lines = [
         "Host cost of one incremental round (ms, inclusive; compact holds the "
-        "plan job, repoint and checkpoint)",
+        "plan job, repoint and checkpoint; ckpt bytes are disk bytes)",
         f"{'round':>5} " + " ".join(f"{column:>16}" for column in columns),
     ]
     for number, spent in enumerate(per_round, 1):
         lines.append(
             f"{number:>5} "
-            + " ".join(f"{spent.get(column, 0.0):>16.2f}" for column in columns)
+            + " ".join(
+                f"{spent.get(column, 0):>16.0f}" if column == "ckpt bytes"
+                else f"{spent.get(column, 0.0):>16.2f}"
+                for column in columns
+            )
         )
     return "\n".join(lines)
 

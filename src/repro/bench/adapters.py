@@ -26,13 +26,16 @@ USERTABLE_SCHEMA = TableSchema(TABLE, "key", (ColumnGroup(GROUP, ("field0",)),))
 
 
 class SystemAdapter(ABC):
-    """Per-node operations against one system, reporting simulated time."""
+    """Per-node operations against one system's ``cluster``, reporting
+    simulated time."""
 
     name: str
+    cluster: LogBaseCluster | HBaseCluster
+    _buffers: dict[tuple[int, str], list]
 
-    @abstractmethod
     def n_nodes(self) -> int:
         """Cluster size."""
+        return len(self.cluster.machines)
 
     @abstractmethod
     def put(self, node: int, key: bytes, value: bytes) -> float:
@@ -51,31 +54,68 @@ class SystemAdapter(ABC):
 
     def flush_buffers(self, node: int) -> None:
         """Flush any staged puts for client ``node``."""
+        for slot in [s for s in self._buffers if s[0] == node]:
+            self._flush_one(node, slot[1])
+
+    @abstractmethod
+    def _server(self, name: str):
+        """The server called ``name``."""
+
+    def _flush_one(self, node: int, name: str) -> float:
+        """Send client ``node``'s buffer for server ``name`` as one batch."""
+        items = self._buffers.pop((node, name), [])
+        if not items:
+            return 0.0
+        machine = self.cluster.machines[node]
+        server = self._server(name)
+        before = machine.clock.now
+        server_before = server.machine.clock.now
+        payload = sum(len(k) + len(v[GROUP]) for k, v in items) + 64
+        machine.clock.advance(
+            machine.network.rpc_cost(payload, 16, local=server.machine is machine)
+        )
+        server.write_batch(TABLE, items)
+        return (machine.clock.now - before) + (server.machine.clock.now - server_before)
 
     @abstractmethod
     def get(self, node: int, key: bytes) -> tuple[bytes | None, float]:
         """Read from client at ``node``; returns (value, seconds)."""
 
-    @abstractmethod
+    def _timed_scan(self, op) -> tuple[int, float]:
+        """Run ``op(server)`` on every server; phase time is the max of
+        the per-server clock deltas (sub-scans execute in parallel)."""
+        rows = 0
+        slowest = 0.0
+        for server in self.cluster.servers:
+            before = server.machine.clock.now
+            rows += op(server)
+            slowest = max(slowest, server.machine.clock.now - before)
+        return rows, slowest
+
     def range_scan(self, node: int, start: bytes, end: bytes) -> tuple[int, float]:
         """Range scan; returns (rows returned, seconds)."""
+        return self._timed_scan(
+            lambda server: sum(1 for _ in server.range_scan(TABLE, GROUP, start, end))
+        )
 
-    @abstractmethod
     def full_scan(self) -> tuple[int, float]:
         """Whole-table scan across all servers (parallel segments);
         returns (rows, makespan seconds of the scan phase)."""
+        return self._timed_scan(
+            lambda server: sum(1 for _ in server.full_scan(TABLE, GROUP))
+        )
 
     @abstractmethod
     def drop_caches(self) -> None:
         """Empty every read/block cache (cold-read experiments)."""
 
-    @abstractmethod
     def makespan(self) -> float:
         """Max simulated clock over the cluster's machines."""
+        return self.cluster.elapsed_makespan()
 
-    @abstractmethod
     def reset_clocks(self) -> None:
         """Zero every clock between phases."""
+        self.cluster.reset_clocks()
 
     def finish_load(self) -> None:
         """Hook after the load phase (HBase flushes memstores here)."""
@@ -100,28 +140,13 @@ class LogBaseAdapter(SystemAdapter):
         self._clients = [Client(cluster.master, m) for m in cluster.machines]
         self._buffers: dict[tuple[int, str], list] = {}
 
-    def n_nodes(self) -> int:
-        return len(self.cluster.machines)
-
     def put(self, node: int, key: bytes, value: bytes) -> float:
         client = self._clients[node]
         client.put_raw(TABLE, key, GROUP, value)
         return client.last_op_seconds
 
-    def _flush_one(self, node: int, name: str) -> float:
-        items = self._buffers.pop((node, name), [])
-        if not items:
-            return 0.0
-        machine = self.cluster.machines[node]
-        server = self.cluster.master.server(name)
-        before = machine.clock.now
-        server_before = server.machine.clock.now
-        payload = sum(len(k) + len(v[GROUP]) for k, v in items) + 64
-        machine.clock.advance(
-            machine.network.rpc_cost(payload, 16, local=server.machine is machine)
-        )
-        server.write_batch(TABLE, items)
-        return (machine.clock.now - before) + (server.machine.clock.now - server_before)
+    def _server(self, name: str):
+        return self.cluster.master.server(name)
 
     def put_buffered(self, node: int, key: bytes, value: bytes) -> None:
         name, _ = self.cluster.master.locate(TABLE, key)
@@ -129,10 +154,6 @@ class LogBaseAdapter(SystemAdapter):
         buffer.append((key, {GROUP: value}))
         if len(buffer) >= LOAD_BUFFER:
             self._flush_one(node, name)
-
-    def flush_buffers(self, node: int) -> None:
-        for slot in [s for s in self._buffers if s[0] == node]:
-            self._flush_one(node, slot[1])
 
     def put_many(self, node: int, pairs: list[tuple[bytes, bytes]]) -> float:
         """One buffered batch: stage every pair, then flush this client."""
@@ -149,27 +170,6 @@ class LogBaseAdapter(SystemAdapter):
         value = client.get_raw(TABLE, key, GROUP)
         return value, client.last_op_seconds
 
-    def _timed_scan(self, op) -> tuple[int, float]:
-        """Run ``op(server)`` on every server; phase time is the max of
-        the per-server clock deltas (sub-scans execute in parallel)."""
-        rows = 0
-        slowest = 0.0
-        for server in self.cluster.servers:
-            before = server.machine.clock.now
-            rows += op(server)
-            slowest = max(slowest, server.machine.clock.now - before)
-        return rows, slowest
-
-    def range_scan(self, node: int, start: bytes, end: bytes) -> tuple[int, float]:
-        return self._timed_scan(
-            lambda server: sum(1 for _ in server.range_scan(TABLE, GROUP, start, end))
-        )
-
-    def full_scan(self) -> tuple[int, float]:
-        return self._timed_scan(
-            lambda server: sum(1 for _ in server.full_scan(TABLE, GROUP))
-        )
-
     def drop_caches(self) -> None:
         for server in self.cluster.servers:
             if server.read_cache is not None:
@@ -177,12 +177,6 @@ class LogBaseAdapter(SystemAdapter):
         self.cluster.dfs.drop_block_caches()
         for machine in self.cluster.machines:
             machine.disk.invalidate_head()
-
-    def makespan(self) -> float:
-        return self.cluster.elapsed_makespan()
-
-    def reset_clocks(self) -> None:
-        self.cluster.reset_clocks()
 
     def compact_all(self) -> None:
         """Run log compaction on every server (Figure 10's second line)."""
@@ -199,9 +193,6 @@ class HBaseAdapter(SystemAdapter):
         only = [cluster.servers[0].name] if single_server else None
         cluster.create_table(USERTABLE_SCHEMA, only_servers=only)
         self._buffers: dict[tuple[int, str], list] = {}
-
-    def n_nodes(self) -> int:
-        return len(self.cluster.machines)
 
     def _timed(self, node: int, server, request: int, response: int, op):
         start = server.machine.clock.now
@@ -221,20 +212,8 @@ class HBaseAdapter(SystemAdapter):
         )
         return seconds
 
-    def _flush_one(self, node: int, name: str) -> float:
-        items = self._buffers.pop((node, name), [])
-        if not items:
-            return 0.0
-        machine = self.cluster.machines[node]
-        server = next(s for s in self.cluster.servers if s.name == name)
-        before = machine.clock.now
-        server_before = server.machine.clock.now
-        payload = sum(len(k) + len(v[GROUP]) for k, v in items) + 64
-        machine.clock.advance(
-            machine.network.rpc_cost(payload, 16, local=server.machine is machine)
-        )
-        server.write_batch(TABLE, items)
-        return (machine.clock.now - before) + (server.machine.clock.now - server_before)
+    def _server(self, name: str):
+        return next(s for s in self.cluster.servers if s.name == name)
 
     def put_buffered(self, node: int, key: bytes, value: bytes) -> None:
         server = self.cluster.server_for(TABLE, key)
@@ -242,10 +221,6 @@ class HBaseAdapter(SystemAdapter):
         buffer.append((key, {GROUP: value}))
         if len(buffer) >= LOAD_BUFFER:
             self._flush_one(node, server.name)
-
-    def flush_buffers(self, node: int) -> None:
-        for slot in [s for s in self._buffers if s[0] == node]:
-            self._flush_one(node, slot[1])
 
     def put_many(self, node: int, pairs: list[tuple[bytes, bytes]]) -> float:
         """One buffered batch: stage every pair, then flush this client."""
@@ -267,25 +242,6 @@ class HBaseAdapter(SystemAdapter):
         )
         return (None if result is None else result[1]), seconds
 
-    def _timed_scan(self, op) -> tuple[int, float]:
-        rows = 0
-        slowest = 0.0
-        for server in self.cluster.servers:
-            before = server.machine.clock.now
-            rows += op(server)
-            slowest = max(slowest, server.machine.clock.now - before)
-        return rows, slowest
-
-    def range_scan(self, node: int, start: bytes, end: bytes) -> tuple[int, float]:
-        return self._timed_scan(
-            lambda server: sum(1 for _ in server.range_scan(TABLE, GROUP, start, end))
-        )
-
-    def full_scan(self) -> tuple[int, float]:
-        return self._timed_scan(
-            lambda server: sum(1 for _ in server.full_scan(TABLE, GROUP))
-        )
-
     def drop_caches(self) -> None:
         for server in self.cluster.servers:
             server.block_cache.clear()
@@ -297,12 +253,6 @@ class HBaseAdapter(SystemAdapter):
                     sstable._index = None
         for machine in self.cluster.machines:
             machine.disk.invalidate_head()
-
-    def makespan(self) -> float:
-        return self.cluster.elapsed_makespan()
-
-    def reset_clocks(self) -> None:
-        self.cluster.reset_clocks()
 
     def finish_load(self) -> None:
         self.cluster.flush_all()

@@ -77,7 +77,7 @@ def _server_crash_at_commit(run: Run) -> None:
 
 
 def _crash_during_checkpoint(run: Run) -> None:
-    # Dies between index-file flushes: the previous checkpoint block must
+    # Dies between tail-file flushes: the previous checkpoint block must
     # stay the recovery point (the block write is the commit point).
     run.plan.add(
         CP_CHECKPOINT_MID, _kill(run, "ts-node-1", raise_down=True),

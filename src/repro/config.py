@@ -278,19 +278,11 @@ class LogBaseConfig:
         and figures are reproduced byte-identically; this preset is what
         the ``gray/`` chaos scenarios (``repro.chaos.gray``) run under.
         """
-        settings: dict = {
-            "dfs_checksum_replicas": True,
-            "dfs_auto_rereplicate": True,
-            "dfs_degraded_allocation": True,
-            "client_retry_limit": 4,
-            "gray_resilience": True,
-            "op_deadline": 1.0,
-            "hedge_reads": True,
-            "breaker_enabled": True,
-            "admission_queue_depth": 64,
-        }
-        settings.update(overrides)
-        return cls(**settings)
+        return cls.with_fault_tolerance(**{
+            "client_retry_limit": 4, "gray_resilience": True, "op_deadline": 1.0,
+            "hedge_reads": True, "breaker_enabled": True, "admission_queue_depth": 64,
+            **overrides,
+        })
 
     @classmethod
     def with_live_migration(cls, **overrides) -> "LogBaseConfig":
@@ -307,15 +299,9 @@ class LogBaseConfig:
         elasticity sweep (``tests/core/test_elasticity.py``) and the
         ``migration/`` chaos scenarios run under.
         """
-        settings: dict = {
-            "dfs_checksum_replicas": True,
-            "dfs_auto_rereplicate": True,
-            "dfs_degraded_allocation": True,
-            "client_retry_limit": 4,
-            "live_migration": True,
-        }
-        settings.update(overrides)
-        return cls(**settings)
+        return cls.with_fault_tolerance(
+            **{"client_retry_limit": 4, "live_migration": True, **overrides}
+        )
 
     @classmethod
     def with_read_replicas(cls, **overrides) -> "LogBaseConfig":
@@ -333,16 +319,7 @@ class LogBaseConfig:
         replica sweep (``tests/core/test_follower.py``) and the ``replica/``
         chaos scenarios run under.
         """
-        settings: dict = {
-            "dfs_checksum_replicas": True,
-            "dfs_auto_rereplicate": True,
-            "dfs_degraded_allocation": True,
-            "client_retry_limit": 4,
-            "live_migration": True,
-            "read_replicas": True,
-        }
-        settings.update(overrides)
-        return cls(**settings)
+        return cls.with_live_migration(**{"read_replicas": True, **overrides})
 
     @classmethod
     def production(cls, **overrides) -> "LogBaseConfig":

@@ -263,17 +263,18 @@ class LogBaseCluster:
         if not server.machine.alive:
             self.failures.revive(name)
         server.restart()
+        master = self.master
         if not self.coordination.exists(f"/logbase/servers/{name}"):
-            self.master.register_server(server)
+            master.register_server(server)
         else:
             # Session survived the crash: just refresh the catalog handle.
-            self.master.catalog.servers[name] = server
+            master.catalog.servers[name] = server
         if not recover:
             return None
         report = recover_server_parallel(
             server, self.checkpoints[name], heat=dict(self.tablet_heat)
         )
-        self._renew_leases(only=name)
+        self._renew_leases(master, only=name)
         return report
 
     def heartbeat(self) -> dict:
@@ -291,13 +292,16 @@ class LogBaseCluster:
 
         Returns ``{"expired": [names], "rereplicated": count}``.
         """
+        # One election lookup per tick: every step below acts for the
+        # master elected when the tick began.
+        master = self.master
         expired: list[str] = []
         for server in self.servers:
-            session = self.master.catalog.server_sessions.get(server.name)
+            session = master.catalog.server_sessions.get(server.name)
             if session is None or session.expired:
                 continue
             if not server.machine.alive or not server.serving:
-                self.master.expire_server(server.name)
+                master.expire_server(server.name)
                 expired.append(server.name)
         # Fold live servers' access heat into the master-side snapshot
         # (fast recovery orders a crashed server's tablet bring-up by it).
@@ -306,13 +310,13 @@ class LogBaseCluster:
                 for tablet_id, value in server.heat.items():
                     if value > self.tablet_heat.get(tablet_id, 0.0):
                         self.tablet_heat[tablet_id] = value
-        self._decay_ghost_heat()
+        self._decay_ghost_heat(master)
         if self.config.live_migration:
-            self._renew_leases()
-            self._reconcile_stale_owners()
+            self._renew_leases(master)
+            self._reconcile_stale_owners(master)
         replica_lags: dict[str, float] = {}
         if self.config.read_replicas:
-            self._place_followers()
+            self._place_followers(master)
             replica_lags = self._tail_followers()
         created = 0
         if self.config.dfs_auto_rereplicate:
@@ -326,12 +330,12 @@ class LogBaseCluster:
             tick["alerts_fired"] = self.monitor.tick()
         return tick
 
-    def _decay_ghost_heat(self) -> None:
+    def _decay_ghost_heat(self, master: Master) -> None:
         """Half-life decay for heat entries whose tablet no longer exists
         in the catalog (deleted, split away, or renamed by failover) —
         without it the balancer would chase ghosts forever."""
         now = self.elapsed_makespan()
-        assignments = self.master.catalog.assignments
+        assignments = master.catalog.assignments
         for tablet_id in list(self.tablet_heat):
             if tablet_id in assignments:
                 self._heat_seen[tablet_id] = now
@@ -348,16 +352,16 @@ class LogBaseCluster:
                 self.tablet_heat[tablet_id] = decayed
                 self._heat_seen[tablet_id] = now
 
-    def _renew_leases(self, only: str | None = None) -> None:
+    def _renew_leases(self, master: Master, only: str | None = None) -> None:
         """Re-grant ownership leases to catalog owners the cluster can
         still reach (with ``only``, to that one server).  Tablets
         mid-handoff are skipped — the migrator's fence, not the
         heartbeat, decides when they serve again."""
-        migrator = self.migrator
-        for tablet_id, owner_name in self.master.catalog.assignments.items():
+        migrator = master.migrator
+        for tablet_id, owner_name in master.catalog.assignments.items():
             if only is not None and owner_name != only:
                 continue
-            owner = self.master.catalog.servers.get(owner_name)
+            owner = master.catalog.servers.get(owner_name)
             if owner is None or not owner.machine.alive or not owner.serving:
                 continue
             if owner.ownership.fenced(tablet_id):
@@ -365,7 +369,7 @@ class LogBaseCluster:
             if migrator._majority_reachable(owner):
                 owner.grant_lease(tablet_id)
 
-    def _place_followers(self) -> None:
+    def _place_followers(self, master: Master) -> None:
         """Maintain the read-replica placement (read_replicas gate).
 
         For every assigned tablet, pick up to ``replicas_per_tablet``
@@ -379,10 +383,10 @@ class LogBaseCluster:
         the new owner — they never keep applying a deposed owner's
         post-fence records.
         """
-        catalog = self.master.catalog
+        catalog = master.catalog
         live = [
             name
-            for name in self.master.live_servers()
+            for name in master.live_servers()
             if (server := catalog.servers.get(name)) is not None
             and server.machine.alive
             and server.serving
@@ -402,7 +406,7 @@ class LogBaseCluster:
             catalog.followers[tablet_id] = desired
             epoch = catalog.owner_epochs.get(tablet_id, 0)
             try:
-                tablet = self.master._tablet_by_id(tablet_id)
+                tablet = master._tablet_by_id(tablet_id)
             except Exception:
                 catalog.followers.pop(tablet_id, None)
                 continue
@@ -439,12 +443,12 @@ class LogBaseCluster:
                     self.replica_lag_histogram.record(lag)
         return worst
 
-    def _reconcile_stale_owners(self) -> None:
+    def _reconcile_stale_owners(self, master: Master) -> None:
         """Drop tablets from servers the catalog no longer assigns them
         to (e.g. a partitioned ex-owner rejoining after its tablet was
         migrated away).  Its lapsed lease already kept it from serving;
         this reclaims the memory."""
-        assignments = self.master.catalog.assignments
+        assignments = master.catalog.assignments
         for server in self.servers:
             if not server.machine.alive or not server.serving:
                 continue

@@ -30,13 +30,14 @@ lower one is immutable — and decodes what lies past it.  Step 2: a sorted
 run holds nothing new, only live versions under *new* pointers (the
 originals are about to be retired, so the follower's index entries would
 dangle) and re-emitted tombstones, and its writer left exactly that list
-beside it (:func:`repro.index.persist.encode_run_index`).  So the tailer
+beside it (:func:`repro.index.persist.encode_index_file`).  So the tailer
 never reads a run: once ``segments.meta`` names one it loads the run's
-index, once, and re-points each member's index in one walk over its
-~30-byte rows — told what moved, Taurus-style, not re-deriving it.  An
-index that is missing or fails its checksum fails the pass like any
-unreadable file: nothing is marked caught up and reads age out to the
-owner.  Both steps feed recovery's redo (:mod:`repro.wal.replay`): one
+index, once, and applies its ~30-byte rows through the loader a
+restarting owner loads its checkpoint with
+(:func:`~repro.wal.replay.redo_rows`) — told what moved, Taurus-style,
+not re-deriving it.  An index that is missing or fails its checksum fails
+the pass like any unreadable file: nothing is marked caught up and reads
+age out to the owner.  Both steps feed recovery's redo (:mod:`repro.wal.replay`): one
 commit gate and one tombstone map per tailer, both living as long as the
 subscription.  ``insert`` replaces at (key, timestamp), so replay is
 idempotent — a fresh subscriber simply resets the cursor and the whole
@@ -52,6 +53,7 @@ version whose tombstone the plan dropped with it (:meth:`LogTailer.drop_dead`).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Collection, Iterable
 
 from repro.config import LogBaseConfig
@@ -60,7 +62,7 @@ from repro.dfs.filesystem import DFS
 from repro.errors import CorruptLogRecord, DFSError, FollowerLaggingError, InvalidLogPointer
 from repro.index.blink import BLinkTreeIndex
 from repro.index.interface import IndexEntry, MultiversionIndex, Row
-from repro.index.persist import decode_run_index
+from repro.index.persist import read_index_file
 from repro.obs.trace import span
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
@@ -71,8 +73,8 @@ from repro.sim.metrics import (
     REPLICA_TAIL_ERRORS,
     SPAN_FOLLOWER_TAIL,
 )
-from repro.wal.record import LogPointer, LogRecord, RecordType
-from repro.wal.replay import CommitGate, Tombstones, keep_versions, redo
+from repro.wal.record import LogPointer, LogRecord
+from repro.wal.replay import CommitGate, Tombstones, keep_versions, redo, redo_rows
 from repro.wal.repository import LogRepository
 
 # Max log records a follower applies per tail pass (bounds one heartbeat's
@@ -150,7 +152,7 @@ class LogTailer:
         self, dfs: DFS, machine: Machine, owner_name: str, config: LogBaseConfig
     ) -> None:
         self.owner_name = owner_name
-        self._machine = machine
+        self._dfs, self._machine = dfs, machine
         self.repo = LogRepository.reattach(
             dfs,
             machine,
@@ -225,13 +227,9 @@ class LogTailer:
                 self.repo.refresh_from_dfs()
                 scanned = 0
                 drained = True
-                unsorted: list[int] = []
-                sorted_segs: list[int] = []
-                for file_no in self.repo.segments():
-                    name = self.repo.segment_path(file_no).rsplit("/", 1)[-1]
-                    (sorted_segs if name.startswith("sorted-") else unsorted).append(
-                        file_no
-                    )
+                segments, is_run = self.repo.segments(), self.repo.is_sorted_segment
+                unsorted = [file_no for file_no in segments if not is_run(file_no)]
+                sorted_segs = [file_no for file_no in segments if is_run(file_no)]
                 # Sorted segments retired by a later compaction round drop out
                 # of the bookkeeping with them.
                 live_sorted = set(sorted_segs)
@@ -268,9 +266,13 @@ class LogTailer:
                         if file_no in self._sorted_done:
                             continue
                         progress = self._sorted_progress.pop(file_no, None)
-                        entries, marks = progress or self._run_entries(file_no)
+                        if progress is None:
+                            path = self.repo.run_index_path(file_no)
+                            versions, tombstones = read_index_file(self._dfs, path, self._machine)
+                            progress = tombstones + versions, len(tombstones)
+                        entries, marks = progress
                         take = batch_limit - scanned
-                        applied += self._rehome(
+                        applied += self._adopt_rows(
                             self.repo.segment_scope(file_no), entries[:take], marks
                         )
                         if take < len(entries):
@@ -295,48 +297,14 @@ class LogTailer:
                     self._machine.counters.add(REPLICA_TAIL_BATCHES)
             return applied, drained
 
-    def _run_entries(self, file_no: int) -> tuple[list[Row], int]:
-        """A named run's index rows, tombstones first, and their count."""
-        try:
-            versions, tombstones = decode_run_index(self.repo.read_run_index(file_no))
-        except CorruptLogRecord:
-            payload = self.repo.read_run_index(file_no, verified=True)
-            versions, tombstones = decode_run_index(payload)
-        return tombstones + versions, len(tombstones)
-
-    def _rehome(self, scope: tuple[str, str], rows: list[Row], marks: int) -> int:
-        """Apply run-index rows, the first ``marks`` of them tombstones (fed
-        to the gate); returns what the gate would count.  A version moves
-        the watermarks, is skipped at or below its key's delete mark, and is
-        re-pointed in one walk of its member's index, or redone if absent."""
-        table, group = scope
-
-        def record(kind: RecordType, key: bytes, timestamp: int) -> LogRecord:
-            return LogRecord(
-                kind, table=table, key=key, group=group, timestamp=timestamp
-            )
-
-        gate, applied = self._gate, 0
-        moved: dict[FollowerTablet, dict[tuple[bytes, int], LogPointer]] = {}
-        for i, (key, timestamp, pointer) in enumerate(rows):
-            if i < marks:
-                marker = record(RecordType.INVALIDATE, key, timestamp)
-                applied += gate.feed(pointer, marker, True)
-                continue
-            gate.watermark = max(gate.watermark, timestamp)
-            member = self._member(table, key)
-            if member is not None:
-                member.watermark = max(member.watermark, timestamp)
-                if self._tombstones.get((table, group, key), -1) < timestamp:
-                    moved.setdefault(member, {})[key, timestamp] = pointer
-                    applied += 1
-        for member, versions in moved.items():
-            index = member.index(group)
-            index.repoint(versions, ())
-            for (key, timestamp), pointer in versions.items():
-                version = record(RecordType.WRITE, key, timestamp)
-                redo(index, pointer, version, self._tombstones)
-        return applied
+    def _adopt_rows(self, scope: tuple[str, str], rows: list[Row], marks: int) -> int:
+        """Apply run-index rows, the first ``marks`` of them tombstones,
+        through the loader every reader of a persisted index uses
+        (:func:`~repro.wal.replay.redo_rows`); returns what the gate would
+        count.  Every row moves the watermarks, skipped or not."""
+        self._gate.watermark = max([self._gate.watermark, *(row[1] for row in rows)])
+        index_of = partial(self._index_of, *scope)
+        return redo_rows(scope, rows, marks, index_of, self._tombstones)
 
     def drop_dead(
         self, index: MultiversionIndex, entries: Iterable[IndexEntry]
@@ -372,13 +340,18 @@ class LogTailer:
 
     def _redo(self, pointer: LogPointer, record: LogRecord) -> bool:
         """Redo one effective record into the member covering its key."""
-        index = None
-        member = self._member(record.table, record.key)
-        if member is not None:
-            if record.timestamp > member.watermark:
-                member.watermark = record.timestamp
-            index = member.index(record.group)
+        index = self._index_of(record.table, record.group, record.key, record.timestamp)
         return redo(index, pointer, record, self._tombstones)
+
+    def _index_of(self, table: str, group: str, key: bytes, timestamp: int):
+        """The index of the member covering ``key``, whose watermark the
+        version moves; None if no member covers it."""
+        member = self._member(table, key)
+        if member is None:
+            return None
+        if timestamp > member.watermark:
+            member.watermark = timestamp
+        return member.index(group)
 
 
 class ReplicaHost:

@@ -46,7 +46,7 @@ splits when per-server heat skew crosses the configured threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.core.partition import KeyRange
 from repro.core.recovery import rehome
@@ -117,16 +117,7 @@ class MigrationReport:
     completed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "tablet_id": self.tablet_id,
-            "source": self.source,
-            "target": self.target,
-            "records_caught_up": self.records_caught_up,
-            "delta_records": self.delta_records,
-            "flip_seconds": self.flip_seconds,
-            "waited_lease": self.waited_lease,
-            "completed": self.completed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -141,14 +132,7 @@ class SplitReport:
     entries_moved: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "tablet_id": self.tablet_id,
-            "server": self.server,
-            "split_key": self.split_key.decode("latin-1"),
-            "left": self.left,
-            "right": self.right,
-            "entries_moved": self.entries_moved,
-        }
+        return {**asdict(self), "split_key": self.split_key.decode("latin-1")}
 
 
 class LiveMigrator:

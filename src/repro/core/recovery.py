@@ -2,7 +2,8 @@
 
 Recovery of a restarted tablet server:
 
-1. reload the persisted index files (if a checkpoint exists);
+1. load the checkpoint, if one exists: the index files of the runs its
+   block names and its tail files (:mod:`repro.core.checkpoint`);
 2. redo-scan the log from the checkpoint position: committed writes whose
    LSN exceeds the checkpointed LSN are re-applied to the indexes;
    invalidated entries re-apply their deletions; writes of transactions
@@ -17,7 +18,7 @@ recover them from the split files.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Iterable
 
@@ -83,21 +84,7 @@ class RecoveryReport:
     first_ready_seconds: float = 0.0  # earliest tablet_ready (0.0 if none)
 
     def to_dict(self) -> dict:
-        return {
-            "used_checkpoint": self.used_checkpoint,
-            "checkpoint_lsn": self.checkpoint_lsn,
-            "records_scanned": self.records_scanned,
-            "writes_applied": self.writes_applied,
-            "deletes_applied": self.deletes_applied,
-            "uncommitted_ignored": self.uncommitted_ignored,
-            "seconds": self.seconds,
-            "parallel": self.parallel,
-            "tablets_recovered": self.tablets_recovered,
-            "skipped": self.skipped,
-            "tablet_seconds": dict(self.tablet_seconds),
-            "tablet_ready": dict(self.tablet_ready),
-            "first_ready_seconds": self.first_ready_seconds,
-        }
+        return asdict(self)
 
 
 def redo_scan(
@@ -165,6 +152,9 @@ def _redo_into(server: TabletServer, report: RecoveryReport):
             report.writes_applied += 1
         else:
             report.deletes_applied += 1
+            server.mark_deleted(
+                (record.table, record.group), (record.key, record.timestamp, pointer)
+            )
         return True
 
     return apply
@@ -426,8 +416,8 @@ def recover_server_parallel(
        segment (nothing is applied yet).  Scan wall-clock is the widest
        worker's lane, not the whole log.
     2. **Hot-first bring-up** — tablets ordered by access heat (hottest
-       first) are brought up concurrently: reload the tablet's checkpoint
-       index files, apply its gated records in the sequential redo's
+       first) are brought up concurrently: load the tablet's part of the
+       checkpoint, apply its gated records in the sequential redo's
        order, then flip the tablet to serving immediately.  Until a
        tablet's own redo completes, ops on it raise the retryable
        :class:`~repro.errors.TabletRecoveringError`.
@@ -466,9 +456,9 @@ def recover_server_parallel(
         min_lsn = 0
         if checkpoints.has_checkpoint():
             # Only the block is read up front; each tablet loads its own
-            # index files during bring-up so cold tablets do not delay
-            # hot ones.
-            block = checkpoints.read_block()
+            # files during bring-up so cold tablets do not delay hot
+            # ones (a run's index is read by the first that needs it).
+            block = checkpoints.resume()
             start = block.position
             min_lsn = block.lsn
             report.used_checkpoint = True
@@ -541,6 +531,7 @@ def recover_server_parallel(
             server.tablets.keys(), key=lambda tid: (-heat.get(tid, 0.0), tid)
         )
         apply = _redo_into(server, report)
+        decoded: dict = {}  # run -> its index file, read once for all tablets
 
         # -- phase 2: hot-first per-tablet bring-up ---------------------
         def bring_up_fn(tablet_key: str):
@@ -555,7 +546,7 @@ def recover_server_parallel(
                         if reopen is not None:
                             reopen()
                     if block is not None:
-                        checkpoints.load_checkpoint(block, tablet_key)
+                        checkpoints.load_checkpoint(block, tablet_key, decoded)
                     for pointer, record in effective.get(tablet_key, ()):
                         apply(pointer, record)
                 seconds = machine.clock.now - clock0

@@ -23,7 +23,7 @@ from repro.core.tablet import (
 from repro.dfs.filesystem import DFS
 from repro.errors import ServerDownError, TabletNotFound, TabletRecoveringError
 from repro.index.blink import BLinkTreeIndex
-from repro.index.interface import MultiversionIndex
+from repro.index.interface import MultiversionIndex, Row
 from repro.index.lsm import LSMTreeIndex
 from repro.obs.trace import root_span, span
 from repro.query.secondary import SecondaryIndexManager
@@ -80,6 +80,9 @@ class TabletServer:
         self._indexes: dict[IndexKey, MultiversionIndex] = {}
         self._update_counters: dict[IndexKey, int] = {}
         self._index_generation = 0  # bumps when compaction replaces indexes
+        # (table, group) -> key -> (key, timestamp, pointer) of its newest
+        # applied delete whose INVALIDATE no compaction has retired yet.
+        self.delete_marks: dict[tuple[str, str], dict[bytes, Row]] = {}
         self.secondary = SecondaryIndexManager()
         # Bounded in-flight queue model (gray-resilience admission
         # control); None — the default — admits everything, the seed
@@ -248,6 +251,7 @@ class TabletServer:
         self.commit.abandon()
         self._indexes.clear()
         self._update_counters.clear()
+        self.delete_marks.clear()
         self.secondary.clear()
         self.heat.clear()
         self.recovering_tablets.clear()
@@ -504,6 +508,9 @@ class TabletServer:
                 tablet = self._route(record.table, record.key)
                 index = self._ensure_index(tablet.tablet_id, record.group)
                 index.delete_key(record.key)
+                self.mark_deleted(
+                    (record.table, record.group), (record.key, record.timestamp, pointer)
+                )
                 self.secondary.on_delete(record.table, record.group, record.key)
                 if self.read_cache is not None:
                     self.read_cache.invalidate(record.table, record.group, record.key)
@@ -603,10 +610,20 @@ class TabletServer:
                 timestamp=timestamp,
                 value=None,
             )
-            self.commit.commit([marker])
+            [(pointer, _)] = self.commit.commit([marker])
+            self.mark_deleted((table, group), (key, timestamp, pointer))
             if self.read_cache is not None:
                 self.read_cache.invalidate(table, group, key)
             return removed
+
+    def mark_deleted(self, scope: tuple[str, str], row: Row) -> None:
+        """Hold an applied delete's mark ``(key, timestamp, pointer)`` for
+        the next checkpoint, until compaction retires the segment its
+        INVALIDATE sits in (:meth:`_patch_indexes`)."""
+        marks = self.delete_marks.setdefault(scope, {})
+        held = marks.get(row[0])
+        if held is None or held[1] < row[1]:
+            marks[row[0]] = row
 
     # -- scans (§3.6.4) ---------------------------------------------------------------------
 
@@ -694,10 +711,10 @@ class TabletServer:
         scopes each rewrote after it (:meth:`_patch_indexes`).
 
         Plans install one at a time (each guarded by its own
-        ``CP_COMPACTION_MID`` crash point), and the checkpoint is
-        refreshed after every install: the previous checkpoint's index
-        files point into segments the plan just retired, so it must be
-        superseded before the next plan may crash mid-round.
+        ``CP_COMPACTION_MID`` crash point), and one checkpoint follows the
+        round.  Until it is installed, the log holds back the files of the
+        segments the round retired, which the live checkpoint may still
+        reach (:meth:`LogRepository.hold`).
 
         Args:
             retain_after: optional retention cutoff — historical versions
@@ -724,9 +741,9 @@ class TabletServer:
                         retain_after=retain_after,
                     ).run()
                     self._patch_indexes(result)
-                    if self._checkpoint_hook is not None:
-                        self._checkpoint_hook(self)
                     combined.merge(result)
+            if combined.retired_segments and self._checkpoint_hook is not None:
+                self._checkpoint_hook(self)
             return combined
 
     def _owned(self, table: str, key: bytes) -> bool:
@@ -750,6 +767,11 @@ class TabletServer:
         with no index yet takes the plan's entries it covers.
         """
         retired = set(result.retired_segments)
+        # A retired INVALIDATE's mark is now a run's tombstone, or died
+        # with every version it shadowed.
+        for marks in self.delete_marks.values():
+            for key in [k for k, row in marks.items() if row[2].file_no in retired]:
+                del marks[key]
         # One generation bump per plan keeps a round's rebuilt LSM roots
         # (e.g. a merge plan and the tail plan touching the same scope)
         # from colliding on run paths.

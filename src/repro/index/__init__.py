@@ -15,13 +15,10 @@ composite key (record primary key, write timestamp) to the record's
 from repro.index.interface import MultiversionIndex, IndexEntry
 from repro.index.blink import BLinkTreeIndex
 from repro.index.lsm import LSMTreeIndex
-from repro.index.persist import write_index_file, load_index_file
 
 __all__ = [
     "MultiversionIndex",
     "IndexEntry",
     "BLinkTreeIndex",
     "LSMTreeIndex",
-    "write_index_file",
-    "load_index_file",
 ]

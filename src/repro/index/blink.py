@@ -261,9 +261,16 @@ class BLinkTreeIndex(MultiversionIndex):
         for (entry_key, ts), pointer in self._iterate_from((b"", 0)):
             yield IndexEntry(entry_key, ts, pointer)
 
-    def rows(self) -> list[Row]:
-        chain = self._iterate_from((b"", 0))
-        return [(key, ts, pointer) for (key, ts), pointer in chain]
+    def rows(self, skip=()) -> list[Row]:
+        # A list per leaf, not a generator per entry: a checkpoint walks
+        # every entry of every index.
+        leaf, _ = self._descend((b"", 0))
+        out: list[Row] = []
+        while leaf is not None:
+            pairs = zip(leaf.keys, leaf.values)
+            out += [(key, ts, p) for (key, ts), p in pairs if p.file_no not in skip]
+            leaf = leaf.right
+        return out
 
     # -- structural checks (used by property tests) ----------------------------------
 

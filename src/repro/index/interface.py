@@ -79,9 +79,11 @@ class MultiversionIndex(ABC):
     def __len__(self) -> int:
         """Total number of entries."""
 
-    def rows(self) -> list[Row]:
-        """Every entry as a row, in (key, timestamp) order (persistence)."""
-        return [(e.key, e.timestamp, e.pointer) for e in self.entries()]
+    def rows(self, skip: Container[int] = ()) -> list[Row]:
+        """Every entry as a row, in (key, timestamp) order, but those whose
+        pointer's file is in ``skip`` (persistence)."""
+        entries = self.entries()
+        return [(e.key, e.timestamp, e.pointer) for e in entries if e.pointer.file_no not in skip]
 
     def repoint(
         self, moved: dict[tuple[bytes, int], LogPointer], retired: Container[int]

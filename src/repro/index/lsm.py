@@ -37,7 +37,6 @@ from typing import Iterator
 
 from repro.dfs.filesystem import DFS
 from repro.index.interface import ENTRY_BYTES, MAX_TS, IndexEntry, MultiversionIndex
-from repro.index.persist import decode_entries, encode_entries
 from repro.sim.machine import Machine
 from repro.util.bloom import BloomFilter
 from repro.util.lru import LRUCache
@@ -488,19 +487,3 @@ class LSMTreeIndex(MultiversionIndex):
 
     def entries(self) -> Iterator[IndexEntry]:
         yield from self.range_scan(b"", b"\xff" * 64)
-
-    # -- persistence hooks used by checkpointing --------------------------------------
-
-    def snapshot_payload(self) -> bytes:
-        """Serialized full contents (memtable + runs) for checkpointing."""
-        return encode_entries(list(self.entries()))
-
-    @classmethod
-    def restore(
-        cls, payload: bytes, dfs: DFS, machine: Machine, root: str, **kwargs
-    ) -> "LSMTreeIndex":
-        """Rebuild an index from :meth:`snapshot_payload` output."""
-        index = cls(dfs, machine, root, **kwargs)
-        for entry in decode_entries(payload):
-            index.insert(entry.key, entry.timestamp, entry.pointer)
-        return index

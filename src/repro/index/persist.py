@@ -1,15 +1,21 @@
-"""Index persistence: flush in-memory indexes to DFS index files (§3.6.1).
+"""Index persistence: the one on-DFS form of a set of index entries.
 
-"If the number of updates reaches a threshold, the index can be merged out
-into an index file stored in the underlying DFS" — checkpoints persist the
-whole index so a restarted server reloads it instead of rescanning the
-log.  The file layout is a framed, checksummed sequence of entries::
+Two kinds of file share it, and one reader (:func:`read_index_file`)
+serves both.  A sorted run's index, written beside the run by compaction
+(§3.6.5), lists where each surviving version and each carried tombstone
+sits in the run.  A checkpoint's *tail file* (§3.8,
+:mod:`repro.core.checkpoint`) lists, for one (tablet, group), the index
+entries that point into unsorted segments and the delete marks the run
+indexes do not carry yet; the entries that point into runs are the runs'
+own index files, which the checkpoint block names.  Both are applied by
+one loader, :func:`repro.wal.replay.redo_rows`.  The layout::
 
-    header  := magic(4B) count(uvarint)
-    entry   := key_len key timestamp file_no offset size   (uvarints)
-    trailer := crc32c(u32 LE) over header+entries
+    block   := magic(4B) count(uvarint) row* crc32c(u32 LE)
+    row     := key_len key timestamp file_no offset size   (uvarints)
+    file    := versions-block [tombstones-block]
 
-A sorted run's index (:func:`encode_run_index`) is two such blocks.
+A tombstone's timestamp is its delete mark; an empty tombstones block is
+left out, so a tail file with no marks is the versions block alone.
 """
 
 from __future__ import annotations
@@ -18,18 +24,13 @@ import struct
 
 from repro.dfs.filesystem import DFS
 from repro.errors import CorruptLogRecord
-from repro.index.interface import IndexEntry, MultiversionIndex, Row
+from repro.index.interface import Row
 from repro.sim.machine import Machine
 from repro.util.crc import crc32c
 from repro.util.varint import decode_uvarint, encode_uvarint
 from repro.wal.record import LogPointer
 
 _MAGIC = b"LBIX"
-
-
-def encode_entries(entries: list[IndexEntry]) -> bytes:
-    """Serialize entries into the index-file byte layout."""
-    return _encode_block([(e.key, e.timestamp, e.pointer) for e in entries])
 
 
 def _encode_block(rows: list[Row]) -> bytes:
@@ -44,18 +45,6 @@ def _encode_block(rows: list[Row]) -> bytes:
         body += encode_uvarint(pointer.size)
     body += struct.pack("<I", crc32c(body))
     return bytes(body)
-
-
-def decode_entries(payload: bytes) -> list[IndexEntry]:
-    """Parse an index file produced by :func:`encode_entries`.
-
-    Raises:
-        CorruptLogRecord: on bad magic or checksum mismatch.
-    """
-    rows, end = _decode_block(payload, 0)
-    if end != len(payload):
-        raise CorruptLogRecord("bytes after the index file's trailer")
-    return [IndexEntry(*row) for row in rows]
 
 
 def _decode_block(payload: bytes, start: int) -> tuple[list[Row], int]:
@@ -86,49 +75,37 @@ def _decode_block(payload: bytes, start: int) -> tuple[list[Row], int]:
     return rows, pos + 4
 
 
-def encode_run_index(versions: list[Row], tombstones: list[Row]) -> bytes:
-    """A sorted run's index file: where each surviving version and each
-    carried tombstone sits in the run, as two blocks of rows.  A tombstone's
-    timestamp is its delete mark.  Whoever holds this needs no scan of the
-    run to point an index into it (§3.6.5 moves pointers, not data)."""
-    return _encode_block(versions) + _encode_block(tombstones)
+def encode_index_file(versions: list[Row], tombstones: list[Row]) -> bytes:
+    """An index file: ``versions`` and, when there are any, ``tombstones``,
+    each a block of rows in key order.  Whoever holds a run's index needs
+    no scan of the run to point an index into it (§3.6.5 moves pointers,
+    not data)."""
+    payload = _encode_block(versions)
+    return payload + _encode_block(tombstones) if tombstones else payload
 
 
-def decode_run_index(payload: bytes) -> tuple[list[Row], list[Row]]:
-    """``(versions, tombstones)`` of an :func:`encode_run_index` file.
+def decode_index_file(payload: bytes) -> tuple[list[Row], list[Row]]:
+    """``(versions, tombstones)`` of an :func:`encode_index_file` file.
 
     Raises:
         CorruptLogRecord: on bad magic, truncation or checksum mismatch.
     """
     versions, end = _decode_block(payload, 0)
-    tombstones, end = _decode_block(payload, end)
+    tombstones: list[Row] = []
     if end != len(payload):
-        raise CorruptLogRecord("bytes after the run index's trailer")
+        tombstones, end = _decode_block(payload, end)
+    if end != len(payload):
+        raise CorruptLogRecord("bytes after the index file's trailer")
     return versions, tombstones
 
 
-def write_index_file(
-    dfs: DFS, path: str, machine: Machine, index: MultiversionIndex
-) -> int:
-    """Persist every entry of ``index`` to ``path``; returns bytes written.
-
-    Atomically replaces any existing file at ``path`` (checkpoints
-    replace their predecessor, which a crash mid-write must not lose)."""
-    payload = _encode_block(index.rows())
-    dfs.install(path, payload, machine)
-    return len(payload)
-
-
-def load_index_file(
-    dfs: DFS, path: str, machine: Machine, index: MultiversionIndex
-) -> int:
-    """Load ``path`` into ``index``; returns the number of entries loaded.
-    The file checks itself; one that fails is read again verified."""
+def read_index_file(dfs: DFS, path: str, machine: Machine) -> tuple[list[Row], list[Row]]:
+    """``(versions, tombstones)`` of the index file at ``path``.  The file
+    checks itself; one that fails is read again verified, so a damaged
+    replica is read around and a damaged file raises
+    :class:`~repro.errors.CorruptLogRecord`."""
     reader = dfs.open(path, machine)
     try:
-        entries = decode_entries(reader.read_all())
+        return decode_index_file(reader.read_all())
     except CorruptLogRecord:
-        entries = decode_entries(reader.read_all(verified=True))
-    for entry in entries:
-        index.insert(entry.key, entry.timestamp, entry.pointer)
-    return len(entries)
+        return decode_index_file(reader.read_all(verified=True))

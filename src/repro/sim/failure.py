@@ -146,7 +146,7 @@ class FailureInjector:
 CP_LOG_APPEND = "log.append"            # ctx: machine, root
 CP_TXN_PRE_COMMIT = "txn.pre_commit"    # before the commit record is durable
 CP_TXN_POST_COMMIT = "txn.post_commit"  # durable but not yet applied
-CP_CHECKPOINT_MID = "checkpoint.mid"    # between index files of a checkpoint
+CP_CHECKPOINT_MID = "checkpoint.mid"    # between tail files of a checkpoint
 CP_COMPACTION_MID = "compaction.mid"    # after reduce, before install
 CP_META_PERSIST = "log.meta_persist"    # slim metadata written to temp, not yet swapped
 CP_LOG_RETIRE = "log.retire"            # ctx: machine, root — map swapped, retired files not yet deleted

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 
 from repro.dfs.datanode import CHECKSUM_CHUNK
 from repro.index.interface import Row
-from repro.index.persist import encode_run_index
+from repro.index.persist import encode_index_file
 from repro.sim.failure import CP_COMPACTION_MID, crash_point
 from repro.sim.metrics import (
     COMPACTION_BYTES_READ,
@@ -256,7 +256,7 @@ class IncrementalCompactionJob:
         # The run's index: exactly the pointers the appends returned, so
         # nobody has to scan the run to learn them.
         self._repo.write_run_index(
-            segment.file_no, encode_run_index(versions, tombstones)
+            segment.file_no, encode_index_file(versions, tombstones)
         )
         result.new_segments.append(segment.file_no)
 

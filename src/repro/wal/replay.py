@@ -27,6 +27,9 @@ delete high-water mark is dead whatever the scan order, and an INVALIDATE
 kills the versions at or below its own timestamp only.  The marks persist
 for as long as the scan does (``tombstones``), and a record no local
 tablet covers still moves its key's mark.
+
+**Persisted rows** (:func:`redo_rows`): a run's index file and a
+checkpoint's tail file hold committed rows, applied by the same rule.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.wal.record import LogPointer, LogRecord, RecordType
 
 if TYPE_CHECKING:  # pragma: no cover - repro.index imports repro.wal
-    from repro.index.interface import IndexEntry, MultiversionIndex
+    from repro.index.interface import IndexEntry, MultiversionIndex, Row
 
 Tombstones = dict[tuple[str, str, bytes], int]  # (table, group, key) -> delete mark
 
@@ -106,6 +109,30 @@ def redo(
         return False
     keep_versions(index, record.key, lambda entry: entry.timestamp > timestamp)
     return True
+
+
+def redo_rows(
+    scope: tuple[str, str], rows: list[Row], marks: int,
+    index_of: Callable[[bytes, int], MultiversionIndex | None], tombstones: Tombstones,
+) -> int:
+    """Redo the rows of a persisted index file of ``scope``, the first
+    ``marks`` of them delete marks (INVALIDATEs), into ``index_of(key,
+    timestamp)`` (None: nowhere); returns how many took effect.  A version
+    at or below its key's mark is skipped, as in :func:`redo`, so files
+    may come in any order, and twice."""
+    table, group = scope
+    applied = 0
+    for i, (key, timestamp, pointer) in enumerate(rows):
+        index = index_of(key, timestamp)
+        if i < marks:
+            marker = LogRecord(
+                RecordType.INVALIDATE, table=table, key=key, group=group, timestamp=timestamp
+            )
+            applied += redo(index, pointer, marker, tombstones)
+        elif index is not None and tombstones.get((table, group, key), -1) < timestamp:
+            index.insert(key, timestamp, pointer)
+            applied += 1
+    return applied
 
 
 def keep_versions(

@@ -13,14 +13,15 @@ storage optimization.
 
 A compaction plan installs in four steps: write the run
 (``sorted-N.log``), write its index beside it (``index-N.log.idx``,
-:func:`repro.index.persist.encode_run_index`), swap ``segments.meta`` once
-so that it names the run, then delete the plan's inputs and the index
-files of the runs among them.  The swap is the commit point for both
-files — nobody admits a run, or opens its index, before the map names it
-— and it comes before the deletes so that a crash anywhere leaves every
-record in a file some map still reaches: at worst the inputs and the
-named run are both live, which redo and the next merge's
-(key, timestamp) dedupe absorb.
+:func:`repro.index.persist.encode_index_file`), swap ``segments.meta``
+once so that it names the run, then delete the plan's inputs and the
+index files of the runs among them.  The swap is the commit point for
+both files — nobody admits a run, or opens its index, before the map
+names it — and it comes before the deletes so that a crash anywhere
+leaves every record in a file some map still reaches: at worst the inputs
+and the named run are both live, which redo and the next merge's
+(key, timestamp) dedupe absorb.  Once a checkpoint block exists, the
+deletes wait for the next block (:meth:`LogRepository.hold`).
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ class LogRepository:
         self._archived: dict[int, tuple[DFS, str]] = {}
         self._current: LogSegmentWriter | None = None
         self._readers: dict[int, LogSegmentReader] = {}
+        # Whether a checkpoint block may reach the log (:meth:`hold`), and
+        # the files retired since it was installed, which wait for the next.
+        self._holding = False
+        self._doomed: list[tuple[DFS, str]] = []
 
     # -- properties -------------------------------------------------------------
 
@@ -432,11 +437,6 @@ class LogRepository:
         writer.append(payload)
         writer.close()
 
-    def read_run_index(self, file_no: int, *, verified: bool = False) -> bytes:
-        """The encoded index of a run the metadata map names."""
-        path = self.run_index_path(file_no)
-        return self._dfs.open(path, self._machine).read_all(verified=verified)
-
     def retire_segments(self, file_nos: list[int]) -> None:
         """Commit what replaces ``file_nos`` and discard them (§3.6.5:
         "the old log segments ... can be safely discarded").
@@ -459,16 +459,33 @@ class LogRepository:
                 self._current = None
             path = self._paths.pop(file_no, None)
             self._readers.pop(file_no, None)
-            index_path = self.run_index_path(file_no)
-            if self._dfs.exists(index_path):
-                self._dfs.delete(index_path)
+            files = [(self._dfs, self.run_index_path(file_no))]
             archived = self._archived.pop(file_no, None)
             if archived is not None:
-                cold_dfs, cold_path = archived
-                if cold_dfs.exists(cold_path):
-                    cold_dfs.delete(cold_path)
+                files.append(archived)
             elif path is not None:
-                self._dfs.delete(path)
+                files.append((self._dfs, path))
+            if self._holding:
+                self._doomed.extend(files)
+            else:
+                _delete(files)
+
+    def hold(self) -> None:
+        """A checkpoint block was just installed, or loaded by a recovery:
+        delete the files retired since the previous one, and from now on
+        hold back every retired file until the next (:meth:`retire_segments`).
+        The block's redo scans every segment from its position on, those
+        rolled after it too, so none of them may go before it is superseded."""
+        doomed, self._doomed = self._doomed, []
+        _delete(doomed)
+        self._holding = True
+
+    def admit_run(self, file_no: int, scope: tuple[str, str]) -> None:
+        """List a run the live checkpoint block names as a run again, where
+        the plan that merged it swapped the map past it before a newer
+        block was in; the merge's (key, timestamp) dedupe absorbs it."""
+        if file_no in self._paths:
+            self._slim_meta.setdefault(file_no, scope)
 
     def _meta_path(self) -> str:
         return f"{self._root}/segments.meta"
@@ -482,11 +499,13 @@ class LogRepository:
         a crash at any point leaves either the old map or the complete
         new one on the DFS — never a window with neither (``reattach``
         prefers a complete temp file, which is always the newer state
-        when one exists).
+        when one exists).  It records the next file number too, so that a
+        restart never hands out the number of a file it retired again.
         """
-        payload = json.dumps(
-            {str(no): list(meta) for no, meta in slim_meta.items()}
-        ).encode()
+        payload = json.dumps({
+            "next": self._next_file_no,
+            "runs": {str(no): list(meta) for no, meta in slim_meta.items()},
+        }).encode()
         self._dfs.install(
             self._meta_path(),
             payload,
@@ -555,8 +574,9 @@ class LogRepository:
             except ValueError:
                 continue
             self._slim_meta = {
-                int(no): (meta[0], meta[1]) for no, meta in parsed.items()
+                int(no): (meta[0], meta[1]) for no, meta in parsed["runs"].items()
             }
+            self._next_file_no = max(self._next_file_no, parsed["next"])
             return
 
     def refresh_from_dfs(self) -> None:
@@ -607,3 +627,10 @@ class LogRepository:
                 self._next_file_no = max(self._next_file_no, file_no + 1)
         for reader in self._readers.values():
             reader.refresh()
+
+
+def _delete(files: list[tuple[DFS, str]]) -> None:
+    """Delete each ``(dfs, path)`` that exists, in order."""
+    for dfs, path in files:
+        if dfs.exists(path):
+            dfs.delete(path)

@@ -46,6 +46,19 @@ def test_schedule_upholds_durability_contract(scenario, seed):
 
 @pytest.mark.parametrize("production", [False, True], ids=["own-config", "production"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", ["crash-during-checkpoint", "crash-during-compaction"])
+def test_a_crash_inside_maintenance_fires_and_loses_nothing(scenario, seed, production):
+    # The kill must land inside a checkpoint or a compaction plan under
+    # either config: a checkpoint that writes fewer files, or fewer
+    # checkpoints, must not leave a row whose fault never fires.
+    config = LogBaseConfig.production(segment_size=64 * 1024) if production else None
+    report = run_scenario(f"base/{scenario}", seed=seed, config=config)
+    assert report.passed, report.violations
+    assert report.faults_fired >= 1
+
+
+@pytest.mark.parametrize("production", [False, True], ids=["own-config", "production"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_corrupt_local_log_replica_is_read_around(seed, production):
     # Redo, reads and compaction all cross a flipped byte in every local
     # log replica; each re-reads verified instead of stopping at it.

@@ -8,6 +8,7 @@ from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService
 from repro.core.checkpoint import CheckpointBlock, CheckpointManager
 from repro.core.partition import KeyRange
+from repro.core.recovery import recover_server
 from repro.core.tablet import Tablet, TabletId
 from repro.core.tablet_server import TabletServer
 from repro.errors import ServerDownError
@@ -129,3 +130,61 @@ def test_crash_while_writing_checkpoint_keeps_the_previous_one(torn):
     assert report.used_checkpoint
     for key, value in acked.items():
         assert db.get("t", key, "g") == value
+
+
+# -- a checkpoint names the runs -------------------------------------------------
+
+
+def restart(server, schema, manager):
+    server.crash()
+    server.restart()
+    server.assign_tablet(Tablet(TabletId("events", 0), KeyRange(b"", None), schema))
+    return recover_server(server, manager)
+
+
+def test_a_block_names_its_runs_and_a_run_free_block_has_no_runs_key():
+    block = CheckpointBlock(7, LogPointer(9, 0, 0), {"t#0|g": "/p"}, {"t|g": [3, 5]})
+    assert CheckpointBlock.from_bytes(block.to_bytes()) == block
+    bare = CheckpointBlock(7, LogPointer(9, 0, 0), {"t#0|g": "/p"})
+    assert b"runs" not in bare.to_bytes()
+
+
+def test_a_checkpoint_after_compaction_writes_only_the_tail(server, manager, dfs):
+    for i in range(50):
+        server.write("events", f"k{i:02d}".encode(), {"payload": b"v" * 100})
+    server.compact()  # the round's checkpoint names the run
+    block = manager.read_block()
+    (run,) = block.runs["events|payload"]
+    tail = dfs.open(block.index_files["events#0|payload"], server.machine).read_all()
+    assert len(tail) == 9  # an empty rows block: every entry is in the run
+    server.write("events", b"k07", {"payload": b"new"})
+    restart(server, schema=server.tablets["events#0"].schema, manager=manager)
+    assert server.read("events", b"k07", "payload")[1] == b"new"
+    assert server.read("events", b"k08", "payload")[1] == b"v" * 100
+    assert {e.pointer.file_no for e in server.indexes()[("events#0", "payload")].entries()
+            if e.key != b"k07"} == {run}
+
+
+def test_a_compaction_that_retires_a_delete_drops_its_mark(server, manager):
+    server.write("events", b"k", {"payload": b"v1"})
+    server.compact()
+    server.delete("events", b"k", "payload")
+    assert b"k" in server.delete_marks[("events", "payload")]
+    server.compact()  # the round's run carries the delete as a tombstone
+    assert server.delete_marks[("events", "payload")] == {}
+    restart(server, server.tablets["events#0"].schema, manager)
+    assert server.read("events", b"k", "payload") is None
+
+
+def test_a_restart_holds_the_marks_its_checkpoint_held(server, manager, schema):
+    """A mark in the tail file must be held again after the restart, or the
+    next checkpoint drops it and the run's older version comes back after
+    a second one."""
+    server.write("events", b"k", {"payload": b"v1"})
+    server.compact()  # a run holds k@v1
+    server.delete("events", b"k", "payload")
+    manager.write_checkpoint()
+    for _ in range(2):
+        restart(server, schema, manager)
+        assert server.read("events", b"k", "payload") is None
+        manager.write_checkpoint()

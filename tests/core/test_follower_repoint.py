@@ -1,7 +1,8 @@
-"""A follower re-homes a sorted run by re-pointing its member indexes in
-one walk (``LogTailer._rehome``).  It must end where feeding the run's
-index entry by entry through the commit gate ends — the path every run
-took before — pass for pass: the same ``(applied, drained)``, member
+"""A follower re-homes a sorted run through the loader every reader of a
+persisted index uses (``LogTailer._adopt_rows`` -> ``redo_rows``), which
+re-points its member indexes in one walk.  It must end where feeding the
+run's index entry by entry through the commit gate ends — the path every
+run took before — pass for pass: the same ``(applied, drained)``, member
 indexes, watermarks and ``replica.lag_records``.
 """
 
@@ -76,7 +77,7 @@ def test_in_place_rehome_equals_feeding_the_gate(history):
         for tablet in owner.tablets.values():
             host.replicas.follow(tablet, OWNER, 0)
     in_place, oracle = (host.replicas.tailers[OWNER] for host in hosts)
-    oracle._rehome = types.MethodType(rehome_entry_by_entry, oracle)
+    oracle._adopt_rows = types.MethodType(rehome_entry_by_entry, oracle)
 
     def tail_both(batch):
         passes = in_place.tail(batch), oracle.tail(batch)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ColumnGroup, LogBaseConfig, TableSchema
+from repro.coordination.election import LeaderElection
 from repro.core.cluster import LogBaseCluster
 from repro.errors import TableAlreadyExists, TableNotFound, TabletNotFound
 
@@ -151,3 +152,65 @@ def test_auto_failover_watches_late_registrations(cluster):
     # Watch fired; the dead server left the membership automatically.
     assert "ts-late" not in master.live_servers()
     assert "ts-late" not in master._servers
+
+
+# -- the heartbeat's master ----------------------------------------------------
+
+
+def count_leader_lookups(monkeypatch) -> list[int]:
+    """Every ``LeaderElection.leader`` call adds one to the returned tally."""
+    calls = [0]
+    leader = LeaderElection.leader
+
+    def counted(self):
+        calls[0] += 1
+        return leader(self)
+
+    monkeypatch.setattr(LeaderElection, "leader", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        LogBaseConfig.with_fault_tolerance(monitoring=True),
+        LogBaseConfig.production(),
+    ],
+    ids=["fault-tolerance+monitoring", "production"],
+)
+def test_an_idle_heartbeat_resolves_the_master_once(monkeypatch, schema, config):
+    """A tick elects through the coordination service once (a znode
+    ``get_children`` plus a ``get``), not once per server and helper."""
+    cluster = LogBaseCluster(n_nodes=4, config=config)
+    cluster.create_table(schema)
+    cluster.heartbeat()  # placements and leases settle
+    calls = count_leader_lookups(monkeypatch)
+    for _ in range(3):
+        cluster.heartbeat()
+    assert calls[0] == 3
+
+
+def test_a_heartbeat_after_a_master_failover_uses_the_new_master(monkeypatch, schema):
+    cluster = LogBaseCluster(n_nodes=4, config=LogBaseConfig.production(), n_masters=2)
+    cluster.create_table(schema)
+    seen = []
+    for helper in ("_decay_ghost_heat", "_renew_leases", "_place_followers"):
+        original = getattr(LogBaseCluster, helper)
+
+        def spy(self, master, *args, _original=original, **kwargs):
+            seen.append(master)
+            return _original(self, master, *args, **kwargs)
+
+        monkeypatch.setattr(LogBaseCluster, helper, spy)
+    first = cluster.master
+    cluster.heartbeat()
+    assert seen == [first] * 3
+    first.session.expire()
+    second = cluster.master
+    assert second is not first and second.is_active
+    seen.clear()
+    cluster.heartbeat()
+    assert seen == [second] * 3
+    # The new master's tick still renews every reachable owner's lease.
+    for tablet_id, owner in cluster.master.catalog.assignments.items():
+        assert cluster.server_by_name(owner).ownership.lease_valid(tablet_id)

@@ -99,17 +99,6 @@ def test_memory_stays_bounded_relative_to_entries(lsm):
     assert lsm._memtable_entries * ENTRY_BYTES < 200 * ENTRY_BYTES
 
 
-def test_snapshot_restore_roundtrip(lsm, dfs, machines):
-    for i in range(30):
-        lsm.insert(f"k{i:02d}".encode(), i + 1, ptr(i))
-    payload = lsm.snapshot_payload()
-    restored = LSMTreeIndex.restore(
-        payload, dfs, machines[1], "/lsm/restored", memtable_bytes=24 * 8
-    )
-    assert len(restored) == len(lsm)
-    assert restored.lookup_latest(b"k07").timestamp == 8
-
-
 def test_merge_drops_deleted_keys_permanently(lsm, dfs):
     for i in range(8):
         lsm.insert(f"k{i}".encode(), i + 1, ptr(i))

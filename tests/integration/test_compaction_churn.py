@@ -11,7 +11,8 @@ keep rewrite amplification below the reference, batch its run output
 into 64 KiB appends, and leave post-compaction range scans as clustered
 as the whole-log rewrite.  Round 3 of the incremental arm is pinned
 exactly, so a change meant to cost host time only fails here if it moves
-a simulated number.
+a simulated number.  Over ten rounds of the same churn, a checkpoint
+costs what changed since the runs were written, not the history.
 """
 
 import random
@@ -20,6 +21,7 @@ import pytest
 
 from repro.bench.adapters import LogBaseAdapter, make_logbase
 from repro.config import LogBaseConfig
+from repro.core.checkpoint import CheckpointManager
 from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan
 from repro.sim.metrics import COMPACTION_BYTES_READ, COMPACTION_BYTES_WRITTEN, LOG_INGEST_BYTES
 from repro.wal.compaction import IncrementalCompactionJob
@@ -36,10 +38,10 @@ MAX_ROUND_TRIPS_PER_MIB = 20.0
 # Round 3 of the incremental arm, and what its compaction must charge.
 PROBE_ROUND = 3
 PINNED_ROUND = {
-    "sim_seconds": 0.08025467199999992,
+    "sim_seconds": 0.07929920599999973,
     "compaction_bytes_read": 210800,
     "compaction_bytes_written": 206000,
-    "disk_bytes_written": 1326096,
+    "disk_bytes_written": 1263783,
 }
 
 
@@ -83,20 +85,29 @@ def counting_run_appends(adapter: LogBaseAdapter, tally: list[int]):
     return fault_plan(plan)
 
 
+def churn(adapter: LogBaseAdapter, rounds: int, after_round) -> list[bytes]:
+    """Load ``RECORDS`` keys, then ``rounds`` times overwrite half as many
+    random ones and call ``after_round()``; returns the keys."""
+    rng = random.Random(11)
+    keys = [f"user{i:08d}".encode() for i in range(RECORDS)]
+    for key in keys:
+        adapter.put(0, key, rng.randbytes(RECORD_SIZE))
+    for _ in range(rounds):
+        for _ in range(RECORDS // 2):
+            adapter.put(0, rng.choice(keys), rng.randbytes(RECORD_SIZE))
+        after_round()
+    return keys
+
+
 def run_arm(compact) -> dict:
     """Load, churn ``ROUNDS`` rounds each followed by ``compact(adapter)``,
     then run cold range scans; per-round cumulative compaction I/O, the
     totals, and the scans' rows and simulated seconds."""
     adapter = build_adapter()
-    rng = random.Random(11)
-    keys = [f"user{i:08d}".encode() for i in range(RECORDS)]
-    for key in keys:
-        adapter.put(0, key, rng.randbytes(RECORD_SIZE))
     rounds, run_appends = [], [0]
     clocks = [machine.clock for machine in adapter.cluster.machines]
-    for _ in range(ROUNDS):
-        for _ in range(RECORDS // 2):
-            adapter.put(0, rng.choice(keys), rng.randbytes(RECORD_SIZE))
+
+    def compact_round() -> None:
         began = sum(clock.now for clock in clocks)
         with counting_run_appends(adapter, run_appends):
             compact(adapter)
@@ -110,6 +121,8 @@ def run_arm(compact) -> dict:
                 "sim_seconds": sum(clock.now for clock in clocks) - began,
             }
         )
+
+    keys = churn(adapter, ROUNDS, compact_round)
     written = rounds[-1]["compaction_bytes_written"]
     ingested = adapter.cluster.total_counters()[LOG_INGEST_BYTES]
     scan_rng = random.Random(5)
@@ -138,6 +151,35 @@ def arms() -> dict[str, dict]:
         "monolithic": run_arm(compact_monolithic),
         "incremental": run_arm(LogBaseAdapter.compact_all),
     }
+
+
+def test_checkpoint_bytes_do_not_grow_with_history(monkeypatch):
+    """Checkpoint bytes per checkpoint in round 10 of the churn are within
+    1.2x of round 1's: a checkpoint names the runs, whose index files are
+    on the DFS already, and writes only what points past them.  A
+    checkpoint that re-encoded whole indexes wrote 4.0x by round 10."""
+    adapter = build_adapter()
+    written = [0, 0]  # bytes, checkpoints in the current round
+    write = CheckpointManager.write_checkpoint
+    disk_bytes = lambda: adapter.cluster.total_counters().get("disk.bytes_written", 0)
+
+    def counted(manager):
+        before = disk_bytes()
+        block = write(manager)
+        written[0] += disk_bytes() - before
+        written[1] += 1
+        return block
+
+    monkeypatch.setattr(CheckpointManager, "write_checkpoint", counted)
+    per_checkpoint = []
+
+    def compact_round() -> None:
+        written[:] = [0, 0]
+        adapter.compact_all()
+        per_checkpoint.append(written[0] / written[1])
+
+    churn(adapter, 10, compact_round)
+    assert per_checkpoint[-1] <= 1.2 * per_checkpoint[0], per_checkpoint
 
 
 def test_planner_writes_at_least_40pct_less(arms):

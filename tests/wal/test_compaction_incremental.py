@@ -6,7 +6,7 @@ import pytest
 
 from repro.dfs.datanode import CHECKSUM_CHUNK
 from repro.dfs.filesystem import DFS
-from repro.index.persist import decode_run_index
+from repro.index.persist import read_index_file
 from repro.sim.failure import (
     CP_COMPACTION_MID,
     CP_DFS_APPEND,
@@ -446,7 +446,7 @@ def assert_run_index_matches(repo, result, carried):
     in file order, and ``carried``, each tombstone under the pointer of
     its frame in the run."""
     (run,) = result.new_segments
-    versions, tombstones = decode_run_index(repo.read_run_index(run))
+    versions, tombstones = read_index_file(repo._dfs, repo.run_index_path(run), repo.machine)
     assert [("t", "g", *row) for row in versions] == indexed(result)
     assert [(key, ts) for key, ts, _ in tombstones] == carried
     assert result.stats.tombstones_carried == len(carried)
@@ -576,7 +576,7 @@ def test_crash_inside_the_swap_installs_the_new_map_or_the_old(repo, dfs, machin
     # are both live and every version is visible once.
     reattached, (run,) = crash_mid_plan(repo, dfs, machines, CP_META_PERSIST, 1)
     assert reattached.segment_scope(run) == ("t", "g")
-    versions, tombstones = decode_run_index(reattached.read_run_index(run))
+    versions, tombstones = read_index_file(dfs, reattached.run_index_path(run), machines[0])
     assert len(versions) == 151 and not tombstones
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the log repository: appends, reads, segments, LSNs."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import FileNotFoundInDFS, InvalidLogPointer
@@ -270,3 +272,16 @@ def test_append_to_a_segment_deleted_under_its_writer_raises(repo, dfs):
     dfs.delete(repo.segment_path(pointer.file_no))
     with pytest.raises(FileNotFoundInDFS):
         repo.append(write_record(b"b", b"2"))
+
+
+def test_a_restart_never_reuses_a_retired_file_number(repo, dfs, machines):
+    """A plan that keeps nothing retires the log's newest segment and
+    deletes it after the map swap; the map's next file number keeps a
+    restart from naming its next segment after the deleted one."""
+    repo.append(dataclasses.replace(write_record(b"k", b"v"), txn_id=7))  # never commits
+    (retired,) = repo.segments()
+    assert compact_whole_log(repo).new_segments == []
+    assert dfs.list_files("/logbase/ts-0/log/segment-") == []
+    attached = LogRepository.reattach(dfs, machines[0], "/logbase/ts-0/log")
+    pointer, _ = attached.append(write_record(b"k", b"w"))
+    assert pointer.file_no > retired
