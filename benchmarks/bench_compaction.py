@@ -29,6 +29,7 @@ import time
 from contextlib import contextmanager
 
 import repro.core.follower
+import repro.wal.replay
 from conftest import RECORD_SIZE
 from repro.bench.adapters import LogBaseAdapter, make_logbase
 from repro.config import LogBaseConfig
@@ -70,6 +71,8 @@ def host_timers(spent: dict[str, float]):
         ("plan job", IncrementalCompactionJob, "run"),
         ("repoint", BLinkTreeIndex, "repoint"),
         ("checkpoint", CheckpointManager, "write_checkpoint"),
+        ("follower re-home", getattr(repro.wal.replay, "LogCursor", None), "_read_run"),
+        # The same step on older trees.
         ("follower re-home", LogTailer, "_run_entries"),
         ("follower re-home", LogTailer, "_rehome"),
         ("follower re-home", repro.core.follower, "read_index_file"),
@@ -77,8 +80,8 @@ def host_timers(spent: dict[str, float]):
     ]
     saved = []
     for column, owner, name in targets:
-        original = vars(owner).get(name)
-        if original is None:  # an older tree without this step
+        original = owner and vars(owner).get(name)
+        if original is None:  # a tree without this step
             continue
 
         def timed(*args, _original=original, _column=column, **kwargs):

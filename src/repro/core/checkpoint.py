@@ -27,7 +27,7 @@ from repro.index.interface import Row
 from repro.index.persist import encode_index_file, read_index_file
 from repro.sim.failure import CP_CHECKPOINT_MID, crash_point
 from repro.wal.record import LogPointer
-from repro.wal.replay import redo_rows
+from repro.wal.replay import Tombstones, redo_rows
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,7 @@ class CheckpointManager:
         block: CheckpointBlock | None = None,
         tablet_id: str | None = None,
         decoded: dict | None = None,
+        tombstones: Tombstones | None = None,
     ) -> CheckpointBlock:
         """Load the checkpoint into the server's indexes and restore the
         LSN cursor; returns the block (resumed here if not given).
@@ -160,17 +161,18 @@ class CheckpointManager:
         again.  With ``tablet_id`` only that tablet loads and the cursor
         is left alone: fast recovery staggers the loads per tablet, and
         restores the cursor once for the whole pass, handing every call
-        one ``decoded`` map so each run index is read once.  The server
-        must already have its tablets assigned so the index shells exist.
+        one ``decoded`` map so each run index is read once.  The marks
+        land in the redo cursor's ``tombstones``.  The server must already
+        have its tablets assigned so the index shells exist.
         """
         if block is None:
             block = self.resume()
         server, decoded = self._server, {} if decoded is None else decoded
+        tombstones = {} if tombstones is None else tombstones
 
         def run_rows(file_no: int) -> tuple[list[Row], list[Row]]:
             if file_no not in decoded:
-                path = server.log.run_index_path(file_no)
-                decoded[file_no] = read_index_file(self._dfs, path, server.machine)
+                decoded[file_no] = server.log.read_run_index(file_no)
             return decoded[file_no]
 
         for slot, path in block.index_files.items():
@@ -179,7 +181,7 @@ class CheckpointManager:
             if tablet is None or tablet_id not in (None, tablet_key):
                 continue  # not this pass's, or owned elsewhere now
             index = server._ensure_index(tablet.tablet_id, group)
-            scope, tombstones = (tablet.table, group), {}
+            scope = (tablet.table, group)
             files = [run_rows(n) for n in block.runs.get("|".join(scope), [])]
             for rows, marks in [*files, read_index_file(self._dfs, path, server.machine)]:
                 rows, marks = _within(rows, tablet.key_range), _within(marks, tablet.key_range)

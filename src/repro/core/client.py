@@ -108,6 +108,9 @@ class Client:
         self._follower_routes: dict[str, dict[str, list[str]]] = {}
         # Deterministic read-rotation counter (no RNG: replays are stable).
         self._replica_seq = 0
+        # The highest commit timestamp acked to or read by this client; a
+        # replica not drained past it redirects (read-your-writes).
+        self._floor = 0
         self.last_op_seconds = 0.0
 
     # -- routing ------------------------------------------------------------------
@@ -224,8 +227,8 @@ class Client:
         result = self._follower_attempt(
             table, tablet, owner_name, request, 1024,
             methodcaller(
-                "follower_read", table, key, group,
-                as_of=as_of, max_staleness=self._replica_max_staleness,
+                "follower_read", table, key, group, as_of=as_of,
+                max_staleness=self._replica_max_staleness, floor=self._floor,
             ),
         )
         if result is not _TO_OWNER:
@@ -426,10 +429,10 @@ class Client:
         }
         size = sum(len(v) for v in payload.values()) + len(key)
         with root_span("op.put", self._machine, table=table, bytes=size):
-            return self._with_retries(
+            return self._saw(self._with_retries(
                 table, self._routed_call, key, size + _REQUEST_OVERHEAD, 16,
                 methodcaller("write", table, key, payload),
-            )
+            ))
 
     def get(
         self, table: str, key: bytes, group: str, *, as_of: int | None = None
@@ -535,13 +538,14 @@ class Client:
                 rows = self._follower_attempt(
                     table, tablet, owner_name, _REQUEST_OVERHEAD, 4096,
                     methodcaller(
-                        "follower_scan", table, group, sub_start, sub_end,
-                        as_of=as_of, max_staleness=self._replica_max_staleness,
+                        "follower_scan", table, group, sub_start, sub_end, as_of=as_of,
+                        max_staleness=self._replica_max_staleness, floor=self._floor,
                     ),
                 )
             if rows is _TO_OWNER:
                 rows = self._owner_scan(table, group, sub_start, sub_end, as_of)
             results.extend((key, value) for key, _, value in rows)
+            self._saw(max((row[1] for row in rows), default=0))
         results.sort(key=lambda pair: pair[0])
         return results
 
@@ -572,11 +576,11 @@ class Client:
     def put_raw(self, table: str, key: bytes, group: str, value: bytes) -> int:
         """Write one opaque group payload (no column encoding)."""
         with root_span("op.put", self._machine, table=table, bytes=len(value)):
-            return self._with_retries(
+            return self._saw(self._with_retries(
                 table, self._routed_call, key,
                 len(value) + len(key) + _REQUEST_OVERHEAD, 16,
                 methodcaller("write", table, key, {group: value}),
-            )
+            ))
 
     def submit_put_raw(
         self,
@@ -638,7 +642,14 @@ class Client:
                     table, self._routed_call, key, _REQUEST_OVERHEAD + len(key), 1024,
                     methodcaller("read", table, key, group, as_of=as_of),
                 )
+        if result is not None:
+            self._saw(result[0])
         return None if result is None else result[1]
+
+    def _saw(self, timestamp: int) -> int:
+        """Raise the floor to a commit timestamp acked or read."""
+        self._floor = max(self._floor, timestamp)
+        return timestamp
 
     def scan_raw(
         self,

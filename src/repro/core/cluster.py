@@ -327,7 +327,7 @@ class LogBaseCluster:
             "replica_lags": replica_lags,
         }
         if self.monitor is not None:
-            tick["alerts_fired"] = self.monitor.tick()
+            tick["alerts_fired"] = self.monitor.tick(master=master)
         return tick
 
     def _decay_ghost_heat(self, master: Master) -> None:

@@ -7,41 +7,17 @@ machine (charging its own clock and warming its own block cache), replays
 them into a private :class:`MultiversionIndex` per column group, and
 serves bounded-staleness reads.
 
-Three classes:
+:class:`ReplicaHost` holds every replica one tablet server hosts, a
+:class:`FollowerTablet` per tablet and a :class:`LogTailer` per owner,
+shared by that owner's tablets because it keeps *a single log* (§3.4).
 
-* :class:`ReplicaHost` — every replica one tablet server hosts: its
-  tailers, the tail pass, and the staleness-gated replica read and scan.
-* :class:`FollowerTablet` — the replica of one tablet on one non-owner
-  server: per-group indexes, the replication watermark (highest applied
-  version/commit timestamp), and ``caught_up_at`` (the follower-clock
-  instant of the last fully drained tail pass, which is what bounded
-  staleness is judged against).
-* :class:`LogTailer` — one per (follower server, owner) pair, shared by
-  every FollowerTablet that server hosts for that owner, because the
-  owner keeps *a single log instance* for all its tablets (§3.4): one
-  tail pass feeds them all.
-
-Tailing protocol.  The owner's log is an append stream of unsorted
-``segment-*.log`` files plus compaction-produced ``sorted-*.log`` files
-(slim layout, old data re-emitted in key order).  Step 1: the tailer
-keeps a byte cursor over the unsorted stream — segment N+1 is only
-created after N closed, so once a higher unsorted segment exists the
-lower one is immutable — and decodes what lies past it.  Step 2: a sorted
-run holds nothing new, only live versions under *new* pointers (the
-originals are about to be retired, so the follower's index entries would
-dangle) and re-emitted tombstones, and its writer left exactly that list
-beside it (:func:`repro.index.persist.encode_index_file`).  So the tailer
-never reads a run: once ``segments.meta`` names one it loads the run's
-index, once, and applies its ~30-byte rows through the loader a
-restarting owner loads its checkpoint with
-(:func:`~repro.wal.replay.redo_rows`) — told what moved, Taurus-style,
-not re-deriving it.  An index that is missing or fails its checksum fails
-the pass like any unreadable file: nothing is marked caught up and reads
-age out to the owner.  Both steps feed recovery's redo (:mod:`repro.wal.replay`): one
-commit gate and one tombstone map per tailer, both living as long as the
-subscription.  ``insert`` replaces at (key, timestamp), so replay is
-idempotent — a fresh subscriber simply resets the cursor and the whole
-stream replays.
+Tailing protocol.  A tailer reads the owner's log with the reader a
+restarting owner redoes it with, one :class:`~repro.wal.replay.LogCursor`
+per subscription: unsorted frames through its commit gate, and a run —
+live versions under *new* pointers and re-emitted tombstones, nothing new —
+as the ~30-byte rows of its index (:func:`~repro.wal.replay.redo_rows`):
+told what moved, Taurus-style, not re-deriving it.  A run index that is
+missing or fails its checksum fails the pass like any unreadable file.
 
 A read that chases a pointer into a segment the owner retired between
 tail passes raises :class:`FollowerLaggingError`; the client falls back
@@ -62,7 +38,6 @@ from repro.dfs.filesystem import DFS
 from repro.errors import CorruptLogRecord, DFSError, FollowerLaggingError, InvalidLogPointer
 from repro.index.blink import BLinkTreeIndex
 from repro.index.interface import IndexEntry, MultiversionIndex, Row
-from repro.index.persist import read_index_file
 from repro.obs.trace import span
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
@@ -74,7 +49,7 @@ from repro.sim.metrics import (
     SPAN_FOLLOWER_TAIL,
 )
 from repro.wal.record import LogPointer, LogRecord
-from repro.wal.replay import CommitGate, Tombstones, keep_versions, redo, redo_rows
+from repro.wal.replay import LogCursor, keep_versions, redo, redo_rows
 from repro.wal.repository import LogRepository
 
 # Max log records a follower applies per tail pass (bounds one heartbeat's
@@ -99,13 +74,15 @@ class FollowerTablet:
             fully drained the owner's log (None until the first one).
             Bounded staleness is ``now - caught_up_at``: everything the
             owner committed before that instant is visible here.
+        caught_up_ts: the highest commit timestamp that pass let through:
+            every write at or below it is visible here (``watermark`` is not).
     """
 
     def __init__(self, tablet: Tablet, owner_name: str, epoch: int) -> None:
         self.tablet = tablet
         self.owner_name = owner_name
         self.epoch = epoch
-        self.watermark = 0
+        self.watermark = self.caught_up_ts = 0
         self.caught_up_at: float | None = None
         self._indexes: dict[str, MultiversionIndex] = {
             group: BLinkTreeIndex() for group in tablet.schema.group_names
@@ -152,7 +129,7 @@ class LogTailer:
         self, dfs: DFS, machine: Machine, owner_name: str, config: LogBaseConfig
     ) -> None:
         self.owner_name = owner_name
-        self._dfs, self._machine = dfs, machine
+        self._machine = machine
         self.repo = LogRepository.reattach(
             dfs,
             machine,
@@ -163,45 +140,24 @@ class LogTailer:
         )
         self.members: dict[str, FollowerTablet] = {}  # tablet id -> replica
         self._routes: dict[str, TabletRouter] = {}  # table -> members by range
-        # Byte cursor over the unsorted append stream: next record starts
-        # at offset `_cursor[1]` of segment `_cursor[0]`.
-        self._cursor: tuple[int, int] = (0, 0)
-        # The entries of a sorted run's index a bounded pass has not
-        # reached yet, and the set of runs fully consumed.
-        self._sorted_progress: dict[int, tuple[list[Row], int]] = {}
-        self._sorted_done: set[int] = set()
-        # Whether the last pass consumed everything ``repo`` lists.
-        self._drained = False
-        # The redo state of the stream.  The gate's watermark — the
-        # highest commit timestamp it let through — is synced into every
-        # member's on a fully drained pass.
-        self._gate = CommitGate(self._redo)
-        self._tombstones: Tombstones = {}
+        self._cursor = LogCursor(self.repo)  # the subscription's reader
+        self._drained = False  # the last pass read everything ``repo`` lists
 
     # -- membership -----------------------------------------------------------
 
     def subscribe(self, follower: FollowerTablet) -> None:
-        """Add a replica and restart the stream from the beginning.
-
-        Replay is idempotent for existing members (insert replaces at
-        (key, timestamp); the tombstone map is rebuilt as the stream
-        re-delivers the same markers), and the reset is what lets a
-        replica created mid-stream see records the shared cursor already
-        passed.  Every member — not just the new one — stops serving
-        until the re-replay fully drains: the batch-bounded re-replay can
-        transiently re-insert a WRITE whose shadowing INVALIDATE only
-        lands in a later pass, and a member still judged fresh from its
-        pre-reset drain would serve that resurrected deleted version."""
+        """Add a replica and read the log again from the start with a new
+        cursor, which is how a replica created mid-stream sees what the
+        old one passed (insert replaces at (key, timestamp), so existing
+        members take the replay idempotently).  Every member stops serving
+        until it drains: a bounded replay can re-insert a WRITE whose
+        INVALIDATE only lands in a later pass."""
         self.members[str(follower.tablet.tablet_id)] = follower
         self._routes = _route_by_table(self.members.values())
         for member in self.members.values():
             member.caught_up_at = None
-        self._cursor = (0, 0)
-        self._sorted_progress.clear()
-        self._sorted_done.clear()
+        self._cursor = LogCursor(self.repo)
         self._drained = False
-        self._gate = CommitGate(self._redo)
-        self._tombstones.clear()
 
     def unsubscribe(self, tablet_id: str) -> None:
         """Drop a replica (teardown on ownership change or re-placement)."""
@@ -215,96 +171,34 @@ class LogTailer:
 
         Returns ``(applied, drained)`` where ``drained`` means the pass
         consumed everything the owner's log currently holds — only then do
-        the members' ``caught_up_at`` (and watermark, via the stream
-        watermark) advance, because bounded staleness promises a complete
-        prefix, not a sample.
+        the members' ``caught_up_at`` and watermarks advance, because
+        bounded staleness promises a complete prefix, not a sample.
         """
         with span(SPAN_FOLLOWER_TAIL, self._machine, owner=self.owner_name):
-            applied = 0
-            feed = self._gate.feed
-            self._drained = False
+            cursor, self._drained = self._cursor, False
+            applied = cursor.applied
             try:
                 self.repo.refresh_from_dfs()
-                scanned = 0
-                drained = True
-                segments, is_run = self.repo.segments(), self.repo.is_sorted_segment
-                unsorted = [file_no for file_no in segments if not is_run(file_no)]
-                sorted_segs = [file_no for file_no in segments if is_run(file_no)]
-                # Sorted segments retired by a later compaction round drop out
-                # of the bookkeeping with them.
-                live_sorted = set(sorted_segs)
-                self._sorted_done &= live_sorted
-                for gone in [n for n in self._sorted_progress if n not in live_sorted]:
-                    del self._sorted_progress[gone]
-
-                # 1. The unsorted append stream, in file order from the cursor.
-                cursor_file, cursor_offset = self._cursor
-                stream = [n for n in unsorted if n > cursor_file]
-                if cursor_file in unsorted:
-                    stream.insert(0, cursor_file)
-                for file_no in stream:
-                    start = cursor_offset if file_no == cursor_file else 0
-                    for pointer, record in self.repo.scan_segment(
-                        file_no, start_offset=start
-                    ):
-                        if scanned >= batch_limit:
-                            drained = False
-                            break
-                        scanned += 1
-                        applied += feed(pointer, record)
-                        self._cursor = (file_no, pointer.offset + pointer.size)
-                    if not drained:
-                        break
-
-                # 2. Sorted runs, each consumed exactly once as the map names
-                # it: new pointers for data whose original segments are
-                # being retired, plus re-emitted tombstones, read off the
-                # run's index.  Their content is already committed, so the
-                # entries apply directly.
-                if drained:
-                    for file_no in sorted_segs:
-                        if file_no in self._sorted_done:
-                            continue
-                        progress = self._sorted_progress.pop(file_no, None)
-                        if progress is None:
-                            path = self.repo.run_index_path(file_no)
-                            versions, tombstones = read_index_file(self._dfs, path, self._machine)
-                            progress = tombstones + versions, len(tombstones)
-                        entries, marks = progress
-                        take = batch_limit - scanned
-                        applied += self._adopt_rows(
-                            self.repo.segment_scope(file_no), entries[:take], marks
-                        )
-                        if take < len(entries):
-                            self._sorted_progress[file_no] = (
-                                entries[take:], max(0, marks - take)
-                            )
-                            drained = False
-                            break
-                        scanned += len(entries)
-                        self._sorted_done.add(file_no)
-
-                if drained:
+                if cursor.read(self._redo, self._rows, limit=batch_limit):
                     now = self._machine.clock.now
                     for member in self.members.values():
-                        member.watermark = max(member.watermark, self._gate.watermark)
+                        member.watermark = max(member.watermark, cursor.gate.watermark)
+                        member.caught_up_ts = max(member.caught_up_ts, cursor.gate.watermark)
                         member.caught_up_at = now
                     self._drained = True
             finally:
                 # Also when a read fails mid-pass: what was applied stays applied.
+                applied = cursor.applied - applied
                 if applied:
                     self._machine.counters.add(REPLICA_LAG_RECORDS, applied)
                     self._machine.counters.add(REPLICA_TAIL_BATCHES)
-            return applied, drained
+            return applied, self._drained
 
-    def _adopt_rows(self, scope: tuple[str, str], rows: list[Row], marks: int) -> int:
-        """Apply run-index rows, the first ``marks`` of them tombstones,
-        through the loader every reader of a persisted index uses
-        (:func:`~repro.wal.replay.redo_rows`); returns what the gate would
-        count.  Every row moves the watermarks, skipped or not."""
-        self._gate.watermark = max([self._gate.watermark, *(row[1] for row in rows)])
+    def _rows(self, scope: tuple[str, str], rows: list[Row], marks: int) -> int:
+        """Apply a run's index rows through the loader every reader of a
+        persisted index uses (:func:`~repro.wal.replay.redo_rows`)."""
         index_of = partial(self._index_of, *scope)
-        return redo_rows(scope, rows, marks, index_of, self._tombstones)
+        return redo_rows(scope, rows, marks, index_of, self._cursor.tombstones)
 
     def drop_dead(
         self, index: MultiversionIndex, entries: Iterable[IndexEntry]
@@ -341,7 +235,7 @@ class LogTailer:
     def _redo(self, pointer: LogPointer, record: LogRecord) -> bool:
         """Redo one effective record into the member covering its key."""
         index = self._index_of(record.table, record.group, record.key, record.timestamp)
-        return redo(index, pointer, record, self._tombstones)
+        return redo(index, pointer, record, self._cursor.tombstones)
 
     def _index_of(self, table: str, group: str, key: bytes, timestamp: int):
         """The index of the member covering ``key``, whose watermark the
@@ -414,20 +308,17 @@ class ReplicaHost:
             try:
                 tailer.tail(REPLICA_TAIL_BATCH)
             except (DFSError, CorruptLogRecord):
-                # This server cannot read that owner's log right now (it is
-                # partitioned from every replica, say, or a run's index
-                # fails its checksum).  The tailer keeps its cursor and
-                # tries again next tick; its replicas were not marked caught
-                # up, so they age out of their staleness bound and reads
-                # fall back to the owner.  Raising instead would end the
-                # cluster heartbeat this pass runs inside.
+                # This server cannot read that owner's log right now.  The
+                # tailer keeps its cursor; its replicas, not marked caught
+                # up, age out of their bound and reads fall back to the
+                # owner.  Raising would end the heartbeat this runs inside.
                 machine.counters.add(REPLICA_TAIL_ERRORS)
         return lags
 
-    def read(self, table, key, group, as_of, max_staleness) -> tuple[int, bytes] | None:
+    def read(self, table, key, group, as_of, max_staleness, floor) -> tuple[int, bytes] | None:
         """The body of ``TabletServer.follower_read``."""
         follower = self._follower_for(table, key)
-        self._check_serving(follower, as_of, max_staleness)
+        self._check_serving(follower, as_of, max_staleness, floor)
         index = follower.index(group)
         tailer = self.tailers[follower.owner_name]
         try:
@@ -440,7 +331,7 @@ class ReplicaHost:
         self._server.machine.counters.add(REPLICA_READS_SERVED)
         return result
 
-    def scan(self, table, group, start_key, end_key, as_of, max_staleness) -> list[tuple]:
+    def scan(self, table, group, start_key, end_key, as_of, max_staleness, floor) -> list[tuple]:
         """The body of ``TabletServer.follower_scan``."""
         server = self._server
         followed, covered = hosted_cover(
@@ -466,7 +357,7 @@ class ReplicaHost:
         coalesce_gap = server.config.read_coalesce_gap
         for tablet in followed:
             follower = self.followers[str(tablet.tablet_id)]
-            self._check_serving(follower, as_of, max_staleness)
+            self._check_serving(follower, as_of, max_staleness, floor)
             tailer = self.tailers[follower.owner_name]
             index = follower.index(group)
             entries = tailer.drop_dead(
@@ -487,9 +378,10 @@ class ReplicaHost:
             f"{self._server.name} hosts no replica covering {table}:{key!r}"
         )
 
-    def _check_serving(self, follower: FollowerTablet, as_of, max_staleness) -> None:
+    def _check_serving(self, follower: FollowerTablet, as_of, max_staleness, floor) -> None:
         """The follower-mode op gate: a replica serves only inside its
-        staleness bound."""
+        staleness bound, and only a client that has seen nothing newer
+        than its last drained pass (``floor``: read-your-writes)."""
         server = self._server
         limit = max_staleness
         if limit is None:
@@ -504,6 +396,11 @@ class ReplicaHost:
             raise self._redirect(
                 f"replica of {follower.tablet.tablet_id} on {server.name} has "
                 f"watermark {follower.watermark} < as_of {as_of}"
+            )
+        if floor > follower.caught_up_ts:
+            raise self._redirect(
+                f"replica of {follower.tablet.tablet_id} on {server.name} is "
+                f"caught up to {follower.caught_up_ts} < the client's floor {floor}"
             )
 
     def _retired(self, follower: FollowerTablet, exc: Exception) -> FollowerLaggingError:

@@ -73,7 +73,7 @@ from repro.sim.metrics import (
     SPAN_MIGRATION_CATCHUP_PHASE,
     SPAN_MIGRATION_FLIP_PHASE,
 )
-from repro.wal.record import LogPointer
+from repro.wal.replay import LogCursor
 from repro.wal.repository import LogRepository
 
 MIGRATIONS_PATH = "/logbase/migrations"
@@ -275,24 +275,25 @@ class LiveMigrator:
         target.ownership.fence(tablet_id)
         return rec
 
-    def _rehome_from_source(self, rec: dict, start: LogPointer | None = None) -> int:
-        """The target reads the source's log from ``start`` on, out of the
-        shared DFS on its own machine, and re-homes the records today's
-        catalog attributes to the moving tablet (by key: the id stamped on
-        a record names the parent of a since-split tablet and is stripped
-        in compacted segments).  Returns how many took effect."""
+    def _rehome_from_source(self, rec: dict, position: list[int] | None = None) -> int:
+        """The target reads the source's log from ``position`` (its start
+        when None) on, out of the shared DFS on its own machine, and
+        re-homes the records today's catalog attributes to the moving
+        tablet (by key: the id stamped on a record names the parent of a
+        since-split tablet and is stripped in compacted segments).
+        Returns how many took effect."""
         tablet_id = rec["tablet"]
         target = self._server(rec["target"])
         locate = self.master.catalog.tablet_for
         source_log = LogRepository.reattach(
             self.master.dfs, target.machine, f"/logbase/{rec['source']}/log"
         )
-        replay = rehome(
-            target,
-            source_log.scan_all(start=start),
-            tablet_id,
-            accept=lambda r: (locate(r.table, r.key) or r.tablet) == tablet_id,
-        )
+
+        def keep(table: str, key: bytes) -> bool:
+            return locate(table, key) == tablet_id
+
+        cursor = LogCursor(source_log, position=tuple(position or (0, 0)), keep=keep)
+        replay = rehome(target, cursor, tablet_id)
         caught = replay.writes_applied + replay.deletes_applied
         target.machine.counters.add(MIGRATION_RECORDS_CAUGHT_UP, caught)
         return caught
@@ -356,10 +357,7 @@ class LiveMigrator:
                     source.machine.clock.advance(wait)
             # Delta catch-up: everything the source appended since the
             # async pass, re-homed inside the fence.
-            start = None
-            if rec.get("catchup"):
-                start = LogPointer(rec["catchup"][0], rec["catchup"][1], 0)
-            report.delta_records = self._rehome_from_source(rec, start)
+            report.delta_records = self._rehome_from_source(rec, rec.get("catchup"))
             _crash_point(CP_MIGRATION_FLIP, rec, stage="commit")
             # The commit point: catalog ownership flips to the target.
             self.master.catalog.assignments[tablet_id] = target_name

@@ -4,11 +4,10 @@ Recovery of a restarted tablet server:
 
 1. load the checkpoint, if one exists: the index files of the runs its
    block names and its tail files (:mod:`repro.core.checkpoint`);
-2. redo-scan the log from the checkpoint position: committed writes whose
-   LSN exceeds the checkpointed LSN are re-applied to the indexes;
-   invalidated entries re-apply their deletions; writes of transactions
-   with no commit record are ignored (MVOCC defers all modifications to
-   commit time, so redo-only recovery is sufficient — no undo).
+2. redo the log from the checkpoint position through a
+   :class:`~repro.wal.replay.LogCursor`: what committed past the
+   checkpointed LSN is re-applied (redo only: MVOCC defers every
+   modification to commit time).
 
 Permanent failure of a server instead *splits* its log by tablet (the
 log is in the shared DFS) so healthy servers can adopt the tablets and
@@ -18,11 +17,10 @@ recover them from the split files.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable
 
-from repro.core.checkpoint import CheckpointManager
+from repro.core.checkpoint import CheckpointBlock, CheckpointManager
 from repro.core.tablet_server import TabletServer
 from repro.dfs.datanode import CHECKSUM_CHUNK
 from repro.dfs.filesystem import DFS
@@ -51,12 +49,8 @@ from repro.sim.metrics import (
 )
 from repro.sim.scheduler import ConcurrentScheduler, Invoke, measured
 from repro.wal.record import LogPointer, LogRecord, RecordType
-from repro.wal.replay import CommitGate, Tombstones, as_committed, redo
+from repro.wal.replay import MARKERS, LogCursor, Tombstones, as_committed, redo
 from repro.wal.repository import LogRepository
-
-# Gate every tablet's records, so no per-tablet filter may drop them.
-_MARKERS = (RecordType.COMMIT, RecordType.ABORT)
-
 
 @dataclass
 class RecoveryReport:
@@ -87,59 +81,9 @@ class RecoveryReport:
         return asdict(self)
 
 
-def redo_scan(
-    server: TabletServer,
-    *,
-    start: LogPointer | None = None,
-    min_lsn: int = 0,
-    repository: LogRepository | None = None,
-) -> RecoveryReport:
-    """Redo committed log records into the server's indexes.
-
-    Args:
-        server: the recovering (or adopting) server.
-        start: log position to scan from (checkpoint position); None scans
-            the whole log.
-        min_lsn: records at or below this LSN are already reflected in the
-            reloaded checkpoint and are skipped.
-        repository: log to scan; defaults to the server's own log (a
-            split-log file from a failed peer may be passed instead).
-
-    What takes effect is decided by :mod:`repro.wal.replay`; records
-    still behind the commit gate when the scan ends are ignored (they
-    will disappear at the next compaction).
-    """
-    report = RecoveryReport()
-    log = repository if repository is not None else server.log
-    gate = CommitGate(_redo_into(server, report))
-    max_lsn = min_lsn
-    current_segment = -1
-    with span(SPAN_RECOVERY_REDO, log.machine):
-        for pointer, record in log.scan_all(start=start):
-            if pointer.file_no != current_segment:
-                current_segment = pointer.file_no
-                crash_point(
-                    CP_RECOVERY_MID, server=server.name, segment=current_segment
-                )
-            report.records_scanned += 1
-            max_lsn = max(max_lsn, record.lsn)
-            if record.lsn > min_lsn:
-                gate.feed(pointer, record)
-    report.uncommitted_ignored = gate.uncommitted
-    if log is server.log:
-        # Only a scan of the server's *own* log may move its LSN cursor:
-        # scanning a foreign repository (a dead peer's split file) says
-        # nothing about what this server has appended.
-        server.log.set_next_lsn(max_lsn + 1)
-    return report
-
-
-def _redo_into(server: TabletServer, report: RecoveryReport):
-    """The ``apply`` every recovery path hands its :class:`CommitGate`:
-    :func:`~repro.wal.replay.redo` into the index ``server`` holds for the
-    record, counted in ``report``.  One closure is one scan (it owns the
-    scan's tombstone marks)."""
-    tombstones: Tombstones = {}
+def _redo_into(server: TabletServer, report: RecoveryReport, tombstones: Tombstones):
+    """The ``apply`` of every recovery path: :func:`~repro.wal.replay.redo`
+    into ``server``'s index for the record, counted in ``report``."""
 
     def apply(pointer: LogPointer, record: LogRecord) -> bool:
         try:
@@ -160,9 +104,34 @@ def _redo_into(server: TabletServer, report: RecoveryReport):
     return apply
 
 
+def _redo_cursor(
+    server: TabletServer, checkpoints: CheckpointManager, report: RecoveryReport
+) -> tuple[CheckpointBlock | None, LogCursor]:
+    """The checkpoint block a restart resumes from, if any, and a cursor
+    over ``server``'s log from its position (the whole log without one)."""
+    if not checkpoints.has_checkpoint():
+        return None, LogCursor(server.log)
+    block = checkpoints.resume()
+    report.used_checkpoint, report.checkpoint_lsn = True, block.lsn
+    position = (block.position.file_no, block.position.offset)
+    return block, LogCursor(server.log, position=position, min_lsn=block.lsn)
+
+
+def _restored(server: TabletServer, cursor: LogCursor, report: RecoveryReport) -> None:
+    """Take the LSN counter (so the first append after recovery has a
+    fresh LSN) and the counts from a drained redo cursor."""
+    server.log.set_next_lsn(cursor.max_lsn + 1)
+    report.records_scanned = cursor.scanned
+    report.uncommitted_ignored = cursor.gate.uncommitted
+
+
 def recover_server(server: TabletServer, checkpoints: CheckpointManager) -> RecoveryReport:
-    """Full restart recovery: reload checkpoint (if any) then redo the tail."""
+    """Full restart recovery: reload the checkpoint (if any), then redo the
+    log from its position.  What takes effect is decided by
+    :mod:`repro.wal.replay`; records still behind the commit gate at the
+    end are ignored (they disappear at the next compaction)."""
     start_clock = server.machine.clock.now
+    report = RecoveryReport()
     # Recovery runs with no client op open, so on a traced machine it
     # starts its own trace; on an untraced one the span is a no-op.
     with root_span(SPAN_RECOVERY_RECOVER, server.machine, server=server.name):
@@ -172,17 +141,15 @@ def recover_server(server: TabletServer, checkpoints: CheckpointManager) -> Reco
             reopen = getattr(index, "reopen", None)
             if reopen is not None:
                 reopen()
-        start: LogPointer | None = None
-        min_lsn = 0
-        used = False
-        if checkpoints.has_checkpoint():
-            block = checkpoints.load_checkpoint()
-            start = block.position
-            min_lsn = block.lsn
-            used = True
-        report = redo_scan(server, start=start, min_lsn=min_lsn)
-    report.used_checkpoint = used
-    report.checkpoint_lsn = min_lsn
+        block, cursor = _redo_cursor(server, checkpoints, report)
+        if block is not None:
+            checkpoints.load_checkpoint(block, tombstones=cursor.tombstones)
+        with span(SPAN_RECOVERY_REDO, server.machine):
+            for file_no in cursor.pending():
+                crash_point(CP_RECOVERY_MID, server=server.name, segment=file_no)
+                cursor.fetch(file_no)
+            cursor.read(_redo_into(server, report, cursor.tombstones))
+        _restored(server, cursor, report)
     report.seconds = server.machine.clock.now - start_clock
     server.last_recovery = report
     return report
@@ -243,7 +210,7 @@ def split_log_by_tablet(
     )
     buffers: dict[str, list[bytes]] = defaultdict(list)
     for _, record in failed_log.scan_all():
-        if record.record_type in _MARKERS:
+        if record.record_type in MARKERS:
             # Commit/abort markers gate every tablet's records: replicate
             # them into every split so per-tablet redo sees them.
             for buffer in buffers.values():
@@ -277,57 +244,52 @@ def split_log_by_tablet(
     return result
 
 
-def rehome(
-    server: TabletServer,
-    scan: Iterable[tuple[LogPointer, LogRecord]],
-    tablet_id: str,
-    accept: Callable[[LogRecord], bool] | None = None,
-) -> RecoveryReport:
-    """Re-home what takes effect in ``scan`` into ``server``'s own log and
-    indexes — the one loop by which a tablet's records change logs.
+def rehome(server: TabletServer, cursor: LogCursor, tablet_id: str) -> RecoveryReport:
+    """Re-home what takes effect in ``cursor``'s log into ``server``'s own
+    log and indexes — the one loop by which a tablet's records change logs.
 
-    Failover adoption feeds it a split file, a migration the source's log
-    read from the shared DFS.  The server must already have ``tablet_id``
-    assigned.  An index pointer must name a log the server owns, so each
-    effective record is re-appended once to the server's log (which also
-    makes the tablet's data local) and indexed at its new position.
+    Failover adoption reads a split file, a migration the source's log
+    from the shared DFS, filtered by tablet (the cursor's ``keep``).  The
+    server must already have ``tablet_id`` assigned.  An index pointer
+    must name a log the server owns, so each effective record is
+    re-appended once to the server's log (which also makes the tablet's
+    data local) and indexed at its new position.
 
     Records are appended by the chunk, as compaction writes a run: the
     effective ones queue until they fill a DFS checksum chunk and go out
     in one commit-coordinator append (one replication round trip, one
-    chunk-CRC pass), then are indexed in order at the positions it returned.
+    chunk-CRC pass), then are indexed in order at the positions it
+    returned.  A run's rows arrive without their values, which the flush
+    reads in one batch for the versions it appends.
 
     Re-homing is restartable: a write whose (key, timestamp) version is
-    already in the server's index (an earlier attempt, or the catch-up
-    pass before a flip delta, appended it) or in the queue is skipped, so
-    running over the same records again never double-appends.  A crash
-    loses only the queue, which the next attempt re-reads.
-
-    Args:
-        accept: which WRITE / INVALIDATE records of ``scan`` belong to the
-            tablet; None takes them all (a split file holds one tablet).
-            COMMIT / ABORT markers always reach the gate.
+    already in the server's index (an earlier attempt or pass appended it)
+    or in the queue is skipped, and a crash loses only the queue.
     """
     report = RecoveryReport()
-    apply = _redo_into(server, report)
-    queue: list[LogRecord] = []
+    apply = _redo_into(server, report, cursor.tombstones)
+    queue: list[tuple[LogPointer, LogRecord]] = []
     queued_versions: set[tuple[str, str, bytes, int]] = set()
     queued_bytes = 0
 
     def flush() -> None:
         nonlocal queued_bytes
+        # A run's version is read now, after the dedupe passed it.
+        unread = [i for i, (_, r) in enumerate(queue) if r.value is None and not r.is_delete]
+        values = cursor.repo.read_many([queue[i][0] for i in unread])
+        for i, value in zip(unread, values):
+            queue[i] = queue[i][0], replace(queue[i][1], value=value)
         # The commit markers are not rewritten, hence the stamp.
-        appended = server.commit.commit([as_committed(r) for r in queue])
-        for (pointer, _), record in zip(appended, queue):
+        records = [as_committed(record) for _, record in queue]
+        for (pointer, _), record in zip(server.commit.commit(records), records):
             apply(pointer, record)
         queue.clear()
         queued_versions.clear()
         queued_bytes = 0
 
     def already_adopted(record: LogRecord) -> bool:
-        # TSO timestamps are unique per version, so an index entry with
-        # this record's (key, timestamp) can only be an earlier pass's
-        # append — replaying it again would double-append.
+        # TSO timestamps are unique per version: an entry at this record's
+        # (key, timestamp) can only be an earlier pass's append.
         try:
             index = server.index_for(record.table, record.key, record.group)
         except TabletNotFound:
@@ -347,25 +309,20 @@ def rehome(
                 server.machine.counters.add(RECOVERY_ADOPT_SKIPPED)
                 return False
             queued_versions.add(version)
-        # A tombstone is not deduped: its replay is naturally idempotent
-        # (the mark only moves forward) and duplicates from a restarted
-        # adoption collapse at the next compaction's (key, timestamp)
-        # dedupe.
-        queue.append(record)
+        # A tombstone is not deduped: its replay is idempotent, and the
+        # next compaction's (key, timestamp) dedupe collapses copies.
+        queue.append((source, record))
         queued_bytes += source.size
         if queued_bytes >= CHECKSUM_CHUNK:
             flush()
         return True
 
-    gate = CommitGate(move)
     with root_span(SPAN_RECOVERY_ADOPT, server.machine, tablet=tablet_id):
-        for pointer, record in scan:
-            report.records_scanned += 1
-            if accept is None or record.record_type in _MARKERS or accept(record):
-                gate.feed(pointer, record)
+        cursor.read(move)
         if queue:
             flush()
-    report.uncommitted_ignored = gate.uncommitted
+    report.records_scanned = cursor.scanned
+    report.uncommitted_ignored = cursor.gate.uncommitted
     return report
 
 
@@ -394,8 +351,19 @@ def adopt_split_log(
                 f"expected epoch {fence}, found {found}"
             )
     split_root = f"/logbase/splits/{failed_server_name}/{tablet_id}"
-    split_repo = LogRepository.reattach(dfs, server.machine, split_root)
-    return rehome(server, split_repo.scan_all(), tablet_id)
+    return rehome(server, LogCursor(LogRepository.reattach(dfs, server.machine, split_root)), tablet_id)
+
+
+def _in_lanes(items: list, n_workers: int, step, start: float = 0.0) -> float:
+    """Run ``step(item)`` for every item on ``n_workers`` virtual workers
+    from ``start``; returns the makespan (``start`` with no items)."""
+    if not items:
+        return start
+    scheduler = ConcurrentScheduler()
+    for lane in (items[i::n_workers] for i in range(n_workers)):
+        if lane:
+            scheduler.add_client((Invoke(step(item)) for item in lane), at=start)
+    return scheduler.run()
 
 
 def recover_server_parallel(
@@ -411,26 +379,19 @@ def recover_server_parallel(
     Two phases, each multiplexed over ``config.recovery_workers`` virtual
     clients of the :class:`~repro.sim.scheduler.ConcurrentScheduler`:
 
-    1. **Partitioned tail scan** — the log segments after the checkpoint
-       position are scanned concurrently; records are *collected* per
-       segment (nothing is applied yet).  Scan wall-clock is the widest
-       worker's lane, not the whole log.
-    2. **Hot-first bring-up** — tablets ordered by access heat (hottest
-       first) are brought up concurrently: load the tablet's part of the
-       checkpoint, apply its gated records in the sequential redo's
-       order, then flip the tablet to serving immediately.  Until a
-       tablet's own redo completes, ops on it raise the retryable
+    1. **Partitioned tail scan** — the lanes fetch the redo cursor's
+       files concurrently (wall-clock is the widest lane), then the
+       cursor reads them in log order through its gate, queueing each
+       effective record on its tablet: :func:`recover_server` in another
+       schedule, to the same index state.
+    2. **Hot-first bring-up** — tablets, hottest first, load their part
+       of the checkpoint, apply their queue and serve at once; until
+       then ops on them raise the retryable
        :class:`~repro.errors.TabletRecoveringError`.
 
-    Commit gating is resolved between the phases in plain bookkeeping:
-    what the lanes collected goes through the same
-    :class:`~repro.wal.replay.CommitGate` in log order, so this path
-    differs from :func:`recover_server` in scheduling only and the
-    resulting index state matches it on the same log.
-
-    The pass is restartable: it mutates only in-memory indexes (plus the
-    max-clamped LSN cursor), so a crash at :data:`CP_RECOVERY_MID` and a
-    re-run from the same checkpoint converges to the same state.
+    The pass mutates only in-memory indexes (and the max-clamped LSN
+    counter), so a crash at :data:`CP_RECOVERY_MID` and a re-run from the
+    same checkpoint converge.
 
     Args:
         heat: ``tablet id -> access count`` ordering hint (the master's
@@ -451,66 +412,22 @@ def recover_server_parallel(
     ):
         server.begin_tablet_recovery(server.tablets.keys())
 
-        block = None
-        start: LogPointer | None = None
-        min_lsn = 0
-        if checkpoints.has_checkpoint():
-            # Only the block is read up front; each tablet loads its own
-            # files during bring-up so cold tablets do not delay hot
-            # ones (a run's index is read by the first that needs it).
-            block = checkpoints.resume()
-            start = block.position
-            min_lsn = block.lsn
-            report.used_checkpoint = True
-            report.checkpoint_lsn = min_lsn
+        # Only the block is read up front; each tablet loads its own
+        # files during bring-up so cold tablets do not delay hot ones (a
+        # run's index is read by the first that needs it).
+        block, cursor = _redo_cursor(server, checkpoints, report)
 
         # -- phase 1: partitioned tail scan -----------------------------
-        tail = [
-            file_no
-            for file_no in server.log.segments()
-            if start is None or file_no >= start.file_no
-        ]
-        shared = {"max_lsn": min_lsn, "scanned": 0}
-        # segment -> what its lane scanned past the checkpoint, in order
-        collected: dict[int, list[tuple[LogPointer, LogRecord]]] = {}
-
         def scan_segment_fn(file_no: int):
             def run(now: float) -> None:
                 crash_point(CP_RECOVERY_MID, server=server.name, segment=file_no)
-                kept = collected[file_no] = []
-                for pointer, record in server.log.scan_segment(file_no):
-                    if (
-                        start is not None
-                        and file_no == start.file_no
-                        and pointer.offset < start.offset
-                    ):
-                        continue
-                    shared["scanned"] += 1
-                    if record.lsn > shared["max_lsn"]:
-                        shared["max_lsn"] = record.lsn
-                    if record.lsn > min_lsn:
-                        kept.append((pointer, record))
+                cursor.fetch(file_no)
 
             return measured(machine, run)
 
-        def scan_worker(lane: list[int]):
-            for file_no in lane:
-                yield Invoke(scan_segment_fn(file_no))
+        scan_makespan = _in_lanes(cursor.pending(), n_workers, scan_segment_fn)
 
-        scan_sched = ConcurrentScheduler()
-        for lane in (tail[i::n_workers] for i in range(n_workers)):
-            if lane:
-                scan_sched.add_client(scan_worker(lane))
-        scan_makespan = scan_sched.run()
-        report.records_scanned = shared["scanned"]
-        # The cursor moves before any tablet serves, so the first
-        # post-recovery append already has a fresh LSN.
-        server.log.set_next_lsn(shared["max_lsn"] + 1)
-
-        # -- commit gating (plain bookkeeping, no simulated cost) -------
-        # The lanes' output goes through the gate in log order, so each
-        # tablet's effective records queue in the order the sequential
-        # scan would have applied them.
+        # -- commit gating, in log order (no simulated cost) -----------
         effective: dict[str, list[tuple[LogPointer, LogRecord]]] = defaultdict(list)
 
         def enqueue(pointer: LogPointer, record: LogRecord) -> bool:
@@ -521,16 +438,13 @@ def recover_server_parallel(
             effective[str(tablet.tablet_id)].append((pointer, record))
             return True
 
-        gate = CommitGate(enqueue)
-        for file_no in tail:
-            for pointer, record in collected[file_no]:
-                gate.feed(pointer, record)
-        report.uncommitted_ignored = gate.uncommitted
+        cursor.read(enqueue)
+        _restored(server, cursor, report)
 
         order = sorted(
             server.tablets.keys(), key=lambda tid: (-heat.get(tid, 0.0), tid)
         )
-        apply = _redo_into(server, report)
+        apply = _redo_into(server, report, cursor.tombstones)
         decoded: dict = {}  # run -> its index file, read once for all tablets
 
         # -- phase 2: hot-first per-tablet bring-up ---------------------
@@ -546,7 +460,9 @@ def recover_server_parallel(
                         if reopen is not None:
                             reopen()
                     if block is not None:
-                        checkpoints.load_checkpoint(block, tablet_key, decoded)
+                        checkpoints.load_checkpoint(
+                            block, tablet_key, decoded, cursor.tombstones
+                        )
                     for pointer, record in effective.get(tablet_key, ()):
                         apply(pointer, record)
                 seconds = machine.clock.now - clock0
@@ -562,15 +478,7 @@ def recover_server_parallel(
 
             return run
 
-        def bring_up_worker(lane: list[str]):
-            for tablet_key in lane:
-                yield Invoke(bring_up_fn(tablet_key))
-
-        bring_sched = ConcurrentScheduler()
-        for lane in (order[i::n_workers] for i in range(n_workers)):
-            if lane:
-                bring_sched.add_client(bring_up_worker(lane), at=scan_makespan)
-        total = bring_sched.run() if order else scan_makespan
+        total = _in_lanes(order, n_workers, bring_up_fn, scan_makespan)
 
     report.seconds = max(total, scan_makespan)
     report.tablets_recovered = len(order)

@@ -183,19 +183,20 @@ class TabletServer:
         *,
         as_of: int | None = None,
         max_staleness: float | None = None,
+        floor: int = 0,
     ) -> tuple[int, bytes] | None:
         """Bounded-staleness read from a hosted replica.
 
         Same contract as :meth:`read` but served from the replica's index
         and the *owner's* log segments read on this machine; raises the
-        retryable :class:`FollowerLaggingError` when the replica cannot
-        honour the staleness bound (the client falls back to the owner).
+        retryable :class:`FollowerLaggingError` when the replica cannot honour
+        the staleness bound or the client's ``floor`` (it asks the owner).
         """
         self._require_serving()
         check_deadline("follower read")
         with span(SPAN_FOLLOWER_READ, self.machine, table=table, group=group):
             return self.replicas.read(
-                table, key, group, as_of=as_of, max_staleness=max_staleness
+                table, key, group, as_of=as_of, max_staleness=max_staleness, floor=floor
             )
 
     def follower_scan(
@@ -207,6 +208,7 @@ class TabletServer:
         *,
         as_of: int | None = None,
         max_staleness: float | None = None,
+        floor: int = 0,
     ) -> list[tuple[bytes, int, bytes]]:
         """Bounded-staleness range scan over this server's replicas.
 
@@ -218,7 +220,7 @@ class TabletServer:
         with span(SPAN_FOLLOWER_READ, self.machine, table=table, group=group):
             return self.replicas.scan(
                 table, group, start_key, end_key,
-                as_of=as_of, max_staleness=max_staleness,
+                as_of=as_of, max_staleness=max_staleness, floor=floor,
             )
 
     def _touch_heat(self, tablet_name: str, key: bytes | None = None) -> None:

@@ -57,32 +57,34 @@ TRAFFIC_BURST_MESSAGES = 30.0
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import LogBaseConfig
     from repro.core.cluster import LogBaseCluster
+    from repro.core.master import Master
 
 #: circuit-breaker states as gauge values.
 _BREAKER_VALUES = {"closed": 0.0, "half-open": 0.5, "open": 1.0}
 
 
-def collect_health_gauges(cluster: "LogBaseCluster") -> dict[tuple[str, str], float]:
+def collect_health_gauges(
+    cluster: "LogBaseCluster", master: "Master | None" = None
+) -> dict[tuple[str, str], float]:
     """The canonical ``(entity, gauge) -> value`` health snapshot.
 
     Shared by the monitoring scraper and ``core.stats`` so the two can
     never drift.  Entities are tablet-server names (``ts-node-0``),
     datanode/machine names (``node-0``, for breaker and block-cache
     gauges), and tablet ids (heat and replica lag).  Pure state reads —
-    no simulated cost.
+    no simulated cost.  ``master`` is the elected one when the caller
+    already looked it up (a heartbeat has).
     """
     # Imported here: repro.wal imports repro.obs, whose package imports this.
     from repro.wal.planner import CompactionPlanner
 
     gauges: dict[tuple[str, str], float] = {}
     config = cluster.config
-    assignments = cluster.master.catalog.assignments
-    for master in cluster.masters:
+    assignments = (master or cluster.master).catalog.assignments
+    for each in cluster.masters:
         # A master is "up" while its coordination session lives; a deposed
         # or crashed master reads 0 and trips the same server-down rule.
-        gauges[(master.name, GAUGE_SERVER_UP)] = (
-            0.0 if master.session.expired else 1.0
-        )
+        gauges[(each.name, GAUGE_SERVER_UP)] = 0.0 if each.session.expired else 1.0
     for server in cluster.servers:
         up = server.machine.alive and server.serving
         gauges[(server.name, GAUGE_SERVER_UP)] = 1.0 if up else 0.0
@@ -277,14 +279,14 @@ class ClusterMonitor:
 
     # -- the scrape tick -------------------------------------------------
 
-    def tick(self, *, force: bool = False) -> list[dict]:
+    def tick(self, *, force: bool = False, master: "Master | None" = None) -> list[dict]:
         """One scrape + alert evaluation pass.
 
-        Every ``cluster.heartbeat()`` calls this, but a scrape only runs
-        once per ``config.monitor_scrape_interval`` of simulated time
-        (the production cadence that bounds wall-clock overhead; 0
-        scrapes every call).  ``force`` bypasses the cadence — chaos
-        scenarios use it to scrape a window the next heartbeat would
+        Every ``cluster.heartbeat()`` calls this with its ``master``, but
+        a scrape only runs once per ``config.monitor_scrape_interval`` of
+        simulated time (the production cadence that bounds wall-clock
+        overhead; 0 scrapes every call).  ``force`` bypasses the cadence —
+        chaos scenarios use it to scrape a window the next heartbeat would
         close.  Returns the alerts that newly fired.
         """
         now = self.now()
@@ -296,7 +298,7 @@ class ClusterMonitor:
             for name, change in machine.counters.delta_since(prev).items():
                 self.store.record(machine.name, name, now, change)
             self._counter_snapshots[machine.name] = machine.counters.snapshot()
-        for (entity, metric), value in collect_health_gauges(self.cluster).items():
+        for (entity, metric), value in collect_health_gauges(self.cluster, master).items():
             self.store.record(entity, metric, now, value)
         self._record_slo_counts(now)
         fired = self.engine.evaluate(self.store, now)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from functools import partial
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.dfs.filesystem import DFS
 from repro.errors import CorruptLogRecord, InvalidLogPointer
@@ -53,6 +53,9 @@ from repro.sim.metrics import (
 )
 from repro.wal.record import LogPointer, LogRecord
 from repro.wal.segment import LogSegmentReader, LogSegmentWriter, open_segment_reader
+
+if TYPE_CHECKING:  # pragma: no cover - repro.index imports repro.wal
+    from repro.index.interface import Row
 
 DEFAULT_SEGMENT_SIZE = 64 * 1024 * 1024
 # Sorted run ``sorted-N.log`` has its index at ``index-N.log`` plus this.
@@ -369,29 +372,20 @@ class LogRepository:
         """Sequential scan of one segment, optionally from a byte offset.
 
         ``start_offset`` must be a record boundary (``offset + size`` of a
-        previously scanned pointer); a follower's log tailer resumes from
-        its cursor with it, reading only the segment's unseen suffix.
+        previously scanned pointer); a :class:`~repro.wal.replay.LogCursor`
+        resumes from its position with it, reading only the unseen suffix.
         """
         scope = self._slim_meta.get(file_no)
         for entry in self._reader(file_no).scan(start=start_offset, scope=scope):
             check_deadline("log segment scan")
             yield entry
 
-    def scan_all(
-        self, *, start: LogPointer | None = None
-    ) -> Iterator[tuple[LogPointer, LogRecord]]:
-        """Scan every segment in file order, optionally from ``start``.
-
-        Recovery uses ``start`` to resume from the last checkpoint position
-        instead of scanning the whole log (§3.8).
-        """
+    def scan_all(self) -> Iterator[tuple[LogPointer, LogRecord]]:
+        """Scan every segment in file order, raw: the failover split copies
+        frames, markers included.  Redo reads a log range through
+        :class:`~repro.wal.replay.LogCursor`."""
         for file_no in self.segments():
-            if start is not None and file_no < start.file_no:
-                continue
-            for pointer, record in self.scan_segment(file_no):
-                if start is not None and file_no == start.file_no and pointer.offset < start.offset:
-                    continue
-                yield pointer, record
+            yield from self.scan_segment(file_no)
 
     def end_pointer(self) -> LogPointer:
         """Pointer just past the last appended byte (checkpoint position)."""
@@ -429,6 +423,12 @@ class LogRepository:
     def run_index_path(self, file_no: int) -> str:
         """DFS path of sorted run ``file_no``'s index file."""
         return f"{self._root}/index-{file_no:08d}.log{RUN_INDEX_SUFFIX}"
+
+    def read_run_index(self, file_no: int) -> tuple[list[Row], list[Row]]:
+        """``(versions, tombstones)`` of sorted run ``file_no``'s index."""
+        from repro.index.persist import read_index_file  # repro.index imports repro.wal
+
+        return read_index_file(self._dfs, self.run_index_path(file_no), self._machine)
 
     def write_run_index(self, file_no: int, payload: bytes) -> None:
         """Store a finished run's encoded index beside it.  Written in

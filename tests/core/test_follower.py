@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.sim.failure import CP_DFS_APPEND, FaultPlan, fault_plan
 from repro.sim.machine import Machine
+from repro.wal.record import LogRecord, RecordType, commit_record
 
 TABLE = "events"
 GROUP = "payload"
@@ -492,6 +493,42 @@ def test_replica_routed_client_reads_every_ack(rep_db):
         assert client.get_raw(TABLE, key, GROUP) == encode_value(i)
     served = db.cluster.total_counters().get("replica.reads_served", 0)
     assert served > 0
+
+
+def test_a_client_reads_its_own_writes_past_a_lagging_replica(rep_db):
+    """Read-your-writes: a replica that has not tailed a client's acked
+    write redirects that client's read to the owner instead of answering
+    from before the write (a fresh key read back "absent")."""
+    db, keys, _ = rep_db
+    client = db.client(db.cluster.machines[-1])
+    redirects = db.cluster.total_counters().get("replica.redirects", 0)
+    for n, key in enumerate(keys[:6]):
+        client.put_raw(TABLE, key + b"-new", GROUP, encode_value(1000 + n))
+        assert client.get_raw(TABLE, key + b"-new", GROUP) == encode_value(1000 + n)
+    assert db.cluster.total_counters()["replica.redirects"] > redirects
+
+
+def test_a_partial_pass_past_the_floor_still_redirects(rep_db):
+    """A batch-limited pass can apply a version newer than a client's own
+    write without the write itself (here it waits on its COMMIT); only a
+    drained pass vouches for everything below its watermark."""
+    db, keys, _ = rep_db
+    tablet_id, server, follower = _the_follower(db)
+    owner = db.cluster.server_by_name(SOURCE)
+    tailer = server.replicas.tailers[SOURCE]
+    mine = db.cluster.tso.next_timestamp()
+    owner.append_transactional([LogRecord(
+        RecordType.WRITE, txn_id=77, table=TABLE, tablet=tablet_id, key=keys[0],
+        group=GROUP, timestamp=mine, value=encode_value(500),
+    )])
+    later = db.client(db.cluster.machines[-1]).put_raw(TABLE, keys[1], GROUP, encode_value(501))
+    owner.append_transactional([commit_record(77, mine)])
+    assert tailer.tail(2) == (1, False)  # the later version, not the commit
+    assert follower.watermark == later > mine
+    with pytest.raises(FollowerLaggingError):
+        server.follower_read(TABLE, keys[0], GROUP, floor=mine)
+    assert tailer.tail(10)[1]
+    assert server.follower_read(TABLE, keys[0], GROUP, floor=mine) == (mine, encode_value(500))
 
 
 def test_heartbeat_reports_replica_lag(rep_db):

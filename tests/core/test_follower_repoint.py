@@ -1,5 +1,5 @@
 """A follower re-homes a sorted run through the loader every reader of a
-persisted index uses (``LogTailer._adopt_rows`` -> ``redo_rows``), which
+persisted index uses (``LogTailer._rows`` -> ``redo_rows``), which
 re-points its member indexes in one walk.  It must end where feeding the
 run's index entry by entry through the commit gate ends — the path every
 run took before — pass for pass: the same ``(applied, drained)``, member
@@ -31,7 +31,7 @@ def rehome_entry_by_entry(self, scope, rows, marks):
         record = LogRecord(
             kind, table=table, key=key, group=group, timestamp=timestamp
         )
-        applied += self._gate.feed(pointer, record, True)
+        applied += self._cursor.gate.feed(pointer, record, True)
     return applied
 
 
@@ -77,7 +77,7 @@ def test_in_place_rehome_equals_feeding_the_gate(history):
         for tablet in owner.tablets.values():
             host.replicas.follow(tablet, OWNER, 0)
     in_place, oracle = (host.replicas.tailers[OWNER] for host in hosts)
-    oracle._adopt_rows = types.MethodType(rehome_entry_by_entry, oracle)
+    oracle._rows = types.MethodType(rehome_entry_by_entry, oracle)
 
     def tail_both(batch):
         passes = in_place.tail(batch), oracle.tail(batch)

@@ -13,6 +13,7 @@ from repro.core.tablet_server import TabletServer
 from repro.sim.failure import CP_ADOPT_MID, FaultPlan, fault_plan
 from repro.sim.metrics import DFS_APPEND_ROUND_TRIPS
 from repro.wal.record import LogRecord, RecordType, commit_record
+from repro.wal.replay import LogCursor
 from repro.wal.repository import LogRepository
 
 
@@ -63,18 +64,19 @@ def _left_adopter(dfs, machine, schema, tso, name) -> TabletServer:
     return adopter
 
 
-def _source_scan(dfs, machine, source, start=None):
-    """The source's log as another machine reads it from the shared DFS."""
+def _source_scan(dfs, machine, source, position=(0, 0)):
+    """The source's left tablet as another machine reads it from the
+    shared DFS."""
     log = LogRepository.reattach(dfs, machine, f"/logbase/{source.name}/log")
-    return log.scan_all(start=start)
+    return LogCursor(log, position=position, keep=_is_left)
 
 
 def _crash(_ctx):
     raise RuntimeError("adopter died")
 
 
-def _is_left(record: LogRecord) -> bool:
-    return record.key < b"m"
+def _is_left(table: str, key: bytes) -> bool:
+    return key < b"m"
 
 
 def _txn_write(txn_id, key, timestamp, value=b"v", tablet="events#0") -> LogRecord:
@@ -94,9 +96,8 @@ def test_rehome_start_replays_only_the_suffix(dfs, machines, schema, tso):
     marker = server.log.end_pointer()
     server.write("events", b"bbb", {"payload": b"new"})
     adopter = _left_adopter(dfs, machines[2], schema, tso, "ts-adopt2")
-    report = rehome(
-        adopter, _source_scan(dfs, machines[2], server, start=marker), "events#0", _is_left
-    )
+    position = (marker.file_no, marker.offset)
+    report = rehome(adopter, _source_scan(dfs, machines[2], server, position), "events#0")
     assert report.writes_applied == 1  # only "bbb"
     assert adopter.read("events", b"aaa", "payload") is None
     assert adopter.read("events", b"bbb", "payload")[1] == b"new"
@@ -112,11 +113,11 @@ def test_rehome_txn_spanning_two_tablets_moves_only_its_side_at_commit(
     ])
     adopter = _left_adopter(dfs, machines[1], schema, tso, "ts-adopt6")
     # The COMMIT has not been logged yet: nothing takes effect.
-    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0")
     assert (report.writes_applied, report.uncommitted_ignored) == (0, 1)
     assert _own_writes(adopter) == []
     server.append_transactional([commit_record(7, 20)])
-    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0")
     assert (report.writes_applied, report.uncommitted_ignored) == (1, 0)
     assert _own_writes(adopter) == [b"left"]
     assert adopter.read("events", b"left", "payload")[1] == b"v"
@@ -133,7 +134,7 @@ def test_rehome_attributes_a_split_parents_records_by_key(dfs, machines, schema,
         _txn_write(0, b"zzz", 6, tablet="events#9"),
     ])
     adopter = _left_adopter(dfs, machines[1], schema, tso, "ts-adopt7")
-    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0")
     assert (report.records_scanned, report.writes_applied) == (2, 1)
     assert _own_writes(adopter) == [b"aaa"]
 
@@ -144,10 +145,10 @@ def test_rehome_again_over_the_same_scan_appends_nothing(dfs, machines, schema, 
         server.write("events", b"a%02d" % i, {"payload": b"v%d" % i})
     server.write("events", b"zzz", {"payload": b"other tablet"})
     adopter = _left_adopter(dfs, machines[1], schema, tso, "ts-adopt8")
-    first = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    first = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0")
     assert (first.writes_applied, first.skipped) == (6, 0)
     size = adopter.log.total_bytes()
-    second = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0", _is_left)
+    second = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0")
     assert (second.writes_applied, second.skipped) == (0, 6)
     assert adopter.log.total_bytes() == size
 
@@ -160,21 +161,21 @@ def test_rehome_appends_by_the_chunk_and_a_crash_loses_only_the_queue(
     adopter killed late dedupes what its flushes made durable."""
     server = two_tablet_server(dfs, machines[0], schema, tso)
     for i in range(150):
+        if i == 3:  # the first version, logged again
+            server.log.append_batch([next(server.log.scan_all())[1]])
         server.write("events", b"a%03d" % i, {"payload": bytes([i]) * 1000})
-    twice = list(_source_scan(dfs, machines[1], server))
-    twice.insert(3, twice[0])
     adopter = _left_adopter(dfs, machines[1], schema, tso, "ts-adopt9")
     counters = machines[1].counters
     plan = FaultPlan()
     plan.add(CP_ADOPT_MID, _crash, hits=140)
     with fault_plan(plan), pytest.raises(RuntimeError):
-        rehome(adopter, twice, "events#0", _is_left)
+        rehome(adopter, _source_scan(dfs, machines[1], server), "events#0")
     # Two full chunks went out before the 140th record; the rest of the
     # queue died with the adopter.
     assert counters.get(DFS_APPEND_ROUND_TRIPS) == 2
     kept = len(_own_writes(adopter))
     assert 120 < kept < 139 and kept == len(set(_own_writes(adopter)))
-    report = rehome(adopter, twice, "events#0", _is_left)
+    report = rehome(adopter, _source_scan(dfs, machines[1], server), "events#0")
     assert (report.skipped, report.writes_applied) == (kept + 1, 150 - kept)
     assert counters.get(DFS_APPEND_ROUND_TRIPS) == 3
     assert sorted(_own_writes(adopter)) == [b"a%03d" % i for i in range(150)]

@@ -6,6 +6,7 @@ from repro import ColumnGroup, LogBaseConfig, TableSchema
 from repro.coordination.election import LeaderElection
 from repro.core.cluster import LogBaseCluster
 from repro.errors import TableAlreadyExists, TableNotFound, TabletNotFound
+from repro.sim.metrics import GAUGE_SERVER_UP
 
 
 @pytest.fixture
@@ -188,6 +189,21 @@ def test_an_idle_heartbeat_resolves_the_master_once(monkeypatch, schema, config)
     for _ in range(3):
         cluster.heartbeat()
     assert calls[0] == 3
+
+
+def test_a_scraping_heartbeat_resolves_the_master_once(monkeypatch, schema):
+    """The monitor's scrape reads the assignments of the master the tick
+    already resolved instead of electing again."""
+    config = LogBaseConfig.production(monitor_scrape_interval=0.0)
+    cluster = LogBaseCluster(n_nodes=4, config=config)
+    cluster.create_table(schema)
+    cluster.heartbeat()
+    up = cluster.monitor.store.series(cluster.servers[0].name, GAUGE_SERVER_UP)
+    scrapes = len(up)
+    calls = count_leader_lookups(monkeypatch)
+    cluster.heartbeat()
+    assert len(up) == scrapes + 1  # the tick scraped
+    assert calls[0] == 1
 
 
 def test_a_heartbeat_after_a_master_failover_uses_the_new_master(monkeypatch, schema):

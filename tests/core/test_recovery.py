@@ -7,10 +7,11 @@ from repro.coordination.tso import TimestampOracle
 from repro.coordination.znodes import CoordinationService
 from repro.core.checkpoint import CheckpointManager
 from repro.core.partition import KeyRange
-from repro.core.recovery import recover_server, redo_scan
+from repro.core.recovery import recover_server
 from repro.core.tablet import Tablet, TabletId
 from repro.core.tablet_server import TabletServer
 from repro.wal.record import LogRecord, RecordType, commit_record
+from repro.wal.replay import LogCursor
 
 
 @pytest.fixture
@@ -150,15 +151,18 @@ def test_writes_after_recovery_work(dfs, machines, schema, tso):
 
 
 def test_redo_scan_respects_min_lsn(dfs, machines, schema, tso):
+    """The redo cursor counts what a checkpoint already holds (at or below
+    ``min_lsn``) but feeds only what follows it."""
     server = make_server(dfs, machines[0], schema, tso)
     for i in range(4):
         server.write("events", f"k{i}".encode(), {"payload": b"v"})
     cutoff = server.log.next_lsn - 1
     server.write("events", b"late", {"payload": b"v"})
     crash_and_restart(server, schema)
-    report = redo_scan(server, min_lsn=cutoff)
-    assert report.writes_applied == 1
-    assert server.read("events", b"late", "payload") is not None
+    cursor, fed = LogCursor(server.log, min_lsn=cutoff), []
+    assert cursor.read(lambda pointer, record: fed.append(record.key) or True)
+    assert fed == [b"late"]
+    assert (cursor.scanned, cursor.applied, cursor.max_lsn) == (5, 1, cutoff + 1)
 
 
 def test_recovery_time_grows_with_unscanned_log(dfs, machines, schema, tso):

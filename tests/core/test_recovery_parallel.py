@@ -17,7 +17,7 @@ from repro.core.recovery import (
     read_split_fence,
     recover_server,
     recover_server_parallel,
-    redo_scan,
+    rehome,
     split_log_by_tablet,
 )
 from repro.core.schema import ColumnGroup, TableSchema
@@ -36,6 +36,7 @@ from repro.sim.failure import (
     kill_action,
 )
 from repro.wal.record import LogRecord, RecordType, commit_record
+from repro.wal.replay import LogCursor
 from repro.wal.repository import LogRepository
 
 TABLE = "recov"
@@ -432,17 +433,20 @@ def test_adopting_twice_never_double_appends(tso, dfs, machines):
 
 
 def test_redo_scan_of_foreign_repository_leaves_lsn_cursor(tso, dfs, machines):
+    """Re-homing a foreign log moves the reader's LSN counter by what it
+    appends, never to the foreign log's LSNs."""
     source = TabletServer("ts-a", machines[0], dfs, tso, LogBaseConfig())
     tablet = Tablet(TabletId(TABLE, 0), KeyRange(b"", None), SCHEMA)
     source.assign_tablet(tablet)
+    source.log.set_next_lsn(1000)
     for i in range(8):
         source.write(TABLE, f"k{i}".encode(), {GROUP: b"x"})
     reader = TabletServer("ts-b", machines[1], dfs, tso, LogBaseConfig())
     reader.assign_tablet(tablet)
     before = reader.log.next_lsn
-    report = redo_scan(reader, repository=source.log)
+    report = rehome(reader, LogCursor(source.log), f"{TABLE}#0")
     assert report.writes_applied == 8
-    assert reader.log.next_lsn == before  # foreign scan must not move it
+    assert reader.log.next_lsn == before + 8  # its own appends, not 1008
 
 
 def test_redo_scan_of_own_log_still_restores_lsn(tso, dfs, machines):
@@ -454,7 +458,7 @@ def test_redo_scan_of_own_log_still_restores_lsn(tso, dfs, machines):
     server.crash()
     server.restart()
     server.assign_tablet(Tablet(TabletId(TABLE, 0), KeyRange(b"", None), SCHEMA))
-    redo_scan(server)
+    recover_server(server, CheckpointManager(dfs, server))
     assert server.log.next_lsn >= lsn_before
 
 

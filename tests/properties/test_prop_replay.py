@@ -12,8 +12,9 @@ it half written — after a merge plan, its inputs are already out of the
 segment map) and restarts from its checkpoint — runs on one owner; the
 visible ``{key: (timestamp, value)}`` map must then be equal from the
 owner's live index, the sequential restart redo, the parallel restart
-redo, a drained follower, and the adopters after a permanent failover —
-and hold what a model of the acknowledged writes holds.
+redo, a drained follower, migration catch-up onto another server, and the
+adopters after a permanent failover — and hold what a model of the
+acknowledged writes holds.
 """
 
 from hypothesis import example, given, settings
@@ -110,6 +111,17 @@ def drain(tailer) -> None:
 @example([("put", KEYS[0], b"\x00"), ("checkpoint",)]
          + [("put", KEYS[1 + i % 7], bytes(40)) for i in range(24)]
          + [("delete", KEYS[0]), ("crash", CP_CHECKPOINT_MID, 1)])
+# A round dies after its first plan installed a merged run that still
+# holds a version whose delete only the checkpoint's files carry.  The
+# restart reads that run, newer than the block, as rows without LSNs; the
+# block's marks must reach the redo cursor or the version comes back.
+@example([
+    ("put", KEYS[1], b"\x00"), ("delete", KEYS[0]), ("compact",),
+    *[("put", KEYS[0], b"\x00")] * 3, ("compact",), ("put", KEYS[0], b"\x00"),
+    ("commit", {KEYS[0]: None, KEYS[1]: None}), ("put", KEYS[0], b"\x00"), ("compact",),
+    ("put", KEYS[0], b"\x00"), ("compact",), ("put", KEYS[0], b"\x00"),
+    ("crash", CP_COMPACTION_MID, 2),
+])
 def test_every_reader_of_the_log_sees_the_same_state(history):
     db = LogBase(
         n_nodes=3, config=LogBaseConfig(segment_size=1024, compaction_tier_fanout=2)
@@ -182,6 +194,17 @@ def test_every_reader_of_the_log_sees_the_same_state(history):
     cluster.kill_server(OWNER)
     assert cluster.restart_server(OWNER).parallel
     readers["parallel redo"] = visible(scan(owner))
+
+    # Migration catch-up reads the owner's log, runs as rows, from the
+    # start and then from the persisted catch-up position.  The tablets
+    # come home the same way, so the failover below still splits the
+    # owner's log.
+    tablet_ids = list(owner.tablets)
+    for tablet_id in tablet_ids:
+        cluster.migrator.migrate(tablet_id, REPLICA_HOST)
+    readers["migration"] = visible(scan(replica_host))
+    for tablet_id in tablet_ids:
+        cluster.migrator.migrate(tablet_id, OWNER)
 
     cluster.kill_server(OWNER, permanent=True)
     readers["adopters"] = visible(
