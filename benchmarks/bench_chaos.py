@@ -1,13 +1,16 @@
-"""Chaos benchmark: fault schedules vs the durability oracle.
+"""Chaos benchmark: fault schedules vs the history checker.
 
 Runs every registry row of one chaos family (``--family``, default the
 fail-stop ``base`` schedules; ``all`` walks the whole registry) across a
-matrix of workload seeds and reports, per run, what the schedule did
-(faults fired, servers failed over, replicas repaired) and whether every
-contract the run's config arms held: every acknowledged write readable
-after recovery, no cleanly-aborted write visible, indeterminate commits
-atomic — plus single ownership and bounded staleness where the row runs
-with live migration or read replicas.
+matrix of workload seeds, each under the row's own config and under
+``production(segment_size=64 KiB)``, and reports, per run, what the
+schedule did (faults fired, servers failed over, replicas repaired), what
+the history checker judged (reads, committed transactions, violations by
+class) and whether every contract the run's config arms held: the
+history checker's read rule over every read (acked writes readable after
+recovery, no cleanly-aborted write visible, indeterminate commits atomic,
+sessions and follower watermarks honoured, no lost update) — plus single
+ownership where the run has live migration.
 
 Unlike the figure benches this is a pass/fail harness, but it is
 reported like a benchmark: one row per (scenario, seed) and a trajectory
@@ -46,6 +49,7 @@ def run_experiment(
         "family": family,
         "ops": ops,
         "seeds": list(seeds),
+        "configs": list(dict.fromkeys(r["config"] for r in runs)),
         "scenarios": list(
             dict.fromkeys(f"{r['family']}/{r['scenario']}" for r in runs)
         ),
@@ -59,21 +63,31 @@ def format_report(results: dict) -> str:
     lines = [
         f"Chaos suite, family {results['family']} "
         f"({len(results['scenarios'])} scenarios x "
-        f"{len(results['seeds'])} seeds, "
+        f"{len(results['seeds'])} seeds x {len(results['configs'])} configs, "
         f"{results['ops'] or 'each row its own'} ops)",
-        f"{'scenario':<42} {'seed':>4} {'ok':>3} {'acked':>6} {'abrt':>5} "
-        f"{'indet':>6} {'faults':>7} {'expired':>7} {'rerepl':>7}",
+        f"{'scenario':<42} {'config':<10} {'seed':>4} {'ok':>3} {'acked':>6} "
+        f"{'abrt':>5} {'indet':>6} {'faults':>7} {'expired':>7} {'rerepl':>7} "
+        f"{'reads':>6} {'txns':>5}",
     ]
     for run in results["runs"]:
         lines.append(
-            f"{run['family'] + '/' + run['scenario']:<42} {run['seed']:>4} "
-            f"{'y' if run['passed'] else 'N':>3} {run['acked']:>6} "
+            f"{run['family'] + '/' + run['scenario']:<42} {run['config']:<10} "
+            f"{run['seed']:>4} {'y' if run['passed'] else 'N':>3} {run['acked']:>6} "
             f"{run['aborted']:>5} {run['indeterminate']:>6} "
             f"{run['faults_fired']:>7} {len(run['expired_servers']):>7} "
-            f"{run['rereplicated']:>7}"
+            f"{run['rereplicated']:>7} {run['reads_checked']:>6} "
+            f"{run['txns_checked']:>5}"
         )
         for violation in run["violations"]:
             lines.append(f"    VIOLATION: {violation}")
+    checked = checker_counts(results["runs"])
+    lines.append(
+        f"history checker: {checked['reads_checked']} reads, "
+        f"{checked['txns_checked']} committed transactions "
+        f"({checked['txn_overlaps_on_key']} overlapping pairs on a key, "
+        f"{checked['validation_aborts']} first-committer-wins aborts), "
+        f"violations by class {checked['violations_by_class']}"
+    )
     lines.append(
         f"chaos contracts: {results['passed']}/{len(results['runs'])} "
         f"runs passed"
@@ -81,14 +95,29 @@ def format_report(results: dict) -> str:
     return "\n".join(lines)
 
 
+def checker_counts(runs: list[dict]) -> dict:
+    """The history checker's counts, summed over ``runs``."""
+    by_class: dict[str, int] = {}
+    for run in runs:
+        for name, count in run["violations_by_class"].items():
+            by_class[name] = by_class.get(name, 0) + count
+    counts = {
+        name: sum(run.get(name, 0) for run in runs)
+        for name in ("reads_checked", "txns_checked", "txn_overlaps_on_key", "validation_aborts")
+    }
+    return {**counts, "violations_by_class": by_class}
+
+
 def trajectory_entry(results: dict) -> dict:
     return {
         "family": results["family"],
         "ops": results["ops"],
         "seeds": results["seeds"],
+        "configs": results["configs"],
         "scenarios": results["scenarios"],
         "passed": results["passed"],
         "failed": results["failed"],
+        **checker_counts(results["runs"]),
         "violations": [
             violation
             for run in results["runs"]

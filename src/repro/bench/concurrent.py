@@ -95,32 +95,36 @@ def scan(db, client, table: str, group: str, start_key: bytes, end_key: bytes):
     return (yield from _blocking(db, rows))
 
 
-def write_txn(db, writes: Iterable[tuple[str, bytes, str, bytes]]):
-    """A write transaction: begin, then stage ``writes`` (read lazily, so
-    a stream may draw each write as it is staged) and commit.  Returns
-    the committed transaction.  A failed staging aborts it and raises;
-    a failed commit raises ``TransactionAborted``."""
+def write_txn(db, client, writes: Iterable[tuple[str, bytes, str, bytes]]):
+    """A write transaction for ``client``: begin, stage ``writes`` (read
+    lazily, so a stream may draw each as it is staged) and commit; the
+    commit raises the client's floor.  Returns the transaction.  A failed
+    staging aborts it and raises; a failed commit raises
+    ``TransactionAborted``."""
     txn = yield from _blocking(db, db.begin)
-    yield from _commit(db, txn, writes)
+    yield from _commit(db, client, txn, writes)
     return txn
 
 
-def rmw_txn(db, table: str, group: str, keys: list[bytes], update: Callable):
-    """A read-modify-write transaction: begin, read each of ``keys`` (one
-    step each), then write ``update(key, value)`` to every key read and
-    commit.  Returns the committed transaction."""
+def rmw_txn(db, client, table: str, group: str, keys: list[bytes], update: Callable):
+    """A read-modify-write transaction for ``client``: begin, read each of
+    ``keys`` (one step each; a failed read aborts it and raises), then
+    write ``update(key, value)`` to every key read for which it is not
+    None and commit.  Returns the committed transaction."""
     txn = yield from _blocking(db, db.begin)
     values = {}
-    for key in keys:
-        read = partial(txn.read_raw, table, key, group)
-        values[key] = yield from _blocking(db, read)
-    yield from _commit(
-        db, txn, ((table, key, group, update(key, v)) for key, v in values.items())
-    )
+    try:
+        for key in keys:
+            values[key] = yield from _blocking(db, partial(txn.read_raw, table, key, group))
+    except LogBaseError:
+        txn.abort()  # nothing touched the log: a clean abort
+        raise
+    writes = ((table, key, group, update(key, v)) for key, v in values.items())
+    yield from _commit(db, client, txn, (w for w in writes if w[3] is not None))
     return txn
 
 
-def _commit(db, txn, writes):
+def _commit(db, client, txn, writes):
     def stage_and_commit():
         try:
             for table, key, group, value in writes:
@@ -129,6 +133,6 @@ def _commit(db, txn, writes):
             # Staging never touches the log: a clean abort.
             txn.abort()
             raise
-        return txn.commit()
+        return client.saw(txn.commit())
 
     yield from _blocking(db, stage_and_commit)

@@ -5,25 +5,26 @@ it drives seeded traffic against a full cluster while a
 :class:`~repro.sim.failure.FaultPlan` kills nodes at instrumented crash
 points, partitions the network, degrades disks and links, and interrupts
 recoveries and migrations mid-flight.  A
-:class:`~repro.chaos.oracle.DurabilityOracle` tracks the fate the client
-observed for every write and, after recovery, verifies the paper's
-durability contract: every acknowledged write is readable, no
-cleanly-aborted write is visible, and indeterminate commits are atomic
-(all-or-nothing).  Configs with live migration or read replicas add the
-single-owner and staleness invariants (:mod:`repro.chaos.invariants`).
+:class:`~repro.chaos.history.History` records every op the clients
+issue — concurrent transactions included — and, after recovery, checks
+every read by one rule over commit timestamps: every acknowledged write
+is readable, no cleanly-aborted write is visible, indeterminate commits
+are atomic, a client never reads below its own floor, a follower serves
+exactly what its watermark covers, and transactions read their snapshot
+without losing updates.  Configs with live migration add the
+single-owner invariant (:mod:`repro.chaos.invariants`).
 """
 
-from repro.chaos.invariants import StalenessChecker, check_single_owner
-from repro.chaos.oracle import DurabilityOracle, WriteStatus
+from repro.chaos.history import History, WriteStatus
+from repro.chaos.invariants import check_single_owner
 from repro.chaos.runner import SCENARIOS, matrix, run_scenario
 from repro.chaos.scenario import ChaosReport, Scenario
 
 __all__ = [
     "ChaosReport",
-    "DurabilityOracle",
+    "History",
     "SCENARIOS",
     "Scenario",
-    "StalenessChecker",
     "WriteStatus",
     "check_single_owner",
     "matrix",

@@ -11,14 +11,14 @@ server has a commit coordinator under any config); each row arms a kill
 rule at a crash point so the victim — home of every tablet — dies
 mid-group-flush with all clients parked on its coordinator.
 Auto-failover re-homes the tablets (the adopters run their own commit
-coordinators), and the durability oracle then reads back every key:
+coordinators), and the history checker then reads back every key:
 ACKED values must survive, INDETERMINATE ones may go either way.
 """
 
 from __future__ import annotations
 
 from repro.bench import concurrent as loop
-from repro.chaos.oracle import WriteStatus
+from repro.chaos.history import WriteStatus
 from repro.chaos.scenario import GROUP, KEY_DOMAIN, KEY_WIDTH, TABLE, Events, Run, Scenario
 from repro.errors import LogBaseError
 from repro.sim.failure import CP_DFS_APPEND, CP_LOG_APPEND
@@ -45,7 +45,7 @@ def submit_streams(run: Run, _events: Events) -> None:
     """``run.report.ops`` single-record puts on fresh keys, split over
     :data:`CLIENTS` clients of the loop, each submitting through the
     servers' commit coordinators."""
-    db, oracle = run.db, run.oracle
+    db, history = run.db, run.history
     ops = run.report.ops
     keys = [
         str(v).zfill(KEY_WIDTH).encode()
@@ -55,20 +55,21 @@ def submit_streams(run: Run, _events: Events) -> None:
     def stream(i: int):
         client = db.client(db.cluster.machines[i % len(db.cluster.machines)])
         for key in keys[i * ops // CLIENTS : (i + 1) * ops // CLIENTS]:
-            seq, value = oracle.next_value()
+            op = history.invoke(client)
             try:
-                yield from loop.submit(client, TABLE, key, GROUP, value)
+                future = yield from loop.submit(client, TABLE, key, GROUP, op.write(key))
             except LogBaseError:
                 # The submission never reached the coordinator, or its
                 # group died mid-flush: never acked, but parts of it may
                 # or may not be durable.
-                oracle.record(key, seq, WriteStatus.INDETERMINATE)
+                history.end(op, WriteStatus.INDETERMINATE)
                 # Failure-detector tick: expire the victim's session so
                 # the master re-homes its tablets onto live adopters.
                 run.heartbeat()
                 client.invalidate_cache()
                 continue
-            oracle.record(key, seq, WriteStatus.ACKED)
+            timestamp = future.appended[0][1].timestamp
+            history.end(op, WriteStatus.ACKED, commit_ts=timestamp)
 
     loop.run_clients(db.cluster, [stream(i) for i in range(CLIENTS)])
     totals = db.cluster.total_counters()

@@ -12,7 +12,7 @@ the first attempt die mid-flight, converges
 the way an operator (or a freshly-elected master) would via
 :meth:`~repro.core.migration.LiveMigrator.resume`.  The rows run under
 :meth:`LogBaseConfig.with_live_migration`, so every run checks the
-durability oracle — every write acked before, during, or after the
+history checker — every write acked before, during, or after the
 handoff is readable afterwards, never shadowed by an older version — and
 the single-owner invariant (:func:`repro.chaos.invariants.check_single_owner`).
 

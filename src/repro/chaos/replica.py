@@ -6,10 +6,10 @@ torn tail), serving *older data than its staleness bound promises*, or —
 the replication twin of the split-brain — applying a deposed owner's
 post-fence log records after ownership moved.  Each scenario here drives
 the seeded cluster into one of those windows.  The rows run under
-:meth:`LogBaseConfig.with_read_replicas`, so every run checks all three
-contracts: the durability oracle through the replica-routed client
-(follower first, owner fallback), the single-owner invariant, and the
-staleness probe of every follower (:mod:`repro.chaos.invariants`).  The
+:meth:`LogBaseConfig.with_read_replicas`, so every run checks the
+single-owner invariant and the history checker
+(:mod:`repro.chaos.history`) over the replica-routed client's reads
+(follower first, owner fallback) and a probe of every follower.  The
 bodies add what only they can see:
 
 * a follower beyond its bound **rejects** instead of serving;
@@ -45,12 +45,6 @@ def _first_follower(run: Run):
 
 def _probe_key(run: Run) -> bytes:
     return next(k for k in run.keys if run.tablet_of(k) == run.tablet_id)
-
-
-def _check_owner_read(run: Run, client, key: bytes) -> None:
-    problem = run.oracle.check_read(key, client.get_raw(TABLE, key, GROUP))
-    if problem is not None:
-        run.report.violations.append(f"mid-run: {problem}")
 
 
 def _stale_follower_reads(run: Run) -> None:
@@ -94,7 +88,7 @@ def _stale_follower_reads(run: Run) -> None:
         )
     # The client's replica routing hides the lag: owner fallback still
     # returns the latest acked value.
-    _check_owner_read(run, run.client, probe)
+    run.read(run.client, probe)
 
 
 def _follower_crash_catchup(run: Run) -> None:
@@ -151,7 +145,7 @@ def _fencing_on_migration(run: Run) -> None:
     run.write(run.keys[: len(run.keys) // 2])
     # The warmed client must converge on the new topology, not error out
     # against the torn-down follower it had cached.
-    _check_owner_read(run, client, probe)
+    run.read(client, probe)
     # Re-placement points the new replicas at the new owner.
     run.heartbeat()
     for server in follower_servers(run.db, tablet_id):

@@ -14,10 +14,10 @@ that are the same for all of them:
    checkpoint+redo recovery, two heartbeats so repair finishes; what is
    left on the DFS that should not be is counted (``split_files_left``,
    ``runs_without_index``);
-6. **invariants** — durability always; single ownership iff the config
-   has ``live_migration``; the follower staleness probe iff it has
-   ``read_replicas``.  The config decides, not the family: a migration
-   row run under a replica config is probed like a replica row;
+6. **invariants** — single ownership iff the config has
+   ``live_migration``; always the history checker over every read, the
+   read-back of every key and, iff ``read_replicas``, a probe of every
+   follower.  The config decides, not the family;
 7. **epilogue** — counters, and the monitoring plane's alert log.
 
 The run passes iff no invariant reports a violation.  Adding a scenario
@@ -29,6 +29,7 @@ the registry.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from repro.chaos import concurrent, gray, migration, recovery, replica, schedules
 from repro.chaos.invariants import check_single_owner, probe_followers
@@ -122,28 +123,18 @@ def _runs_without_index(cluster) -> int:
 
 
 def _check_invariants(run: Run) -> None:
-    db, report = run.db, run.report
+    db, report, history = run.db, run.report, run.history
     config = db.cluster.config
     if config.live_migration:
         report.invariants.append("single-owner")
         report.violations.extend(check_single_owner(db))
-    report.invariants.append("durability")
+    report.invariants.append("history")
     verifier = db.client(db.cluster.machines[run.scenario.client_node])
-    report.violations.extend(
-        run.oracle.verify(lambda key: verifier.get_raw(TABLE, key, GROUP))
-    )
+    history.read_back(lambda key: verifier.get_raw(TABLE, key, GROUP))
     if config.read_replicas:
-        report.invariants.append("staleness")
-        reads_ok, rejections, violations = probe_followers(
-            db, run.history, TABLE, GROUP, run.keys
-        )
-        report.violations.extend(violations)
-        catalog = db.cluster.master.catalog
-        run.observe(
-            followers_placed=sum(map(len, catalog.followers.values())),
-            follower_reads_ok=reads_ok,
-            lag_rejections=report.observed.get("lag_rejections", 0) + rejections,
-        )
+        probe_followers(run)
+    report.violations.extend(history.check(serializable=db.txn_manager.serializable))
+    run.observe(**history.summary)
 
 
 def run_scenario(
@@ -220,11 +211,11 @@ def run_scenario(
 
     _check_invariants(run)
 
-    counts = run.oracle.counts()
+    counts = run.history.counts()
     report.acked = counts["acked"]
     report.aborted = counts["aborted"]
     report.indeterminate = counts["indeterminate"]
-    report.keys_checked = len(run.oracle.keys)
+    report.keys_checked = len(run.history.keys)
     report.faults_fired = len(run.plan.fired)
     report.under_replicated_after = len(cluster.dfs.namenode.under_replicated)
     totals = cluster.total_counters()
@@ -241,11 +232,14 @@ def matrix(
     family: str, seeds: tuple[int, ...] = (1,), ops: int | None = None
 ) -> list[dict]:
     """Every row of ``family`` (``"all"`` walks the whole registry) at
-    every seed, as :meth:`ChaosReport.to_dict` rows — the loop every
-    bench's chaos matrix is."""
+    every seed, under its own config and under ``production()``, as
+    :meth:`ChaosReport.to_dict` rows tagged with ``config`` — the loop
+    every bench's chaos matrix is."""
+    production = partial(LogBaseConfig.production, segment_size=64 * 1024)
     return [
-        run_scenario(key, seed=seed, ops=ops).to_dict()
+        {"config": name, **run_scenario(key, seed=seed, ops=ops, config=make()).to_dict()}
         for key, row in SCENARIOS.items()
         if family in ("all", row.family)
         for seed in seeds
+        for name, make in (("row", lambda: None), ("production", production))
     ]

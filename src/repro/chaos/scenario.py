@@ -17,8 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.chaos.invariants import StalenessChecker
-from repro.chaos.oracle import DurabilityOracle, WriteStatus
+from repro.chaos.history import History, WriteStatus
 from repro.config import LogBaseConfig
 from repro.core.client import Client
 from repro.core.database import LogBase
@@ -177,8 +176,7 @@ class Run:
     rng: random.Random
     client: Client
     plan: FaultPlan = field(default_factory=FaultPlan)
-    oracle: DurabilityOracle = field(default_factory=DurabilityOracle)
-    history: StalenessChecker = field(default_factory=StalenessChecker)
+    history: History = field(default_factory=History)
     #: the preloaded keys in write order, and the tablet covering most of
     #: them — the one a body migrates, splits or probes.
     keys: list[bytes] = field(default_factory=list)
@@ -194,19 +192,25 @@ class Run:
         self.report.rereplicated += tick["rereplicated"]
 
     def write(self, keys: list[bytes]) -> None:
-        """One write per key through the workload client, its fate
-        recorded for the durability oracle and — when acked — its version
-        for the staleness checker.  No heartbeat runs in between, so
-        followers fall behind."""
+        """One write per key through the workload client, recorded in the
+        history.  No heartbeat runs in between, so followers fall behind."""
         for key in keys:
-            seq, value = self.oracle.next_value()
+            op = self.history.invoke(self.client)
             try:
-                timestamp = self.client.put_raw(TABLE, key, GROUP, value)
+                timestamp = self.client.put_raw(TABLE, key, GROUP, op.write(key))
             except LogBaseError:
-                self.oracle.record(key, seq, WriteStatus.INDETERMINATE)
+                self.history.end(op, WriteStatus.INDETERMINATE)
                 continue
-            self.oracle.record(key, seq, WriteStatus.ACKED)
-            self.history.record(key, timestamp, seq)
+            self.history.end(op, WriteStatus.ACKED, commit_ts=timestamp)
+
+    def read(self, client: Client, key: bytes) -> None:
+        """One point read through ``client``, recorded in the history; a
+        failed read records nothing read."""
+        op = self.history.invoke(client)
+        try:
+            op.reads[key] = client.get_raw(TABLE, key, GROUP)
+        finally:
+            self.history.end(op)
 
     def kill_at(self, point: str, name: str, **rule: object) -> None:
         """Arm a rule that kills ``name``'s machine at crash point

@@ -1,40 +1,51 @@
 """The op-indexed workload the fail-stop and gray schedules run under.
 
-A deterministic mix of single-record writes, multi-record transactions,
-reads, one checkpoint pass and one compaction pass, with the schedule's
-events fired *between* operations at their op index.  A cluster
-heartbeat runs after every operation — the failure-detection tick a real
-deployment runs continuously — so session expiry, auto-failover and
-background re-replication happen *outside* the victim's own call stack,
-as they would in production.  The stream is one client of the client
-loop (:mod:`repro.bench.concurrent`).
+A deterministic mix of single-record writes, write transactions on fresh
+keys, read-modify-write transactions, reads, one checkpoint pass and one
+compaction pass, issued by :data:`CLIENTS` clients of the client loop
+(:mod:`repro.bench.concurrent`), so their transactions overlap.  The
+schedule's events fire *between* operations at the global op index.  A
+cluster heartbeat runs after every operation — the failure-detection
+tick a real deployment runs continuously — so session expiry,
+auto-failover and background re-replication happen *outside* the
+victim's own call stack, as they would in production.  Every op is
+recorded in the run's :class:`~repro.chaos.history.History`.
 """
 
 from __future__ import annotations
 
 from repro.bench import concurrent as loop
-from repro.chaos.oracle import WriteStatus
+from repro.chaos.history import WriteStatus
 from repro.chaos.scenario import GROUP, KEY_DOMAIN, KEY_WIDTH, TABLE, Events, Run
-from repro.errors import LogBaseError, ServerDownError, TransactionAborted
+from repro.errors import LogBaseError, ServerDownError, TransactionAborted, ValidationConflict
 from repro.obs.hist import Histogram
 from repro.sim.metrics import HIST_CHAOS_READ_LATENCY
 
+#: concurrent clients, all on the scenario's client node.
+CLIENTS = 4
+
+#: read-modify-write transactions contend on the first keys written.
+HOT = 6
+
 
 class _OpStream:
-    """Seeded operation stream bound to one run."""
+    """Seeded operation stream bound to one run, shared by its clients."""
 
     def __init__(self, run: Run) -> None:
         self.run = run
         self.db = run.db
         self.rng = run.rng
-        self.oracle = run.oracle
-        self.client = run.client
+        self.history = run.history
         self.rescued_ops = 0
+        self.validation_aborts = 0
+        self.events_run = 0
+        self._next_op = 0
         # Read-latency tail without storing samples: gray-failure
         # mitigation is judged on this histogram's p50/p99/max.
         self.read_latency = Histogram(HIST_CHAOS_READ_LATENCY)
         self._used_keys: set[bytes] = set()
         self._overwrite_pool: list[bytes] = []
+        self._last_put: dict[object, bytes] = {}  # client -> key
         # Key ranges per tablet, so transaction keys can be co-located on
         # one tablet (entity-group style single-server commits, §3.2).
         self._ranges = []
@@ -66,100 +77,120 @@ class _OpStream:
 
     # -- operations --------------------------------------------------------
 
-    def _rescue(self):
+    def _rescue(self, client):
         """Failure-detector tick between an op's failure and its retry:
         expire dead sessions so auto-failover re-homes the tablets."""
         self.run.heartbeat()
-        self.client.invalidate_cache()
+        client.invalidate_cache()
         self.rescued_ops += 1
 
-    def _failing_over(self, step):
+    def _failing_over(self, client, step):
         """Run the step ``step()`` makes; if the server is down, tick the
         failure detector and try once more."""
         try:
             return (yield from step())
         except ServerDownError:
-            self._rescue()
+            self._rescue(client)
             return (yield from step())
 
-    def put(self):
-        key = self._write_key()
-        seq, value = self.oracle.next_value()
+    def put(self, client):
+        key = self._last_put[client] = self._write_key()
+        op = self.history.invoke(client)
+        value = op.write(key)
         try:
-            yield from self._failing_over(
-                lambda: loop.put(self.db, self.client, TABLE, key, GROUP, value)
+            ts = yield from self._failing_over(
+                client, lambda: loop.put(self.db, client, TABLE, key, GROUP, value)
             )
         except LogBaseError:
-            self.oracle.record(key, seq, WriteStatus.INDETERMINATE)
+            self.history.end(op, WriteStatus.INDETERMINATE)
             return
-        self.oracle.record(key, seq, WriteStatus.ACKED)
+        self.history.end(op, WriteStatus.ACKED, commit_ts=ts)
 
-    def txn(self):
+    def txn(self, client):
         # Fresh dedicated keys on one tablet: single-server commit, and
-        # the oracle can check all-or-nothing visibility post hoc.
+        # the checker can judge all-or-nothing visibility post hoc.
         tablet = self.rng.randrange(len(self._ranges))
-        members: dict[bytes, int] = {}
+        op = self.history.invoke(client)
 
         def writes():
             for _ in range(2):
                 key = self._fresh_key(tablet)
-                seq, value = self.oracle.next_value()
-                members[key] = seq
-                yield TABLE, key, GROUP, value
+                yield TABLE, key, GROUP, op.write(key)
 
-        try:
-            yield from loop.write_txn(self.db, writes())
-        except ServerDownError:
-            # Staging never touches the log: nothing durable happened,
-            # so this is a clean abort however partial the staging was.
-            self.oracle.record_txn(members, WriteStatus.ABORTED)
-            self._rescue()
-            return
-        except TransactionAborted as exc:
-            # A clean abort (validation/lock conflict) happens before the
-            # write phase: nothing may surface.  An abort *caused by* an
-            # infrastructure error may have died anywhere around the
-            # commit record: outcome unknown, but it must be atomic.
-            clean = exc.__cause__ is None
-            status = WriteStatus.ABORTED if clean else WriteStatus.INDETERMINATE
-            self.oracle.record_txn(members, status)
-            if not clean:
-                self._rescue()
-            return
-        except LogBaseError:
-            self.oracle.record_txn(members, WriteStatus.INDETERMINATE)
-            self._rescue()
-            return
-        self.oracle.record_txn(members, WriteStatus.ACKED)
+        yield from self._transaction(client, op, loop.write_txn(self.db, client, writes()))
 
-    def read(self):
-        if not self._overwrite_pool:
+    def rmw(self, client):
+        # 1-3 hot keys, on one tablet or across servers (two-phase
+        # commit): every key read is written back with probability 1/2,
+        # the first always, so committed transactions can overlap on a
+        # key one of them only read.
+        hot = self._overwrite_pool[:HOT]
+        if not hot:
+            return
+        keys = self.rng.sample(hot, min(len(hot), self.rng.randint(1, 3)))
+        op = self.history.invoke(client)
+
+        def update(key, value):
+            op.reads[key] = value
+            if key == keys[0] or self.rng.random() < 0.5:
+                return op.write(key)
             return None
-        key = self.rng.choice(self._overwrite_pool)
+
+        step = loop.rmw_txn(self.db, client, TABLE, GROUP, keys, update)
+        yield from self._transaction(client, op, step)
+
+    def _transaction(self, client, op, step):
+        try:
+            txn = yield from step
+        except LogBaseError as exc:
+            # A validation or lock conflict aborts before the write phase,
+            # and a server down before the commit left nothing in the log:
+            # clean aborts.  An abort *caused by* an infrastructure error
+            # may have died anywhere around the commit record: outcome
+            # unknown, but it must be atomic.
+            conflict = isinstance(exc, TransactionAborted) and exc.__cause__ is None
+            self.validation_aborts += isinstance(exc, ValidationConflict)
+            clean = conflict or isinstance(exc, ServerDownError)
+            self.history.end(op, WriteStatus.ABORTED if clean else WriteStatus.INDETERMINATE)
+            if not conflict:
+                self._rescue(client)
+            return
+        self.history.end(op, WriteStatus.ACKED, read_ts=txn.read_ts, commit_ts=txn.commit_ts)
+
+    def read(self, client):
+        if not self._overwrite_pool:
+            return
+        # Half the reads read the client's own last put back.
+        key = self._last_put.get(client) if self.rng.random() < 0.5 else None
+        key = key or self.rng.choice(self._overwrite_pool)
+        op = self.history.invoke(client)
         # Track the latency of every read attempt, failed ones included —
         # gray-failure mitigation is judged on the tail of this series.
-        self.client.last_op_seconds = 0.0
+        client.last_op_seconds = 0.0
         try:
             value = yield from self._failing_over(
-                lambda: loop.get(self.db, self.client, TABLE, key, GROUP)
+                client, lambda: loop.get(self.db, client, TABLE, key, GROUP)
             )
-            return self.oracle.check_read(key, value)
+            op.reads[key] = value
         except LogBaseError:
-            return None  # still failing over; final verify covers it
+            pass  # still failing over; the read-back covers the key
         finally:
-            self.read_latency.record(self.client.last_op_seconds)
+            self.history.end(op)
+            self.read_latency.record(client.last_op_seconds)
 
-    def ops(self, events: Events):
-        """The client stream: events and the heartbeat run between its
-        ops, and the read-latency tail is observed at its end."""
+    def ops(self, client, events: Events):
+        """One client's stream: it claims the next global op index until
+        the run's ops are issued; events and the heartbeat run between
+        ops."""
         run = self.run
         checkpoints = run.db.cluster.checkpoints
         ops = run.report.ops
         checkpoint_at = ops // 3
         compact_at = (2 * ops) // 3
         monitor = run.db.cluster.monitor
-        events_run = 0
-        for i in range(ops):
+        while self._next_op < ops:
+            i = self._next_op
+            self._next_op += 1
             event = events.get(i)
             if event is not None:
                 # Schedule events the injector can't see (overload bursts,
@@ -168,33 +199,24 @@ class _OpStream:
                 if monitor is not None:
                     monitor.note_fault("schedule-event", {"index": i})
                 event()
-                events_run += 1
+                self.events_run += 1
             if i == checkpoint_at:
-                self.maintain(lambda s: checkpoints[s.name].write_checkpoint())
+                self.maintain(client, lambda s: checkpoints[s.name].write_checkpoint())
             elif i == compact_at:
-                self.maintain(lambda s: s.compact())
+                self.maintain(client, lambda s: s.compact())
             else:
                 roll = self.rng.random()
                 if roll < 0.55:
-                    yield from self.put()
+                    yield from self.put(client)
+                elif roll < 0.65:
+                    yield from self.txn(client)
                 elif roll < 0.75:
-                    yield from self.txn()
+                    yield from self.rmw(client)
                 else:
-                    problem = yield from self.read()
-                    if problem is not None:
-                        run.report.violations.append(f"mid-run: {problem}")
+                    yield from self.read(client)
             run.heartbeat()
-        hist = self.read_latency
-        run.observe(
-            events_run=events_run,
-            rescued_ops=self.rescued_ops,
-            reads=int(hist.count),
-            read_p50=hist.percentile(0.50),
-            read_p99=hist.percentile(0.99),
-            read_max=hist.max if hist.count else 0.0,
-        )
 
-    def maintain(self, action) -> None:
+    def maintain(self, client, action) -> None:
         """One maintenance pass: ``action(server)`` on every serving one."""
         for server in self.db.cluster.servers:
             if not server.serving:
@@ -202,11 +224,24 @@ class _OpStream:
             try:
                 action(server)
             except LogBaseError:
-                self._rescue()
+                self._rescue(client)
 
 
 def op_stream(run: Run, events: Events) -> None:
-    """Issue ``run.report.ops`` seeded operations as one client of the
-    loop, firing ``events`` at their op index, and record the
-    read-latency tail."""
-    loop.run_clients(run.db.cluster, [_OpStream(run).ops(events)])
+    """Issue ``run.report.ops`` seeded operations from :data:`CLIENTS`
+    clients of the loop, firing ``events`` at their global op index, and
+    record the read-latency tail."""
+    stream = _OpStream(run)
+    machine = run.db.cluster.machines[run.scenario.client_node]
+    clients = [run.client] + [run.db.client(machine) for _ in range(CLIENTS - 1)]
+    loop.run_clients(run.db.cluster, [stream.ops(c, events) for c in clients])
+    hist = stream.read_latency
+    run.observe(
+        events_run=stream.events_run,
+        rescued_ops=stream.rescued_ops,
+        validation_aborts=stream.validation_aborts,
+        reads=int(hist.count),
+        read_p50=hist.percentile(0.50),
+        read_p99=hist.percentile(0.99),
+        read_max=hist.max if hist.count else 0.0,
+    )

@@ -429,7 +429,7 @@ class Client:
         }
         size = sum(len(v) for v in payload.values()) + len(key)
         with root_span("op.put", self._machine, table=table, bytes=size):
-            return self._saw(self._with_retries(
+            return self.saw(self._with_retries(
                 table, self._routed_call, key, size + _REQUEST_OVERHEAD, 16,
                 methodcaller("write", table, key, payload),
             ))
@@ -545,7 +545,7 @@ class Client:
             if rows is _TO_OWNER:
                 rows = self._owner_scan(table, group, sub_start, sub_end, as_of)
             results.extend((key, value) for key, _, value in rows)
-            self._saw(max((row[1] for row in rows), default=0))
+            self.saw(max((row[1] for row in rows), default=0))
         results.sort(key=lambda pair: pair[0])
         return results
 
@@ -576,7 +576,7 @@ class Client:
     def put_raw(self, table: str, key: bytes, group: str, value: bytes) -> int:
         """Write one opaque group payload (no column encoding)."""
         with root_span("op.put", self._machine, table=table, bytes=len(value)):
-            return self._saw(self._with_retries(
+            return self.saw(self._with_retries(
                 table, self._routed_call, key,
                 len(value) + len(key) + _REQUEST_OVERHEAD, 16,
                 methodcaller("write", table, key, {group: value}),
@@ -643,10 +643,10 @@ class Client:
                     methodcaller("read", table, key, group, as_of=as_of),
                 )
         if result is not None:
-            self._saw(result[0])
+            self.saw(result[0])
         return None if result is None else result[1]
 
-    def _saw(self, timestamp: int) -> int:
+    def saw(self, timestamp: int) -> int:
         """Raise the floor to a commit timestamp acked or read."""
         self._floor = max(self._floor, timestamp)
         return timestamp

@@ -269,6 +269,11 @@ class LogBaseCluster:
         else:
             # Session survived the crash: just refresh the catalog handle.
             master.catalog.servers[name] = server
+        # Ungated, a stale tablet would serve again; an orphan it adopts stays.
+        live = set(master.live_servers()) - {name}
+        for tablet_id, tablet in list(server.tablets.items()):
+            if master.catalog.assignments.get(tablet_id) in live:
+                server.unassign_tablet(tablet.tablet_id)
         if not recover:
             return None
         report = recover_server_parallel(

@@ -105,8 +105,8 @@ def test_one_stream_issues_exactly_its_calls_and_sets_no_clock():
     def calls(db, client):
         yield from loop.put(db, client, "t", _key(1), "g", b"a")
         writes = [("t", _key(2), "g", b"b"), ("t", _key(3), "g", b"c")]
-        yield from loop.write_txn(db, writes)
-        yield from loop.rmw_txn(db, "t", "g", [_key(1)], lambda _, value: value + b"!")
+        yield from loop.write_txn(db, client, writes)
+        yield from loop.rmw_txn(db, client, "t", "g", [_key(1)], lambda _, value: value + b"!")
         assert (yield from loop.get(db, client, "t", _key(1), "g")) == b"a!"
         rows = yield from loop.scan(db, client, "t", "g", b"0" * 12, b"9" * 12)
         assert sorted(value for _, value in rows) == [b"a!", b"b", b"c"]
@@ -141,7 +141,8 @@ def test_transactions_of_two_clients_overlap():
     def increment():
         try:
             txn = yield from loop.rmw_txn(
-                db, "t", "g", [_key(1)], lambda key, value: b"%d" % (int(value) + 1)
+                db, db.client(), "t", "g", [_key(1)],
+                lambda key, value: b"%d" % (int(value) + 1),
             )
         except ValidationConflict:
             outcomes.append("aborted")

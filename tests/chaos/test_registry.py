@@ -23,10 +23,10 @@ def test_same_seed_same_report(name):
 @pytest.mark.parametrize(
     ("name", "armed"),
     [
-        ("base/partition-heal", ["durability"]),
-        ("recovery/crash-during-split", ["durability"]),
-        ("migration/partition-old-owner", ["single-owner", "durability"]),
-        ("replica/stale-follower-reads", ["single-owner", "durability", "staleness"]),
+        ("base/partition-heal", ["history"]),
+        ("recovery/crash-during-split", ["history"]),
+        ("migration/partition-old-owner", ["single-owner", "history"]),
+        ("replica/stale-follower-reads", ["single-owner", "history"]),
     ],
 )
 def test_invariants_follow_the_config(name, armed):
@@ -38,7 +38,7 @@ def test_invariants_follow_a_callers_config_too():
     config = LogBaseConfig.with_read_replicas(segment_size=64 * 1024)
     report = run_scenario("migration/crash-source-mid-catchup", config=config)
     assert report.passed, report.violations
-    assert report.invariants == ["single-owner", "durability", "staleness"]
+    assert report.invariants == ["single-owner", "history"]
     assert report.observed["follower_reads_ok"] >= report.ops
 
 

@@ -15,8 +15,8 @@ from unittest.mock import Mock
 import pytest
 
 from repro import ColumnGroup, LogBase, LogBaseConfig, TableSchema
-from repro.chaos.invariants import StalenessChecker
-from repro.chaos.oracle import encode_value
+from repro.bench import concurrent as loop
+from repro.chaos.history import History, WriteStatus, encode_value
 from repro.errors import (
     CorruptLogRecord,
     DataNodeDownError,
@@ -75,28 +75,37 @@ def test_follower_read_never_passes_the_watermark(rep_db):
     """Property test: across interleaved writes and tail passes, every
     successful follower read is exactly the latest version at or below
     the follower's watermark — never newer, never an older shadow."""
-    db, keys, history = rep_db
+    db, keys, fixture = rep_db
     tablet_id, server, follower = _the_follower(db)
-    checker = StalenessChecker()
-    for key, (ts, i) in history.items():
-        checker.record(key, ts, i)
     client = db.client(db.cluster.machines[-1])
+    history = History()
+
+    def acked(key, ts, seq):
+        op = history.invoke(client)
+        op.writes[key] = seq
+        history.end(op, WriteStatus.ACKED, commit_ts=ts)
+
+    for key, (ts, i) in fixture.items():
+        acked(key, ts, i)
     rng = random.Random(7)
     seq = len(keys)
     for round_no in range(6):
         for key in rng.sample(keys, 3):
-            ts = client.put_raw(TABLE, key, GROUP, encode_value(seq))
-            checker.record(key, ts, seq)
+            acked(key, client.put_raw(TABLE, key, GROUP, encode_value(seq)), seq)
             seq += 1
         if round_no % 2 == 0:
             db.cluster.heartbeat()  # tail pass advances the watermark
         for key in keys:
+            op = history.invoke()
             try:
                 result = server.follower_read(TABLE, key, GROUP)
             except FollowerLaggingError:
                 continue
-            problem = checker.check(key, follower.watermark, result)
-            assert problem is None, problem
+            finally:
+                history.end(op, snapshot=follower.watermark)
+            op.reads[key] = None if result is None else result[1]
+    assert history.check() == []
+    assert history.summary["reads_checked"] > 0
 
 
 def test_stale_follower_rejects_instead_of_serving(rep_db):
@@ -506,6 +515,21 @@ def test_a_client_reads_its_own_writes_past_a_lagging_replica(rep_db):
         client.put_raw(TABLE, key + b"-new", GROUP, encode_value(1000 + n))
         assert client.get_raw(TABLE, key + b"-new", GROUP) == encode_value(1000 + n)
     assert db.cluster.total_counters()["replica.redirects"] > redirects
+
+
+def test_a_transaction_raises_its_clients_floor(rep_db):
+    """A transaction run for a client commits past the replica's drained
+    watermark; that client's next read must not be answered from before
+    the commit (the pre-transaction value, from the follower)."""
+    db, keys, _ = rep_db
+    client = db.client(db.cluster.machines[-1])
+    client.put_raw(TABLE, keys[0], GROUP, encode_value(100))
+    db.cluster.heartbeat()  # the follower drains past the client's floor
+    served = db.cluster.total_counters().get("replica.reads_served", 0)
+    writes = [(TABLE, keys[0], GROUP, encode_value(101))]
+    loop.run_clients(db.cluster, [loop.write_txn(db, client, writes)])
+    assert client.get_raw(TABLE, keys[0], GROUP) == encode_value(101)
+    assert db.cluster.total_counters().get("replica.reads_served", 0) == served
 
 
 def test_a_partial_pass_past_the_floor_still_redirects(rep_db):

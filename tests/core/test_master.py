@@ -155,6 +155,36 @@ def test_auto_failover_watches_late_registrations(cluster):
     assert "ts-late" not in master._servers
 
 
+@pytest.mark.parametrize(
+    "config",
+    [LogBaseConfig.with_fault_tolerance(), LogBaseConfig.production()],
+    ids=["fault-tolerance", "production"],
+)
+def test_a_revived_server_does_not_serve_tablets_failed_over_while_it_was_down(
+    schema, config
+):
+    """A client whose cache still names the dead owner writes through the
+    revived server only if that server kept the tablet: the write is then
+    acked where no reader looks."""
+    from repro import LogBase
+
+    db = LogBase(n_nodes=3, config=config)
+    db.create_table(schema, tablets_per_server=1)
+    master = db.cluster.master
+    master.enable_auto_failover()
+    stale, fresh = db.client(), db.client()
+    key = b"000000000123"
+    stale.put_raw("events", key, "payload", b"before")
+    victim = master.locate("events", key)[0]
+    db.cluster.kill_node(victim)
+    db.cluster.heartbeat()  # session expiry: the tablet fails over
+    assert master.locate("events", key)[0] != victim
+    db.cluster.restart_server(victim)
+    stale.put_raw("events", key, "payload", b"after")
+    db.cluster.heartbeat()  # read replicas catch up
+    assert fresh.get_raw("events", key, "payload") == b"after"
+
+
 # -- the heartbeat's master ----------------------------------------------------
 
 

@@ -348,7 +348,7 @@ def concurrent(meter: Meter) -> None:
             try:
                 if kind == 0:
                     keys = [hot[(i + n) % HOT], hot[(i + n + 5) % HOT]]
-                    txn = yield from loop.rmw_txn(db, TABLE, GROUP, keys, increment)
+                    txn = yield from loop.rmw_txn(db, client, TABLE, GROUP, keys, increment)
                     committed.append(txn)
                 elif kind == 1:
                     yield from loop.submit(client, TABLE, fresh[0], GROUP, _value(n))
@@ -356,7 +356,7 @@ def concurrent(meter: Meter) -> None:
                     yield from loop.get(db, client, TABLE, hot[(i + n) % HOT], GROUP)
                 elif kind == 3:
                     writes = [(TABLE, key, GROUP, _value(n)) for key in fresh[1:]]
-                    committed.append((yield from loop.write_txn(db, writes)))
+                    committed.append((yield from loop.write_txn(db, client, writes)))
                 else:
                     low = (i + n) % (HOT - 4)
                     bounds = ordered[low], ordered[low + 4]
