@@ -20,9 +20,10 @@ Two halves, both pass/fail bars reported like a benchmark:
   arm's whole wall clock is reported beside it; on a shared machine
   that difference scatters by more than the bound's margin.
 
-One row per oracle entry and a trajectory entry appended to
-``BENCH_monitoring.json`` at the repo root.  Run directly
-(``python benchmarks/bench_monitoring.py [--smoke]``) or via pytest.
+One row per oracle entry; a full run also appends a trajectory entry to
+``BENCH_monitoring.json`` at the repo root (``--smoke`` writes nothing).
+Run directly (``python benchmarks/bench_monitoring.py [--smoke]``) or
+via pytest.
 """
 
 from __future__ import annotations
@@ -240,14 +241,16 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="one scenario per family (the overhead half is the same)",
+        help="one scenario per family (the overhead half is the same); "
+        "appends nothing to the trajectory",
     )
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     results = run_experiment(seed=args.seed, smoke=args.smoke)
     print(format_report(results))
-    append_trajectory(TRAJECTORY, trajectory_entry(results))
-    print(f"\ntrajectory appended to {TRAJECTORY}")
+    if not args.smoke:
+        append_trajectory(TRAJECTORY, trajectory_entry(results))
+        print(f"\ntrajectory appended to {TRAJECTORY}")
     if check(results):
         raise SystemExit(1)
 

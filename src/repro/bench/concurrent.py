@@ -66,8 +66,8 @@ def put(db, client, table: str, key: bytes, group: str, value: bytes):
 
 def submit(client, table: str, key: bytes, group: str, value: bytes):
     """``submit_put_raw``: park until the commit group is durable, then
-    pay the ack leg.  Returns the acked future; a group that failed to
-    flush raises its error after the ack leg."""
+    pay the ack leg and raise the client's floor.  Returns the acked
+    future; a group that failed to flush raises its error after the ack."""
     ack = 0.0
 
     def call(now: float):
@@ -81,6 +81,7 @@ def submit(client, table: str, key: bytes, group: str, value: bytes):
     yield Advance(ack)
     if future.error is not None:
         raise future.error
+    client.saw(future.token)
     return future
 
 

@@ -605,7 +605,8 @@ class Client:
         ``arrival`` is the virtual time the op is issued (defaults to
         this client's clock); the submission reaches the server one
         request leg later.  :meth:`put_raw` reaches the same coordinator
-        and waits for its group instead.
+        and waits for its group instead.  Whoever waits out the future
+        raises the floor to its ``token``, the commit timestamp.
         """
         server = self._server_for(table, key)
         local = server.machine is self._machine

@@ -113,10 +113,10 @@ class TabletServer:
         """What a process start builds over the DFS: the log handle
         (``open_log`` is ``LogRepository`` for a first start,
         ``LogRepository.reattach`` for a restart), an empty read cache,
-        and the commit coordinator, the only code that appends to the
+        the commit coordinator, the only code that appends to the
         log (a blocking write with nothing queued is a group of one;
         concurrent submit_write calls coalesce into one DFS replication
-        round trip per group)."""
+        round trip per group), and the compaction planner over the log."""
         self.log = open_log(
             self.dfs,
             self.machine,
@@ -128,6 +128,9 @@ class TabletServer:
         if self.config.read_cache_enabled:
             self.read_cache = ReadCache(self.config.cache_budget_bytes)
         self.commit = CommitCoordinator(self.log, self.machine)
+        self.planner = CompactionPlanner(
+            self.log, tier_fanout=self.config.compaction_tier_fanout
+        )
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -729,11 +732,8 @@ class TabletServer:
         with root_span(SPAN_COMPACTION_ROUND, self.machine, server=self.name):
             inputs = self.log.segments()
             self.log.roll()
-            planner = CompactionPlanner(
-                self.log, tier_fanout=self.config.compaction_tier_fanout
-            )
             combined = CompactionResult()
-            for plan in planner.plan(inputs):
+            for plan in self.planner.plan(inputs):
                 with span(SPAN_COMPACTION_PLAN, self.machine, kind=plan.kind):
                     result = IncrementalCompactionJob(
                         self.log,

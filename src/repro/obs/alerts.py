@@ -167,7 +167,6 @@ class AlertEngine:
         # Re-check entities that are firing even if their series vanished
         # (value decays to absent_value, which resolves them).
         entities.update(e for (name, e) in self.active if name == rule.name)
-        detail = f"{rule.metric} {rule.op} {rule.threshold:g}"
         for entity in sorted(entities):
             series = store.series(entity, rule.metric)
             value = rule.absent_value
@@ -175,18 +174,13 @@ class AlertEngine:
                 last = series.latest()
                 if last is not None and last[0] >= now - _STALE_EPSILON:
                     value = last[1]
-            fired.extend(
-                self._transition(
-                    rule.name,
-                    entity,
-                    breached=rule.breached(value),
-                    sustained_for=rule.sustained_for,
-                    severity=rule.severity,
-                    value=value,
-                    now=now,
-                    detail=detail,
-                )
-            )
+            breached, key = rule.breached(value), (rule.name, entity)
+            if breached or key in self.active or key in self._breach_since:
+                fired.extend(self._transition(
+                    rule.name, entity, breached=breached, sustained_for=rule.sustained_for,
+                    severity=rule.severity, value=value, now=now,
+                    detail=f"{rule.metric} {rule.op} {rule.threshold:g}",
+                ))
         return fired
 
     def _eval_slo(self, rule: SloRule, store: "MetricStore", now: float) -> list[dict]:

@@ -79,11 +79,6 @@ class Histogram:
         # values.  Sparse, sorted on demand.
         self._buckets: dict[int, list] = {}
 
-    def _index(self, value: float) -> int:
-        if value <= self._floor:
-            return 0
-        return 1 + int(math.log(value / self._floor) / self._log_growth)
-
     def record(self, value: float) -> None:
         """Add one observation (negative values are clamped to 0)."""
         if value < 0.0:
@@ -94,7 +89,10 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        index = self._index(value)
+        index = (
+            0 if value <= self._floor
+            else 1 + int(math.log(value / self._floor) / self._log_growth)
+        )
         bucket = self._buckets.get(index)
         if bucket is None:
             self._buckets[index] = [1, value, value, {value: 1}]

@@ -75,12 +75,12 @@ def collect_health_gauges(
     no simulated cost.  ``master`` is the elected one when the caller
     already looked it up (a heartbeat has).
     """
-    # Imported here: repro.wal imports repro.obs, whose package imports this.
-    from repro.wal.planner import CompactionPlanner
-
     gauges: dict[tuple[str, str], float] = {}
     config = cluster.config
-    assignments = (master or cluster.master).catalog.assignments
+    owned_by: dict[str, list[str]] = {}
+    if config.live_migration:
+        for tablet_id, owner in (master or cluster.master).catalog.assignments.items():
+            owned_by.setdefault(owner, []).append(tablet_id)
     for each in cluster.masters:
         # A master is "up" while its coordination session lives; a deposed
         # or crashed master reads 0 and trips the same server-down rule.
@@ -96,7 +96,7 @@ def collect_health_gauges(
         if server.admission is not None:
             gauges[(server.name, GAUGE_ADMISSION_BACKLOG)] = server.admission.last_depth
         if config.live_migration and up:
-            owned = [t for t, owner in assignments.items() if owner == server.name]
+            owned = owned_by.get(server.name)
             if owned:
                 valid = sum(1 for t in owned if server.ownership.lease_valid(t))
                 gauges[(server.name, GAUGE_LEASE_HEALTH)] = valid / len(owned)
@@ -104,25 +104,23 @@ def collect_health_gauges(
                 gauges[(server.name, GAUGE_LEASE_HEALTH)] = 1.0
         if up:
             # Planner-eligible log bytes: namenode metadata, no simulated cost.
-            planner = CompactionPlanner(server.log, tier_fanout=config.compaction_tier_fanout)
             gauges[(server.name, GAUGE_COMPACTION_DEBT)] = float(
-                sum(plan.input_bytes for plan in planner.plan())
+                sum(plan.input_bytes for plan in server.planner.plan())
             )
             # Replica lag per tablet: worst follower staleness, read the
             # same way the heartbeat's lag histogram defines it (time
             # since the follower last drained to its owner's log tail).
+            clock_now = server.machine.clock.now
             for tablet_id, follower in server.replicas.followers.items():
-                lag = follower.lag(server.machine.clock.now)
+                lag = follower.lag(clock_now)
                 if lag == float("inf"):
                     continue  # never caught up yet: no sample, not a spike
                 key = (tablet_id, GAUGE_REPLICA_LAG)
                 if lag > gauges.get(key, 0.0):
                     gauges[key] = lag
         cache = cluster.dfs.block_cache_for(server.machine)
-        if cache is not None and (cache.hits + cache.misses) > 0:
-            gauges[(server.machine.name, GAUGE_BLOCKCACHE_HIT_RATE)] = cache.hits / (
-                cache.hits + cache.misses
-            )
+        if cache is not None and (looked_up := cache.hits + cache.misses) > 0:
+            gauges[(server.machine.name, GAUGE_BLOCKCACHE_HIT_RATE)] = cache.hits / looked_up
     if cluster.dfs.health is not None:
         for node_name, state in cluster.dfs.health.breaker_states().items():
             gauges[(node_name, GAUGE_BREAKER_OPEN)] = _BREAKER_VALUES.get(state, 1.0)
@@ -239,18 +237,22 @@ class ClusterMonitor:
         self._last_now = 0.0
         self._scrape_interval = config.monitor_scrape_interval
         self._last_scrape = float("-inf")
+        # Whether a machine clock may have reached the next scrape time,
+        # and how many machines were asked to say so.
+        self._maybe_due, self._watched = True, 0
         cluster.failures.observer = self.note_fault
 
     # -- time ------------------------------------------------------------
 
     def now(self) -> float:
-        """Monitor time: cluster makespan, clamped monotonic so a
-        ``reset_clocks()`` between benchmark phases cannot run the series
-        backwards."""
+        """Monitor time: cluster makespan, clamped to the latest time the
+        monitor took, so a ``reset_clocks()`` between benchmark phases
+        cannot run the series backwards."""
         now = self.cluster.elapsed_makespan()
         if now < self._last_now:
             now = self._last_now
         self._last_now = now
+        self._maybe_due = True  # the clamp may have moved: test the cadence
         return now
 
     # -- fault observation ----------------------------------------------
@@ -288,18 +290,33 @@ class ClusterMonitor:
         overhead; 0 scrapes every call).  ``force`` bypasses the cadence —
         chaos scenarios use it to scrape a window the next heartbeat would
         close.  Returns the alerts that newly fired.
+
+        A tick that will not scrape reads no clock: each scrape asks every
+        machine clock to wake the monitor at the next scrape time, and
+        until one does (or a machine joins, or :meth:`now` moves the
+        clamp) no scrape can be due.
         """
+        machines = self.cluster.machines
+        if not (force or self._maybe_due) and len(machines) == self._watched:
+            return []
         now = self.now()
         if not force and now - self._last_scrape < self._scrape_interval:
             return []
         self._last_scrape = now
-        for machine in self.cluster.machines:
-            prev = self._counter_snapshots.get(machine.name, {})
-            for name, change in machine.counters.delta_since(prev).items():
-                self.store.record(machine.name, name, now, change)
-            self._counter_snapshots[machine.name] = machine.counters.snapshot()
-        for (entity, metric), value in collect_health_gauges(self.cluster, master).items():
-            self.store.record(entity, metric, now, value)
+        # Wake a hair early: float rounding may cost a clock walk, never
+        # a scrape, since the test above is repeated.
+        at = now + self._scrape_interval - (abs(now) + self._scrape_interval) * 1e-9
+        self._watched, self._maybe_due = len(machines), at <= now
+        if not self._maybe_due:
+            for machine in machines:
+                machine.clock.wake(at, self._wake)
+        write = self.store.record_all
+        for machine in machines:
+            name, counters = machine.name, machine.counters
+            moved = counters.delta_since(self._counter_snapshots.get(name, {}))
+            write([((name, counter), change) for counter, change in moved.items()], now)
+            self._counter_snapshots[name] = counters.snapshot()
+        write(collect_health_gauges(self.cluster, master).items(), now)
         self._record_slo_counts(now)
         fired = self.engine.evaluate(self.store, now)
         for record in fired:
@@ -318,6 +335,9 @@ class ClusterMonitor:
             )
         self.scrapes += 1
         return fired
+
+    def _wake(self) -> None:
+        self._maybe_due = True
 
     def _record_slo_counts(self, now: float) -> None:
         """Publish cumulative good/bad op counts per configured SLO from

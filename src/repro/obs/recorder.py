@@ -8,8 +8,8 @@ series, the event rings, the most recent spans from the tracer (when
 tracing is enabled), and the alert context — so every chaos schedule
 produces a self-explaining artifact without re-running anything.
 
-Bundles are plain dicts underneath, exportable as JSON or rendered as a
-markdown post-mortem (see EXPERIMENTS.md for how to read one).
+Bundles export as plain dicts or JSON (see EXPERIMENTS.md for how to
+read one).
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
+from repro.obs.timeseries import nest_tails
+
 
 @dataclass
 class PostMortem:
@@ -25,65 +27,16 @@ class PostMortem:
 
     reason: str  # "alert:<name>:<entity>" or "fault:<kind>"
     time: float  # simulated seconds at snapshot
-    bundle: dict  # series tails + events + spans + alert context
+    # alert context + events + spans, and the series tails as the store
+    # froze them (MetricStore.freeze_tails), nested only by to_dict()
+    bundle: dict
 
     def to_dict(self) -> dict:
-        return {"reason": self.reason, "time": self.time, **self.bundle}
+        series = nest_tails(*self.bundle["series"])
+        return {"reason": self.reason, "time": self.time, **self.bundle, "series": series}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True, default=str)
-
-    def to_markdown(self) -> str:
-        """Human-readable post-mortem: what fired, what led up to it."""
-        lines = [
-            f"# Post-mortem: {self.reason}",
-            "",
-            f"*Snapshot at t={self.time:.3f}s (simulated).*",
-            "",
-            "## Active alerts",
-        ]
-        active = self.bundle.get("alerts", {}).get("active", [])
-        if active:
-            for alert in active:
-                lines.append(
-                    f"- **{alert['alert']}** on `{alert['entity']}` since "
-                    f"t={alert['time']:.3f}s (value {alert['value']:g}; "
-                    f"{alert['detail']})"
-                )
-        else:
-            lines.append("- none")
-        lines += ["", "## Recent events"]
-        events = self.bundle.get("events", {})
-        rows = [
-            (event["time"], node, event)
-            for node, ring in sorted(events.items())
-            for event in ring
-        ]
-        if rows:
-            for t, node, event in sorted(rows, key=lambda r: r[0]):
-                lines.append(
-                    f"- t={t:.3f}s `{node}`: {event['kind']} {event['detail']}"
-                )
-        else:
-            lines.append("- none")
-        lines += ["", "## Series tails (newest samples)"]
-        series = self.bundle.get("series", {})
-        for entity in sorted(series):
-            for metric, samples in sorted(series[entity].items()):
-                if not samples:
-                    continue
-                shown = ", ".join(f"{v:g}" for _t, v in samples[-8:])
-                lines.append(f"- `{entity}` {metric}: {shown}")
-        spans = self.bundle.get("spans", [])
-        if spans:
-            lines += ["", "## Recent spans (slowest last)"]
-            for span in spans:
-                lines.append(
-                    f"- {span['name']} on `{span['machine']}`: "
-                    f"{span['latency']:.6f}s"
-                )
-        lines.append("")
-        return "\n".join(lines)
 
 
 class FlightRecorder:
@@ -139,7 +92,7 @@ class FlightRecorder:
                 "recent": [dict(r) for r in engine.log[-16:]],
             },
             "events": self.events(),
-            "series": store.tails(self.series_tail),
+            "series": store.freeze_tails(self.series_tail),
             "spans": self._recent_spans(tracer),
         }
         pm = PostMortem(reason=reason, time=t, bundle=bundle)

@@ -6,15 +6,16 @@ advanced while the span was open.  A traced cluster owns one
 :class:`Tracer` and attaches it to each of its machines
 (:meth:`Tracer.attach`): spans opened on an attached machine record into
 that tracer, and every ``advance`` of the machine's clock is credited to
-the innermost open span *anchored on that clock* (walking up the
-ancestor chain), accumulating as its *self seconds* (exclusive time).  A
-charge on a clock no open span owns is *background seconds* of the
-innermost span: parallel work — secondary replica disks, cancelled hedge
-reads — that does not extend the operation's latency.  The walk matters
-when a machine plays two roles at once: a DFS replica write hosted on
-the client's own machine extends the client op's duration, so it must
-land in the client root span's self time, not in the background of the
-``dfs.append`` span open on the primary.
+the innermost open span *anchored on that clock* (the clock holds it, so
+the credit is one addition inside ``SimClock.advance``), accumulating as
+its *self seconds* (exclusive time).  A charge on a clock no open span
+owns is *background seconds* of the innermost span: parallel work —
+secondary replica disks, cancelled hedge reads — that does not extend the
+operation's latency.  Anchoring on the clock matters when a machine plays
+two roles at once: a DFS replica write hosted on the client's own machine
+extends the client op's duration, so it must land in the client root
+span's self time, not in the background of the ``dfs.append`` span open
+on the primary.
 
 Clock attribution rules (see DESIGN.md "Observability"):
 
@@ -27,9 +28,9 @@ Clock attribution rules (see DESIGN.md "Observability"):
 * spans marked ``background`` (hedge losers) never contribute to
   end-to-end latency; their time is reported separately.
 
-Propagation uses ambient context in the same style as
-:mod:`repro.sim.deadline`: :func:`span` is a no-op context manager unless
-the machine it is given has a tracer *and* an enclosing span exists;
+Propagation is one process-wide stack of open spans (each span links its
+parent): :func:`span` is a no-op context manager unless the machine it is
+given has a tracer *and* an enclosing span exists;
 :func:`root_span` — what entry points open — may also start a trace.  An
 untraced machine has no tracer, so nothing is recorded for it whatever
 other cluster the process traces.  Trace/span ids flow across machines implicitly: the
@@ -40,60 +41,105 @@ headers.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
 from repro.sim.metrics import HIST_SPAN_LATENCY_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.clock import SimClock
     from repro.sim.machine import Machine
+
+#: the innermost open span of the process, or None.  A stack, not a
+#: ContextVar: spans open and close inside one call on every path (the
+#: client loop's steps hold none across a ``yield``), so they nest.
+_active: "Span | None" = None
 
 
 class Span:
-    """One timed unit of work anchored to a single simulated clock."""
+    """One timed unit of work anchored to a single simulated clock, and
+    the context manager that keeps it open."""
 
     __slots__ = (
-        "name",
-        "trace_id",
-        "span_id",
-        "machine",
-        "background",
-        "root",
-        "parent",
-        "start",
-        "end",
-        "self_seconds",
-        "background_seconds",
-        "children",
-        "attrs",
-        "_clock",
+        "name", "trace_id", "span_id", "machine", "background", "root", "parent",
+        "start", "end", "self_seconds", "background_seconds", "attrs",
+        "_clock", "_tracer", "_outer", "_first", "_last", "_next",
     )
 
     def __init__(
-        self,
-        name: str,
-        trace_id: int,
-        span_id: int,
-        machine: "Machine",
-        *,
-        background: bool = False,
-        attrs: dict | None = None,
+        self, tracer: "Tracer", name: str, machine: "Machine",
+        parent: "Span | None", background: bool, attrs: dict,
     ) -> None:
         self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
+        self.span_id = tracer._next_span_id
+        tracer._next_span_id += 1
+        if parent is None:
+            self.trace_id = tracer._next_trace_id
+            tracer._next_trace_id += 1
+            self.root = True
+        else:
+            self.trace_id = parent.trace_id
+            self.root = False
+            if parent._last is None:
+                parent._first = self
+            else:
+                parent._last._next = self
+            parent._last = self
+        self.parent = parent
         self.machine = machine.name
         self.background = background
-        self.root = False
-        self.parent: "Span | None" = None
-        self._clock = machine.clock
-        self.start = machine.clock.now
+        clock = self._clock = machine.clock
+        self.start = clock._now
         self.end: float | None = None
         self.self_seconds = 0.0
         self.background_seconds = 0.0
-        self.children: list["Span"] = []
-        self.attrs: dict = attrs if attrs is not None else {}
+        #: the call's keyword attributes; None when it gave none.
+        self.attrs: dict | None = attrs or None
+        self._tracer = tracer
+        # Children, in open order, as a chain: first, last, next sibling
+        # (no container object per span).
+        self._first = self._last = self._next = None
+
+    def __enter__(self) -> "Span":
+        global _active
+        clock = self._clock
+        self._outer = clock.span  # restored on exit
+        clock.span = _active = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        global _active
+        clock = self._clock
+        clock.span = self._outer
+        _active = self.parent
+        # Only open spans need the links: dropping them makes a closed
+        # trace a tree that reference counting frees when it leaves the
+        # ring.
+        self._outer = self.parent = None
+        if exc_type is not None:
+            self.attrs = self.attrs or {}
+            self.attrs.setdefault("error", exc_type.__name__)
+        self.end = clock._now
+        tracer = self._tracer
+        tracer.spans_closed += 1
+        # Only roots carry a whole trace: they are recorded into the ring,
+        # histogrammed by operation type, and offered to the slow sampler.
+        if self.root:
+            latency = self.end_to_end()
+            tracer.histograms.histogram(HIST_SPAN_LATENCY_PREFIX + self.name).record(
+                latency
+            )
+            tracer.trace_log.append(self)
+            tracer.slow_ops.offer(self.name, latency, self)
+        return False
+
+    @property
+    def children(self) -> list["Span"]:
+        """Child spans, in open order."""
+        kids = []
+        child = self._first
+        while child is not None:
+            kids.append(child)
+            child = child._next
+        return kids
 
     @property
     def closed(self) -> bool:
@@ -112,17 +158,20 @@ class Span:
         hops the anchor clock never paid for).  Background children are
         parallel work and contribute nothing."""
         total = self.duration
-        for child in self.children:
-            if child.background or child._clock is self._clock:
-                continue
-            total += child.end_to_end()
+        child = self._first
+        while child is not None:
+            if not child.background and child._clock is not self._clock:
+                total += child.end_to_end()
+            child = child._next
         return total
 
     def walk(self):
         """Yield this span and every descendant, preorder."""
         yield self
-        for child in self.children:
+        child = self._first
+        while child is not None:
             yield from child.walk()
+            child = child._next
 
     def find(self, name: str) -> list["Span"]:
         """Every span in this subtree named ``name``."""
@@ -134,9 +183,6 @@ class Span:
             f"Span({self.name}, trace={self.trace_id}, span={self.span_id}, "
             f"machine={self.machine}, {state})"
         )
-
-
-_CURRENT: ContextVar[Span | None] = ContextVar("repro_obs_span", default=None)
 
 
 class _NullScope:
@@ -155,51 +201,18 @@ class _NullScope:
 _NULL = _NullScope()
 
 
-class _SpanScope:
-    """Context manager that opens a span on enter and closes it on exit."""
-
-    __slots__ = ("_tracer", "_span", "_token")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        machine: "Machine",
-        parent: Span | None,
-        background: bool,
-        attrs: dict,
-    ) -> None:
-        self._tracer = tracer
-        self._span = tracer._start(name, machine, parent, background, attrs)
-        self._token = None
-
-    def __enter__(self) -> Span:
-        self._token = _CURRENT.set(self._span)
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _CURRENT.reset(self._token)
-        if exc_type is not None:
-            self._span.attrs.setdefault("error", exc_type.__name__)
-        self._tracer._finish(self._span)
-        return False
-
-
 def span(name: str, machine: "Machine", *, background: bool = False, **attrs):
     """A child span: records only inside an already-open trace.
 
     No-op (returns a shared null context manager) unless ``machine`` has
-    a tracer and an enclosing span is current — shared infrastructure
+    a tracer and an enclosing span is open — shared infrastructure
     (WAL, DFS) calls this unconditionally and pays nothing on an
     untraced machine.
     """
     tracer = machine.tracer
-    if tracer is None:
+    if tracer is None or _active is None:
         return _NULL
-    parent = _CURRENT.get()
-    if parent is None:
-        return _NULL
-    return _SpanScope(tracer, name, machine, parent, background, attrs)
+    return Span(tracer, name, machine, _active, background, attrs)
 
 
 def root_span(name: str, machine: "Machine", **attrs):
@@ -214,32 +227,21 @@ def root_span(name: str, machine: "Machine", **attrs):
     tracer = machine.tracer
     if tracer is None:
         return _NULL
-    return _SpanScope(tracer, name, machine, _CURRENT.get(), False, attrs)
+    return Span(tracer, name, machine, _active, False, attrs)
 
 
 def current_span() -> Span | None:
     """The innermost open span, if any."""
-    return _CURRENT.get()
+    return _active
 
 
-def _credit_open_span(clock: "SimClock", seconds: float) -> None:
-    """The advance observer of every attached clock."""
-    active = _CURRENT.get()
-    if active is None:
-        return
-    # Credit the innermost *open* span anchored on the advanced clock:
-    # the charge extends that span's duration even when a descendant on
-    # another machine is innermost (e.g. a DFS replica write hosted on
-    # the client's own machine while dfs.append is open on the primary).
-    # A clock no open span owns is parallel work the operation never
-    # waits for — book it as the innermost span's background time.
-    node: Span | None = active
-    while node is not None:
-        if clock is node._clock:
-            node.self_seconds += seconds
-            return
-        node = node.parent
-    active.background_seconds += seconds
+def _credit_background(clock, seconds: float) -> None:
+    """The observer of every attached clock: a charge on a clock that
+    holds no open span is parallel work the operation never waits for
+    (a secondary replica disk, a cancelled hedge read), booked as the
+    innermost span's background time."""
+    if _active is not None:
+        _active.background_seconds += seconds
 
 
 class Tracer:
@@ -261,64 +263,23 @@ class Tracer:
         self.trace_log = TraceLog(ring)
         self.histograms = HistogramRegistry()
         self.slow_ops = SlowOpSampler(slow_samples)
-        self.spans_started = 0
         self.spans_closed = 0
-        self.open_spans = 0
         self._next_trace_id = 1
         self._next_span_id = 1
+
+    @property
+    def spans_started(self) -> int:
+        """Spans opened so far."""
+        return self._next_span_id - 1
+
+    @property
+    def open_spans(self) -> int:
+        """Spans opened and not yet closed."""
+        return self.spans_started - self.spans_closed
 
     def attach(self, machine: "Machine") -> None:
         """Trace ``machine``: spans opened on it record here, and its
         clock's advances are credited to the open spans.  The observer
         refers to no tracer, so a clock never pins one."""
         machine.tracer = self
-        machine.clock.observer = _credit_open_span
-
-    # -- span lifecycle (driven by _SpanScope) -----------------------------
-
-    def _start(
-        self,
-        name: str,
-        machine: "Machine",
-        parent: Span | None,
-        background: bool,
-        attrs: dict,
-    ) -> Span:
-        trace_id = parent.trace_id if parent is not None else self._next_trace_id
-        if parent is None:
-            self._next_trace_id += 1
-        created = Span(
-            name,
-            trace_id,
-            self._next_span_id,
-            machine,
-            background=background,
-            attrs=attrs,
-        )
-        self._next_span_id += 1
-        created.parent = parent
-        if parent is not None:
-            parent.children.append(created)
-        else:
-            created.root = True
-        self.spans_started += 1
-        self.open_spans += 1
-        return created
-
-    def _finish(self, finished: Span) -> None:
-        finished.end = finished._clock.now
-        # Only the clock hook reads ``parent``, and only on open spans:
-        # dropping it makes a closed trace a tree that reference counting
-        # frees when it leaves the ring.
-        finished.parent = None
-        self.spans_closed += 1
-        self.open_spans -= 1
-        # Only roots carry a whole trace: they are recorded into the ring,
-        # histogrammed by operation type, and offered to the slow sampler.
-        if finished.root:
-            latency = finished.end_to_end()
-            self.histograms.histogram(
-                HIST_SPAN_LATENCY_PREFIX + finished.name
-            ).record(latency)
-            self.trace_log.append(finished)
-            self.slow_ops.offer(finished.name, latency, finished)
+        machine.clock.observe(_credit_background)

@@ -26,14 +26,13 @@ leaves the log in a consistent intermediate state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.wal.repository import LogRepository
 
 
-@dataclass(frozen=True)
-class CompactionPlan:
-    """One unit of compaction work.
+class CompactionPlan(NamedTuple):
+    """One unit of compaction work (a tuple: cheap to build per scrape).
 
     Attributes:
         kind: ``"tail"`` (unsorted tail segments) or ``"merge"``

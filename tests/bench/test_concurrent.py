@@ -16,7 +16,7 @@ from repro import ColumnGroup, LogBase, LogBaseConfig, TableSchema
 from repro.bench import concurrent as loop
 from repro.bench.adapters import GROUP, TABLE, make_logbase
 from repro.core.client import Client
-from repro.errors import ServerDownError, ValidationConflict
+from repro.errors import ServerDownError, TransactionAborted, ValidationConflict
 from repro.sim.machine import Machine
 from repro.sim.metrics import COMMIT_GROUP_FANIN, COMMIT_GROUPS, DFS_APPEND_ROUND_TRIPS
 from repro.sim.scheduler import Advance
@@ -178,3 +178,53 @@ def test_a_failed_submission_raises_inside_the_stream():
 
     loop.run_clients(db.cluster, [doomed(), killer()])
     assert len(errors) == 1
+
+
+def _parked(stream, tracer, open_spans: list):
+    """``stream`` as it is, noting the tracer's open spans each time it
+    parks at a ``yield``."""
+    reply = error = None
+    while True:
+        try:
+            action = stream.throw(error) if error is not None else stream.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        open_spans.append(tracer.open_spans)
+        reply = error = None
+        try:
+            reply = yield action
+        except Exception as exc:  # the scheduler raises a failed step in the stream
+            error = exc
+
+
+def test_no_step_holds_a_span_open_across_a_yield():
+    """Spans nest on one process-wide stack, not per stream: that holds
+    because every step's spans open and close inside the one call it
+    makes, so a parked stream holds none."""
+    db = LogBase(4, LogBaseConfig.production())
+    db.create_table(TableSchema(TABLE, "id", (ColumnGroup(GROUP, ("v",)),)))
+    tracer = db.cluster.tracer
+    keys = [b"%012d" % (i * 99_991) for i in range(8)]
+    for i, key in enumerate(keys):
+        db.client(db.cluster.machines[i % 4]).put_raw(TABLE, key, GROUP, b"0")
+    db.cluster.heartbeat()
+
+    def stream(i):
+        client = db.client(db.cluster.machines[i % 4])
+        yield from loop.put(db, client, TABLE, keys[i], GROUP, b"1")
+        yield from loop.submit(client, TABLE, keys[i], GROUP, b"2")
+        yield from loop.get(db, client, TABLE, keys[i], GROUP)
+        yield from loop.scan(db, client, TABLE, GROUP, keys[0], keys[-1])
+        try:
+            yield from loop.write_txn(db, client, [(TABLE, keys[i], GROUP, b"3")])
+            yield from loop.rmw_txn(
+                db, client, TABLE, GROUP, [keys[(i + 1) % 8]], lambda _k, v: v + b"!"
+            )
+        except TransactionAborted:
+            pass
+
+    open_spans: list[int] = []
+    spans = tracer.spans_closed
+    loop.run_clients(db.cluster, [_parked(stream(i), tracer, open_spans) for i in range(8)])
+    assert len(open_spans) >= 8 * 6 and set(open_spans) == {0}
+    assert tracer.spans_closed > spans

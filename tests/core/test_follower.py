@@ -532,6 +532,18 @@ def test_a_transaction_raises_its_clients_floor(rep_db):
     assert db.cluster.total_counters().get("replica.reads_served", 0) == served
 
 
+def test_an_acked_submit_raises_its_clients_floor(rep_db):
+    """A group-committed put acked to a client commits past the replica's
+    drained watermark; that client's next read must see it, not the
+    follower's older value."""
+    db, keys, _ = rep_db
+    client = db.client(db.cluster.machines[-1])
+    client.put_raw(TABLE, keys[0], GROUP, b"v0")
+    db.cluster.heartbeat()  # the follower drains past the client's floor
+    loop.run_clients(db.cluster, [loop.submit(client, TABLE, keys[0], GROUP, b"submitted")])
+    assert client.get_raw(TABLE, keys[0], GROUP) == b"submitted"
+
+
 def test_a_partial_pass_past_the_floor_still_redirects(rep_db):
     """A batch-limited pass can apply a version newer than a client's own
     write without the write itself (here it waits on its COMMIT); only a

@@ -57,6 +57,8 @@ What a slice is charged, summed over its ops:
   ``crc32c_bytes``, in every module that imported it by name),
   compaction's tail and merge plans, and
   ``CheckpointManager.write_checkpoint``;
+* ``obs_calls``: Python calls into ``repro.obs`` (a profile hook counts
+  them), so telemetry that costs more per op fails here as well;
 * the cluster counters in ``COUNTERS`` and the tracer's closed spans;
 * ``sim_s``: simulated seconds, summed over every machine's clock;
 * what an op reports of itself: a paper put's ``latency_s``, the
@@ -73,6 +75,7 @@ import json
 import math
 import pathlib
 import random
+import sys
 import time
 from collections import Counter
 
@@ -103,6 +106,7 @@ from repro.wal.compaction import IncrementalCompactionJob
 from repro.wal.record import LogRecord
 
 CEILINGS = pathlib.Path(__file__).with_name("work_budget.json")
+OBS = str(pathlib.Path(repro.dfs.datanode.__file__).parents[1] / "obs")
 NODES, PUTS, TXN_EVERY, HEARTBEAT_EVERY = 4, 200, 10, 5
 GETS, SCANS, SCAN_KEYS, ROUND_PUTS, ROUNDS = 100, 10, 20, 40, 6
 TABLE, GROUP = "budget", "g"
@@ -158,9 +162,9 @@ class Meter:
     ``charged`` is the one path every op of every slice goes through."""
 
     def __init__(self, monkeypatch) -> None:
-        self.calls = Counter(
-            dict.fromkeys([*CALLS, "crc32c", "crc32c_bytes", "checkpoints", "checkpoint_bytes"], 0)
-        )
+        self.calls = Counter(dict.fromkeys(
+            [*CALLS, "crc32c", "crc32c_bytes", "checkpoints", "checkpoint_bytes", "obs_calls"], 0
+        ))
         self.cluster = None  # the cluster whose counters are being read
         self.ops: dict[tuple[str, str], list[dict]] = {}
         for name, (owner, attr) in CALLS.items():
@@ -207,7 +211,11 @@ class Meter:
         before = cluster.total_counters()
         clocks = sum(machine.clock.now for machine in cluster.machines)
         spans = _spans_closed(cluster)
-        facts = op() or {}
+        sys.setprofile(self._count_obs_call)
+        try:
+            facts = op() or {}
+        finally:
+            sys.setprofile(None)
         after = cluster.total_counters()
         work = {name: self.calls[name] - calls[name] for name in self.calls}
         work.update((name, after.get(name, 0) - before.get(name, 0)) for name in COUNTERS)
@@ -215,6 +223,10 @@ class Meter:
         work["sim_s"] = sum(machine.clock.now for machine in cluster.machines) - clocks
         work.update(facts)
         self.ops.setdefault((profile, kind), []).append(work)
+
+    def _count_obs_call(self, frame, event, _arg) -> None:
+        if event == "call" and frame.f_code.co_filename.startswith(OBS):
+            self.calls["obs_calls"] += 1
 
     def table(self) -> dict:
         """``{profile: {slice: {"ops": n, row: total, ...}}}``."""

@@ -16,6 +16,7 @@ from repro.obs.monitor import (
     detection_latency,
     gauges_by_entity,
 )
+from repro.sim.clock import SimClock
 from repro.sim.failure import FailureInjector
 from repro.sim.machine import Machine
 from repro.sim.metrics import GAUGE_SERVER_UP, validate_metric_name
@@ -90,7 +91,7 @@ def test_kill_fires_server_down_and_postmortem(monitored_db):
     assert any(r.startswith("alert:server-down") for r in reasons)
 
 
-def test_postmortem_exports_json_and_markdown(monitored_db):
+def test_postmortem_exports_json(monitored_db):
     db = monitored_db
     monitor = db.cluster.monitor
     _write_some(db)
@@ -101,9 +102,6 @@ def test_postmortem_exports_json_and_markdown(monitored_db):
     decoded = json.loads(pm.to_json())
     assert decoded["reason"] == pm.reason
     assert "series" in decoded and "events" in decoded
-    markdown = pm.to_markdown()
-    assert markdown.startswith("# Post-mortem:")
-    assert "## Recent events" in markdown
 
 
 def test_scrape_interval_gates_ticks():
@@ -119,6 +117,40 @@ def test_scrape_interval_gates_ticks():
     assert monitor.scrapes == scrapes
     # ...but force bypasses it.
     monitor.tick(force=True)
+    assert monitor.scrapes == scrapes + 1
+
+
+def test_a_heartbeat_that_does_not_scrape_reads_no_clock_for_it(monkeypatch):
+    """The scrape-due test reads no machine clock: each clock wakes the
+    monitor once it reaches the next scrape time.  A heartbeat that does
+    not scrape reads exactly the clocks an unmonitored one reads."""
+
+    def cluster(monitoring):
+        config = LogBaseConfig.with_fault_tolerance(
+            segment_size=64 * 1024, monitoring=monitoring
+        )
+        db = LogBase(n_nodes=4, config=config)
+        db.create_table(SCHEMA, tablets_per_server=2)
+        db.cluster.heartbeat()  # the first tick scrapes
+        return db, _write_some(db, n=3)
+
+    monitored, client = cluster(True)
+    plain, plain_client = cluster(False)
+    monitor = monitored.cluster.monitor
+    scrapes = monitor.scrapes
+    reads = []
+    monkeypatch.setattr(
+        SimClock, "now", property(lambda clock: reads.append(clock) or clock._now)
+    )
+    monitor.tick()
+    assert (monitor.scrapes, reads) == (scrapes, [])
+    monitored.cluster.heartbeat()
+    heartbeat_reads, reads[:] = len(reads), []
+    plain.cluster.heartbeat()
+    assert monitor.scrapes == scrapes and heartbeat_reads == len(reads)
+    # A clock that reaches the next scrape time wakes the monitor.
+    monitored.cluster.machines[0].clock.advance(monitored.cluster.config.monitor_scrape_interval)
+    monitor.tick()
     assert monitor.scrapes == scrapes + 1
 
 
