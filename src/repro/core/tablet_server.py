@@ -124,6 +124,7 @@ class TabletServer:
             self.config.segment_size,
             coalesce_gap=self.config.read_coalesce_gap,
             scan_prefetch=self.config.scan_prefetch_bytes,
+            vouch=self.config.read_replicas and self.config.replicas_per_tablet > 0,
         )
         if self.config.read_cache_enabled:
             self.read_cache = ReadCache(self.config.cache_budget_bytes)

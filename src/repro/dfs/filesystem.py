@@ -151,8 +151,8 @@ class DFS:
             allow_degraded=degraded_allocation,
         )
         self.datanodes: dict[str, DataNode] = {}
-        # Log frames read from this file system whose CRC passed, by body
-        # digest (``wal/record.py::_frame_body``): the machines share it.
+        # Log frames whose CRC passed, or that a tailed log's writer built,
+        # by whole-frame digest (``wal/record.py::_digest``): machines share it.
         self.checked_frames: dict[bytes, int] = {}
         for machine in machines:
             node = DataNode(machine, checksum_replicas=checksum_replicas)

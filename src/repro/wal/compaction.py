@@ -228,9 +228,11 @@ class IncrementalCompactionJob:
             stats.bytes_written += pending_bytes
             pending.clear()
 
+        vouched = self._repo.vouched
         for key, cutoff, cutoff_lsn, live in keyed:
             frames = [
-                (as_committed(r).encode(slim=True), r.timestamp, versions) for r in live
+                (as_committed(r).encode(slim=True, checked=vouched), r.timestamp, versions)
+                for r in live
             ]
             stats.kept_versions += len(live)
             if carry and cutoff >= 0:
@@ -238,7 +240,7 @@ class IncrementalCompactionJob:
                     RecordType.INVALIDATE, lsn=cutoff_lsn, table=table, key=key,
                     group=group, timestamp=cutoff,
                 )
-                frames.insert(0, (marker.encode(slim=True), cutoff, tombstones))
+                frames.insert(0, (marker.encode(slim=True, checked=vouched), cutoff, tombstones))
                 stats.tombstones_carried += 1
             for frame, timestamp, rows in frames:
                 if segment is None:

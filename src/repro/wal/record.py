@@ -107,11 +107,13 @@ class LogRecord:
 
     # -- encoding ----------------------------------------------------------------
 
-    def encode(self, *, slim: bool = False) -> bytes:
+    def encode(self, *, slim: bool = False, checked: dict[bytes, int] | None = None) -> bytes:
         """Encode to a framed byte string.
 
         Args:
             slim: omit table/tablet/group (sorted-segment layout, §3.6.5).
+            checked: a memo to record the frame in, as :meth:`decode` records
+                one it checked: the writer vouches for it (a tailed log).
         """
         key = self.key
         if slim:
@@ -141,7 +143,10 @@ class LogRecord:
         else:
             parts += (_BYTE[1], encode_uvarint(len(value)), value)
         body = b"".join(parts)
-        return _FRAME_HEADER.pack(len(body), crc32c(body)) + body
+        frame = _FRAME_HEADER.pack(len(body), crc32c(body)) + body
+        if checked is not None:
+            _remember(checked, _digest(frame, 0, len(frame)), body, value)
+        return frame
 
     @classmethod
     def decode(
@@ -238,9 +243,9 @@ class LogRecord:
         cls, buf: bytes, offset: int = 0, checked: dict[bytes, int] | None = None
     ) -> tuple[bytes | None, int]:
         """``(value, next_offset)``: :meth:`decode`'s frame check and field
-        walk, raising as it does, but building no record; names are stepped
-        over, not UTF-8 decoded, and skipped uvarints are not summed; a frame
-        the memo vouches for is not walked at all."""
+        walk, raising as it does, but building no record; names are checked
+        as UTF-8, not kept, and skipped uvarints are not summed; a frame the
+        memo vouches for is not walked at all."""
         header_end, body_end, crc = _frame(buf, offset)
         digest = None
         if checked is not None:
@@ -256,13 +261,15 @@ class LogRecord:
             if type_byte & 0x7F not in _RECORD_TYPES:
                 raise ValueError(f"{type_byte & 0x7F} is not a record type")
             pos = _skip_uvarint(body, _skip_uvarint(body, 1))  # lsn, txn id
-            for _ in range(1 if type_byte & 0x80 else 4):  # [table, tablet,] key[, group]
+            for field in range(1 if type_byte & 0x80 else 4):  # [table, tablet,] key[, group]
                 n = body[pos]
                 if n < 0x80:
-                    pos += 1 + n
+                    pos += 1
                 else:
                     n, pos = decode_uvarint(body, pos)
-                    pos += n
+                if field != 2 and type_byte < 0x80:  # a name: UTF-8, as decode asks
+                    body[pos : pos + n].decode()
+                pos += n
             pos = _skip_uvarint(body, pos)  # timestamp
             value: bytes | None = None
             if body[pos]:
@@ -281,8 +288,9 @@ class LogRecord:
 
 
 # A ``checked`` memo maps the 16-byte BLAKE2b digest of a frame that passed its
-# CRC and parsed to where in its body the value starts (0: it has none); a frame
-# found there is not checked again.  It holds this many (~2 MB); a full one is emptied.
+# CRC and parsed, or that ``encode`` built, to where in its body the value starts
+# (0: it has none); a frame found there is not checked again.  It holds this
+# many (~2 MB); a full one is emptied.
 CHECKED_FRAMES_CAP = 16_384
 
 

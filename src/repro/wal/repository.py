@@ -80,6 +80,9 @@ class LogRepository:
             whose gap is at most this many bytes into a single span read.
         scan_prefetch: read-ahead window (bytes) for sequential segment
             scans; 0 reads each segment in one request.
+        vouch: whether another machine tails this log: its writer then records
+            each frame it builds in ``DFS.checked_frames`` (``vouched``), so
+            the tail's first read of it runs no CRC.
     """
 
     def __init__(
@@ -90,6 +93,7 @@ class LogRepository:
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         coalesce_gap: int | None = None,
         scan_prefetch: int = 0,
+        vouch: bool = False,
     ) -> None:
         self._dfs = dfs
         self._machine = machine
@@ -97,6 +101,7 @@ class LogRepository:
         self._segment_size = segment_size
         self._coalesce_gap = coalesce_gap
         self._scan_prefetch = scan_prefetch
+        self.vouched = dfs.checked_frames if vouch else None
         self._next_file_no = 1
         self._next_lsn = 1
         self._paths: dict[int, str] = {}
@@ -238,11 +243,12 @@ class LogRepository:
         stamped = []
         encoded = []
         total = 0
+        vouched = self.vouched
         for record in records:
             rec = record.with_lsn(self._next_lsn)
             self._next_lsn += 1
             stamped.append(rec)
-            frame = rec.encode()
+            frame = rec.encode(checked=vouched)
             encoded.append(frame)
             total += len(frame)
         self._machine.counters.add(LOG_INGEST_BYTES, total)
@@ -526,6 +532,7 @@ class LogRepository:
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         coalesce_gap: int | None = None,
         scan_prefetch: int = 0,
+        vouch: bool = False,
     ) -> "LogRepository":
         """Rebuild a repository handle over segments already in the DFS.
 
@@ -533,7 +540,7 @@ class LogRepository:
         server's log (§3.8).  The LSN counter is restored lazily by the
         recovery scan.
         """
-        repo = cls(dfs, machine, root, segment_size, coalesce_gap, scan_prefetch)
+        repo = cls(dfs, machine, root, segment_size, coalesce_gap, scan_prefetch, vouch)
         # A complete temp file is always the newest state: the swap in
         # ``_persist_meta`` only deletes the old map after the temp is
         # fully written.  An unparseable temp is a crash mid-write — fall

@@ -54,7 +54,9 @@ What a slice is charged, summed over its ops:
   ``DataNode.append_replica`` and ``verify_replica``, ``DFSReader.read``,
   ``LogRecord.decode``, ``decode_value`` and ``encode``,
   ``BLinkTreeIndex.insert``, ``crc32c`` (calls, and the bytes as
-  ``crc32c_bytes``, in every module that imported it by name),
+  ``crc32c_bytes``, in every module that imported it by name), the log
+  codec's frame digests (``frame_digests``: a memo lookup, or a frame a
+  tailed log's writer vouches for),
   compaction's tail and merge plans, and
   ``CheckpointManager.write_checkpoint``;
 * ``obs_calls``: Python calls into ``repro.obs`` (a profile hook counts
@@ -163,7 +165,8 @@ class Meter:
 
     def __init__(self, monkeypatch) -> None:
         self.calls = Counter(dict.fromkeys(
-            [*CALLS, "crc32c", "crc32c_bytes", "checkpoints", "checkpoint_bytes", "obs_calls"], 0
+            [*CALLS, "crc32c", "crc32c_bytes", "frame_digests", "checkpoints",
+             "checkpoint_bytes", "obs_calls"], 0
         ))
         self.cluster = None  # the cluster whose counters are being read
         self.ops: dict[tuple[str, str], list[dict]] = {}
@@ -179,6 +182,13 @@ class Meter:
 
         for module in CRC_MODULES:
             monkeypatch.setattr(module, "crc32c", crc32c)
+        digest = repro.wal.record._digest
+
+        def frame_digest(buf, offset, end):
+            calls["frame_digests"] += 1
+            return digest(buf, offset, end)
+
+        monkeypatch.setattr(repro.wal.record, "_digest", frame_digest)
         checkpoint = CheckpointManager.write_checkpoint
         meter = self
 

@@ -531,15 +531,20 @@ def test_padded_uvarints_decode_up_to_ten_bytes():
         LogRecord.decode(framed(padded_body(record, False, "lsn", 10)))
 
 
-def test_decode_value_steps_over_name_bytes_unchecked():
-    """The one thing ``decode`` checks that ``decode_value`` does not: a
-    name's UTF-8.  A frame's checksum vouches for its bytes; only a body
-    built with a bad name and then checksummed tells them apart."""
-    body = padded_body(sample_record(table="events"), False, "", 0)
-    bad = framed(body.replace(b"events", b"\xffvents", 1))
-    with pytest.raises(CorruptLogRecord):
-        LogRecord.decode(bad)
-    assert LogRecord.decode_value(bad) == (b"the value", len(bad))
+@pytest.mark.parametrize("name", ["table", "tablet", "group"])
+def test_both_decoders_reject_a_name_that_is_not_utf8(name):
+    """A frame's checksum vouches for its bytes, not for its names' UTF-8:
+    a body built with a bad name and then checksummed fails ``decode_value``
+    as it fails ``decode``, and neither records it, so every frame a memo
+    holds is one ``decode`` accepts."""
+    record = sample_record(table="tbl", tablet="tab", group="grp")
+    body = padded_body(record, False, "", 0)
+    bad = framed(body.replace(getattr(record, name).encode(), b"\xff\xfe\xfd", 1))
+    for decode in (LogRecord.decode, LogRecord.decode_value):
+        checked: dict[bytes, int] = {}
+        with pytest.raises(CorruptLogRecord, match="malformed record body"):
+            decode(bad, 0, checked=checked)
+        assert checked == {}
 
 
 # -- the checked-frames memo --------------------------------------------------------
@@ -649,6 +654,10 @@ def test_a_memo_never_changes_what_a_decoder_answers(record, slim, data):
     by_decode: dict[bytes, int] = {}
     LogRecord.decode(frame, 0, None, by_decode)
     assert by_decode == checked
+    # A writer that vouches for the frame it builds records that entry too.
+    by_encode: dict[bytes, int] = {}
+    assert record.encode(slim=slim, checked=by_encode) == frame
+    assert by_encode == checked
 
 
 def test_a_full_memo_is_emptied(monkeypatch):
