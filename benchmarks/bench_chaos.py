@@ -15,7 +15,7 @@ ownership where the run has live migration.
 Unlike the figure benches this is a pass/fail harness, but it is
 reported like a benchmark: one row per (scenario, seed) and a trajectory
 entry appended to ``BENCH_chaos.json`` at the repo root so durability
-coverage is tracked across commits.
+coverage is tracked across commits (``--smoke`` appends nothing).
 
 Run directly (``python benchmarks/bench_chaos.py [--family F] [--smoke]``)
 or via pytest, which asserts every run passes the oracle.
@@ -179,8 +179,9 @@ def main() -> None:
         parser.error("--ops must be >= 10 (maintenance ops need room)")
     results = run_experiment(args.family, seeds=seeds, ops=args.ops)
     print(format_report(results))
-    append_trajectory(TRAJECTORY, trajectory_entry(results))
-    print(f"\ntrajectory appended to {TRAJECTORY}")
+    if not args.smoke:
+        append_trajectory(TRAJECTORY, trajectory_entry(results))
+        print(f"\ntrajectory appended to {TRAJECTORY}")
     if results["failed"]:
         raise SystemExit(1)
 

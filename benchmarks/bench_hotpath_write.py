@@ -22,9 +22,11 @@ hits every case alike, and prints the inclusive host microseconds per
 write.  The calls really write: they charge simulated time and counters
 to the set-up cluster, which is thrown away.  Beside the frame ``crc32c``
 it times the vouch a ``LogBaseConfig.production()`` log's writer adds to
-a put (its log is tailed): the frame's digest and the insert into
-``DFS.checked_frames`` that spare the tail's first read a CRC; a tree
-without it skips that row.  Beside the table it prints
+a put (its log is tailed): the codec's key function on the frame
+(``_digest``; the frames are reused, so after the first round their
+``hash()`` is cached, where a fresh 1 KB frame pays ~0.35 µs for it) and
+the insert into ``DFS.checked_frames`` that spare the tail's first read a
+CRC; a tree without it skips that row.  Beside the table it prints
 the Python-level calls per steady-state put: every ``call`` and
 ``c_call`` profile event (``sys.setprofile``) over one more pass of the
 timed puts, after the timing.  It is printed, never gated.  A tree

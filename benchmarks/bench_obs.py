@@ -8,7 +8,9 @@ of its end-to-end simulated latency, the per-layer breakdown must sum to
 exactly one sequential log append per put, with the DFS append +
 replication pipeline dominating write time (§3.4, §4.2.1).  The retained
 traces are exported as Chrome ``trace_event`` JSON to
-``benchmarks/results/trace_obs.json`` (loadable in chrome://tracing).
+``benchmarks/results/trace_obs.json`` (loadable in chrome://tracing); a
+smoke run (``--smoke``, or pytest) writes its own, untracked, to
+``trace_obs.smoke.json`` beside it and appends nothing to ``BENCH_obs.json``.
 
 The tracing-off arm runs the identical workload first: its wall-clock,
 together with a microbenchmark of the no-op span gate, bounds the cost
@@ -40,6 +42,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_obs.json"
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 TRACE_PATH = RESULTS_DIR / "trace_obs.json"
+SMOKE_TRACE_PATH = RESULTS_DIR / "trace_obs.smoke.json"  # untracked
 
 TABLE = "obs"
 GROUP = "g"
@@ -105,7 +108,9 @@ def _disabled_gate_overhead_pct(db_off: LogBase, span_calls: int, wall_off: floa
     return 100.0 * (span_calls * per_call) / wall_off if wall_off > 0 else 0.0
 
 
-def run_experiment(ops: int = DEFAULT_OPS, seed: int = 1) -> dict:
+def run_experiment(
+    ops: int = DEFAULT_OPS, seed: int = 1, trace_path: pathlib.Path = TRACE_PATH
+) -> dict:
     # Untraced arm first (its machines have no tracer): the wall-clock
     # baseline every seed benchmark pays.
     started = time.perf_counter()
@@ -131,7 +136,7 @@ def run_experiment(ops: int = DEFAULT_OPS, seed: int = 1) -> dict:
     put_dominant = max(put_layers, key=put_layers.get) if put_layers else None
 
     RESULTS_DIR.mkdir(exist_ok=True)
-    chrome_events = export_chrome_trace(tracer, str(TRACE_PATH))
+    chrome_events = export_chrome_trace(tracer, str(trace_path))
     time_report = format_time_report(tracer)
 
     span_calls = tracer.spans_started
@@ -153,7 +158,7 @@ def run_experiment(ops: int = DEFAULT_OPS, seed: int = 1) -> dict:
         "put_layer_percent": put_layers,
         "put_dominant_layer": put_dominant,
         "chrome_events": chrome_events,
-        "chrome_trace": str(TRACE_PATH.relative_to(REPO_ROOT)),
+        "chrome_trace": str(trace_path.relative_to(REPO_ROOT)),
         "wall_off_seconds": wall_off,
         "wall_on_seconds": wall_on,
         "tracing_overhead_pct": (
@@ -233,7 +238,7 @@ def trajectory_entry(results: dict) -> dict:
 
 
 def test_obs_suite():
-    results = run_experiment(ops=SMOKE_OPS)
+    results = run_experiment(ops=SMOKE_OPS, trace_path=SMOKE_TRACE_PATH)
     failures = check(results)
     assert not failures, "\n".join(failures)
 
@@ -247,10 +252,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     ops = args.ops if args.ops is not None else (SMOKE_OPS if args.smoke else DEFAULT_OPS)
-    results = run_experiment(ops=ops, seed=args.seed)
+    trace_path = SMOKE_TRACE_PATH if args.smoke else TRACE_PATH
+    results = run_experiment(ops=ops, seed=args.seed, trace_path=trace_path)
     print(format_report(results))
-    append_trajectory(TRAJECTORY, trajectory_entry(results))
-    print(f"\ntrajectory appended to {TRAJECTORY}")
+    if not args.smoke:
+        append_trajectory(TRAJECTORY, trajectory_entry(results))
+        print(f"\ntrajectory appended to {TRAJECTORY}")
     failures = check(results)
     if failures:
         for failure in failures:

@@ -151,9 +151,9 @@ class DFS:
             allow_degraded=degraded_allocation,
         )
         self.datanodes: dict[str, DataNode] = {}
-        # Log frames whose CRC passed, or that a tailed log's writer built,
-        # by whole-frame digest (``wal/record.py::_digest``): machines share it.
-        self.checked_frames: dict[bytes, int] = {}
+        # Log frames whose CRC passed, or that a tailed log's writer built, by
+        # ``hash()`` and CRC field (``wal/record.py::_digest``): machines share it.
+        self.checked_frames: dict[int, int] = {}
         for machine in machines:
             node = DataNode(machine, checksum_replicas=checksum_replicas)
             self.datanodes[node.name] = node
@@ -603,6 +603,8 @@ class DFSReader:
         A plain read checks no replica checksum.  A ``verified`` one serves
         only cached chunks a verified read filled, and fills the rest from
         a replica whose chunk checksums match (plain if the DFS keeps none).
+        A plain one-block read on an untraced machine short-circuits to the
+        local replica where the failover loop would try it first.
 
         Raises:
             FileNotFoundInDFS: if the range is beyond the end of file.
@@ -620,12 +622,27 @@ class DFSReader:
                 f"read past EOF of {self._meta.path}: "
                 f"offset={offset} length={length} file={self._meta.length}"
             )
-        if inside and length and self._reader.tracer is None:
-            return self._read_from_block(blocks[first], pos, length, verified)
+        reader = self._reader
+        if inside and length and reader.tracer is None:
+            block, local = blocks[first], self._local
+            # The short-circuit read: what the failover loop would try first.
+            # The local datanode is on the reader's machine: alive, listed as it is.
+            if (
+                local is not None and not verified and current_deadline() is None
+                and reader.alive and reader.name in block.locations
+                and local.has_block(block.block_id)
+            ):
+                try:  # a short replica raises, charging nothing: the loop handles it
+                    payload = local.read_replica(block.block_id, pos, length)[0]
+                    reader.clock.advance(self._dfs.network.local_latency)
+                    return payload
+                except BlockCorruptionError:
+                    pass
+            return self._read_from_block(block, pos, length, verified)
         # Anchored on the READER: remote disk waits and transfers are
         # mirror-charged to the reader's clock by _fetch, so the span's
         # own duration already covers them.
-        with span(SPAN_DFS_READ, self._reader, bytes=length):
+        with span(SPAN_DFS_READ, reader, bytes=length):
             if inside and length:
                 return self._read_from_block(blocks[first], pos, length, verified)
             parts = []
@@ -646,20 +663,7 @@ class DFSReader:
     def _read_from_block(
         self, block: BlockInfo, offset: int, length: int, verified: bool
     ) -> bytes:
-        local, reader = self._local, self._reader
-        # The short-circuit read: what the failover loop would try first.  The
-        # local datanode is on the reader's machine: alive, listed as it is.
-        if (
-            local is not None and not verified and current_deadline() is None
-            and reader.alive and reader.name in block.locations
-            and local.has_block(block.block_id)
-        ):
-            try:  # a short replica raises, charging nothing: the loop handles it
-                payload = local.read_replica(block.block_id, offset, length)[0]
-                reader.clock.advance(self._dfs.network.local_latency)
-                return payload
-            except BlockCorruptionError:
-                pass
+        """A range of one block through the block cache or the failover loop."""
         verify = verified and self._dfs.checksum_replicas
         cache = self._dfs.block_cache_for(self._reader)
         if cache is not None:

@@ -97,31 +97,31 @@ class SimDisk:
             cost = self.model.random_access_cost(nbytes)
         return cost * self._slowdown
 
-    def _charge(self, file_id: int, offset: int, nbytes: int, write: bool) -> float:
-        sequential = self._head == (file_id, offset)
-        if sequential:
-            cost = self.model.sequential_cost(nbytes)
-        else:
-            cost = self.model.random_access_cost(nbytes)
-            self.counters.add("disk.seeks")
-        cost *= self._slowdown
-        self._head = (file_id, offset + nbytes)
-        self.clock.advance(cost)
-        if write:
-            self.counters.add("disk.bytes_written", nbytes)
-            self.counters.add("disk.writes")
-        else:
-            self.counters.add("disk.bytes_read", nbytes)
-            self.counters.add("disk.reads")
-        return cost
-
     def read(self, file_id: int, offset: int, nbytes: int) -> float:
         """Charge a read at ``(file_id, offset)``; returns seconds charged."""
-        return self._charge(file_id, offset, nbytes, write=False)
+        if self._head == (file_id, offset):
+            cost = self.model.sequential_cost(nbytes) * self._slowdown
+        else:
+            cost = self.model.random_access_cost(nbytes) * self._slowdown
+            self.counters.add("disk.seeks")
+        self._head = (file_id, offset + nbytes)
+        self.clock.advance(cost)
+        self.counters.add("disk.bytes_read", nbytes)
+        self.counters.add("disk.reads")
+        return cost
 
     def write(self, file_id: int, offset: int, nbytes: int) -> float:
         """Charge a write at ``(file_id, offset)``; returns seconds charged."""
-        return self._charge(file_id, offset, nbytes, write=True)
+        if self._head == (file_id, offset):
+            cost = self.model.sequential_cost(nbytes) * self._slowdown
+        else:
+            cost = self.model.random_access_cost(nbytes) * self._slowdown
+            self.counters.add("disk.seeks")
+        self._head = (file_id, offset + nbytes)
+        self.clock.advance(cost)
+        self.counters.add("disk.bytes_written", nbytes)
+        self.counters.add("disk.writes")
+        return cost
 
     def write_buffered(self, nbytes: int) -> float:
         """Charge an append absorbed by the OS page cache and written back

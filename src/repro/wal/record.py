@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import struct
-from _blake2 import blake2b  # not hashlib: that loads OpenSSL, ~3.5 MB
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -107,7 +106,7 @@ class LogRecord:
 
     # -- encoding ----------------------------------------------------------------
 
-    def encode(self, *, slim: bool = False, checked: dict[bytes, int] | None = None) -> bytes:
+    def encode(self, *, slim: bool = False, checked: dict[int, int] | None = None) -> bytes:
         """Encode to a framed byte string.
 
         Args:
@@ -143,9 +142,10 @@ class LogRecord:
         else:
             parts += (_BYTE[1], encode_uvarint(len(value)), value)
         body = b"".join(parts)
-        frame = _FRAME_HEADER.pack(len(body), crc32c(body)) + body
+        crc = crc32c(body)
+        frame = _FRAME_HEADER.pack(len(body), crc) + body
         if checked is not None:
-            _remember(checked, _digest(frame, 0, len(frame)), body, value)
+            _remember(checked, _digest(frame, 0, len(frame)) << 32 | crc, body, value)
         return frame
 
     @classmethod
@@ -154,7 +154,7 @@ class LogRecord:
         buf: bytes,
         offset: int = 0,
         scope: tuple[str, str] | None = None,
-        checked: dict[bytes, int] | None = None,
+        checked: dict[int, int] | None = None,
     ) -> tuple["LogRecord", int]:
         """Decode one framed record from ``buf`` at ``offset``.
 
@@ -162,7 +162,8 @@ class LogRecord:
             scope: ``(table, group)`` of the sorted segment ``buf`` was read
                 from, which a slim entry leaves out; None for a log segment.
             checked: the cluster's memo of frames that passed their CRC
-                (``DFS.checked_frames``); None checks every body.
+                (``DFS.checked_frames``; ``buf`` is then ``bytes``, which
+                ``hash()`` takes); None checks every body.
 
         Returns:
             ``(record, next_offset)``.
@@ -171,9 +172,15 @@ class LogRecord:
             CorruptLogRecord: on truncation (``TruncatedLogRecord``), checksum
                 mismatch, or a body that matches its checksum but does not parse.
         """
-        header_end, body_end, crc = _frame(buf, offset)
+        header_end = offset + 8
+        if header_end > len(buf):
+            raise TruncatedLogRecord("truncated frame header")
+        length, crc = _FRAME_HEADER.unpack_from(buf, offset)
+        body_end = header_end + length
+        if body_end > len(buf):
+            raise TruncatedLogRecord("truncated frame body")
         body = bytes(buf[header_end:body_end])
-        digest = None if checked is None else _digest(buf, offset, body_end)
+        digest = None if checked is None else _digest(buf, offset, body_end) << 32 | crc
         fresh = digest is None or digest not in checked  # not vouched for
         if fresh and crc32c(body) != crc:
             raise CorruptLogRecord("checksum mismatch")
@@ -240,19 +247,25 @@ class LogRecord:
 
     @classmethod
     def decode_value(
-        cls, buf: bytes, offset: int = 0, checked: dict[bytes, int] | None = None
+        cls, buf: bytes, offset: int = 0, checked: dict[int, int] | None = None
     ) -> tuple[bytes | None, int]:
         """``(value, next_offset)``: :meth:`decode`'s frame check and field
         walk, raising as it does, but building no record; names are checked
         as UTF-8, not kept, and skipped uvarints are not summed; a frame the
         memo vouches for is not walked at all."""
-        header_end, body_end, crc = _frame(buf, offset)
+        header_end = offset + 8
+        if header_end > len(buf):
+            raise TruncatedLogRecord("truncated frame header")
+        length, crc = _FRAME_HEADER.unpack_from(buf, offset)
+        body_end = header_end + length
+        if body_end > len(buf):
+            raise TruncatedLogRecord("truncated frame body")
         digest = None
         if checked is not None:
-            digest = _digest(buf, offset, body_end)
+            digest = _digest(buf, offset, body_end) << 32 | crc
             start = checked.get(digest)
             if start is not None:  # no CRC, no walk, no copy of the body
-                return (bytes(buf[header_end + start : body_end]) if start else None), body_end
+                return (buf[header_end + start : body_end] if start else None), body_end
         body = bytes(buf[header_end:body_end])
         if crc32c(body) != crc:
             raise CorruptLogRecord("checksum mismatch")
@@ -287,31 +300,20 @@ class LogRecord:
         return value, body_end
 
 
-# A ``checked`` memo maps the 16-byte BLAKE2b digest of a frame that passed its
-# CRC and parsed, or that ``encode`` built, to where in its body the value starts
-# (0: it has none); a frame found there is not checked again.  It holds this
-# many (~2 MB); a full one is emptied.
+# A ``checked`` memo maps a frame that passed its CRC and parsed, or that ``encode``
+# built, by its :func:`_digest` above its CRC field, to where in its body the value
+# starts (0: none): another frame hits only by a 64-bit hash collision with an
+# entry of its CRC field.  It holds this many (~1.2 MB); a full one is emptied.
 CHECKED_FRAMES_CAP = 16_384
 
 
-def _frame(buf: bytes, offset: int) -> tuple[int, int, int]:
-    """``(header_end, body_end, crc)`` of the frame at ``offset``."""
-    header_end = offset + _FRAME_HEADER.size
-    if header_end > len(buf):
-        raise TruncatedLogRecord("truncated frame header")
-    length, crc = _FRAME_HEADER.unpack_from(buf, offset)
-    body_end = header_end + length
-    if body_end > len(buf):
-        raise TruncatedLogRecord("truncated frame body")
-    return header_end, body_end, crc
+def _digest(buf: bytes, offset: int, end: int) -> int:
+    """The ``hash()`` (keyed 64-bit SipHash, cached on ``bytes``) of frame
+    ``buf[offset:end]``, which a memo key holds above the frame's CRC field."""
+    return hash(buf[offset:end])
 
 
-def _digest(buf: bytes, offset: int, end: int) -> bytes:
-    """The memo key of ``buf[offset:end]`` (a log read's whole buffer: no copy)."""
-    return blake2b(buf[offset:end], digest_size=16).digest()
-
-
-def _remember(checked: dict, digest: bytes, body: bytes, value: bytes | None) -> None:
+def _remember(checked: dict, digest: int, body: bytes, value: bytes | None) -> None:
     """Record a checked frame whose body parsed to ``value``, which ends it."""
     if len(checked) >= CHECKED_FRAMES_CAP:
         checked.clear()

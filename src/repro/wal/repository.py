@@ -27,6 +27,7 @@ deletes wait for the next block (:meth:`LogRepository.hold`).
 from __future__ import annotations
 
 import json
+import sys
 from collections import defaultdict
 from functools import partial
 from typing import TYPE_CHECKING, Iterator
@@ -293,20 +294,23 @@ class LogRepository:
         single disk seek, §3.5); a frame that fails its check is read
         again verified."""
         check_deadline("log read")
-        if self._machine.tracer is None:
-            return self._read_value(pointer)
-        with span(SPAN_LOG_READ, self._machine, bytes=pointer.size):
-            return self._read_value(pointer)
-
-    def _read_value(self, pointer: LogPointer) -> bytes | None:
-        segment = self._readers.get(pointer.file_no) or self._reader(pointer.file_no)
-        reader, checked = segment.dfs_reader, segment.checked
+        # By hand, so that an untraced read runs the same body with no call.
+        scope = None
+        if self._machine.tracer is not None:
+            scope = span(SPAN_LOG_READ, self._machine, bytes=pointer.size)
+            scope.__enter__()
         try:
-            raw = reader.read(pointer.offset, pointer.size)
-            return LogRecord.decode_value(raw, 0, checked)[0]
-        except CorruptLogRecord:
-            raw = reader.read(pointer.offset, pointer.size, verified=True)
-            return LogRecord.decode_value(raw, 0, checked)[0]
+            segment = self._readers.get(pointer.file_no) or self._reader(pointer.file_no)
+            reader, checked = segment.dfs_reader, segment.checked
+            try:
+                raw = reader.read(pointer.offset, pointer.size)
+                return LogRecord.decode_value(raw, 0, checked)[0]
+            except CorruptLogRecord:
+                raw = reader.read(pointer.offset, pointer.size, verified=True)
+                return LogRecord.decode_value(raw, 0, checked)[0]
+        finally:
+            if scope is not None:
+                scope.__exit__(*sys.exc_info())
 
     def read_many(self, pointers: list[LogPointer]) -> list[bytes | None]:
         """Batch random reads; returns values (None for a tombstone) in

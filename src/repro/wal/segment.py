@@ -76,7 +76,7 @@ class LogSegmentReader:
         self,
         file_no: int,
         reader: DFSReader,
-        checked: dict[bytes, int],
+        checked: dict[int, int],
         prefetch_bytes: int = 0,
     ) -> None:
         self.file_no = file_no

@@ -124,7 +124,8 @@ def test_every_frame_a_writer_vouched_for_is_one_decode_accepts(schema):
                 scope, buf, offset = log.segment_scope(file_no), log.read_segment_bytes(file_no), 0
                 while offset < len(buf):
                     record, end = LogRecord.decode(buf, offset, scope)  # no memo: a CRC
-                    start = memo[_digest(buf, offset, end)]
+                    crc_field = int.from_bytes(buf[offset + 4 : offset + 8], "little")
+                    start = memo[_digest(buf, offset, end) << 32 | crc_field]
                     assert (buf[offset + 8 + start : end] if start else None) == record.value
                     frames, offset = frames + 1, end
         assert frames > KEYS

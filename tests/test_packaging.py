@@ -40,8 +40,8 @@ def test_import_succeeds_without_networkx():
 
 
 def test_import_loads_no_openssl_hashlib():
-    # Frame digests use the stdlib ``_blake2`` module; ``hashlib`` would
-    # load OpenSSL (~3.5 MB of RSS) into every process.
+    # Nothing imports ``hashlib``, which would load OpenSSL (~3.5 MB of
+    # RSS) into every process; frame memo keys are the built-in ``hash()``.
     out = _run(
         "import sys\n"
         "import repro\n"

@@ -6,7 +6,6 @@ the two golden frames it is what holds the wire format still.
 """
 
 import struct
-from _blake2 import blake2b
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 
@@ -541,7 +540,7 @@ def test_both_decoders_reject_a_name_that_is_not_utf8(name):
     body = padded_body(record, False, "", 0)
     bad = framed(body.replace(getattr(record, name).encode(), b"\xff\xfe\xfd", 1))
     for decode in (LogRecord.decode, LogRecord.decode_value):
-        checked: dict[bytes, int] = {}
+        checked: dict[int, int] = {}
         with pytest.raises(CorruptLogRecord, match="malformed record body"):
             decode(bad, 0, checked=checked)
         assert checked == {}
@@ -603,6 +602,29 @@ def test_a_warm_memo_spares_every_frame_check(decode, value, monkeypatch):
 
 
 @pytest.mark.parametrize("decode", MEMO_DECODERS)
+def test_a_key_collision_with_another_crc_field_still_runs_crc32c(decode, monkeypatch):
+    """An entry vouches only for a frame with its CRC field: with every frame
+    keyed alike, another frame, or this one with its CRC field flipped, is
+    checked as if the memo were cold."""
+    monkeypatch.setattr(repro.wal.record, "_digest", lambda buf, offset, end: 0)
+    frame, other, checked = sample_record(lsn=1).encode(), sample_record(lsn=2).encode(), {}
+    assert frame[4:8] != other[4:8]
+    assert decode(frame, checked) == b"the value"
+    calls = []
+    crc32c = repro.wal.record.crc32c
+    monkeypatch.setattr(
+        repro.wal.record, "crc32c", lambda data, crc=0: calls.append(data) or crc32c(data, crc)
+    )
+    assert decode(frame, checked) == b"the value"
+    assert calls == []
+    with pytest.raises(CorruptLogRecord, match="checksum mismatch"):
+        decode(flipped(frame, 4), checked)
+    assert decode(other, checked) == b"the value"
+    assert calls == [frame[8:], other[8:]]
+    assert sorted(checked) == sorted(int.from_bytes(f[4:8], "little") for f in (frame, other))
+
+
+@pytest.mark.parametrize("decode", MEMO_DECODERS)
 def test_a_frame_that_failed_is_never_recorded(decode):
     frame, checked = sample_record().encode(), {}
     bad = flipped(frame, len(frame) - 1)
@@ -635,7 +657,7 @@ def test_a_memo_never_changes_what_a_decoder_answers(record, slim, data):
     frame = record.encode(slim=slim)
     at = data.draw(st.integers(0, len(frame) - 1))
     damaged = flipped(frame, at, data.draw(st.integers(1, 255)))
-    checked: dict[bytes, int] = {}
+    checked: dict[int, int] = {}
 
     def decoded_value_with_memo(buf, offset=0):
         record, end = LogRecord.decode(buf, offset, None, checked)
@@ -646,23 +668,25 @@ def test_a_memo_never_changes_what_a_decoder_answers(record, slim, data):
     for buf in (frame, frame, damaged, damaged, frame):
         for memo_on, memo_off in zip(with_memo, (LogRecord.decode_value, decoded_value)):
             assert outcome(memo_on, buf) == outcome(memo_off, buf)
-    # The memo holds the frame once, with where its value starts, and
-    # ``decode`` records the same entry ``decode_value`` did.
+    # The memo holds the frame once, keyed by the codec's own key function
+    # above its CRC field, with where its value starts, and ``decode``
+    # records the same entry ``decode_value`` did.
     [(digest, start)] = checked.items()
-    assert digest == blake2b(frame, digest_size=16).digest()
+    crc_field = int.from_bytes(frame[4:8], "little")
+    assert digest == repro.wal.record._digest(frame, 0, len(frame)) << 32 | crc_field
     assert (frame[8 + start :] if start else None) == record.value
-    by_decode: dict[bytes, int] = {}
+    by_decode: dict[int, int] = {}
     LogRecord.decode(frame, 0, None, by_decode)
     assert by_decode == checked
     # A writer that vouches for the frame it builds records that entry too.
-    by_encode: dict[bytes, int] = {}
+    by_encode: dict[int, int] = {}
     assert record.encode(slim=slim, checked=by_encode) == frame
     assert by_encode == checked
 
 
 def test_a_full_memo_is_emptied(monkeypatch):
     monkeypatch.setattr(repro.wal.record, "CHECKED_FRAMES_CAP", 8)
-    checked: dict[bytes, int] = {}
+    checked: dict[int, int] = {}
     sizes = []
     for lsn in range(20):
         LogRecord.decode_value(sample_record(lsn=lsn).encode(), 0, checked)
